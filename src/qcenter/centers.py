@@ -53,17 +53,25 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
             continue
         solver = EchelonAccumulator(len(candidates))
         for h in act.hamiltonians:
-            brackets = [act.star.poisson(h, c) for c in candidates]
-            support = sorted(
-                {m for b in brackets for m in b.terms}, key=monomial_key
+            _add_coefficient_rows(
+                solver, [act.star.poisson(h, c) for c in candidates]
             )
-            for mono in support:
-                solver.add_row([b.coefficient(mono) for b in brackets])
         basis = [
             _combine(candidates, vec, nv) for vec in solver.kernel()
         ]
         slices[degree] = basis
     return GradedSubspace(nv, slices)
+
+
+def _add_coefficient_rows(solver: EchelonAccumulator, polys: Sequence[Poly]):
+    """Require ``sum_j x_j * polys[j] == 0``: one sparse row per support
+    monomial, fed in canonical monomial order."""
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for col, f in enumerate(polys):
+        for mono, coeff in f.terms.items():
+            rows.setdefault(mono, {})[col] = coeff
+    for mono in sorted(rows, key=monomial_key):
+        solver.add_row(rows[mono])
 
 
 def _combine(candidates: Sequence[Poly], vector: Sequence[Fraction], nv: int) -> Poly:
@@ -154,12 +162,9 @@ def poisson_center_up_to(
             continue
         solver = EchelonAccumulator(len(candidates))
         for u in test_elements:
-            brackets = [act.star.poisson(c, u) for c in candidates]
-            support = sorted(
-                {m for b in brackets for m in b.terms}, key=monomial_key
+            _add_coefficient_rows(
+                solver, [act.star.poisson(c, u) for c in candidates]
             )
-            for mono in support:
-                solver.add_row([b.coefficient(mono) for b in brackets])
         basis = [_combine(candidates, vec, nv) for vec in solver.kernel()]
         if basis:
             slices[degree] = basis
@@ -264,7 +269,7 @@ def _solve_commutation_kernel(act, blocks, test_elements, order):
                 for mono, coeff in term.terms.items():
                     rows.setdefault((s, mono), {})[col] = coeff
         for key in sorted(rows, key=lambda item: (item[0], monomial_key(item[1]))):
-            solver.add_sparse(rows[key])
+            solver.add_row(rows[key])
     return solver.kernel()
 
 

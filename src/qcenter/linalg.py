@@ -1,57 +1,151 @@
 """Exact linear algebra over the rationals and graded polynomial subspaces.
 
-Everything reduces to row echelon computations with Fraction entries.
-Pivots are always the leftmost nonzero column, rows are normalized to a
-leading 1 and fully reduced, so echelon forms (and hence every basis this
-module produces) are canonical: independent of the input order of the
-constraints and idempotent under re-reduction.
+One sparse Gauss–Jordan engine, ``EchelonAccumulator``, does every
+elimination in the package.  A row is a ``{column: Fraction}`` dict that
+stores only nonzero entries, and the engine keeps a dict from each pivot
+column to its row.  Inserting a row reduces it against the pivots it
+contains, normalizes it to a leading 1 and back-reduces only the stored
+rows that contain the new pivot, so the stored rows stay fully reduced.
+
+The result is the canonical reduced row echelon form: pivots are the
+leftmost nonzero columns, rows have a leading 1 and every pivot column is
+zero outside its own row.  It depends only on the row space, not on the
+order of the rows, so every basis this module produces is canonical and
+re-reduction is idempotent.  ``rref``, ``nullspace``, ``solve_linear``,
+``in_span`` and the span helpers are thin wrappers that feed the engine
+and read the answer off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ValidationError
 from .poly import Exponent, Poly, monomial_key
 
 Row = list[Fraction]
+SparseRow = dict[int, Fraction]
+
+
+def _subtract(target: SparseRow, factor: Fraction, source: SparseRow) -> None:
+    """``target -= factor * source`` in place, dropping cancelled entries."""
+    for col, value in source.items():
+        old = target.get(col)
+        if old is None:
+            target[col] = -factor * value
+        else:
+            new = old - factor * value
+            if new:
+                target[col] = new
+            else:
+                del target[col]
+
+
+class EchelonAccumulator:
+    """Incremental sparse echelon form for streaming constraint rows.
+
+    Feeding rows one by one keeps memory proportional to the stored
+    nonzeros; the state after any sequence of rows is the canonical RREF
+    of their span, so the kernel is identical to batch reduction.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._rows: dict[int, SparseRow] = {}  # pivot column -> its row
+
+    def add_row(self, row: Sequence | Mapping[int, object]) -> bool:
+        """Reduce and keep a dense row or a ``{column: value}`` mapping;
+        returns True if it added rank."""
+        return self._insert(self._sparse(row))
+
+    def _sparse(self, row: Sequence | Mapping[int, object]) -> SparseRow:
+        if isinstance(row, Mapping):
+            items = row.items()
+            if any(not 0 <= col < self.ncols for col in row):
+                raise DimensionError("row column out of range")
+        else:
+            if len(row) != self.ncols:
+                raise DimensionError("row length mismatch")
+            items = enumerate(row)
+        out: SparseRow = {}
+        for col, value in items:
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            if value:
+                out[col] = value
+        return out
+
+    def _insert(self, work: SparseRow) -> bool:
+        """The elimination step; consumes ``work``."""
+        rows = self._rows
+        # stored rows hold no pivot but their own, so reducing against one
+        # pivot never brings in another
+        for pcol in [col for col in work if col in rows]:
+            _subtract(work, work[pcol], rows[pcol])
+        if not work:
+            return False
+        pivot = min(work)
+        lead = work[pivot]
+        if lead != 1:
+            work = {col: value / lead for col, value in work.items()}
+        for prow in rows.values():
+            factor = prow.get(pivot)
+            if factor is not None:
+                _subtract(prow, factor, work)
+        rows[pivot] = work
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _echelon(self) -> tuple[list[SparseRow], list[int]]:
+        pivots = sorted(self._rows)
+        return [self._rows[p] for p in pivots], pivots
+
+    def kernel(self) -> list[Row]:
+        """Canonical kernel basis: one vector per free column, ascending,
+        with a 1 in its free column."""
+        basis = {
+            col: [Fraction(0)] * self.ncols
+            for col in range(self.ncols)
+            if col not in self._rows
+        }
+        for col, vec in basis.items():
+            vec[col] = Fraction(1)
+        for pivot, row in self._rows.items():
+            for col, value in row.items():
+                if col != pivot:
+                    basis[col][pivot] = -value
+        return list(basis.values())
+
+
+def _reduce(rows: Iterable, ncols: int) -> EchelonAccumulator:
+    # batch reductions bypass add_row, so the bench's add_row counts and
+    # rank ratio describe streamed constraint rows only
+    engine = EchelonAccumulator(ncols)
+    for row in rows:
+        engine._insert(engine._sparse(row))
+    return engine
+
+
+def _dense(row: SparseRow, ncols: int) -> Row:
+    out = [Fraction(0)] * ncols
+    for col, value in row.items():
+        out[col] = value
+    return out
 
 
 def rref(rows: Iterable[Sequence]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    work: list[Row] = [[Fraction(v) for v in row] for row in rows]
-    if not work:
+    rows = list(rows)
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    for row in work:
-        if len(row) != ncols:
-            raise DimensionError("ragged matrix")
-    echelon: list[Row] = []
-    pivots: list[int] = []
-    for row in work:
-        row = row[:]
-        for prow, pcol in zip(echelon, pivots):
-            if row[pcol]:
-                factor = row[pcol]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        pivot = next((c for c, v in enumerate(row) if v), None)
-        if pivot is None:
-            continue
-        inv = 1 / row[pivot]
-        row = [v * inv for v in row]
-        # keep earlier rows reduced against the new pivot
-        for idx, (prow, _) in enumerate(zip(echelon, pivots)):
-            if prow[pivot]:
-                factor = prow[pivot]
-                echelon[idx] = [a - factor * b for a, b in zip(prow, row)]
-        insert_at = next(
-            (idx for idx, pc in enumerate(pivots) if pc > pivot), len(pivots)
-        )
-        echelon.insert(insert_at, row)
-        pivots.insert(insert_at, pivot)
-    return echelon, pivots
+    ncols = len(rows[0])
+    echelon, pivots = _reduce(rows, ncols)._echelon()
+    return [_dense(row, ncols) for row in echelon], pivots
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Row]:
@@ -60,17 +154,7 @@ def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Row]:
     Basis vectors correspond to free columns in ascending order, each with
     a 1 in its free column.
     """
-    echelon, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Row] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in zip(echelon, pivots):
-            vec[pcol] = -prow[fc]
-        basis.append(vec)
-    return basis
+    return _reduce(rows, ncols).kernel()
 
 
 @dataclass
@@ -97,81 +181,28 @@ def solve_linear(
     rows = [list(r) for r in rows]
     if rhs is None:
         return LinearSolution(True, None, nullspace(rows, ncols))
-    rhs = [Fraction(v) for v in rhs]
+    rhs = list(rhs)
     if len(rhs) != len(rows):
         raise DimensionError("rhs length does not match row count")
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    echelon, pivots = rref(augmented)
-    for prow, pcol in zip(echelon, pivots):
-        if pcol == ncols:
-            return LinearSolution(False, None, [])
+    augmented = _reduce([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    echelon, pivots = augmented._echelon()
+    if pivots and pivots[-1] == ncols:
+        return LinearSolution(False, None, [])
     particular = [Fraction(0)] * ncols
-    for prow, pcol in zip(echelon, pivots):
-        particular[pcol] = prow[ncols]
+    for row, pivot in zip(echelon, pivots):
+        particular[pivot] = row.get(ncols, Fraction(0))
     return LinearSolution(True, particular, nullspace(rows, ncols))
 
 
-class EchelonAccumulator:
-    """Incremental echelon form for streaming constraint rows.
-
-    Feeding rows one by one keeps memory proportional to the rank; the
-    resulting kernel is identical to batch reduction.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[Row] = []
-        self.pivots: list[int] = []
-
-    def add_row(self, row: Sequence) -> bool:
-        """Reduce and keep the row; returns True if it added rank."""
-        work = [Fraction(v) for v in row]
-        if len(work) != self.ncols:
-            raise DimensionError("row length mismatch")
-        for prow, pcol in zip(self.rows, self.pivots):
-            if work[pcol]:
-                factor = work[pcol]
-                work = [a - factor * b for a, b in zip(work, prow)]
-        pivot = next((c for c, v in enumerate(work) if v), None)
-        if pivot is None:
-            return False
-        inv = 1 / work[pivot]
-        work = [v * inv for v in work]
-        for idx, prow in enumerate(self.rows):
-            if prow[pivot]:
-                factor = prow[pivot]
-                self.rows[idx] = [a - factor * b for a, b in zip(prow, work)]
-        insert_at = next(
-            (i for i, pc in enumerate(self.pivots) if pc > pivot), len(self.pivots)
-        )
-        self.rows.insert(insert_at, work)
-        self.pivots.insert(insert_at, pivot)
-        return True
-
-    def add_sparse(self, entries: dict[int, Fraction]) -> bool:
-        row = [Fraction(0)] * self.ncols
-        for col, val in entries.items():
-            row[col] = val
-        return self.add_row(row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def kernel(self) -> list[Row]:
-        pivot_set = set(self.pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis: list[Row] = []
-        for fc in free_cols:
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
-            for prow, pcol in zip(self.rows, self.pivots):
-                vec[pcol] = -prow[fc]
-            basis.append(vec)
-        return basis
-
-
 # -- polynomial-level helpers ----------------------------------------------
+
+
+def _poly_rows(polys: Sequence[Poly]) -> tuple[list[SparseRow], list[Exponent]]:
+    """Sparse coefficient rows over the joint support in canonical order."""
+    columns = sorted({m for f in polys for m in f.terms}, key=monomial_key)
+    index = {m: i for i, m in enumerate(columns)}
+    rows = [{index[m]: c for m, c in f.terms.items()} for f in polys]
+    return rows, columns
 
 
 def poly_matrix(polys: Sequence[Poly]) -> tuple[list[Row], list[Exponent]]:
@@ -179,30 +210,15 @@ def poly_matrix(polys: Sequence[Poly]) -> tuple[list[Row], list[Exponent]]:
 
     Columns are the support monomials in canonical order.
     """
-    support: set[Exponent] = set()
-    for f in polys:
-        support.update(f.terms)
-    columns = sorted(support, key=monomial_key)
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for f in polys:
-        row = [Fraction(0)] * len(columns)
-        for exp, coeff in f.terms.items():
-            row[index[exp]] = coeff
-        rows.append(row)
-    return rows, columns
+    rows, columns = _poly_rows(polys)
+    return [_dense(row, len(columns)) for row in rows], columns
 
 
 def reduce_poly_span(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     """Canonical (echelon) basis of the span of the given polynomials."""
-    nonzero = [f for f in polys if not f.is_zero()]
-    if not nonzero:
-        return []
-    rows, columns = poly_matrix(nonzero)
-    echelon, _ = rref(rows)
-    return [
-        Poly(nvars, {m: c for m, c in zip(columns, row) if c}) for row in echelon
-    ]
+    rows, columns = _poly_rows(polys)
+    echelon, _ = _reduce(rows, len(columns))._echelon()
+    return [Poly(nvars, {columns[c]: v for c, v in row.items()}) for row in echelon]
 
 
 def spans_equal(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> bool:
@@ -212,17 +228,9 @@ def spans_equal(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> bool:
 
 def in_span(f: Poly, basis: Sequence[Poly]) -> bool:
     """Exact membership of ``f`` in the span of ``basis``."""
-    if f.is_zero():
-        return True
-    rows, columns = poly_matrix(list(basis) + [f])
-    echelon_basis, _ = rref(rows[:-1])
-    work = rows[-1]
-    for prow in echelon_basis:
-        pcol = next(c for c, v in enumerate(prow) if v)
-        if work[pcol]:
-            factor = work[pcol]
-            work = [a - factor * b for a, b in zip(work, prow)]
-    return all(v == 0 for v in work)
+    rows, columns = _poly_rows([*basis, f])
+    engine = _reduce(rows[:-1], len(columns))
+    return not engine._insert(rows[-1])
 
 
 class GradedSubspace:
@@ -266,12 +274,6 @@ class GradedSubspace:
 
     def dimension(self, degree: int) -> int:
         return len(self.slices.get(degree, []))
-
-    def all_elements(self) -> list[Poly]:
-        out = []
-        for degree in self.degrees():
-            out.extend(self.slices[degree])
-        return out
 
     def contains(self, f: Poly) -> bool:
         if f.is_zero():

@@ -145,6 +145,29 @@ def _scalar_check(value, where: str) -> str:
     return value
 
 
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool):
+        raise ValidationError(f"{key} must be an integer, not a boolean")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _check_bounds(truncation: int, max_degree: int, test_degree: int
+                  ) -> tuple[int, int, int]:
+    """Reject truncation and degree bounds that no task could run with."""
+    for key, value in (("truncation", truncation), ("max_degree", max_degree),
+                       ("test_degree", test_degree)):
+        if value < 0:
+            raise ValidationError(f"{key} must be non-negative, got {value}")
+    if max_degree > test_degree:
+        raise ValidationError(
+            f"max_degree {max_degree} exceeds test_degree {test_degree}"
+        )
+    return truncation, max_degree, test_degree
+
+
 def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     """Document-shape and expression-syntax checks only."""
     if not isinstance(data, dict):
@@ -156,6 +179,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
 
     space_data = _require(data, "space", dict, "scenario")
     pairs = _require(space_data, "pairs", int, "space")
+    if isinstance(pairs, bool):
+        raise ValidationError("space.pairs must be an integer, not a boolean")
     if pairs < 1:
         raise ParseError("space.pairs must be a positive integer")
     weights = space_data.get("weights")
@@ -300,6 +325,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         if task not in TASK_ORDER:
             raise ParseError(f"unknown task {task!r}")
     samples = data.get("samples", {})
+    truncation, max_degree, test_degree = _check_bounds(
+        _integer(data.get("truncation", 8), "truncation"),
+        _integer(data.get("max_degree", 8), "max_degree"),
+        _integer(data.get("test_degree", 10), "test_degree"),
+    )
     return Scenario(
         name=name,
         description=data.get("description", ""),
@@ -313,9 +343,9 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         lie_generators=tuple(generators),
         hamiltonian_exprs=tuple(hamiltonian_exprs),
         quantum_correction_exprs=tuple(quantum_corrections),
-        truncation=int(data.get("truncation", 8)),
-        max_degree=int(data.get("max_degree", 8)),
-        test_degree=int(data.get("test_degree", 10)),
+        truncation=truncation,
+        max_degree=max_degree,
+        test_degree=test_degree,
         lifts=tuple(lifts),
         relation_exprs=relation_exprs,
         center_generators=tuple(data.get("center_generators", [])),
@@ -514,6 +544,7 @@ def run_scenario(
             max_degree=new_max,
             test_degree=max(scenario.test_degree, new_max + 2),
         )
+        _check_bounds(scenario.truncation, scenario.max_degree, scenario.test_degree)
     built = build_scenario(scenario)
     report = RunReport(
         scenario.name,

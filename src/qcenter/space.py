@@ -18,28 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
+from .linalg import rref
 from .poly import Poly, as_scalar, default_names
-
-
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 class SymplecticSpace:
@@ -70,7 +50,7 @@ class SymplecticSpace:
             for j in range(nvars):
                 if rows[i][j] != -rows[j][i]:
                     raise ValidationError("bivector must be antisymmetric")
-        if _determinant(rows) == 0:
+        if len(rref(rows)[1]) < nvars:
             raise ValidationError("bivector must be invertible")
         if weights is None:
             weights = (-1,) * nvars

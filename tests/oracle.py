@@ -3,13 +3,14 @@
 These deliberately avoid the package's contraction engine: the deformed
 product is expanded by brute force over index sequences straight from its
 defining formula, and products on several pairs can also be assembled from
-single-pair factors.  Slow but unambiguous.
+single-pair factors.  The linear algebra references work on dense rows with
+textbook pivoting, or with no elimination at all.  Slow but unambiguous.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import factorial
 
 from qcenter import Poly, SymplecticSpace
@@ -66,3 +67,58 @@ def weight_zero_monomials(space: SymplecticSpace, torus_weights: list[int],
         if sum(w * e for w, e in zip(full, exp)) == 0:
             out.append(Poly.monomial(space.nvars, exp))
     return out
+
+
+def dense_rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Textbook Gauss–Jordan on a dense copy: sweep the columns left to
+    right, swap a pivot row up, scale it to a leading 1 and clear the
+    column in every other row."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    top = 0
+    for col in range(ncols):
+        pick = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if pick is None:
+            continue
+        m[top], m[pick] = m[pick], m[top]
+        lead = m[top][col]
+        m[top] = [v / lead for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[top])]
+        pivots.append(col)
+        top += 1
+    return m[:top], pivots
+
+
+def dense_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis read off ``dense_rref``: one vector per free column,
+    ascending, with a 1 in its free column."""
+    echelon, pivots = dense_rref(rows) if rows else ([], [])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pivot in zip(echelon, pivots):
+            vec[pivot] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def leibniz_determinant(matrix: list[list]) -> Fraction:
+    """Determinant as the signed sum over permutations; no elimination."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(matrix[i][j])
+            if term == 0:
+                break
+        total += term
+    return total

@@ -265,3 +265,29 @@ def test_shipped_scenarios_validate():
     for name, _ in list_presets():
         scenario = load_scenario(name)
         build_scenario(scenario)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"truncation": -1}, "truncation must be non-negative"),
+        ({"max_degree": -2}, "max_degree must be non-negative"),
+        ({"max_degree": 7, "test_degree": 6}, "max_degree 7 exceeds test_degree 6"),
+        ({"space": {"pairs": True}}, "pairs must be an integer, not a boolean"),
+    ],
+)
+def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
+    path = write_scenario(tmp_path, dict(MINIMAL_TORUS, **change))
+    assert main(["validate", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_run_rejects_negative_override_with_exit_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, MINIMAL_TORUS)
+    assert main(["run", path, "--truncation", "-1"]) == 3
+    assert "truncation must be non-negative" in capsys.readouterr().err
+    assert main(["run", path, "--max-degree", "-1"]) == 3
+    assert "max_degree must be non-negative" in capsys.readouterr().err
