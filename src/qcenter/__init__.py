@@ -50,7 +50,6 @@ from .lifting import (
     hensel_lift,
     minimality_holds,
     star_evaluate,
-    star_power,
     verify_lift,
 )
 from .linalg import (
@@ -65,7 +64,7 @@ from .linalg import (
     spans_equal,
 )
 from .parsing import parse_poly
-from .poly import Poly, monomials_of_degree, poly_arith
+from .poly import Poly, monomials_of_degree
 from .series import HSeries
 from .space import SymplecticSpace
 from .star import StarProduct, check_axioms, check_homogeneity

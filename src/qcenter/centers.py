@@ -181,20 +181,6 @@ class QuantumCenterSlice:
     representatives: list[HSeries]  # lifts whose classical parts are a basis
 
 
-def _series_commutator_terms(act, coeffs: Sequence[Poly], u: Poly, order: int
-                             ) -> dict[int, Poly]:
-    """Exact commutator of sum_r coeffs[r] hbar^r with u, orders <= order."""
-    nv = act.space.nvars
-    slots: dict[int, Poly] = {}
-    for r, fr in enumerate(coeffs):
-        if r > order or fr.is_zero():
-            continue
-        for level, term in act.star.commutator_terms(fr, u, order - r).items():
-            s = r + level
-            slots[s] = slots.get(s, Poly.zero(nv)) + term
-    return {s: f for s, f in slots.items() if not f.is_zero()}
-
-
 def quantum_center_up_to(
     act: HamiltonianAction,
     max_degree: int,
@@ -277,8 +263,9 @@ def _first_violator(act, basis: list[HSeries], pool: list[Poly], order: int
                     ) -> Poly | None:
     """First test element whose commutator with some kernel series survives."""
     for u in pool:
+        test = HSeries.from_poly(u, order)
         for series in basis:
-            if _series_commutator_terms(act, series.coeffs, u, order):
+            if not act.star.star_commutator(series, test).is_zero():
                 return u
     return None
 

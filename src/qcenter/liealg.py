@@ -169,12 +169,6 @@ class LieAlgebraData:
                 return gen
         raise KeyError(f"no designated invariant generator named {name!r}")
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown basis label {label!r}") from None
-
     def __repr__(self) -> str:
         return f"LieAlgebraData(dim={self.dim}, labels={self.labels})"
 

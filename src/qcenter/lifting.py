@@ -105,13 +105,6 @@ class MonicRelation:
                     )
 
 
-def star_power(star: StarProduct, F: HSeries, exponent: int) -> HSeries:
-    result = HSeries.one(star.space.nvars, F.order)
-    for _ in range(exponent):
-        result = star.star(result, F)
-    return result
-
-
 def relation_defect(star: StarProduct, rel: MonicRelation, fhat: HSeries
                     ) -> HSeries:
     """Deformed evaluation of the monic relation on a candidate lift."""

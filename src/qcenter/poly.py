@@ -75,6 +75,17 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap a term dict without copying or checking it.  Only for dicts
+        the caller built itself: exponents of length ``nvars`` and nonzero
+        ``Fraction`` coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -252,10 +263,6 @@ class Poly:
     def is_homogeneous(self, weights: Sequence[int]) -> bool:
         return len(self.weight_decompose(weights)) <= 1
 
-    def degree_decompose(self) -> dict[int, "Poly"]:
-        """Split by total degree (the all-ones grading)."""
-        return self.weight_decompose((1,) * self.nvars)
-
     # -- division and substitution -------------------------------------------
 
     def divide_exact(self, divisor: "Poly") -> "Poly | None":
@@ -370,15 +377,3 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     out.sort(key=monomial_key)
     return out
 
-
-def poly_arith(a: Poly, b: Poly, op: str, scalar=None) -> Poly:
-    """Dispatch basic arithmetic by name: add, sub, mul, scale."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(scalar if scalar is not None else 1)
-    raise ValueError(f"unknown operation {op!r}")

@@ -1,7 +1,8 @@
 """Deterministic random polynomial samples for executable checks.
 
 All sampling is seeded; two runs with the same seed produce identical
-samples, keeping reports byte-stable.
+samples, keeping reports byte-stable.  Each ``sample_*`` call lists the
+monomials of every degree once and draws from those tables.
 """
 
 from __future__ import annotations
@@ -9,8 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .poly import Poly, monomials_of_degree
+from .poly import Exponent, Poly, monomials_of_degree
 from .space import SymplecticSpace
+
+
+def _monomial_tables(nvars: int, max_degree: int) -> list[list[Exponent]]:
+    """Monomials of each degree 0..max_degree, canonically ordered."""
+    return [monomials_of_degree(nvars, d) for d in range(max_degree + 1)]
 
 
 def random_poly(
@@ -21,10 +27,14 @@ def random_poly(
 ) -> Poly:
     """Sparse random polynomial of bounded degree with small rational
     coefficients; may be zero only with negligible probability."""
+    return _draw_poly(rng, nvars, _monomial_tables(nvars, max_degree), max_terms)
+
+
+def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]],
+               max_terms: int = 4) -> Poly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        degree = rng.randint(0, max_degree)
-        mons = monomials_of_degree(nvars, degree)
+        mons = tables[rng.randint(0, len(tables) - 1)]
         exp = mons[rng.randrange(len(mons))]
         num = rng.choice([-3, -2, -1, 1, 2, 3])
         den = rng.choice([1, 1, 2])
@@ -35,7 +45,13 @@ def random_poly(
 def random_homogeneous_poly(
     rng: random.Random, nvars: int, degree: int, max_terms: int = 4
 ) -> Poly:
-    mons = monomials_of_degree(nvars, degree)
+    return _draw_homogeneous(
+        rng, nvars, monomials_of_degree(nvars, degree), max_terms
+    )
+
+
+def _draw_homogeneous(rng: random.Random, nvars: int, mons: list[Exponent],
+                      max_terms: int = 4) -> Poly:
     terms = {}
     for _ in range(rng.randint(1, min(max_terms, len(mons)))):
         exp = mons[rng.randrange(len(mons))]
@@ -49,13 +65,14 @@ def sample_triples(
 ) -> list[tuple[Poly, Poly, Poly]]:
     rng = random.Random(seed)
     nv = space.nvars
+    tables = _monomial_tables(nv, max_degree)
     out = []
     for _ in range(count):
         out.append(
             (
-                random_poly(rng, nv, max_degree),
-                random_poly(rng, nv, max_degree),
-                random_poly(rng, nv, max_degree),
+                _draw_poly(rng, nv, tables),
+                _draw_poly(rng, nv, tables),
+                _draw_poly(rng, nv, tables),
             )
         )
     return out
@@ -66,14 +83,15 @@ def sample_homogeneous_pairs(
 ) -> list[tuple[Poly, Poly]]:
     rng = random.Random(seed)
     nv = space.nvars
+    tables = _monomial_tables(nv, max_degree)
     out = []
     for _ in range(count):
         d1 = rng.randint(0, max_degree)
         d2 = rng.randint(0, max_degree)
         out.append(
             (
-                random_homogeneous_poly(rng, nv, d1),
-                random_homogeneous_poly(rng, nv, d2),
+                _draw_homogeneous(rng, nv, tables[d1]),
+                _draw_homogeneous(rng, nv, tables[d2]),
             )
         )
     return out
@@ -83,4 +101,5 @@ def sample_polys(
     seed: int, space: SymplecticSpace, count: int, max_degree: int
 ) -> list[Poly]:
     rng = random.Random(seed)
-    return [random_poly(rng, space.nvars, max_degree) for _ in range(count)]
+    tables = _monomial_tables(space.nvars, max_degree)
+    return [_draw_poly(rng, space.nvars, tables) for _ in range(count)]

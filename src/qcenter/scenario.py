@@ -148,6 +148,8 @@ def _scalar_check(value, where: str) -> str:
 def _integer(value, key: str) -> int:
     if isinstance(value, bool):
         raise ValidationError(f"{key} must be an integer, not a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -187,7 +189,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != 2 * pairs:
             raise ParseError("space.weights must list one integer per variable")
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_integer(w, "space.weights") for w in weights)
+    hbar_weight = _integer(space_data.get("hbar_weight", 2), "space.hbar_weight")
     bivector = space_data.get("bivector")
     if bivector is not None:
         if not isinstance(bivector, list) or len(bivector) != 2 * pairs:
@@ -320,11 +323,22 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                 f"center generator {gen_name!r} does not name a lift"
             )
 
-    tasks = tuple(data.get("tasks", TASK_ORDER))
+    tasks = data.get("tasks", list(TASK_ORDER))
+    if not isinstance(tasks, list):
+        raise ParseError("tasks must be a list of task names")
     for task in tasks:
         if task not in TASK_ORDER:
             raise ParseError(f"unknown task {task!r}")
     samples = data.get("samples", {})
+    if not isinstance(samples, dict):
+        raise ParseError("samples must be an object of sample counts")
+    counts = {
+        key: _integer(samples.get(key, 25), f"samples.{key}")
+        for key in ("axioms", "moment")
+    }
+    for key, count in counts.items():
+        if count < 0:
+            raise ValidationError(f"samples.{key} must be non-negative, got {count}")
     truncation, max_degree, test_degree = _check_bounds(
         _integer(data.get("truncation", 8), "truncation"),
         _integer(data.get("max_degree", 8), "max_degree"),
@@ -335,7 +349,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         description=data.get("description", ""),
         pairs=pairs,
         weights=weights,
-        hbar_weight=int(space_data.get("hbar_weight", 2)),
+        hbar_weight=hbar_weight,
         bivector=bivector,
         lie_dim=dim,
         lie_labels=tuple(labels),
@@ -350,8 +364,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         relation_exprs=relation_exprs,
         center_generators=tuple(data.get("center_generators", [])),
         tasks=tuple(task for task in TASK_ORDER if task in tasks),
-        axiom_samples=int(samples.get("axioms", 25)),
-        moment_samples=int(samples.get("moment", 25)),
+        axiom_samples=counts["axioms"],
+        moment_samples=counts["moment"],
     )
 
 

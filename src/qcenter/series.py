@@ -24,7 +24,7 @@ class HSeries:
     def __init__(self, nvars: int, order: int, coeffs: Sequence[Poly] | None = None):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        slots: list[Poly] = [Poly.zero(nvars) for _ in range(order + 1)]
+        slots: list[Poly] = [Poly.zero(nvars)] * (order + 1)
         if coeffs is not None:
             if len(coeffs) > order + 1:
                 raise TruncationError("more coefficients than truncation slots")

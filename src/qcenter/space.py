@@ -99,10 +99,6 @@ class SymplecticSpace:
                     out.append((i, j, self.bivector[i][j]))
         return out
 
-    def is_standard(self) -> bool:
-        std = SymplecticSpace(self.pairs).bivector
-        return self.bivector == std
-
     # -- grading -------------------------------------------------------------
 
     def grading_is_uniform(self) -> bool:
@@ -125,12 +121,6 @@ class SymplecticSpace:
     def poly_weight(self, f: Poly) -> int | None:
         """Weight of a weight-homogeneous polynomial, None if mixed or zero."""
         return f.weight(self.weights)
-
-    def grade_decompose(self, f: Poly) -> dict[int, Poly]:
-        """Weight-graded components of ``f``; keys are weights."""
-        if f.nvars != self.nvars:
-            raise DimensionError("polynomial does not live on this space")
-        return f.weight_decompose(self.weights)
 
     def __repr__(self) -> str:
         return (

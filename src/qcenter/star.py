@@ -8,60 +8,46 @@ l-fold bivector contraction
 
 which vanishes once l exceeds the degree of either factor, so products of
 polynomials are computed exactly and only *stored* truncated.  D_0 is the
-plain product and the antisymmetric part of D_1 is the Poisson bracket, so
-the order-1 commutator recovers the bracket.
+plain product and, for the constant antisymmetric bivector, the level-1
+commutator term 2 D_1(f, g) is the Poisson bracket.
 
 Contractions are organised through powers of the bivector symbol: the l-th
 power of ``sum P[i,j] u_i v_j`` expands as ``sum C(a, b) u^a v^b`` and
 
-    D_l(f, g) = (1 / (2^l l!)) * sum C(a, b) (d^a f) (d^b g).
+    D_l(f, g) = sum S_l(a, b) (d^a f) (d^b g),   S_l = C / (2^l l!).
 
-Powers are cached per product object; derivative tables are pruned so the
-cost tracks the sparsity of the operands.
+Every product, bracket and commutator in the package is one call of a
+single kernel, ``StarProduct._contract``, on two finite expansions
+``{order: Poly}``.  The kernel works in integers: each operand is brought
+to integer numerators over one common denominator (the lcm of its term
+denominators), and each ``S_l`` is kept as integer numerators over its own
+denominator, computed once per product object on first use.  Exponent
+tuples are packed into one integer, so multiplying monomials is an integer
+addition.  Derivatives are taken one variable at a time on the packed
+exponents, so the falling factorials build up in the numerators; each
+d^a of each slot is computed once per call.  Sums accumulate as ``int`` in
+one dict per output order, and one ``Fraction`` is built per output term
+at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import lcm
+from operator import lshift
 from typing import Iterable
 
 from .errors import DimensionError, TruncationError, ValidationError
-from .poly import Exponent, Poly
+from .poly import Poly
 from .series import HSeries
 from .space import SymplecticSpace
 
-BiExponent = tuple[Exponent, Exponent]
-
-
-def derivative_table(f: Poly, max_order: int) -> dict[Exponent, Poly]:
-    """All nonzero iterated partials d^a f with |a| <= max_order."""
-    nv = f.nvars
-    zero_exp = (0,) * nv
-    table: dict[Exponent, Poly] = {}
-    if f.is_zero():
-        return table
-    table[zero_exp] = f
-    level = {zero_exp: f}
-    for _ in range(max_order):
-        nxt: dict[Exponent, Poly] = {}
-        for exp, poly in level.items():
-            start = next((i for i, e in enumerate(exp) if e), nv)
-            # extend only at indices <= first nonzero slot so each multi-index
-            # is produced exactly once
-            for i in range(min(start + 1, nv)):
-                d = poly.partial(i)
-                if d.is_zero():
-                    continue
-                new_exp = list(exp)
-                new_exp[i] += 1
-                nxt[tuple(new_exp)] = d
-        if not nxt:
-            break
-        table.update(nxt)
-        level = nxt
-    return table
+Expansion = dict[int, Poly]
+# a multi-index as its non-decreasing sequence of variable indices
+Index = tuple[int, ...]
+# S_l as (den, {a: [(b, numerator)]}): integer numerators over one denominator
+SymbolPower = tuple[int, dict[Index, list[tuple[Index, int]]]]
 
 
 class StarProduct:
@@ -72,61 +58,116 @@ class StarProduct:
             raise ValueError("truncation order must be non-negative")
         self.space = space
         self.order = order
-        entries: dict[BiExponent, Fraction] = {}
-        nv = space.nvars
-        for i, j, value in space.bivector_entries():
-            left = [0] * nv
-            right = [0] * nv
-            left[i] = 1
-            right[j] = 1
-            entries[(tuple(left), tuple(right))] = value
-        self._bivector_symbol = entries
-        self._symbol_powers: list[dict[BiExponent, Fraction]] = [
-            {((0,) * nv, (0,) * nv): Fraction(1)}
-        ]
+        self._symbol_powers: list[SymbolPower] = []
 
-    # -- bivector symbol powers ---------------------------------------------
+    # -- the contraction kernel ----------------------------------------------
 
-    def _symbol_power(self, level: int) -> dict[BiExponent, Fraction]:
-        while len(self._symbol_powers) <= level:
-            prev = self._symbol_powers[-1]
-            nxt: dict[BiExponent, Fraction] = {}
-            for (a1, b1), c1 in prev.items():
-                for (a2, b2), c2 in self._bivector_symbol.items():
-                    key = (
-                        tuple(x + y for x, y in zip(a1, a2)),
-                        tuple(x + y for x, y in zip(b1, b2)),
-                    )
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-            self._symbol_powers.append(nxt)
-        return self._symbol_powers[level]
+    def _symbol_powers_up_to(self, level: int) -> list[SymbolPower]:
+        """S_0 .. S_level (at least), each as integer numerators over one
+        denominator, grouped by the left multi-index.  Built on first use
+        from S_l = S_(l-1) * P / (2 l)."""
+        powers = self._symbol_powers
+        if not powers:
+            powers.append((1, {(): [((), 1)]}))
+        while len(powers) <= level:
+            l = len(powers)
+            den, prev = powers[-1]
+            acc: dict[tuple[Index, Index], Fraction] = {}
+            for a, row in prev.items():
+                for b, c in row:
+                    for i, j, value in self.space.bivector_entries():
+                        key = (tuple(sorted(a + (i,))), tuple(sorted(b + (j,))))
+                        acc[key] = acc.get(key, 0) + c * value
+            scaled = {k: v / (2 * l * den) for k, v in acc.items() if v}
+            new_den = lcm(*(v.denominator for v in scaled.values()))
+            grouped: dict[Index, list[tuple[Index, int]]] = {}
+            for (a, b), v in scaled.items():
+                grouped.setdefault(a, []).append((b, int(v * new_den)))
+            powers.append((new_den, grouped))
+        return powers
 
-    # -- core products -----------------------------------------------------------
+    def _contract(
+        self, A: Expansion, B: Expansion, cap: int | None = None, odd: bool = False
+    ) -> Expansion:
+        """Exact ``sum D_l(A[a], B[b]) hbar^(a+b+l)`` as {order: Poly}.
+
+        Orders above ``cap`` are skipped (``None``: none are).  With ``odd``
+        only odd levels are summed, each twice: D_l(g, f) = (-1)^l D_l(f, g)
+        for an antisymmetric bivector, so this is the expansion of
+        ``A*B - B*A``.
+        """
+        left = [(r, f.degree(), f) for r, f in A.items()
+                if f.terms and (cap is None or r <= cap)]
+        right = [(r, f.degree(), f) for r, f in B.items()
+                 if f.terms and (cap is None or r <= cap)]
+        if not left or not right:
+            return {}
+        first, step = (1, 2) if odd else (0, 1)
+        deg_a = max([d for _, d, _ in left])
+        deg_b = max([d for _, d, _ in right])
+        top = min(deg_a, deg_b) if cap is None else min(deg_a, deg_b, cap)
+        levels = self._symbol_powers_up_to(top)
+        den_s = lcm(*[den for den, _ in levels[first:top + 1:step]])
+
+        nv = self.space.nvars
+        bits = (deg_a + deg_b).bit_length() or 1
+        mask = (1 << bits) - 1
+        shifts = range(0, bits * nv, bits)
+        den_a, left = _integer_slots(left, shifts)
+        den_b, right = _integer_slots(right, shifts)
+
+        sums: dict[int, dict[int, int]] = {}
+        for a, da, tables_a in left:
+            for b, db, tables_b in right:
+                last = min(da, db) if cap is None else min(da, db, cap - a - b)
+                for level in range(first, last + 1, step):
+                    den, symbol = levels[level]
+                    weight = den_s // den * (2 if odd else 1)
+                    tb = _derivatives(tables_b, level, shifts, mask)
+                    acc = sums.setdefault(a + b + level, {})
+                    get = acc.get
+                    for alpha, x in _derivatives(tables_a, level, shifts, mask).items():
+                        for beta, c in symbol.get(alpha, ()):
+                            y = tb.get(beta)
+                            if y is None:
+                                continue
+                            c *= weight
+                            for k1, v1 in x:
+                                v1 *= c
+                                for k2, v2 in y:
+                                    k = k1 + k2
+                                    acc[k] = get(k, 0) + v1 * v2
+
+        den = den_a * den_b * den_s
+        out: Expansion = {}
+        for r in sorted(sums):
+            terms = {
+                tuple([(k >> s) & mask for s in shifts]): Fraction(n, den)
+                for k, n in sums[r].items()
+                if n
+            }
+            if terms:
+                out[r] = Poly._trusted(nv, terms)
+        return out
+
+    # -- products ------------------------------------------------------------------
 
     def _check_poly(self, f: Poly):
         if f.nvars != self.space.nvars:
             raise DimensionError("polynomial does not live on this space")
 
+    def _check_series(self, F: HSeries, G: HSeries):
+        if F.nvars != self.space.nvars or G.nvars != self.space.nvars:
+            raise DimensionError("series do not live on this space")
+        if F.order != G.order:
+            raise TruncationError("operands carry different truncations")
+
     def bidifferential(self, f: Poly, g: Poly, level: int) -> Poly:
         """The order-``level`` term D_level(f, g), exact."""
         self._check_poly(f)
         self._check_poly(g)
-        if level == 0:
-            return f * g
-        if level > min(f.degree(), g.degree()):
-            return Poly.zero(f.nvars)
-        ftab = derivative_table(f, level)
-        gtab = derivative_table(g, level)
-        acc = Poly.zero(f.nvars)
-        for (a, b), coeff in self._symbol_power(level).items():
-            fa = ftab.get(a)
-            if fa is None:
-                continue
-            gb = gtab.get(b)
-            if gb is None:
-                continue
-            acc = acc + (fa * gb).scale(coeff)
-        return acc.scale(Fraction(1, 2**level * factorial(level)))
+        terms = self._contract({0: f}, {0: g}, level)
+        return terms.get(level, Poly.zero(f.nvars))
 
     def product_terms(
         self, f: Poly, g: Poly, max_order: int | None = None
@@ -134,31 +175,7 @@ class StarProduct:
         """Exact expansion of f*g as {order: coefficient}; finitely many terms."""
         self._check_poly(f)
         self._check_poly(g)
-        if f.is_zero() or g.is_zero():
-            return {}
-        bound = min(f.degree(), g.degree())
-        if max_order is not None:
-            bound = min(bound, max_order)
-        out: dict[int, Poly] = {}
-        ftab = derivative_table(f, bound)
-        gtab = derivative_table(g, bound)
-        for level in range(bound + 1):
-            if level == 0:
-                term = f * g
-            else:
-                acc = Poly.zero(f.nvars)
-                for (a, b), coeff in self._symbol_power(level).items():
-                    fa = ftab.get(a)
-                    if fa is None:
-                        continue
-                    gb = gtab.get(b)
-                    if gb is None:
-                        continue
-                    acc = acc + (fa * gb).scale(coeff)
-                term = acc.scale(Fraction(1, 2**level * factorial(level)))
-            if not term.is_zero():
-                out[level] = term
-        return out
+        return self._contract({0: f}, {0: g}, max_order)
 
     def moyal(self, f: Poly, g: Poly) -> HSeries:
         """Deformed product of two polynomials, stored at the truncation."""
@@ -168,30 +185,11 @@ class StarProduct:
 
     def star(self, F: HSeries, G: HSeries) -> HSeries:
         """Bilinear continuous extension of the product to truncated series."""
-        if F.nvars != self.space.nvars or G.nvars != self.space.nvars:
-            raise DimensionError("series do not live on this space")
-        if F.order != G.order:
-            raise TruncationError("star operands carry different truncations")
+        self._check_series(F, G)
         if F.order != self.order:
             raise TruncationError("series truncation differs from the product's")
-        slots: dict[int, Poly] = {}
-        for a in range(self.order + 1):
-            fa = F.coeffs[a]
-            if fa.is_zero():
-                continue
-            for b in range(self.order + 1 - a):
-                gb = G.coeffs[b]
-                if gb.is_zero():
-                    continue
-                for level, term in self.product_terms(
-                    fa, gb, self.order - a - b
-                ).items():
-                    r = a + b + level
-                    slots[r] = slots.get(r, Poly.zero(F.nvars)) + term
-        return HSeries.from_terms(self.space.nvars, self.order, slots)
-
-    def star_poly(self, f: Poly, G: HSeries) -> HSeries:
-        return self.star(HSeries.from_poly(f, self.order), G)
+        terms = self._contract(_slots(F), _slots(G), self.order)
+        return _series(self.space.nvars, self.order, terms)
 
     def embed(self, f: Poly) -> HSeries:
         return HSeries.from_poly(f, self.order)
@@ -199,19 +197,11 @@ class StarProduct:
     # -- brackets -----------------------------------------------------------------
 
     def poisson(self, f: Poly, g: Poly) -> Poly:
-        """Poisson bracket from the bivector: sum P[i,j] d_i f d_j g."""
+        """Poisson bracket sum P[i,j] d_i f d_j g: the level-1 commutator
+        term."""
         self._check_poly(f)
         self._check_poly(g)
-        acc = Poly.zero(f.nvars)
-        for i, j, value in self.space.bivector_entries():
-            fi = f.partial(i)
-            if fi.is_zero():
-                continue
-            gj = g.partial(j)
-            if gj.is_zero():
-                continue
-            acc = acc + (fi * gj).scale(value)
-        return acc
+        return self._contract({0: f}, {0: g}, 1, odd=True).get(1) or Poly.zero(f.nvars)
 
     def commutator_terms(self, f: Poly, g: Poly, max_order: int | None = None
                          ) -> dict[int, Poly]:
@@ -222,57 +212,66 @@ class StarProduct:
         """
         self._check_poly(f)
         self._check_poly(g)
-        if f.is_zero() or g.is_zero():
-            return {}
-        bound = min(f.degree(), g.degree())
-        if max_order is not None:
-            bound = min(bound, max_order)
-        out: dict[int, Poly] = {}
-        for level in range(1, bound + 1, 2):
-            term = self.bidifferential(f, g, level)
-            if not term.is_zero():
-                out[level] = term.scale(2)
-        return out
+        return self._contract({0: f}, {0: g}, max_order, odd=True)
 
     def star_commutator(self, F: HSeries, G: HSeries) -> HSeries:
-        """F*G - G*F at the stored truncation."""
-        if F.order != G.order:
-            raise TruncationError("commutator operands carry different truncations")
-        slots: dict[int, Poly] = {}
-        for a in range(self.order + 1):
-            fa = F.coeffs[a]
-            if fa.is_zero():
-                continue
-            for b in range(self.order + 1 - a):
-                gb = G.coeffs[b]
-                if gb.is_zero():
-                    continue
-                for level, term in self.commutator_terms(
-                    fa, gb, self.order - a - b
-                ).items():
-                    r = a + b + level
-                    slots[r] = slots.get(r, Poly.zero(F.nvars)) + term
-        return HSeries.from_terms(self.space.nvars, self.order, slots)
+        """F*G - G*F at the operands' truncation."""
+        self._check_series(F, G)
+        terms = self._contract(_slots(F), _slots(G), F.order, odd=True)
+        return _series(self.space.nvars, F.order, terms)
 
     def commutator_poly(self, f: Poly, g: Poly) -> HSeries:
         return self.star_commutator(self.embed(f), self.embed(g))
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 
-    def expansion_product(
-        self, A: dict[int, Poly], B: dict[int, Poly]
-    ) -> dict[int, Poly]:
+    def expansion_product(self, A: Expansion, B: Expansion) -> Expansion:
         """Exact product of two finite expansions {order: Poly}."""
-        out: dict[int, Poly] = {}
-        for a, fa in A.items():
-            for b, gb in B.items():
-                for level, term in self.product_terms(fa, gb).items():
-                    r = a + b + level
-                    if r in out:
-                        out[r] = out[r] + term
-                    else:
-                        out[r] = term
-        return {r: f for r, f in out.items() if not f.is_zero()}
+        return self._contract(A, B)
+
+
+def _integer_slots(slots: list[tuple[int, int, Poly]], shifts: range):
+    """Common denominator of the slots' terms and, per slot, (order,
+    degree, derivative tables) where level 0 holds the integer numerators
+    keyed by packed exponent."""
+    den = lcm(*[c.denominator for _, _, f in slots for c in f.terms.values()])
+    return den, [
+        (r, d, [{(): [
+            (sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator))
+            for e, c in f.terms.items()
+        ]}])
+        for r, d, f in slots
+    ]
+
+
+def _derivatives(tables: list[dict], level: int, shifts: range, mask: int
+                 ) -> dict[Index, list[tuple[int, int]]]:
+    """The nonzero d^alpha of one slot with |alpha| == level, as
+    {alpha: [(packed exponent, numerator)]}.  ``tables[l]`` holds level l
+    and is extended on demand; each step differentiates once more, so the
+    falling factorials build up in the numerators."""
+    nv = len(shifts)
+    while len(tables) <= level:
+        nxt: dict[Index, list[tuple[int, int]]] = {}
+        for alpha, terms in tables[-1].items():
+            # raise only indices at or after the last raised one, so each
+            # multi-index is reached once
+            for i in range(alpha[-1] if alpha else 0, nv):
+                s = shifts[i]
+                d = [(k - (1 << s), c * e) for k, c in terms if (e := (k >> s) & mask)]
+                if d:
+                    nxt[alpha + (i,)] = d
+        tables.append(nxt)
+    return tables[level]
+
+
+def _slots(F: HSeries) -> Expansion:
+    return dict(enumerate(F.coeffs))
+
+
+def _series(nvars: int, order: int, terms: Expansion) -> HSeries:
+    zero = Poly.zero(nvars)
+    return HSeries(nvars, order, [terms.get(r, zero) for r in range(order + 1)])
 
 
 # -- reports ----------------------------------------------------------------------

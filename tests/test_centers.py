@@ -190,6 +190,19 @@ def test_quantum_center_torus4_degree2(torus4_action):
             assert comm.is_zero()
 
 
+def test_quantum_center_below_the_star_truncation(skew_torus_action):
+    """Slices at a truncation below the product's own agree with a product
+    built at that truncation; certification tests degree-4 invariants."""
+    act = skew_torus_action
+    low = HamiltonianAction(act.lie, StarProduct(act.space, 3), act.hamiltonians)
+    for mine, theirs in zip(
+        quantum_center_up_to(act, 4, 8, 3).values(),
+        quantum_center_up_to(low, 4, 8, 3).values(),
+    ):
+        assert mine.basis == theirs.basis
+        assert mine.rank == theirs.rank
+
+
 def test_quantum_center_sl2_everything_invariant_is_central(sl2_action):
     slices = quantum_center_up_to(sl2_action, 4, 6, 8)
     inv = invariants_up_to(sl2_action, 6)

@@ -274,6 +274,18 @@ def test_shipped_scenarios_validate():
         ({"max_degree": -2}, "max_degree must be non-negative"),
         ({"max_degree": 7, "test_degree": 6}, "max_degree 7 exceeds test_degree 6"),
         ({"space": {"pairs": True}}, "pairs must be an integer, not a boolean"),
+        ({"truncation": 2.5}, "truncation must be an integer, got 2.5"),
+        ({"samples": {"axioms": "x"}}, "samples.axioms must be an integer, got 'x'"),
+        ({"samples": {"moment": -3}}, "samples.moment must be non-negative, got -3"),
+        ({"samples": {"axioms": -3}}, "samples.axioms must be non-negative, got -3"),
+        (
+            {"space": {"pairs": 1, "weights": ["a", "b"]}},
+            "space.weights must be an integer, got 'a'",
+        ),
+        (
+            {"space": {"pairs": 1, "hbar_weight": "x"}},
+            "space.hbar_weight must be an integer, got 'x'",
+        ),
     ],
 )
 def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
@@ -283,6 +295,21 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert err.startswith("validation error:")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"samples": [1]}, "samples must be an object of sample counts"),
+        ({"tasks": "axioms"}, "tasks must be a list of task names"),
+    ],
+)
+def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
+    path = write_scenario(tmp_path, dict(MINIMAL_TORUS, **change))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:")
+    assert message in err
 
 
 def test_run_rejects_negative_override_with_exit_3(tmp_path, capsys):

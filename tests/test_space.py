@@ -17,7 +17,12 @@ from qcenter import (
 
 def test_standard_bivector_default():
     space = SymplecticSpace(2)
-    assert space.is_standard()
+    assert space.bivector == (
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+        (-1, 0, 0, 0),
+        (0, -1, 0, 0),
+    )
     entries = {(i, j): v for i, j, v in space.bivector_entries()}
     assert entries == {
         (0, 2): Fraction(1),
@@ -61,10 +66,10 @@ def test_coordinate_accessors():
         space.q(3)
 
 
-def test_grade_decompose_requires_matching_ring():
+def test_poly_weight_requires_matching_ring():
     space = SymplecticSpace(1)
     with pytest.raises(DimensionError):
-        space.grade_decompose(Poly.variable(4, 0))
+        space.poly_weight(Poly.variable(4, 0))
 
 
 def test_uenv_mixed_truncations_rejected(sl2):
