@@ -18,6 +18,7 @@ from .centers import (
     CenterRow,
     QuantumCenterSlice,
     compare_centers,
+    invariant_generators,
     invariants_up_to,
     moment_image_basis,
     poisson_center_up_to,

@@ -19,6 +19,30 @@ certified against the full test set; if certification finds a violated
 test element its constraints are added and the kernel is recomputed, so
 the fixed point equals the kernel of the full system.
 
+Both systems are shrunk without changing any answer:
+
+* *Weight-zero candidates.*  A hamiltonian is diagonal when its bracket
+  with each coordinate is a multiple of it, ``{h, x_j} = w_j * x_j``
+  (tested through the bracket, so any constant bivector works).  The
+  bracket is a derivation, so it scales the monomial ``x^e`` by
+  ``sum(e_j * w_j)``; only monomials of weight zero for every diagonal
+  hamiltonian can be invariant, and only the other hamiltonians are
+  eliminated.  The dropped columns are unit rows of the full system,
+  which the canonical kernel sets to zero, so every basis is unchanged.
+* *Generators as test elements.*  ``invariant_generators`` keeps, degree
+  by degree, the invariants that are not products of lower-degree ones.
+  The bracket is a biderivation, so an invariant that brackets to zero
+  with the generators does so with every invariant up to the cutoff: the
+  Poisson center is always tested against the generators.  The deformed
+  commutator is a derivation of the product, and when every hamiltonian
+  has degree at most 2 the product is invariant under the action, so
+  ``g * v`` is the deformed product of ``g`` and ``v`` minus higher-order
+  terms that are invariants of lower degree; by induction on the degree,
+  commuting with the generators modulo the truncation is then commuting
+  with every invariant.  The quantum center uses the generators under
+  that condition and the full test set otherwise.  Either way the
+  solution space is the same, and the kernel bases are canonical.
+
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
 Series divisible by the parameter are exactly the lifts of lower-degree
@@ -30,37 +54,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .action import HamiltonianAction
 from .errors import ValidationError
-from .linalg import EchelonAccumulator, GradedSubspace, poly_matrix, rref
+from .linalg import (
+    EchelonAccumulator,
+    GradedSubspace,
+    independent_extension,
+    poly_matrix,
+    rref,
+)
 from .poly import Poly, monomial_key, monomials_of_degree
 from .series import HSeries
 
 
 def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
-    """Per-degree bases of polynomials killed by every hamiltonian bracket."""
+    """Per-degree bases of polynomials killed by every hamiltonian bracket.
+
+    Candidates are the monomials of weight zero for every diagonal
+    hamiltonian; only the other hamiltonians are eliminated.
+    """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
+    weights: list[list[int]] = []
+    others: list[Poly] = []
+    for h in act.hamiltonians:
+        w = _diagonal_weights(act, h)
+        if w is None:
+            others.append(h)
+        else:  # only the zero set matters: scale to integers
+            scale = lcm(*(x.denominator for x in w))
+            weights.append([int(x * scale) for x in w])
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
-        mons = monomials_of_degree(nv, degree)
-        candidates = [Poly.monomial(nv, m) for m in mons]
-        if act.lie.dim == 0:
-            slices[degree] = candidates
-            continue
-        solver = EchelonAccumulator(len(candidates))
-        for h in act.hamiltonians:
-            _add_coefficient_rows(
-                solver, [act.star.poisson(h, c) for c in candidates]
-            )
-        basis = [
-            _combine(candidates, vec, nv) for vec in solver.kernel()
+        candidates = [
+            Poly.monomial(nv, m)
+            for m in monomials_of_degree(nv, degree)
+            if not any(sum(map(mul, m, w)) for w in weights)
         ]
-        slices[degree] = basis
+        if others:
+            solver = EchelonAccumulator(len(candidates))
+            for h in others:
+                _add_coefficient_rows(
+                    solver, [act.star.poisson(h, c) for c in candidates]
+                )
+            candidates = [
+                _combine(candidates, vec, nv) for vec in solver.kernel()
+            ]
+        slices[degree] = candidates
     return GradedSubspace(nv, slices)
+
+
+def _diagonal_weights(act: HamiltonianAction, h: Poly) -> list[Fraction] | None:
+    """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` for every
+    coordinate, or None when the bracket with ``h`` is not diagonal."""
+    nv = act.space.nvars
+    weights = []
+    for j in range(nv):
+        x = Poly.variable(nv, j)
+        (exp,) = x.terms
+        bracket = act.star.poisson(h, x).terms
+        if bracket.keys() - {exp}:
+            return None
+        weights.append(bracket.get(exp, Fraction(0)))
+    return weights
 
 
 def _add_coefficient_rows(solver: EchelonAccumulator, polys: Sequence[Poly]):
@@ -136,6 +197,29 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
     return GradedSubspace(nv, slices)
 
 
+def invariant_generators(invariants: GradedSubspace, test_degree: int
+                         ) -> list[Poly]:
+    """Generators of the invariant algebra up to ``test_degree``.
+
+    Going up degree by degree, a basis element is kept when it is not in
+    the span of the products ``g * v`` of the generators kept so far with
+    the invariant basis of the complementary degree (nor of the elements
+    kept before it).  Every basis element up to ``test_degree`` is then a
+    polynomial in the generators.
+    """
+    generators: list[Poly] = []
+    for degree in invariants.degrees():
+        if not 0 < degree <= test_degree:
+            continue  # constants commute with everything
+        products = [
+            g * v
+            for g in generators
+            for v in invariants.basis(degree - g.degree())
+        ]
+        generators += independent_extension(products, invariants.basis(degree))
+    return generators
+
+
 def poisson_center_up_to(
     act: HamiltonianAction,
     max_degree: int,
@@ -143,18 +227,14 @@ def poisson_center_up_to(
     invariants: GradedSubspace | None = None,
 ) -> GradedSubspace:
     """Invariants whose bracket with every invariant basis element up to
-    the test cutoff vanishes."""
+    the test cutoff vanishes, tested against the generators (the bracket
+    is a biderivation)."""
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     nv = act.space.nvars
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
-    test_elements = [
-        u
-        for degree in invariants.degrees()
-        if degree <= test_degree
-        for u in invariants.basis(degree)
-    ]
+    test_elements = invariant_generators(invariants, test_degree)
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
         candidates = invariants.basis(degree)
@@ -204,12 +284,17 @@ def quantum_center_up_to(
     nv = act.space.nvars
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
-    test_elements = [
-        u
-        for degree in invariants.degrees()
-        if degree <= test_degree
-        for u in invariants.basis(degree)
-    ]
+    if all(h.degree() <= 2 for h in act.hamiltonians):
+        # the product is invariant, so products of generators expand into
+        # lower-degree invariants
+        test_elements = invariant_generators(invariants, test_degree)
+    else:
+        test_elements = [
+            u
+            for degree in invariants.degrees()
+            if degree <= test_degree
+            for u in invariants.basis(degree)
+        ]
     # cheap constraints first; certification adds the rest on demand
     initial_cutoff = min(test_degree, max(2, _generator_degree_bound(act)))
     initial = [u for u in test_elements if u.degree() <= initial_cutoff]

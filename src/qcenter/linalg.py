@@ -226,11 +226,18 @@ def spans_equal(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> bool:
     return reduce_poly_span(a, nvars) == reduce_poly_span(b, nvars)
 
 
+def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
+                          ) -> list[Poly]:
+    """The candidates, in order, that are not in the span of ``base`` and
+    of the candidates kept before them."""
+    rows, columns = _poly_rows([*base, *candidates])
+    engine = _reduce(rows[: len(base)], len(columns))
+    return [f for f, row in zip(candidates, rows[len(base):]) if engine._insert(row)]
+
+
 def in_span(f: Poly, basis: Sequence[Poly]) -> bool:
     """Exact membership of ``f`` in the span of ``basis``."""
-    rows, columns = _poly_rows([*basis, f])
-    engine = _reduce(rows[:-1], len(columns))
-    return not engine._insert(rows[-1])
+    return not independent_extension(basis, [f])
 
 
 class GradedSubspace:

@@ -121,11 +121,25 @@ class Scenario:
 
 
 def _require(data: dict, key: str, kind, where: str):
+    _object(data, where)
     if key not in data:
         raise ParseError(f"missing required field {key!r} in {where}")
     value = data[key]
     if kind is not None and not isinstance(value, kind):
         raise ParseError(f"field {key!r} in {where} has the wrong type")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    return value
+
+
+def _list(data: dict, key: str, where: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"field {key!r} in {where} must be a list")
     return value
 
 
@@ -210,9 +224,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     labels = lie_data.get("labels") or [f"x{i+1}" for i in range(dim)]
     if not isinstance(labels, list) or len(labels) != dim:
         raise ParseError("lie_algebra.labels must list one label per element")
+    if not all(isinstance(label, str) for label in labels):
+        raise ParseError("lie_algebra.labels must be strings")
     index = {label: i for i, label in enumerate(labels)}
     brackets = []
-    for entry in lie_data.get("brackets", []):
+    for entry in _list(lie_data, "brackets", "lie_algebra"):
         left = _require(entry, "left", str, "bracket entry")
         right = _require(entry, "right", str, "bracket entry")
         comps = _require(entry, "components", dict, "bracket entry")
@@ -230,7 +246,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         brackets.append((index[left], index[right], tuple(comp_items)))
     generators = []
     generator_names = []
-    for entry in lie_data.get("invariant_generators", []):
+    for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
         gen_name = _require(entry, "name", str, "invariant generator")
         poly_expr = _syntax_check(
             _require(entry, "poly", str, "invariant generator"),
@@ -238,7 +254,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             f"invariant generator {gen_name!r}",
         )
         corrections = []
-        for order_str, expr in sorted(entry.get("section_correction", {}).items()):
+        section = _object(
+            entry.get("section_correction", {}),
+            f"section correction of {gen_name!r}",
+        )
+        for order_str, expr in sorted(section.items()):
             try:
                 order = int(order_str)
             except ValueError:
@@ -265,10 +285,14 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             (label, _syntax_check(ham_data[label], coord_names, f"hamiltonian {label!r}"))
         )
     quantum_corrections = []
-    for label, corr in data.get("quantum_corrections", {}).items():
+    corrections_data = _object(
+        data.get("quantum_corrections", {}), "quantum_corrections"
+    )
+    for label, corr in corrections_data.items():
         if label not in index:
             raise ParseError(f"quantum correction for unknown label {label!r}")
         items = []
+        corr = _object(corr, f"quantum correction of {label!r}")
         for order_str, expr in sorted(corr.items()):
             try:
                 order = int(order_str)
@@ -288,7 +312,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
 
     lifts = []
     lift_names = []
-    for entry in data.get("lifts", []):
+    for entry in _list(data, "lifts", "scenario"):
         lift_name = _require(entry, "name", str, "lift entry")
         if "classical" in entry:
             expr = _syntax_check(
@@ -315,9 +339,10 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
 
     relation_exprs = tuple(
         _syntax_check(expr, lift_names, "generator relation")
-        for expr in data.get("relations", [])
+        for expr in _list(data, "relations", "scenario")
     )
-    for gen_name in data.get("center_generators", []):
+    center_generators = _list(data, "center_generators", "scenario")
+    for gen_name in center_generators:
         if gen_name not in lift_names:
             raise ParseError(
                 f"center generator {gen_name!r} does not name a lift"
@@ -362,7 +387,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         test_degree=test_degree,
         lifts=tuple(lifts),
         relation_exprs=relation_exprs,
-        center_generators=tuple(data.get("center_generators", [])),
+        center_generators=tuple(center_generators),
         tasks=tuple(task for task in TASK_ORDER if task in tasks),
         axiom_samples=counts["axioms"],
         moment_samples=counts["moment"],

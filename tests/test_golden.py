@@ -1,10 +1,13 @@
 """Byte-for-byte regression of the shipped presets' JSON reports.
 
 The files under ``tests/golden/`` are the output of
-``qcenter run <preset> --report json``.  Any change to a basis, a rank, a
-printed polynomial or the report layout shows up here.  After an intended
-change, regenerate a file with
-``qcenter run <preset> --report json --out tests/golden/<preset>.json``.
+``qcenter run <preset> --report json``, and ``<preset>_deg10.json`` that of
+``qcenter run <preset> --max-degree 10 --report json``; at degree 10 the
+weight-zero candidates and the generator test sets of ``centers`` cut the
+most work.  Any change to a basis, a rank, a printed polynomial or the
+report layout shows up here.  After an intended change, regenerate a file
+with ``qcenter run <preset> [--max-degree 10] --report json --out
+tests/golden/<file>``.
 """
 
 from __future__ import annotations
@@ -24,3 +27,9 @@ PRESETS = ("trivial_k2", "torus_k2", "torus_k4", "sl2_tstar_k2")
 def test_preset_report_bytes_match_golden(preset):
     rendered = to_json(run_scenario(load_scenario(preset)))
     assert rendered.encode() == (GOLDEN / f"{preset}.json").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ("sl2_tstar_k2", "torus_k4"))
+def test_degree_10_report_bytes_match_golden(preset):
+    rendered = to_json(run_scenario(load_scenario(preset), max_degree=10))
+    assert rendered.encode() == (GOLDEN / f"{preset}_deg10.json").read_bytes()

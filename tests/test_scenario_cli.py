@@ -297,11 +297,33 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert "Traceback" not in err
 
 
+def _lie(**fields) -> dict:
+    return {"lie_algebra": dict(MINIMAL_TORUS["lie_algebra"], **fields)}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         ({"samples": [1]}, "samples must be an object of sample counts"),
         ({"tasks": "axioms"}, "tasks must be a list of task names"),
+        (_lie(brackets=5), "field 'brackets' in lie_algebra must be a list"),
+        ({"lifts": 5}, "field 'lifts' in scenario must be a list"),
+        ({"relations": 5}, "field 'relations' in scenario must be a list"),
+        (_lie(brackets=[1]), "bracket entry must be an object"),
+        (_lie(invariant_generators=[1]), "invariant generator must be an object"),
+        ({"lifts": [1]}, "lift entry must be an object"),
+        ({"quantum_corrections": [1]}, "quantum_corrections must be an object"),
+        (
+            {"quantum_corrections": {"t": [1]}},
+            "quantum correction of 't' must be an object",
+        ),
+        (
+            _lie(invariant_generators=[
+                {"name": "t", "poly": "t", "section_correction": [1]}
+            ]),
+            "section correction of 't' must be an object",
+        ),
+        (_lie(labels=[1]), "lie_algebra.labels must be strings"),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
@@ -310,6 +332,7 @@ def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, messa
     err = capsys.readouterr().err
     assert err.startswith("parse error:")
     assert message in err
+    assert "Traceback" not in err
 
 
 def test_run_rejects_negative_override_with_exit_3(tmp_path, capsys):
