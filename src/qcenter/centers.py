@@ -64,8 +64,8 @@ from .linalg import (
     EchelonAccumulator,
     GradedSubspace,
     independent_extension,
-    poly_matrix,
-    rref,
+    reduce_poly_span,
+    span_combinations,
 )
 from .poly import Poly, monomial_key, monomials_of_degree
 from .series import HSeries
@@ -145,7 +145,12 @@ def _combine(candidates: Sequence[Poly], vector: Sequence[Fraction], nv: int) ->
 
 def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     """Per-degree bases of the subalgebra generated by the designated
-    invariant generators' pullbacks."""
+    invariant generators' pullbacks.
+
+    Slice 0 is the constants; slice ``d`` is the span of the products
+    ``g * v`` of a pullback ``g`` with the basis of slice ``d - deg g``,
+    the same recurrence ``invariant_generators`` builds its spans with.
+    """
     nv = act.space.nvars
     pullbacks: list[Poly] = []
     for gen in act.lie.invariant_generators:
@@ -157,43 +162,12 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
                 f"pullback of generator {gen.name!r} is not homogeneous"
             )
         pullbacks.append(g)
-    degrees = [g.degree() for g in pullbacks]
     slices: dict[int, list[Poly]] = {0: [Poly.constant(nv, 1)]}
-    powers: list[list[Poly]] = [[Poly.constant(nv, 1)] for _ in pullbacks]
-
-    def extend_powers(i: int, upto: int):
-        while len(powers[i]) <= upto:
-            powers[i].append(powers[i][-1] * pullbacks[i])
-
-    def exponents(limit: int):
-        """All exponent tuples with total weighted degree == limit."""
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: list[int], remaining: int, slot: int):
-            if slot == len(degrees):
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            step = degrees[slot]
-            for e in range(remaining // step + 1):
-                rec(prefix + [e], remaining - e * step, slot + 1)
-
-        if degrees:
-            rec([], limit, 0)
-        return out
-
     for degree in range(1, max_degree + 1):
-        products: list[Poly] = []
-        for exps in exponents(degree):
-            prod = Poly.constant(nv, 1)
-            for i, e in enumerate(exps):
-                if e:
-                    extend_powers(i, e)
-                    prod = prod * powers[i][e]
-            if exps and any(exps):
-                products.append(prod)
-        if products:
-            slices[degree] = products
+        products = [
+            g * v for g in pullbacks for v in slices.get(degree - g.degree(), [])
+        ]
+        slices[degree] = reduce_poly_span(products, nv)
     return GradedSubspace(nv, slices)
 
 
@@ -366,31 +340,14 @@ def _vector_to_series(act, blocks, vector, order) -> HSeries:
 
 def _classical_part_rank(act, basis: list[HSeries]) -> tuple[int, list[HSeries]]:
     """Rank of the classical-part image with tracked representatives."""
-    nv = act.space.nvars
-    if not basis:
-        return 0, []
-    parts = [v.classical_part() for v in basis]
-    rows, columns = poly_matrix(parts)
-    # augment with identity to track which combination realizes each row
-    width = len(columns)
-    augmented = [
-        row + [Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
-        for i, row in enumerate(rows)
-    ]
-    echelon, pivots = rref(augmented)
     representatives: list[HSeries] = []
-    rank = 0
-    for prow, pcol in zip(echelon, pivots):
-        if pcol >= width:
-            continue  # classical part reduced to zero
-        rank += 1
-        combo = prow[width:]
-        rep = HSeries.zero(nv, basis[0].order)
+    for combo in span_combinations([v.classical_part() for v in basis]):
+        rep = HSeries.zero(act.space.nvars, basis[0].order)
         for c, v in zip(combo, basis):
             if c:
                 rep = rep + v.scale(c)
         representatives.append(rep)
-    return rank, representatives
+    return len(representatives), representatives
 
 
 @dataclass

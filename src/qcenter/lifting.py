@@ -32,8 +32,8 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .linalg import GradedSubspace, solve_linear
-from .poly import Poly, monomial_key
+from .linalg import GradedSubspace, in_span
+from .poly import Poly
 from .series import HSeries
 from .star import StarProduct
 
@@ -122,35 +122,19 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
                      ) -> bool:
     """No monic relation of smaller degree over the subalgebra kills f.
 
-    For each smaller degree the existence question is a linear solve over
-    the graded slices of the subalgebra, using that all data is
-    homogeneous: the coefficient of the j-th power must have degree
-    ``(m - j) * deg f``.
+    For each smaller degree ``m`` the question is whether ``f**m`` lies in
+    the span of the products ``b * f**j``, j = 0..m-1, with ``b`` running
+    over a graded slice basis of the subalgebra; all data is homogeneous,
+    so the coefficient of the j-th power has degree ``(m - j) * deg f``.
     """
     if f.is_zero():
         return False
     deg_f = f.degree()
     for m in range(1, rel.degree):
-        # unknowns: coefficients of b_j over the slice bases, j = 0..m-1
-        columns: list[Poly] = []
-        for j in range(m):
-            slice_basis = subalgebra.basis((m - j) * deg_f)
-            columns.extend(b * f**j for b in slice_basis)
-        target = f**m
-        if not columns:
-            continue
-        support = sorted(
-            {mono for c in columns for mono in c.terms}
-            | set(target.terms),
-            key=monomial_key,
-        )
-        rows = []
-        rhs = []
-        for mono in support:
-            rows.append([c.coefficient(mono) for c in columns])
-            rhs.append(-target.coefficient(mono))
-        solution = solve_linear(rows, len(columns), rhs)
-        if solution.feasible:
+        products = [
+            b * f**j for j in range(m) for b in subalgebra.basis((m - j) * deg_f)
+        ]
+        if in_span(f**m, products):
             return False
     return True
 

@@ -11,9 +11,13 @@ The result is the canonical reduced row echelon form: pivots are the
 leftmost nonzero columns, rows have a leading 1 and every pivot column is
 zero outside its own row.  It depends only on the row space, not on the
 order of the rows, so every basis this module produces is canonical and
-re-reduction is idempotent.  ``rref``, ``nullspace``, ``solve_linear``,
-``in_span`` and the span helpers are thin wrappers that feed the engine
-and read the answer off it.
+re-reduction is idempotent.  ``rref``, ``nullspace`` and ``solve_linear``
+on matrices, and ``reduce_poly_span``, ``spans_equal``,
+``independent_extension``, ``in_span`` and ``span_combinations`` on
+polynomials, are thin wrappers that feed the engine and read the answer
+off it.  The polynomial helpers make one sparse row per polynomial,
+straight from its terms, over the joint support in canonical monomial
+order.
 """
 
 from __future__ import annotations
@@ -205,15 +209,6 @@ def _poly_rows(polys: Sequence[Poly]) -> tuple[list[SparseRow], list[Exponent]]:
     return rows, columns
 
 
-def poly_matrix(polys: Sequence[Poly]) -> tuple[list[Row], list[Exponent]]:
-    """Coefficient matrix of polynomials over their joint monomial support.
-
-    Columns are the support monomials in canonical order.
-    """
-    rows, columns = _poly_rows(polys)
-    return [_dense(row, len(columns)) for row in rows], columns
-
-
 def reduce_poly_span(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     """Canonical (echelon) basis of the span of the given polynomials."""
     rows, columns = _poly_rows(polys)
@@ -238,6 +233,25 @@ def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
 def in_span(f: Poly, basis: Sequence[Poly]) -> bool:
     """Exact membership of ``f`` in the span of ``basis``."""
     return not independent_extension(basis, [f])
+
+
+def span_combinations(polys: Sequence[Poly]) -> list[Row]:
+    """Coefficient vectors ``c`` whose combinations ``sum c_i polys[i]``
+    are the canonical echelon basis of the span, in pivot order.
+
+    They are read off the canonical RREF of ``[coefficients | identity]``:
+    its rows whose pivot lies in the coefficient part.
+    """
+    rows, columns = _poly_rows(polys)
+    width = len(columns)
+    for i, row in enumerate(rows):
+        row[width + i] = Fraction(1)
+    echelon, pivots = _reduce(rows, width + len(polys))._echelon()
+    return [
+        [row.get(width + i, Fraction(0)) for i in range(len(polys))]
+        for row, pivot in zip(echelon, pivots)
+        if pivot < width
+    ]
 
 
 class GradedSubspace:

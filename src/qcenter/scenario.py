@@ -115,10 +115,6 @@ class Scenario:
     axiom_samples: int = 25
     moment_samples: int = 25
 
-    @property
-    def coordinate_names(self) -> list[str]:
-        return default_names(2 * self.pairs)
-
 
 def _require(data: dict, key: str, kind, where: str):
     _object(data, where)
@@ -219,9 +215,22 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
 
     lie_data = _require(data, "lie_algebra", dict, "scenario")
     dim = _require(lie_data, "dim", int, "lie_algebra")
+    if isinstance(dim, bool):
+        raise ValidationError("lie_algebra.dim must be an integer, not a boolean")
     if dim < 0:
         raise ParseError("lie_algebra.dim must be non-negative")
-    labels = lie_data.get("labels") or [f"x{i+1}" for i in range(dim)]
+    ham_data = _require(data, "hamiltonians", dict, "scenario")
+    labels = lie_data.get("labels")
+    if not labels:
+        if dim > len(ham_data):
+            # a default label is missing, and the first missing one is
+            # among the first len + 1: refuse before building dim labels
+            missing = next(
+                f"x{i}" for i in range(1, len(ham_data) + 2)
+                if f"x{i}" not in ham_data
+            )
+            raise ParseError(f"missing hamiltonian for basis element {missing!r}")
+        labels = [f"x{i+1}" for i in range(dim)]
     if not isinstance(labels, list) or len(labels) != dim:
         raise ParseError("lie_algebra.labels must list one label per element")
     if not all(isinstance(label, str) for label in labels):
@@ -276,7 +285,6 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         generators.append((gen_name, poly_expr, tuple(corrections)))
         generator_names.append(gen_name)
 
-    ham_data = _require(data, "hamiltonians", dict, "scenario")
     hamiltonian_exprs = []
     for label in labels:
         if label not in ham_data:
@@ -674,7 +682,6 @@ def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:
         scenario.test_degree,
         scenario.truncation,
     )
-    context["center_report"] = center_report
     return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
 

@@ -107,6 +107,31 @@ def dense_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+def dense_in_span(f: Poly, polys: list[Poly]) -> bool:
+    """Whether ``sum c_i polys[i] = f`` is solvable: Gauss–Jordan on the
+    dense augmented matrix, one row per support monomial."""
+    support = sorted({m for g in [*polys, f] for m in g.terms})
+    rows = [[g.coefficient(m) for g in polys] + [f.coefficient(m)]
+            for m in support]
+    _, pivots = dense_rref(rows) if rows else ([], [])
+    return len(polys) not in pivots
+
+
+def power_products(generators: list[Poly], degree: int, nvars: int
+                   ) -> list[Poly]:
+    """Every product of powers of homogeneous generators of positive
+    degree whose total degree is ``degree``, one per exponent tuple."""
+    degrees = [g.degree() for g in generators]
+    out = []
+    for exps in iproduct(*(range(degree // d + 1) for d in degrees)):
+        if sum(e * d for e, d in zip(exps, degrees)) == degree:
+            prod = Poly.constant(nvars, 1)
+            for g, e in zip(generators, exps):
+                prod = prod * g**e
+            out.append(prod)
+    return out
+
+
 def leibniz_determinant(matrix: list[list]) -> Fraction:
     """Determinant as the signed sum over permutations; no elimination."""
     n = len(matrix)

@@ -10,14 +10,15 @@ from qcenter import (
     compare_centers,
     invariants_up_to,
     moment_image_basis,
+    parse_poly,
     poisson_center_up_to,
     quantum_center_up_to,
     reduce_poly_span,
     spans_equal,
 )
-from qcenter.liealg import LieAlgebraData
+from qcenter.liealg import InvariantGenerator, LieAlgebraData
 
-from oracle import weight_zero_monomials
+from oracle import power_products, weight_zero_monomials
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,35 @@ def test_moment_image_trivial(trivial_action):
     assert image.dimension(0) == 1
     for degree in range(1, 5):
         assert image.dimension(degree) == 0
+
+
+@pytest.mark.parametrize(
+    "generators, pullbacks, dim8",
+    [
+        # degrees 2, 2 and 4, the last one redundant: all 5 products of
+        # t-degree 4 in degree 8
+        (["t1", "t2", "t1*t2 + t1^2"],
+         ["q1*p1", "q2*p2", "q1*p1*q2*p2 + q1^2*p1^2"], 5),
+        # degrees 4, 4 and 6: a proper subalgebra, which misses t1*t2^3 and
+        # t2^4 in degree 8
+        (["t1^2", "t1*t2", "t2^3"],
+         ["q1^2*p1^2", "q1*p1*q2*p2", "q2^3*p2^3"], 3),
+    ],
+)
+def test_moment_image_matches_exponent_enumeration(generators, pullbacks, dim8):
+    space = SymplecticSpace(2)
+    gens = [InvariantGenerator(f"g{i}", parse_poly(text, ["t1", "t2"]))
+            for i, text in enumerate(generators)]
+    lie = LieAlgebraData(2, ["t1", "t2"], {}, gens)
+    act = HamiltonianAction(
+        lie, StarProduct(space, 2), [space.q(1) * space.p(1), space.q(2) * space.p(2)]
+    )
+    pulled = [parse_poly(text, space.names) for text in pullbacks]
+    image = moment_image_basis(act, 12)
+    for degree in range(13):
+        expected = reduce_poly_span(power_products(pulled, degree, 4), 4)
+        assert image.basis(degree) == expected
+    assert image.dimension(8) == dim8
 
 
 def test_poisson_center_sl2_everything_central(sl2_action):

@@ -20,9 +20,12 @@ from qcenter import (
     in_span,
     monomials_of_degree,
     nullspace,
+    reduce_poly_span,
     rref,
     solve_linear,
 )
+from qcenter.linalg import span_combinations
+from qcenter.poly import monomial_key
 from oracle import dense_nullspace, dense_rref, leibniz_determinant
 
 SEEDS = range(12)
@@ -137,6 +140,34 @@ def test_in_span_matches_dense_rank(seed):
         for g in basis:
             combo = combo + g.scale(rng.randint(-2, 2))
         assert in_span(combo, basis)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_span_combinations_match_dense_augmented_rref(seed):
+    rng = random.Random(6000 + seed)
+    monomials = monomials_of_degree(2, 3)
+    for nrows, _ in shapes(seed):
+        polys = [Poly(2, dict(zip(monomials, row)))
+                 for row in random_matrix(rng, nrows, len(monomials))]
+        combos = span_combinations(polys)
+        # each combination realizes one canonical echelon basis element
+        realized = []
+        for combo in combos:
+            f = Poly.zero(2)
+            for c, g in zip(combo, polys):
+                f = f + g.scale(c)
+            realized.append(f)
+        assert realized == reduce_poly_span(polys, 2)
+        # and is the identity part of the dense RREF of [coefficients | I]
+        support = sorted({m for g in polys for m in g.terms}, key=monomial_key)
+        augmented = [
+            [g.terms.get(m, Fraction(0)) for m in support]
+            + [Fraction(int(i == j)) for j in range(len(polys))]
+            for i, g in enumerate(polys)
+        ]
+        echelon, pivots = dense_rref(augmented)
+        width = len(support)
+        assert combos == [row[width:] for row, p in zip(echelon, pivots) if p < width]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -5,22 +5,29 @@ from fractions import Fraction
 import pytest
 
 from qcenter import (
+    HamiltonianAction,
     HSeries,
     LiftObstructionError,
     MonicRelation,
     NonSimpleRootError,
     Poly,
     RelationViolationError,
+    StarProduct,
+    SymplecticSpace,
     ValidationError,
+    abelian_data,
     build_center_iso,
     hensel_lift,
     invariants_up_to,
     minimality_holds,
     moment_image_basis,
+    parse_poly,
     star_evaluate,
     symmetrize,
     verify_lift,
 )
+
+from oracle import dense_in_span
 
 
 def invariant_tests(act, cutoff=8):
@@ -163,6 +170,29 @@ def test_minimality_check(sl2_action, sl2_lift_data):
         (HSeries.zero(4, 8), sl2_action.star.embed(a + a)),
     )
     assert not minimality_holds(a, quad_for_a, sub)
+
+
+@pytest.mark.parametrize("f_text", ["q1*p1", "q1*p1 - 2*q2*p2", "q1*p2*q2*p1"])
+def test_minimality_holds_after_infeasible_solves(f_text):
+    """Over the subalgebra generated by the pairing every smaller-degree
+    system is non-empty but has no solution, so f is minimal only after a
+    solve at each degree; a dense solve agrees."""
+    space = SymplecticSpace(2)
+    tr = space.q(1) * space.p(1) + space.q(2) * space.p(2)
+    act = HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2), [tr])
+    sub = moment_image_basis(act, 12)
+    f = parse_poly(f_text, space.names)
+    rel = MonicRelation((Poly.zero(4),) * 3, (HSeries.zero(4, 2),) * 3)
+    for m in range(1, rel.degree):
+        products = [
+            b * f**j for j in range(m) for b in sub.basis((m - j) * f.degree())
+        ]
+        assert products
+        assert not dense_in_span(f**m, products)
+    assert minimality_holds(f, rel, sub)
+    # the pairing itself satisfies a linear relation
+    assert dense_in_span(tr, sub.basis(2))
+    assert not minimality_holds(tr, rel, sub)
 
 
 def test_verify_lift_reports_first_failing_order(torus_action):

@@ -267,6 +267,10 @@ def test_shipped_scenarios_validate():
         build_scenario(scenario)
 
 
+def _lie(**fields) -> dict:
+    return {"lie_algebra": dict(MINIMAL_TORUS["lie_algebra"], **fields)}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -286,6 +290,7 @@ def test_shipped_scenarios_validate():
             {"space": {"pairs": 1, "hbar_weight": "x"}},
             "space.hbar_weight must be an integer, got 'x'",
         ),
+        (_lie(dim=True), "lie_algebra.dim must be an integer, not a boolean"),
     ],
 )
 def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
@@ -295,10 +300,6 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert err.startswith("validation error:")
     assert message in err
     assert "Traceback" not in err
-
-
-def _lie(**fields) -> dict:
-    return {"lie_algebra": dict(MINIMAL_TORUS["lie_algebra"], **fields)}
 
 
 @pytest.mark.parametrize(
@@ -324,6 +325,25 @@ def _lie(**fields) -> dict:
             "section correction of 't' must be an object",
         ),
         (_lie(labels=[1]), "lie_algebra.labels must be strings"),
+        # default labels x1..x<dim> beyond the hamiltonians are refused
+        # before they are built, so even 10**12 exits at once
+        (
+            {"lie_algebra": {"dim": 2}, "hamiltonians": {"x1": "q1*p1"}},
+            "missing hamiltonian for basis element 'x2'",
+        ),
+        (
+            {"lie_algebra": {"dim": 10**12}, "hamiltonians": {"x1": "q1*p1"}},
+            "missing hamiltonian for basis element 'x2'",
+        ),
+        (
+            {"lie_algebra": {"dim": 10**12},
+             "hamiltonians": {"x2": "q1*p1", "x3": "q1*p1"}},
+            "missing hamiltonian for basis element 'x1'",
+        ),
+        (
+            {"lie_algebra": {"dim": 10**12}, "hamiltonians": {}},
+            "missing hamiltonian for basis element 'x1'",
+        ),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
@@ -341,3 +361,12 @@ def test_run_rejects_negative_override_with_exit_3(tmp_path, capsys):
     assert "truncation must be non-negative" in capsys.readouterr().err
     assert main(["run", path, "--max-degree", "-1"]) == 3
     assert "max_degree must be non-negative" in capsys.readouterr().err
+
+
+def test_default_labels_name_the_hamiltonians(tmp_path):
+    lie = {"dim": 1, "invariant_generators": [{"name": "t", "poly": "x1"}]}
+    data = dict(MINIMAL_TORUS, lie_algebra=lie, hamiltonians={"x1": "q1*p1"},
+                lifts=[], center_generators=[])
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 0
+    assert load_scenario(path).lie_labels == ("x1",)
