@@ -23,11 +23,16 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .envelope import UEnvElement, central_section, symmetrize
-from .errors import DimensionError, InvalidActionError, ValidationError
+from .errors import (
+    DimensionError,
+    InvalidActionError,
+    TruncationError,
+    ValidationError,
+)
 from .liealg import LieAlgebraData
 from .poly import Poly, monomials_of_degree
 from .series import HSeries
-from .star import CheckReport, StarProduct
+from .star import CheckReport, Prepared, StarProduct
 
 
 class HamiltonianAction:
@@ -104,17 +109,12 @@ class HamiltonianAction:
         for hq in self.quantum_hamiltonians:
             for f in hq.coeffs:
                 bound = max(bound, f.degree())
+        quantum, classical = _prepared_hamiltonians(self)
         for i in range(self.lie.dim):
             for degree in range(bound + 1):
                 for exp in monomials_of_degree(self.space.nvars, degree):
-                    f = Poly.monomial(self.space.nvars, exp)
-                    lhs = self.star.star_commutator(
-                        self.quantum_hamiltonians[i], self.star.embed(f)
-                    )
-                    rhs = self.star.embed(
-                        self.star.poisson(self.hamiltonians[i], f)
-                    ).hbar_shift(1)
-                    if lhs != rhs:
+                    f = self.star.prepare(Poly.monomial(self.space.nvars, exp))
+                    if _moment_defect(self, quantum[i], classical[i], f) is not None:
                         return i, exp
         return None
 
@@ -179,21 +179,44 @@ class HamiltonianAction:
 # -- executable checks ------------------------------------------------------------
 
 
+def _prepared_hamiltonians(act: HamiltonianAction
+                           ) -> tuple[list[Prepared], list[Prepared]]:
+    """Quantum and classical hamiltonians in the kernel's prepared form."""
+    if any(hq.order != act.order for hq in act.quantum_hamiltonians):
+        raise TruncationError("quantum hamiltonian truncation differs from the action's")
+    prepare = act.star.prepare
+    return (
+        [prepare(hq) for hq in act.quantum_hamiltonians],
+        [prepare(h) for h in act.hamiltonians],
+    )
+
+
+def _moment_defect(act: HamiltonianAction, hq: Prepared, h: Prepared,
+                   f: Prepared) -> int | None:
+    """Lowest order at which [H_hat, f]_star and hbar {H, f} differ, up to
+    the truncation, or None when they agree.  The commutator expansion is
+    compared with the shifted bracket slot by slot; no series is built."""
+    lhs = act.star.commutator_terms(hq, f, act.order)
+    bracket = act.star.poisson(h, f)
+    rhs = {1: bracket} if bracket and act.order >= 1 else {}
+    if lhs == rhs:
+        return None
+    zero = Poly.zero(act.space.nvars)
+    return next((r for r in sorted(lhs.keys() | rhs.keys())
+                 if lhs.get(r, zero) != rhs.get(r, zero)), None)
+
+
 def check_quantum_moment_condition(
     act: HamiltonianAction, samples: Iterable[Poly]
 ) -> CheckReport:
-    """Per-sample verification of the quantum condition, zero tolerance."""
+    """Per-sample verification of the quantum condition, zero tolerance.
+    The hamiltonians are prepared once per report and each sample once."""
     report = CheckReport("quantum-moment-condition")
+    quantum, classical = _prepared_hamiltonians(act)
     for idx, f in enumerate(samples):
+        pf = act.star.prepare(f)
         for i in range(act.lie.dim):
-            lhs = act.star.star_commutator(
-                act.quantum_hamiltonians[i], act.star.embed(f)
-            )
-            rhs = act.star.embed(
-                act.star.poisson(act.hamiltonians[i], f)
-            ).hbar_shift(1)
-            residual = lhs - rhs
-            first = residual.first_nonzero_order()
+            first = _moment_defect(act, quantum[i], classical[i], pf)
             report.add(
                 f"sample {idx}, generator {act.lie.labels[i]}",
                 first is None,

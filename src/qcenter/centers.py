@@ -42,6 +42,8 @@ Both systems are shrunk without changing any answer:
   with every invariant.  The quantum center uses the generators under
   that condition and the full test set otherwise.  Either way the
   solution space is the same, and the kernel bases are canonical.
+  ``compare_centers`` computes the invariants and their generators once
+  and hands both to the two center functions.
 
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
@@ -199,16 +201,21 @@ def poisson_center_up_to(
     max_degree: int,
     test_degree: int,
     invariants: GradedSubspace | None = None,
+    generators: list[Poly] | None = None,
 ) -> GradedSubspace:
     """Invariants whose bracket with every invariant basis element up to
     the test cutoff vanishes, tested against the generators (the bracket
-    is a biderivation)."""
+    is a biderivation).  ``invariants`` and ``generators``, when given,
+    must be ``invariants_up_to(act, test_degree)`` and its
+    ``invariant_generators``."""
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     nv = act.space.nvars
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
-    test_elements = invariant_generators(invariants, test_degree)
+    test_elements = generators
+    if test_elements is None:
+        test_elements = invariant_generators(invariants, test_degree)
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
         candidates = invariants.basis(degree)
@@ -241,12 +248,14 @@ def quantum_center_up_to(
     test_degree: int,
     order: int,
     invariants: GradedSubspace | None = None,
+    generators: list[Poly] | None = None,
 ) -> dict[int, QuantumCenterSlice]:
     """Per-degree quantum-center slices, solved exactly.
 
     Requires the default uniform grading (every coordinate of weight -1);
     the coefficient of series order r in the degree-d slice is then an
-    invariant of degree ``d - k*r``.
+    invariant of degree ``d - k*r``.  ``invariants`` and ``generators``
+    are as for ``poisson_center_up_to``.
     """
     if not act.space.grading_is_uniform():
         raise ValidationError(
@@ -261,7 +270,9 @@ def quantum_center_up_to(
     if all(h.degree() <= 2 for h in act.hamiltonians):
         # the product is invariant, so products of generators expand into
         # lower-degree invariants
-        test_elements = invariant_generators(invariants, test_degree)
+        test_elements = generators
+        if test_elements is None:
+            test_elements = invariant_generators(invariants, test_degree)
     else:
         test_elements = [
             u
@@ -404,8 +415,13 @@ def compare_centers(
 ) -> CenterReport:
     """Assemble the per-degree comparison table of both centers."""
     invariants = invariants_up_to(act, test_degree)
-    poisson = poisson_center_up_to(act, max_degree, test_degree, invariants)
-    quantum = quantum_center_up_to(act, max_degree, test_degree, order, invariants)
+    generators = invariant_generators(invariants, test_degree)
+    poisson = poisson_center_up_to(
+        act, max_degree, test_degree, invariants, generators
+    )
+    quantum = quantum_center_up_to(
+        act, max_degree, test_degree, order, invariants, generators
+    )
     names = act.space.names
     rows = []
     for degree in range(max_degree + 1):

@@ -17,7 +17,7 @@ this order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError
 
@@ -348,6 +348,19 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_string()})"
+
+
+def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:
+    """Sum of polynomials over ``nvars`` variables, accumulated in one term
+    dict (no intermediate polynomial per addend)."""
+    out: dict[Exponent, Fraction] = {}
+    get = out.get
+    for f in polys:
+        if f.nvars != nvars:
+            raise DimensionError(f"operand over {f.nvars} variables, not {nvars}")
+        for exp, coeff in f.terms.items():
+            out[exp] = get(exp, 0) + coeff
+    return Poly._trusted(nvars, {e: c for e, c in out.items() if c})
 
 
 def default_names(nvars: int) -> list[str]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, TruncationError
-from .poly import Poly, as_scalar
+from .poly import Poly, as_scalar, poly_sum
 
 
 class HSeries:
@@ -55,11 +55,9 @@ class HSeries:
 
     @staticmethod
     def from_terms(nvars: int, order: int, terms: dict[int, Poly]) -> "HSeries":
-        slots = [Poly.zero(nvars) for _ in range(order + 1)]
-        for r, f in terms.items():
-            if 0 <= r <= order:
-                slots[r] = slots[r] + f
-        return HSeries(nvars, order, slots)
+        return HSeries(nvars, order, [
+            terms[r] if r in terms else Poly.zero(nvars) for r in range(order + 1)
+        ])
 
     # -- queries ------------------------------------------------------------
 
@@ -126,17 +124,17 @@ class HSeries:
                 self.nvars, self.order, [f * other for f in self.coeffs]
             )
         self._check(other)
-        slots = [Poly.zero(self.nvars) for _ in range(self.order + 1)]
-        for a in range(self.order + 1):
-            fa = self.coeffs[a]
+        products: list[list[Poly]] = [[] for _ in range(self.order + 1)]
+        for a, fa in enumerate(self.coeffs):
             if fa.is_zero():
                 continue
             for b in range(self.order + 1 - a):
                 gb = other.coeffs[b]
-                if gb.is_zero():
-                    continue
-                slots[a + b] = slots[a + b] + fa * gb
-        return HSeries(self.nvars, self.order, slots)
+                if not gb.is_zero():
+                    products[a + b].append(fa * gb)
+        return HSeries(
+            self.nvars, self.order, [poly_sum(self.nvars, ps) for ps in products]
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -193,10 +191,7 @@ class HSeries:
 
     def substitute_unit(self) -> Poly:
         """Set the deformation parameter to 1 (sum of all coefficients)."""
-        out = Poly.zero(self.nvars)
-        for f in self.coeffs:
-            out = out + f
-        return out
+        return poly_sum(self.nvars, self.coeffs)
 
     # -- formatting -----------------------------------------------------------
 

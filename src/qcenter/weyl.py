@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .poly import Poly
+from .poly import Poly, poly_sum
 from .series import HSeries
 from .space import SymplecticSpace
 from .star import StarProduct
@@ -41,17 +41,11 @@ def weyl_specialize(fhat: HSeries, space: SymplecticSpace) -> Poly:
 
 def weyl_product(star: StarProduct, a: Poly, b: Poly) -> Poly:
     """Exact specialized product of two symbols (all orders summed)."""
-    out = Poly.zero(star.space.nvars)
-    for term in star.product_terms(a, b).values():
-        out = out + term
-    return out
+    return poly_sum(star.space.nvars, star.product_terms(a, b).values())
 
 
 def weyl_commutator(star: StarProduct, a: Poly, b: Poly) -> Poly:
-    out = Poly.zero(star.space.nvars)
-    for term in star.commutator_terms(a, b).values():
-        out = out + term
-    return out
+    return poly_sum(star.space.nvars, star.commutator_terms(a, b).values())
 
 
 @dataclass

@@ -10,6 +10,7 @@ from qcenter import (
     HSeries,
     InvalidActionError,
     Poly,
+    TruncationError,
     UEnvElement,
     ValidationError,
     abelian_data,
@@ -69,6 +70,50 @@ def test_moment_condition_zero_residual_on_random_samples(sl2_action):
     samples = [random_poly(rng, 4, 6) for _ in range(20)]
     report = check_quantum_moment_condition(sl2_action, samples)
     assert report.passed
+
+
+def test_moment_condition_reports_the_first_residual_order(torus1, star1):
+    sp = star1.space
+    h = sp.q(1) * sp.p(1)
+    # hbar*q1 is not central: [hbar q1, p1^2] = 2 hbar^2 p1, a residual at order 2
+    hq = HSeries.from_poly(h, 8) + HSeries.from_poly(sp.q(1), 8).hbar_shift(1)
+    act = HamiltonianAction(torus1, star1, [h], [hq], validate=False)
+    report = check_quantum_moment_condition(
+        act, [sp.q(1), sp.p(1) * sp.p(1), sp.one()]
+    )
+    assert report.to_json_dict() == {
+        "name": "quantum-moment-condition",
+        "passed": False,
+        "checks": 3,
+        "failures": [{"label": "sample 1, generator t", "detail": "residual from order 2"}],
+    }
+
+
+def test_moment_condition_reports_the_lowest_of_several_orders(torus1, star1):
+    sp = star1.space
+    h = sp.q(1) * sp.p(1)
+    # the doubled classical part misses at order 1 wherever {h, f} != 0, and
+    # hbar*q1 at order 2 wherever {q1, f} != 0
+    hq = HSeries.from_poly(h.scale(2), 8) + HSeries.from_poly(sp.q(1), 8).hbar_shift(1)
+    act = HamiltonianAction(torus1, star1, [h], [hq], validate=False)
+    report = check_quantum_moment_condition(
+        act, [sp.one(), h, sp.p(1), sp.p(1) * sp.p(1)]
+    )
+    assert report.to_json_dict()["failures"] == [
+        {"label": "sample 1, generator t", "detail": "residual from order 2"},
+        {"label": "sample 2, generator t", "detail": "residual from order 1"},
+        {"label": "sample 3, generator t", "detail": "residual from order 1"},
+    ]
+
+
+def test_moment_condition_needs_matching_truncations(torus1, star1):
+    sp = star1.space
+    h = sp.q(1) * sp.p(1)
+    act = HamiltonianAction(
+        torus1, star1, [h], [HSeries.from_poly(h, 4)], validate=False
+    )
+    with pytest.raises(TruncationError):
+        check_quantum_moment_condition(act, [sp.q(1)])
 
 
 def test_comoment_generators_and_unit(sl2_action):

@@ -137,3 +137,21 @@ def test_quantum_center_uses_generators_only_for_quadratic_actions(
     calls.clear()
     poisson_center_up_to(act, 3, 4, inv)
     assert calls == [4]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_compare_centers_finds_the_generators_once(preset, monkeypatch):
+    built = build_scenario(load_scenario(preset))
+    scenario = built.scenario
+    args = (built.action, scenario.max_degree, scenario.test_degree)
+    expected = centers.compare_centers(*args, scenario.truncation).to_json_dict()
+    calls = []
+    real = centers.invariant_generators
+
+    def spy(invariants, test_degree):
+        calls.append(test_degree)
+        return real(invariants, test_degree)
+
+    monkeypatch.setattr(centers, "invariant_generators", spy)
+    assert centers.compare_centers(*args, scenario.truncation).to_json_dict() == expected
+    assert calls == [scenario.test_degree]

@@ -162,3 +162,18 @@ def test_expansion_product_edge_operands(kind):
     A = {0: mixed, 3: g}
     B = {1: f, 2: mixed.scale(7)}
     assert star.expansion_product(A, B) == _oracle_series(space, A, B, None)
+
+
+def test_wide_fields_match_oracle():
+    # exponent sums of 16 and 32 need packed fields of 5 and 6 bits
+    space = SymplecticSpace(1)
+    star = StarProduct(space, 4)
+    q, p = space.q(1), space.p(1)
+    f = (q * p) ** 2 - q.scale(Fraction(1, 2))
+    for g in (q**12 + p**5, q**13 * p**15 + (q * p) ** 7, p**28 - q**2):
+        assert star.product_terms(f, g) == brute_force_product(space, f, g)
+        prepared = star.prepare(g)
+        assert star.product_terms(prepared, star.prepare(f)) == brute_force_product(
+            space, g, f
+        )
+

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qcenter import DimensionError, Poly, monomials_of_degree
-from qcenter.poly import monomial_key
+from qcenter.poly import monomial_key, poly_sum
+from qcenter.sampling import random_poly
 
 
 def poly_of(text_terms):
@@ -187,3 +188,20 @@ def test_to_string_roundtrips_through_parser():
         f = Poly(4, terms)
         names = default_names(4)
         assert parse_poly(f.to_string(names), names) == f
+
+
+def test_poly_sum_matches_repeated_addition():
+    rng = random.Random(31)
+    for _ in range(20):
+        polys = [random_poly(rng, 4, 3) for _ in range(rng.randint(0, 6))]
+        polys.append(-polys[0] if polys else Poly.zero(4))  # cancels a whole addend
+        expected = Poly.zero(4)
+        for f in polys:
+            expected = expected + f
+        total = poly_sum(4, polys)
+        assert total == expected
+        assert all(c != 0 for c in total.terms.values())
+    assert poly_sum(4, []) == Poly.zero(4)
+    with pytest.raises(DimensionError):
+        poly_sum(4, [Poly.variable(2, 0)])
+

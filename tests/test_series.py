@@ -72,3 +72,23 @@ def test_first_nonzero_order():
     assert s.vanishes_below(3)
     assert not s.vanishes_below(4)
     assert HSeries.zero(2, 2).first_nonzero_order() is None
+
+
+def test_product_is_the_truncated_convolution():
+    rng = random.Random(57)
+    order = 4
+    for _ in range(6):
+        a = HSeries(4, order, [random_poly(rng, 4, 2) for _ in range(order + 1)])
+        b = HSeries(4, order, [random_poly(rng, 4, 2) for _ in range(order)])
+        product = a * b
+        for r in range(order + 1):
+            expected = Poly.zero(4)
+            for i in range(r + 1):
+                expected = expected + a.coefficient(i) * b.coefficient(r - i)
+            assert product.coefficient(r) == expected
+    # terms that cancel across pairs leave an explicit zero slot
+    q = Poly.variable(2, 0)
+    x = HSeries(2, 1, [q, q])
+    y = HSeries(2, 1, [q, -q])
+    assert (x * y).coefficient(1).is_zero()
+

@@ -269,3 +269,139 @@ def test_check_axioms_detects_broken_product(space2):
     # failing entries carry a located residual
     assoc = next(e for e in report.failures() if "associativity" in e.label)
     assert "order" in assoc.detail
+
+
+# Each broken product below overrides one public method and so goes wrong in
+# its own way; together they make every label of ``check_axioms`` fail.
+
+
+class _NoUnitStar(StarProduct):
+    """(1 + hbar^3) times the product: associative, with the right
+    classical limit, but 1 is no longer a unit."""
+
+    def product_terms(self, f, g, max_order=None):
+        terms = StarProduct.product_terms(self, f, g, max_order)
+        out = dict(terms)
+        for r, term in terms.items():
+            out[r + 3] = out[r + 3] + term if r + 3 in out else term
+        return out
+
+
+class _DoubledOrderZeroStar(StarProduct):
+    """Twice the plain product at order 0."""
+
+    def product_terms(self, f, g, max_order=None):
+        terms = StarProduct.product_terms(self, f, g, max_order)
+        return {r: t.scale(2) if r == 0 else t for r, t in terms.items()}
+
+
+class _SkewOrderZeroStar(StarProduct):
+    """Adds the Poisson bracket at order 0, so the commutator has a term
+    below order 1 while its order-1 term is still right."""
+
+    def product_terms(self, f, g, max_order=None):
+        terms = dict(StarProduct.product_terms(self, f, g, max_order))
+        bracket = StarProduct.poisson(self, f, g)
+        terms[0] = terms[0] + bracket if 0 in terms else bracket
+        return {r: t for r, t in terms.items() if t}
+
+
+class _DoubledBracketStar(StarProduct):
+    """A correct product with a Poisson bracket off by a factor 2."""
+
+    def poisson(self, f, g):
+        return StarProduct.poisson(self, f, g).scale(2)
+
+
+class _NonLocalStar(StarProduct):
+    """Adds the whole truncated product, summed over orders, at order 0, so
+    low orders see high-order perturbations."""
+
+    def star(self, F, G):
+        full = StarProduct.star(self, F, G)
+        return full + HSeries.from_poly(full.substitute_unit(), self.order)
+
+
+def _broken_triples(sp):
+    return [
+        (sp.q(1), sp.p(1), sp.q(1) * sp.p(1)),
+        (sp.q(1) * sp.q(1) + sp.p(2), sp.p(1) * sp.q(2), sp.p(1) * sp.p(1) - sp.q(1)),
+    ]
+
+
+def _failing_kinds(star, triples):
+    report = check_axioms(star, triples)
+    assert report.to_json_dict()["checks"] == 5 * len(triples)
+    return {entry.label.split(": ", 1)[1] for entry in report.failures()}
+
+
+@pytest.mark.parametrize(
+    "broken, kinds",
+    [
+        (_NoUnitStar, {"unit"}),
+        (
+            _DoubledOrderZeroStar,
+            {"associativity", "unit", "order-0 term is the plain product"},
+        ),
+        (
+            _SkewOrderZeroStar,
+            {
+                "associativity",
+                "order-0 term is the plain product",
+                "order-1 commutator is the Poisson bracket",
+            },
+        ),
+        (_DoubledBracketStar, {"order-1 commutator is the Poisson bracket"}),
+        (_NonLocalStar, {"order-locality"}),
+        (_BrokenStar, {"associativity", "order-1 commutator is the Poisson bracket"}),
+    ],
+)
+def test_check_axioms_failure_labels(space2, broken, kinds):
+    triples = _broken_triples(space2)
+    assert _failing_kinds(broken(space2, 8), triples) == kinds
+    assert _failing_kinds(StarProduct(space2, 8), triples) == set()
+
+
+def test_check_axioms_associativity_detail(space2):
+    triples = _broken_triples(space2)
+    report = check_axioms(_DoubledOrderZeroStar(space2, 8), triples)
+    details = [e.detail for e in report.failures() if "associativity" in e.label]
+    assert details == [
+        "residual at order 1: -q1*p1",
+        "residual at order 1: -1/2*q1*p1 + 1/2*q2*p2 + 3/2*q1^2*q2 + 1/2*p1^3"
+        " - q1*q2*p1^2",
+    ]
+
+
+def test_prepared_operands_stand_for_their_expansions(star2):
+    sp = star2.space
+    f = sp.q(1) * sp.p(1) + sp.p(2).scale(Fraction(1, 3))
+    g = sp.q(2) * sp.q(2) - sp.p(1)
+    h = sp.q(1) * sp.p(2)
+    pf, pg, ph = star2.prepare(f), star2.prepare(g), star2.prepare(h)
+    assert star2.prepare(pf) is pf
+    assert star2.product_terms(pf, pg) == star2.product_terms(f, g)
+    assert star2.commutator_terms(pg, pf, 2) == star2.commutator_terms(g, f, 2)
+    assert star2.poisson(pf, ph) == star2.poisson(f, h)
+    assert star2.bidifferential(pf, pg, 1) == star2.bidifferential(f, g, 1)
+    G = star2.embed(g) + star2.embed(h).hbar_shift(2)
+    assert star2.star(pf, star2.prepare({0: pg, 2: ph})) == star2.star(star2.embed(f), G)
+    assert star2.star(star2.prepare(G), pf) == star2.star(G, star2.embed(f))
+    fg = star2.product_terms(f, g)
+    assert star2.expansion_product(star2.prepare(fg), ph) == star2.expansion_product(
+        fg, {0: h}
+    )
+
+
+def test_prepare_rejects_bad_operands(star1, star2):
+    sp = star2.space
+    pf = star2.prepare(sp.q(1))
+    # two parts may not land on one order
+    with pytest.raises(ValueError):
+        star2.prepare({1: star2.prepare({0: pf, 1: sp.p(1)}), 2: sp.q(2)})
+    with pytest.raises(DimensionError):
+        star1.prepare(pf)
+    with pytest.raises(DimensionError):
+        star1.product_terms(sp.q(1), star1.space.q(1))
+    with pytest.raises(TruncationError):
+        star2.star(pf, HSeries.from_poly(sp.q(1), 3))
