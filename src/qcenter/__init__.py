@@ -56,13 +56,9 @@ from .lifting import (
 from .linalg import (
     EchelonAccumulator,
     GradedSubspace,
-    LinearSolution,
     in_span,
-    nullspace,
     reduce_poly_span,
     rref,
-    solve_linear,
-    spans_equal,
 )
 from .parsing import parse_poly
 from .poly import Poly, monomials_of_degree

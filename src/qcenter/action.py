@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .liealg import LieAlgebraData
-from .poly import Poly, monomials_of_degree
+from .poly import Poly, monomials_of_degree, poly_sum
 from .series import HSeries
 from .star import CheckReport, Prepared, StarProduct
 
@@ -72,9 +72,10 @@ class HamiltonianAction:
         """Equivariance, classical parts and the quantum condition, exactly."""
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
-                expected = Poly.zero(self.space.nvars)
-                for k, c in self.lie.bracket(i, j).items():
-                    expected = expected + self.hamiltonians[k].scale(c)
+                expected = poly_sum(self.space.nvars, [
+                    self.hamiltonians[k].scale(c)
+                    for k, c in self.lie.bracket(i, j).items()
+                ])
                 actual = self.star.poisson(self.hamiltonians[i], self.hamiltonians[j])
                 if actual != expected:
                     raise ValidationError(

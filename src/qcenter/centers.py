@@ -69,7 +69,7 @@ from .linalg import (
     reduce_poly_span,
     span_combinations,
 )
-from .poly import Poly, monomial_key, monomials_of_degree
+from .poly import Poly, monomial_key, monomials_of_degree, poly_sum
 from .series import HSeries
 
 
@@ -138,11 +138,9 @@ def _add_coefficient_rows(solver: EchelonAccumulator, polys: Sequence[Poly]):
 
 
 def _combine(candidates: Sequence[Poly], vector: Sequence[Fraction], nv: int) -> Poly:
-    out = Poly.zero(nv)
-    for coeff, cand in zip(vector, candidates):
-        if coeff:
-            out = out + cand.scale(coeff)
-    return out
+    return poly_sum(nv, [
+        cand.scale(coeff) for coeff, cand in zip(vector, candidates) if coeff
+    ])
 
 
 def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
@@ -396,9 +394,6 @@ class CenterReport:
     @property
     def passed(self) -> bool:
         return all(row.equal for row in self.rows)
-
-    def mismatched_degrees(self) -> list[int]:
-        return [row.degree for row in self.rows if not row.equal]
 
     def to_json_dict(self) -> dict:
         return {

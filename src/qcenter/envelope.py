@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import DimensionError, TruncationError, ValidationError
 from .liealg import LieAlgebraData
@@ -150,17 +150,6 @@ class UEnvElement:
     @staticmethod
     def generator(lie: LieAlgebraData, index: int, order: int) -> "UEnvElement":
         return UEnvElement(lie, order, {(index,): {0: Fraction(1)}})
-
-    @staticmethod
-    def from_word(
-        lie: LieAlgebraData, word: Sequence[int], order: int, coeff=1
-    ) -> "UEnvElement":
-        """Normalize an arbitrary (possibly unsorted) word."""
-        acc: dict[Word, HPoly] = {}
-        scalar = as_scalar(coeff)
-        for w, hp in normalize_word(lie, tuple(word)).items():
-            acc[w] = _hpoly_scale(hp, scalar)
-        return UEnvElement(lie, order, acc)
 
     # -- structure ------------------------------------------------------------
 

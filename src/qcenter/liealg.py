@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, ValidationError
-from .poly import Poly, as_scalar
+from .poly import Poly, as_scalar, poly_sum
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,10 @@ class LieAlgebraData:
         """Adjoint derivation of basis element i acting on a polynomial."""
         if s.nvars != self.dim:
             raise DimensionError("polynomial does not live on this algebra")
-        out = Poly.zero(self.dim)
-        for j in range(self.dim):
-            ds = s.partial(j)
-            if ds.is_zero():
-                continue
-            out = out + ds * self.bracket_poly(i, j)
-        return out
+        partials = [(j, s.partial(j)) for j in range(self.dim)]
+        return poly_sum(self.dim, [
+            ds * self.bracket_poly(i, j) for j, ds in partials if not ds.is_zero()
+        ])
 
     def is_invariant(self, s: Poly) -> bool:
         return all(self.ad_apply(i, s).is_zero() for i in range(self.dim))

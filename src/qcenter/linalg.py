@@ -11,18 +11,17 @@ The result is the canonical reduced row echelon form: pivots are the
 leftmost nonzero columns, rows have a leading 1 and every pivot column is
 zero outside its own row.  It depends only on the row space, not on the
 order of the rows, so every basis this module produces is canonical and
-re-reduction is idempotent.  ``rref``, ``nullspace`` and ``solve_linear``
-on matrices, and ``reduce_poly_span``, ``spans_equal``,
-``independent_extension``, ``in_span`` and ``span_combinations`` on
-polynomials, are thin wrappers that feed the engine and read the answer
-off it.  The polynomial helpers make one sparse row per polynomial,
-straight from its terms, over the joint support in canonical monomial
-order.
+re-reduction is idempotent.  ``rref`` on matrices, and
+``reduce_poly_span``, ``independent_extension``, ``in_span`` and
+``span_combinations`` on polynomials, are thin wrappers that feed the
+engine and read the answer off it; the center solves read the canonical
+kernel straight off an accumulator.  The polynomial helpers make one
+sparse row per polynomial, straight from its terms, over the joint
+support in canonical monomial order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -152,52 +151,6 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[Row], list[int]]:
     return [_dense(row, ncols) for row in echelon], pivots
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int) -> list[Row]:
-    """Canonical basis of the kernel of the matrix acting on column vectors.
-
-    Basis vectors correspond to free columns in ascending order, each with
-    a 1 in its free column.
-    """
-    return _reduce(rows, ncols).kernel()
-
-
-@dataclass
-class LinearSolution:
-    """Outcome of an (in)homogeneous exact linear solve.
-
-    ``feasible`` is False exactly when the system is contradictory; then
-    the basis is empty and ``particular`` is None.
-    """
-
-    feasible: bool
-    particular: Row | None
-    basis: list[Row]
-
-
-def solve_linear(
-    rows: Iterable[Sequence], ncols: int, rhs: Sequence | None = None
-) -> LinearSolution:
-    """Solve ``A x = b`` exactly; with ``rhs=None`` solve the kernel problem.
-
-    The kernel basis is in canonical reduced form (deterministic pivots,
-    independent of constraint order).
-    """
-    rows = [list(r) for r in rows]
-    if rhs is None:
-        return LinearSolution(True, None, nullspace(rows, ncols))
-    rhs = list(rhs)
-    if len(rhs) != len(rows):
-        raise DimensionError("rhs length does not match row count")
-    augmented = _reduce([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    echelon, pivots = augmented._echelon()
-    if pivots and pivots[-1] == ncols:
-        return LinearSolution(False, None, [])
-    particular = [Fraction(0)] * ncols
-    for row, pivot in zip(echelon, pivots):
-        particular[pivot] = row.get(ncols, Fraction(0))
-    return LinearSolution(True, particular, nullspace(rows, ncols))
-
-
 # -- polynomial-level helpers ----------------------------------------------
 
 
@@ -214,11 +167,6 @@ def reduce_poly_span(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     rows, columns = _poly_rows(polys)
     echelon, _ = _reduce(rows, len(columns))._echelon()
     return [Poly(nvars, {columns[c]: v for c, v in row.items()}) for row in echelon]
-
-
-def spans_equal(a: Sequence[Poly], b: Sequence[Poly], nvars: int) -> bool:
-    """Exact equality of spans via canonical echelon bases."""
-    return reduce_poly_span(a, nvars) == reduce_poly_span(b, nvars)
 
 
 def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]

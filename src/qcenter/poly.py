@@ -307,14 +307,14 @@ class Poly:
             for _ in range(max_exp[i]):
                 col.append(col[-1] * v)
             powers.append(col)
-        result = Poly.zero(target_nvars)
+        summands = []
         for exp, coeff in self.sorted_terms():
             term = Poly.constant(target_nvars, coeff)
             for i, e in enumerate(exp):
                 if e:
                     term = term * powers[i][e]
-            result = result + term
-        return result
+            summands.append(term)
+        return poly_sum(target_nvars, summands)
 
     # -- formatting ----------------------------------------------------------
 

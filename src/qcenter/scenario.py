@@ -9,11 +9,13 @@ coordinate names (``q1..qn, p1..pn``), the Lie algebra labels, the
 designated generator names, or the lift names, depending on the field.
 
 Loading is split in two phases with distinct failure modes: parsing
-checks document shape and expression syntax (``ParseError``), building
-constructs the mathematical objects and runs their structural validation
-(``ValidationError``): bracket antisymmetry and the Jacobi identity,
-bivector antisymmetry and invertibility, invariance of designated
-generators, hamiltonian equivariance, and the quantum condition.
+checks document shape and turns every expression into a ``Poly`` and
+every scalar into a ``Fraction``, once (``ParseError``); building
+constructs the mathematical objects from those values and runs their
+structural validation (``ValidationError``): bracket antisymmetry and the
+Jacobi identity, bivector antisymmetry and invertibility, invariance of
+designated generators, hamiltonian equivariance, and the quantum
+condition.
 
 Field reference (see the README for the full schema):
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -84,32 +87,34 @@ _SAMPLE_SEED = 0x5EED
 @dataclass(frozen=True)
 class LiftSpec:
     name: str
-    classical_expr: str | None = None       # polynomial in generator names
-    target_expr: str | None = None          # coordinate polynomial
-    relation_exprs: tuple[str, ...] = ()    # coefficients in generator names
+    classical: Poly | None = None       # polynomial in generator names
+    target: Poly | None = None          # coordinate polynomial
+    relation: tuple[Poly, ...] = ()     # coefficients in generator names
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario data; mathematical objects are built separately."""
+    """Parsed scenario data: every expression is already a ``Poly`` and
+    every scalar a ``Fraction``; the space, algebra and action are built
+    separately."""
 
     name: str
     description: str
     pairs: int
     weights: tuple[int, ...] | None
     hbar_weight: int
-    bivector: tuple[tuple[str, ...], ...] | None
+    bivector: tuple[tuple[Fraction, ...], ...] | None
     lie_dim: int
     lie_labels: tuple[str, ...]
-    lie_brackets: tuple[tuple[int, int, tuple[tuple[int, str], ...]], ...]
-    lie_generators: tuple[tuple[str, str, tuple[tuple[int, str], ...]], ...]
-    hamiltonian_exprs: tuple[tuple[str, str], ...]
-    quantum_correction_exprs: tuple[tuple[str, tuple[tuple[int, str], ...]], ...]
+    lie_brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    lie_generators: tuple[InvariantGenerator, ...]
+    hamiltonians: tuple[Poly, ...]      # in label order
+    quantum_corrections: tuple[tuple[str, tuple[tuple[int, Poly], ...]], ...]
     truncation: int
     max_degree: int
     test_degree: int
     lifts: tuple[LiftSpec, ...]
-    relation_exprs: tuple[str, ...]
+    relations: tuple[tuple[str, Poly], ...]  # (text, polynomial in lift names)
     center_generators: tuple[str, ...]
     tasks: tuple[str, ...]
     axiom_samples: int = 25
@@ -139,20 +144,18 @@ def _list(data: dict, key: str, where: str) -> list:
     return value
 
 
-def _syntax_check(expr: str, names: Sequence[str], where: str) -> str:
+def _syntax_check(expr: str, names: Sequence[str], where: str) -> Poly:
     try:
-        parse_poly(expr, names)
+        return parse_poly(expr, names)
     except ParseError as exc:
         raise ParseError(f"bad polynomial in {where}: {exc}") from exc
-    return expr
 
 
-def _scalar_check(value, where: str) -> str:
+def _scalar_check(value, where: str) -> Fraction:
     try:
-        as_scalar(value)
+        return as_scalar(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar in {where}: {value!r}") from exc
-    return value
 
 
 def _integer(value, key: str) -> int:
@@ -205,12 +208,12 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     if bivector is not None:
         if not isinstance(bivector, list) or len(bivector) != 2 * pairs:
             raise ParseError("space.bivector must be a 2n x 2n matrix")
+        rows = []
         for row in bivector:
             if not isinstance(row, list) or len(row) != 2 * pairs:
                 raise ParseError("space.bivector must be a 2n x 2n matrix")
-            for value in row:
-                _scalar_check(value, "space.bivector")
-        bivector = tuple(tuple(str(v) for v in row) for row in bivector)
+            rows.append(tuple(_scalar_check(v, "space.bivector") for v in row))
+        bivector = tuple(rows)
     coord_names = default_names(2 * pairs)
 
     lie_data = _require(data, "lie_algebra", dict, "scenario")
@@ -257,7 +260,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     generator_names = []
     for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
         gen_name = _require(entry, "name", str, "invariant generator")
-        poly_expr = _syntax_check(
+        poly = _syntax_check(
             _require(entry, "poly", str, "invariant generator"),
             labels,
             f"invariant generator {gen_name!r}",
@@ -282,15 +285,15 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                     ),
                 )
             )
-        generators.append((gen_name, poly_expr, tuple(corrections)))
+        generators.append(InvariantGenerator(gen_name, poly, tuple(corrections)))
         generator_names.append(gen_name)
 
-    hamiltonian_exprs = []
+    hamiltonians = []
     for label in labels:
         if label not in ham_data:
             raise ParseError(f"missing hamiltonian for basis element {label!r}")
-        hamiltonian_exprs.append(
-            (label, _syntax_check(ham_data[label], coord_names, f"hamiltonian {label!r}"))
+        hamiltonians.append(
+            _syntax_check(ham_data[label], coord_names, f"hamiltonian {label!r}")
         )
     quantum_corrections = []
     corrections_data = _object(
@@ -323,10 +326,10 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     for entry in _list(data, "lifts", "scenario"):
         lift_name = _require(entry, "name", str, "lift entry")
         if "classical" in entry:
-            expr = _syntax_check(
+            classical = _syntax_check(
                 entry["classical"], generator_names, f"lift {lift_name!r}"
             )
-            lifts.append(LiftSpec(lift_name, classical_expr=expr))
+            lifts.append(LiftSpec(lift_name, classical=classical))
         else:
             target = _syntax_check(
                 _require(entry, "target", str, "lift entry"),
@@ -340,13 +343,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                 _syntax_check(expr, generator_names, f"lift {lift_name!r} relation")
                 for expr in relation
             )
-            lifts.append(
-                LiftSpec(lift_name, target_expr=target, relation_exprs=relation)
-            )
+            lifts.append(LiftSpec(lift_name, target=target, relation=relation))
         lift_names.append(lift_name)
 
-    relation_exprs = tuple(
-        _syntax_check(expr, lift_names, "generator relation")
+    relations = tuple(
+        (expr, _syntax_check(expr, lift_names, "generator relation"))
         for expr in _list(data, "relations", "scenario")
     )
     center_generators = _list(data, "center_generators", "scenario")
@@ -388,13 +389,13 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         lie_labels=tuple(labels),
         lie_brackets=tuple(brackets),
         lie_generators=tuple(generators),
-        hamiltonian_exprs=tuple(hamiltonian_exprs),
-        quantum_correction_exprs=tuple(quantum_corrections),
+        hamiltonians=tuple(hamiltonians),
+        quantum_corrections=tuple(quantum_corrections),
         truncation=truncation,
         max_degree=max_degree,
         test_degree=test_degree,
         lifts=tuple(lifts),
-        relation_exprs=relation_exprs,
+        relations=relations,
         center_generators=tuple(center_generators),
         tasks=tuple(task for task in TASK_ORDER if task in tasks),
         axiom_samples=counts["axioms"],
@@ -469,36 +470,27 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         (i, j): {k: value for k, value in comps}
         for i, j, comps in scenario.lie_brackets
     }
-    generators = [
-        InvariantGenerator(
-            gen_name,
-            parse_poly(poly_expr, labels),
-            tuple((order, parse_poly(expr, labels)) for order, expr in corrections),
-        )
-        for gen_name, poly_expr, corrections in scenario.lie_generators
-    ]
-    lie = LieAlgebraData(scenario.lie_dim, labels, brackets, generators)
+    lie = LieAlgebraData(
+        scenario.lie_dim, labels, brackets, scenario.lie_generators
+    )
 
     star = StarProduct(space, scenario.truncation)
-    names = space.names
-    ham_map = dict(scenario.hamiltonian_exprs)
-    hams = [parse_poly(ham_map[label], names) for label in labels]
     quantum = None
-    correction_map = dict(scenario.quantum_correction_exprs)
+    correction_map = dict(scenario.quantum_corrections)
     if correction_map:
         quantum = []
-        for i, label in enumerate(labels):
-            series = HSeries.from_poly(hams[i], scenario.truncation)
-            for order, expr in correction_map.get(label, ()):
+        for label, ham in zip(labels, scenario.hamiltonians):
+            series = HSeries.from_poly(ham, scenario.truncation)
+            for order, correction in correction_map.get(label, ()):
                 if order < 1:
                     raise ValidationError(
                         "quantum corrections must start at order 1"
                     )
                 series = series + HSeries.from_poly(
-                    parse_poly(expr, names), scenario.truncation
+                    correction, scenario.truncation
                 ).hbar_shift(order)
             quantum.append(series)
-    action = HamiltonianAction(lie, star, hams, quantum)
+    action = HamiltonianAction(lie, star, scenario.hamiltonians, quantum)
     pullbacks = {}
     central_lifts = {}
     for gen in lie.invariant_generators:
@@ -514,17 +506,15 @@ def _generator_names(built: BuiltScenario) -> list[str]:
     return [gen.name for gen in built.action.lie.invariant_generators]
 
 
-def _eval_generator_poly_classical(built: BuiltScenario, expr: str) -> Poly:
+def _eval_generator_poly_classical(built: BuiltScenario, composed: Poly) -> Poly:
     gen_names = _generator_names(built)
-    composed = parse_poly(expr, gen_names)
     if not gen_names:
         return Poly.constant(built.space.nvars, composed.constant_term())
     return composed.substitute([built.pullbacks[n] for n in gen_names])
 
 
-def _eval_generator_poly_quantum(built: BuiltScenario, expr: str) -> HSeries:
+def _eval_generator_poly_quantum(built: BuiltScenario, composed: Poly) -> HSeries:
     gen_names = _generator_names(built)
-    composed = parse_poly(expr, gen_names)
     if not gen_names:
         return HSeries.from_poly(
             Poly.constant(built.space.nvars, composed.constant_term()),
@@ -537,17 +527,16 @@ def _eval_generator_poly_quantum(built: BuiltScenario, expr: str) -> HSeries:
 def resolve_lift(built: BuiltScenario, spec: LiftSpec
                  ) -> tuple[Poly, MonicRelation]:
     """Target polynomial and monic relation data for a lift request."""
-    if spec.classical_expr is not None:
-        f = _eval_generator_poly_classical(built, spec.classical_expr)
-        ahat = _eval_generator_poly_quantum(built, spec.classical_expr)
+    if spec.classical is not None:
+        f = _eval_generator_poly_classical(built, spec.classical)
+        ahat = _eval_generator_poly_quantum(built, spec.classical)
         return f, MonicRelation((-f,), (-ahat,))
-    f = parse_poly(spec.target_expr, built.space.names)
     coefficients = []
     quantum = []
-    for expr in spec.relation_exprs:
-        coefficients.append(_eval_generator_poly_classical(built, expr))
-        quantum.append(_eval_generator_poly_quantum(built, expr))
-    return f, MonicRelation(tuple(coefficients), tuple(quantum))
+    for composed in spec.relation:
+        coefficients.append(_eval_generator_poly_classical(built, composed))
+        quantum.append(_eval_generator_poly_quantum(built, composed))
+    return spec.target, MonicRelation(tuple(coefficients), tuple(quantum))
 
 
 def run_lifts(built: BuiltScenario, order: int, test_elements: Sequence[Poly]
@@ -701,14 +690,11 @@ def _ensure_lifts(built: BuiltScenario, context: dict):
 
 def _task_iso(built: BuiltScenario, context: dict) -> TaskResult:
     _ensure_lifts(built, context)
-    entries = context["lift_entries"]
-    lift_names = [name for name, _, _ in entries]
-    relations = [
-        (expr, parse_poly(expr, lift_names))
-        for expr in built.scenario.relation_exprs
-    ]
     iso = build_center_iso(
-        entries, relations, built.action, built.scenario.truncation
+        context["lift_entries"],
+        built.scenario.relations,
+        built.action,
+        built.scenario.truncation,
     )
     return TaskResult("iso", iso.passed, iso.to_json_dict())
 

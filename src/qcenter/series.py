@@ -112,7 +112,7 @@ class HSeries:
         if j < 0:
             raise ValueError("negative shifts are not defined")
         slots = [Poly.zero(self.nvars)] * min(j, self.order + 1)
-        slots += list(self.coeffs[: self.order + 1 - j])
+        slots += list(self.coeffs[: max(self.order + 1 - j, 0)])
         return HSeries(self.nvars, self.order, slots)
 
     def __mul__(self, other):

@@ -282,12 +282,6 @@ class StarProduct:
         """Exact expansion of f*g as {order: coefficient}; finitely many terms."""
         return self._contract(self._prepare(f), self._prepare(g), max_order)
 
-    def moyal(self, f: Poly, g: Poly) -> HSeries:
-        """Deformed product of two polynomials, stored at the truncation."""
-        return HSeries.from_terms(
-            self.space.nvars, self.order, self.product_terms(f, g, self.order)
-        )
-
     def star(self, F: HSeries | Prepared, G: HSeries | Prepared) -> HSeries:
         """Bilinear continuous extension of the product to truncated series.
         A prepared operand stands for its expansion at this truncation."""
@@ -323,9 +317,6 @@ class StarProduct:
             raise TruncationError("operands carry different truncations")
         terms = self._contract(self._prepare(F), self._prepare(G), F.order, odd=True)
         return _series(self.space.nvars, F.order, terms)
-
-    def commutator_poly(self, f: Poly, g: Poly) -> HSeries:
-        return self.star_commutator(self.embed(f), self.embed(g))
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 

@@ -117,6 +117,13 @@ def dense_in_span(f: Poly, polys: list[Poly]) -> bool:
     return len(polys) not in pivots
 
 
+def spans_equal(a: list[Poly], b: list[Poly]) -> bool:
+    """Equality of spans: each side lies in the span of the other, checked
+    with ``dense_in_span``."""
+    return (all(dense_in_span(f, b) for f in a)
+            and all(dense_in_span(g, a) for g in b))
+
+
 def power_products(generators: list[Poly], degree: int, nvars: int
                    ) -> list[Poly]:
     """Every product of powers of homogeneous generators of positive

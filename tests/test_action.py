@@ -181,7 +181,8 @@ def test_comoment_golden_value(sl2_action):
     ).hbar_shift(2)
     assert image == expected
     # equivalently: the square of the lifted pairing minus one parameter square
-    assert image == star.moyal(tr, tr) - HSeries.one(4, star.order).hbar_shift(2)
+    square = star.star(star.embed(tr), star.embed(tr))
+    assert image == square - HSeries.one(4, star.order).hbar_shift(2)
 
 
 def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):

@@ -1,0 +1,80 @@
+"""Guard against dead public API in the package.
+
+Every public function, class and method under ``src/qcenter`` must be
+referenced, as a ``Name`` or an ``Attribute``, somewhere in the package
+outside its own body.  An export in ``__init__.py`` is an import, not a
+reference, so a name that is only exported counts as dead.  The few
+public names kept for callers outside the package are listed below, each
+with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import qcenter
+
+ALLOWED = {
+    "bidifferential": "a BENCHMARK.json per-layer metric names it",
+    "contains": "GradedSubspace membership, the query a graded space answers",
+    "sl2_data": "ready-made rank-1 simple algebra for library callers and tests",
+    "abelian_data": "ready-made abelian algebra for library callers and tests",
+    "weyl_product": "the product that weyl_commutator is the commutator of",
+    "random_poly": "seeded sampling helper for the property tests",
+    "random_homogeneous_poly": "seeded sampling helper for the property tests",
+}
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level and class-level public functions and classes."""
+    found = []
+
+    def visit(node: ast.AST):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not child.name.startswith("_"):
+                    found.append(child)
+                if isinstance(child, ast.ClassDef):
+                    visit(child)
+            else:
+                visit(child)
+
+    visit(tree)
+    return found
+
+
+def unreferenced_public_names(package_dir: Path) -> list[str]:
+    trees = {
+        path.relative_to(package_dir): ast.parse(path.read_text())
+        for path in sorted(package_dir.rglob("*.py"))
+    }
+    references: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(node)
+    dead = []
+    for path, tree in trees.items():
+        for definition in _public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            uses = references.get(definition.name, [])
+            if all(id(node) in inside for node in uses):
+                dead.append(f"{path}:{definition.lineno} {definition.name}")
+    return dead
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    dead = [
+        entry for entry in unreferenced_public_names(Path(qcenter.__file__).parent)
+        if entry.rsplit(" ", 1)[1] not in ALLOWED
+    ]
+    assert dead == []
+
+
+def test_allowlist_names_only_unreferenced_definitions():
+    # an allowlisted name that gains a caller should leave the list
+    dead = unreferenced_public_names(Path(qcenter.__file__).parent)
+    assert sorted({entry.rsplit(" ", 1)[1] for entry in dead}) == sorted(ALLOWED)

@@ -104,8 +104,9 @@ def test_u_mul_unit_and_defining_commutator(sl2):
 
 
 def test_u_mul_parameter_central(sl2):
-    a = UEnvElement.from_word(sl2, (H, E), 6)
-    b = UEnvElement.from_word(sl2, (F, F), 6)
+    h, e, f = (UEnvElement.generator(sl2, i, 6) for i in (H, E, F))
+    a = h * e
+    b = f * f
     assert a.hbar_shift(1) * b == (a * b).hbar_shift(1)
     assert a * b.hbar_shift(2) == (a * b).hbar_shift(2)
 
@@ -184,7 +185,8 @@ def test_generator_is_not_central(sl2):
 
 def test_abelian_everything_central():
     lie = abelian_data(2)
-    a = UEnvElement.from_word(lie, (1, 0, 1), 4)
+    x0, x1 = (UEnvElement.generator(lie, i, 4) for i in (0, 1))
+    a = x1 * x0 * x1
     assert adjoint_invariant_check(a)
 
 

@@ -44,7 +44,7 @@ def sl2_lift_data(sl2_action):
     a = tr * tr
     # quantum coefficient with the central order-2 section correction: the
     # exact square of the lifted pairing
-    ahat = star.moyal(tr, tr)
+    ahat = star.star(star.embed(tr), star.embed(tr))
     rel = MonicRelation((-a, Poly.zero(4)), (-ahat, HSeries.zero(4, star.order)))
     return tr, a, ahat, rel
 

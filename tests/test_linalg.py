@@ -11,45 +11,33 @@ from qcenter import (
     Poly,
     ValidationError,
     in_span,
-    nullspace,
     reduce_poly_span,
     rref,
-    solve_linear,
-    spans_equal,
 )
+
+from oracle import dense_nullspace, spans_equal
+
+
+def _kernel(rows, ncols):
+    acc = EchelonAccumulator(ncols)
+    for row in rows:
+        acc.add_row(row)
+    return acc.kernel()
 
 
 def test_empty_constraints_give_full_standard_basis():
-    solution = solve_linear([], 4)
-    assert solution.feasible
     expected = [
         [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
     ]
-    assert solution.basis == expected
-
-
-def test_contradictory_system_is_flagged():
-    # x + y = 1 and x + y = 2
-    solution = solve_linear([[1, 1], [1, 1]], 2, rhs=[1, 2])
-    assert not solution.feasible
-    assert solution.basis == []
-    assert solution.particular is None
+    assert EchelonAccumulator(4).kernel() == expected
 
 
 def test_coordinate_kernel():
     # kill the first coordinate on span{q1, p1}: kernel is the second axis
-    solution = solve_linear([[1, 0]], 2)
-    assert solution.basis == [[Fraction(0), Fraction(1)]]
-
-
-def test_solve_inhomogeneous_particular():
-    solution = solve_linear([[1, 1], [1, -1]], 2, rhs=[3, 1])
-    assert solution.feasible
-    assert solution.particular == [Fraction(2), Fraction(1)]
-    assert solution.basis == []
+    assert _kernel([[1, 0]], 2) == [[Fraction(0), Fraction(1)]]
 
 
 def test_rref_idempotent_and_order_independent():
@@ -70,18 +58,20 @@ def test_rref_idempotent_and_order_independent():
 def test_nullspace_vectors_are_in_kernel():
     rng = random.Random(4)
     rows = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(4)]
-    for vec in nullspace(rows, 6):
+    for vec in _kernel(rows, 6):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
 def test_echelon_accumulator_matches_batch():
     rng = random.Random(11)
-    rows = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(7)]
-    acc = EchelonAccumulator(5)
-    for row in rows:
-        acc.add_row(row)
-    assert acc.kernel() == nullspace(rows, 5)
+    # fewer rows than columns, so the kernel is not empty
+    rows = [[Fraction(rng.randint(-2, 2)) for _ in range(7)] for _ in range(4)]
+    kernel = _kernel(rows, 7)
+    assert len(kernel) == 3
+    # the streamed state is the canonical RREF that batch reduction gives
+    assert kernel == _kernel(rref(rows)[0], 7)
+    assert kernel == dense_nullspace(rows, 7)
 
 
 def test_reduce_poly_span_canonical():
@@ -90,7 +80,7 @@ def test_reduce_poly_span_canonical():
     basis1 = reduce_poly_span([q + p, q - p], 2)
     basis2 = reduce_poly_span([q, p], 2)
     assert basis1 == basis2
-    assert spans_equal([q + p, q - p], [p, q], 2)
+    assert spans_equal([q + p, q - p], [p, q])
 
 
 def test_in_span():

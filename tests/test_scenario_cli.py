@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import qcenter.scenario as scenario_mod
 from qcenter.cli import main
 from qcenter.scenario import (
     build_scenario,
     list_presets,
     load_scenario,
+    preset_path,
     run_scenario,
 )
 from qcenter.errors import ParseError, ValidationError
@@ -353,6 +355,32 @@ def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, messa
     assert err.startswith("parse error:")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [9, 10, 17, 18])
+def test_corrections_past_the_truncation_validate_with_exit_0(
+    tmp_path, capsys, order
+):
+    # torus_k2 truncates at 8: a correction of order 9 or more is dropped
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["quantum_corrections"] = {"t": {str(order): "1"}}
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("preset, expressions", [("sl2_tstar_k2", 10), ("torus_k4", 4)])
+def test_each_expression_is_parsed_once(monkeypatch, preset, expressions):
+    parsed = []
+    parse = scenario_mod.parse_poly
+
+    def counting_parse(text, names):
+        parsed.append(text)
+        return parse(text, names)
+
+    monkeypatch.setattr(scenario_mod, "parse_poly", counting_parse)
+    assert run_scenario(load_scenario(preset)).passed
+    assert len(parsed) == expressions
 
 
 def test_run_rejects_negative_override_with_exit_3(tmp_path, capsys):

@@ -53,6 +53,18 @@ def test_hbar_shift_weights_and_substitution():
     assert s.substitute_unit() == q + Poly.constant(2, Fraction(1, 2))
 
 
+def test_hbar_shift_moves_every_slot_and_drops_the_overflow():
+    order = 4
+    q = Poly.variable(2, 0)
+    s = HSeries(2, order, [q.scale(r + 1) for r in range(order + 1)])
+    for j in range(2 * order + 4):
+        shifted = s.hbar_shift(j)
+        assert shifted.order == order
+        assert shifted.coeffs == tuple(
+            s.coeffs[r - j] if r >= j else Poly.zero(2) for r in range(order + 1)
+        )
+
+
 def test_series_weight_detection():
     # q1 p1 + (1/2) h^2 is homogeneous for weights (-1,-1), parameter weight 2
     space_weights = (-1, -1)
