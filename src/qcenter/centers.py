@@ -14,10 +14,8 @@ degree as exact kernels:
 The scaling grading ties the coefficient degree at series order r to
 ``d - k*r``, which makes each quantum slice finite-dimensional.  The
 constraint system is linear in all series coefficients at once and is
-solved jointly (the order-by-order triangular structure is implied), then
-certified against the full test set; if certification finds a violated
-test element its constraints are added and the kernel is recomputed, so
-the fixed point equals the kernel of the full system.
+solved jointly against the whole test set (the order-by-order triangular
+structure is implied).
 
 Both systems are shrunk without changing any answer:
 
@@ -102,7 +100,7 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
             solver = EchelonAccumulator(len(candidates))
             for h in others:
                 _add_coefficient_rows(
-                    solver, [act.star.poisson(h, c) for c in candidates]
+                    solver, [{0: act.star.poisson(h, c)} for c in candidates]
                 )
             candidates = [
                 _combine(candidates, vec, nv) for vec in solver.kernel()
@@ -126,15 +124,18 @@ def _diagonal_weights(act: HamiltonianAction, h: Poly) -> list[Fraction] | None:
     return weights
 
 
-def _add_coefficient_rows(solver: EchelonAccumulator, polys: Sequence[Poly]):
-    """Require ``sum_j x_j * polys[j] == 0``: one sparse row per support
-    monomial, fed in canonical monomial order."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, f in enumerate(polys):
-        for mono, coeff in f.terms.items():
-            rows.setdefault(mono, {})[col] = coeff
-    for mono in sorted(rows, key=monomial_key):
-        solver.add_row(rows[mono])
+def _add_coefficient_rows(solver: EchelonAccumulator,
+                          expansions: Sequence[dict[int, Poly]]):
+    """Require ``sum_j x_j * expansions[j] == 0`` for expansions
+    ``{order: Poly}``: one sparse row per support ``(order, monomial)``,
+    fed by series order, then canonical monomial order."""
+    rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
+    for col, expansion in enumerate(expansions):
+        for s, f in expansion.items():
+            for mono, coeff in f.terms.items():
+                rows.setdefault((s, mono), {})[col] = coeff
+    for key in sorted(rows, key=lambda item: (item[0], monomial_key(item[1]))):
+        solver.add_row(rows[key])
 
 
 def _combine(candidates: Sequence[Poly], vector: Sequence[Fraction], nv: int) -> Poly:
@@ -222,7 +223,7 @@ def poisson_center_up_to(
         solver = EchelonAccumulator(len(candidates))
         for u in test_elements:
             _add_coefficient_rows(
-                solver, [act.star.poisson(c, u) for c in candidates]
+                solver, [{0: act.star.poisson(c, u)} for c in candidates]
             )
         basis = [_combine(candidates, vec, nv) for vec in solver.kernel()]
         if basis:
@@ -262,7 +263,6 @@ def quantum_center_up_to(
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     k = act.space.hbar_weight
-    nv = act.space.nvars
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
     if all(h.degree() <= 2 for h in act.hamiltonians):
@@ -278,11 +278,6 @@ def quantum_center_up_to(
             if degree <= test_degree
             for u in invariants.basis(degree)
         ]
-    # cheap constraints first; certification adds the rest on demand
-    initial_cutoff = min(test_degree, max(2, _generator_degree_bound(act)))
-    initial = [u for u in test_elements if u.degree() <= initial_cutoff]
-    remaining = [u for u in test_elements if u.degree() > initial_cutoff]
-
     out: dict[int, QuantumCenterSlice] = {}
     for degree in range(max_degree + 1):
         blocks: list[tuple[int, Poly]] = []
@@ -292,50 +287,19 @@ def quantum_center_up_to(
         if not blocks:
             out[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
-        active = list(initial)
-        pool = list(remaining)
-        while True:
-            kernel = _solve_commutation_kernel(act, blocks, active, order)
-            basis = [_vector_to_series(act, blocks, vec, order) for vec in kernel]
-            violator = _first_violator(act, basis, pool, order)
-            if violator is None:
-                break
-            active.append(violator)
-            pool.remove(violator)
+        solver = EchelonAccumulator(len(blocks))
+        for u in test_elements:
+            expansions = []
+            for r, b in blocks:
+                terms = act.star.commutator_terms(b, u, order - r)
+                expansions.append({r + level: t for level, t in terms.items()})
+            _add_coefficient_rows(solver, expansions)
+        basis = [
+            _vector_to_series(act, blocks, vec, order) for vec in solver.kernel()
+        ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)
     return out
-
-
-def _generator_degree_bound(act: HamiltonianAction) -> int:
-    degrees = [h.degree() for h in act.hamiltonians if not h.is_zero()]
-    return max(degrees, default=2)
-
-
-def _solve_commutation_kernel(act, blocks, test_elements, order):
-    solver = EchelonAccumulator(len(blocks))
-    nv = act.space.nvars
-    for u in test_elements:
-        rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-        for col, (r, b) in enumerate(blocks):
-            for level, term in act.star.commutator_terms(b, u, order - r).items():
-                s = r + level
-                for mono, coeff in term.terms.items():
-                    rows.setdefault((s, mono), {})[col] = coeff
-        for key in sorted(rows, key=lambda item: (item[0], monomial_key(item[1]))):
-            solver.add_row(rows[key])
-    return solver.kernel()
-
-
-def _first_violator(act, basis: list[HSeries], pool: list[Poly], order: int
-                    ) -> Poly | None:
-    """First test element whose commutator with some kernel series survives."""
-    for u in pool:
-        test = HSeries.from_poly(u, order)
-        for series in basis:
-            if not act.star.star_commutator(series, test).is_zero():
-                return u
-    return None
 
 
 def _vector_to_series(act, blocks, vector, order) -> HSeries:

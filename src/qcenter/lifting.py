@@ -44,7 +44,7 @@ class MonicRelation:
 
     ``coefficients[i]`` is the classical coefficient of the i-th power,
     i = 0..n-1 (the leading coefficient is 1); ``quantum_coefficients``
-    are central series reducing to them.
+    are central series reducing to them, at the action's truncation.
     """
 
     coefficients: tuple[Poly, ...]
@@ -82,22 +82,13 @@ class MonicRelation:
                 result = result + a.scale(i) * f ** (i - 1)
         return result
 
-    def truncated(self, order: int) -> "MonicRelation":
-        return MonicRelation(
-            self.coefficients,
-            tuple(q.truncate(order) for q in self.quantum_coefficients),
-        )
-
     def validate_centrality(
         self, act: HamiltonianAction, test_elements: Sequence[Poly], order: int
     ):
         """Each quantum coefficient must commute with the test elements."""
         for idx, ahat in enumerate(self.quantum_coefficients):
             for u in test_elements:
-                comm = act.star.star_commutator(
-                    ahat.extend(act.order) if ahat.order < act.order else ahat,
-                    act.star.embed(u),
-                )
+                comm = act.star.star_commutator(ahat, act.star.embed(u))
                 if not comm.truncate(order).is_zero():
                     raise ValidationError(
                         f"quantum coefficient {idx} is not central against "
@@ -175,13 +166,9 @@ def hensel_lift(
         raise ValidationError(
             "a smaller monic relation over the subalgebra annihilates the target"
         )
-    work_rel = rel.truncated(act.order) if any(
-        q.order != act.order for q in rel.quantum_coefficients
-    ) else rel
-
     fhat = HSeries.from_poly(f, act.order)
     for m in range(order):
-        defect = relation_defect(act.star, work_rel, fhat)
+        defect = relation_defect(act.star, rel, fhat)
         if not defect.vanishes_below(m + 1):
             first = defect.first_nonzero_order()
             raise ValidationError(
@@ -200,7 +187,7 @@ def hensel_lift(
                     f"{act.lie.labels[i]}"
                 )
         fhat = fhat + HSeries.from_poly(correction, act.order).hbar_shift(m + 1)
-    final = relation_defect(act.star, work_rel, fhat)
+    final = relation_defect(act.star, rel, fhat)
     if not final.vanishes_below(order + 1):
         first = final.first_nonzero_order()
         raise ValidationError(f"lift verification failed at order {first}")
@@ -249,24 +236,20 @@ def verify_lift(
     commutators against the supplied invariants, reporting the lowest
     failing order of each.
     """
-    work = fhat.extend(act.order) if fhat.order < act.order else fhat
-    work_rel = rel.truncated(act.order) if any(
-        q.order != act.order for q in rel.quantum_coefficients
-    ) else rel
-    defect = relation_defect(act.star, work_rel, work)
+    defect = relation_defect(act.star, rel, fhat)
     truncated = defect.truncate(order) if order < defect.order else defect
     relation_first = truncated.first_nonzero_order()
 
     centrality: list[tuple[str, int]] = []
     for u in test_elements:
-        comm = act.star.star_commutator(work, act.star.embed(u))
+        comm = act.star.star_commutator(fhat, act.star.embed(u))
         comm = comm.truncate(order) if order < comm.order else comm
         first = comm.first_nonzero_order()
         if first is not None:
             centrality.append((u.to_string(act.space.names), first))
 
     classical_ok = rel.classical_value(fhat.classical_part()).is_zero()
-    weight = work.series_weight(act.space.weights, act.space.hbar_weight)
+    weight = fhat.series_weight(act.space.weights, act.space.hbar_weight)
     return LiftReport(
         target=fhat.classical_part().to_string(act.space.names),
         relation_first_failure=relation_first,
@@ -362,23 +345,19 @@ def build_center_iso(
     iso_entries: list[IsoEntry] = []
     names = act.space.names
     for name, f, fhat in entries:
-        work = fhat.extend(act.order) if fhat.order < act.order else fhat
         classical_w = act.space.poly_weight(f)
-        lift_w = work.series_weight(act.space.weights, act.space.hbar_weight)
+        lift_w = fhat.series_weight(act.space.weights, act.space.hbar_weight)
         iso_entries.append(
             IsoEntry(
                 name=name,
                 classical=f.to_string(names),
-                lift=work.to_string(names),
+                lift=fhat.to_string(names),
                 weight_matches=(classical_w == lift_w),
-                triangle_holds=(work.classical_part() == f),
+                triangle_holds=(fhat.classical_part() == f),
             )
         )
     relation_rows: list[tuple[str, bool]] = []
-    lifts = [
-        fhat.extend(act.order) if fhat.order < act.order else fhat
-        for _, _, fhat in entries
-    ]
+    lifts = [fhat for _, _, fhat in entries]
     for text, rel_poly in relations:
         value = star_evaluate(act.star, rel_poly, lifts)
         value = value.truncate(order) if order < value.order else value

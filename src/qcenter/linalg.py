@@ -207,22 +207,17 @@ class GradedSubspace:
 
     Each slice is reduced to echelon form at construction, which certifies
     linear independence; every stored polynomial must be homogeneous of its
-    slice degree under the supplied grading (total degree by default).
+    slice degree (total degree).
     """
 
-    def __init__(
-        self,
-        nvars: int,
-        slices: dict[int, Sequence[Poly]],
-        grading: Sequence[int] | None = None,
-    ):
+    def __init__(self, nvars: int, slices: dict[int, Sequence[Poly]]):
         self.nvars = nvars
-        self.grading = tuple(grading) if grading is not None else (1,) * nvars
+        total = (1,) * nvars
         reduced: dict[int, list[Poly]] = {}
         for degree in sorted(slices):
             basis = reduce_poly_span(list(slices[degree]), nvars)
             for f in basis:
-                w = f.weight(self.grading)
+                w = f.weight(total)
                 if w is not None and w != degree:
                     raise ValidationError(
                         f"basis element of weight {w} stored in slice {degree}"
@@ -247,9 +242,10 @@ class GradedSubspace:
     def contains(self, f: Poly) -> bool:
         if f.is_zero():
             return True
-        w = f.weight(self.grading)
+        total = (1,) * self.nvars
+        w = f.weight(total)
         if w is None:
-            parts = f.weight_decompose(self.grading)
+            parts = f.weight_decompose(total)
             return all(self.contains(part) for part in parts.values())
         return in_span(f, self.slices.get(w, []))
 
@@ -257,7 +253,6 @@ class GradedSubspace:
         return (
             isinstance(other, GradedSubspace)
             and self.nvars == other.nvars
-            and self.grading == other.grading
             and self.slices == other.slices
         )
 

@@ -28,10 +28,12 @@ ScalarLike = "Fraction | int | str"
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to an exact rational."""
+    """Coerce ints, Fractions and 'num/den' strings to an exact rational.
+
+    Booleans are refused: a JSON ``true`` is not a number."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -158,14 +158,8 @@ class HSeries:
 
     def truncate(self, order: int) -> "HSeries":
         if order > self.order:
-            raise TruncationError("cannot truncate upwards; use extend")
+            raise TruncationError("cannot truncate upwards")
         return HSeries(self.nvars, order, list(self.coeffs[: order + 1]))
-
-    def extend(self, order: int) -> "HSeries":
-        """Re-embed at a larger truncation with explicit zero slots."""
-        if order < self.order:
-            raise TruncationError("cannot extend downwards; use truncate")
-        return HSeries(self.nvars, order, list(self.coeffs))
 
     def vanishes_below(self, order: int) -> bool:
         """True when all coefficients of order < ``order`` are zero."""

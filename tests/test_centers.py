@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from qcenter import (
+    EchelonAccumulator,
     HamiltonianAction,
     StarProduct,
     SymplecticSpace,
@@ -220,7 +221,7 @@ def test_quantum_center_torus4_degree2(torus4_action):
 
 def test_quantum_center_below_the_star_truncation(skew_torus_action):
     """Slices at a truncation below the product's own agree with a product
-    built at that truncation; certification tests degree-4 invariants."""
+    built at that truncation; the test set holds degree-4 invariants."""
     act = skew_torus_action
     low = HamiltonianAction(act.lie, StarProduct(act.space, 3), act.hamiltonians)
     for mine, theirs in zip(
@@ -229,6 +230,24 @@ def test_quantum_center_below_the_star_truncation(skew_torus_action):
     ):
         assert mine.basis == theirs.basis
         assert mine.rank == theirs.rank
+
+
+def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
+    """One exact solve per degree with candidates (0, 2, 4 and 6), against
+    the whole test set, quartic generators included."""
+    solves = []
+    kernel = EchelonAccumulator.kernel
+
+    def spy(self):
+        solves.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(EchelonAccumulator, "kernel", spy)
+    slices = quantum_center_up_to(skew_torus_action, 6, 8, 6)
+    assert len(solves) == 4
+    assert {d: s.rank for d, s in slices.items() if s.basis} == {
+        0: 1, 2: 1, 4: 1, 6: 1
+    }
 
 
 def test_quantum_center_sl2_everything_invariant_is_central(sl2_action):

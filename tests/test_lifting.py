@@ -14,6 +14,7 @@ from qcenter import (
     RelationViolationError,
     StarProduct,
     SymplecticSpace,
+    TruncationError,
     ValidationError,
     abelian_data,
     build_center_iso,
@@ -283,3 +284,25 @@ def test_lift_order_by_order_uniqueness(sl2_action, sl2_lift_data):
     first = hensel_lift(tr, rel, sl2_action, 8)
     second = hensel_lift(tr, rel, sl2_action, 8)
     assert first == second
+
+
+def _off_truncation_calls(act):
+    """Relation data or a lift away from the action's truncation 8."""
+    qp = act.space.q(1) * act.space.p(1)
+    high = MonicRelation((-qp,), (-HSeries.from_poly(qp, 10),))
+    low = MonicRelation((-qp,), (-HSeries.from_poly(qp, 6),))
+    rel = MonicRelation((-qp,), (-act.star.embed(qp),))
+    return {
+        "hensel_lift": lambda: hensel_lift(qp, high, act, 8),
+        "validate_centrality": lambda: low.validate_centrality(act, [qp], 6),
+        "verify_lift": lambda: verify_lift(HSeries.from_poly(qp, 6), rel, act, 6),
+    }
+
+
+@pytest.mark.parametrize(
+    "call", ["hensel_lift", "validate_centrality", "verify_lift"]
+)
+def test_series_off_the_action_truncation_raise(torus_action, call):
+    assert torus_action.order == 8
+    with pytest.raises(TruncationError):
+        _off_truncation_calls(torus_action)[call]()

@@ -346,6 +346,20 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
             {"lie_algebra": {"dim": 10**12}, "hamiltonians": {}},
             "missing hamiltonian for basis element 'x1'",
         ),
+        # JSON booleans are not rationals
+        (
+            {"space": {"pairs": 1, "bivector": [[0, True], [-1, 0]]}},
+            "bad scalar in space.bivector: True",
+        ),
+        (
+            dict(
+                _lie(dim=2, labels=["t", "s"], brackets=[
+                    {"left": "t", "right": "s", "components": {"t": False}}
+                ]),
+                hamiltonians={"t": "q1*p1", "s": "1"},
+            ),
+            "bad scalar in bracket components: False",
+        ),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
