@@ -7,9 +7,9 @@ degree as exact kernels:
 
 * the Poisson-center slice collects invariants whose bracket with every
   invariant basis element up to a test cutoff vanishes;
-* the quantum-center slice collects truncated series with invariant
-  homogeneous coefficients whose deformed commutator with every such test
-  element vanishes modulo the truncation.
+* the quantum-center slice collects series with invariant homogeneous
+  coefficients whose deformed commutator with every such test element
+  vanishes modulo the truncation the action's product carries.
 
 The scaling grading ties the coefficient degree at series order r to
 ``d - k*r``, which makes each quantum slice finite-dimensional.  The
@@ -245,11 +245,11 @@ def quantum_center_up_to(
     act: HamiltonianAction,
     max_degree: int,
     test_degree: int,
-    order: int,
     invariants: GradedSubspace | None = None,
     generators: list[Poly] | None = None,
 ) -> dict[int, QuantumCenterSlice]:
-    """Per-degree quantum-center slices, solved exactly.
+    """Per-degree quantum-center slices at the action's truncation, solved
+    exactly.
 
     Requires the default uniform grading (every coordinate of weight -1);
     the coefficient of series order r in the degree-d slice is then an
@@ -263,6 +263,7 @@ def quantum_center_up_to(
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     k = act.space.hbar_weight
+    order = act.order
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
     if all(h.degree() <= 2 for h in act.hamiltonians):
@@ -295,20 +296,20 @@ def quantum_center_up_to(
                 expansions.append({r + level: t for level, t in terms.items()})
             _add_coefficient_rows(solver, expansions)
         basis = [
-            _vector_to_series(act, blocks, vec, order) for vec in solver.kernel()
+            _vector_to_series(act, blocks, vec) for vec in solver.kernel()
         ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)
     return out
 
 
-def _vector_to_series(act, blocks, vector, order) -> HSeries:
+def _vector_to_series(act, blocks, vector) -> HSeries:
     nv = act.space.nvars
     slots: dict[int, Poly] = {}
     for coeff, (r, b) in zip(vector, blocks):
         if coeff:
             slots[r] = slots.get(r, Poly.zero(nv)) + b.scale(coeff)
-    return HSeries.from_terms(nv, order, slots)
+    return HSeries.from_terms(nv, act.order, slots)
 
 
 def _classical_part_rank(act, basis: list[HSeries]) -> tuple[int, list[HSeries]]:
@@ -370,7 +371,7 @@ class CenterReport:
 
 
 def compare_centers(
-    act: HamiltonianAction, max_degree: int, test_degree: int, order: int
+    act: HamiltonianAction, max_degree: int, test_degree: int
 ) -> CenterReport:
     """Assemble the per-degree comparison table of both centers."""
     invariants = invariants_up_to(act, test_degree)
@@ -379,7 +380,7 @@ def compare_centers(
         act, max_degree, test_degree, invariants, generators
     )
     quantum = quantum_center_up_to(
-        act, max_degree, test_degree, order, invariants, generators
+        act, max_degree, test_degree, invariants, generators
     )
     names = act.space.names
     rows = []
@@ -397,4 +398,4 @@ def compare_centers(
                 ],
             )
         )
-    return CenterReport(max_degree, test_degree, order, rows)
+    return CenterReport(max_degree, test_degree, act.order, rows)

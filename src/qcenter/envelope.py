@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DimensionError, TruncationError, ValidationError
 from .liealg import LieAlgebraData
@@ -64,41 +64,33 @@ def _hpoly_shift(a: HPoly, j: int, order: int) -> HPoly:
     return {r + j: c for r, c in a.items() if r + j <= order}
 
 
-def normalize_word(
-    lie: LieAlgebraData,
-    word: Word,
-    strategy: Callable[[list[int]], int] | None = None,
-) -> dict[Word, HPoly]:
+def normalize_word(lie: LieAlgebraData, word: Word) -> dict[Word, HPoly]:
     """Normal form of a single word as {sorted word: parameter polynomial}.
 
-    With the default strategy the leftmost descent is rewritten first and
-    results are cached on the algebra; a custom strategy (given the list of
-    descent positions, return one) bypasses the cache so that confluence
-    can be exercised.
+    The leftmost descent is rewritten first; results are cached on the
+    algebra.  The rewriting is confluent, so any other descent order gives
+    the same normal form.
     """
-    use_cache = strategy is None
-    if use_cache and word in lie._normal_forms:
+    if word in lie._normal_forms:
         return lie._normal_forms[word]
     descents = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if not descents:
         result = {word: {0: Fraction(1)}}
-        if use_cache:
-            lie._normal_forms[word] = result
+        lie._normal_forms[word] = result
         return result
-    pos = descents[0] if strategy is None else strategy(descents)
+    pos = descents[0]
     b, a = word[pos], word[pos + 1]
     swapped = word[:pos] + (a, b) + word[pos + 2 :]
     acc: dict[Word, HPoly] = {}
-    for w, hp in normalize_word(lie, swapped, strategy).items():
+    for w, hp in normalize_word(lie, swapped).items():
         acc[w] = _hpoly_add(acc.get(w, {}), hp)
     for k, coeff in sorted(lie.bracket(b, a).items()):
         contracted = word[:pos] + (k,) + word[pos + 2 :]
-        for w, hp in normalize_word(lie, contracted, strategy).items():
+        for w, hp in normalize_word(lie, contracted).items():
             shifted = {r + 1: c * coeff for r, c in hp.items()}
             acc[w] = _hpoly_add(acc.get(w, {}), shifted)
     result = {w: hp for w, hp in acc.items() if hp}
-    if use_cache:
-        lie._normal_forms[word] = result
+    lie._normal_forms[word] = result
     return result
 
 

@@ -41,16 +41,14 @@ class LiftObstructionError(QCenterError):
     and the undividable defect are reported.
     """
 
-    def __init__(self, order: int, remainder, message: str | None = None):
+    def __init__(self, order: int, remainder):
         self.order = order
         self.remainder = remainder
-        if message is None:
-            message = (
-                f"lift obstructed at series order {order}: the defect is not "
-                f"divisible by the relation derivative (a localized extension "
-                f"would be required, which is out of scope)"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"lift obstructed at series order {order}: the defect is not "
+            f"divisible by the relation derivative (a localized extension "
+            f"would be required, which is out of scope)"
+        )
 
 
 class RelationViolationError(QCenterError):

@@ -4,10 +4,12 @@ Given a homogeneous invariant ``f`` satisfying a monic relation
 
     f^n + a_{n-1} f^{n-1} + ... + a_0 = 0
 
-with homogeneous coefficients in a designated subalgebra, and central
-quantum coefficients reducing to the classical ones, the lift recursion
-produces a truncated series ``f_hat`` with classical part ``f`` whose
-deformed evaluation of the relation vanishes modulo the truncation.
+with homogeneous coefficients in the subalgebra generated by the
+designated invariant generators, and central quantum coefficients reducing
+to the classical ones, the lift recursion produces a series ``f_hat`` with
+classical part ``f`` whose deformed evaluation of the relation vanishes
+modulo the truncation.  Every series here is at the truncation of the
+action's product, and every check runs through that whole truncation.
 
 At each step the relation evaluated on the partial lift has its lowest
 surviving order extracted; appending ``f_{m+1}`` at order m+1 perturbs
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action import HamiltonianAction
+from .centers import moment_image_basis
 from .errors import (
     LiftObstructionError,
     NonSimpleRootError,
     RelationViolationError,
-    TruncationError,
     ValidationError,
 )
 from .linalg import GradedSubspace, in_span
@@ -83,13 +85,14 @@ class MonicRelation:
         return result
 
     def validate_centrality(
-        self, act: HamiltonianAction, test_elements: Sequence[Poly], order: int
+        self, act: HamiltonianAction, test_elements: Sequence[Poly]
     ):
-        """Each quantum coefficient must commute with the test elements."""
+        """Each quantum coefficient must commute with the test elements
+        modulo the action's truncation."""
         for idx, ahat in enumerate(self.quantum_coefficients):
             for u in test_elements:
                 comm = act.star.star_commutator(ahat, act.star.embed(u))
-                if not comm.truncate(order).is_zero():
+                if not comm.is_zero():
                     raise ValidationError(
                         f"quantum coefficient {idx} is not central against "
                         f"{u.to_string(act.space.names)}"
@@ -130,26 +133,18 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
     return True
 
 
-def hensel_lift(
-    f: Poly,
-    rel: MonicRelation,
-    act: HamiltonianAction,
-    order: int,
-    subalgebra: GradedSubspace | None = None,
-) -> HSeries:
-    """Lift ``f`` through the given truncation order.
+def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
+    """Lift ``f`` through the action's truncation.
 
     Preconditions checked exactly: the classical relation holds, the
-    relation derivative at ``f`` is nonzero, ``f`` is invariant, and (when
-    a subalgebra is supplied) no smaller monic relation exists.  Each
-    produced correction is verified invariant; for weight-homogeneous
-    input data the corrections are automatically homogeneous of the weight
-    that keeps the whole lift at the weight of ``f``.
+    relation derivative at ``f`` is nonzero, ``f`` is invariant, and no
+    smaller monic relation exists over the subalgebra generated by the
+    designated invariant generators (its slices up to the highest degree
+    ``minimality_holds`` reads).  Each produced correction is verified
+    invariant; for weight-homogeneous input data the corrections are
+    automatically homogeneous of the weight that keeps the whole lift at
+    the weight of ``f``.
     """
-    if order > act.order:
-        raise TruncationError(
-            "requested lift order exceeds the action's truncation"
-        )
     if not rel.classical_value(f).is_zero():
         raise ValidationError("classical relation does not annihilate the target")
     derivative = rel.derivative_value(f)
@@ -162,12 +157,13 @@ def hensel_lift(
             raise ValidationError(
                 f"lift target is not invariant under {act.lie.labels[i]}"
             )
-    if subalgebra is not None and not minimality_holds(f, rel, subalgebra):
+    subalgebra = moment_image_basis(act, (rel.degree - 1) * f.degree())
+    if not minimality_holds(f, rel, subalgebra):
         raise ValidationError(
             "a smaller monic relation over the subalgebra annihilates the target"
         )
     fhat = HSeries.from_poly(f, act.order)
-    for m in range(order):
+    for m in range(act.order):
         defect = relation_defect(act.star, rel, fhat)
         if not defect.vanishes_below(m + 1):
             first = defect.first_nonzero_order()
@@ -188,7 +184,7 @@ def hensel_lift(
                 )
         fhat = fhat + HSeries.from_poly(correction, act.order).hbar_shift(m + 1)
     final = relation_defect(act.star, rel, fhat)
-    if not final.vanishes_below(order + 1):
+    if not final.is_zero():
         first = final.first_nonzero_order()
         raise ValidationError(f"lift verification failed at order {first}")
     return fhat
@@ -227,23 +223,19 @@ def verify_lift(
     fhat: HSeries,
     rel: MonicRelation,
     act: HamiltonianAction,
-    order: int,
     test_elements: Sequence[Poly] = (),
 ) -> LiftReport:
     """Independent re-expansion of the relation and centrality of a lift.
 
     Recomputes the full deformed evaluation from scratch and the
-    commutators against the supplied invariants, reporting the lowest
-    failing order of each.
+    commutators against the supplied invariants at the action's
+    truncation, reporting the lowest failing order of each.
     """
-    defect = relation_defect(act.star, rel, fhat)
-    truncated = defect.truncate(order) if order < defect.order else defect
-    relation_first = truncated.first_nonzero_order()
+    relation_first = relation_defect(act.star, rel, fhat).first_nonzero_order()
 
     centrality: list[tuple[str, int]] = []
     for u in test_elements:
         comm = act.star.star_commutator(fhat, act.star.embed(u))
-        comm = comm.truncate(order) if order < comm.order else comm
         first = comm.first_nonzero_order()
         if first is not None:
             centrality.append((u.to_string(act.space.names), first))
@@ -332,7 +324,6 @@ def build_center_iso(
     entries: Sequence[tuple[str, Poly, HSeries]],
     relations: Sequence[tuple[str, Poly]],
     act: HamiltonianAction,
-    order: int,
 ) -> IsoReport:
     """Generator table of the center identification with its verifications.
 
@@ -359,9 +350,7 @@ def build_center_iso(
     relation_rows: list[tuple[str, bool]] = []
     lifts = [fhat for _, _, fhat in entries]
     for text, rel_poly in relations:
-        value = star_evaluate(act.star, rel_poly, lifts)
-        value = value.truncate(order) if order < value.order else value
-        first = value.first_nonzero_order()
+        first = star_evaluate(act.star, rel_poly, lifts).first_nonzero_order()
         if first is not None:
             raise RelationViolationError(text, first)
         relation_rows.append((text, True))

@@ -51,7 +51,7 @@ from .action import (
     check_classical_limit_triangle,
     check_quantum_moment_condition,
 )
-from .centers import compare_centers, invariants_up_to, moment_image_basis
+from .centers import compare_centers, invariants_up_to
 from .errors import ParseError, QCenterError, ValidationError
 from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
@@ -539,19 +539,16 @@ def resolve_lift(built: BuiltScenario, spec: LiftSpec
     return spec.target, MonicRelation(tuple(coefficients), tuple(quantum))
 
 
-def run_lifts(built: BuiltScenario, order: int, test_elements: Sequence[Poly]
+def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]
               ) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:
     """Execute every lift request; returns entries and their verifications."""
-    subalgebra = moment_image_basis(
-        built.action, max(built.scenario.max_degree, built.scenario.test_degree)
-    )
     entries = []
     verifications = []
     for spec in built.scenario.lifts:
         f, rel = resolve_lift(built, spec)
-        rel.validate_centrality(built.action, test_elements, order)
-        fhat = hensel_lift(f, rel, built.action, order, subalgebra=subalgebra)
-        report = verify_lift(fhat, rel, built.action, order, test_elements)
+        rel.validate_centrality(built.action, test_elements)
+        fhat = hensel_lift(f, rel, built.action)
+        report = verify_lift(fhat, rel, built.action, test_elements)
         entries.append((spec.name, f, fhat))
         verifications.append({"name": spec.name, **report.to_json_dict()})
         if not report.passed:
@@ -666,17 +663,14 @@ def _task_invariants(built: BuiltScenario, context: dict) -> TaskResult:
 def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:
     scenario = built.scenario
     center_report = compare_centers(
-        built.action,
-        scenario.max_degree,
-        scenario.test_degree,
-        scenario.truncation,
+        built.action, scenario.max_degree, scenario.test_degree
     )
     return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
 
 def _task_lift(built: BuiltScenario, context: dict) -> TaskResult:
     tests = _invariant_test_elements(built, context)
-    entries, verifications = run_lifts(built, built.scenario.truncation, tests)
+    entries, verifications = run_lifts(built, tests)
     context["lift_entries"] = entries
     return TaskResult("lift", True, {"lifts": verifications})
 
@@ -684,7 +678,7 @@ def _task_lift(built: BuiltScenario, context: dict) -> TaskResult:
 def _ensure_lifts(built: BuiltScenario, context: dict):
     if "lift_entries" not in context:
         tests = _invariant_test_elements(built, context)
-        entries, _ = run_lifts(built, built.scenario.truncation, tests)
+        entries, _ = run_lifts(built, tests)
         context["lift_entries"] = entries
 
 
@@ -694,7 +688,6 @@ def _task_iso(built: BuiltScenario, context: dict) -> TaskResult:
         context["lift_entries"],
         built.scenario.relations,
         built.action,
-        built.scenario.truncation,
     )
     return TaskResult("iso", iso.passed, iso.to_json_dict())
 

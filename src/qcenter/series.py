@@ -156,11 +156,6 @@ class HSeries:
 
     # -- truncation management ----------------------------------------------
 
-    def truncate(self, order: int) -> "HSeries":
-        if order > self.order:
-            raise TruncationError("cannot truncate upwards")
-        return HSeries(self.nvars, order, list(self.coeffs[: order + 1]))
-
     def vanishes_below(self, order: int) -> bool:
         """True when all coefficients of order < ``order`` are zero."""
         return all(f.is_zero() for f in self.coeffs[: min(order, self.order + 1)])

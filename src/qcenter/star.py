@@ -276,19 +276,15 @@ class StarProduct:
         terms = self._contract(self._prepare(f), self._prepare(g), level)
         return terms.get(level, Poly.zero(self.space.nvars))
 
-    def product_terms(
-        self, f: Poly | Prepared, g: Poly | Prepared, max_order: int | None = None
-    ) -> dict[int, Poly]:
+    def product_terms(self, f: Poly | Prepared, g: Poly | Prepared
+                      ) -> dict[int, Poly]:
         """Exact expansion of f*g as {order: coefficient}; finitely many terms."""
-        return self._contract(self._prepare(f), self._prepare(g), max_order)
+        return self._contract(self._prepare(f), self._prepare(g))
 
     def star(self, F: HSeries | Prepared, G: HSeries | Prepared) -> HSeries:
         """Bilinear continuous extension of the product to truncated series.
         A prepared operand stands for its expansion at this truncation."""
-        for X in (F, G):
-            if isinstance(X, HSeries) and X.order != self.order:
-                raise TruncationError("series truncation differs from the product's")
-        terms = self._contract(self._prepare(F), self._prepare(G), self.order)
+        terms = self._contract(*self._truncated(F, G), self.order)
         return _series(self.space.nvars, self.order, terms)
 
     def embed(self, f: Poly) -> HSeries:
@@ -312,11 +308,17 @@ class StarProduct:
         return self._contract(self._prepare(f), self._prepare(g), max_order, odd=True)
 
     def star_commutator(self, F: HSeries, G: HSeries) -> HSeries:
-        """F*G - G*F at the operands' truncation."""
-        if F.order != G.order:
-            raise TruncationError("operands carry different truncations")
-        terms = self._contract(self._prepare(F), self._prepare(G), F.order, odd=True)
-        return _series(self.space.nvars, F.order, terms)
+        """F*G - G*F at this truncation."""
+        terms = self._contract(*self._truncated(F, G), self.order, odd=True)
+        return _series(self.space.nvars, self.order, terms)
+
+    def _truncated(self, *operands: HSeries | Prepared) -> list[Prepared]:
+        """The operands prepared, once every series is checked to carry
+        this product's truncation."""
+        for X in operands:
+            if isinstance(X, HSeries) and X.order != self.order:
+                raise TruncationError("series truncation differs from the product's")
+        return [self._prepare(X) for X in operands]
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 

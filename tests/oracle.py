@@ -4,7 +4,8 @@ These deliberately avoid the package's contraction engine: the deformed
 product is expanded by brute force over index sequences straight from its
 defining formula, and products on several pairs can also be assembled from
 single-pair factors.  The linear algebra references work on dense rows with
-textbook pivoting, or with no elimination at all.  Slow but unambiguous.
+textbook pivoting, or with no elimination at all.  Enveloping-algebra words
+are rewritten without a cache, in any descent order.  Slow but unambiguous.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
+from typing import Callable
 
-from qcenter import Poly, SymplecticSpace
+from qcenter import LieAlgebraData, Poly, SymplecticSpace
 
 
 def brute_force_term(space: SymplecticSpace, f: Poly, g: Poly, level: int) -> Poly:
@@ -154,3 +156,29 @@ def leibniz_determinant(matrix: list[list]) -> Fraction:
                 break
         total += term
     return total
+
+
+def rewrite_word(lie: LieAlgebraData, word: tuple[int, ...],
+                 pick: Callable[[list[int]], int]
+                 ) -> dict[tuple[int, ...], dict[int, Fraction]]:
+    """Sorted-word normal form by ``x_j x_i -> x_i x_j + h [x_j, x_i]``,
+    rewriting at the position ``pick`` chooses from the list of descents.
+    Nothing is cached, so every picker runs its own rewrite sequence."""
+    descents = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+    if not descents:
+        return {word: {0: Fraction(1)}}
+    pos = pick(descents)
+    b, a = word[pos], word[pos + 1]
+    acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    branches = [(word[:pos] + (a, b) + word[pos + 2:], 0, Fraction(1))]
+    branches += [(word[:pos] + (k,) + word[pos + 2:], 1, c)
+                 for k, c in lie.bracket(b, a).items()]
+    for w, shift, scale in branches:
+        for v, hp in rewrite_word(lie, w, pick).items():
+            for r, c in hp.items():
+                acc[v, r + shift] = acc.get((v, r + shift), Fraction(0)) + c * scale
+    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for (v, r), c in acc.items():
+        if c:
+            out.setdefault(v, {})[r] = c
+    return out

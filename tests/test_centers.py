@@ -191,7 +191,7 @@ def test_moment_image_inside_poisson_center(sl2_action, torus_action, torus4_act
 
 
 def test_quantum_center_order0_parts_are_poisson_central(torus4_action):
-    slices = quantum_center_up_to(torus4_action, 6, 8, 6)
+    slices = quantum_center_up_to(torus4_action, 6, 8)
     center = poisson_center_up_to(torus4_action, 6, 8)
     for degree, data in slices.items():
         for series in data.basis:
@@ -201,7 +201,7 @@ def test_quantum_center_order0_parts_are_poisson_central(torus4_action):
 
 
 def test_quantum_center_torus4_degree2(torus4_action):
-    slices = quantum_center_up_to(torus4_action, 2, 8, 6)
+    slices = quantum_center_up_to(torus4_action, 2, 8)
     sp = torus4_action.space
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
     data = slices[2]
@@ -220,16 +220,17 @@ def test_quantum_center_torus4_degree2(torus4_action):
 
 
 def test_quantum_center_below_the_star_truncation(skew_torus_action):
-    """Slices at a truncation below the product's own agree with a product
-    built at that truncation; the test set holds degree-4 invariants."""
+    """Slices of a product built at truncation 3, below the fixture's 6,
+    against a test set that holds degree-4 invariants.  The pinned ranks
+    and slice dimensions equal those of the truncation-6 slices cut at
+    order 3."""
     act = skew_torus_action
     low = HamiltonianAction(act.lie, StarProduct(act.space, 3), act.hamiltonians)
-    for mine, theirs in zip(
-        quantum_center_up_to(act, 4, 8, 3).values(),
-        quantum_center_up_to(low, 4, 8, 3).values(),
-    ):
-        assert mine.basis == theirs.basis
-        assert mine.rank == theirs.rank
+    slices = quantum_center_up_to(low, 4, 8)
+    assert {d: (s.rank, len(s.basis)) for d, s in slices.items()} == {
+        0: (1, 1), 1: (0, 0), 2: (1, 2), 3: (0, 0), 4: (1, 3)
+    }
+    assert all(v.order == 3 for s in slices.values() for v in s.basis)
 
 
 def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
@@ -243,7 +244,7 @@ def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
         return kernel(self)
 
     monkeypatch.setattr(EchelonAccumulator, "kernel", spy)
-    slices = quantum_center_up_to(skew_torus_action, 6, 8, 6)
+    slices = quantum_center_up_to(skew_torus_action, 6, 8)
     assert len(solves) == 4
     assert {d: s.rank for d, s in slices.items() if s.basis} == {
         0: 1, 2: 1, 4: 1, 6: 1
@@ -251,7 +252,7 @@ def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
 
 
 def test_quantum_center_sl2_everything_invariant_is_central(sl2_action):
-    slices = quantum_center_up_to(sl2_action, 4, 6, 8)
+    slices = quantum_center_up_to(sl2_action, 4, 6)
     inv = invariants_up_to(sl2_action, 6)
     for degree in (0, 2, 4):
         assert slices[degree].rank == inv.dimension(degree)
@@ -265,7 +266,7 @@ def test_compare_centers_equal_ranks(sl2_action, torus_action, torus4_action,
         (torus4_action, 6),
         (sl2_action, 8),
     ):
-        report = compare_centers(act, max_deg, max_deg + 2, act.order)
+        report = compare_centers(act, max_deg, max_deg + 2)
         assert report.passed, [r.degree for r in report.rows if not r.equal]
         for row in report.rows:
             assert row.equal
@@ -273,7 +274,7 @@ def test_compare_centers_equal_ranks(sl2_action, torus_action, torus4_action,
 
 
 def test_compare_centers_trivial_degree_zero(trivial_action):
-    report = compare_centers(trivial_action, 0, 2, 4)
+    report = compare_centers(trivial_action, 0, 2)
     assert report.rows[0].invariant_dim == 1
     assert report.rows[0].poisson_dim == 1
     assert report.rows[0].quantum_rank == 1
@@ -308,7 +309,7 @@ def test_skew_torus_center_needs_quartic_tests(skew_torus_action):
 
 
 def test_skew_torus_center_comparison(skew_torus_action):
-    report = compare_centers(skew_torus_action, 6, 8, 6)
+    report = compare_centers(skew_torus_action, 6, 8)
     assert report.passed, [r.degree for r in report.rows if not r.equal]
     by_degree = {row.degree: row for row in report.rows}
     assert by_degree[2].invariant_dim == 2

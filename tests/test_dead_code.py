@@ -5,9 +5,16 @@ referenced somewhere in the package outside its own body.  A method is
 referenced only through an ``Attribute``; a module-level name through a
 ``Name`` that is read or an ``Attribute``.  A local variable of the same
 spelling is not a reference.  An export in ``__init__.py`` is an import,
-not a reference, so a name that is only exported counts as dead.  The few
-public names kept for callers outside the package are listed below, each
-with its reason.
+not a reference, so a name that is only exported counts as dead.
+
+Likewise every defaulted parameter of a public function, method or class
+constructor must be passed by some call in the package outside the
+function's own body, by keyword or by position.  Calls are matched by the
+called name, and a call that unpacks ``*args`` or ``**kwargs`` passes every
+parameter.  A parameter no caller sets is a knob nobody turns.
+
+The few public names and parameters kept for callers outside the package
+are listed below, each with its reason.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ ALLOWED = {
     "random_homogeneous_poly": "seeded sampling helper for the property tests",
     "q": "coordinate constructors for library callers and tests",
     "p": "coordinate constructors for library callers and tests",
+}
+
+UNPASSED_ALLOWED = {
+    "HamiltonianAction(validate)":
+        "skips the moment checks for actions that break them on purpose (tests)",
+    "main(argv)": "argument list for callers that drive the CLI in-process",
+    "sl2_data(invariant_generators)":
+        "designated invariants other than the Casimir for library callers",
+    "abelian_data(labels)": "basis labels other than t1, t2, ... for library callers",
+    "random_poly(max_terms)": "term count of a sample for the property tests",
+    "random_homogeneous_poly(max_terms)":
+        "term count of a sample for the property tests",
 }
 
 
@@ -86,3 +105,82 @@ def test_allowlist_names_only_unreferenced_definitions():
     # an allowlisted name that gains a caller should leave the list
     dead = unreferenced_public_names(Path(qcenter.__file__).parent)
     assert sorted({entry.rsplit(" ", 1)[1] for entry in dead}) == sorted(ALLOWED)
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, skip_first: bool
+                          ) -> list[tuple[str, int | None]]:
+    """(name, position or None when keyword-only) of each parameter with
+    a default, positions counted as a caller sees them."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = 1 if skip_first else 0
+    out = [
+        (arg.arg, index - first)
+        for index, arg in enumerate(positional)
+        if index >= len(positional) - len(fn.args.defaults)
+    ]
+    out += [
+        (arg.arg, None)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _callable_definitions(tree: ast.Module):
+    """(called name, function node, whether a call binds the first
+    parameter) for public functions, public methods and the constructors
+    of public classes."""
+    for definition, in_class in _public_definitions(tree):
+        if isinstance(definition, ast.ClassDef):
+            for item in definition.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield definition.name, item, True
+        elif in_class:
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in definition.decorator_list
+            )
+            yield definition.name, definition, not static
+        else:
+            yield definition.name, definition, False
+
+
+def unpassed_parameters(package_dir: Path) -> list[str]:
+    trees = [ast.parse(path.read_text()) for path in sorted(package_dir.rglob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for tree in trees:
+        for name, fn, skip_first in _callable_definitions(tree):
+            inside = {id(node) for node in ast.walk(fn)}
+            outside = [call for call in calls.get(name, []) if id(call) not in inside]
+            for param, position in _defaulted_parameters(fn, skip_first):
+                if not any(_passes(call, param, position) for call in outside):
+                    unpassed.append(f"{name}({param})")
+    return unpassed
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    unpassed = [
+        entry for entry in unpassed_parameters(Path(qcenter.__file__).parent)
+        if entry not in UNPASSED_ALLOWED
+    ]
+    assert unpassed == []
+
+
+def test_parameter_allowlist_names_only_unpassed_parameters():
+    # an allowlisted parameter that gains a caller should leave the list
+    unpassed = unpassed_parameters(Path(qcenter.__file__).parent)
+    assert sorted(set(unpassed)) == sorted(UNPASSED_ALLOWED)

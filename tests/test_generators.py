@@ -95,12 +95,11 @@ def test_full_test_set_gives_the_same_slices(preset, monkeypatch):
     scenario = built.scenario
     act = built.action
     args = (act, scenario.max_degree, scenario.test_degree)
-    order = scenario.truncation
     poisson = poisson_center_up_to(*args, inv)
-    quantum = quantum_center_up_to(*args, order, inv)
+    quantum = quantum_center_up_to(*args, inv)
     monkeypatch.setattr(centers, "invariant_generators", _full_basis)
     assert poisson_center_up_to(*args, inv) == poisson
-    full = quantum_center_up_to(*args, order, inv)
+    full = quantum_center_up_to(*args, inv)
     assert full.keys() == quantum.keys()
     for degree, slice_q in quantum.items():
         assert full[degree] == slice_q
@@ -132,7 +131,7 @@ def test_quantum_center_uses_generators_only_for_quadratic_actions(
     )
     inv = invariants_up_to(act, 4)
     calls = _spy(monkeypatch)
-    quantum_center_up_to(act, 3, 4, 4, inv)
+    quantum_center_up_to(act, 3, 4, inv)
     assert bool(calls) == uses_generators
     calls.clear()
     poisson_center_up_to(act, 3, 4, inv)
@@ -144,7 +143,7 @@ def test_compare_centers_finds_the_generators_once(preset, monkeypatch):
     built = build_scenario(load_scenario(preset))
     scenario = built.scenario
     args = (built.action, scenario.max_degree, scenario.test_degree)
-    expected = centers.compare_centers(*args, scenario.truncation).to_json_dict()
+    expected = centers.compare_centers(*args).to_json_dict()
     calls = []
     real = centers.invariant_generators
 
@@ -153,5 +152,5 @@ def test_compare_centers_finds_the_generators_once(preset, monkeypatch):
         return real(invariants, test_degree)
 
     monkeypatch.setattr(centers, "invariant_generators", spy)
-    assert centers.compare_centers(*args, scenario.truncation).to_json_dict() == expected
+    assert centers.compare_centers(*args).to_json_dict() == expected
     assert calls == [scenario.test_degree]

@@ -59,19 +59,18 @@ def test_linear_relation_returns_designated_lift(torus_action):
     )
     # the correction must be central for the relation data to validate
     rel = MonicRelation((-qp,), (-ahat,))
-    rel.validate_centrality(torus_action, invariant_tests(torus_action), 8)
-    lifted = hensel_lift(qp, rel, torus_action, 8)
+    rel.validate_centrality(torus_action, invariant_tests(torus_action))
+    lifted = hensel_lift(qp, rel, torus_action)
     assert lifted == ahat
 
 
 def test_sl2_lift_succeeds_with_zero_corrections(sl2_action, sl2_lift_data):
     tr, a, ahat, rel = sl2_lift_data
     tests = invariant_tests(sl2_action, 10)
-    rel.validate_centrality(sl2_action, tests, 8)
-    subalgebra = moment_image_basis(sl2_action, 10)
-    lifted = hensel_lift(tr, rel, sl2_action, 8, subalgebra=subalgebra)
+    rel.validate_centrality(sl2_action, tests)
+    lifted = hensel_lift(tr, rel, sl2_action)
     assert lifted == sl2_action.star.embed(tr)
-    report = verify_lift(lifted, rel, sl2_action, 8, tests)
+    report = verify_lift(lifted, rel, sl2_action, tests)
     assert report.passed
     assert report.weight == -2
 
@@ -88,7 +87,7 @@ def test_sl2_lift_obstruction_with_uncorrected_section(sl2_action):
     plain_image = sl2_action.comoment(symmetrize(lie, cas, star.order))
     rel = MonicRelation((-a, Poly.zero(4)), (-plain_image, HSeries.zero(4, star.order)))
     with pytest.raises(LiftObstructionError) as info:
-        hensel_lift(tr, rel, sl2_action, 8)
+        hensel_lift(tr, rel, sl2_action)
     assert info.value.order == 2
     assert info.value.remainder == Poly.constant(4, 1)
 
@@ -100,10 +99,10 @@ def test_perturbed_relation_tracks_quantum_data(torus_action):
     qp = sp.q(1) * sp.p(1)
     perturbed = star.embed(qp) - HSeries.one(2, star.order).hbar_shift(1)
     rel = MonicRelation((-qp,), (-perturbed,))
-    lifted = hensel_lift(qp, rel, torus_action, 8)
+    lifted = hensel_lift(qp, rel, torus_action)
     assert lifted == perturbed
     assert lifted.coefficient(1) == Poly.constant(2, -1)
-    assert verify_lift(lifted, rel, torus_action, 8, invariant_tests(torus_action)).passed
+    assert verify_lift(lifted, rel, torus_action, invariant_tests(torus_action)).passed
 
 
 def test_sl2_perturbation_obstructs_at_order_one(sl2_action, sl2_lift_data):
@@ -115,7 +114,7 @@ def test_sl2_perturbation_obstructs_at_order_one(sl2_action, sl2_lift_data):
          rel.quantum_coefficients[1]),
     )
     with pytest.raises(LiftObstructionError) as info:
-        hensel_lift(tr, bumped, sl2_action, 8)
+        hensel_lift(tr, bumped, sl2_action)
     assert info.value.order == 1
 
 
@@ -133,7 +132,7 @@ def test_divisible_perturbation_proceeds_then_obstructs(sl2_action, sl2_lift_dat
         ),
     )
     with pytest.raises(LiftObstructionError) as info:
-        hensel_lift(tr, bumped, sl2_action, 8)
+        hensel_lift(tr, bumped, sl2_action)
     assert info.value.order == 4
     # order 2 was solvable: the correction tr/2 divides exactly
 
@@ -148,7 +147,7 @@ def test_nonsimple_root_detected(torus_action):
         (star.embed(qp * qp), star.embed((-qp).scale(2))),
     )
     with pytest.raises(NonSimpleRootError):
-        hensel_lift(qp, rel, torus_action, 6)
+        hensel_lift(qp, rel, torus_action)
 
 
 def test_classical_relation_must_hold(torus_action):
@@ -157,7 +156,7 @@ def test_classical_relation_must_hold(torus_action):
     qp = sp.q(1) * sp.p(1)
     rel = MonicRelation((-qp - sp.one(),), (star.embed(-qp - sp.one()),))
     with pytest.raises(ValidationError):
-        hensel_lift(qp, rel, torus_action, 6)
+        hensel_lift(qp, rel, torus_action)
 
 
 def test_minimality_check(sl2_action, sl2_lift_data):
@@ -203,18 +202,27 @@ def test_verify_lift_reports_first_failing_order(torus_action):
     corrected = star.embed(qp) + HSeries.one(2, star.order).hbar_shift(1)
     rel = MonicRelation((-qp,), (-corrected,))
     # claim the bare element is the lift although the data demands a shift
-    report = verify_lift(star.embed(qp), rel, torus_action, 8)
+    report = verify_lift(star.embed(qp), rel, torus_action)
     assert not report.passed
     assert report.relation_first_failure == 1
 
 
-def test_verify_lift_order_zero_is_classical_check(torus_action, sl2_action):
+def test_verify_lift_order_zero_is_classical_check(torus_action):
+    """At truncation 0 only classical parts are compared: the commutator of
+    q1 with q1*p1 starts at order 1, so it shows at truncation 8 only."""
     sp = torus_action.space
-    qp = sp.q(1) * sp.p(1)
-    rel = MonicRelation((-qp,), (torus_action.star.embed(-qp),))
-    report = verify_lift(torus_action.star.embed(qp), rel, torus_action, 0)
+    q1, qp = sp.q(1), sp.q(1) * sp.p(1)
+    act = HamiltonianAction(
+        torus_action.lie, StarProduct(sp, 0), torus_action.hamiltonians
+    )
+    rel = MonicRelation((-q1,), (act.star.embed(-q1),))
+    report = verify_lift(act.star.embed(q1), rel, act, [qp])
     assert report.passed
     assert report.classical_relation_holds
+    star = torus_action.star
+    rel = MonicRelation((-q1,), (star.embed(-q1),))
+    report = verify_lift(star.embed(q1), rel, torus_action, [qp])
+    assert report.centrality_failures == [("q1*p1", 1)]
 
 
 def test_verify_lift_centrality_failures(torus_action):
@@ -223,7 +231,7 @@ def test_verify_lift_centrality_failures(torus_action):
     q1 = sp.q(1)
     rel = MonicRelation((-q1,), (star.embed(-q1),))
     report = verify_lift(
-        star.embed(q1), rel, torus_action, 8, invariant_tests(torus_action)
+        star.embed(q1), rel, torus_action, invariant_tests(torus_action)
     )
     assert report.centrality_failures
     against, order = report.centrality_failures[0]
@@ -244,7 +252,7 @@ def test_build_center_iso_single_generator(torus_action):
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
     entries = [("J", qp, star.embed(qp))]
-    report = build_center_iso(entries, [], torus_action, 8)
+    report = build_center_iso(entries, [], torus_action)
     assert report.passed
     assert report.entries[0].triangle_holds
     assert report.entries[0].weight_matches
@@ -258,7 +266,7 @@ def test_build_center_iso_sl2_relation(sl2_action, sl2_lift_data):
         ("tr", tr, star.embed(tr)),
     ]
     relation = Poly(2, {(0, 2): Fraction(1), (1, 0): Fraction(-1)})  # tr^2 - c2
-    report = build_center_iso(entries, [("tr^2 - c2", relation)], sl2_action, 8)
+    report = build_center_iso(entries, [("tr^2 - c2", relation)], sl2_action)
     assert report.passed
     assert report.relations == [("tr^2 - c2", True)]
 
@@ -275,14 +283,14 @@ def test_build_center_iso_detects_violation(sl2_action, sl2_lift_data):
     ]
     relation = Poly(2, {(0, 2): Fraction(1), (1, 0): Fraction(-1)})
     with pytest.raises(RelationViolationError) as info:
-        build_center_iso(entries, [("tr^2 - c2", relation)], sl2_action, 8)
+        build_center_iso(entries, [("tr^2 - c2", relation)], sl2_action)
     assert info.value.order == 2
 
 
 def test_lift_order_by_order_uniqueness(sl2_action, sl2_lift_data):
     tr, a, ahat, rel = sl2_lift_data
-    first = hensel_lift(tr, rel, sl2_action, 8)
-    second = hensel_lift(tr, rel, sl2_action, 8)
+    first = hensel_lift(tr, rel, sl2_action)
+    second = hensel_lift(tr, rel, sl2_action)
     assert first == second
 
 
@@ -292,17 +300,31 @@ def _off_truncation_calls(act):
     high = MonicRelation((-qp,), (-HSeries.from_poly(qp, 10),))
     low = MonicRelation((-qp,), (-HSeries.from_poly(qp, 6),))
     rel = MonicRelation((-qp,), (-act.star.embed(qp),))
+    low_lift = HSeries.from_poly(qp, 6)
     return {
-        "hensel_lift": lambda: hensel_lift(qp, high, act, 8),
-        "validate_centrality": lambda: low.validate_centrality(act, [qp], 6),
-        "verify_lift": lambda: verify_lift(HSeries.from_poly(qp, 6), rel, act, 6),
+        "hensel_lift": lambda: hensel_lift(qp, high, act),
+        "validate_centrality": lambda: low.validate_centrality(act, [qp]),
+        "verify_lift": lambda: verify_lift(low_lift, rel, act),
+        "star_commutator": lambda: act.star.star_commutator(low_lift, low_lift),
     }
 
 
 @pytest.mark.parametrize(
-    "call", ["hensel_lift", "validate_centrality", "verify_lift"]
+    "call", ["hensel_lift", "validate_centrality", "verify_lift", "star_commutator"]
 )
 def test_series_off_the_action_truncation_raise(torus_action, call):
     assert torus_action.order == 8
     with pytest.raises(TruncationError):
         _off_truncation_calls(torus_action)[call]()
+
+
+def test_hensel_lift_checks_minimality_without_a_subalgebra():
+    """The pairing satisfies a linear relation over the subalgebra its own
+    pullback generates, so a quadratic relation for it is refused."""
+    space = SymplecticSpace(2)
+    tr = space.q(1) * space.p(1) + space.q(2) * space.p(2)
+    act = HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2), [tr])
+    square = act.star.star(act.star.embed(tr), act.star.embed(tr))
+    rel = MonicRelation((-tr * tr, Poly.zero(4)), (-square, HSeries.zero(4, 2)))
+    with pytest.raises(ValidationError, match="smaller monic relation"):
+        hensel_lift(tr, rel, act)

@@ -80,7 +80,7 @@ def test_star_extends_moyal(star1):
     g = sp.q(1) + sp.p(1)
     F, G = star1.embed(f), star1.embed(g)
     assert star1.star(F, G) == HSeries.from_terms(
-        sp.nvars, star1.order, star1.product_terms(f, g, star1.order)
+        sp.nvars, star1.order, star1.product_terms(f, g)
     )
 
 
@@ -253,8 +253,8 @@ def test_bidifferential_matches_oracle_per_order(star2):
 class _BrokenStar(StarProduct):
     """Mis-normalizes the order-1 term; used to prove the checker bites."""
 
-    def product_terms(self, f, g, max_order=None):
-        terms = StarProduct.product_terms(self, f, g, max_order)
+    def product_terms(self, f, g):
+        terms = StarProduct.product_terms(self, f, g)
         if 1 in terms:
             terms[1] = terms[1].scale(2)
         return terms
@@ -282,8 +282,8 @@ class _NoUnitStar(StarProduct):
     """(1 + hbar^3) times the product: associative, with the right
     classical limit, but 1 is no longer a unit."""
 
-    def product_terms(self, f, g, max_order=None):
-        terms = StarProduct.product_terms(self, f, g, max_order)
+    def product_terms(self, f, g):
+        terms = StarProduct.product_terms(self, f, g)
         out = dict(terms)
         for r, term in terms.items():
             out[r + 3] = out[r + 3] + term if r + 3 in out else term
@@ -293,8 +293,8 @@ class _NoUnitStar(StarProduct):
 class _DoubledOrderZeroStar(StarProduct):
     """Twice the plain product at order 0."""
 
-    def product_terms(self, f, g, max_order=None):
-        terms = StarProduct.product_terms(self, f, g, max_order)
+    def product_terms(self, f, g):
+        terms = StarProduct.product_terms(self, f, g)
         return {r: t.scale(2) if r == 0 else t for r, t in terms.items()}
 
 
@@ -302,8 +302,8 @@ class _SkewOrderZeroStar(StarProduct):
     """Adds the Poisson bracket at order 0, so the commutator has a term
     below order 1 while its order-1 term is still right."""
 
-    def product_terms(self, f, g, max_order=None):
-        terms = dict(StarProduct.product_terms(self, f, g, max_order))
+    def product_terms(self, f, g):
+        terms = dict(StarProduct.product_terms(self, f, g))
         bracket = StarProduct.poisson(self, f, g)
         terms[0] = terms[0] + bracket if 0 in terms else bracket
         return {r: t for r, t in terms.items() if t}
