@@ -26,7 +26,6 @@ from .envelope import UEnvElement, central_section, symmetrize
 from .errors import (
     DimensionError,
     InvalidActionError,
-    TruncationError,
     ValidationError,
 )
 from .liealg import LieAlgebraData
@@ -70,13 +69,14 @@ class HamiltonianAction:
 
     def validate(self):
         """Equivariance, classical parts and the quantum condition, exactly."""
+        classical = [self.star.prepare(h) for h in self.hamiltonians]
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
                 expected = poly_sum(self.space.nvars, [
                     self.hamiltonians[k].scale(c)
                     for k, c in self.lie.bracket(i, j).items()
                 ])
-                actual = self.star.poisson(self.hamiltonians[i], self.hamiltonians[j])
+                actual = self.star.poisson(classical[i], classical[j])
                 if actual != expected:
                     raise ValidationError(
                         "hamiltonians do not reproduce the structure constants: "
@@ -123,11 +123,10 @@ class HamiltonianAction:
         """Quantum hamiltonians must reproduce the structure constants."""
         if self._quantum_consistency_checked:
             return
+        quantum = [self.star.prepare(hq) for hq in self.quantum_hamiltonians]
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
-                lhs = self.star.star_commutator(
-                    self.quantum_hamiltonians[i], self.quantum_hamiltonians[j]
-                )
+                lhs = self.star.star_commutator(quantum[i], quantum[j])
                 rhs = HSeries.zero(self.space.nvars, self.order)
                 for k, c in self.lie.bracket(i, j).items():
                     rhs = rhs + self.quantum_hamiltonians[k].scale(c)
@@ -183,8 +182,6 @@ class HamiltonianAction:
 def _prepared_hamiltonians(act: HamiltonianAction
                            ) -> tuple[list[Prepared], list[Prepared]]:
     """Quantum and classical hamiltonians in the kernel's prepared form."""
-    if any(hq.order != act.order for hq in act.quantum_hamiltonians):
-        raise TruncationError("quantum hamiltonian truncation differs from the action's")
     prepare = act.star.prepare
     return (
         [prepare(hq) for hq in act.quantum_hamiltonians],

@@ -43,6 +43,12 @@ Both systems are shrunk without changing any answer:
   ``compare_centers`` computes the invariants and their generators once
   and hands both to the two center functions.
 
+Every operand enters the contraction kernel prepared (``StarProduct.prepare``)
+once per loop that meets it: the non-diagonal hamiltonians and the test
+elements once per call, the candidates and the series blocks once per
+degree.  Each bracket and commutator of a slice then reuses both operands'
+integer numerators and derivative tables instead of rebuilding them.
+
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
 Series divisible by the parameter are exactly the lifts of lower-degree
@@ -69,6 +75,7 @@ from .linalg import (
 )
 from .poly import Poly, monomial_key, monomials_of_degree, poly_sum
 from .series import HSeries
+from .star import Prepared
 
 
 def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
@@ -80,12 +87,14 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
+    prepare = act.star.prepare
     weights: list[list[int]] = []
-    others: list[Poly] = []
+    others: list[Prepared] = []
     for h in act.hamiltonians:
-        w = _diagonal_weights(act, h)
+        ph = prepare(h)
+        w = _diagonal_weights(act, ph)
         if w is None:
-            others.append(h)
+            others.append(ph)
         else:  # only the zero set matters: scale to integers
             scale = lcm(*(x.denominator for x in w))
             weights.append([int(x * scale) for x in w])
@@ -98,9 +107,10 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
         ]
         if others:
             solver = EchelonAccumulator(len(candidates))
+            prepared = [prepare(c) for c in candidates]
             for h in others:
                 _add_coefficient_rows(
-                    solver, [{0: act.star.poisson(h, c)} for c in candidates]
+                    solver, [{0: act.star.poisson(h, c)} for c in prepared]
                 )
             candidates = [
                 _combine(candidates, vec, nv) for vec in solver.kernel()
@@ -109,7 +119,8 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     return GradedSubspace(nv, slices)
 
 
-def _diagonal_weights(act: HamiltonianAction, h: Poly) -> list[Fraction] | None:
+def _diagonal_weights(act: HamiltonianAction, h: Prepared
+                      ) -> list[Fraction] | None:
     """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` for every
     coordinate, or None when the bracket with ``h`` is not diagonal."""
     nv = act.space.nvars
@@ -215,15 +226,18 @@ def poisson_center_up_to(
     test_elements = generators
     if test_elements is None:
         test_elements = invariant_generators(invariants, test_degree)
+    prepare = act.star.prepare
+    tests = [prepare(u) for u in test_elements]
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
         candidates = invariants.basis(degree)
         if not candidates:
             continue
         solver = EchelonAccumulator(len(candidates))
-        for u in test_elements:
+        prepared = [prepare(c) for c in candidates]
+        for u in tests:
             _add_coefficient_rows(
-                solver, [{0: act.star.poisson(c, u)} for c in candidates]
+                solver, [{0: act.star.poisson(c, u)} for c in prepared]
             )
         basis = [_combine(candidates, vec, nv) for vec in solver.kernel()]
         if basis:
@@ -279,6 +293,8 @@ def quantum_center_up_to(
             if degree <= test_degree
             for u in invariants.basis(degree)
         ]
+    prepare = act.star.prepare
+    tests = [prepare(u) for u in test_elements]
     out: dict[int, QuantumCenterSlice] = {}
     for degree in range(max_degree + 1):
         blocks: list[tuple[int, Poly]] = []
@@ -289,9 +305,10 @@ def quantum_center_up_to(
             out[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
         solver = EchelonAccumulator(len(blocks))
-        for u in test_elements:
+        prepared = [(r, prepare(b)) for r, b in blocks]
+        for u in tests:
             expansions = []
-            for r, b in blocks:
+            for r, b in prepared:
                 terms = act.star.commutator_terms(b, u, order - r)
                 expansions.append({r + level: t for level, t in terms.items()})
             _add_coefficient_rows(solver, expansions)

@@ -10,6 +10,10 @@ to the classical ones, the lift recursion produces a series ``f_hat`` with
 classical part ``f`` whose deformed evaluation of the relation vanishes
 modulo the truncation.  Every series here is at the truncation of the
 action's product, and every check runs through that whole truncation.
+Each operand a check loop meets more than once (the hamiltonians, a
+quantum coefficient, the lift, each test element) is prepared for the
+contraction kernel once per loop; a prepared polynomial stands for its
+expansion at the truncation.
 
 At each step the relation evaluated on the partial lift has its lowest
 surviving order extracted; appending ``f_{m+1}`` at order m+1 perturbs
@@ -37,7 +41,7 @@ from .errors import (
 from .linalg import GradedSubspace, in_span
 from .poly import Poly
 from .series import HSeries
-from .star import StarProduct
+from .star import Prepared, StarProduct
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,12 @@ class MonicRelation:
     ):
         """Each quantum coefficient must commute with the test elements
         modulo the action's truncation."""
+        prepare = act.star.prepare
+        tests = [(u, prepare(u)) for u in test_elements]
         for idx, ahat in enumerate(self.quantum_coefficients):
-            for u in test_elements:
-                comm = act.star.star_commutator(ahat, act.star.embed(u))
+            pa = prepare(ahat)
+            for u, pu in tests:
+                comm = act.star.star_commutator(pa, pu)
                 if not comm.is_zero():
                     raise ValidationError(
                         f"quantum coefficient {idx} is not central against "
@@ -99,13 +106,14 @@ class MonicRelation:
                     )
 
 
-def relation_defect(star: StarProduct, rel: MonicRelation, fhat: HSeries
-                    ) -> HSeries:
+def relation_defect(star: StarProduct, rel: MonicRelation,
+                    fhat: HSeries | Prepared) -> HSeries:
     """Deformed evaluation of the monic relation on a candidate lift."""
     n = rel.degree
-    powers = [HSeries.one(star.space.nvars, fhat.order)]
+    pf = star.prepare(fhat)
+    powers = [HSeries.one(star.space.nvars, star.order)]
     for _ in range(n):
-        powers.append(star.star(powers[-1], fhat))
+        powers.append(star.star(powers[-1], pf))
     result = powers[n]
     for i, ahat in enumerate(rel.quantum_coefficients):
         result = result + star.star(ahat, powers[i])
@@ -152,8 +160,10 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         raise NonSimpleRootError(
             "the relation derivative vanishes identically at the target"
         )
-    for i, h in enumerate(act.hamiltonians):
-        if not act.star.poisson(h, f).is_zero():
+    hamiltonians = [act.star.prepare(h) for h in act.hamiltonians]
+    pf = act.star.prepare(f)
+    for i, h in enumerate(hamiltonians):
+        if not act.star.poisson(h, pf).is_zero():
             raise ValidationError(
                 f"lift target is not invariant under {act.lie.labels[i]}"
             )
@@ -176,8 +186,9 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         correction = (-defect_coeff).divide_exact(derivative)
         if correction is None:
             raise LiftObstructionError(m + 1, defect_coeff)
-        for i, h in enumerate(act.hamiltonians):
-            if not act.star.poisson(h, correction).is_zero():
+        pc = act.star.prepare(correction)
+        for i, h in enumerate(hamiltonians):
+            if not act.star.poisson(h, pc).is_zero():
                 raise ValidationError(
                     f"correction at order {m+1} is not invariant under "
                     f"{act.lie.labels[i]}"
@@ -231,11 +242,12 @@ def verify_lift(
     commutators against the supplied invariants at the action's
     truncation, reporting the lowest failing order of each.
     """
-    relation_first = relation_defect(act.star, rel, fhat).first_nonzero_order()
+    pf = act.star.prepare(fhat)
+    relation_first = relation_defect(act.star, rel, pf).first_nonzero_order()
 
     centrality: list[tuple[str, int]] = []
     for u in test_elements:
-        comm = act.star.star_commutator(fhat, act.star.embed(u))
+        comm = act.star.star_commutator(pf, act.star.prepare(u))
         first = comm.first_nonzero_order()
         if first is not None:
             centrality.append((u.to_string(act.space.names), first))
@@ -300,6 +312,7 @@ def star_evaluate(
     """
     nv = star.space.nvars
     result = HSeries.zero(nv, star.order)
+    prepared = [star.prepare(fhat) for fhat in lifts]
     power_cache: list[dict[int, HSeries]] = [
         {0: HSeries.one(nv, star.order)} for _ in lifts
     ]
@@ -308,7 +321,7 @@ def star_evaluate(
         cache = power_cache[i]
         while e not in cache:
             top = max(cache)
-            cache[top + 1] = star.star(cache[top], lifts[i])
+            cache[top + 1] = star.star(cache[top], prepared[i])
         return cache[e]
 
     for exp, coeff in relation.sorted_terms():

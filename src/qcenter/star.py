@@ -29,11 +29,14 @@ up in the numerators; each d^a of each slot is computed once per operand,
 not once per call: a prepared operand keeps its derivative tables and every
 contraction it enters extends and reuses them.  Sums accumulate as ``int``
 in one dict per output order, and one ``Fraction`` is built per output term
-at the end.
+at the end.  The product object keeps, per field width, the exponent tuple
+of every packed output monomial it has unpacked, so each distinct output
+monomial is unpacked once, not once per term of every call.
 
 Every contraction method accepts a prepared operand in place of a
 polynomial, an expansion or a series, so a caller that meets the same
 operand in several products prepares it once (``StarProduct.prepare``).
+Preparing a series checks that it carries the product's truncation.
 Packed fields are at least ``_MIN_BITS`` wide and sized to the largest
 exponent sum a pair can produce; a slot is repacked, its derivative tables
 dropped, only when a partner needs wider fields, so widths only grow and
@@ -141,13 +144,16 @@ class StarProduct:
         self.space = space
         self.order = order
         self._symbol_powers: list[SymbolPower] = []
+        # {bits: {packed exponents: exponent tuple}} for output monomials
+        self._unpacked: dict[int, dict[int, tuple[int, ...]]] = {}
 
     # -- the contraction kernel ----------------------------------------------
 
     def prepare(self, x: Operand) -> Prepared:
         """The kernel form of a polynomial (one slot at order 0), a series
-        or an expansion {order: Poly | Prepared}; a prepared value shares
-        its slots, shifted by its key.  Prepared input is returned as is."""
+        at this product's truncation or an expansion {order: Poly | Prepared};
+        a prepared value shares its slots, shifted by its key.  Prepared
+        input is returned as is."""
         return self._prepare(x)
 
     def _prepare(self, x: Operand) -> Prepared:
@@ -164,6 +170,8 @@ class StarProduct:
                 raise DimensionError("operand does not live on this space")
             return x
         if isinstance(x, HSeries):
+            if x.order != self.order:
+                raise TruncationError("series truncation differs from the product's")
             x = dict(enumerate(x.coeffs))
         slots: dict[int, _Slot] = {}
         for r, v in x.items():
@@ -257,13 +265,16 @@ class StarProduct:
                                     acc[k] = get(k, 0) + v1 * v2
 
         den = den_a * den_b * den_s
+        unpacked = self._unpacked.setdefault(bits, {})
         out: Expansion = {}
         for r in sorted(sums):
-            terms = {
-                tuple([(k >> s) & mask for s in shifts]): Fraction(n, den)
-                for k, n in sums[r].items()
-                if n
-            }
+            terms = {}
+            for k, n in sums[r].items():
+                if n:
+                    e = unpacked.get(k)
+                    if e is None:
+                        e = unpacked[k] = tuple([(k >> s) & mask for s in shifts])
+                    terms[e] = Fraction(n, den)
             if terms:
                 out[r] = Poly._trusted(nv, terms)
         return out
@@ -284,11 +295,8 @@ class StarProduct:
     def star(self, F: HSeries | Prepared, G: HSeries | Prepared) -> HSeries:
         """Bilinear continuous extension of the product to truncated series.
         A prepared operand stands for its expansion at this truncation."""
-        terms = self._contract(*self._truncated(F, G), self.order)
+        terms = self._contract(self._prepare(F), self._prepare(G), self.order)
         return _series(self.space.nvars, self.order, terms)
-
-    def embed(self, f: Poly) -> HSeries:
-        return HSeries.from_poly(f, self.order)
 
     # -- brackets -----------------------------------------------------------------
 
@@ -307,18 +315,13 @@ class StarProduct:
         """
         return self._contract(self._prepare(f), self._prepare(g), max_order, odd=True)
 
-    def star_commutator(self, F: HSeries, G: HSeries) -> HSeries:
-        """F*G - G*F at this truncation."""
-        terms = self._contract(*self._truncated(F, G), self.order, odd=True)
+    def star_commutator(self, F: HSeries | Prepared, G: HSeries | Prepared
+                        ) -> HSeries:
+        """F*G - G*F at this truncation; a prepared operand stands for its
+        expansion at this truncation."""
+        terms = self._contract(self._prepare(F), self._prepare(G), self.order,
+                               odd=True)
         return _series(self.space.nvars, self.order, terms)
-
-    def _truncated(self, *operands: HSeries | Prepared) -> list[Prepared]:
-        """The operands prepared, once every series is checked to carry
-        this product's truncation."""
-        for X in operands:
-            if isinstance(X, HSeries) and X.order != self.order:
-                raise TruncationError("series truncation differs from the product's")
-        return [self._prepare(X) for X in operands]
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 

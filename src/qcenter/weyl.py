@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .poly import Poly, poly_sum
 from .series import HSeries
 from .space import SymplecticSpace
-from .star import StarProduct
+from .star import Prepared, StarProduct
 
 
 def weyl_specialize(fhat: HSeries, space: SymplecticSpace) -> Poly:
@@ -44,7 +44,8 @@ def weyl_product(star: StarProduct, a: Poly, b: Poly) -> Poly:
     return poly_sum(star.space.nvars, star.product_terms(a, b).values())
 
 
-def weyl_commutator(star: StarProduct, a: Poly, b: Poly) -> Poly:
+def weyl_commutator(star: StarProduct, a: Poly | Prepared, b: Poly | Prepared
+                    ) -> Poly:
     return poly_sum(star.space.nvars, star.commutator_terms(a, b).values())
 
 
@@ -133,14 +134,16 @@ def weyl_report(
     """Specialize lifts, re-verify centrality against test invariants and
     record independence of the designated center generators' symbols."""
     space = star.space
+    prepared = [(u, star.prepare(u)) for u in tests]
     entries: list[WeylEntry] = []
     symbols: dict[str, Poly] = {}
     for name, fhat in lifted:
         symbol = weyl_specialize(fhat, space)
         symbols[name] = symbol
+        ps = star.prepare(symbol)
         failures = []
-        for u in tests:
-            comm = weyl_commutator(star, symbol, u)
+        for u, pu in prepared:
+            comm = weyl_commutator(star, ps, pu)
             if not comm.is_zero():
                 failures.append(u.to_string(space.names))
         entries.append(

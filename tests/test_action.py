@@ -58,9 +58,10 @@ def test_moment_condition_on_samples(torus_action):
     assert report.passed
     # the defining example: the commutator with q1 is minus the parameter times q1
     comm = torus_action.star.star_commutator(
-        torus_action.quantum_hamiltonians[0], torus_action.star.embed(sp.q(1))
+        torus_action.quantum_hamiltonians[0],
+        HSeries.from_poly(sp.q(1), torus_action.order),
     )
-    expected = torus_action.star.embed(-sp.q(1)).hbar_shift(1)
+    expected = HSeries.from_poly(-sp.q(1), torus_action.star.order).hbar_shift(1)
     assert comm == expected
     assert torus_action.star.poisson(torus_action.hamiltonians[0], sp.q(1)) == -sp.q(1)
 
@@ -119,8 +120,8 @@ def test_moment_condition_needs_matching_truncations(torus1, star1):
 def test_comoment_generators_and_unit(sl2_action):
     for i in range(3):
         gen = UEnvElement.generator(sl2_action.lie, i, sl2_action.order)
-        assert sl2_action.comoment(gen) == sl2_action.star.embed(
-            sl2_action.hamiltonians[i]
+        assert sl2_action.comoment(gen) == HSeries.from_poly(
+            sl2_action.hamiltonians[i], sl2_action.order
         )
     one = UEnvElement.one(sl2_action.lie, sl2_action.order)
     assert sl2_action.comoment(one) == HSeries.one(4, sl2_action.order)
@@ -176,12 +177,13 @@ def test_comoment_golden_value(sl2_action):
     assert image == oracle
 
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
-    expected = star.embed(tr * tr) + star.embed(
-        Poly.constant(4, Fraction(-3, 2))
+    expected = HSeries.from_poly(tr * tr, star.order) + HSeries.from_poly(
+        Poly.constant(4, Fraction(-3, 2)), star.order
     ).hbar_shift(2)
     assert image == expected
     # equivalently: the square of the lifted pairing minus one parameter square
-    square = star.star(star.embed(tr), star.embed(tr))
+    lifted = HSeries.from_poly(tr, star.order)
+    square = star.star(lifted, lifted)
     assert image == square - HSeries.one(4, star.order).hbar_shift(2)
 
 
@@ -196,7 +198,7 @@ def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):
         act.assert_quantum_consistency()
     h = sp.q(1) * sp.p(1)
     act2 = HamiltonianAction(torus1, star1, [h])
-    assert act2.comoment(UEnvElement.generator(torus1, 0, 8)) == star1.embed(h)
+    assert act2.comoment(UEnvElement.generator(torus1, 0, 8)) == HSeries.from_poly(h, 8)
 
 
 def test_triangle_abelian_rank_one(torus_action):

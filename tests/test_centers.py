@@ -5,10 +5,13 @@ import pytest
 from qcenter import (
     EchelonAccumulator,
     HamiltonianAction,
+    HSeries,
+    MonicRelation,
     StarProduct,
     SymplecticSpace,
     abelian_data,
     compare_centers,
+    invariant_generators,
     invariants_up_to,
     moment_image_basis,
     parse_poly,
@@ -16,6 +19,7 @@ from qcenter import (
     quantum_center_up_to,
     reduce_poly_span,
 )
+from qcenter import star as star_module
 from qcenter.liealg import InvariantGenerator, LieAlgebraData
 
 from oracle import power_products, spans_equal, weight_zero_monomials
@@ -214,7 +218,7 @@ def test_quantum_center_torus4_degree2(torus4_action):
     for series in data.basis:
         for u in tests:
             comm = torus4_action.star.star_commutator(
-                series, torus4_action.star.embed(u)
+                series, HSeries.from_poly(u, torus4_action.star.order)
             )
             assert comm.is_zero()
 
@@ -249,6 +253,47 @@ def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
     assert {d: s.rank for d, s in slices.items() if s.basis} == {
         0: 1, 2: 1, 4: 1, 6: 1
     }
+
+
+def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
+    """The kernel builds one slot per nonzero polynomial it prepares.  Each
+    candidate, block, quantum coefficient and test element is prepared once
+    however many partners it meets, so the slot count is the number of
+    operands, not the number of pairs."""
+    act = torus4_action
+    invariants = invariants_up_to(act, 6)
+    generators = invariant_generators(invariants, 6)
+    assert len(generators) >= 2
+    built = []
+    init = star_module._Slot.__init__
+
+    def spy(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(star_module._Slot, "__init__", spy)
+    poisson_center_up_to(act, 4, 6, invariants, generators)
+    candidates = sum(invariants.dimension(d) for d in range(5))
+    assert len(built) == candidates + len(generators)
+
+    built.clear()
+    quantum_center_up_to(act, 4, 6, invariants, generators)
+    k = act.space.hbar_weight
+    blocks = sum(
+        invariants.dimension(d - k * r)
+        for d in range(5)
+        for r in range(min(act.order, d // k) + 1)
+    )
+    assert len(built) == blocks + len(generators)
+
+    built.clear()
+    sp = act.space
+    tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
+    ahat = HSeries.from_poly(tr, act.order) + HSeries.one(4, act.order).hbar_shift(2)
+    rel = MonicRelation((-tr, tr * tr), (-ahat, HSeries.from_poly(tr * tr, act.order)))
+    tests = [u for d in range(5) for u in invariants.basis(d)]
+    rel.validate_centrality(act, tests)
+    assert len(built) == 2 + 1 + len(tests)
 
 
 def test_quantum_center_sl2_everything_invariant_is_central(sl2_action):

@@ -95,7 +95,9 @@ def test_product_terms_match_oracle(kind):
         assert star.product_terms(f, g) == full
         for cap in range(4):
             capped = StarProduct(space, cap)
-            product = capped.star(capped.embed(f), capped.embed(g))
+            product = capped.star(
+                HSeries.from_poly(f, capped.order), HSeries.from_poly(g, capped.order)
+            )
             assert {
                 r: c for r, c in enumerate(product.coeffs) if not c.is_zero()
             } == _capped(full, cap)

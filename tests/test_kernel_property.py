@@ -4,7 +4,9 @@ Star associativity and the expansion terms are checked against the
 brute-force formula of ``oracle.py``; a prepared operand reused against
 partners of growing degree is checked against fresh operands.  The partners'
 degree sums cross the packed-field boundaries at 16 and 32, so the reused
-operand is repacked wider between calls.
+operand is repacked wider between calls.  Products alternating between
+narrow and wide fields on one product object check that unpacked output
+monomials are remembered per field width.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qcenter import Poly, StarProduct, SymplecticSpace  # noqa: E402
+from qcenter import HSeries, Poly, StarProduct, SymplecticSpace  # noqa: E402
 
 from oracle import brute_force_product  # noqa: E402
 
@@ -99,7 +101,19 @@ def test_prepared_operand_reused_across_widths(a, small, mid, large, last):
         assert STAR.commutator_terms(prepared, pa, 5) == STAR.commutator_terms(
             partner, a, 5
         )
-        assert STAR.star(pa, prepared) == STAR.star(STAR.embed(a), STAR.embed(partner))
+        assert STAR.star(pa, prepared) == STAR.star(
+            HSeries.from_poly(a, STAR.order), HSeries.from_poly(partner, STAR.order)
+        )
         assert STAR.poisson(pa, partner) == STAR.poisson(a, partner)
         widths.append(pa.slots[0].bits)
     assert widths == [4, 5, 6, 6, 6]
+
+
+@SETTINGS
+@given(polys(3), polys(3), homogeneous(14), homogeneous(2))
+def test_unpacked_monomials_are_kept_per_width(f, g, wide_f, wide_g):
+    # degree sums at most 6, then 16, then at most 6 again: 4-bit fields,
+    # then 5-bit fields, whose packed keys overlap the 4-bit ones
+    star = StarProduct(SPACE, 6)
+    for a, b in ((f, g), (wide_f, wide_g), (f, g)):
+        assert star.product_terms(a, b) == brute_force_product(SPACE, a, b)

@@ -45,7 +45,8 @@ def sl2_lift_data(sl2_action):
     a = tr * tr
     # quantum coefficient with the central order-2 section correction: the
     # exact square of the lifted pairing
-    ahat = star.star(star.embed(tr), star.embed(tr))
+    lifted = HSeries.from_poly(tr, star.order)
+    ahat = star.star(lifted, lifted)
     rel = MonicRelation((-a, Poly.zero(4)), (-ahat, HSeries.zero(4, star.order)))
     return tr, a, ahat, rel
 
@@ -54,7 +55,7 @@ def test_linear_relation_returns_designated_lift(torus_action):
     sp = torus_action.space
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
-    ahat = star.embed(qp) + HSeries.one(2, star.order).hbar_shift(2).scale(
+    ahat = HSeries.from_poly(qp, star.order) + HSeries.one(2, star.order).hbar_shift(2).scale(
         Fraction(1, 3)
     )
     # the correction must be central for the relation data to validate
@@ -69,7 +70,7 @@ def test_sl2_lift_succeeds_with_zero_corrections(sl2_action, sl2_lift_data):
     tests = invariant_tests(sl2_action, 10)
     rel.validate_centrality(sl2_action, tests)
     lifted = hensel_lift(tr, rel, sl2_action)
-    assert lifted == sl2_action.star.embed(tr)
+    assert lifted == HSeries.from_poly(tr, sl2_action.star.order)
     report = verify_lift(lifted, rel, sl2_action, tests)
     assert report.passed
     assert report.weight == -2
@@ -97,7 +98,9 @@ def test_perturbed_relation_tracks_quantum_data(torus_action):
     sp = torus_action.space
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
-    perturbed = star.embed(qp) - HSeries.one(2, star.order).hbar_shift(1)
+    perturbed = (
+        HSeries.from_poly(qp, star.order) - HSeries.one(2, star.order).hbar_shift(1)
+    )
     rel = MonicRelation((-qp,), (-perturbed,))
     lifted = hensel_lift(qp, rel, torus_action)
     assert lifted == perturbed
@@ -144,7 +147,10 @@ def test_nonsimple_root_detected(torus_action):
     # (t - qp)^2 as a relation for qp: derivative vanishes at the root
     rel = MonicRelation(
         (qp * qp, (-qp).scale(2)),
-        (star.embed(qp * qp), star.embed((-qp).scale(2))),
+        (
+            HSeries.from_poly(qp * qp, star.order),
+            HSeries.from_poly((-qp).scale(2), star.order),
+        ),
     )
     with pytest.raises(NonSimpleRootError):
         hensel_lift(qp, rel, torus_action)
@@ -154,7 +160,9 @@ def test_classical_relation_must_hold(torus_action):
     sp = torus_action.space
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
-    rel = MonicRelation((-qp - sp.one(),), (star.embed(-qp - sp.one()),))
+    rel = MonicRelation(
+        (-qp - sp.one(),), (HSeries.from_poly(-qp - sp.one(), star.order),)
+    )
     with pytest.raises(ValidationError):
         hensel_lift(qp, rel, torus_action)
 
@@ -167,7 +175,7 @@ def test_minimality_check(sl2_action, sl2_lift_data):
     # so a quadratic one for it is not minimal
     quad_for_a = MonicRelation(
         (Poly.zero(4), a + a),  # placeholder coefficients of matching length
-        (HSeries.zero(4, 8), sl2_action.star.embed(a + a)),
+        (HSeries.zero(4, 8), HSeries.from_poly(a + a, sl2_action.star.order)),
     )
     assert not minimality_holds(a, quad_for_a, sub)
 
@@ -199,10 +207,12 @@ def test_verify_lift_reports_first_failing_order(torus_action):
     sp = torus_action.space
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
-    corrected = star.embed(qp) + HSeries.one(2, star.order).hbar_shift(1)
+    corrected = (
+        HSeries.from_poly(qp, star.order) + HSeries.one(2, star.order).hbar_shift(1)
+    )
     rel = MonicRelation((-qp,), (-corrected,))
     # claim the bare element is the lift although the data demands a shift
-    report = verify_lift(star.embed(qp), rel, torus_action)
+    report = verify_lift(HSeries.from_poly(qp, star.order), rel, torus_action)
     assert not report.passed
     assert report.relation_first_failure == 1
 
@@ -215,13 +225,13 @@ def test_verify_lift_order_zero_is_classical_check(torus_action):
     act = HamiltonianAction(
         torus_action.lie, StarProduct(sp, 0), torus_action.hamiltonians
     )
-    rel = MonicRelation((-q1,), (act.star.embed(-q1),))
-    report = verify_lift(act.star.embed(q1), rel, act, [qp])
+    rel = MonicRelation((-q1,), (HSeries.from_poly(-q1, act.star.order),))
+    report = verify_lift(HSeries.from_poly(q1, act.star.order), rel, act, [qp])
     assert report.passed
     assert report.classical_relation_holds
     star = torus_action.star
-    rel = MonicRelation((-q1,), (star.embed(-q1),))
-    report = verify_lift(star.embed(q1), rel, torus_action, [qp])
+    rel = MonicRelation((-q1,), (HSeries.from_poly(-q1, star.order),))
+    report = verify_lift(HSeries.from_poly(q1, star.order), rel, torus_action, [qp])
     assert report.centrality_failures == [("q1*p1", 1)]
 
 
@@ -229,9 +239,10 @@ def test_verify_lift_centrality_failures(torus_action):
     sp = torus_action.space
     star = torus_action.star
     q1 = sp.q(1)
-    rel = MonicRelation((-q1,), (star.embed(-q1),))
+    rel = MonicRelation((-q1,), (HSeries.from_poly(-q1, star.order),))
     report = verify_lift(
-        star.embed(q1), rel, torus_action, invariant_tests(torus_action)
+        HSeries.from_poly(q1, star.order), rel, torus_action,
+        invariant_tests(torus_action),
     )
     assert report.centrality_failures
     against, order = report.centrality_failures[0]
@@ -241,7 +252,7 @@ def test_verify_lift_centrality_failures(torus_action):
 def test_star_evaluate_on_commuting_lifts(sl2_action, sl2_lift_data):
     tr, a, ahat, rel = sl2_lift_data
     star = sl2_action.star
-    lifted_tr = star.embed(tr)
+    lifted_tr = HSeries.from_poly(tr, star.order)
     relation = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(-1)})  # x^2 - y
     value = star_evaluate(star, relation, [lifted_tr, ahat])
     assert value.is_zero()
@@ -251,7 +262,7 @@ def test_build_center_iso_single_generator(torus_action):
     sp = torus_action.space
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
-    entries = [("J", qp, star.embed(qp))]
+    entries = [("J", qp, HSeries.from_poly(qp, star.order))]
     report = build_center_iso(entries, [], torus_action)
     assert report.passed
     assert report.entries[0].triangle_holds
@@ -263,7 +274,7 @@ def test_build_center_iso_sl2_relation(sl2_action, sl2_lift_data):
     star = sl2_action.star
     entries = [
         ("c2", a, ahat),
-        ("tr", tr, star.embed(tr)),
+        ("tr", tr, HSeries.from_poly(tr, star.order)),
     ]
     relation = Poly(2, {(0, 2): Fraction(1), (1, 0): Fraction(-1)})  # tr^2 - c2
     report = build_center_iso(entries, [("tr^2 - c2", relation)], sl2_action)
@@ -279,7 +290,7 @@ def test_build_center_iso_detects_violation(sl2_action, sl2_lift_data):
     plain_image = sl2_action.comoment(symmetrize(lie, cas, star.order))
     entries = [
         ("c2", a, plain_image),       # uncorrected image breaks the relation
-        ("tr", tr, star.embed(tr)),
+        ("tr", tr, HSeries.from_poly(tr, star.order)),
     ]
     relation = Poly(2, {(0, 2): Fraction(1), (1, 0): Fraction(-1)})
     with pytest.raises(RelationViolationError) as info:
@@ -299,18 +310,20 @@ def _off_truncation_calls(act):
     qp = act.space.q(1) * act.space.p(1)
     high = MonicRelation((-qp,), (-HSeries.from_poly(qp, 10),))
     low = MonicRelation((-qp,), (-HSeries.from_poly(qp, 6),))
-    rel = MonicRelation((-qp,), (-act.star.embed(qp),))
+    rel = MonicRelation((-qp,), (-HSeries.from_poly(qp, act.star.order),))
     low_lift = HSeries.from_poly(qp, 6)
     return {
         "hensel_lift": lambda: hensel_lift(qp, high, act),
         "validate_centrality": lambda: low.validate_centrality(act, [qp]),
         "verify_lift": lambda: verify_lift(low_lift, rel, act),
         "star_commutator": lambda: act.star.star_commutator(low_lift, low_lift),
+        "prepare": lambda: act.star.prepare(low_lift),
     }
 
 
 @pytest.mark.parametrize(
-    "call", ["hensel_lift", "validate_centrality", "verify_lift", "star_commutator"]
+    "call",
+    ["hensel_lift", "validate_centrality", "verify_lift", "star_commutator", "prepare"],
 )
 def test_series_off_the_action_truncation_raise(torus_action, call):
     assert torus_action.order == 8
@@ -324,7 +337,8 @@ def test_hensel_lift_checks_minimality_without_a_subalgebra():
     space = SymplecticSpace(2)
     tr = space.q(1) * space.p(1) + space.q(2) * space.p(2)
     act = HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2), [tr])
-    square = act.star.star(act.star.embed(tr), act.star.embed(tr))
+    lifted = HSeries.from_poly(tr, act.order)
+    square = act.star.star(lifted, lifted)
     rel = MonicRelation((-tr * tr, Poly.zero(4)), (-square, HSeries.zero(4, 2)))
     with pytest.raises(ValidationError, match="smaller monic relation"):
         hensel_lift(tr, rel, act)
