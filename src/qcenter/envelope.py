@@ -31,11 +31,13 @@ HPoly = dict[int, Fraction]  # parameter power -> coefficient
 def _hpoly_add(a: HPoly, b: HPoly) -> HPoly:
     out = dict(a)
     for r, c in b.items():
-        v = out.get(r, Fraction(0)) + c
-        if v:
+        v = out.get(r)
+        if v is None:
+            out[r] = c
+        elif v := v + c:
             out[r] = v
         else:
-            out.pop(r, None)
+            del out[r]
     return out
 
 
@@ -46,11 +48,13 @@ def _hpoly_mul(a: HPoly, b: HPoly, order: int) -> HPoly:
             r = r1 + r2
             if r > order:
                 continue
-            v = out.get(r, Fraction(0)) + c1 * c2
-            if v:
+            v = out.get(r)
+            if v is None:
+                out[r] = c1 * c2
+            elif v := v + c1 * c2:
                 out[r] = v
             else:
-                out.pop(r, None)
+                del out[r]
     return out
 
 
@@ -224,7 +228,8 @@ class UEnvElement:
             for i in word:
                 exp[i] += 1
             key = tuple(exp)
-            out[key] = out.get(key, Fraction(0)) + c
+            old = out.get(key)
+            out[key] = c if old is None else old + c
         return Poly(self.lie.dim, out)
 
     def commutator(self, other: "UEnvElement") -> "UEnvElement":

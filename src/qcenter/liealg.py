@@ -135,7 +135,8 @@ class LieAlgebraData:
                         # [[x_a, x_b], x_c]
                         for m, cab in self.bracket(a, b).items():
                             for l, cmc in self.bracket(m, c).items():
-                                acc[l] = acc.get(l, Fraction(0)) + cab * cmc
+                                old = acc.get(l)
+                                acc[l] = cab * cmc if old is None else old + cab * cmc
 
                     fold(i, j, k)
                     fold(j, k, i)

@@ -100,10 +100,6 @@ class EchelonAccumulator:
         rows[pivot] = work
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _echelon(self) -> tuple[list[SparseRow], list[int]]:
         pivots = sorted(self._rows)
         return [self._rows[p] for p in pivots], pivots

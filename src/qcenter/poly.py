@@ -17,7 +17,8 @@ this order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 
@@ -139,9 +140,6 @@ class Poly:
         exp = max(self.terms, key=monomial_key)
         return exp, self.terms[exp]
 
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
-        return iter(self.sorted_terms())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -153,27 +151,36 @@ class Poly:
                 f"operands over {self.nvars} and {other.nvars} variables"
             )
 
+    # The ring operations start from clean operands, so their results need
+    # no check: only terms that cancel are dropped.
+
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same(other)
         out = dict(self.terms)
+        get = out.get
         for exp, coeff in other.terms.items():
-            val = out.get(exp, Fraction(0)) + coeff
-            if val:
+            val = get(exp)
+            if val is None:
+                out[exp] = coeff
+            elif val := val + coeff:
                 out[exp] = val
             else:
-                out.pop(exp, None)
-        return Poly(self.nvars, out)
+                del out[exp]
+        return Poly._trusted(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same(other)
         out = dict(self.terms)
+        get = out.get
         for exp, coeff in other.terms.items():
-            val = out.get(exp, Fraction(0)) - coeff
-            if val:
+            val = get(exp)
+            if val is None:
+                out[exp] = -coeff
+            elif val := val - coeff:
                 out[exp] = val
             else:
-                out.pop(exp, None)
-        return Poly(self.nvars, out)
+                del out[exp]
+        return Poly._trusted(self.nvars, out)
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -189,11 +196,13 @@ class Poly:
             return self.scale(other)
         self._check_same(other)
         out: dict[Exponent, Fraction] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+                exp = tuple(map(add, e1, e2))
+                val = get(exp)
+                out[exp] = c1 * c2 if val is None else val + c1 * c2
+        return Poly._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -255,15 +264,19 @@ class Poly:
             buckets.setdefault(w, {})[exp] = coeff
         return {w: Poly(self.nvars, t) for w, t in sorted(buckets.items())}
 
+    def _term_weights(self, weights: Sequence[int]) -> set[int]:
+        """The set of weights of the terms under the grading."""
+        if len(weights) != self.nvars:
+            raise DimensionError("weight vector length must match variable count")
+        return {sum(map(mul, weights, exp)) for exp in self.terms}
+
     def weight(self, weights: Sequence[int]) -> int | None:
         """Weight if homogeneous under the grading, else None. Zero -> None."""
-        parts = self.weight_decompose(weights)
-        if len(parts) == 1:
-            return next(iter(parts))
-        return None
+        found = self._term_weights(weights)
+        return found.pop() if len(found) == 1 else None
 
     def is_homogeneous(self, weights: Sequence[int]) -> bool:
-        return len(self.weight_decompose(weights)) <= 1
+        return len(self._term_weights(weights)) <= 1
 
     # -- division and substitution -------------------------------------------
 
@@ -283,7 +296,8 @@ class Poly:
             if any(d < 0 for d in diff):
                 return None
             factor = rcoeff / lead_coeff
-            quotient[diff] = quotient.get(diff, Fraction(0)) + factor
+            old = quotient.get(diff)
+            quotient[diff] = factor if old is None else old + factor
             remainder = remainder - divisor * Poly.monomial(self.nvars, diff, factor)
         return Poly(self.nvars, quotient)
 

@@ -2,7 +2,10 @@
 
 All sampling is seeded; two runs with the same seed produce identical
 samples, keeping reports byte-stable.  Each ``sample_*`` call lists the
-monomials of every degree once and draws from those tables.
+monomials of every degree once and draws from those tables.  A coefficient
+is drawn as a numerator and then a denominator, each by one ``choice``, and
+read from a table of the 18 pairs built once at import, so drawing builds no
+``Fraction``; only terms drawn twice add.  Terms that cancel are dropped.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ from fractions import Fraction
 
 from .poly import Exponent, Poly, monomials_of_degree
 from .space import SymplecticSpace
+
+# Every coefficient a sample can draw: one row per numerator, over the
+# denominators 1, 1 and 2.  Picking a row and then an entry makes the same
+# two ``choice`` calls as drawing a numerator and then a denominator.
+_COEFFICIENTS = [[Fraction(num, den) for den in (1, 1, 2)]
+                 for num in (-3, -2, -1, 1, 2, 3)]
+_WHOLE = [row[0] for row in _COEFFICIENTS]
 
 
 def _monomial_tables(nvars: int, max_degree: int) -> list[list[Exponent]]:
@@ -32,14 +42,12 @@ def random_poly(
 
 def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]],
                max_terms: int = 4) -> Poly:
-    terms = {}
+    terms: dict[Exponent, Fraction] = {}
     for _ in range(rng.randint(1, max_terms)):
         mons = tables[rng.randint(0, len(tables) - 1)]
         exp = mons[rng.randrange(len(mons))]
-        num = rng.choice([-3, -2, -1, 1, 2, 3])
-        den = rng.choice([1, 1, 2])
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(num, den)
-    return Poly(nvars, terms)
+        _add_term(terms, exp, rng.choice(rng.choice(_COEFFICIENTS)))
+    return _poly(nvars, terms)
 
 
 def random_homogeneous_poly(
@@ -52,12 +60,20 @@ def random_homogeneous_poly(
 
 def _draw_homogeneous(rng: random.Random, nvars: int, mons: list[Exponent],
                       max_terms: int = 4) -> Poly:
-    terms = {}
+    terms: dict[Exponent, Fraction] = {}
     for _ in range(rng.randint(1, min(max_terms, len(mons)))):
         exp = mons[rng.randrange(len(mons))]
-        num = rng.choice([-3, -2, -1, 1, 2, 3])
-        terms[exp] = terms.get(exp, Fraction(0)) + Fraction(num)
-    return Poly(nvars, terms)
+        _add_term(terms, exp, rng.choice(_WHOLE))
+    return _poly(nvars, terms)
+
+
+def _add_term(terms: dict[Exponent, Fraction], exp: Exponent, c: Fraction):
+    old = terms.get(exp)
+    terms[exp] = c if old is None else old + c
+
+
+def _poly(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
+    return Poly._trusted(nvars, {e: c for e, c in terms.items() if c})
 
 
 def sample_triples(

@@ -94,12 +94,6 @@ class HSeries:
             self.nvars, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __sub__(self, other: "HSeries") -> "HSeries":
-        self._check(other)
-        return HSeries(
-            self.nvars, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __neg__(self) -> "HSeries":
         return HSeries(self.nvars, self.order, [-f for f in self.coeffs])
 

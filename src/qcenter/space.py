@@ -70,9 +70,6 @@ class SymplecticSpace:
 
     # -- element constructors -------------------------------------------------
 
-    def zero(self) -> Poly:
-        return Poly.zero(self.nvars)
-
     def one(self) -> Poly:
         return Poly.constant(self.nvars, 1)
 

@@ -28,10 +28,13 @@ variable at a time on the packed exponents, so the falling factorials build
 up in the numerators; each d^a of each slot is computed once per operand,
 not once per call: a prepared operand keeps its derivative tables and every
 contraction it enters extends and reuses them.  Sums accumulate as ``int``
-in one dict per output order, and one ``Fraction`` is built per output term
-at the end.  The product object keeps, per field width, the exponent tuple
-of every packed output monomial it has unpacked, so each distinct output
-monomial is unpacked once, not once per term of every call.
+in one dict per output order.  The product object keeps, per field width,
+the exponent tuple of every packed output monomial it has unpacked, and per
+denominator the ``Fraction`` of every numerator it has put over it, so each
+distinct output monomial is unpacked once and each distinct output
+coefficient is built once, not once per term of every call.  Only these
+immutable values are shared: every call returns fresh term dicts and no
+result is cached.
 
 Every contraction method accepts a prepared operand in place of a
 polynomial, an expansion or a series, so a caller that meets the same
@@ -146,6 +149,8 @@ class StarProduct:
         self._symbol_powers: list[SymbolPower] = []
         # {bits: {packed exponents: exponent tuple}} for output monomials
         self._unpacked: dict[int, dict[int, tuple[int, ...]]] = {}
+        # {den: {numerator: Fraction(numerator, den)}} for output coefficients
+        self._coefficients: dict[int, dict[int, Fraction]] = {}
 
     # -- the contraction kernel ----------------------------------------------
 
@@ -266,6 +271,7 @@ class StarProduct:
 
         den = den_a * den_b * den_s
         unpacked = self._unpacked.setdefault(bits, {})
+        coefficients = self._coefficients.setdefault(den, {})
         out: Expansion = {}
         for r in sorted(sums):
             terms = {}
@@ -274,7 +280,10 @@ class StarProduct:
                     e = unpacked.get(k)
                     if e is None:
                         e = unpacked[k] = tuple([(k >> s) & mask for s in shifts])
-                    terms[e] = Fraction(n, den)
+                    c = coefficients.get(n)
+                    if c is None:
+                        c = coefficients[n] = Fraction(n, den)
+                    terms[e] = c
             if terms:
                 out[r] = Poly._trusted(nv, terms)
         return out

@@ -173,7 +173,7 @@ def test_comoment_golden_value(sl2_action):
     hh = embed_terms(brute_force_product(sp, Hh, Hh))
     ef = embed_terms(brute_force_product(sp, He, Hf))
     h1 = HSeries.from_poly(Hh, star.order).hbar_shift(1)
-    oracle = hh + ef.scale(4) - h1.scale(2)
+    oracle = hh + ef.scale(4) + h1.scale(-2)
     assert image == oracle
 
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
@@ -184,7 +184,7 @@ def test_comoment_golden_value(sl2_action):
     # equivalently: the square of the lifted pairing minus one parameter square
     lifted = HSeries.from_poly(tr, star.order)
     square = star.star(lifted, lifted)
-    assert image == square - HSeries.one(4, star.order).hbar_shift(2)
+    assert image == square + -HSeries.one(4, star.order).hbar_shift(2)
 
 
 def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):

@@ -53,7 +53,7 @@ def _combine(space, expansions) -> dict[int, Poly]:
     out: dict[int, Poly] = {}
     for expansion in expansions:
         for r, term in expansion.items():
-            out[r] = out.get(r, space.zero()) + term
+            out[r] = out.get(r, Poly.zero(space.nvars)) + term
     return {r: f for r, f in out.items() if not f.is_zero()}
 
 
@@ -125,15 +125,15 @@ def test_commutator_terms_and_poisson_match_oracle(kind):
         assert star.commutator_terms(f, g) == full
         for cap in range(4):
             assert star.commutator_terms(f, g, cap) == _capped(full, cap)
-        bracket = space.zero()
+        bracket = Poly.zero(space.nvars)
         for i, j, value in space.bivector_entries():
             bracket = bracket + (f.partial(i) * g.partial(j)).scale(value)
-        assert star.poisson(f, g) == bracket == full.get(1, space.zero())
+        assert star.poisson(f, g) == bracket == full.get(1, Poly.zero(space.nvars))
 
 
 def _series(space, rng, order) -> HSeries:
     slots = [random_poly(rng, space.nvars, 3) for _ in range(order + 1)]
-    slots[1] = space.zero()
+    slots[1] = Poly.zero(space.nvars)
     slots[-1] = slots[-1].scale(Fraction(1, 3))
     return HSeries(space.nvars, order, slots)
 
@@ -149,11 +149,10 @@ def test_series_products_match_oracle(kind):
         A, B = dict(enumerate(F.coeffs)), dict(enumerate(G.coeffs))
         product = _oracle_series(space, A, B, order)
         commutator = _oracle_series(space, A, B, order, commutator=True)
+        zero = Poly.zero(space.nvars)
         for r in range(order + 1):
-            assert star.star(F, G).coefficient(r) == product.get(r, space.zero())
-            assert star.star_commutator(F, G).coefficient(r) == commutator.get(
-                r, space.zero()
-            )
+            assert star.star(F, G).coefficient(r) == product.get(r, zero)
+            assert star.star_commutator(F, G).coefficient(r) == commutator.get(r, zero)
         assert star.expansion_product(A, B) == _oracle_series(space, A, B, None)
 
 

@@ -6,7 +6,9 @@ partners of growing degree is checked against fresh operands.  The partners'
 degree sums cross the packed-field boundaries at 16 and 32, so the reused
 operand is repacked wider between calls.  Products alternating between
 narrow and wide fields on one product object check that unpacked output
-monomials are remembered per field width.
+monomials are remembered per field width.  Output coefficients are built
+once per product object and shared between results, while every result
+stays a fresh dict that its caller may change.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ SPACE = SymplecticSpace(2, bivector=[
 ])
 STAR = StarProduct(SPACE, 6)
 NV = SPACE.nvars
+ZERO = Poly.zero(NV)
 
 coefficients = st.builds(
     Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
@@ -75,7 +78,7 @@ def test_expansion_terms_match_oracle(f, g):
     gf = brute_force_product(SPACE, g, f)
     assert STAR.product_terms(f, g) == fg
     commutator = {
-        r: fg.get(r, SPACE.zero()) - gf.get(r, SPACE.zero()) for r in fg.keys() | gf.keys()
+        r: fg.get(r, ZERO) - gf.get(r, ZERO) for r in fg.keys() | gf.keys()
     }
     assert STAR.commutator_terms(f, g) == {
         r: c for r, c in commutator.items() if not c.is_zero()
@@ -117,3 +120,32 @@ def test_unpacked_monomials_are_kept_per_width(f, g, wide_f, wide_g):
     star = StarProduct(SPACE, 6)
     for a, b in ((f, g), (wide_f, wide_g), (f, g)):
         assert star.product_terms(a, b) == brute_force_product(SPACE, a, b)
+
+
+@SETTINGS
+@given(polys(3), polys(3))
+def test_equal_output_coefficients_are_one_object(f, g):
+    # even orders of f*g and g*f are equal: D_l(g, f) = (-1)^l D_l(f, g)
+    star = StarProduct(SPACE, 6)
+    fg = star.product_terms(f, g)
+    gf = star.product_terms(g, f)
+    assert fg == brute_force_product(SPACE, f, g)
+    assert gf == brute_force_product(SPACE, g, f)
+    for r in fg.keys() & gf.keys():
+        assert fg[r].terms is not gf[r].terms
+        if r % 2 == 0:
+            assert all(c is gf[r].terms[e] for e, c in fg[r].terms.items())
+
+
+@SETTINGS
+@given(polys(3), polys(3))
+def test_mutating_a_result_leaves_later_products_alone(f, g):
+    star = StarProduct(SPACE, 6)
+    expected = brute_force_product(SPACE, f, g)
+    first = star.product_terms(f, g)
+    for r, term in list(first.items()):
+        term.terms.popitem()
+        first[r] = term.scale(2)
+    first[99] = Poly.constant(NV, 1)
+    assert star.product_terms(f, g) == expected
+    assert star.product_terms(star.prepare(f), star.prepare(g)) == expected

@@ -99,7 +99,7 @@ def test_perturbed_relation_tracks_quantum_data(torus_action):
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
     perturbed = (
-        HSeries.from_poly(qp, star.order) - HSeries.one(2, star.order).hbar_shift(1)
+        HSeries.from_poly(qp, star.order) + -HSeries.one(2, star.order).hbar_shift(1)
     )
     rel = MonicRelation((-qp,), (-perturbed,))
     lifted = hensel_lift(qp, rel, torus_action)
@@ -130,7 +130,7 @@ def test_divisible_perturbation_proceeds_then_obstructs(sl2_action, sl2_lift_dat
         rel.coefficients,
         (
             rel.quantum_coefficients[0]
-            - HSeries.from_poly(a, star.order).hbar_shift(2),
+            + -HSeries.from_poly(a, star.order).hbar_shift(2),
             rel.quantum_coefficients[1],
         ),
     )

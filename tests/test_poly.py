@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from qcenter import DimensionError, Poly, monomials_of_degree
+from qcenter import DimensionError, Poly, SymplecticSpace, monomials_of_degree
 from qcenter.poly import monomial_key, poly_sum
-from qcenter.sampling import random_poly
+from qcenter.sampling import (
+    random_poly,
+    sample_homogeneous_pairs,
+    sample_polys,
+    sample_triples,
+)
 
 
 def poly_of(text_terms):
@@ -205,3 +211,86 @@ def test_poly_sum_matches_repeated_addition():
     with pytest.raises(DimensionError):
         poly_sum(4, [Poly.variable(2, 0)])
 
+
+
+def _oracle_terms(pairs) -> dict:
+    """Sum of (exponent, coefficient) pairs, accumulated from zero with
+    cancelled terms dropped at the end."""
+    out: dict = {}
+    for exp, coeff in pairs:
+        out[exp] = out.get(exp, Fraction(0)) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_clean(f: Poly):
+    assert all(type(c) is Fraction and c != 0 for c in f.terms.values())
+
+
+def test_ring_operations_match_oracle_and_store_only_nonzero_terms():
+    rng = random.Random(41)
+    for _ in range(60):
+        a = random_poly(rng, 4, 3, max_terms=6)
+        b = random_poly(rng, 4, 3, max_terms=6)
+        # share some of a's terms, negated or repeated, so sums cancel
+        for exp, coeff in list(a.terms.items())[: rng.randint(0, 3)]:
+            b = b + Poly.monomial(4, exp, rng.choice([-coeff, coeff]))
+        for result, expected in (
+            (a + b, _oracle_terms([*a.terms.items(), *b.terms.items()])),
+            (a - b, _oracle_terms([*a.terms.items(),
+                                   *((e, -c) for e, c in b.terms.items())])),
+            (a * b, _oracle_terms(
+                (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()
+            )),
+        ):
+            assert result.terms == expected
+            _assert_clean(result)
+    f = random_poly(rng, 4, 3)
+    assert (f - f).terms == {} and (f + -f).terms == {}
+    assert (f * Poly.zero(4)).terms == {}
+
+
+def test_weight_and_is_homogeneous_agree_with_weight_decompose():
+    rng = random.Random(43)
+    weights = (2, -1, 3, -2)
+    polys = [Poly.zero(4), Poly.constant(4, 5)] + [
+        random_poly(rng, 4, 4, max_terms=rng.randint(1, 4)) for _ in range(40)
+    ]
+    for f in polys:
+        parts = f.weight_decompose(weights)
+        assert f.weight(weights) == (next(iter(parts)) if len(parts) == 1 else None)
+        assert f.is_homogeneous(weights) == (len(parts) <= 1)
+    assert Poly.zero(4).weight(weights) is None
+    assert Poly.zero(4).is_homogeneous(weights)
+    for f in (Poly.zero(4), Poly.variable(4, 0)):
+        for query in (f.weight_decompose, f.weight, f.is_homogeneous):
+            with pytest.raises(DimensionError):
+                query((1, 1, 1))
+
+
+def _sample_digest(samples) -> str:
+    """SHA-256 over the canonically sorted terms of every sampled polynomial."""
+    h = hashlib.sha256()
+    for item in samples:
+        for f in item if isinstance(item, tuple) else (item,):
+            h.update(repr([(e, str(c)) for e, c in f.sorted_terms()]).encode())
+            h.update(b";")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_seeded_samples_are_pinned():
+    # reports are built from these samples, so a sampler change that moves
+    # one coefficient or one random draw changes the report bytes
+    space = SymplecticSpace(2)
+    assert _sample_digest(sample_triples(7, space, 200, 4)) == (
+        "86cab9bdf58d36a36f3ed64fdec9f64181cb4dcceccd977b98c363689c4ac1fc"
+    )
+    assert _sample_digest(sample_homogeneous_pairs(7, space, 200, 4)) == (
+        "dfc7cbc8c8bf3ec2b23e202c596dc4c33f32ead8dc0dce2fce91f3f450b671a4"
+    )
+    assert _sample_digest(sample_polys(7, space, 200, 6)) == (
+        "de284c887c4e594474d4705d03c1be8f5128a2a7daae2237e1870482e3060dc8"
+    )
+    for f in sample_polys(7, space, 200, 6):
+        _assert_clean(f)

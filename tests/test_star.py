@@ -243,7 +243,7 @@ def test_check_homogeneity_order_zero_law(star2):
 
 
 def test_check_homogeneity_zero_is_vacuous(star2):
-    report = check_homogeneity(star2, [(star2.space.zero(), star2.space.q(1))])
+    report = check_homogeneity(star2, [(Poly.zero(star2.space.nvars), star2.space.q(1))])
     assert report.passed
 
 
