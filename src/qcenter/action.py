@@ -108,7 +108,7 @@ class HamiltonianAction:
         """
         bound = 0
         for hq in self.quantum_hamiltonians:
-            for f in hq.coeffs:
+            for f in hq.terms.values():
                 bound = max(bound, f.degree())
         quantum, classical = _prepared_hamiltonians(self)
         for i in range(self.lie.dim):

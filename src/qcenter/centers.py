@@ -313,20 +313,20 @@ def quantum_center_up_to(
                 expansions.append({r + level: t for level, t in terms.items()})
             _add_coefficient_rows(solver, expansions)
         basis = [
-            _vector_to_series(act, blocks, vec) for vec in solver.kernel()
+            _series_from_vector(act, blocks, vec) for vec in solver.kernel()
         ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)
     return out
 
 
-def _vector_to_series(act, blocks, vector) -> HSeries:
+def _series_from_vector(act, blocks, vector) -> HSeries:
     nv = act.space.nvars
-    slots: dict[int, Poly] = {}
+    terms: dict[int, Poly] = {}
     for coeff, (r, b) in zip(vector, blocks):
         if coeff:
-            slots[r] = slots.get(r, Poly.zero(nv)) + b.scale(coeff)
-    return HSeries.from_terms(nv, act.order, slots)
+            terms[r] = terms.get(r, Poly.zero(nv)) + b.scale(coeff)
+    return HSeries(nv, act.order, terms)
 
 
 def _classical_part_rank(act, basis: list[HSeries]) -> tuple[int, list[HSeries]]:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .errors import DimensionError, TruncationError, ValidationError
 from .liealg import LieAlgebraData
-from .poly import Poly, as_scalar, scalar_str
+from .poly import Poly, as_scalar
 
 Word = tuple[int, ...]
 HPoly = dict[int, Fraction]  # parameter power -> coefficient
@@ -176,9 +176,6 @@ class UEnvElement:
             {w: _hpoly_scale(hp, s) for w, hp in self.terms.items()},
         )
 
-    def __neg__(self) -> "UEnvElement":
-        return self.scale(-1)
-
     def hbar_shift(self, j: int) -> "UEnvElement":
         return UEnvElement(
             self.lie,
@@ -209,12 +206,6 @@ class UEnvElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        items = tuple(
-            (w, tuple(sorted(hp.items()))) for w, hp in sorted(self.terms.items())
-        )
-        return hash((id(self.lie), self.order, items))
-
     # -- algebra maps ------------------------------------------------------------
 
     def classical_limit(self) -> Poly:
@@ -234,28 +225,6 @@ class UEnvElement:
 
     def commutator(self, other: "UEnvElement") -> "UEnvElement":
         return self * other - other * self
-
-    def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        labels = self.lie.labels
-        pieces = []
-        for word in sorted(self.terms):
-            hp = self.terms[word]
-            word_str = "*".join(labels[i] for i in word) if word else "1"
-            for r in sorted(hp):
-                c = hp[r]
-                coeff_str = scalar_str(c)
-                body = word_str
-                if r == 1:
-                    body = f"hbar*{body}" if body != "1" else "hbar"
-                elif r > 1:
-                    body = f"hbar^{r}*{body}" if body != "1" else f"hbar^{r}"
-                pieces.append(f"({coeff_str})*{body}")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"UEnvElement({self.to_string()})"
 
 
 # -- symmetrization and centrality ------------------------------------------------

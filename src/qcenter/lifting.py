@@ -15,10 +15,14 @@ quantum coefficient, the lift, each test element) is prepared for the
 contraction kernel once per loop; a prepared polynomial stands for its
 expansion at the truncation.
 
-At each step the relation evaluated on the partial lift has its lowest
-surviving order extracted; appending ``f_{m+1}`` at order m+1 perturbs
-that coefficient by ``P'(f) f_{m+1}``, so the correction is the exact
-polynomial quotient of the defect by the relation derivative.  When the
+The recursion walks the nonzero orders of the defect, the relation
+evaluated on the partial lift: while the defect is nonzero, its lowest
+order m is corrected.  Adding ``f_m`` at order m perturbs that coefficient
+by ``P'(f) f_m`` and leaves the lower orders alone, so the correction is
+the exact polynomial quotient of the defect by the relation derivative,
+and the lowest order of the next defect lies strictly above m.  Orders
+where the defect already vanishes cost nothing: the relation is evaluated
+once per correction and once more to see it vanish.  When the
 quotient does not exist in the polynomial ring the recursion stops with an
 obstruction report: the correction would only live on the open locus where
 the derivative is invertible, and extending it back would need completion
@@ -149,7 +153,8 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
     smaller monic relation exists over the subalgebra generated by the
     designated invariant generators (its slices up to the highest degree
     ``minimality_holds`` reads).  Each produced correction is verified
-    invariant; for weight-homogeneous input data the corrections are
+    invariant, and the lowest order of the defect must rise strictly with
+    each correction; for weight-homogeneous input data the corrections are
     automatically homogeneous of the weight that keeps the whole lift at
     the weight of ``f``.
     """
@@ -173,31 +178,26 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
             "a smaller monic relation over the subalgebra annihilates the target"
         )
     fhat = HSeries.from_poly(f, act.order)
-    for m in range(act.order):
-        defect = relation_defect(act.star, rel, fhat)
-        if not defect.vanishes_below(m + 1):
-            first = defect.first_nonzero_order()
-            raise ValidationError(
-                f"internal recursion invariant broken at order {first}"
-            )
-        defect_coeff = defect.coefficient(m + 1)
-        if defect_coeff.is_zero():
-            continue
+    corrected = 0
+    defect = relation_defect(act.star, rel, fhat)
+    while not defect.is_zero():
+        m = defect.first_nonzero_order()
+        if m <= corrected:
+            raise ValidationError(f"internal recursion invariant broken at order {m}")
+        defect_coeff = defect.terms[m]
         correction = (-defect_coeff).divide_exact(derivative)
         if correction is None:
-            raise LiftObstructionError(m + 1, defect_coeff)
+            raise LiftObstructionError(m, defect_coeff)
         pc = act.star.prepare(correction)
         for i, h in enumerate(hamiltonians):
             if not act.star.poisson(h, pc).is_zero():
                 raise ValidationError(
-                    f"correction at order {m+1} is not invariant under "
+                    f"correction at order {m} is not invariant under "
                     f"{act.lie.labels[i]}"
                 )
-        fhat = fhat + HSeries.from_poly(correction, act.order).hbar_shift(m + 1)
-    final = relation_defect(act.star, rel, fhat)
-    if not final.is_zero():
-        first = final.first_nonzero_order()
-        raise ValidationError(f"lift verification failed at order {first}")
+        fhat = fhat + HSeries(act.space.nvars, act.order, {m: correction})
+        corrected = m
+        defect = relation_defect(act.star, rel, fhat)
     return fhat
 
 

@@ -514,13 +514,7 @@ def _eval_generator_poly_classical(built: BuiltScenario, composed: Poly) -> Poly
 
 
 def _eval_generator_poly_quantum(built: BuiltScenario, composed: Poly) -> HSeries:
-    gen_names = _generator_names(built)
-    if not gen_names:
-        return HSeries.from_poly(
-            Poly.constant(built.space.nvars, composed.constant_term()),
-            built.star.order,
-        )
-    lifts = [built.central_lifts[n] for n in gen_names]
+    lifts = [built.central_lifts[n] for n in _generator_names(built)]
     return star_evaluate(built.star, composed, lifts)
 
 

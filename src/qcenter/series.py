@@ -1,9 +1,12 @@
 """Truncated formal series in the deformation parameter with Poly coefficients.
 
-An ``HSeries`` of truncation order N stores exactly N+1 polynomial slots
-(trailing zeros are explicit) and represents an element of the polynomial
-algebra extended by a central formal parameter, modulo order N+1.  All
-arithmetic discards orders beyond the truncation.
+An ``HSeries`` of truncation order N represents an element of the
+polynomial algebra extended by a central formal parameter, modulo order
+N+1.  It stores ``terms``, a mapping from each nonzero order r <= N to its
+polynomial coefficient, in increasing order; zero coefficients are never
+stored, so a series costs what its nonzero orders cost, whatever N is.
+This is the format the contraction kernel returns.  All arithmetic
+discards orders beyond the truncation.
 
 The plain ``*`` product is the commutative one (coefficientwise
 convolution); the deformed product lives on ``StarProduct``.
@@ -12,29 +15,30 @@ convolution); the deformed product lives on ``StarProduct``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError, TruncationError
 from .poly import Poly, as_scalar, poly_sum
 
 
 class HSeries:
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("nvars", "order", "terms")
 
-    def __init__(self, nvars: int, order: int, coeffs: Sequence[Poly] | None = None):
+    def __init__(self, nvars: int, order: int, terms: Mapping[int, Poly]):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        slots: list[Poly] = [Poly.zero(nvars)] * (order + 1)
-        if coeffs is not None:
-            if len(coeffs) > order + 1:
-                raise TruncationError("more coefficients than truncation slots")
-            for i, f in enumerate(coeffs):
-                if f.nvars != nvars:
-                    raise DimensionError("coefficient over wrong variable count")
-                slots[i] = f
+        kept: dict[int, Poly] = {}
+        for r in sorted(terms):
+            f = terms[r]
+            if f.nvars != nvars:
+                raise DimensionError("coefficient over wrong variable count")
+            if not 0 <= r <= order:
+                raise TruncationError(f"order {r} outside truncation {order}")
+            if not f.is_zero():
+                kept[r] = f
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(slots))
+        object.__setattr__(self, "terms", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("HSeries is immutable")
@@ -43,40 +47,31 @@ class HSeries:
 
     @staticmethod
     def zero(nvars: int, order: int) -> "HSeries":
-        return HSeries(nvars, order)
+        return HSeries(nvars, order, {})
 
     @staticmethod
     def from_poly(f: Poly, order: int) -> "HSeries":
-        return HSeries(f.nvars, order, [f])
+        return HSeries(f.nvars, order, {0: f})
 
     @staticmethod
     def one(nvars: int, order: int) -> "HSeries":
         return HSeries.from_poly(Poly.constant(nvars, 1), order)
-
-    @staticmethod
-    def from_terms(nvars: int, order: int, terms: dict[int, Poly]) -> "HSeries":
-        return HSeries(nvars, order, [
-            terms[r] if r in terms else Poly.zero(nvars) for r in range(order + 1)
-        ])
 
     # -- queries ------------------------------------------------------------
 
     def coefficient(self, r: int) -> Poly:
         if not 0 <= r <= self.order:
             raise TruncationError(f"order {r} outside truncation {self.order}")
-        return self.coeffs[r]
+        return self.terms.get(r) or Poly.zero(self.nvars)
 
     def classical_part(self) -> Poly:
-        return self.coeffs[0]
+        return self.terms.get(0) or Poly.zero(self.nvars)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
+        return not self.terms
 
     def first_nonzero_order(self) -> int | None:
-        for r, f in enumerate(self.coeffs):
-            if not f.is_zero():
-                return r
-        return None
+        return next(iter(self.terms), None)
 
     def _check(self, other: "HSeries"):
         if self.nvars != other.nvars:
@@ -90,24 +85,27 @@ class HSeries:
 
     def __add__(self, other: "HSeries") -> "HSeries":
         self._check(other)
-        return HSeries(
-            self.nvars, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        acc = dict(self.terms)
+        for r, f in other.terms.items():
+            acc[r] = acc[r] + f if r in acc else f
+        return HSeries(self.nvars, self.order, acc)
 
     def __neg__(self) -> "HSeries":
-        return HSeries(self.nvars, self.order, [-f for f in self.coeffs])
+        return HSeries(self.nvars, self.order, {r: -f for r, f in self.terms.items()})
 
     def scale(self, value) -> "HSeries":
         value = as_scalar(value)
-        return HSeries(self.nvars, self.order, [f.scale(value) for f in self.coeffs])
+        return HSeries(
+            self.nvars, self.order, {r: f.scale(value) for r, f in self.terms.items()}
+        )
 
     def hbar_shift(self, j: int) -> "HSeries":
         """Multiply by the j-th power of the deformation parameter."""
         if j < 0:
             raise ValueError("negative shifts are not defined")
-        slots = [Poly.zero(self.nvars)] * min(j, self.order + 1)
-        slots += list(self.coeffs[: max(self.order + 1 - j, 0)])
-        return HSeries(self.nvars, self.order, slots)
+        return HSeries(self.nvars, self.order, {
+            r + j: f for r, f in self.terms.items() if r + j <= self.order
+        })
 
     def __mul__(self, other):
         """Commutative product (convolution), truncated."""
@@ -115,20 +113,17 @@ class HSeries:
             return self.scale(other)
         if isinstance(other, Poly):
             return HSeries(
-                self.nvars, self.order, [f * other for f in self.coeffs]
+                self.nvars, self.order, {r: f * other for r, f in self.terms.items()}
             )
         self._check(other)
-        products: list[list[Poly]] = [[] for _ in range(self.order + 1)]
-        for a, fa in enumerate(self.coeffs):
-            if fa.is_zero():
-                continue
-            for b in range(self.order + 1 - a):
-                gb = other.coeffs[b]
-                if not gb.is_zero():
-                    products[a + b].append(fa * gb)
-        return HSeries(
-            self.nvars, self.order, [poly_sum(self.nvars, ps) for ps in products]
-        )
+        products: dict[int, list[Poly]] = {}
+        for a, fa in self.terms.items():
+            for b, gb in other.terms.items():
+                if a + b <= self.order:
+                    products.setdefault(a + b, []).append(fa * gb)
+        return HSeries(self.nvars, self.order, {
+            r: poly_sum(self.nvars, ps) for r, ps in products.items()
+        })
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -142,26 +137,18 @@ class HSeries:
             isinstance(other, HSeries)
             and self.nvars == other.nvars
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.order, self.coeffs))
-
-    # -- truncation management ----------------------------------------------
-
-    def vanishes_below(self, order: int) -> bool:
-        """True when all coefficients of order < ``order`` are zero."""
-        return all(f.is_zero() for f in self.coeffs[: min(order, self.order + 1)])
+        return hash((self.nvars, self.order, tuple(self.terms.items())))
 
     # -- grading ---------------------------------------------------------------
 
     def series_weight(self, weights: Sequence[int], hbar_weight: int) -> int | None:
-        """Weight if homogeneous (slot r counts as -hbar_weight*r), else None."""
+        """Weight if homogeneous (order r counts as -hbar_weight*r), else None."""
         found: int | None = None
-        for r, f in enumerate(self.coeffs):
-            if f.is_zero():
-                continue
+        for r, f in self.terms.items():
             w = f.weight(weights)
             if w is None:
                 return None
@@ -174,15 +161,13 @@ class HSeries:
 
     def substitute_unit(self) -> Poly:
         """Set the deformation parameter to 1 (sum of all coefficients)."""
-        return poly_sum(self.nvars, self.coeffs)
+        return poly_sum(self.nvars, self.terms.values())
 
     # -- formatting -----------------------------------------------------------
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         pieces = []
-        for r, f in enumerate(self.coeffs):
-            if f.is_zero():
-                continue
+        for r, f in self.terms.items():
             body = f.to_string(names)
             if r == 0:
                 pieces.append(body)

@@ -18,11 +18,15 @@ power of ``sum P[i,j] u_i v_j`` expands as ``sum C(a, b) u^a v^b`` and
 
 Every product, bracket and commutator in the package is one call of a
 single kernel, ``StarProduct._contract``, on two finite expansions
-``{order: Poly}`` in *prepared* form (``Prepared``).  The kernel works in
-integers: each slot of a prepared operand holds integer numerators over one
-denominator (the lcm of its term denominators), and each ``S_l`` is kept as
-integer numerators over its own denominator, computed once per product
-object on first use.  Exponent tuples are packed into one integer, so
+``{order: Poly}`` in *prepared* form (``Prepared``).  An expansion holds
+only its nonzero orders, which is also how ``HSeries.terms`` stores a
+truncated series: a series enters the kernel as its ``terms``, and a
+truncated product is the kernel's capped output, wrapped as it is.
+
+The kernel works in integers: each slot of a prepared operand holds
+integer numerators over one denominator (the lcm of its term
+denominators), and each ``S_l`` is kept as integer numerators over its
+own denominator, computed once per product object on first use.  Exponent tuples are packed into one integer, so
 multiplying monomials is an integer addition.  Derivatives are taken one
 variable at a time on the packed exponents, so the falling factorials build
 up in the numerators; each d^a of each slot is computed once per operand,
@@ -177,7 +181,7 @@ class StarProduct:
         if isinstance(x, HSeries):
             if x.order != self.order:
                 raise TruncationError("series truncation differs from the product's")
-            x = dict(enumerate(x.coeffs))
+            x = x.terms
         slots: dict[int, _Slot] = {}
         for r, v in x.items():
             for s, slot in self._prepare(v).slots.items():
@@ -305,7 +309,7 @@ class StarProduct:
         """Bilinear continuous extension of the product to truncated series.
         A prepared operand stands for its expansion at this truncation."""
         terms = self._contract(self._prepare(F), self._prepare(G), self.order)
-        return _series(self.space.nvars, self.order, terms)
+        return HSeries(self.space.nvars, self.order, terms)
 
     # -- brackets -----------------------------------------------------------------
 
@@ -330,7 +334,7 @@ class StarProduct:
         expansion at this truncation."""
         terms = self._contract(self._prepare(F), self._prepare(G), self.order,
                                odd=True)
-        return _series(self.space.nvars, self.order, terms)
+        return HSeries(self.space.nvars, self.order, terms)
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 
@@ -338,11 +342,6 @@ class StarProduct:
                           ) -> Expansion:
         """Exact product of two finite expansions {order: Poly}."""
         return self._contract(self._prepare(A), self._prepare(B))
-
-
-def _series(nvars: int, order: int, terms: Expansion) -> HSeries:
-    zero = Poly.zero(nvars)
-    return HSeries(nvars, order, [terms.get(r, zero) for r in range(order + 1)])
 
 
 # -- reports ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qcenter.lifting as lifting
 from qcenter import (
     HamiltonianAction,
     HSeries,
@@ -28,7 +31,11 @@ from qcenter import (
     verify_lift,
 )
 
+from qcenter.scenario import build_scenario, load_scenario, resolve_lift
+
 from oracle import dense_in_span
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def invariant_tests(act, cutoff=8):
@@ -342,3 +349,38 @@ def test_hensel_lift_checks_minimality_without_a_subalgebra():
     rel = MonicRelation((-tr * tr, Poly.zero(4)), (-square, HSeries.zero(4, 2)))
     with pytest.raises(ValidationError, match="smaller monic relation"):
         hensel_lift(tr, rel, act)
+
+
+@pytest.mark.parametrize("preset", ["torus_k2", "sl2_tstar_k2"])
+def test_lift_evaluates_the_relation_once_per_correction_and_once_to_finish(
+    monkeypatch, preset
+):
+    golden = json.loads((GOLDEN / f"{preset}.json").read_text())
+    expected = {
+        g["name"]: g["lift"]
+        for task in golden["tasks"] if task["task"] == "iso"
+        for g in task["details"]["generators"]
+    }
+    built = build_scenario(load_scenario(preset))
+    calls = []
+    defect = lifting.relation_defect
+
+    def counting_defect(*args):
+        calls.append(args)
+        return defect(*args)
+
+    monkeypatch.setattr(lifting, "relation_defect", counting_defect)
+    counts = {}
+    for spec in built.scenario.lifts:
+        f, rel = resolve_lift(built, spec)
+        calls.clear()
+        fhat = hensel_lift(f, rel, built.action)
+        # every order of the lift above the classical one is one correction
+        corrections = len(fhat.terms) - 1
+        assert len(calls) == corrections + 1
+        assert fhat.to_string(built.space.names) == expected[spec.name]
+        counts[spec.name] = len(calls)
+    if preset == "torus_k2":
+        assert counts == {"J": 1}
+    else:
+        assert counts == {"c2": 2, "tr": 1}

@@ -15,6 +15,7 @@ from qcenter.scenario import (
     run_scenario,
 )
 from qcenter.errors import ParseError, ValidationError
+from qcenter.report import to_json
 
 MINIMAL_TORUS = {
     "schema": "qcenter-scenario/1",
@@ -412,3 +413,51 @@ def test_default_labels_name_the_hamiltonians(tmp_path):
     path = write_scenario(tmp_path, data)
     assert main(["validate", path]) == 0
     assert load_scenario(path).lie_labels == ("x1",)
+
+
+def test_huge_truncation_costs_only_the_nonzero_orders(tmp_path, capsys):
+    # a series stores its nonzero orders only, so a truncation of 10^9
+    # neither allocates per order nor walks every order in the lift
+    huge = write_scenario(tmp_path, dict(MINIMAL_TORUS, truncation=10**9), "huge.json")
+    assert main(["validate", huge]) == 0
+    assert capsys.readouterr().err == ""
+
+    def without_truncation(value):
+        if isinstance(value, dict):
+            return {
+                k: without_truncation(v) for k, v in value.items() if k != "truncation"
+            }
+        if isinstance(value, list):
+            return [without_truncation(v) for v in value]
+        return value
+
+    small = write_scenario(tmp_path, MINIMAL_TORUS, "small.json")
+    reports = [
+        json.loads(to_json(run_scenario(load_scenario(path))))
+        for path in (huge, small)
+    ]
+    assert reports[0]["parameters"]["truncation"] == 10**9
+    assert reports[0]["passed"] is True
+    assert without_truncation(reports[0]) == without_truncation(reports[1])
+
+
+def test_lifts_without_invariant_generators_run_with_exit_0(tmp_path, capsys):
+    # with no generators a relation coefficient is a constant: the empty
+    # product of lifts is one
+    data = json.loads(preset_path("trivial_k2").read_text())
+    data["lifts"] = [
+        {"name": "c", "classical": "3/2"},
+        {"name": "w", "target": "q1^0*2", "relation": ["-2"]},
+    ]
+    data["tasks"] = ["lift", "iso", "weyl"]
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "r.json"
+    assert main(["run", path, "--report", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    tasks = {t["task"]: t["details"] for t in report["tasks"]}
+    assert [(g["name"], g["classical"], g["lift"]) for g in tasks["iso"]["generators"]] == [
+        ("c", "3/2", "3/2"),
+        ("w", "2", "2"),
+    ]
+    assert [e["symbol"] for e in tasks["weyl"]["entries"]] == ["3/2", "2"]

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from qcenter import HSeries, Poly, TruncationError
+from qcenter import DimensionError, HSeries, Poly, TruncationError
 from qcenter.sampling import random_poly
 
 
 def test_slot_count_is_explicit():
+    # the zero series stores no order, yet answers every order up to N
     s = HSeries.zero(2, 5)
-    assert len(s.coeffs) == 6
-    assert all(f.is_zero() for f in s.coeffs)
+    assert s.order == 5
+    assert s.terms == {}
+    assert all(s.coefficient(r).is_zero() for r in range(6))
 
 
 def test_truncation_mismatch_raises():
@@ -35,13 +37,15 @@ def test_multiplication_agrees_with_higher_truncation():
     rng = random.Random(1729)
     for _ in range(10):
         low, high = 4, 9
-        coeffs_a = [random_poly(rng, 2, 3) for _ in range(low + 1)]
-        coeffs_b = [random_poly(rng, 2, 3) for _ in range(low + 1)]
-        a_low = HSeries(2, low, coeffs_a)
-        b_low = HSeries(2, low, coeffs_b)
-        a_high = HSeries(2, high, coeffs_a)
-        b_high = HSeries(2, high, coeffs_b)
-        assert (a_high * b_high).coeffs[: low + 1] == (a_low * b_low).coeffs
+        terms_a = {r: random_poly(rng, 2, 3) for r in range(low + 1)}
+        terms_b = {r: random_poly(rng, 2, 3) for r in range(low + 1)}
+        a_low = HSeries(2, low, terms_a)
+        b_low = HSeries(2, low, terms_b)
+        a_high = HSeries(2, high, terms_a)
+        b_high = HSeries(2, high, terms_b)
+        assert {
+            r: f for r, f in (a_high * b_high).terms.items() if r <= low
+        } == (a_low * b_low).terms
 
 
 def test_hbar_shift_weights_and_substitution():
@@ -56,13 +60,11 @@ def test_hbar_shift_weights_and_substitution():
 def test_hbar_shift_moves_every_slot_and_drops_the_overflow():
     order = 4
     q = Poly.variable(2, 0)
-    s = HSeries(2, order, [q.scale(r + 1) for r in range(order + 1)])
+    s = HSeries(2, order, {r: q.scale(r + 1) for r in range(order + 1)})
     for j in range(2 * order + 4):
         shifted = s.hbar_shift(j)
         assert shifted.order == order
-        assert shifted.coeffs == tuple(
-            s.coeffs[r - j] if r >= j else Poly.zero(2) for r in range(order + 1)
-        )
+        assert shifted.terms == {r: s.terms[r - j] for r in range(j, order + 1)}
 
 
 def test_series_weight_detection():
@@ -81,8 +83,8 @@ def test_first_nonzero_order():
     q = Poly.variable(2, 0)
     s = HSeries.from_poly(q, 5).hbar_shift(3)
     assert s.first_nonzero_order() == 3
-    assert s.vanishes_below(3)
-    assert not s.vanishes_below(4)
+    assert list(s.terms) == [3]
+    assert s.terms[3] == q
     assert HSeries.zero(2, 2).first_nonzero_order() is None
 
 
@@ -90,17 +92,47 @@ def test_product_is_the_truncated_convolution():
     rng = random.Random(57)
     order = 4
     for _ in range(6):
-        a = HSeries(4, order, [random_poly(rng, 4, 2) for _ in range(order + 1)])
-        b = HSeries(4, order, [random_poly(rng, 4, 2) for _ in range(order)])
+        a = HSeries(4, order, {r: random_poly(rng, 4, 2) for r in range(order + 1)})
+        b = HSeries(4, order, {r: random_poly(rng, 4, 2) for r in range(order)})
         product = a * b
         for r in range(order + 1):
             expected = Poly.zero(4)
             for i in range(r + 1):
                 expected = expected + a.coefficient(i) * b.coefficient(r - i)
             assert product.coefficient(r) == expected
-    # terms that cancel across pairs leave an explicit zero slot
+    # terms that cancel across pairs leave no stored order
     q = Poly.variable(2, 0)
-    x = HSeries(2, 1, [q, q])
-    y = HSeries(2, 1, [q, -q])
+    x = HSeries(2, 1, {0: q, 1: q})
+    y = HSeries(2, 1, {0: q, 1: -q})
     assert (x * y).coefficient(1).is_zero()
+    assert list((x * y).terms) == [0]
 
+
+
+def test_terms_keep_only_nonzero_orders_in_increasing_order():
+    q = Poly.variable(2, 0)
+    s = HSeries(2, 6, {5: q, 0: Poly.zero(2), 2: q.scale(3)})
+    assert list(s.terms) == [2, 5]
+    assert s.classical_part().is_zero()
+    assert (s + (-s)).terms == {}
+    assert s.scale(0).terms == {}
+
+
+def test_terms_outside_the_truncation_or_space_are_refused():
+    q = Poly.variable(2, 0)
+    with pytest.raises(TruncationError):
+        HSeries(2, 3, {4: q})
+    with pytest.raises(TruncationError):
+        HSeries(2, 3, {-1: q})
+    with pytest.raises(DimensionError):
+        HSeries(3, 3, {0: q})
+
+
+def test_a_huge_truncation_costs_only_the_nonzero_orders():
+    q = Poly.variable(2, 0)
+    order = 10**9
+    s = HSeries.from_poly(q, order) + HSeries.one(2, order).hbar_shift(order)
+    assert list(s.terms) == [0, order]
+    assert (s * s).terms == {0: q * q, order: q.scale(2)}
+    assert s.hbar_shift(1).terms == {1: q}
+    assert s.substitute_unit() == q + Poly.constant(2, 1)

@@ -84,7 +84,7 @@ def test_star_extends_moyal(star1):
     f = sp.q(1) * sp.p(1)
     g = sp.q(1) + sp.p(1)
     F, G = HSeries.from_poly(f, star1.order), HSeries.from_poly(g, star1.order)
-    assert star1.star(F, G) == HSeries.from_terms(
+    assert star1.star(F, G) == HSeries(
         sp.nvars, star1.order, star1.product_terms(f, g)
     )
 
