@@ -13,9 +13,9 @@ degree as exact kernels:
 
 The scaling grading ties the coefficient degree at series order r to
 ``d - k*r``, which makes each quantum slice finite-dimensional.  The
-constraint system is linear in all series coefficients at once and is
-solved jointly against the whole test set (the order-by-order triangular
-structure is implied).
+constraint system of a slice is linear in all its series coefficients at
+once: the rows of every test element go into one elimination, and the
+kernel is read once per slice.
 
 Both systems are shrunk without changing any answer:
 
@@ -43,11 +43,20 @@ Both systems are shrunk without changing any answer:
   ``compare_centers`` computes the invariants and their generators once
   and hands both to the two center functions.
 
-Every operand enters the contraction kernel prepared (``StarProduct.prepare``)
-once per loop that meets it: the non-diagonal hamiltonians and the test
-elements once per call, the candidates and the series blocks once per
-degree.  Each bracket and commutator of a slice then reuses both operands'
-integer numerators and derivative tables instead of rebuilding them.
+Both centers read one commutator table: ``commutator_terms(b, u)`` for
+every invariant basis element ``b`` up to the degree bound and every test
+element ``u``, each pair expanded once, with ``b`` and ``u`` prepared
+(``StarProduct.prepare``) once.  The Poisson bracket is the order-1 term
+of the commutator, so the Poisson slices read that term in the
+generators' columns (the generators are among the full test set when the
+quantum center needs it).  The quantum block ``(r, b)`` reads the orders
+of its entry up to ``order - r``, raised by ``r``; a basis element that
+stands at several series orders is expanded once, not once per order.
+``compare_centers`` builds the table once, to the action's truncation,
+and hands it to both center functions; called alone, each builds its own,
+the Poisson center to order 1.  The table lives for one call.  The
+invariant solve prepares its non-diagonal hamiltonians once per call and
+its candidates once per degree.
 
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
@@ -206,39 +215,82 @@ def invariant_generators(invariants: GradedSubspace, test_degree: int
     return generators
 
 
+@dataclass
+class _Commutators:
+    """``commutator_terms(b, u, cap)`` for every invariant basis element
+    ``b`` up to a degree and every test element ``u``: ``entries[degree][i][j]``
+    pairs the i-th basis element of that degree with ``tests[j]``."""
+
+    tests: Sequence[Poly]
+    entries: dict[int, list[list[dict[int, Poly]]]]
+
+    def columns(self, elements: Sequence[Poly]) -> list[int]:
+        """Positions of ``elements`` among the test elements."""
+        position = {u: j for j, u in enumerate(self.tests)}
+        return [position[u] for u in elements]
+
+
+def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
+                      max_degree: int, tests: Sequence[Poly], cap: int
+                      ) -> _Commutators:
+    """Each commutator once, up to order ``cap``: every basis element and
+    every test element is prepared once."""
+    prepare = act.star.prepare
+    commutator = act.star.commutator_terms
+    prepared = [prepare(u) for u in tests]
+    entries = {
+        degree: [
+            [commutator(pb, pu, cap) for pu in prepared]
+            for pb in map(prepare, invariants.basis(degree))
+        ]
+        for degree in range(max_degree + 1)
+    }
+    return _Commutators(tests, entries)
+
+
+def _orders_up_to(expansion: dict[int, Poly], top: int, shift: int
+                  ) -> dict[int, Poly]:
+    """The orders at most ``top`` of an expansion, each raised by ``shift``."""
+    return {shift + s: t for s, t in expansion.items() if s <= top}
+
+
 def poisson_center_up_to(
     act: HamiltonianAction,
     max_degree: int,
     test_degree: int,
     invariants: GradedSubspace | None = None,
     generators: list[Poly] | None = None,
+    commutators: _Commutators | None = None,
 ) -> GradedSubspace:
     """Invariants whose bracket with every invariant basis element up to
     the test cutoff vanishes, tested against the generators (the bracket
     is a biderivation).  ``invariants`` and ``generators``, when given,
     must be ``invariants_up_to(act, test_degree)`` and its
-    ``invariant_generators``."""
+    ``invariant_generators``; ``commutators``, when given, must expand the
+    invariant basis up to ``max_degree`` against a test set holding the
+    generators, to order 1 at least.  The bracket is the order-1 term of
+    each commutator."""
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     nv = act.space.nvars
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
-    test_elements = generators
-    if test_elements is None:
-        test_elements = invariant_generators(invariants, test_degree)
-    prepare = act.star.prepare
-    tests = [prepare(u) for u in test_elements]
+    if generators is None:
+        generators = invariant_generators(invariants, test_degree)
+    if commutators is None:
+        commutators = _commutator_table(act, invariants, max_degree, generators, 1)
+    columns = commutators.columns(generators)
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
-        candidates = invariants.basis(degree)
-        if not candidates:
+        entries = commutators.entries[degree]
+        if not entries:
             continue
-        solver = EchelonAccumulator(len(candidates))
-        prepared = [prepare(c) for c in candidates]
-        for u in tests:
+        solver = EchelonAccumulator(len(entries))
+        for j in columns:
             _add_coefficient_rows(
-                solver, [{0: act.star.poisson(c, u)} for c in prepared]
+                solver, [_orders_up_to(row[j], 1, 0) for row in entries]
             )
+        candidates = invariants.basis(degree)
         basis = [_combine(candidates, vec, nv) for vec in solver.kernel()]
         if basis:
             slices[degree] = basis
@@ -261,63 +313,83 @@ def quantum_center_up_to(
     test_degree: int,
     invariants: GradedSubspace | None = None,
     generators: list[Poly] | None = None,
+    commutators: _Commutators | None = None,
 ) -> dict[int, QuantumCenterSlice]:
     """Per-degree quantum-center slices at the action's truncation, solved
     exactly.
 
-    Requires the default uniform grading (every coordinate of weight -1);
-    the coefficient of series order r in the degree-d slice is then an
-    invariant of degree ``d - k*r``.  ``invariants`` and ``generators``
-    are as for ``poisson_center_up_to``.
+    Requires the default uniform grading (every coordinate of weight -1)
+    with a graded bivector; the coefficient of series order r in the
+    degree-d slice is then an invariant of degree ``d - k*r``.
+    ``invariants`` and ``generators`` are as for ``poisson_center_up_to``;
+    ``commutators``, when given, must expand the invariant basis up to
+    ``max_degree`` against the quantum test set (the generators when every
+    hamiltonian has degree at most 2, else the invariant basis up to the
+    test cutoff) to the action's truncation at least.
     """
-    if not act.space.grading_is_uniform():
-        raise ValidationError(
-            "quantum-center slicing requires the uniform default weights"
-        )
+    check_slicing_grading(act.space)
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     k = act.space.hbar_weight
     order = act.order
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
-    if all(h.degree() <= 2 for h in act.hamiltonians):
-        # the product is invariant, so products of generators expand into
-        # lower-degree invariants
-        test_elements = generators
-        if test_elements is None:
-            test_elements = invariant_generators(invariants, test_degree)
-    else:
-        test_elements = [
-            u
-            for degree in invariants.degrees()
-            if degree <= test_degree
-            for u in invariants.basis(degree)
-        ]
-    prepare = act.star.prepare
-    tests = [prepare(u) for u in test_elements]
+    if commutators is None:
+        tests = _quantum_tests(act, invariants, test_degree, generators)
+        commutators = _commutator_table(act, invariants, max_degree, tests,
+                                        max(order, 1))
     out: dict[int, QuantumCenterSlice] = {}
     for degree in range(max_degree + 1):
         blocks: list[tuple[int, Poly]] = []
-        for r in range(min(order, degree // k if k else order) + 1):
-            for b in invariants.basis(degree - k * r):
-                blocks.append((r, b))
+        entries: list[tuple[int, list[dict[int, Poly]]]] = []
+        for r in range(min(order, degree // k) + 1):
+            blocks += [(r, b) for b in invariants.basis(degree - k * r)]
+            entries += [(r, row) for row in commutators.entries[degree - k * r]]
         if not blocks:
             out[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
         solver = EchelonAccumulator(len(blocks))
-        prepared = [(r, prepare(b)) for r, b in blocks]
-        for u in tests:
-            expansions = []
-            for r, b in prepared:
-                terms = act.star.commutator_terms(b, u, order - r)
-                expansions.append({r + level: t for level, t in terms.items()})
-            _add_coefficient_rows(solver, expansions)
+        for j in range(len(commutators.tests)):
+            _add_coefficient_rows(
+                solver, [_orders_up_to(row[j], order - r, r) for r, row in entries]
+            )
         basis = [
             _series_from_vector(act, blocks, vec) for vec in solver.kernel()
         ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)
     return out
+
+
+def check_slicing_grading(space):
+    """Require of a ``SymplecticSpace`` the grading quantum-center slicing
+    needs: the uniform default weights with a graded bivector, so the
+    parameter has weight 2 and each slice has finitely many series
+    orders."""
+    if not space.grading_is_uniform():
+        raise ValidationError(
+            "quantum-center slicing requires the uniform default weights"
+        )
+    space.check_graded_bivector()
+
+
+def _quantum_tests(act: HamiltonianAction, invariants: GradedSubspace,
+                   test_degree: int, generators: list[Poly] | None
+                   ) -> list[Poly]:
+    """The generators when every hamiltonian has degree at most 2, else the
+    whole invariant basis up to the test cutoff."""
+    if all(h.degree() <= 2 for h in act.hamiltonians):
+        # the product is invariant, so products of generators expand into
+        # lower-degree invariants
+        if generators is None:
+            return invariant_generators(invariants, test_degree)
+        return generators
+    return [
+        u
+        for degree in invariants.degrees()
+        if degree <= test_degree
+        for u in invariants.basis(degree)
+    ]
 
 
 def _series_from_vector(act, blocks, vector) -> HSeries:
@@ -391,13 +463,17 @@ def compare_centers(
     act: HamiltonianAction, max_degree: int, test_degree: int
 ) -> CenterReport:
     """Assemble the per-degree comparison table of both centers."""
+    check_slicing_grading(act.space)
     invariants = invariants_up_to(act, test_degree)
     generators = invariant_generators(invariants, test_degree)
+    tests = _quantum_tests(act, invariants, test_degree, generators)
+    commutators = _commutator_table(act, invariants, max_degree, tests,
+                                    max(act.order, 1))
     poisson = poisson_center_up_to(
-        act, max_degree, test_degree, invariants, generators
+        act, max_degree, test_degree, invariants, generators, commutators
     )
     quantum = quantum_center_up_to(
-        act, max_degree, test_degree, invariants, generators
+        act, max_degree, test_degree, invariants, generators, commutators
     )
     names = act.space.names
     rows = []

@@ -2,7 +2,9 @@
 
 All sampling is seeded; two runs with the same seed produce identical
 samples, keeping reports byte-stable.  Each ``sample_*`` call lists the
-monomials of every degree once and draws from those tables.  A coefficient
+monomials of every degree once and draws from those tables; homogeneous
+pairs regroup them by weight under the space's weights, so each factor is
+weight-homogeneous whatever the grading.  A coefficient
 is drawn as a numerator and then a denominator, each by one ``choice``, and
 read from a table of the 18 pairs built once at import, so drawing builds no
 ``Fraction``; only terms drawn twice add.  Terms that cancel are dropped.
@@ -94,20 +96,35 @@ def sample_triples(
     return out
 
 
+def _weight_classes(space: SymplecticSpace, max_degree: int
+                    ) -> list[list[Exponent]]:
+    """Monomials of degree at most ``max_degree`` grouped by their weight
+    under the space's weights, in the order the degree tables first reach
+    each weight.  Under the uniform weights class d is the degree-d table."""
+    classes: dict[int, list[Exponent]] = {}
+    for mons in _monomial_tables(space.nvars, max_degree):
+        for m in mons:
+            weight = sum(e * w for e, w in zip(m, space.weights))
+            classes.setdefault(weight, []).append(m)
+    return list(classes.values())
+
+
 def sample_homogeneous_pairs(
     seed: int, space: SymplecticSpace, count: int, max_degree: int
 ) -> list[tuple[Poly, Poly]]:
+    """Pairs of weight-homogeneous polynomials of degree at most
+    ``max_degree``, each factor drawn from one weight class."""
     rng = random.Random(seed)
     nv = space.nvars
-    tables = _monomial_tables(nv, max_degree)
+    classes = _weight_classes(space, max_degree)
     out = []
     for _ in range(count):
-        d1 = rng.randint(0, max_degree)
-        d2 = rng.randint(0, max_degree)
+        c1 = rng.randint(0, len(classes) - 1)
+        c2 = rng.randint(0, len(classes) - 1)
         out.append(
             (
-                _draw_homogeneous(rng, nv, tables[d1]),
-                _draw_homogeneous(rng, nv, tables[d2]),
+                _draw_homogeneous(rng, nv, classes[c1]),
+                _draw_homogeneous(rng, nv, classes[c2]),
             )
         )
     return out

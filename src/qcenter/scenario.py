@@ -14,8 +14,9 @@ every scalar into a ``Fraction``, once (``ParseError``); building
 constructs the mathematical objects from those values and runs their
 structural validation (``ValidationError``): bracket antisymmetry and the
 Jacobi identity, bivector antisymmetry and invertibility, invariance of
-designated generators, hamiltonian equivariance, and the quantum
-condition.
+designated generators, hamiltonian equivariance, the quantum condition,
+and, when the task list holds ``centers``, the uniform default grading
+with a graded bivector that quantum-center slicing needs.
 
 Field reference (see the README for the full schema):
 
@@ -51,7 +52,7 @@ from .action import (
     check_classical_limit_triangle,
     check_quantum_moment_condition,
 )
-from .centers import compare_centers, invariants_up_to
+from .centers import check_slicing_grading, compare_centers, invariants_up_to
 from .errors import ParseError, QCenterError, ValidationError
 from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
@@ -465,6 +466,11 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         weights=scenario.weights,
         hbar_weight=scenario.hbar_weight,
     )
+    if "centers" in scenario.tasks:
+        try:
+            check_slicing_grading(space)
+        except ValidationError as exc:
+            raise ValidationError(f"the centers task cannot run: {exc}") from None
     labels = list(scenario.lie_labels)
     brackets = {
         (i, j): {k: value for k, value in comps}

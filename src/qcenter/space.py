@@ -109,10 +109,11 @@ class SymplecticSpace:
         nonzero entry ``P[i][j]``.
         """
         for i, j, _ in self.bivector_entries():
-            if self.weights[i] + self.weights[j] != -self.hbar_weight:
+            pair = self.weights[i] + self.weights[j]
+            if pair != -self.hbar_weight:
                 raise ValidationError(
                     "bivector is not graded: weights "
-                    f"w[{i}]+w[{j}] != -{self.hbar_weight}"
+                    f"w[{i}]+w[{j}] = {pair} != {-self.hbar_weight}"
                 )
 
     def poly_weight(self, f: Poly) -> int | None:

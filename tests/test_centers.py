@@ -257,7 +257,7 @@ def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
 
 def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
     """The kernel builds one slot per nonzero polynomial it prepares.  Each
-    candidate, block, quantum coefficient and test element is prepared once
+    candidate, quantum coefficient and test element is prepared once
     however many partners it meets, so the slot count is the number of
     operands, not the number of pairs."""
     act = torus4_action
@@ -276,15 +276,11 @@ def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
     candidates = sum(invariants.dimension(d) for d in range(5))
     assert len(built) == candidates + len(generators)
 
+    # a basis element enters the commutator table once, not once per
+    # series order it stands at
     built.clear()
     quantum_center_up_to(act, 4, 6, invariants, generators)
-    k = act.space.hbar_weight
-    blocks = sum(
-        invariants.dimension(d - k * r)
-        for d in range(5)
-        for r in range(min(act.order, d // k) + 1)
-    )
-    assert len(built) == blocks + len(generators)
+    assert len(built) == candidates + len(generators)
 
     built.clear()
     sp = act.space

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qcenter
 import qcenter.scenario as scenario_mod
 from qcenter.cli import main
 from qcenter.scenario import (
@@ -461,3 +465,45 @@ def test_lifts_without_invariant_generators_run_with_exit_0(tmp_path, capsys):
         ("w", "2", "2"),
     ]
     assert [e["symbol"] for e in tasks["weyl"]["entries"]] == ["3/2", "2"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_ungraded_centers_scenario_is_refused_with_exit_3(tmp_path, command):
+    # with hbar_weight 0 every series order would be a quantum block of the
+    # same degree: the centers task needs the graded default and is refused
+    # before any slice is built, in a fresh process under a time limit
+    data = dict(MINIMAL_TORUS, space={"pairs": 1, "hbar_weight": 0},
+                truncation=10**9, tasks=["centers"])
+    path = write_scenario(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", command, path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stderr == (
+        "validation error: the centers task cannot run: bivector is not "
+        "graded: weights w[0]+w[1] = -2 != 0\n"
+    )
+    assert "Traceback" not in done.stderr
+
+
+def test_nonuniform_weights_with_centers_are_refused_with_exit_3(tmp_path, capsys):
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["space"] = {"pairs": 1, "weights": [1, -1], "hbar_weight": 0}
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: the centers task cannot run: quantum-center "
+        "slicing requires the uniform default weights\n"
+    )
+
+
+def test_nonuniform_weights_pass_the_axioms_task_with_exit_0(tmp_path, capsys):
+    # the homogeneity samples are drawn by weight class, not by degree
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["space"] = {"pairs": 1, "weights": [1, -1], "hbar_weight": 0}
+    data["tasks"] = ["axioms"]
+    path = write_scenario(tmp_path, data)
+    assert main(["run", path]) == 0
+    assert "task axioms: PASS" in capsys.readouterr().out
