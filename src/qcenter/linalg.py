@@ -22,8 +22,8 @@ support in canonical monomial order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ValidationError
 from .poly import Exponent, Poly, monomial_key

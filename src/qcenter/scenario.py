@@ -18,6 +18,18 @@ designated generators, hamiltonian equivariance, the quantum condition,
 and, when the task list holds ``centers``, the uniform default grading
 with a graded bivector that quantum-center slicing needs.
 
+Parsing also enforces a size budget, before anything is built from the
+document (``ValidationError``):
+
+* ``MAX_CANDIDATES`` bounds the number of monomials of degree at most
+  ``max(test_degree, 2)`` in the ``2n`` coordinates, ``C(2n + D, D)``.
+  Those are the candidates of every invariant and center slice; degree 2
+  at least, so that the ``2n x 2n`` bivector is inside the budget too.
+* ``MAX_WORD_LENGTH`` bounds the degree of each invariant generator and
+  section correction, the longest word its symmetrization orders and
+  rewrites, so the recursive word rewriting stays well inside Python's
+  recursion limit.
+
 Field reference (see the README for the full schema):
 
 * ``name``, ``description``
@@ -83,6 +95,8 @@ TASK_ORDER = (
     "weyl",
 )
 _SAMPLE_SEED = 0x5EED
+MAX_CANDIDATES = 10**6
+MAX_WORD_LENGTH = 24
 
 
 @dataclass(frozen=True)
@@ -170,9 +184,24 @@ def _integer(value, key: str) -> int:
         raise ValidationError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _check_bounds(truncation: int, max_degree: int, test_degree: int
+def _candidate_count(nvars: int, degree: int, limit: int) -> int:
+    """C(nvars + degree, degree), the number of monomials of degree at
+    most ``degree`` in ``nvars`` variables, or the first partial product
+    above ``limit``.  Each step at least doubles the count, so this takes
+    at most about log2(limit) steps however large the inputs are."""
+    k = min(nvars, degree)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (nvars + degree - k + i) // i
+        if count > limit:
+            break
+    return count
+
+
+def _check_bounds(pairs: int, truncation: int, max_degree: int, test_degree: int
                   ) -> tuple[int, int, int]:
-    """Reject truncation and degree bounds that no task could run with."""
+    """Reject truncation and degree bounds that no task could run with,
+    and scenarios over the candidate budget."""
     for key, value in (("truncation", truncation), ("max_degree", max_degree),
                        ("test_degree", test_degree)):
         if value < 0:
@@ -181,7 +210,23 @@ def _check_bounds(truncation: int, max_degree: int, test_degree: int
         raise ValidationError(
             f"max_degree {max_degree} exceeds test_degree {test_degree}"
         )
+    if _candidate_count(2 * pairs, max(test_degree, 2), MAX_CANDIDATES) > MAX_CANDIDATES:
+        raise ValidationError(
+            f"space.pairs {pairs} with test_degree {test_degree} gives more "
+            f"than {MAX_CANDIDATES} candidate monomials, over the size budget"
+        )
     return truncation, max_degree, test_degree
+
+
+def _word_check(expr: str, labels: Sequence[str], where: str) -> Poly:
+    """A polynomial in the Lie algebra labels within the word-length budget."""
+    f = _syntax_check(expr, labels, where)
+    if f.degree() > MAX_WORD_LENGTH:
+        raise ValidationError(
+            f"{where} has degree {f.degree()}, over the word-length budget "
+            f"of {MAX_WORD_LENGTH}"
+        )
+    return f
 
 
 def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
@@ -199,6 +244,12 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         raise ValidationError("space.pairs must be an integer, not a boolean")
     if pairs < 1:
         raise ParseError("space.pairs must be a positive integer")
+    truncation, max_degree, test_degree = _check_bounds(
+        pairs,
+        _integer(data.get("truncation", 8), "truncation"),
+        _integer(data.get("max_degree", 8), "max_degree"),
+        _integer(data.get("test_degree", 10), "test_degree"),
+    )
     weights = space_data.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != 2 * pairs:
@@ -261,16 +312,14 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     generator_names = []
     for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
         gen_name = _require(entry, "name", str, "invariant generator")
-        poly = _syntax_check(
+        poly = _word_check(
             _require(entry, "poly", str, "invariant generator"),
             labels,
             f"invariant generator {gen_name!r}",
         )
         corrections = []
-        section = _object(
-            entry.get("section_correction", {}),
-            f"section correction of {gen_name!r}",
-        )
+        where = f"section correction of {gen_name!r}"
+        section = _object(entry.get("section_correction", {}), where)
         for order_str, expr in sorted(section.items()):
             try:
                 order = int(order_str)
@@ -278,14 +327,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                 raise ParseError(
                     f"section correction order {order_str!r} is not an integer"
                 ) from None
-            corrections.append(
-                (
-                    order,
-                    _syntax_check(
-                        expr, labels, f"section correction of {gen_name!r}"
-                    ),
-                )
-            )
+            corrections.append((order, _word_check(expr, labels, where)))
         generators.append(InvariantGenerator(gen_name, poly, tuple(corrections)))
         generator_names.append(gen_name)
 
@@ -374,11 +416,6 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     for key, count in counts.items():
         if count < 0:
             raise ValidationError(f"samples.{key} must be non-negative, got {count}")
-    truncation, max_degree, test_degree = _check_bounds(
-        _integer(data.get("truncation", 8), "truncation"),
-        _integer(data.get("max_degree", 8), "max_degree"),
-        _integer(data.get("test_degree", 10), "test_degree"),
-    )
     return Scenario(
         name=name,
         description=data.get("description", ""),
@@ -577,7 +614,8 @@ def run_scenario(
             max_degree=new_max,
             test_degree=max(scenario.test_degree, new_max + 2),
         )
-        _check_bounds(scenario.truncation, scenario.max_degree, scenario.test_degree)
+        _check_bounds(scenario.pairs, scenario.truncation, scenario.max_degree,
+                      scenario.test_degree)
     built = build_scenario(scenario)
     report = RunReport(
         scenario.name,

@@ -40,6 +40,17 @@ class HSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", kept)
 
+    @classmethod
+    def _trusted(cls, nvars: int, order: int, terms: dict[int, Poly]) -> "HSeries":
+        """Wrap a terms dict without copying or checking it.  Only for dicts
+        the caller built itself: increasing orders in 0..order, each mapped
+        to a nonzero polynomial over ``nvars`` variables."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("HSeries is immutable")
 

@@ -23,10 +23,11 @@ only its nonzero orders, which is also how ``HSeries.terms`` stores a
 truncated series: a series enters the kernel as its ``terms``, and a
 truncated product is the kernel's capped output, wrapped as it is.
 
-The kernel works in integers: each slot of a prepared operand holds
-integer numerators over one denominator (the lcm of its term
-denominators), and each ``S_l`` is kept as integer numerators over its
-own denominator, computed once per product object on first use.  Exponent tuples are packed into one integer, so
+The kernel works in integers: each slot of a prepared operand holds integer
+numerators over one denominator (the lcm of its term denominators), and
+each ``S_l`` is kept as integer numerators over its own denominator,
+computed once per product object on first use together with the lcm of the
+denominators up to it.  Exponent tuples are packed into one integer, so
 multiplying monomials is an integer addition.  Derivatives are taken one
 variable at a time on the packed exponents, so the falling factorials build
 up in the numerators; each d^a of each slot is computed once per operand,
@@ -43,7 +44,16 @@ result is cached.
 Every contraction method accepts a prepared operand in place of a
 polynomial, an expansion or a series, so a caller that meets the same
 operand in several products prepares it once (``StarProduct.prepare``).
-Preparing a series checks that it carries the product's truncation.
+Preparing a series checks that it carries the product's truncation.  A
+prepared operand carries everything a call reads of it: its slots by
+order, the highest slot degree, the lcm of the slot denominators and the
+highest order.  A call reads these facts instead of scanning the slots,
+and scans only when its cap drops a slot; the kept slots then contract
+under the whole operand's degree and denominator, which is exact, since a
+larger degree only widens the packed fields and a larger denominator only
+enlarges the common one that the output ``Fraction``s reduce.  The
+kernel's output is sorted, nonzero and within the cap, so the series
+products wrap it without checking it again.
 Packed fields are at least ``_MIN_BITS`` wide and sized to the largest
 exponent sum a pair can produce; a slot is repacked, its derivative tables
 dropped, only when a partner needs wider fields, so widths only grow and
@@ -95,8 +105,6 @@ class _Slot:
         self.tables: list[Table] = []
 
     def pack(self, bits: int, shifts: range):
-        if self.bits == bits:
-            return
         den = self.den
         self.tables = [{(): [
             (sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator))
@@ -104,10 +112,11 @@ class _Slot:
         ]}]
         self.bits = bits
 
-    def derivatives(self, level: int, shifts: range, mask: int) -> Table:
-        """The nonzero d^alpha with |alpha| == level.  Each new level
-        differentiates the previous one once more, raising only indices at
-        or after the last raised one, so each multi-index is reached once."""
+    def derivatives(self, level: int, shifts: range, mask: int) -> list[Table]:
+        """The tables of levels 0 .. ``level`` (at least): level l holds the
+        nonzero d^alpha with |alpha| == l.  Each new level differentiates
+        the previous one once more, raising only indices at or after the
+        last raised one, so each multi-index is reached once."""
         tables = self.tables
         nv = len(shifts)
         while len(tables) <= level:
@@ -120,23 +129,41 @@ class _Slot:
                     if d:
                         nxt[alpha + (i,)] = d
             tables.append(nxt)
-        return tables[level]
+        return tables
 
 
 class Prepared:
     """A finite expansion {order: Poly} in the kernel's integer form.
 
-    Built by ``StarProduct.prepare``.  Its slots keep their numerators and
-    derivative tables across calls, so it costs its set-up once however
-    many contractions it enters.  It holds nothing else: keep one for as
-    long as its polynomials recur and then let it go.
+    Built by ``StarProduct.prepare``.  It carries everything the kernel
+    reads of an operand: ``slots``, one ``_Slot`` per nonzero order, and
+    the facts about them, ``degree`` (the highest slot degree), ``den``
+    (the lcm of the slot denominators) and ``top`` (the highest order).
+    The slots keep their numerators and derivative tables across calls,
+    so an operand costs its set-up once however many contractions it
+    enters.  It holds nothing else: keep one for as long as its
+    polynomials recur and then let it go.
     """
 
-    __slots__ = ("nvars", "slots")
+    __slots__ = ("nvars", "slots", "degree", "den", "top")
 
     def __init__(self, nvars: int, slots: dict[int, _Slot]):
         self.nvars = nvars
         self.slots = slots
+        self.degree = max([s.degree for s in slots.values()], default=-1)
+        self.den = lcm(*[s.den for s in slots.values()])
+        self.top = max(slots, default=-1)
+
+    @classmethod
+    def _single(cls, nvars: int, slot: _Slot) -> "Prepared":
+        """One slot at order 0, its facts set without a scan."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.slots = {0: slot}
+        self.degree = slot.degree
+        self.den = slot.den
+        self.top = 0
+        return self
 
 
 Operand = Union[Poly, HSeries, Mapping[int, Union[Poly, Prepared]], Prepared]
@@ -151,6 +178,10 @@ class StarProduct:
         self.space = space
         self.order = order
         self._symbol_powers: list[SymbolPower] = []
+        # entry l: (lcm of the denominators of S_0..S_l, lcm of those of
+        # the odd levels among them), a call's common symbol denominator
+        # when l is its top level
+        self._level_dens: list[tuple[int, int]] = []
         # {bits: {packed exponents: exponent tuple}} for output monomials
         self._unpacked: dict[int, dict[int, tuple[int, ...]]] = {}
         # {den: {numerator: Fraction(numerator, den)}} for output coefficients
@@ -171,9 +202,8 @@ class StarProduct:
         # and two wrapped calls per contraction would swamp the spans.
         nv = self.space.nvars
         if isinstance(x, Poly):
-            if x.nvars != nv:
-                raise DimensionError("polynomial does not live on this space")
-            return Prepared(nv, {0: _Slot(x)} if x.terms else {})
+            slot = self._slot(x)
+            return Prepared(nv, {}) if slot is None else Prepared._single(nv, slot)
         if isinstance(x, Prepared):
             if x.nvars != nv:
                 raise DimensionError("operand does not live on this space")
@@ -184,19 +214,33 @@ class StarProduct:
             x = x.terms
         slots: dict[int, _Slot] = {}
         for r, v in x.items():
-            for s, slot in self._prepare(v).slots.items():
+            if r < 0:
+                raise ValueError(f"negative order {r} in an expansion")
+            if isinstance(v, Poly):
+                slot = self._slot(v)
+                parts = () if slot is None else ((0, slot),)
+            else:
+                parts = self._prepare(v).slots.items()
+            for s, slot in parts:
                 if r + s in slots:
                     raise ValueError(f"two prepared parts at order {r + s}")
                 slots[r + s] = slot
         return Prepared(nv, slots)
+
+    def _slot(self, f: Poly) -> _Slot | None:
+        if f.nvars != self.space.nvars:
+            raise DimensionError("polynomial does not live on this space")
+        return _Slot(f) if f.terms else None
 
     def _symbol_powers_up_to(self, level: int) -> list[SymbolPower]:
         """S_0 .. S_level (at least), each as integer numerators over one
         denominator, grouped by the left multi-index.  Built on first use
         from S_l = S_(l-1) * P / (2 l)."""
         powers = self._symbol_powers
+        dens = self._level_dens
         if not powers:
             powers.append((1, {(): [((), 1)]}))
+            dens.append((1, 1))
         while len(powers) <= level:
             l = len(powers)
             den, prev = powers[-1]
@@ -212,6 +256,8 @@ class StarProduct:
             for (a, b), v in scaled.items():
                 grouped.setdefault(a, []).append((b, int(v * new_den)))
             powers.append((new_den, grouped))
+            every, odd = dens[-1]
+            dens.append((lcm(every, new_den), lcm(odd, new_den) if l % 2 else odd))
         return powers
 
     def _contract(
@@ -224,44 +270,76 @@ class StarProduct:
         for an antisymmetric bivector, so this is the expansion of
         ``A*B - B*A``.
         """
-        left = [(r, s) for r, s in A.slots.items() if cap is None or r <= cap]
-        right = [(r, s) for r, s in B.slots.items() if cap is None or r <= cap]
-        if not left or not right:
+        if not A.slots or not B.slots:
             return {}
+        left = A.slots.items()
+        right = B.slots.items()
+        deg_a, deg_b = A.degree, B.degree
+        top = deg_a if deg_a < deg_b else deg_b
+        if cap is not None:
+            # a dropped slot may leave the operand's degree and denominator
+            # larger than the kept slots need: that only widens the fields
+            # and the common denominator, which the Fractions reduce
+            if A.top > cap:
+                left = [(r, s) for r, s in left if r <= cap]
+            if B.top > cap:
+                right = [(r, s) for r, s in right if r <= cap]
+            if not left or not right:
+                return {}
+            if cap < top:
+                top = cap
         first, step = (1, 2) if odd else (0, 1)
-        deg_a = max([s.degree for _, s in left])
-        deg_b = max([s.degree for _, s in right])
-        top = min(deg_a, deg_b) if cap is None else min(deg_a, deg_b, cap)
-        levels = self._symbol_powers_up_to(top)
-        den_s = lcm(*[den for den, _ in levels[first:top + 1:step]])
+        levels = self._symbol_powers
+        if len(levels) <= top:
+            levels = self._symbol_powers_up_to(top)
+        den_s = self._level_dens[top][odd]
 
         # every slot at one width that holds the largest exponent sum; a
         # slot packed wider for an earlier partner sets it
+        bits = (deg_a + deg_b).bit_length()
+        if bits < _MIN_BITS:
+            bits = _MIN_BITS
+        for _, s in left:
+            if s.bits > bits:
+                bits = s.bits
+        for _, s in right:
+            if s.bits > bits:
+                bits = s.bits
         nv = self.space.nvars
-        bits = max(_MIN_BITS, (deg_a + deg_b).bit_length(),
-                   *[s.bits for _, s in left], *[s.bits for _, s in right])
         mask = (1 << bits) - 1
         shifts = range(0, bits * nv, bits)
-        for _, s in left + right:
-            s.pack(bits, shifts)
-        den_a = lcm(*[s.den for _, s in left])
-        den_b = lcm(*[s.den for _, s in right])
+        for _, s in left:
+            if s.bits != bits:
+                s.pack(bits, shifts)
+        for _, s in right:
+            if s.bits != bits:
+                s.pack(bits, shifts)
+        den_a, den_b = A.den, B.den
+        two = 2 if odd else 1
 
         sums: dict[int, dict[int, int]] = {}
         for a, sa in left:
             for b, sb in right:
-                last = min(sa.degree, sb.degree)
-                if cap is not None:
-                    last = min(last, cap - a - b)
-                scale = den_a // sa.den * (den_b // sb.den) * (2 if odd else 1)
+                last = sa.degree if sa.degree < sb.degree else sb.degree
+                if cap is not None and cap - a - b < last:
+                    last = cap - a - b
+                if last < first:
+                    continue
+                last -= (last - first) % step
+                scale = den_a // sa.den * (den_b // sb.den) * two
+                tables_a = sa.tables
+                if len(tables_a) <= last:
+                    tables_a = sa.derivatives(last, shifts, mask)
+                tables_b = sb.tables
+                if len(tables_b) <= last:
+                    tables_b = sb.derivatives(last, shifts, mask)
                 for level in range(first, last + 1, step):
                     den, symbol = levels[level]
                     weight = den_s // den * scale
-                    ta = sa.derivatives(level, shifts, mask)
-                    tb = sb.derivatives(level, shifts, mask)
+                    tb = tables_b[level]
                     acc = sums.setdefault(a + b + level, {})
                     get = acc.get
-                    for alpha, x in ta.items():
+                    for alpha, x in tables_a[level].items():
                         for beta, c in symbol.get(alpha, ()):
                             y = tb.get(beta)
                             if y is None:
@@ -309,7 +387,7 @@ class StarProduct:
         """Bilinear continuous extension of the product to truncated series.
         A prepared operand stands for its expansion at this truncation."""
         terms = self._contract(self._prepare(F), self._prepare(G), self.order)
-        return HSeries(self.space.nvars, self.order, terms)
+        return HSeries._trusted(self.space.nvars, self.order, terms)
 
     # -- brackets -----------------------------------------------------------------
 
@@ -334,7 +412,7 @@ class StarProduct:
         expansion at this truncation."""
         terms = self._contract(self._prepare(F), self._prepare(G), self.order,
                                odd=True)
-        return HSeries(self.space.nvars, self.order, terms)
+        return HSeries._trusted(self.space.nvars, self.order, terms)
 
     # -- exact arithmetic on untruncated expansions --------------------------------
 

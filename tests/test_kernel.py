@@ -180,3 +180,69 @@ def test_wide_fields_match_oracle():
             space, g, f
         )
 
+
+
+def _uneven_expansion(space) -> dict[int, Poly]:
+    """Low orders of small degree and denominator; the top order holds both
+    the highest degree and the largest denominator."""
+    q1, p1, q2, p2 = (space.q(1), space.p(1), space.q(2), space.p(2))
+    return {
+        0: q1 * p2 + p1.scale(Fraction(1, 2)),
+        1: q2 * q2 - Poly.constant(space.nvars, 3),
+        3: (q1 * q1 * p1 * p2 + q2 * p2 * p2).scale(Fraction(5, 11)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_capped_expansion_drops_the_slot_that_sets_its_facts(kind):
+    space = SPACES[kind]
+    A = _uneven_expansion(space)
+    f, g = _operands(space, 16)[:2]
+    B = {0: f, 2: g}
+    full = StarProduct(space, 3)
+    pA, pB = full.prepare(A), full.prepare(B)
+    assert full.product_terms(pA, pB) == _oracle_series(space, A, B, None)
+    for cap in range(4):
+        star = StarProduct(space, cap)
+        # the truncation drops order 3 of A, and order 2 of B below cap 2
+        qA, qB = star.prepare(A), star.prepare(B)
+        assert star.star(qA, qB).terms == _oracle_series(space, A, B, cap)
+        assert star.star_commutator(qA, qB).terms == _oracle_series(
+            space, A, B, cap, commutator=True
+        )
+        assert full.commutator_terms(pA, pB, cap) == _oracle_series(
+            space, A, B, cap, commutator=True
+        )
+        assert full.commutator_terms(pB, pA, cap) == _oracle_series(
+            space, B, A, cap, commutator=True
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_one_slot_shared_at_two_shifts(kind):
+    space = SPACES[kind]
+    star = StarProduct(space, 4)
+    f, g, h = _operands(space, 17)[:3]
+    pf = star.prepare(f)
+    first = star.prepare({0: pf, 2: g})
+    second = star.prepare({1: pf, 3: star.prepare(h)})
+    A, B = {0: f, 2: g}, {1: f, 3: h}
+    assert star.expansion_product(first, second) == _oracle_series(space, A, B, None)
+    assert star.expansion_product(second, first) == _oracle_series(space, B, A, None)
+    assert star.star(first, second).terms == _oracle_series(space, A, B, 4)
+    assert star.commutator_terms(second, pf) == _oracle_series(
+        space, B, {0: f}, None, commutator=True
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_series_products_are_what_the_checking_constructor_keeps(kind):
+    space = SPACES[kind]
+    star = StarProduct(space, 3)
+    rng = random.Random(18)
+    for _ in range(3):
+        F, G = _series(space, rng, 3), _series(space, rng, 3)
+        for result in (star.star(F, G), star.star_commutator(F, G),
+                       star.star(F, star.prepare(_uneven_expansion(space)))):
+            checked = HSeries(space.nvars, 3, result.terms)
+            assert list(result.terms.items()) == list(checked.terms.items())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +466,70 @@ def test_lifts_without_invariant_generators_run_with_exit_0(tmp_path, capsys):
         ("w", "2", "2"),
     ]
     assert [e["symbol"] for e in tasks["weyl"]["entries"]] == ["3/2", "2"]
+
+
+def _torus_k2(**space) -> dict:
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["space"] = dict(data["space"], **space)
+    return data
+
+
+def _long_word_torus(**generator) -> dict:
+    data = _torus_k2()
+    data["lie_algebra"]["invariant_generators"][0].update(generator)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # the dense 2n x 2n bivector alone would not fit
+        (
+            _torus_k2(pairs=10**6),
+            "validation error: space.pairs 1000000 with test_degree 10 gives "
+            "more than 1000000 candidate monomials, over the size budget\n",
+        ),
+        # symmetrizing the generator recursed once per letter
+        (
+            _long_word_torus(poly="t^100000"),
+            "validation error: invariant generator 't' has degree 100000, over "
+            "the word-length budget of 24\n",
+        ),
+        (
+            _long_word_torus(section_correction={"2": "t^25"}),
+            "validation error: section correction of 't' has degree 25, over "
+            "the word-length budget of 24\n",
+        ),
+    ],
+    ids=["pairs", "word_length", "correction_word_length"],
+)
+def test_oversized_scenarios_are_refused_with_exit_3(tmp_path, data, message):
+    # a fresh process under a 1.5 GB address-space limit: the budget refuses
+    # the document before anything is built from it
+    path = write_scenario(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    limit = 1_500_000_000
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", "validate", path],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stderr) == (3, message)
+
+
+def test_candidate_budget_follows_the_cli_degree(tmp_path, capsys):
+    # 8 coordinates: C(8 + 16, 16) = 735471 candidates fit, C(8 + 17, 17) do not
+    data = dict(_torus_k2(pairs=4), tasks=[], max_degree=2, test_degree=16)
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 0
+    data["test_degree"] = 17
+    assert main(["validate", write_scenario(tmp_path, data, "over.json")]) == 3
+    assert main(["run", path, "--max-degree", "15"]) == 3
+    assert "over the size budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
