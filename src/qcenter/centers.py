@@ -27,6 +27,10 @@ Both systems are shrunk without changing any answer:
   hamiltonian can be invariant, and only the other hamiltonians are
   eliminated.  The dropped columns are unit rows of the full system,
   which the canonical kernel sets to zero, so every basis is unchanged.
+  The same derivation rule, ``{h, x^e} = sum_j e_j x^(e - eps_j) {h, x_j}``,
+  builds the rows of the other hamiltonians from their coordinate
+  brackets: each hamiltonian is bracketed with the coordinates once per
+  solve, and no candidate goes through the kernel.
 * *Generators as test elements.*  ``invariant_generators`` keeps, degree
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
@@ -54,9 +58,7 @@ of its entry up to ``order - r``, raised by ``r``; a basis element that
 stands at several series orders is expanded once, not once per order.
 ``compare_centers`` builds the table once, to the action's truncation,
 and hands it to both center functions; called alone, each builds its own,
-the Poisson center to order 1.  The table lives for one call.  The
-invariant solve prepares its non-diagonal hamiltonians once per call and
-its candidates once per degree.
+the Poisson center to order 1.  The table lives for one call.
 
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
@@ -70,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .action import HamiltonianAction
@@ -82,66 +84,99 @@ from .linalg import (
     reduce_poly_span,
     span_combinations,
 )
-from .poly import Poly, monomial_key, monomials_of_degree, poly_sum
+from .poly import Exponent, Poly, monomial_key, monomial_table, poly_sum
 from .series import HSeries
-from .star import Prepared
 
 
 def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     """Per-degree bases of polynomials killed by every hamiltonian bracket.
 
     Candidates are the monomials of weight zero for every diagonal
-    hamiltonian; only the other hamiltonians are eliminated.
+    hamiltonian; the rows of the others come from their brackets with
+    the coordinates, taken once (``_add_bracket_rows``).
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
-    prepare = act.star.prepare
     weights: list[list[int]] = []
-    others: list[Prepared] = []
+    others = []  # _derivation_terms of each non-diagonal hamiltonian
     for h in act.hamiltonians:
-        ph = prepare(h)
-        w = _diagonal_weights(act, ph)
+        brackets = _coordinate_brackets(act, h)
+        w = _diagonal_weights(brackets)
         if w is None:
-            others.append(ph)
+            others.append(_derivation_terms(brackets, max_degree))
         else:  # only the zero set matters: scale to integers
             scale = lcm(*(x.denominator for x in w))
             weights.append([int(x * scale) for x in w])
+    one = Fraction(1)
     slices: dict[int, list[Poly]] = {}
-    for degree in range(max_degree + 1):
-        candidates = [
-            Poly.monomial(nv, m)
-            for m in monomials_of_degree(nv, degree)
-            if not any(sum(map(mul, m, w)) for w in weights)
+    for degree, candidates in enumerate(monomial_table(nv, max_degree)):
+        for w in weights:
+            candidates = [m for m in candidates if not sum(map(mul, m, w))]
+        if not others:
+            slices[degree] = [Poly._trusted(nv, {m: one}) for m in candidates]
+            continue
+        solver = EchelonAccumulator(len(candidates))
+        for terms in others:
+            _add_bracket_rows(solver, terms, candidates)
+        slices[degree] = [
+            Poly._trusted(nv, {m: c for m, c in zip(candidates, vec) if c})
+            for vec in solver.kernel()
         ]
-        if others:
-            solver = EchelonAccumulator(len(candidates))
-            prepared = [prepare(c) for c in candidates]
-            for h in others:
-                _add_coefficient_rows(
-                    solver, [{0: act.star.poisson(h, c)} for c in prepared]
-                )
-            candidates = [
-                _combine(candidates, vec, nv) for vec in solver.kernel()
-            ]
-        slices[degree] = candidates
     return GradedSubspace(nv, slices)
 
 
-def _diagonal_weights(act: HamiltonianAction, h: Prepared
-                      ) -> list[Fraction] | None:
-    """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` for every
-    coordinate, or None when the bracket with ``h`` is not diagonal."""
+def _coordinate_brackets(act: HamiltonianAction, h: Poly) -> list[Poly]:
+    """``{h, x_j}`` for every coordinate ``x_j``."""
     nv = act.space.nvars
+    ph = act.star.prepare(h)
+    return [act.star.poisson(ph, Poly.variable(nv, j)) for j in range(nv)]
+
+
+def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:
+    """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` read off the
+    coordinate brackets of ``h``, or None when they are not diagonal."""
     weights = []
-    for j in range(nv):
-        x = Poly.variable(nv, j)
-        (exp,) = x.terms
-        bracket = act.star.poisson(h, x).terms
-        if bracket.keys() - {exp}:
+    for j, bracket in enumerate(brackets):
+        (exp,) = Poly.variable(bracket.nvars, j).terms
+        if bracket.terms.keys() - {exp}:
             return None
-        weights.append(bracket.get(exp, Fraction(0)))
+        weights.append(bracket.terms.get(exp, Fraction(0)))
     return weights
+
+
+def _derivation_terms(brackets: Sequence[Poly], max_degree: int) -> list:
+    """``terms[j][k]`` lists the terms of ``k * {h, x_j} / x_j`` for the
+    coordinate brackets ``brackets[j] = {h, x_j}`` and every ``k`` up to
+    ``max_degree`` (none for 0); an exponent may read -1 at ``j``."""
+    out = []
+    for j, bracket in enumerate(brackets):
+        lowered = [(tuple(a - (i == j) for i, a in enumerate(mono)), coeff)
+                   for mono, coeff in bracket.terms.items()]
+        out.append([[]] + [[(mono, coeff * k) for mono, coeff in lowered]
+                           for k in range(1, max_degree + 1)])
+    return out
+
+
+def _add_bracket_rows(solver: EchelonAccumulator, terms: list,
+                      candidates: Sequence[Exponent]):
+    """Require ``{h, sum_c v_c * x^c} == 0`` over the candidate monomials,
+    given the ``_derivation_terms`` of ``h``.  The bracket is a derivation,
+    ``{h, x^e} = sum_j e_j * x^(e - eps_j) * {h, x_j}``, so these are the
+    rows ``_add_coefficient_rows`` makes of the brackets ``{h, x^e}``: one
+    per output monomial in canonical order, columns in candidate order,
+    cancelled entries dropped."""
+    rows: dict[Exponent, dict[int, Fraction]] = {}
+    for col, e in enumerate(candidates):
+        for ej, scaled in zip(e, terms):
+            for mono, coeff in scaled[ej]:
+                row = rows.setdefault(tuple(map(add, mono, e)), {})
+                old = row.get(col)
+                row[col] = coeff if old is None else old + coeff
+    for key in sorted(rows, key=monomial_key):
+        row = {col: value for col, value in rows[key].items() if value}
+        if row:
+            solver.add_row(row)
 
 
 def _add_coefficient_rows(solver: EchelonAccumulator,

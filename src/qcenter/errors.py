@@ -23,6 +23,14 @@ class ValidationError(QCenterError):
     """Structural or mathematical validation of input data failed."""
 
 
+class DegreeCapError(ValidationError):
+    """An expression would expand past the degree cap its parser was given."""
+
+    def __init__(self, degree: int, cap: int):
+        self.degree = degree
+        super().__init__(f"degree {degree} is over the cap of {cap}")
+
+
 class InvalidActionError(ValidationError):
     """Quantum hamiltonians are inconsistent with the Lie algebra structure."""
 

@@ -8,7 +8,10 @@ Grammar (whitespace-insensitive)::
     atom   := rational | name | '(' expr ')'
 
 Rationals are written ``3``, ``-1/2``; names must appear in the supplied
-variable list.  Coefficients stay exact.
+variable list.  Coefficients stay exact.  Under a degree cap, a product
+or power is refused (``DegreeCapError``) before it is expanded when the
+degrees of its operands add up past the cap, so a later cancellation
+does not save it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import DegreeCapError, ParseError
 from .poly import Poly
 
 _TOKEN = re.compile(
@@ -46,8 +49,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], names: Sequence[str]):
+    def __init__(self, tokens: list[tuple[str, str]], names: Sequence[str],
+                 max_degree: int | None):
         self.tokens = tokens
+        self.max_degree = max_degree
         self.pos = 0
         self.names = list(names)
         self.index = {name: i for i, name in enumerate(names)}
@@ -60,6 +65,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def capped(self, degree: int) -> None:
+        """Refuse a result of this degree when it is over the cap."""
+        if self.max_degree is not None and degree > self.max_degree:
+            raise DegreeCapError(degree, self.max_degree)
 
     def expect_op(self, op: str):
         kind, value = self.take()
@@ -88,7 +98,9 @@ class _Parser:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.parse_factor()
+                factor = self.parse_factor()
+                self.capped(result.degree() + factor.degree())
+                result = result * factor
             else:
                 return result
 
@@ -100,6 +112,7 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer")
+            self.capped(base.degree() * int(value))
             base = base ** int(value)
         return base
 
@@ -122,12 +135,15 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}")
 
 
-def parse_poly(text: str, names: Sequence[str]) -> Poly:
-    """Parse an expression into a polynomial over the named variables."""
+def parse_poly(text: str, names: Sequence[str], *,
+               max_degree: int | None = None) -> Poly:
+    """Parse an expression into a polynomial over the named variables,
+    of degree at most ``max_degree`` when one is given."""
     if not isinstance(text, str):
         raise ParseError(f"polynomial must be a string, got {type(text).__name__}")
-    parser = _Parser(_tokenize(text), names)
+    parser = _Parser(_tokenize(text), names, max_degree)
     result = parser.parse_expr()
+    parser.capped(result.degree())
     kind, value = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting at {value!r}")

@@ -387,22 +387,22 @@ def default_names(nvars: int) -> list[str]:
     return [f"x{i+1}" for i in range(nvars)]
 
 
+def monomial_table(nvars: int, max_degree: int) -> list[list[Exponent]]:
+    """``table[d]`` lists the exponent tuples of total degree ``d``, for
+    every ``d`` up to ``max_degree``, canonically ordered.
+
+    The table grows one variable at a time, the new variable's exponent
+    ascending outermost: ``monomial_key`` reads a tuple from the last
+    variable down, so this is the canonical order and nothing is sorted."""
+    table: list[list[Exponent]] = [[()]] + [[] for _ in range(max_degree)]
+    for _ in range(nvars):
+        table = [
+            [t + (e,) for e in range(d + 1) for t in table[d - e]]
+            for d in range(max_degree + 1)
+        ]
+    return table
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, canonically ordered."""
-    if degree < 0:
-        return []
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, slot: int):
-        if slot == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, 0)
-    out.sort(key=monomial_key)
-    return out
-
+    return monomial_table(nvars, degree)[degree] if degree >= 0 else []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .poly import Exponent, Poly, monomials_of_degree
+from .poly import Exponent, Poly, monomial_table, monomials_of_degree
 from .space import SymplecticSpace
 
 # Every coefficient a sample can draw: one row per numerator, over the
@@ -26,11 +26,6 @@ _COEFFICIENTS = [[Fraction(num, den) for den in (1, 1, 2)]
 _WHOLE = [row[0] for row in _COEFFICIENTS]
 
 
-def _monomial_tables(nvars: int, max_degree: int) -> list[list[Exponent]]:
-    """Monomials of each degree 0..max_degree, canonically ordered."""
-    return [monomials_of_degree(nvars, d) for d in range(max_degree + 1)]
-
-
 def random_poly(
     rng: random.Random,
     nvars: int,
@@ -39,7 +34,7 @@ def random_poly(
 ) -> Poly:
     """Sparse random polynomial of bounded degree with small rational
     coefficients; may be zero only with negligible probability."""
-    return _draw_poly(rng, nvars, _monomial_tables(nvars, max_degree), max_terms)
+    return _draw_poly(rng, nvars, monomial_table(nvars, max_degree), max_terms)
 
 
 def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]],
@@ -83,7 +78,7 @@ def sample_triples(
 ) -> list[tuple[Poly, Poly, Poly]]:
     rng = random.Random(seed)
     nv = space.nvars
-    tables = _monomial_tables(nv, max_degree)
+    tables = monomial_table(nv, max_degree)
     out = []
     for _ in range(count):
         out.append(
@@ -102,7 +97,7 @@ def _weight_classes(space: SymplecticSpace, max_degree: int
     under the space's weights, in the order the degree tables first reach
     each weight.  Under the uniform weights class d is the degree-d table."""
     classes: dict[int, list[Exponent]] = {}
-    for mons in _monomial_tables(space.nvars, max_degree):
+    for mons in monomial_table(space.nvars, max_degree):
         for m in mons:
             weight = sum(e * w for e, w in zip(m, space.weights))
             classes.setdefault(weight, []).append(m)
@@ -134,5 +129,5 @@ def sample_polys(
     seed: int, space: SymplecticSpace, count: int, max_degree: int
 ) -> list[Poly]:
     rng = random.Random(seed)
-    tables = _monomial_tables(space.nvars, max_degree)
+    tables = monomial_table(space.nvars, max_degree)
     return [_draw_poly(rng, space.nvars, tables) for _ in range(count)]

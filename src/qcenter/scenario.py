@@ -65,7 +65,7 @@ from .action import (
     check_quantum_moment_condition,
 )
 from .centers import check_slicing_grading, compare_centers, invariants_up_to
-from .errors import ParseError, QCenterError, ValidationError
+from .errors import DegreeCapError, ParseError, QCenterError, ValidationError
 from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
     MonicRelation,
@@ -159,9 +159,10 @@ def _list(data: dict, key: str, where: str) -> list:
     return value
 
 
-def _syntax_check(expr: str, names: Sequence[str], where: str) -> Poly:
+def _syntax_check(expr: str, names: Sequence[str], where: str,
+                  max_degree: int | None = None) -> Poly:
     try:
-        return parse_poly(expr, names)
+        return parse_poly(expr, names, max_degree=max_degree)
     except ParseError as exc:
         raise ParseError(f"bad polynomial in {where}: {exc}") from exc
 
@@ -219,14 +220,15 @@ def _check_bounds(pairs: int, truncation: int, max_degree: int, test_degree: int
 
 
 def _word_check(expr: str, labels: Sequence[str], where: str) -> Poly:
-    """A polynomial in the Lie algebra labels within the word-length budget."""
-    f = _syntax_check(expr, labels, where)
-    if f.degree() > MAX_WORD_LENGTH:
+    """A polynomial in the Lie algebra labels within the word-length
+    budget, refused by the parser before a longer word is expanded."""
+    try:
+        return _syntax_check(expr, labels, where, MAX_WORD_LENGTH)
+    except DegreeCapError as exc:
         raise ValidationError(
-            f"{where} has degree {f.degree()}, over the word-length budget "
+            f"{where} has degree {exc.degree}, over the word-length budget "
             f"of {MAX_WORD_LENGTH}"
-        )
-    return f
+        ) from None
 
 
 def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcenter import ParseError, Poly, parse_poly
+from qcenter.errors import DegreeCapError
 
 
 NAMES = ["q1", "p1"]
@@ -50,3 +51,26 @@ def test_fractional_exponent_rejected():
 def test_non_string_rejected():
     with pytest.raises(ParseError):
         parse_poly(12, NAMES)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "text, cap, degree",
+    [
+        ("(q1 + p1)^3000", 24, 3000),  # refused before the power is expanded
+        ("q1^13 * p1^12", 24, 25),     # a product: the sum of the degrees
+        ("q1^30 - q1^30", 24, 30),     # a partial result over the cap
+        ("q1*p1*q1", 2, 3),
+        ("q1", 0, 1),                  # the whole expression is capped too
+    ],
+)
+def test_degree_cap_refuses_before_expanding(text, cap, degree):
+    with pytest.raises(DegreeCapError) as info:
+        parse_poly(text, NAMES, max_degree=cap)
+    assert info.value.degree == degree
+
+
+def test_degree_cap_admits_the_cap_itself():
+    f = parse_poly("(q1 + p1)^24 - p1^24", NAMES, max_degree=24)
+    assert f == parse_poly("(q1 + p1)^24 - p1^24", NAMES)
+    assert f.degree() == 24
+    assert parse_poly("0*q1^30", NAMES, max_degree=30).is_zero()

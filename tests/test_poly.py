@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qcenter import DimensionError, Poly, SymplecticSpace, monomials_of_degree
-from qcenter.poly import monomial_key, poly_sum
+from qcenter.poly import monomial_key, monomial_table, poly_sum
 from qcenter.sampling import (
     random_poly,
     sample_homogeneous_pairs,
@@ -145,6 +146,20 @@ def test_canonical_term_order():
     assert keys == sorted(keys)
     # grading dominates: any degree-1 monomial sorts before any degree-2 one
     assert monomial_key((0, 0, 0, 1)) < monomial_key((2, 0, 0, 0))
+
+
+@pytest.mark.parametrize("nvars", range(7))
+def test_monomials_of_degree_list_every_monomial_in_canonical_order(nvars):
+    for degree in range(-1, 9):
+        brute = sorted(
+            (e for e in itertools.product(range(degree + 1), repeat=nvars)
+             if sum(e) == degree),
+            key=monomial_key,
+        )
+        assert monomials_of_degree(nvars, degree) == brute
+    assert monomial_table(nvars, 8) == [
+        monomials_of_degree(nvars, d) for d in range(9)
+    ]
 
 
 def test_divide_exact_roundtrip():

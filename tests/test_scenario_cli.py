@@ -394,9 +394,9 @@ def test_each_expression_is_parsed_once(monkeypatch, preset, expressions):
     parsed = []
     parse = scenario_mod.parse_poly
 
-    def counting_parse(text, names):
+    def counting_parse(text, names, **cap):
         parsed.append(text)
-        return parse(text, names)
+        return parse(text, names, **cap)
 
     monkeypatch.setattr(scenario_mod, "parse_poly", counting_parse)
     assert run_scenario(load_scenario(preset)).passed
@@ -519,6 +519,25 @@ def test_oversized_scenarios_are_refused_with_exit_3(tmp_path, data, message):
         preexec_fn=cap_memory,
     )
     assert (done.returncode, done.stderr) == (3, message)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_long_power_of_a_sum_is_refused_before_expansion(tmp_path, command):
+    # expanding (h+e+f)^3000 alone takes far longer than the timeout: the
+    # parser compares the degree a power would have with the budget first
+    data = json.loads(preset_path("sl2_tstar_k2").read_text())
+    data["lie_algebra"]["invariant_generators"][0]["poly"] = "(h+e+f)^3000"
+    path = write_scenario(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", command, path],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (
+        3,
+        "validation error: invariant generator 'casimir' has degree 3000, "
+        "over the word-length budget of 24\n",
+    )
 
 
 def test_candidate_budget_follows_the_cli_degree(tmp_path, capsys):

@@ -6,7 +6,9 @@ bracket with each hamiltonian by brute force over index sequences
 elimination (``dense_nullspace``).  The package keeps only the monomials of
 weight zero for the diagonal hamiltonians and eliminates the others, so
 the cases cover diagonal, partly diagonal and non-diagonal actions,
-rational weights and bivectors other than the standard one.
+a cubic hamiltonian (nonlinear coordinate brackets, which the package's
+rows are built from), rational weights and bivectors other than the
+standard one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from qcenter import (
     monomials_of_degree,
     parse_poly,
 )
-from qcenter.centers import _diagonal_weights
+from qcenter.centers import _coordinate_brackets, _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import brute_force_term, dense_nullspace
@@ -49,10 +51,13 @@ def _preset(name: str) -> HamiltonianAction:
     return build_scenario(load_scenario(name)).action
 
 
-def _torus(expr: str, bivector=None) -> HamiltonianAction:
+def _torus(expr: str, bivector=None, validate=True) -> HamiltonianAction:
+    # a hamiltonian of degree 3 fails the quantum condition: the invariant
+    # solve needs only the classical bracket, so those skip the moment checks
     space = SymplecticSpace(2, bivector=bivector)
     h = parse_poly(expr, space.names)
-    return HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 4), [h])
+    return HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 4), [h],
+                             validate=validate)
 
 
 # name -> (action, top degree, which hamiltonians act diagonally)
@@ -60,6 +65,8 @@ CASES = {
     "torus_k4": (lambda: _preset("torus_k4"), 6, [True]),
     "sl2_tstar_k2": (lambda: _preset("sl2_tstar_k2"), 6, [False, True, False]),
     "non_diagonal": (lambda: _torus("q1*p2 + q1^2"), 6, [False]),
+    # {h, x_j} is quadratic, so the derivation rule shifts nonlinear terms
+    "cubic": (lambda: _torus("q1^2*p2 + q2*p1^2", validate=False), 6, [False]),
     "rational_weights": (lambda: _torus("2*q1*p1 + 1/3*q2*p2"), 7, [True]),
     "rational_weights_low": (lambda: _torus("1/2*q1*p1 - 1/3*q2*p2"), 6, [True]),
     "scaled_bivector": (lambda: _torus("q1*p1 - q2*p2", SCALED_BIVECTOR), 6, [True]),
@@ -99,14 +106,15 @@ def test_invariants_match_full_candidate_elimination(case):
     build, top, diagonal = CASES[case]
     act = build()
     assert [
-        _diagonal_weights(act, h) is not None for h in act.hamiltonians
+        _diagonal_weights(_coordinate_brackets(act, h)) is not None
+        for h in act.hamiltonians
     ] == diagonal
     assert invariants_up_to(act, top) == _oracle_invariants(act, top)
 
 
 def test_diagonal_weights_are_the_bracket_eigenvalues():
     act = _torus("2*q1*p1 + 1/3*q2*p2")
-    weights = _diagonal_weights(act, act.hamiltonians[0])
+    weights = _diagonal_weights(_coordinate_brackets(act, act.hamiltonians[0]))
     for j, w in enumerate(weights):
         x = Poly.variable(act.space.nvars, j)
         assert act.star.poisson(act.hamiltonians[0], x) == x.scale(w)
@@ -122,3 +130,23 @@ def test_rational_weights_let_mixed_monomials_through():
     target = parse_poly("q1^2*q2^3", act.space.names)
     assert inv.contains(target)
     assert not inv.contains(parse_poly("q1*q2", act.space.names))
+
+
+@pytest.mark.parametrize("top", [4, 8])
+def test_each_hamiltonian_is_bracketed_with_the_coordinates_once(
+    monkeypatch, top
+):
+    # the rows of every candidate come from the coordinate brackets, so the
+    # kernel's bracket runs once per (coordinate, hamiltonian), whatever
+    # the degree bound
+    act = _preset("sl2_tstar_k2")
+    calls = []
+    poisson = StarProduct.poisson
+
+    def counted(self, f, g):
+        calls.append((f, g))
+        return poisson(self, f, g)
+
+    monkeypatch.setattr(StarProduct, "poisson", counted)
+    invariants_up_to(act, top)
+    assert len(calls) == act.space.nvars * len(act.hamiltonians)
