@@ -11,14 +11,15 @@ normal forms are well defined.  Setting the parameter to zero and reading
 words as commutative monomials is the classical limit; averaging a
 monomial over all orderings gives the symmetrization section, a linear
 right inverse of the classical limit that carries invariants to central
-elements.
+elements.  The average is built by the first-letter recurrence
+``sym(x^a) = sum_i (a_i / n) x_i sym(x^(a - e_i))``, one element per
+exponent below the monomial rather than one word per ordering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DimensionError, TruncationError, ValidationError
 from .liealg import LieAlgebraData
@@ -230,49 +231,38 @@ class UEnvElement:
 # -- symmetrization and centrality ------------------------------------------------
 
 
-def _distinct_permutations(word: Word) -> Iterable[Word]:
-    """All distinct orderings of a multiset word, deterministic order."""
-    if not word:
-        yield ()
-        return
-    seen: list[int] = []
-    for i, letter in enumerate(word):
-        if letter in seen:
-            continue
-        seen.append(letter)
-        rest = word[:i] + word[i + 1 :]
-        for tail in _distinct_permutations(rest):
-            yield (letter,) + tail
-
-
 def symmetrize(lie: LieAlgebraData, s: Poly, order: int) -> UEnvElement:
     """Linear section of the classical limit by averaging over orderings.
 
     Each commutative monomial maps to the average of the normal forms of
-    all its orderings; composing with ``classical_limit`` returns the input
-    exactly, and adjoint-invariant inputs land in the center.
+    all its orderings, built by the first-letter recurrence: a fraction
+    ``a_i / n`` of the orderings of ``x^a`` (degree ``n``) start with
+    ``x_i``, and their tails run uniformly over the orderings of
+    ``x^(a - e_i)``, so ``sym(x^a) = sum_i (a_i / n) x_i sym(x^(a - e_i))``
+    with ``sym(1) = 1``.  One memo serves every term of ``s``: the cost is
+    one element per exponent below a term, not one per ordering.
+    Composing with ``classical_limit`` returns the input exactly, and
+    adjoint-invariant inputs land in the center.
     """
     if s.nvars != lie.dim:
         raise DimensionError("polynomial does not live on this algebra")
+    memo = {(0,) * lie.dim: UEnvElement.one(lie, order)}
+
+    def sym(exp: tuple[int, ...]) -> UEnvElement:
+        if exp not in memo:
+            n = sum(exp)
+            acc = UEnvElement.zero(lie, order)
+            for i, e in enumerate(exp):
+                if e:
+                    first = UEnvElement.generator(lie, i, order)
+                    tail = sym(exp[:i] + (e - 1,) + exp[i + 1 :])
+                    acc = acc + (first * tail).scale(Fraction(e, n))
+            memo[exp] = acc
+        return memo[exp]
+
     result = UEnvElement.zero(lie, order)
     for exp, coeff in s.sorted_terms():
-        word: list[int] = []
-        for i, e in enumerate(exp):
-            word.extend([i] * e)
-        word_t = tuple(word)
-        m = len(word_t)
-        if m == 0:
-            result = result + UEnvElement.one(lie, order).scale(coeff)
-            continue
-        multiplicity = Fraction(1)
-        for e in exp:
-            multiplicity *= factorial(e)
-        weight = coeff * multiplicity / factorial(m)
-        acc: dict[Word, HPoly] = {}
-        for perm in _distinct_permutations(word_t):
-            for w, hp in normalize_word(lie, perm).items():
-                acc[w] = _hpoly_add(acc.get(w, {}), _hpoly_scale(hp, weight))
-        result = result + UEnvElement(lie, order, acc)
+        result = result + sym(exp).scale(coeff)
     return result
 
 

@@ -7,11 +7,12 @@ Grammar (whitespace-insensitive)::
     factor := atom ('^' integer)?
     atom   := rational | name | '(' expr ')'
 
-Rationals are written ``3``, ``-1/2``; names must appear in the supplied
-variable list.  Coefficients stay exact.  Under a degree cap, a product
-or power is refused (``DegreeCapError``) before it is expanded when the
-degrees of its operands add up past the cap, so a later cancellation
-does not save it.
+Rationals are written ``3``, ``-1/2``; a zero denominator or a number
+longer than ``int`` converts is a ``ParseError``.  Names must appear in
+the supplied variable list.  Coefficients stay exact.  Under a degree
+cap, a product or power is refused (``DegreeCapError``) before it is
+expanded when the degrees of its operands add up past the cap, so a
+later cancellation does not save it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
     tokens.append(("end", ""))
     return tokens
+
+
+def _number(value: str, convert):
+    """``convert(value)`` for a number token; a zero denominator or more
+    digits than ``int`` converts is a parse error."""
+    try:
+        return convert(value)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        raise ParseError(f"number of {len(value)} characters is too long") from None
 
 
 class _Parser:
@@ -112,14 +124,15 @@ class _Parser:
             kind, value = self.take()
             if kind != "number" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer")
-            self.capped(base.degree() * int(value))
-            base = base ** int(value)
+            exponent = _number(value, int)
+            self.capped(base.degree() * exponent)
+            base = base ** exponent
         return base
 
     def parse_atom(self) -> Poly:
         kind, value = self.take()
         if kind == "number":
-            return Poly.constant(self.nvars, Fraction(value))
+            return Poly.constant(self.nvars, _number(value, Fraction))
         if kind == "name":
             if value not in self.index:
                 raise ParseError(

@@ -26,9 +26,12 @@ document (``ValidationError``):
   Those are the candidates of every invariant and center slice; degree 2
   at least, so that the ``2n x 2n`` bivector is inside the budget too.
 * ``MAX_WORD_LENGTH`` bounds the degree of each invariant generator and
-  section correction, the longest word its symmetrization orders and
-  rewrites, so the recursive word rewriting stays well inside Python's
-  recursion limit.
+  section correction, the longest word its symmetrization rewrites:
+  ``normalize_word`` recurses once per rewrite step, so the cap keeps its
+  depth well inside Python's recursion limit.  The same cap bounds the
+  coordinate polynomials (hamiltonians, quantum corrections and lift
+  targets), so a huge power there is refused before it is expanded and
+  checked.
 
 Field reference (see the README for the full schema):
 
@@ -219,11 +222,11 @@ def _check_bounds(pairs: int, truncation: int, max_degree: int, test_degree: int
     return truncation, max_degree, test_degree
 
 
-def _word_check(expr: str, labels: Sequence[str], where: str) -> Poly:
-    """A polynomial in the Lie algebra labels within the word-length
-    budget, refused by the parser before a longer word is expanded."""
+def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
+    """A polynomial of degree at most ``MAX_WORD_LENGTH``, refused by the
+    parser before a longer product or power is expanded."""
     try:
-        return _syntax_check(expr, labels, where, MAX_WORD_LENGTH)
+        return _syntax_check(expr, names, where, MAX_WORD_LENGTH)
     except DegreeCapError as exc:
         raise ValidationError(
             f"{where} has degree {exc.degree}, over the word-length budget "
@@ -314,7 +317,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     generator_names = []
     for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
         gen_name = _require(entry, "name", str, "invariant generator")
-        poly = _word_check(
+        poly = _capped_check(
             _require(entry, "poly", str, "invariant generator"),
             labels,
             f"invariant generator {gen_name!r}",
@@ -329,7 +332,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                 raise ParseError(
                     f"section correction order {order_str!r} is not an integer"
                 ) from None
-            corrections.append((order, _word_check(expr, labels, where)))
+            corrections.append((order, _capped_check(expr, labels, where)))
         generators.append(InvariantGenerator(gen_name, poly, tuple(corrections)))
         generator_names.append(gen_name)
 
@@ -338,7 +341,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         if label not in ham_data:
             raise ParseError(f"missing hamiltonian for basis element {label!r}")
         hamiltonians.append(
-            _syntax_check(ham_data[label], coord_names, f"hamiltonian {label!r}")
+            _capped_check(ham_data[label], coord_names, f"hamiltonian {label!r}")
         )
     quantum_corrections = []
     corrections_data = _object(
@@ -359,7 +362,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             items.append(
                 (
                     order,
-                    _syntax_check(
+                    _capped_check(
                         expr, coord_names, f"quantum correction of {label!r}"
                     ),
                 )
@@ -376,7 +379,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             )
             lifts.append(LiftSpec(lift_name, classical=classical))
         else:
-            target = _syntax_check(
+            target = _capped_check(
                 _require(entry, "target", str, "lift entry"),
                 coord_names,
                 f"lift {lift_name!r}",

@@ -8,13 +8,12 @@ stored, so a series costs what its nonzero orders cost, whatever N is.
 This is the format the contraction kernel returns.  All arithmetic
 discards orders beyond the truncation.
 
-The plain ``*`` product is the commutative one (coefficientwise
-convolution); the deformed product lives on ``StarProduct``.
+There is no plain ``*`` product: the deformed product lives on
+``StarProduct``, and ``scale`` multiplies by a scalar.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, TruncationError
@@ -119,29 +118,12 @@ class HSeries:
         })
 
     def __mul__(self, other):
-        """Commutative product (convolution), truncated."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            return HSeries(
-                self.nvars, self.order, {r: f * other for r, f in self.terms.items()}
-            )
-        self._check(other)
-        products: dict[int, list[Poly]] = {}
-        for a, fa in self.terms.items():
-            for b, gb in other.terms.items():
-                if a + b <= self.order:
-                    products.setdefault(a + b, []).append(fa * gb)
-        return HSeries(self.nvars, self.order, {
-            r: poly_sum(self.nvars, ps) for r, ps in products.items()
-        })
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            return self.__mul__(other)
-        return NotImplemented
+        """Refused, so that a commutative product is never taken for the
+        star product by mistake."""
+        raise TypeError(
+            "HSeries has no plain product: use StarProduct for the deformed "
+            "product and scale for a scalar"
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,9 +132,6 @@ class HSeries:
             and self.order == other.order
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.order, tuple(self.terms.items())))
 
     # -- grading ---------------------------------------------------------------
 

@@ -5,7 +5,8 @@ product is expanded by brute force over index sequences straight from its
 defining formula, and products on several pairs can also be assembled from
 single-pair factors.  The linear algebra references work on dense rows with
 textbook pivoting, or with no elimination at all.  Enveloping-algebra words
-are rewritten without a cache, in any descent order.  Slow but unambiguous.
+are rewritten without a cache, in any descent order, and symmetrized by
+averaging over every ordering.  Slow but unambiguous.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import permutations, product as iproduct
 from math import factorial
 from typing import Callable
 
-from qcenter import LieAlgebraData, Poly, SymplecticSpace
+from qcenter import LieAlgebraData, Poly, SymplecticSpace, UEnvElement
 
 
 def brute_force_term(space: SymplecticSpace, f: Poly, g: Poly, level: int) -> Poly:
@@ -182,3 +183,23 @@ def rewrite_word(lie: LieAlgebraData, word: tuple[int, ...],
         if c:
             out.setdefault(v, {})[r] = c
     return out
+
+
+def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
+                            pick: Callable[[list[int]], int]) -> UEnvElement:
+    """Symmetrization by its definition: each monomial's word averaged over
+    all ``n!`` entries of ``permutations``, repeated orderings included,
+    each rewritten by ``rewrite_word``; parameter powers above ``order``
+    are dropped."""
+    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for exp, coeff in s.sorted_terms():
+        word = tuple(i for i, e in enumerate(exp) for _ in range(e))
+        orderings = list(permutations(word))
+        weight = coeff / len(orderings)
+        for perm in orderings:
+            for v, hp in rewrite_word(lie, perm, pick).items():
+                slot = acc.setdefault(v, {})
+                for r, c in hp.items():
+                    if r <= order:
+                        slot[r] = slot.get(r, Fraction(0)) + c * weight
+    return UEnvElement(lie, order, acc)

@@ -17,7 +17,7 @@ from qcenter import (
 )
 from qcenter.envelope import normalize_word
 
-from oracle import rewrite_word
+from oracle import rewrite_word, symmetrize_by_orderings
 
 
 E, H, F = 0, 1, 2  # sl2 basis order e < h < f
@@ -165,6 +165,32 @@ def test_symmetrize_is_right_inverse_of_classical_limit(sl2):
             terms[exp] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         s = Poly(3, terms)
         assert symmetrize(sl2, s, 6).classical_limit() == s
+
+
+def _solvable() -> LieAlgebraData:
+    # [t, x] = x, [t, y] = 2 y: solvable, and not nilpotent since ad t
+    # has nonzero eigenvalues
+    return LieAlgebraData(
+        3, ["x", "t", "y"], {(1, 0): {0: Fraction(1)}, (1, 2): {2: Fraction(2)}}
+    )
+
+
+@pytest.mark.parametrize("algebra", ["sl2", "solvable"])
+def test_symmetrization_matches_the_average_over_all_orderings(sl2, algebra):
+    lie = sl2 if algebra == "sl2" else _solvable()
+    rng = random.Random(2718)
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(0, 4)
+            exp = [0, 0, 0]
+            for _ in range(degree):
+                exp[rng.randrange(3)] += 1
+            terms[tuple(exp)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        s = Poly(3, terms)
+        for order in (1, 6):
+            expected = symmetrize_by_orderings(lie, s, order, rng.choice)
+            assert symmetrize(lie, s, order) == expected
 
 
 def test_classical_limit_drops_corrections(sl2):

@@ -366,6 +366,16 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
             ),
             "bad scalar in bracket components: False",
         ),
+        # numbers the rationals or int() refuse
+        ({"hamiltonians": {"t": "1/0*q1"}}, "zero denominator in '1/0'"),
+        (
+            {"hamiltonians": {"t": "9" * 5000 + "*q1*p1"}},
+            "number of 5000 characters is too long",
+        ),
+        (
+            _lie(invariant_generators=[{"name": "t", "poly": "t^" + "9" * 5000}]),
+            "number of 5000 characters is too long",
+        ),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
@@ -480,6 +490,12 @@ def _long_word_torus(**generator) -> dict:
     return data
 
 
+def _sl2_hamiltonian(label: str, expr: str) -> dict:
+    data = json.loads(preset_path("sl2_tstar_k2").read_text())
+    data["hamiltonians"][label] = expr
+    return data
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -500,8 +516,14 @@ def _long_word_torus(**generator) -> dict:
             "validation error: section correction of 't' has degree 25, over "
             "the word-length budget of 24\n",
         ),
+        # expanding and checking it ran past 15 s
+        (
+            _sl2_hamiltonian("h", "(q1+p1+q2+p2)^400"),
+            "validation error: hamiltonian 'h' has degree 400, over the "
+            "word-length budget of 24\n",
+        ),
     ],
-    ids=["pairs", "word_length", "correction_word_length"],
+    ids=["pairs", "word_length", "correction_word_length", "hamiltonian_degree"],
 )
 def test_oversized_scenarios_are_refused_with_exit_3(tmp_path, data, message):
     # a fresh process under a 1.5 GB address-space limit: the budget refuses
@@ -538,6 +560,22 @@ def test_long_power_of_a_sum_is_refused_before_expansion(tmp_path, command):
         "validation error: invariant generator 'casimir' has degree 3000, "
         "over the word-length budget of 24\n",
     )
+
+
+def test_a_long_invariant_generator_symmetrizes_promptly(tmp_path):
+    # degree 12: listing every ordering of each word took over 15 s, one
+    # symmetrized element per exponent takes well under a second
+    data = json.loads(preset_path("sl2_tstar_k2").read_text())
+    data["lie_algebra"]["invariant_generators"] = [
+        {"name": "casimir", "poly": "(h^2 + 4*e*f)^6"}
+    ]
+    path = write_scenario(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", "validate", path],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_candidate_budget_follows_the_cli_degree(tmp_path, capsys):
