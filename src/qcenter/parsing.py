@@ -12,7 +12,9 @@ longer than ``int`` converts is a ``ParseError``.  Names must appear in
 the supplied variable list.  Coefficients stay exact.  Under a degree
 cap, a product or power is refused (``DegreeCapError``) before it is
 expanded when the degrees of its operands add up past the cap, so a
-later cancellation does not save it.
+later cancellation does not save it.  A power of a constant other than 0
+and +-1 is refused (``ParseError``) before it is computed when its
+coefficient could outgrow the longest literal, about 14,300 bits.
 """
 
 from __future__ import annotations
@@ -58,6 +60,25 @@ def _number(value: str, convert):
         raise ParseError(f"zero denominator in {value!r}") from None
     except ValueError:
         raise ParseError(f"number of {len(value)} characters is too long") from None
+
+
+# bit length of the largest number of 4300 digits, the longest literal
+# ``int`` converts by default
+_LITERAL_BITS = 14_285
+
+
+def _check_constant_power(base: Poly, exponent: int) -> None:
+    """Refuse a power of a constant other than 0 and +-1 before it is
+    computed when its numerator or denominator could grow past the longest
+    literal."""
+    (c,) = base.terms.values()
+    if abs(c) == 1:
+        return
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if exponent * bits > _LITERAL_BITS:
+        raise ParseError(
+            f"power of a constant is too large: over {_LITERAL_BITS} bits"
+        )
 
 
 class _Parser:
@@ -126,6 +147,8 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer")
             exponent = _number(value, int)
             self.capped(base.degree() * exponent)
+            if base.degree() == 0:
+                _check_constant_power(base, exponent)
             base = base ** exponent
         return base
 

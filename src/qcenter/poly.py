@@ -74,9 +74,9 @@ class Poly:
                         f"exponent {exp} invalid for {nvars} variables"
                     )
                 clean[exp] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
@@ -84,9 +84,9 @@ class Poly:
         the caller built itself: exponents of length ``nvars`` and nonzero
         ``Fraction`` coefficients."""
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        _set_nvars(self, nvars)
+        _set_terms(self, terms)
+        _set_hash(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -232,7 +232,7 @@ class Poly:
     def __hash__(self) -> int:
         if self._hash is None:
             value = hash((self.nvars, tuple(self.sorted_terms())))
-            object.__setattr__(self, "_hash", value)
+            _set_hash(self, value)
         return self._hash
 
     # -- calculus and grading -----------------------------------------------
@@ -364,6 +364,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_string()})"
+
+
+# Poly's slot setters: they bypass the refusing ``__setattr__`` at less than
+# half the cost of ``object.__setattr__``
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
+_set_hash = Poly._hash.__set__
 
 
 def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:

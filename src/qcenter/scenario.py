@@ -660,7 +660,7 @@ def _task_axioms(built: BuiltScenario, context: dict) -> TaskResult:
     hom_report = check_homogeneity(built.star, pairs)
     passed = axiom_report.passed and hom_report.passed
     details = {
-        "checks": len(axiom_report.entries) + len(hom_report.entries),
+        "checks": axiom_report.checks + hom_report.checks,
         "failures": axiom_report.to_json_dict()["failures"]
         + hom_report.to_json_dict()["failures"],
     }

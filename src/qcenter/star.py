@@ -30,16 +30,20 @@ computed once per product object on first use together with the lcm of the
 denominators up to it.  Exponent tuples are packed into one integer, so
 multiplying monomials is an integer addition.  Derivatives are taken one
 variable at a time on the packed exponents, so the falling factorials build
-up in the numerators; each d^a of each slot is computed once per operand,
-not once per call: a prepared operand keeps its derivative tables and every
-contraction it enters extends and reuses them.  Sums accumulate as ``int``
-in one dict per output order.  The product object keeps, per field width,
-the exponent tuple of every packed output monomial it has unpacked, and per
-denominator the ``Fraction`` of every numerator it has put over it, so each
-distinct output monomial is unpacked once and each distinct output
-coefficient is built once, not once per term of every call.  Only these
-immutable values are shared: every call returns fresh term dicts and no
-result is cached.
+up in the factors.  Each monomial is differentiated once per product object
+and field width, not once per slot it occurs in: the product keeps, per
+width, the nonzero derivatives of every packed monomial it has met, level by
+level, as (multi-index, packed exponent, falling-factorial factor).  A
+slot's level-l table {a: [(packed, numerator)]} is these lists of its
+terms' monomials scaled by the terms' numerators; a prepared operand keeps
+its tables, so every contraction it enters extends and reuses them.  Sums
+accumulate as ``int`` in one dict per output order.  The product object
+also keeps, per field width, the exponent tuple of every packed output
+monomial it has unpacked, and per denominator the ``Fraction`` of every
+numerator it has put over it, so each distinct output monomial is unpacked
+once and each distinct output coefficient is built once, not once per term
+of every call.  Only these immutable values are shared: every call returns
+fresh term dicts and no result is cached.
 
 Every contraction method accepts a prepared operand in place of a
 polynomial, an expansion or a series, so a caller that meets the same
@@ -56,8 +60,9 @@ kernel's output is sorted, nonzero and within the cap, so the series
 products wrap it without checking it again.
 Packed fields are at least ``_MIN_BITS`` wide and sized to the largest
 exponent sum a pair can produce; a slot is repacked, its derivative tables
-dropped, only when a partner needs wider fields, so widths only grow and
-no exponent sum overflows its field.
+dropped and rebuilt from the wider width's monomial lists, only when a
+partner needs wider fields, so widths only grow and no exponent sum
+overflows its field.
 """
 
 from __future__ import annotations
@@ -80,10 +85,60 @@ Index = tuple[int, ...]
 SymbolPower = tuple[int, dict[Index, list[tuple[Index, int]]]]
 # d^alpha of one slot for every alpha of one length: {alpha: [(packed, numerator)]}
 Table = dict[Index, list[tuple[int, int]]]
+# d^alpha of one monomial for every alpha of one length with a nonzero
+# derivative: (alpha, packed exponent, falling-factorial factor)
+Derivatives = tuple[tuple[Index, int, int], ...]
 
 # Narrowest packed field: exponent sums up to 15 (degree-4 samples and their
 # products) fit without repacking.
 _MIN_BITS = 4
+
+
+class _Width:
+    """What a product keeps for one packed field width ``bits``.
+
+    ``monomials`` maps a packed monomial x^e to its derivatives by level:
+    entry l lists d^alpha x^e = factor * x^(e - alpha) for every multi-index
+    alpha of length l with a nonzero factor.  ``unpacked`` maps a packed
+    output monomial to its exponent tuple.  Both are filled on first use and
+    hold only ints and tuples; ``children`` maps a multi-index to its
+    extensions, so every multi-index tuple is built once per width.
+    """
+
+    __slots__ = ("bits", "mask", "shifts", "children", "monomials", "unpacked")
+
+    def __init__(self, bits: int, nvars: int):
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.shifts = range(0, bits * nvars, bits)
+        self.children: dict[Index, tuple[tuple[int, Index], ...]] = {}
+        self.monomials: dict[int, list[Derivatives]] = {}
+        self.unpacked: dict[int, tuple[int, ...]] = {}
+
+    def derivatives(self, k: int, level: int) -> list[Derivatives]:
+        """Levels 0 .. ``level`` (at least) of the packed monomial ``k``.
+        Each new level differentiates the previous one once more, raising
+        only indices at or after the last raised one, so each multi-index
+        is reached once."""
+        levels = self.monomials.get(k)
+        if levels is None:
+            levels = self.monomials[k] = [(((), k, 1),)]
+        shifts, mask, children = self.shifts, self.mask, self.children
+        while len(levels) <= level:
+            nxt = []
+            for alpha, m, f in levels[-1]:
+                kids = children.get(alpha)
+                if kids is None:
+                    kids = children[alpha] = tuple(
+                        (i, alpha + (i,))
+                        for i in range(alpha[-1] if alpha else 0, len(shifts))
+                    )
+                for i, child in kids:
+                    s = shifts[i]
+                    if e := (m >> s) & mask:
+                        nxt.append((child, m - (1 << s), f * e))
+            levels.append(tuple(nxt))
+        return levels
 
 
 class _Slot:
@@ -92,7 +147,8 @@ class _Slot:
     ``tables[l]`` holds d^alpha for every multi-index of length l, with
     exponents packed ``bits`` to a variable.  Level 0 is packed on first
     use and again (derivatives dropped) whenever a contraction needs other
-    widths; higher levels are added on demand.
+    widths; higher levels are added on demand, each term's derivative list
+    from the width scaled by the term's numerator.
     """
 
     __slots__ = ("poly", "degree", "den", "bits", "tables")
@@ -104,31 +160,40 @@ class _Slot:
         self.bits = 0
         self.tables: list[Table] = []
 
-    def pack(self, bits: int, shifts: range):
+    def pack(self, width: _Width):
         den = self.den
+        shifts = width.shifts
         self.tables = [{(): [
             (sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator))
             for e, c in self.poly.terms.items()
         ]}]
-        self.bits = bits
+        self.bits = width.bits
 
-    def derivatives(self, level: int, shifts: range, mask: int) -> list[Table]:
+    def derivatives(self, level: int, width: _Width) -> list[Table]:
         """The tables of levels 0 .. ``level`` (at least): level l holds the
-        nonzero d^alpha with |alpha| == l.  Each new level differentiates
-        the previous one once more, raising only indices at or after the
-        last raised one, so each multi-index is reached once."""
+        nonzero d^alpha with |alpha| == l.  Distinct terms have distinct
+        derivatives, so each list is its terms' scaled lists in term
+        order."""
         tables = self.tables
-        nv = len(shifts)
+        monomials = width.monomials
+        terms = []
+        for k, c in tables[0][()]:
+            levels = monomials.get(k)
+            if levels is None or len(levels) <= level:
+                levels = width.derivatives(k, level)
+            terms.append((c, levels))
         while len(tables) <= level:
-            nxt: Table = {}
-            for alpha, terms in tables[-1].items():
-                for i in range(alpha[-1] if alpha else 0, nv):
-                    s = shifts[i]
-                    d = [(k - (1 << s), c * e) for k, c in terms
-                         if (e := (k >> s) & mask)]
-                    if d:
-                        nxt[alpha + (i,)] = d
-            tables.append(nxt)
+            l = len(tables)
+            table: Table = {}
+            get = table.get
+            for c, levels in terms:
+                for alpha, m, f in levels[l]:
+                    d = get(alpha)
+                    if d is None:
+                        table[alpha] = [(m, c * f)]
+                    else:
+                        d.append((m, c * f))
+            tables.append(table)
         return tables
 
 
@@ -182,8 +247,8 @@ class StarProduct:
         # the odd levels among them), a call's common symbol denominator
         # when l is its top level
         self._level_dens: list[tuple[int, int]] = []
-        # {bits: {packed exponents: exponent tuple}} for output monomials
-        self._unpacked: dict[int, dict[int, tuple[int, ...]]] = {}
+        # {bits: monomial derivatives and unpacked output monomials}
+        self._widths: dict[int, _Width] = {}
         # {den: {numerator: Fraction(numerator, den)}} for output coefficients
         self._coefficients: dict[int, dict[int, Fraction]] = {}
 
@@ -306,14 +371,15 @@ class StarProduct:
             if s.bits > bits:
                 bits = s.bits
         nv = self.space.nvars
-        mask = (1 << bits) - 1
-        shifts = range(0, bits * nv, bits)
+        width = self._widths.get(bits)
+        if width is None:
+            width = self._widths[bits] = _Width(bits, nv)
         for _, s in left:
             if s.bits != bits:
-                s.pack(bits, shifts)
+                s.pack(width)
         for _, s in right:
             if s.bits != bits:
-                s.pack(bits, shifts)
+                s.pack(width)
         den_a, den_b = A.den, B.den
         two = 2 if odd else 1
 
@@ -329,10 +395,10 @@ class StarProduct:
                 scale = den_a // sa.den * (den_b // sb.den) * two
                 tables_a = sa.tables
                 if len(tables_a) <= last:
-                    tables_a = sa.derivatives(last, shifts, mask)
+                    tables_a = sa.derivatives(last, width)
                 tables_b = sb.tables
                 if len(tables_b) <= last:
-                    tables_b = sb.derivatives(last, shifts, mask)
+                    tables_b = sb.derivatives(last, width)
                 for level in range(first, last + 1, step):
                     den, symbol = levels[level]
                     weight = den_s // den * scale
@@ -352,7 +418,8 @@ class StarProduct:
                                     acc[k] = get(k, 0) + v1 * v2
 
         den = den_a * den_b * den_s
-        unpacked = self._unpacked.setdefault(bits, {})
+        unpacked = width.unpacked
+        mask, shifts = width.mask, width.shifts
         coefficients = self._coefficients.setdefault(den, {})
         out: Expansion = {}
         for r in sorted(sums):
@@ -428,32 +495,37 @@ class StarProduct:
 @dataclass
 class CheckEntry:
     label: str
-    passed: bool
     detail: str = ""
 
 
 @dataclass
 class CheckReport:
+    """A run of named checks: ``checks`` counts them all, ``failed`` keeps
+    the ones that failed."""
+
     name: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    checks: int = 0
+    failed: list[CheckEntry] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return not self.failed
 
     def add(self, label: str, passed: bool, detail: str = ""):
-        self.entries.append(CheckEntry(label, passed, detail))
+        self.checks += 1
+        if not passed:
+            self.failed.append(CheckEntry(label, detail))
 
     def failures(self) -> list[CheckEntry]:
-        return [e for e in self.entries if not e.passed]
+        return list(self.failed)
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "checks": len(self.entries),
+            "checks": self.checks,
             "failures": [
-                {"label": e.label, "detail": e.detail} for e in self.failures()
+                {"label": e.label, "detail": e.detail} for e in self.failed
             ],
         }
 

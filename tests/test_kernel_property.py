@@ -6,9 +6,12 @@ partners of growing degree is checked against fresh operands.  The partners'
 degree sums cross the packed-field boundaries at 16 and 32, so the reused
 operand is repacked wider between calls.  Products alternating between
 narrow and wide fields on one product object check that unpacked output
-monomials are remembered per field width.  Output coefficients are built
-once per product object and shared between results, while every result
-stays a fresh dict that its caller may change.
+monomials are remembered per field width.  Operands that share monomials,
+multiplied on one product object at several field widths, check the
+derivative lists the product keeps per width and monomial; a spy shows each
+list is built once.  Output coefficients are built once per product object
+and shared between results, while every result stays a fresh dict that its
+caller may change.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qcenter import HSeries, Poly, StarProduct, SymplecticSpace  # noqa: E402
+from qcenter.sampling import sample_triples  # noqa: E402
+from qcenter.star import _Width, check_axioms  # noqa: E402
 
 from oracle import brute_force_product  # noqa: E402
 
@@ -39,13 +44,26 @@ coefficients = st.builds(
 )
 
 
-def polys(max_degree: int, max_terms: int = 4):
-    exponents = st.tuples(*[st.integers(0, max_degree)] * NV).filter(
+def exponents(max_degree: int):
+    return st.tuples(*[st.integers(0, max_degree)] * NV).filter(
         lambda e: sum(e) <= max_degree
     )
-    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(
-        lambda terms: Poly(NV, terms)
-    )
+
+
+def polys(max_degree: int, max_terms: int = 4):
+    return st.dictionaries(exponents(max_degree), coefficients,
+                           max_size=max_terms).map(lambda terms: Poly(NV, terms))
+
+
+@st.composite
+def sharing(draw):
+    """Three polynomials whose terms come from one pool of at most five
+    monomials of degree at most 3, so most of their monomials are shared."""
+    pool = draw(st.lists(exponents(3), min_size=2, max_size=5, unique=True))
+    return [
+        Poly(NV, {e: draw(coefficients) for e in pool if draw(st.booleans())})
+        for _ in range(3)
+    ]
 
 
 def homogeneous(degree: int):
@@ -149,3 +167,41 @@ def test_mutating_a_result_leaves_later_products_alone(f, g):
     first[99] = Poly.constant(NV, 1)
     assert star.product_terms(f, g) == expected
     assert star.product_terms(star.prepare(f), star.prepare(g)) == expected
+
+
+@SETTINGS
+@given(sharing())
+def test_shared_monomials_across_widths_match_oracle(fgh):
+    # one product object: partners of degree 16 and 32 put the shared
+    # monomials into 5- and 6-bit fields between products at 4 bits
+    f, g, h = fgh
+    w16 = g + Poly.monomial(NV, (4, 4, 4, 4), 3)
+    w32 = h + Poly.monomial(NV, (8, 8, 8, 8), Fraction(-1, 2))
+    star = StarProduct(SPACE, 6)
+    for a, b in ((f, g), (f, w16), (h, w32), (w16, g), (w32, f), (g, h)):
+        assert star.product_terms(a, b) == brute_force_product(SPACE, a, b)
+
+
+def test_each_derivative_list_is_built_once(monkeypatch):
+    built = []
+    derivatives = _Width.derivatives
+
+    def spy(width, k, level):
+        have = len(width.monomials.get(k, ()))
+        levels = derivatives(width, k, level)
+        built.extend((width.bits, k, l) for l in range(have, len(levels)))
+        return levels
+
+    monkeypatch.setattr(_Width, "derivatives", spy)
+    star = StarProduct(SPACE, 6)
+    triples = sample_triples(5, SPACE, 20, max_degree=4)
+    # a degree-16 partner puts the sample monomials into 5-bit fields too
+    wide = Poly.monomial(NV, (4, 4, 4, 4))
+    for f, _, _ in triples:
+        star.product_terms(f, wide)
+    assert check_axioms(star, triples).passed
+    assert {bits for bits, _, _ in built} == {4, 5}
+    assert len(built) == len(set(built))
+    built.clear()
+    assert check_axioms(star, triples).passed
+    assert built == []

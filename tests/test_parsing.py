@@ -74,3 +74,16 @@ def test_degree_cap_admits_the_cap_itself():
     assert f == parse_poly("(q1 + p1)^24 - p1^24", NAMES)
     assert f.degree() == 24
     assert parse_poly("0*q1^30", NAMES, max_degree=30).is_zero()
+
+
+@pytest.mark.parametrize("text", ["2^100000", "(1/2)^8000", "(-3)^10000000000"])
+def test_large_power_of_a_constant_is_refused(text):
+    with pytest.raises(ParseError, match="power of a constant is too large"):
+        parse_poly(text + "*q1", NAMES, max_degree=24)
+
+
+def test_powers_of_constants_within_the_literal_size_parse():
+    assert parse_poly("2^100*q1", NAMES) == Poly.monomial(2, (1, 0), 2**100)
+    assert parse_poly("(-2/3)^3", NAMES) == Poly.constant(2, Fraction(-8, 27))
+    # 0 and +-1 stay small whatever the exponent
+    assert parse_poly("(-1)^100001 + 1^99999999 + 0^99999999", NAMES).is_zero()

@@ -562,6 +562,23 @@ def test_long_power_of_a_sum_is_refused_before_expansion(tmp_path, command):
     )
 
 
+def test_large_power_of_a_constant_is_refused_with_exit_2(tmp_path):
+    # 2^10000000000 would be a 1.25 GB integer: the parser refuses the power
+    # from the sizes of base and exponent before computing it
+    data = dict(MINIMAL_TORUS, hamiltonians={"t": "2^10000000000*q1*p1"})
+    path = write_scenario(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", "validate", path],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (
+        2,
+        "parse error: bad polynomial in hamiltonian 't': power of a constant "
+        "is too large: over 14285 bits\n",
+    )
+
+
 def test_a_long_invariant_generator_symmetrizes_promptly(tmp_path):
     # degree 12: listing every ordering of each word took over 15 s, one
     # symmetrized element per exponent takes well under a second

@@ -21,6 +21,7 @@ from qcenter.sampling import (
     sample_homogeneous_pairs,
     sample_triples,
 )
+from qcenter.star import CheckEntry, CheckReport
 
 from oracle import brute_force_product, brute_force_term
 
@@ -215,6 +216,25 @@ def test_check_axioms_reports_pass(star2):
     report = check_axioms(star2, triples)
     assert report.passed
     assert not report.failures()
+    # five checks per triple, and a passing check keeps nothing
+    assert report.checks == 5 * len(triples)
+    assert report.failed == []
+
+
+def test_check_report_counts_every_check_and_keeps_the_failures():
+    report = CheckReport("demo")
+    report.add("a", True)
+    report.add("b", False, "why")
+    report.add("c", True, "unused")
+    assert report.checks == 3
+    assert not report.passed
+    assert report.failures() == [CheckEntry("b", "why")]
+    assert report.to_json_dict() == {
+        "name": "demo",
+        "passed": False,
+        "checks": 3,
+        "failures": [{"label": "b", "detail": "why"}],
+    }
 
 
 def test_check_homogeneity_law(star2):
@@ -279,7 +299,9 @@ def test_check_axioms_detects_broken_product(space2):
     triples = [(sp.q(1), sp.p(1), sp.q(1) * sp.p(1))]
     report = check_axioms(broken, triples)
     assert not report.passed
+    assert report.checks == 5
     labels = {entry.label for entry in report.failures()}
+    assert len(labels) == len(report.failed) < 5
     assert any("commutator" in label for label in labels)
     assert any("associativity" in label for label in labels)
     # failing entries carry a located residual
