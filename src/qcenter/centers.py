@@ -69,11 +69,10 @@ Poisson-center dimension is compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .action import HamiltonianAction
 from .errors import ValidationError
@@ -250,8 +249,7 @@ def invariant_generators(invariants: GradedSubspace, test_degree: int
     return generators
 
 
-@dataclass
-class _Commutators:
+class _Commutators(NamedTuple):
     """``commutator_terms(b, u, cap)`` for every invariant basis element
     ``b`` up to a degree and every test element ``u``: ``entries[degree][i][j]``
     pairs the i-th basis element of that degree with ``tests[j]``."""
@@ -332,8 +330,7 @@ def poisson_center_up_to(
     return GradedSubspace(nv, slices)
 
 
-@dataclass
-class QuantumCenterSlice:
+class QuantumCenterSlice(NamedTuple):
     """Quantum-center data at one degree."""
 
     degree: int
@@ -448,14 +445,13 @@ def _classical_part_rank(act, basis: list[HSeries]) -> tuple[int, list[HSeries]]
     return len(representatives), representatives
 
 
-@dataclass
-class CenterRow:
+class CenterRow(NamedTuple):
     degree: int
     invariant_dim: int
     poisson_dim: int
     quantum_rank: int
-    poisson_basis: list[str] = field(default_factory=list)
-    quantum_representatives: list[str] = field(default_factory=list)
+    poisson_basis: list[str]
+    quantum_representatives: list[str]
 
     @property
     def equal(self) -> bool:
@@ -473,8 +469,7 @@ class CenterRow:
         }
 
 
-@dataclass
-class CenterReport:
+class CenterReport(NamedTuple):
     max_degree: int
     test_degree: int
     order: int

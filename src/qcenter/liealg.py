@@ -9,16 +9,14 @@ adjoint derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, ValidationError
 from .poly import Poly, as_scalar, poly_sum
 
 
-@dataclass(frozen=True)
-class InvariantGenerator:
+class InvariantGenerator(NamedTuple):
     """A designated adjoint-invariant polynomial in the basis variables.
 
     ``section_correction`` optionally adds central higher-order terms to

@@ -31,8 +31,7 @@ machinery that is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .action import HamiltonianAction
 from .centers import moment_image_basis
@@ -48,28 +47,33 @@ from .series import HSeries
 from .star import Prepared, StarProduct
 
 
-@dataclass(frozen=True)
 class MonicRelation:
     """Monic polynomial data with classical and quantum coefficients.
 
     ``coefficients[i]`` is the classical coefficient of the i-th power,
     i = 0..n-1 (the leading coefficient is 1); ``quantum_coefficients``
     are central series reducing to them, at the action's truncation.
+    Checked at construction and immutable after it.
     """
 
-    coefficients: tuple[Poly, ...]
-    quantum_coefficients: tuple[HSeries, ...]
+    __slots__ = ("coefficients", "quantum_coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.quantum_coefficients):
+    def __init__(self, coefficients: tuple[Poly, ...],
+                 quantum_coefficients: tuple[HSeries, ...]):
+        if len(coefficients) != len(quantum_coefficients):
             raise ValidationError("classical and quantum coefficient counts differ")
-        if not self.coefficients:
+        if not coefficients:
             raise ValidationError("a monic relation needs degree at least 1")
-        for a, ahat in zip(self.coefficients, self.quantum_coefficients):
+        for a, ahat in zip(coefficients, quantum_coefficients):
             if ahat.classical_part() != a:
                 raise ValidationError(
                     "quantum coefficient does not reduce to its classical part"
                 )
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "quantum_coefficients", quantum_coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonicRelation is immutable")
 
     @property
     def degree(self) -> int:
@@ -201,8 +205,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
     return fhat
 
 
-@dataclass
-class LiftReport:
+class LiftReport(NamedTuple):
     target: str
     relation_first_failure: int | None
     centrality_failures: list[tuple[str, int]]
@@ -263,8 +266,7 @@ def verify_lift(
     )
 
 
-@dataclass
-class IsoEntry:
+class IsoEntry(NamedTuple):
     name: str
     classical: str
     lift: str
@@ -272,8 +274,7 @@ class IsoEntry:
     triangle_holds: bool
 
 
-@dataclass
-class IsoReport:
+class IsoReport(NamedTuple):
     entries: list[IsoEntry]
     relations: list[tuple[str, bool]]
 

@@ -8,17 +8,15 @@ readable summary of the same data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 REPORT_SCHEMA = "qcenter-report/1"
 
 
-@dataclass
-class TaskResult:
+class TaskResult(NamedTuple):
     task: str
     passed: bool
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -30,13 +28,18 @@ class TaskResult:
         return out
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    truncation: int
-    max_degree: int
-    test_degree: int
-    tasks: list[TaskResult] = field(default_factory=list)
+    """The parameters of a run and its task results, in run order."""
+
+    __slots__ = ("scenario", "truncation", "max_degree", "test_degree", "tasks")
+
+    def __init__(self, scenario: str, truncation: int, max_degree: int,
+                 test_degree: int):
+        self.scenario = scenario
+        self.truncation = truncation
+        self.max_degree = max_degree
+        self.test_degree = test_degree
+        self.tasks: list[TaskResult] = []
 
     @property
     def passed(self) -> bool:

@@ -32,6 +32,8 @@ document (``ValidationError``):
   coordinate polynomials (hamiltonians, quantum corrections and lift
   targets), so a huge power there is refused before it is expanded and
   checked.
+* ``MAX_SAMPLES`` bounds ``samples.axioms`` and ``samples.moment``: the
+  sample lists are drawn whole before the checks run.
 
 Field reference (see the README for the full schema):
 
@@ -56,11 +58,10 @@ Field reference (see the README for the full schema):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .action import (
     HamiltonianAction,
@@ -100,18 +101,17 @@ TASK_ORDER = (
 _SAMPLE_SEED = 0x5EED
 MAX_CANDIDATES = 10**6
 MAX_WORD_LENGTH = 24
+MAX_SAMPLES = 10**5
 
 
-@dataclass(frozen=True)
-class LiftSpec:
+class LiftSpec(NamedTuple):
     name: str
     classical: Poly | None = None       # polynomial in generator names
     target: Poly | None = None          # coordinate polynomial
     relation: tuple[Poly, ...] = ()     # coefficients in generator names
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Parsed scenario data: every expression is already a ``Poly`` and
     every scalar a ``Fraction``; the space, algebra and action are built
     separately."""
@@ -421,6 +421,10 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     for key, count in counts.items():
         if count < 0:
             raise ValidationError(f"samples.{key} must be non-negative, got {count}")
+        if count > MAX_SAMPLES:
+            raise ValidationError(
+                f"samples.{key} {count} is over the sample budget of {MAX_SAMPLES}"
+            )
     return Scenario(
         name=name,
         description=data.get("description", ""),
@@ -484,8 +488,7 @@ def preset_path(name: str) -> Path | None:
     return None
 
 
-@dataclass
-class BuiltScenario:
+class BuiltScenario(NamedTuple):
     """Scenario with all mathematical objects constructed and validated."""
 
     scenario: Scenario
@@ -613,8 +616,7 @@ def run_scenario(
     """
     if truncation is not None or max_degree is not None:
         new_max = max_degree if max_degree is not None else scenario.max_degree
-        scenario = replace(
-            scenario,
+        scenario = scenario._replace(
             truncation=truncation if truncation is not None else scenario.truncation,
             max_degree=new_max,
             test_degree=max(scenario.test_degree, new_max + 2),
@@ -634,7 +636,7 @@ def run_scenario(
         try:
             result = runner(built, context)
         except QCenterError as exc:
-            result = TaskResult(task, False, error=str(exc))
+            result = TaskResult(task, False, {}, str(exc))
         report.tasks.append(result)
     return report
 

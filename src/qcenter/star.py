@@ -67,11 +67,10 @@ overflows its field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import lshift
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import DimensionError, TruncationError, ValidationError
 from .poly import Poly
@@ -492,20 +491,21 @@ class StarProduct:
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(NamedTuple):
     label: str
     detail: str = ""
 
 
-@dataclass
 class CheckReport:
     """A run of named checks: ``checks`` counts them all, ``failed`` keeps
     the ones that failed."""
 
-    name: str
-    checks: int = 0
-    failed: list[CheckEntry] = field(default_factory=list)
+    __slots__ = ("name", "checks", "failed")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failed: list[CheckEntry] = []
 
     @property
     def passed(self) -> bool:

@@ -11,8 +11,7 @@ specialized product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .poly import Poly, poly_sum
@@ -49,16 +48,14 @@ def weyl_commutator(star: StarProduct, a: Poly | Prepared, b: Poly | Prepared
     return poly_sum(star.space.nvars, star.commutator_terms(a, b).values())
 
 
-@dataclass
-class WeylEntry:
+class WeylEntry(NamedTuple):
     name: str
     symbol: str
     central: bool
     failures: list[str]
 
 
-@dataclass
-class WeylReport:
+class WeylReport(NamedTuple):
     entries: list[WeylEntry]
     independent: bool
 

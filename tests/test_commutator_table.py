@@ -13,7 +13,6 @@ slices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -90,7 +89,7 @@ def _reference(act, max_degree, test_degree, invariants):
 def _preset_action(name, truncation):
     scenario = load_scenario(name)
     if truncation is not None:
-        scenario = replace(scenario, truncation=truncation)
+        scenario = scenario._replace(truncation=truncation)
     return build_scenario(scenario).action
 
 

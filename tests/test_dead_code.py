@@ -9,7 +9,8 @@ not a reference, so a name that is only exported counts as dead.
 
 Likewise every defaulted parameter of a public function, method or class
 constructor must be passed by some call in the package outside the
-function's own body, by keyword or by position.  Calls are matched by the
+function's own body, by keyword or by position.  A defaulted field of a
+``NamedTuple`` class is a constructor parameter too.  Calls are matched by the
 called name, and a call that unpacks ``*args`` or ``**kwargs`` passes every
 parameter.  A parameter no caller sets is a knob nobody turns.
 
@@ -126,23 +127,44 @@ def _defaulted_parameters(fn: ast.FunctionDef, skip_first: bool
     return out
 
 
+def _named_tuple_defaults(cls: ast.ClassDef) -> list[tuple[str, int]] | None:
+    """(name, position) of each defaulted field of a ``NamedTuple``
+    class, or None when the class is not one."""
+    if not any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+               for base in cls.bases):
+        return None
+    fields = [
+        item for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    return [
+        (item.target.id, index)
+        for index, item in enumerate(fields)
+        if item.value is not None
+    ]
+
+
 def _callable_definitions(tree: ast.Module):
-    """(called name, function node, whether a call binds the first
-    parameter) for public functions, public methods and the constructors
-    of public classes."""
+    """(called name, definition node, defaulted parameters) for public
+    functions, public methods and the constructors of public classes."""
     for definition, in_class in _public_definitions(tree):
         if isinstance(definition, ast.ClassDef):
+            fields = _named_tuple_defaults(definition)
+            if fields is not None:
+                yield definition.name, definition, fields
             for item in definition.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    yield definition.name, item, True
+                    yield definition.name, item, _defaulted_parameters(item, True)
         elif in_class:
             static = any(
                 isinstance(d, ast.Name) and d.id == "staticmethod"
                 for d in definition.decorator_list
             )
-            yield definition.name, definition, not static
+            yield definition.name, definition, _defaulted_parameters(
+                definition, not static
+            )
         else:
-            yield definition.name, definition, False
+            yield definition.name, definition, _defaulted_parameters(definition, False)
 
 
 def unpassed_parameters(package_dir: Path) -> list[str]:
@@ -155,10 +177,10 @@ def unpassed_parameters(package_dir: Path) -> list[str]:
                 calls.setdefault(name, []).append(node)
     unpassed = []
     for tree in trees:
-        for name, fn, skip_first in _callable_definitions(tree):
-            inside = {id(node) for node in ast.walk(fn)}
+        for name, definition, parameters in _callable_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
             outside = [call for call in calls.get(name, []) if id(call) not in inside]
-            for param, position in _defaulted_parameters(fn, skip_first):
+            for param, position in parameters:
                 if not any(_passes(call, param, position) for call in outside):
                     unpassed.append(f"{name}({param})")
     return unpassed
@@ -184,3 +206,15 @@ def test_parameter_allowlist_names_only_unpassed_parameters():
     # an allowlisted parameter that gains a caller should leave the list
     unpassed = unpassed_parameters(Path(qcenter.__file__).parent)
     assert sorted(set(unpassed)) == sorted(UNPASSED_ALLOWED)
+
+
+def test_a_named_tuple_field_default_is_a_constructor_default(tmp_path):
+    (tmp_path / "records.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Entry(NamedTuple):\n"
+        "    label: str\n"
+        "    detail: str = ''\n"
+        "    weight: int = 1\n"
+        "first = Entry('a', weight=2)\n"
+    )
+    assert unpassed_parameters(tmp_path) == ["Entry(detail)"]

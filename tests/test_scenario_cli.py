@@ -13,9 +13,11 @@ import qcenter
 import qcenter.scenario as scenario_mod
 from qcenter.cli import main
 from qcenter.scenario import (
+    MAX_SAMPLES,
     build_scenario,
     list_presets,
     load_scenario,
+    parse_scenario,
     preset_path,
     run_scenario,
 )
@@ -496,6 +498,28 @@ def _sl2_hamiltonian(label: str, expr: str) -> dict:
     return data
 
 
+def _sl2_samples(**samples) -> dict:
+    data = json.loads(preset_path("sl2_tstar_k2").read_text())
+    data["samples"] = samples
+    return data
+
+
+def _cli_under_memory_cap(command: str, path: str) -> subprocess.CompletedProcess:
+    """``qcenter COMMAND PATH`` in a fresh process under a 1.5 GB
+    address-space limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
+    limit = 1_500_000_000
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "qcenter.cli", command, path],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -522,25 +546,37 @@ def _sl2_hamiltonian(label: str, expr: str) -> dict:
             "validation error: hamiltonian 'h' has degree 400, over the "
             "word-length budget of 24\n",
         ),
+        # drawing the whole sample list ended in MemoryError
+        (
+            _sl2_samples(axioms=10**12),
+            "validation error: samples.axioms 1000000000000 is over the "
+            "sample budget of 100000\n",
+        ),
     ],
-    ids=["pairs", "word_length", "correction_word_length", "hamiltonian_degree"],
+    ids=["pairs", "word_length", "correction_word_length", "hamiltonian_degree",
+         "axiom_samples"],
 )
 def test_oversized_scenarios_are_refused_with_exit_3(tmp_path, data, message):
-    # a fresh process under a 1.5 GB address-space limit: the budget refuses
-    # the document before anything is built from it
-    path = write_scenario(tmp_path, data)
-    env = dict(os.environ, PYTHONPATH=str(Path(qcenter.__file__).parents[1]))
-    limit = 1_500_000_000
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    done = subprocess.run(
-        [sys.executable, "-m", "qcenter.cli", "validate", path],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=cap_memory,
-    )
+    # the budget refuses the document before anything is built from it
+    done = _cli_under_memory_cap("validate", write_scenario(tmp_path, data))
     assert (done.returncode, done.stderr) == (3, message)
+
+
+@pytest.mark.parametrize("key", ["axioms", "moment"])
+def test_run_refuses_an_oversized_sample_count_with_exit_3(tmp_path, key):
+    done = _cli_under_memory_cap(
+        "run", write_scenario(tmp_path, _sl2_samples(**{key: 10**12}))
+    )
+    assert (done.returncode, done.stderr) == (
+        3,
+        f"validation error: samples.{key} 1000000000000 is over the sample "
+        "budget of 100000\n",
+    )
+
+
+def test_the_largest_sample_count_in_budget_parses():
+    scenario = parse_scenario(_sl2_samples(axioms=MAX_SAMPLES, moment=0))
+    assert (scenario.axiom_samples, scenario.moment_samples) == (MAX_SAMPLES, 0)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
