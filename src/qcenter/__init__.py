@@ -42,7 +42,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .liealg import InvariantGenerator, LieAlgebraData, abelian_data, sl2_data
+from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
     IsoReport,
     LiftReport,
@@ -69,7 +69,6 @@ from .weyl import (
     WeylReport,
     algebraically_independent,
     weyl_commutator,
-    weyl_product,
     weyl_report,
     weyl_specialize,
 )

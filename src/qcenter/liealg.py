@@ -165,32 +165,3 @@ class LieAlgebraData:
                 return gen
         raise KeyError(f"no designated invariant generator named {name!r}")
 
-    def __repr__(self) -> str:
-        return f"LieAlgebraData(dim={self.dim}, labels={self.labels})"
-
-
-def sl2_data(invariant_generators: Sequence[InvariantGenerator] | None = None
-             ) -> LieAlgebraData:
-    """The rank-1 simple algebra on basis (e, h, f) with [h,e]=2e, [h,f]=-2f,
-    [e,f]=h; the designated invariant defaults to the quadratic Casimir."""
-    brackets = {
-        (1, 0): {0: Fraction(2)},   # [h, e] = 2e
-        (1, 2): {2: Fraction(-2)},  # [h, f] = -2f
-        (0, 2): {1: Fraction(1)},   # [e, f] = h
-    }
-    if invariant_generators is None:
-        casimir = Poly(
-            3, {(0, 2, 0): Fraction(1), (1, 0, 1): Fraction(4)}
-        )  # h^2 + 4 e f
-        invariant_generators = [InvariantGenerator("casimir", casimir)]
-    return LieAlgebraData(3, ("e", "h", "f"), brackets, invariant_generators)
-
-
-def abelian_data(dim: int, labels: Sequence[str] | None = None) -> LieAlgebraData:
-    """Abelian algebra; every coordinate is a designated invariant."""
-    data_labels = tuple(labels) if labels else tuple(f"t{i+1}" for i in range(dim))
-    gens = [
-        InvariantGenerator(data_labels[i], Poly.variable(dim, i))
-        for i in range(dim)
-    ]
-    return LieAlgebraData(dim, data_labels, {}, gens)

@@ -234,24 +234,3 @@ class GradedSubspace:
 
     def dimension(self, degree: int) -> int:
         return len(self.slices.get(degree, []))
-
-    def contains(self, f: Poly) -> bool:
-        if f.is_zero():
-            return True
-        total = (1,) * self.nvars
-        w = f.weight(total)
-        if w is None:
-            parts = f.weight_decompose(total)
-            return all(self.contains(part) for part in parts.values())
-        return in_span(f, self.slices.get(w, []))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedSubspace)
-            and self.nvars == other.nvars
-            and self.slices == other.slices
-        )
-
-    def __repr__(self) -> str:
-        dims = {d: len(b) for d, b in sorted(self.slices.items())}
-        return f"GradedSubspace(dims={dims})"

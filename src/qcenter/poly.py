@@ -204,11 +204,6 @@ class Poly:
                 out[exp] = c1 * c2 if val is None else val + c1 * c2
         return Poly._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative powers are not defined")
@@ -248,21 +243,6 @@ class Poly:
                 lowered[index] -= 1
                 out[tuple(lowered)] = coeff * exp[index]
         return Poly(self.nvars, out)
-
-    def weight_decompose(self, weights: Sequence[int]) -> dict[int, "Poly"]:
-        """Split into weight-homogeneous components under the given grading.
-
-        The weight of a term is the dot product of its exponent tuple with
-        ``weights``.  Components sum back to the original polynomial; the
-        zero polynomial yields an empty map.
-        """
-        if len(weights) != self.nvars:
-            raise DimensionError("weight vector length must match variable count")
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
-        for exp, coeff in self.terms.items():
-            w = sum(wi * ei for wi, ei in zip(weights, exp))
-            buckets.setdefault(w, {})[exp] = coeff
-        return {w: Poly(self.nvars, t) for w, t in sorted(buckets.items())}
 
     def _term_weights(self, weights: Sequence[int]) -> set[int]:
         """The set of weights of the terms under the grading."""

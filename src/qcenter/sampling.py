@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .poly import Exponent, Poly, monomial_table, monomials_of_degree
+from .poly import Exponent, Poly, monomial_table
 from .space import SymplecticSpace
 
 # Every coefficient a sample can draw: one row per numerator, over the
@@ -24,41 +24,24 @@ from .space import SymplecticSpace
 _COEFFICIENTS = [[Fraction(num, den) for den in (1, 1, 2)]
                  for num in (-3, -2, -1, 1, 2, 3)]
 _WHOLE = [row[0] for row in _COEFFICIENTS]
+# A sample has between 1 and this many terms, before any cancel.
+_MAX_TERMS = 4
 
 
-def random_poly(
-    rng: random.Random,
-    nvars: int,
-    max_degree: int,
-    max_terms: int = 4,
-) -> Poly:
-    """Sparse random polynomial of bounded degree with small rational
-    coefficients; may be zero only with negligible probability."""
-    return _draw_poly(rng, nvars, monomial_table(nvars, max_degree), max_terms)
-
-
-def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]],
-               max_terms: int = 4) -> Poly:
+def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]]
+               ) -> Poly:
     terms: dict[Exponent, Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, _MAX_TERMS)):
         mons = tables[rng.randint(0, len(tables) - 1)]
         exp = mons[rng.randrange(len(mons))]
         _add_term(terms, exp, rng.choice(rng.choice(_COEFFICIENTS)))
     return _poly(nvars, terms)
 
 
-def random_homogeneous_poly(
-    rng: random.Random, nvars: int, degree: int, max_terms: int = 4
-) -> Poly:
-    return _draw_homogeneous(
-        rng, nvars, monomials_of_degree(nvars, degree), max_terms
-    )
-
-
-def _draw_homogeneous(rng: random.Random, nvars: int, mons: list[Exponent],
-                      max_terms: int = 4) -> Poly:
+def _draw_homogeneous(rng: random.Random, nvars: int, mons: list[Exponent]
+                      ) -> Poly:
     terms: dict[Exponent, Fraction] = {}
-    for _ in range(rng.randint(1, min(max_terms, len(mons)))):
+    for _ in range(rng.randint(1, min(_MAX_TERMS, len(mons)))):
         exp = mons[rng.randrange(len(mons))]
         _add_term(terms, exp, rng.choice(_WHOLE))
     return _poly(nvars, terms)

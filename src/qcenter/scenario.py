@@ -317,6 +317,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     generator_names = []
     for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
         gen_name = _require(entry, "name", str, "invariant generator")
+        if gen_name in generator_names:
+            raise ValidationError(f"invariant generator {gen_name!r} is named twice")
         poly = _capped_check(
             _require(entry, "poly", str, "invariant generator"),
             labels,
@@ -373,6 +375,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     lift_names = []
     for entry in _list(data, "lifts", "scenario"):
         lift_name = _require(entry, "name", str, "lift entry")
+        if lift_name in lift_names:
+            raise ValidationError(f"lift {lift_name!r} is named twice")
         if "classical" in entry:
             classical = _syntax_check(
                 entry["classical"], generator_names, f"lift {lift_name!r}"
@@ -516,6 +520,11 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
             check_slicing_grading(space)
         except ValidationError as exc:
             raise ValidationError(f"the centers task cannot run: {exc}") from None
+    if "axioms" in scenario.tasks:
+        try:
+            space.check_graded_bivector()
+        except ValidationError as exc:
+            raise ValidationError(f"the axioms task cannot run: {exc}") from None
     labels = list(scenario.lie_labels)
     brackets = {
         (i, j): {k: value for k, value in comps}

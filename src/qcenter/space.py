@@ -119,9 +119,3 @@ class SymplecticSpace:
     def poly_weight(self, f: Poly) -> int | None:
         """Weight of a weight-homogeneous polynomial, None if mixed or zero."""
         return f.weight(self.weights)
-
-    def __repr__(self) -> str:
-        return (
-            f"SymplecticSpace(pairs={self.pairs}, weights={self.weights}, "
-            f"hbar_weight={self.hbar_weight})"
-        )

@@ -38,11 +38,6 @@ def weyl_specialize(fhat: HSeries, space: SymplecticSpace) -> Poly:
     return fhat.substitute_unit()
 
 
-def weyl_product(star: StarProduct, a: Poly, b: Poly) -> Poly:
-    """Exact specialized product of two symbols (all orders summed)."""
-    return poly_sum(star.space.nvars, star.product_terms(a, b).values())
-
-
 def weyl_commutator(star: StarProduct, a: Poly | Prepared, b: Poly | Prepared
                     ) -> Poly:
     return poly_sum(star.space.nvars, star.commutator_terms(a, b).values())

@@ -7,9 +7,9 @@ from qcenter import (
     LieAlgebraData,
     SymplecticSpace,
     StarProduct,
-    abelian_data,
-    sl2_data,
 )
+
+from oracle import abelian_data, sl2_data
 
 
 @pytest.fixture(scope="session")

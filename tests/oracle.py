@@ -7,16 +7,28 @@ single-pair factors.  The linear algebra references work on dense rows with
 textbook pivoting, or with no elimination at all.  Enveloping-algebra words
 are rewritten without a cache, in any descent order, and symmetrized by
 averaging over every ordering.  Slow but unambiguous.
+
+The ready-made Lie algebras and the seeded polynomial samplers that the
+tests build their inputs from live here too.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
 from typing import Callable
 
-from qcenter import LieAlgebraData, Poly, SymplecticSpace, UEnvElement
+from qcenter import (
+    InvariantGenerator,
+    LieAlgebraData,
+    Poly,
+    SymplecticSpace,
+    UEnvElement,
+    monomials_of_degree,
+)
+from qcenter.poly import monomial_table
 
 
 def brute_force_term(space: SymplecticSpace, f: Poly, g: Poly, level: int) -> Poly:
@@ -54,6 +66,12 @@ def brute_force_product(space: SymplecticSpace, f: Poly, g: Poly
     return out
 
 
+def weyl_product(space: SymplecticSpace, a: Poly, b: Poly) -> Poly:
+    """Exact product at parameter value 1: every order of the brute-force
+    expansion summed."""
+    return sum(brute_force_product(space, a, b).values(), Poly.zero(space.nvars))
+
+
 def weight_zero_monomials(space: SymplecticSpace, torus_weights: list[int],
                           degree: int) -> list[Poly]:
     """Brute-force enumeration of monomials killed by a torus flow.
@@ -61,8 +79,6 @@ def weight_zero_monomials(space: SymplecticSpace, torus_weights: list[int],
     ``torus_weights`` gives the weight of each q coordinate; the matching p
     coordinate carries the opposite weight.
     """
-    from qcenter import monomials_of_degree
-
     n = space.pairs
     full = list(torus_weights) + [-w for w in torus_weights]
     out = []
@@ -203,3 +219,60 @@ def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
                     if r <= order:
                         slot[r] = slot.get(r, Fraction(0)) + c * weight
     return UEnvElement(lie, order, acc)
+
+
+# -- ready-made algebras -------------------------------------------------------
+
+
+def sl2_data() -> LieAlgebraData:
+    """The rank-1 simple algebra on basis (e, h, f) with [h,e]=2e, [h,f]=-2f,
+    [e,f]=h; the designated invariant is the quadratic Casimir."""
+    brackets = {
+        (1, 0): {0: Fraction(2)},   # [h, e] = 2e
+        (1, 2): {2: Fraction(-2)},  # [h, f] = -2f
+        (0, 2): {1: Fraction(1)},   # [e, f] = h
+    }
+    casimir = Poly(3, {(0, 2, 0): 1, (1, 0, 1): 4})  # h^2 + 4 e f
+    return LieAlgebraData(3, ("e", "h", "f"), brackets,
+                          [InvariantGenerator("casimir", casimir)])
+
+
+def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
+    """Abelian algebra; every coordinate is a designated invariant."""
+    labels = tuple(labels) if labels else tuple(f"t{i+1}" for i in range(dim))
+    gens = [InvariantGenerator(labels[i], Poly.variable(dim, i)) for i in range(dim)]
+    return LieAlgebraData(dim, labels, {}, gens)
+
+
+# -- seeded samplers -------------------------------------------------------------
+
+# A coefficient is a numerator, then a denominator out of (1, 1, 2), each
+# drawn by one ``choice``: the draws of ``qcenter.sampling``.
+_NUMERATORS = (-3, -2, -1, 1, 2, 3)
+_DENOMINATORS = (1, 1, 2)
+
+
+def random_poly(rng: random.Random, nvars: int, max_degree: int,
+                max_terms: int = 4) -> Poly:
+    """Sparse random polynomial of degree at most ``max_degree`` with 1 to
+    ``max_terms`` drawn terms and small rational coefficients."""
+    tables = monomial_table(nvars, max_degree)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mons = tables[rng.randint(0, len(tables) - 1)]
+        exp = mons[rng.randrange(len(mons))]
+        num = rng.choice(_NUMERATORS)
+        terms[exp] = terms.get(exp, 0) + Fraction(num, rng.choice(_DENOMINATORS))
+    return Poly(nvars, terms)
+
+
+def random_homogeneous_poly(rng: random.Random, nvars: int, degree: int,
+                            max_terms: int = 4) -> Poly:
+    """Random homogeneous polynomial of the given degree with integer
+    coefficients."""
+    mons = monomials_of_degree(nvars, degree)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(rng.randint(1, min(max_terms, len(mons)))):
+        exp = mons[rng.randrange(len(mons))]
+        terms[exp] = terms.get(exp, 0) + rng.choice(_NUMERATORS)
+    return Poly(nvars, terms)

@@ -18,7 +18,6 @@ from qcenter import (
     StarProduct,
     SymplecticSpace,
     UEnvElement,
-    abelian_data,
     adjoint_invariant_check,
     check_axioms,
     check_classical_limit_triangle,
@@ -27,7 +26,6 @@ from qcenter import (
     compare_centers,
     hensel_lift,
     invariants_up_to,
-    sl2_data,
     symmetrize,
     verify_lift,
     weyl_commutator,
@@ -35,10 +33,18 @@ from qcenter import (
 )
 from qcenter.cli import main
 from qcenter.envelope import normalize_word
-from qcenter.sampling import random_poly, sample_triples
+from qcenter.sampling import sample_triples
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift, run_lifts
 
-from oracle import rewrite_word, spans_equal, weight_zero_monomials
+from oracle import (
+    abelian_data,
+    random_homogeneous_poly,
+    random_poly,
+    rewrite_word,
+    sl2_data,
+    spans_equal,
+    weight_zero_monomials,
+)
 
 PRESETS = ("trivial_k2", "torus_k2", "sl2_tstar_k2", "torus_k4")
 
@@ -57,7 +63,7 @@ def test_criterion_1_star_product_axioms():
     star = StarProduct(space, 10)
     triples = sample_triples(1001, space, 100, max_degree=6)
     report = check_axioms(star, triples)
-    assert report.passed, [e.label for e in report.failures()]
+    assert report.passed, [e.label for e in report.failed]
     assert report.to_json_dict()["checks"] == 500  # five exact checks per triple
     _report(1, "100 random triples (deg <= 6, order 10): associativity, unit, "
                "classical-limit conditions and order-locality, zero residual")
@@ -69,14 +75,13 @@ def test_criterion_2_homogeneity_degree_law():
     rng = random.Random(2002)
     pairs = []
     while len(pairs) < 50:
-        from qcenter.sampling import random_homogeneous_poly
 
         f = random_homogeneous_poly(rng, 4, rng.randint(0, 6))
         g = random_homogeneous_poly(rng, 4, rng.randint(0, 6))
         if not f.is_zero() and not g.is_zero():
             pairs.append((f, g))
     report = check_homogeneity(star, pairs)
-    assert report.passed, [e.label for e in report.failures()]
+    assert report.passed, [e.label for e in report.failed]
     _report(2, "term degree law on 50 homogeneous pairs, zero violations")
 
 

@@ -13,14 +13,12 @@ from qcenter import (
     TruncationError,
     UEnvElement,
     ValidationError,
-    abelian_data,
     check_classical_limit_triangle,
     check_quantum_moment_condition,
     symmetrize,
 )
-from qcenter.sampling import random_poly
 
-from oracle import brute_force_product
+from oracle import abelian_data, brute_force_product, random_poly
 
 
 def test_equivariance_is_validated(sl2, star2):

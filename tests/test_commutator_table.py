@@ -22,7 +22,6 @@ from qcenter import (
     HamiltonianAction,
     StarProduct,
     SymplecticSpace,
-    abelian_data,
     compare_centers,
     invariant_generators,
     invariants_up_to,
@@ -39,6 +38,8 @@ from qcenter.centers import (
     _series_from_vector,
 )
 from qcenter.scenario import build_scenario, load_scenario
+
+from oracle import abelian_data
 
 
 def _reference(act, max_degree, test_degree, invariants):
@@ -119,7 +120,8 @@ def test_slices_match_the_per_block_reference(name, truncation, max_degree,
         act = _preset_action(name, truncation)
     inv = invariants_up_to(act, test_degree)
     poisson, quantum = _reference(act, max_degree, test_degree, inv)
-    assert poisson_center_up_to(act, max_degree, test_degree, inv) == poisson
+    center = poisson_center_up_to(act, max_degree, test_degree, inv)
+    assert center.slices == poisson.slices
     assert quantum_center_up_to(act, max_degree, test_degree, inv) == quantum
 
     report = compare_centers(act, max_degree, test_degree)

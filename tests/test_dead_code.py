@@ -14,25 +14,34 @@ function's own body, by keyword or by position.  A defaulted field of a
 called name, and a call that unpacks ``*args`` or ``**kwargs`` passes every
 parameter.  A parameter no caller sets is a knob nobody turns.
 
-The few public names and parameters kept for callers outside the package
-are listed below, each with its reason.
+Finally every function and method written in a package file, private
+ones included, must be entered by some run of the command line: the
+presets, ``validate``, ``list-presets`` and one document per error path.
+Reading an attribute of the same name elsewhere does not count.
+
+The few names and parameters kept for callers outside the package, or for
+paths no run takes, are listed below, each with its reason.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import importlib
+import io
+import json
+import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
 import qcenter
+from qcenter.cli import main
+from qcenter.scenario import list_presets, preset_path
 
 ALLOWED = {
     "bidifferential": "a BENCHMARK.json per-layer metric names it",
-    "contains": "GradedSubspace membership, the query a graded space answers",
-    "sl2_data": "ready-made rank-1 simple algebra for library callers and tests",
-    "abelian_data": "ready-made abelian algebra for library callers and tests",
-    "weyl_product": "the product that weyl_commutator is the commutator of",
-    "random_poly": "seeded sampling helper for the property tests",
-    "random_homogeneous_poly": "seeded sampling helper for the property tests",
     "q": "coordinate constructors for library callers and tests",
     "p": "coordinate constructors for library callers and tests",
 }
@@ -41,12 +50,26 @@ UNPASSED_ALLOWED = {
     "HamiltonianAction(validate)":
         "skips the moment checks for actions that break them on purpose (tests)",
     "main(argv)": "argument list for callers that drive the CLI in-process",
-    "sl2_data(invariant_generators)":
-        "designated invariants other than the Casimir for library callers",
-    "abelian_data(labels)": "basis labels other than t1, t2, ... for library callers",
-    "random_poly(max_terms)": "term count of a sample for the property tests",
-    "random_homogeneous_poly(max_terms)":
-        "term count of a sample for the property tests",
+}
+
+_METRIC = "a BENCHMARK.json per-layer metric names it: bench/run.py --trace 1 needs it"
+_GUARD = "immutability guard: entered only by an assignment it refuses"
+_REPR = "pytest prints it when an assertion on the value fails"
+ENTERED_ALLOWED = {
+    "star.StarProduct.bidifferential": _METRIC,
+    "poly.Poly.coefficient": _METRIC,
+    "series.HSeries.__mul__": _METRIC,
+    "star._first_nonzero": "entered only when an axiom fails",
+    "poly.Poly.__setattr__": _GUARD,
+    "series.HSeries.__setattr__": _GUARD,
+    "space.SymplecticSpace.__setattr__": _GUARD,
+    "envelope.UEnvElement.__setattr__": _GUARD,
+    "lifting.MonicRelation.__setattr__": _GUARD,
+    "poly.Poly.__repr__": _REPR,
+    "series.HSeries.__repr__": _REPR,
+    "envelope.UEnvElement.__eq__": "the envelope and acceptance tests compare elements",
+    "space.SymplecticSpace.q": "coordinate constructor for library callers and tests",
+    "space.SymplecticSpace.p": "coordinate constructor for library callers and tests",
 }
 
 
@@ -218,3 +241,89 @@ def test_a_named_tuple_field_default_is_a_constructor_default(tmp_path):
         "first = Entry('a', weight=2)\n"
     )
     assert unpassed_parameters(tmp_path) == ["Entry(detail)"]
+
+
+def _package_functions() -> dict:
+    """``module.Class.name`` of each function and method written in a
+    package file, keyed by its code object.  Code generated elsewhere, such
+    as the methods of a ``NamedTuple``, is skipped."""
+    found = {}
+    for info in pkgutil.iter_modules(qcenter.__path__):
+        module = importlib.import_module(f"qcenter.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if isinstance(value, type) else [("", value)]
+            for member, raw in members:
+                fn = getattr(raw, "__func__", getattr(raw, "fget", raw))
+                code = getattr(fn, "__code__", None)
+                if code is not None and code.co_filename == module.__file__:
+                    found[code] = ".".join(filter(None, (info.name, name, member)))
+    return found
+
+
+def _preset(name: str) -> dict:
+    return json.loads(preset_path(name).read_text())
+
+
+def _error_documents():
+    """(name, document, exit code) of one run down each error path; the
+    comment names the function that path enters."""
+    torus = _preset("torus_k2")
+    for name, expr, code in [
+        ("unclosed", "(q1*p1", 2),                 # _Parser.expect_op
+        ("huge_constant", "q1*p1 + 2^100000", 2),  # _check_constant_power
+        ("over_cap", "q1^25", 3),                  # DegreeCapError
+    ]:
+        yield name, dict(torus, hamiltonians={"t": expr}), code
+    # RelationViolationError
+    yield "violated_relation", dict(torus, relations=["J - 1"]), 1
+    # Poly.constant_term: a classical lift with no generator in it
+    constant = dict(torus, lifts=[{"name": "J", "classical": "3"}])
+    constant["lie_algebra"] = dict(torus["lie_algebra"], invariant_generators=[])
+    yield "constant_lift", constant, 1
+    # LiftObstructionError: the Casimir's lift without its order-2 correction
+    obstructed = _preset("sl2_tstar_k2")
+    del obstructed["lie_algebra"]["invariant_generators"][0]["section_correction"]
+    yield "obstructed", obstructed, 1
+
+
+@pytest.fixture(scope="module")
+def unentered(tmp_path_factory) -> set[str]:
+    """Names of the package functions that no command-line run enters."""
+    presets = [name for name, _ in list_presets()]
+    runs = [(["run", name, "--report", "json"], 0) for name in presets]
+    runs += [(["run", "torus_k2"], 0), (["list-presets"], 0)]
+    runs += [(["validate", name], 0) for name in presets]
+    folder = tmp_path_factory.mktemp("documents")
+    for name, document, code in _error_documents():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(document))
+        runs.append((["run", str(path)], code))
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            exits = [main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(previous)
+    assert exits == [code for _, code in runs]
+    return {name for code, name in _package_functions().items()
+            if code not in entered}
+
+
+def test_every_package_function_is_entered_by_a_run(unentered):
+    assert sorted(unentered - set(ENTERED_ALLOWED)) == []
+
+
+def test_entered_allowlist_names_only_unentered_functions(unentered):
+    # an allowlisted function that a run enters should leave the list
+    assert sorted(set(ENTERED_ALLOWED) - unentered) == []

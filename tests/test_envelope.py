@@ -10,14 +10,13 @@ from qcenter import (
     Poly,
     UEnvElement,
     ValidationError,
-    abelian_data,
     adjoint_invariant_check,
     central_section,
     symmetrize,
 )
 from qcenter.envelope import normalize_word
 
-from oracle import rewrite_word, symmetrize_by_orderings
+from oracle import abelian_data, rewrite_word, symmetrize_by_orderings
 
 
 E, H, F = 0, 1, 2  # sl2 basis order e < h < f

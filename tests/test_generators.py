@@ -17,7 +17,6 @@ from qcenter import (
     Poly,
     StarProduct,
     SymplecticSpace,
-    abelian_data,
     in_span,
     invariant_generators,
     invariants_up_to,
@@ -27,6 +26,8 @@ from qcenter import (
 )
 from qcenter import centers
 from qcenter.scenario import build_scenario, list_presets, load_scenario
+
+from oracle import abelian_data
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -98,7 +99,7 @@ def test_full_test_set_gives_the_same_slices(preset, monkeypatch):
     poisson = poisson_center_up_to(*args, inv)
     quantum = quantum_center_up_to(*args, inv)
     monkeypatch.setattr(centers, "invariant_generators", _full_basis)
-    assert poisson_center_up_to(*args, inv) == poisson
+    assert poisson_center_up_to(*args, inv).slices == poisson.slices
     full = quantum_center_up_to(*args, inv)
     assert full.keys() == quantum.keys()
     for degree, slice_q in quantum.items():

@@ -14,9 +14,8 @@ from fractions import Fraction
 import pytest
 
 from qcenter import HSeries, Poly, StarProduct, SymplecticSpace
-from qcenter.sampling import random_poly
 
-from oracle import brute_force_product, brute_force_term
+from oracle import brute_force_product, brute_force_term, random_poly
 
 RATIONAL_BIVECTOR = [
     ["0", "1/3", "1", "0"],

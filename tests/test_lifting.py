@@ -19,7 +19,6 @@ from qcenter import (
     SymplecticSpace,
     TruncationError,
     ValidationError,
-    abelian_data,
     build_center_iso,
     hensel_lift,
     invariants_up_to,
@@ -33,7 +32,7 @@ from qcenter import (
 
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift
 
-from oracle import dense_in_span
+from oracle import abelian_data, dense_in_span
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

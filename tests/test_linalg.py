@@ -105,5 +105,5 @@ def test_graded_subspace_reduces_and_reports():
     assert sub.dimension(1) == 2
     assert sub.dimension(2) == 1
     assert sub.dimension(3) == 0
-    assert sub.contains(q.scale(Fraction(5, 2)))
-    assert not sub.contains(q * q)
+    assert in_span(q.scale(Fraction(5, 2)), sub.basis(1))
+    assert not in_span(q * q, sub.basis(2))

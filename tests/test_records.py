@@ -12,11 +12,19 @@ from pathlib import Path
 import pytest
 
 import qcenter
-from qcenter import HSeries, InvariantGenerator, MonicRelation, SymplecticSpace
+from qcenter import (
+    HSeries,
+    InvariantGenerator,
+    MonicRelation,
+    SymplecticSpace,
+    UEnvElement,
+)
 from qcenter.centers import CenterRow
 from qcenter.report import RunReport
 from qcenter.scenario import LiftSpec, load_scenario
 from qcenter.star import CheckReport
+
+from oracle import abelian_data
 
 
 def test_importing_the_package_loads_no_dataclasses():
@@ -58,11 +66,16 @@ def _frozen_records():
     yield LiftSpec("J"), "target"
     yield InvariantGenerator("t", q1), "poly"
     yield MonicRelation((-q1,), (HSeries.from_poly(-q1, 2),)), "coefficients"
+    yield q1, "terms"
+    yield HSeries.from_poly(q1, 2), "terms"
+    yield space, "pairs"
+    yield UEnvElement.generator(abelian_data(1), 0, 2), "terms"
 
 
 @pytest.mark.parametrize("record, field", list(_frozen_records()),
                          ids=["Scenario", "LiftSpec", "InvariantGenerator",
-                              "MonicRelation"])
+                              "MonicRelation", "Poly", "HSeries",
+                              "SymplecticSpace", "UEnvElement"])
 def test_former_frozen_records_refuse_assignment(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):

@@ -682,3 +682,41 @@ def test_nonuniform_weights_pass_the_axioms_task_with_exit_0(tmp_path, capsys):
     path = write_scenario(tmp_path, data)
     assert main(["run", path]) == 0
     assert "task axioms: PASS" in capsys.readouterr().out
+
+
+def test_ungraded_axioms_scenario_is_refused_with_exit_3(tmp_path, capsys):
+    # under the default hbar_weight 2 the weights 1, -1 do not grade the
+    # bivector: the homogeneity check cannot run, which is an input error
+    # and not a failed assertion
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["space"] = {"pairs": 1, "weights": [1, -1]}
+    data["tasks"] = ["axioms"]
+    path = write_scenario(tmp_path, data)
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: the axioms task cannot run: bivector is not "
+        "graded: weights w[0]+w[1] = 0 != -2\n"
+    )
+
+
+@pytest.mark.parametrize("section, entry, message", [
+    ("invariant_generators", {"name": "t", "poly": "t^2"},
+     "invariant generator 't' is named twice"),
+    ("lifts", {"name": "J", "target": "q1*p1", "relation": ["-t"]},
+     "lift 'J' is named twice"),
+])
+def test_repeated_generator_or_lift_name_is_refused_with_exit_3(
+        tmp_path, capsys, section, entry, message):
+    # a second entry of the same name would shadow the first wherever
+    # generators and lifts are looked up by name
+    data = json.loads(preset_path("torus_k2").read_text())
+    entries = data["lifts"] if section == "lifts" else data["lie_algebra"][section]
+    entries.append(entry)
+    assert main(["run", write_scenario(tmp_path, data)]) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("preset", ["torus_k2", "sl2_tstar_k2"])
+def test_truncation_0_passes_every_task(preset, capsys):
+    assert main(["run", preset, "--truncation", "0"]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -11,8 +11,9 @@ from qcenter import (
     TruncationError,
     UEnvElement,
     ValidationError,
-    abelian_data,
 )
+
+from oracle import abelian_data
 
 
 def test_standard_bivector_default():

@@ -16,14 +16,10 @@ from qcenter import (
     check_axioms,
     check_homogeneity,
 )
-from qcenter.sampling import (
-    random_poly,
-    sample_homogeneous_pairs,
-    sample_triples,
-)
+from qcenter.sampling import sample_homogeneous_pairs, sample_triples
 from qcenter.star import CheckEntry, CheckReport
 
-from oracle import brute_force_product, brute_force_term
+from oracle import brute_force_product, brute_force_term, random_poly
 
 
 def test_basic_first_order(star1):
@@ -215,10 +211,17 @@ def test_check_axioms_reports_pass(star2):
     triples.append((star2.space.q(1), star2.space.p(1), qp))
     report = check_axioms(star2, triples)
     assert report.passed
-    assert not report.failures()
     # five checks per triple, and a passing check keeps nothing
     assert report.checks == 5 * len(triples)
     assert report.failed == []
+
+
+def test_check_axioms_at_truncation_0_reads_only_order_0(space1):
+    # order-locality compares the orders a truncation-0 product holds
+    triples = sample_triples(13, space1, 6, max_degree=4)
+    report = check_axioms(StarProduct(space1, 0), triples)
+    assert report.failed == []
+    assert report.checks == 5 * len(triples)
 
 
 def test_check_report_counts_every_check_and_keeps_the_failures():
@@ -228,7 +231,7 @@ def test_check_report_counts_every_check_and_keeps_the_failures():
     report.add("c", True, "unused")
     assert report.checks == 3
     assert not report.passed
-    assert report.failures() == [CheckEntry("b", "why")]
+    assert report.failed == [CheckEntry("b", "why")]
     assert report.to_json_dict() == {
         "name": "demo",
         "passed": False,
@@ -300,12 +303,12 @@ def test_check_axioms_detects_broken_product(space2):
     report = check_axioms(broken, triples)
     assert not report.passed
     assert report.checks == 5
-    labels = {entry.label for entry in report.failures()}
+    labels = {entry.label for entry in report.failed}
     assert len(labels) == len(report.failed) < 5
     assert any("commutator" in label for label in labels)
     assert any("associativity" in label for label in labels)
     # failing entries carry a located residual
-    assoc = next(e for e in report.failures() if "associativity" in e.label)
+    assoc = next(e for e in report.failed if "associativity" in e.label)
     assert "order" in assoc.detail
 
 
@@ -370,7 +373,7 @@ def _broken_triples(sp):
 def _failing_kinds(star, triples):
     report = check_axioms(star, triples)
     assert report.to_json_dict()["checks"] == 5 * len(triples)
-    return {entry.label.split(": ", 1)[1] for entry in report.failures()}
+    return {entry.label.split(": ", 1)[1] for entry in report.failed}
 
 
 @pytest.mark.parametrize(
@@ -403,7 +406,7 @@ def test_check_axioms_failure_labels(space2, broken, kinds):
 def test_check_axioms_associativity_detail(space2):
     triples = _broken_triples(space2)
     report = check_axioms(_DoubledOrderZeroStar(space2, 8), triples)
-    details = [e.detail for e in report.failures() if "associativity" in e.label]
+    details = [e.detail for e in report.failed if "associativity" in e.label]
     assert details == [
         "residual at order 1: -q1*p1",
         "residual at order 1: -1/2*q1*p1 + 1/2*q2*p2 + 3/2*q1^2*q2 + 1/2*p1^3"

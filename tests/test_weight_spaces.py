@@ -23,7 +23,7 @@ from qcenter import (
     Poly,
     StarProduct,
     SymplecticSpace,
-    abelian_data,
+    in_span,
     invariants_up_to,
     monomials_of_degree,
     parse_poly,
@@ -31,7 +31,7 @@ from qcenter import (
 from qcenter.centers import _coordinate_brackets, _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import brute_force_term, dense_nullspace
+from oracle import abelian_data, brute_force_term, dense_nullspace
 
 SCALED_BIVECTOR = [
     ["0", "0", "2", "0"],
@@ -109,7 +109,7 @@ def test_invariants_match_full_candidate_elimination(case):
         _diagonal_weights(_coordinate_brackets(act, h)) is not None
         for h in act.hamiltonians
     ] == diagonal
-    assert invariants_up_to(act, top) == _oracle_invariants(act, top)
+    assert invariants_up_to(act, top).slices == _oracle_invariants(act, top).slices
 
 
 def test_diagonal_weights_are_the_bracket_eigenvalues():
@@ -128,8 +128,8 @@ def test_rational_weights_let_mixed_monomials_through():
     act = _torus("1/2*q1*p1 - 1/3*q2*p2")
     inv = invariants_up_to(act, 5)
     target = parse_poly("q1^2*q2^3", act.space.names)
-    assert inv.contains(target)
-    assert not inv.contains(parse_poly("q1*q2", act.space.names))
+    assert in_span(target, inv.basis(5))
+    assert not in_span(parse_poly("q1*q2", act.space.names), inv.basis(2))
 
 
 @pytest.mark.parametrize("top", [4, 8])

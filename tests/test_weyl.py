@@ -13,10 +13,10 @@ from qcenter import (
     algebraically_independent,
     invariants_up_to,
     weyl_commutator,
-    weyl_product,
     weyl_specialize,
 )
-from qcenter.sampling import random_homogeneous_poly
+
+from oracle import random_homogeneous_poly, weyl_product
 
 
 def test_specialize_quadratic_with_half(space1, star1):
@@ -51,7 +51,7 @@ def test_specialization_intertwines_products(space2, star2):
         g = random_homogeneous_poly(rng, 4, d2)
         F, G = HSeries.from_poly(f, star2.order), HSeries.from_poly(g, star2.order)
         lhs = weyl_specialize(star2.star(F, G), space2)
-        rhs = weyl_product(star2, weyl_specialize(F, space2), weyl_specialize(G, space2))
+        rhs = weyl_product(space2, weyl_specialize(F, space2), weyl_specialize(G, space2))
         assert lhs == rhs
 
 
