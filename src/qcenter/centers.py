@@ -42,10 +42,12 @@ Both systems are shrunk without changing any answer:
   terms that are invariants of lower degree; by induction on the degree,
   commuting with the generators modulo the truncation is then commuting
   with every invariant.  The quantum center uses the generators under
-  that condition and the full test set otherwise.  Either way the
-  solution space is the same, and the kernel bases are canonical.
-  ``compare_centers`` computes the invariants and their generators once
-  and hands both to the two center functions.
+  that condition and the full test set otherwise (``quantum_tests``).
+  Either way the solution space is the same, and the kernel bases are
+  canonical.  The argument holds for any series, so the scenario's lift
+  tasks test centrality against the same set.  ``compare_centers``
+  computes the invariants and their generators once, hands both to the
+  two center functions and returns the generators with its report.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
@@ -367,7 +369,7 @@ def quantum_center_up_to(
     if invariants is None:
         invariants = invariants_up_to(act, test_degree)
     if commutators is None:
-        tests = _quantum_tests(act, invariants, test_degree, generators)
+        tests = quantum_tests(act, invariants, test_degree, generators)
         commutators = _commutator_table(act, invariants, max_degree, tests,
                                         max(order, 1))
     out: dict[int, QuantumCenterSlice] = {}
@@ -405,11 +407,14 @@ def check_slicing_grading(space):
     space.check_graded_bivector()
 
 
-def _quantum_tests(act: HamiltonianAction, invariants: GradedSubspace,
-                   test_degree: int, generators: list[Poly] | None
-                   ) -> list[Poly]:
-    """The generators when every hamiltonian has degree at most 2, else the
-    whole invariant basis up to the test cutoff."""
+def quantum_tests(act: HamiltonianAction, invariants: GradedSubspace,
+                  test_degree: int, generators: list[Poly] | None
+                  ) -> list[Poly]:
+    """The test set against which commuting with every invariant up to the
+    test cutoff is decided, modulo the truncation: the generators when
+    every hamiltonian has degree at most 2, else the whole invariant basis
+    up to the cutoff.  ``generators``, when given, must be the
+    ``invariant_generators`` of ``invariants``."""
     if all(h.degree() <= 2 for h in act.hamiltonians):
         # the product is invariant, so products of generators expand into
         # lower-degree invariants
@@ -474,6 +479,7 @@ class CenterReport(NamedTuple):
     test_degree: int
     order: int
     rows: list[CenterRow]
+    generators: list[Poly]  # of the invariants; kept for reuse, not printed
 
     @property
     def passed(self) -> bool:
@@ -496,7 +502,7 @@ def compare_centers(
     check_slicing_grading(act.space)
     invariants = invariants_up_to(act, test_degree)
     generators = invariant_generators(invariants, test_degree)
-    tests = _quantum_tests(act, invariants, test_degree, generators)
+    tests = quantum_tests(act, invariants, test_degree, generators)
     commutators = _commutator_table(act, invariants, max_degree, tests,
                                     max(act.order, 1))
     poisson = poisson_center_up_to(
@@ -521,4 +527,4 @@ def compare_centers(
                 ],
             )
         )
-    return CenterReport(max_degree, test_degree, act.order, rows)
+    return CenterReport(max_degree, test_degree, act.order, rows, generators)

@@ -1,49 +1,95 @@
 """Exact linear algebra over the rationals and graded polynomial subspaces.
 
-One sparse Gauss–Jordan engine, ``EchelonAccumulator``, does every
-elimination in the package.  A row is a ``{column: Fraction}`` dict that
-stores only nonzero entries, and the engine keeps a dict from each pivot
-column to its row.  Inserting a row reduces it against the pivots it
-contains, normalizes it to a leading 1 and back-reduces only the stored
-rows that contain the new pivot, so the stored rows stay fully reduced.
+One sparse, fraction-free Gauss–Jordan engine, ``EchelonAccumulator``,
+does every elimination in the package, in the contraction kernel's idiom:
+integer numerators inside, ``Fraction``s built only where a result leaves
+the engine.  A stored row is a ``{column: int}`` dict of its nonzero
+entries; it is primitive (the gcd of its entries is 1) and its lead, the
+entry at its pivot column, is positive.  An incoming row is cleared of
+denominators with one lcm, reduced against the pivots it holds by
+``work = lead * work - work[p] * row`` (both factors divided by their
+gcd first) and made primitive once.  A column index maps each column to
+the pivots of the stored rows that hold it, so back-reduction visits only
+the rows that hold the new pivot, not every stored row.
 
-The result is the canonical reduced row echelon form: pivots are the
-leftmost nonzero columns, rows have a leading 1 and every pivot column is
-zero outside its own row.  It depends only on the row space, not on the
-order of the rows, so every basis this module produces is canonical and
-re-reduction is idempotent.  ``rref`` on matrices, and
-``reduce_poly_span``, ``independent_extension``, ``in_span`` and
-``span_combinations`` on polynomials, are thin wrappers that feed the
-engine and read the answer off it; the center solves read the canonical
-kernel straight off an accumulator.  The polynomial helpers make one
-sparse row per polynomial, straight from its terms, over the joint
-support in canonical monomial order.
+Stored rows stay fully reduced: every pivot column is zero outside its
+own row.  Read as ``row[c] / row[pivot]`` they are the canonical reduced
+row echelon form: pivots are the leftmost nonzero columns, rows have a
+leading 1 and every pivot column is zero outside its own row.  It depends
+only on the row space, not on the order of the rows, so every basis this
+module produces is canonical and re-reduction is idempotent.  ``rref`` on
+matrices, and ``reduce_poly_span``, ``independent_extension``,
+``in_span`` and ``span_combinations`` on polynomials, are thin wrappers
+that feed the engine and read the answer off it; the center solves read
+the canonical kernel straight off an accumulator.  The polynomial helpers
+make one sparse row per polynomial, straight from its terms, over the
+joint support in canonical monomial order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionError, ValidationError
 from .poly import Exponent, Poly, monomial_key
 
 Row = list[Fraction]
 SparseRow = dict[int, Fraction]
+IntegerRow = dict[int, int]
 
 
-def _subtract(target: SparseRow, factor: Fraction, source: SparseRow) -> None:
-    """``target -= factor * source`` in place, dropping cancelled entries."""
-    for col, value in source.items():
-        old = target.get(col)
-        if old is None:
-            target[col] = -factor * value
+def _cleared(items: Iterable[tuple[int, object]]) -> IntegerRow:
+    """The nonzero entries of a rational row, each a ``Fraction`` or a
+    scalar ``Fraction`` accepts, times the lcm of their denominators."""
+    entries = []
+    den = 1
+    for col, value in items:
+        try:
+            num, d = value.as_integer_ratio()
+        except AttributeError:  # a string, or another rational type
+            num, d = Fraction(value).as_integer_ratio()
+        if num:
+            entries.append((col, num, d))
+            if d != 1:
+                den = lcm(den, d)
+    if den == 1:
+        return {col: num for col, num, _ in entries}
+    return {col: num * (den // d) for col, num, d in entries}
+
+
+def _eliminate(target: IntegerRow, col: int, source: IntegerRow) -> None:
+    """Clear ``col`` from ``target`` in place with ``source``, whose entry
+    at ``col`` is positive: ``target = a * target - b * source`` for the
+    two entries at ``col`` divided by their gcd, dropping cancelled
+    entries."""
+    a, b = source[col], target[col]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for c in target:
+            target[c] *= a
+    for c, value in source.items():
+        new = target.get(c, 0) - b * value
+        if new:
+            target[c] = new
         else:
-            new = old - factor * value
-            if new:
-                target[col] = new
-            else:
-                del target[col]
+            del target[c]
+
+
+def _make_primitive(row: IntegerRow, pivot: int) -> None:
+    """Divide ``row`` in place by the gcd of its entries, signed so that
+    the entry at ``pivot`` comes out positive."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
 class EchelonAccumulator:
@@ -51,58 +97,65 @@ class EchelonAccumulator:
 
     Feeding rows one by one keeps memory proportional to the stored
     nonzeros; the state after any sequence of rows is the canonical RREF
-    of their span, so the kernel is identical to batch reduction.
+    of their span, up to a positive integer factor per row, so the kernel
+    is identical to batch reduction.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: dict[int, SparseRow] = {}  # pivot column -> its row
+        self._rows: dict[int, IntegerRow] = {}  # pivot column -> its row
+        # column -> pivots of the stored rows holding it, outside their pivot
+        self._index: defaultdict[int, set[int]] = defaultdict(set)
 
     def add_row(self, row: Sequence | Mapping[int, object]) -> bool:
         """Reduce and keep a dense row or a ``{column: value}`` mapping;
         returns True if it added rank."""
         return self._insert(self._sparse(row))
 
-    def _sparse(self, row: Sequence | Mapping[int, object]) -> SparseRow:
-        if isinstance(row, Mapping):
-            items = row.items()
-            if any(not 0 <= col < self.ncols for col in row):
+    def _sparse(self, row: Sequence | Mapping[int, object]) -> IntegerRow:
+        if isinstance(row, (dict, Mapping)):  # dict first: no ABC check
+            if row and (min(row) < 0 or max(row) >= self.ncols):
                 raise DimensionError("row column out of range")
-        else:
-            if len(row) != self.ncols:
-                raise DimensionError("row length mismatch")
-            items = enumerate(row)
-        out: SparseRow = {}
-        for col, value in items:
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-            if value:
-                out[col] = value
-        return out
+            return _cleared(row.items())
+        if len(row) != self.ncols:
+            raise DimensionError("row length mismatch")
+        return _cleared(enumerate(row))
 
-    def _insert(self, work: SparseRow) -> bool:
+    def _insert(self, work: IntegerRow) -> bool:
         """The elimination step; consumes ``work``."""
-        rows = self._rows
+        rows, index = self._rows, self._index
         # stored rows hold no pivot but their own, so reducing against one
         # pivot never brings in another
         for pcol in [col for col in work if col in rows]:
-            _subtract(work, work[pcol], rows[pcol])
+            _eliminate(work, pcol, rows[pcol])
         if not work:
             return False
         pivot = min(work)
-        lead = work[pivot]
-        if lead != 1:
-            work = {col: value / lead for col, value in work.items()}
-        for prow in rows.values():
-            factor = prow.get(pivot)
-            if factor is not None:
-                _subtract(prow, factor, work)
+        _make_primitive(work, pivot)
+        for held in index.pop(pivot, ()):
+            prow = rows[held]
+            _eliminate(prow, pivot, work)
+            _make_primitive(prow, held)
+            for col in work:
+                if col in prow:
+                    index[col].add(held)
+                elif col != pivot:
+                    index[col].discard(held)
         rows[pivot] = work
+        for col in work:
+            if col != pivot:
+                index[col].add(pivot)
         return True
 
     def _echelon(self) -> tuple[list[SparseRow], list[int]]:
+        """The canonical RREF as ``Fraction`` rows, in pivot order."""
         pivots = sorted(self._rows)
-        return [self._rows[p] for p in pivots], pivots
+        echelon = []
+        for pivot in pivots:
+            row = self._rows[pivot]
+            lead = row[pivot]
+            echelon.append({col: Fraction(value, lead) for col, value in row.items()})
+        return echelon, pivots
 
     def kernel(self) -> list[Row]:
         """Canonical kernel basis: one vector per free column, ascending,
@@ -115,9 +168,10 @@ class EchelonAccumulator:
         for col, vec in basis.items():
             vec[col] = Fraction(1)
         for pivot, row in self._rows.items():
+            lead = row[pivot]
             for col, value in row.items():
                 if col != pivot:
-                    basis[col][pivot] = -value
+                    basis[col][pivot] = Fraction(-value, lead)
         return list(basis.values())
 
 
@@ -171,7 +225,10 @@ def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
     of the candidates kept before them."""
     rows, columns = _poly_rows([*base, *candidates])
     engine = _reduce(rows[: len(base)], len(columns))
-    return [f for f, row in zip(candidates, rows[len(base):]) if engine._insert(row)]
+    return [
+        f for f, row in zip(candidates, rows[len(base):])
+        if engine._insert(_cleared(row.items()))
+    ]
 
 
 def in_span(f: Poly, basis: Sequence[Poly]) -> bool:

@@ -50,7 +50,8 @@ Field reference (see the README for the full schema):
   (coordinate polynomial with monic relation coefficients in generator
   names)
 * ``relations``: polynomials in lift names that vanish classically
-* ``center_generators``: lift names forming the candidate generator set
+* ``center_generators``: distinct lift names forming the candidate
+  generator set
 * ``tasks``: subset of axioms, moment, triangle, invariants, centers,
   lift, iso, weyl
 """
@@ -68,7 +69,12 @@ from .action import (
     check_classical_limit_triangle,
     check_quantum_moment_condition,
 )
-from .centers import check_slicing_grading, compare_centers, invariants_up_to
+from .centers import (
+    check_slicing_grading,
+    compare_centers,
+    invariants_up_to,
+    quantum_tests,
+)
 from .errors import DegreeCapError, ParseError, QCenterError, ValidationError
 from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
@@ -78,6 +84,7 @@ from .lifting import (
     star_evaluate,
     verify_lift,
 )
+from .linalg import GradedSubspace
 from .parsing import parse_poly
 from .poly import Poly, as_scalar, default_names
 from .report import RunReport, TaskResult
@@ -403,11 +410,15 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         for expr in _list(data, "relations", "scenario")
     )
     center_generators = _list(data, "center_generators", "scenario")
+    named: set[str] = set()
     for gen_name in center_generators:
         if gen_name not in lift_names:
             raise ParseError(
                 f"center generator {gen_name!r} does not name a lift"
             )
+        if gen_name in named:
+            raise ValidationError(f"center generator {gen_name!r} is named twice")
+        named.add(gen_name)
 
     tasks = data.get("tasks", list(TASK_ORDER))
     if not isinstance(tasks, list):
@@ -650,13 +661,27 @@ def run_scenario(
     return report
 
 
-def _invariant_test_elements(built: BuiltScenario, context: dict) -> list[Poly]:
+def _invariants(built: BuiltScenario, context: dict) -> GradedSubspace:
     if "invariants" not in context:
         context["invariants"] = invariants_up_to(
             built.action, built.scenario.test_degree
         )
-    inv = context["invariants"]
-    return [u for d in inv.degrees() for u in inv.basis(d)]
+    return context["invariants"]
+
+
+def _lift_tests(built: BuiltScenario, context: dict) -> list[Poly]:
+    """The quantum center's test set (``quantum_tests``): a series that
+    commutes with it modulo the truncation commutes with every invariant
+    up to the test cutoff.  The generators a centers task found are
+    reused, else they are found once here."""
+    if "lift_tests" not in context:
+        context["lift_tests"] = quantum_tests(
+            built.action,
+            _invariants(built, context),
+            built.scenario.test_degree,
+            context.get("generators"),
+        )
+    return context["lift_tests"]
 
 
 def _task_axioms(built: BuiltScenario, context: dict) -> TaskResult:
@@ -699,8 +724,7 @@ def _task_triangle(built: BuiltScenario, context: dict) -> TaskResult:
 
 
 def _task_invariants(built: BuiltScenario, context: dict) -> TaskResult:
-    _invariant_test_elements(built, context)
-    inv = context["invariants"]
+    inv = _invariants(built, context)
     names = built.space.names
     dimensions = {
         str(d): inv.dimension(d) for d in range(built.scenario.max_degree + 1)
@@ -719,20 +743,19 @@ def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:
     center_report = compare_centers(
         built.action, scenario.max_degree, scenario.test_degree
     )
+    context["generators"] = center_report.generators
     return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
 
 def _task_lift(built: BuiltScenario, context: dict) -> TaskResult:
-    tests = _invariant_test_elements(built, context)
-    entries, verifications = run_lifts(built, tests)
+    entries, verifications = run_lifts(built, _lift_tests(built, context))
     context["lift_entries"] = entries
     return TaskResult("lift", True, {"lifts": verifications})
 
 
 def _ensure_lifts(built: BuiltScenario, context: dict):
     if "lift_entries" not in context:
-        tests = _invariant_test_elements(built, context)
-        entries, _ = run_lifts(built, tests)
+        entries, _ = run_lifts(built, _lift_tests(built, context))
         context["lift_entries"] = entries
 
 
@@ -747,9 +770,8 @@ def _task_iso(built: BuiltScenario, context: dict) -> TaskResult:
 
 
 def _task_weyl(built: BuiltScenario, context: dict) -> TaskResult:
-    _invariant_test_elements(built, context)
+    inv = _invariants(built, context)
     _ensure_lifts(built, context)
-    inv = context["invariants"]
     quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
     lifted = [(name, fhat) for name, _, fhat in context["lift_entries"]]
     result = weyl_report(

@@ -716,6 +716,17 @@ def test_repeated_generator_or_lift_name_is_refused_with_exit_3(
     assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
+def test_repeated_center_generator_is_refused_with_exit_3(tmp_path, capsys):
+    # a repeated generator is never algebraically independent of itself, so
+    # the weyl task would fail on it with exit 1
+    data = json.loads(preset_path("torus_k2").read_text())
+    data["center_generators"] = ["J", "J"]
+    assert main(["validate", write_scenario(tmp_path, data)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: center generator 'J' is named twice\n"
+    )
+
+
 @pytest.mark.parametrize("preset", ["torus_k2", "sl2_tstar_k2"])
 def test_truncation_0_passes_every_task(preset, capsys):
     assert main(["run", preset, "--truncation", "0"]) == 0
