@@ -24,6 +24,14 @@ that feed the engine and read the answer off it; the center solves read
 the canonical kernel straight off an accumulator.  The polynomial helpers
 make one sparse row per polynomial, straight from its terms, over the
 joint support in canonical monomial order.
+
+Polynomials of one term each need no elimination: their span is spanned
+by their distinct monomials, so its canonical basis is those monomials
+with coefficient 1 in canonical order, and a polynomial of one term lies
+in it exactly when its monomial is among them.  ``reduce_poly_span`` and
+``independent_extension`` answer such inputs (the weight-zero slices of
+an all-diagonal action and their products) from the monomials alone; a
+zero or longer polynomial among the inputs sends them to the engine.
 """
 
 from __future__ import annotations
@@ -212,8 +220,24 @@ def _poly_rows(polys: Sequence[Poly]) -> tuple[list[SparseRow], list[Exponent]]:
     return rows, columns
 
 
+def _monomials(polys: Sequence[Poly]) -> list[Exponent] | None:
+    """The monomial of each polynomial, in order, or None unless every
+    polynomial has exactly one term."""
+    out = []
+    for f in polys:
+        if len(f.terms) != 1:
+            return None
+        out.extend(f.terms)
+    return out
+
+
 def reduce_poly_span(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     """Canonical (echelon) basis of the span of the given polynomials."""
+    monomials = _monomials(polys)
+    if monomials is not None:
+        one = Fraction(1)
+        return [Poly(nvars, {m: one})
+                for m in sorted(set(monomials), key=monomial_key)]
     rows, columns = _poly_rows(polys)
     echelon, _ = _reduce(rows, len(columns))._echelon()
     return [Poly(nvars, {columns[c]: v for c, v in row.items()}) for row in echelon]
@@ -223,6 +247,15 @@ def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
                           ) -> list[Poly]:
     """The candidates, in order, that are not in the span of ``base`` and
     of the candidates kept before them."""
+    seen, monomials = _monomials(base), _monomials(candidates)
+    if seen is not None and monomials is not None:
+        seen = set(seen)
+        kept = []
+        for f, m in zip(candidates, monomials):
+            if m not in seen:
+                seen.add(m)
+                kept.append(f)
+        return kept
     rows, columns = _poly_rows([*base, *candidates])
     engine = _reduce(rows[: len(base)], len(columns))
     return [

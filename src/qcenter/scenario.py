@@ -634,13 +634,14 @@ def run_scenario(
     Parse and validation failures propagate as exceptions; assertion
     failures inside tasks are recorded as failed tasks.
     """
-    if truncation is not None or max_degree is not None:
-        new_max = max_degree if max_degree is not None else scenario.max_degree
-        scenario = scenario._replace(
-            truncation=truncation if truncation is not None else scenario.truncation,
-            max_degree=new_max,
-            test_degree=max(scenario.test_degree, new_max + 2),
-        )
+    changes: dict[str, int] = {}
+    if truncation is not None:
+        changes["truncation"] = truncation
+    if max_degree is not None:  # the test cutoff stays at least two above it
+        changes["max_degree"] = max_degree
+        changes["test_degree"] = max(scenario.test_degree, max_degree + 2)
+    if changes:
+        scenario = scenario._replace(**changes)
         _check_bounds(scenario.pairs, scenario.truncation, scenario.max_degree,
                       scenario.test_degree)
     built = build_scenario(scenario)

@@ -68,7 +68,7 @@ overflows its field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import lshift
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -299,26 +299,34 @@ class StarProduct:
     def _symbol_powers_up_to(self, level: int) -> list[SymbolPower]:
         """S_0 .. S_level (at least), each as integer numerators over one
         denominator, grouped by the left multi-index.  Built on first use
-        from S_l = S_(l-1) * P / (2 l)."""
+        from S_l = S_(l-1) * P / (2 l) in integers: P is scaled once by the
+        lcm of its denominators, and each level is divided by the gcd of
+        its numerators and its denominator."""
         powers = self._symbol_powers
         dens = self._level_dens
         if not powers:
             powers.append((1, {(): [((), 1)]}))
             dens.append((1, 1))
+        entries = self.space.bivector_entries()
+        den_p = lcm(*(v.denominator for _, _, v in entries))
+        entries = [(i, j, v.numerator * (den_p // v.denominator))
+                   for i, j, v in entries]
         while len(powers) <= level:
             l = len(powers)
             den, prev = powers[-1]
-            acc: dict[tuple[Index, Index], Fraction] = {}
+            acc: dict[tuple[Index, Index], int] = {}
             for a, row in prev.items():
                 for b, c in row:
-                    for i, j, value in self.space.bivector_entries():
+                    for i, j, value in entries:
                         key = (tuple(sorted(a + (i,))), tuple(sorted(b + (j,))))
                         acc[key] = acc.get(key, 0) + c * value
-            scaled = {k: v / (2 * l * den) for k, v in acc.items() if v}
-            new_den = lcm(*(v.denominator for v in scaled.values()))
+            total = 2 * l * den * den_p
+            g = gcd(total, *acc.values())
             grouped: dict[Index, list[tuple[Index, int]]] = {}
-            for (a, b), v in scaled.items():
-                grouped.setdefault(a, []).append((b, int(v * new_den)))
+            for (a, b), v in acc.items():
+                if v:
+                    grouped.setdefault(a, []).append((b, v // g))
+            new_den = total // g
             powers.append((new_den, grouped))
             every, odd = dens[-1]
             dens.append((lcm(every, new_den), lcm(odd, new_den) if l % 2 else odd))

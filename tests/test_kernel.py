@@ -180,6 +180,19 @@ def test_wide_fields_match_oracle():
         )
 
 
+def test_high_levels_on_a_rational_bivector_match_oracle():
+    # the symbol powers past level 3 carry the bivector's denominators
+    # through their integer numerators; the other operands stop at degree 3
+    space = SPACES["rational"]
+    star = StarProduct(space, 5)
+    q1, p1, q2, p2 = (space.q(1), space.p(1), space.q(2), space.p(2))
+    f = (q1 * q1 * p2 * p2).scale(Fraction(2, 5)) - q2 * p1 * p1 * p2 + q1
+    g = q1 * q2 * p1 * p2 - (p1 ** 4).scale(Fraction(1, 3)) + q2 ** 5
+    for a, b in ((f, g), (g, f), (f, f)):
+        expected = brute_force_product(space, a, b)
+        assert max(expected) >= 4
+        assert star.product_terms(a, b) == expected
+
 
 def _uneven_expansion(space) -> dict[int, Poly]:
     """Low orders of small degree and denominator; the top order holds both

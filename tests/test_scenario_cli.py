@@ -642,6 +642,17 @@ def test_candidate_budget_follows_the_cli_degree(tmp_path, capsys):
     assert "over the size budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, test_degree", [
+    ([], 8), (["--truncation", "3"], 8), (["--max-degree", "8"], 10),
+])
+def test_only_the_degree_flag_raises_the_test_degree(tmp_path, flags, test_degree):
+    data = dict(_torus_k2(), max_degree=8, test_degree=8, tasks=["invariants"])
+    path = write_scenario(tmp_path, data)
+    out = tmp_path / "report.json"
+    assert main(["run", path, *flags, "--report", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["test_degree"] == test_degree
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_ungraded_centers_scenario_is_refused_with_exit_3(tmp_path, command):
     # with hbar_weight 0 every series order would be a quantum block of the
