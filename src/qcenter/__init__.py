@@ -21,8 +21,6 @@ from .centers import (
     invariant_generators,
     invariants_up_to,
     moment_image_basis,
-    poisson_center_up_to,
-    quantum_center_up_to,
 )
 from .envelope import (
     UEnvElement,

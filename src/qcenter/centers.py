@@ -34,33 +34,32 @@ Both systems are shrunk without changing any answer:
 * *Generators as test elements.*  ``invariant_generators`` keeps, degree
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
-  with the generators does so with every invariant up to the cutoff: the
-  Poisson center is always tested against the generators.  The deformed
-  commutator is a derivation of the product, and when every hamiltonian
-  has degree at most 2 the product is invariant under the action, so
-  ``g * v`` is the deformed product of ``g`` and ``v`` minus higher-order
-  terms that are invariants of lower degree; by induction on the degree,
-  commuting with the generators modulo the truncation is then commuting
-  with every invariant.  The quantum center uses the generators under
+  with the generators does so with every invariant up to the cutoff.  The
+  deformed commutator is a derivation of the product, and when every
+  hamiltonian has degree at most 2 the product is invariant under the
+  action, so ``g * v`` is the deformed product of ``g`` and ``v`` minus
+  higher-order terms that are invariants of lower degree; by induction on
+  the degree, commuting with the generators modulo the truncation is then
+  commuting with every invariant.  Both centers use the generators under
   that condition and the full test set otherwise (``quantum_tests``).
   Either way the solution space is the same, and the kernel bases are
   canonical.  The argument holds for any series, so the scenario's lift
   tasks test centrality against the same set.  ``compare_centers``
-  computes the invariants and their generators once, hands both to the
-  two center functions and returns the generators with its report.
+  computes the invariants and their generators once and returns the
+  generators with its report.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
 element ``u``, each pair expanded once, with ``b`` and ``u`` prepared
-(``StarProduct.prepare``) once.  The Poisson bracket is the order-1 term
-of the commutator, so the Poisson slices read that term in the
-generators' columns (the generators are among the full test set when the
-quantum center needs it).  The quantum block ``(r, b)`` reads the orders
-of its entry up to ``order - r``, raised by ``r``; a basis element that
-stands at several series orders is expanded once, not once per order.
-``compare_centers`` builds the table once, to the action's truncation,
-and hands it to both center functions; called alone, each builds its own,
-the Poisson center to order 1.  The table lives for one call.
+(``StarProduct.prepare``) once.  ``compare_centers`` builds the table once,
+to the action's truncation, and hands it and the invariants to both center
+functions; the table lives for one call.  Both slices go through one
+kernel routine (``_center_kernel``): in every test column, block ``(r, b)``
+reads the orders of its entry up to a top order minus ``r``, raised by
+``r``.  The quantum slice reads up to the truncation, and a basis element
+that stands at several series orders is expanded once, not once per
+order.  The Poisson slice is the case ``r = 0`` with top order 1: the
+Poisson bracket is the order-1 term of the commutator.
 
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
@@ -251,82 +250,63 @@ def invariant_generators(invariants: GradedSubspace, test_degree: int
     return generators
 
 
-class _Commutators(NamedTuple):
-    """``commutator_terms(b, u, cap)`` for every invariant basis element
-    ``b`` up to a degree and every test element ``u``: ``entries[degree][i][j]``
-    pairs the i-th basis element of that degree with ``tests[j]``."""
-
-    tests: Sequence[Poly]
-    entries: dict[int, list[list[dict[int, Poly]]]]
-
-    def columns(self, elements: Sequence[Poly]) -> list[int]:
-        """Positions of ``elements`` among the test elements."""
-        position = {u: j for j, u in enumerate(self.tests)}
-        return [position[u] for u in elements]
+# ``table[degree][i][j]``: ``commutator_terms(b, u, cap)`` of the i-th
+# invariant basis element ``b`` of that degree with the j-th test element
+_Table = dict[int, list[list[dict[int, Poly]]]]
 
 
 def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
                       max_degree: int, tests: Sequence[Poly], cap: int
-                      ) -> _Commutators:
+                      ) -> _Table:
     """Each commutator once, up to order ``cap``: every basis element and
     every test element is prepared once."""
     prepare = act.star.prepare
     commutator = act.star.commutator_terms
     prepared = [prepare(u) for u in tests]
-    entries = {
+    return {
         degree: [
             [commutator(pb, pu, cap) for pu in prepared]
             for pb in map(prepare, invariants.basis(degree))
         ]
         for degree in range(max_degree + 1)
     }
-    return _Commutators(tests, entries)
 
 
-def _orders_up_to(expansion: dict[int, Poly], top: int, shift: int
-                  ) -> dict[int, Poly]:
-    """The orders at most ``top`` of an expansion, each raised by ``shift``."""
-    return {shift + s: t for s, t in expansion.items() if s <= top}
+def _center_kernel(blocks: Sequence[tuple[int, list[dict[int, Poly]]]],
+                   top: int) -> list[list[Fraction]]:
+    """Kernel of the commutation constraints of the blocks ``(r, row)``,
+    one unknown per block: in every test column, block ``(r, row)`` reads
+    the orders of its table row up to ``top - r``, raised by ``r``."""
+    solver = EchelonAccumulator(len(blocks))
+    for j in range(len(blocks[0][1])):
+        _add_coefficient_rows(solver, [
+            {r + s: t for s, t in row[j].items() if s <= top - r}
+            for r, row in blocks
+        ])
+    return solver.kernel()
 
 
-def poisson_center_up_to(
-    act: HamiltonianAction,
-    max_degree: int,
-    test_degree: int,
-    invariants: GradedSubspace | None = None,
-    generators: list[Poly] | None = None,
-    commutators: _Commutators | None = None,
-) -> GradedSubspace:
+def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
+                         invariants: GradedSubspace, commutators: _Table
+                         ) -> GradedSubspace:
     """Invariants whose bracket with every invariant basis element up to
-    the test cutoff vanishes, tested against the generators (the bracket
-    is a biderivation).  ``invariants`` and ``generators``, when given,
-    must be ``invariants_up_to(act, test_degree)`` and its
-    ``invariant_generators``; ``commutators``, when given, must expand the
-    invariant basis up to ``max_degree`` against a test set holding the
-    generators, to order 1 at least.  The bracket is the order-1 term of
-    each commutator."""
-    if test_degree < max_degree:
-        raise ValidationError("test cutoff must be at least the degree bound")
+    the test cutoff vanishes.  ``invariants`` is the run's
+    ``invariants_up_to(act, test_degree)`` and ``commutators`` its table
+    up to ``max_degree`` against ``quantum_tests``, to order 1 at least.
+    The bracket is the order-1 term of each commutator, read in every test
+    column: the test set holds the generators, and the bracket is a
+    biderivation, so the full basis gives the same kernel."""
     nv = act.space.nvars
-    if invariants is None:
-        invariants = invariants_up_to(act, test_degree)
-    if generators is None:
-        generators = invariant_generators(invariants, test_degree)
-    if commutators is None:
-        commutators = _commutator_table(act, invariants, max_degree, generators, 1)
-    columns = commutators.columns(generators)
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
-        entries = commutators.entries[degree]
+        entries = commutators[degree]
         if not entries:
             continue
-        solver = EchelonAccumulator(len(entries))
-        for j in columns:
-            _add_coefficient_rows(
-                solver, [_orders_up_to(row[j], 1, 0) for row in entries]
-            )
         candidates = invariants.basis(degree)
-        basis = [_combine(candidates, vec, nv) for vec in solver.kernel()]
+        basis = [
+            _combine(candidates, vec, nv)
+            for vec in _center_kernel([(0, row) for row in entries], 1)
+        ]
         if basis:
             slices[degree] = basis
     return GradedSubspace(nv, slices)
@@ -341,54 +321,34 @@ class QuantumCenterSlice(NamedTuple):
     representatives: list[HSeries]  # lifts whose classical parts are a basis
 
 
-def quantum_center_up_to(
-    act: HamiltonianAction,
-    max_degree: int,
-    test_degree: int,
-    invariants: GradedSubspace | None = None,
-    generators: list[Poly] | None = None,
-    commutators: _Commutators | None = None,
-) -> dict[int, QuantumCenterSlice]:
+def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
+                         invariants: GradedSubspace, commutators: _Table
+                         ) -> dict[int, QuantumCenterSlice]:
     """Per-degree quantum-center slices at the action's truncation, solved
     exactly.
 
     Requires the default uniform grading (every coordinate of weight -1)
-    with a graded bivector; the coefficient of series order r in the
-    degree-d slice is then an invariant of degree ``d - k*r``.
-    ``invariants`` and ``generators`` are as for ``poisson_center_up_to``;
-    ``commutators``, when given, must expand the invariant basis up to
-    ``max_degree`` against the quantum test set (the generators when every
-    hamiltonian has degree at most 2, else the invariant basis up to the
-    test cutoff) to the action's truncation at least.
+    with a graded bivector (``check_slicing_grading``); the coefficient of
+    series order r in the degree-d slice is then an invariant of degree
+    ``d - k*r``.  ``invariants`` and ``commutators`` are as for
+    ``poisson_center_up_to``, the table to the action's truncation at
+    least.
     """
-    check_slicing_grading(act.space)
-    if test_degree < max_degree:
-        raise ValidationError("test cutoff must be at least the degree bound")
     k = act.space.hbar_weight
     order = act.order
-    if invariants is None:
-        invariants = invariants_up_to(act, test_degree)
-    if commutators is None:
-        tests = quantum_tests(act, invariants, test_degree, generators)
-        commutators = _commutator_table(act, invariants, max_degree, tests,
-                                        max(order, 1))
     out: dict[int, QuantumCenterSlice] = {}
     for degree in range(max_degree + 1):
         blocks: list[tuple[int, Poly]] = []
         entries: list[tuple[int, list[dict[int, Poly]]]] = []
         for r in range(min(order, degree // k) + 1):
             blocks += [(r, b) for b in invariants.basis(degree - k * r)]
-            entries += [(r, row) for row in commutators.entries[degree - k * r]]
+            entries += [(r, row) for row in commutators[degree - k * r]]
         if not blocks:
             out[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
-        solver = EchelonAccumulator(len(blocks))
-        for j in range(len(commutators.tests)):
-            _add_coefficient_rows(
-                solver, [_orders_up_to(row[j], order - r, r) for r, row in entries]
-            )
         basis = [
-            _series_from_vector(act, blocks, vec) for vec in solver.kernel()
+            _series_from_vector(act, blocks, vec)
+            for vec in _center_kernel(entries, order)
         ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)
@@ -500,17 +460,15 @@ def compare_centers(
 ) -> CenterReport:
     """Assemble the per-degree comparison table of both centers."""
     check_slicing_grading(act.space)
+    if test_degree < max_degree:
+        raise ValidationError("test cutoff must be at least the degree bound")
     invariants = invariants_up_to(act, test_degree)
     generators = invariant_generators(invariants, test_degree)
     tests = quantum_tests(act, invariants, test_degree, generators)
     commutators = _commutator_table(act, invariants, max_degree, tests,
                                     max(act.order, 1))
-    poisson = poisson_center_up_to(
-        act, max_degree, test_degree, invariants, generators, commutators
-    )
-    quantum = quantum_center_up_to(
-        act, max_degree, test_degree, invariants, generators, commutators
-    )
+    poisson = poisson_center_up_to(act, max_degree, invariants, commutators)
+    quantum = quantum_center_up_to(act, max_degree, invariants, commutators)
     names = act.space.names
     rows = []
     for degree in range(max_degree + 1):

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 all assertions passed, 1 assertion failure in some task,
-2 parse error (file, JSON or expression syntax), 3 validation error
-(structural or mathematical input inconsistency).
+2 input or output error (a scenario file that cannot be read or is not
+UTF-8, JSON syntax or nesting too deep to decode, expression syntax, or a
+report path that cannot be written), 3 validation error (structural or
+mathematical input inconsistency).  Every input ends in one of these
+codes with a one-line message, never in a traceback.
 """
 
 from __future__ import annotations
@@ -67,7 +70,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         rendered = to_json(report) if args.format == "json" else to_text(report)
         if args.out:
-            Path(args.out).write_text(rendered)
+            try:
+                Path(args.out).write_text(rendered)
+            except OSError as exc:
+                print(f"output error: cannot write the report: {exc}",
+                      file=sys.stderr)
+                return EXIT_PARSE
         else:
             sys.stdout.write(rendered)
         return EXIT_OK if report.passed else EXIT_ASSERTION

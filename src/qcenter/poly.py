@@ -60,7 +60,7 @@ class Poly:
     return new objects, so values can be shared freely across threads.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -76,7 +76,6 @@ class Poly:
                 clean[exp] = coeff
         _set_nvars(self, nvars)
         _set_terms(self, clean)
-        _set_hash(self, None)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
@@ -86,7 +85,6 @@ class Poly:
         self = object.__new__(cls)
         _set_nvars(self, nvars)
         _set_terms(self, terms)
-        _set_hash(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -224,12 +222,6 @@ class Poly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            value = hash((self.nvars, tuple(self.sorted_terms())))
-            _set_hash(self, value)
-        return self._hash
-
     # -- calculus and grading -----------------------------------------------
 
     def partial(self, index: int) -> "Poly":
@@ -350,7 +342,6 @@ class Poly:
 # half the cost of ``object.__setattr__``
 _set_nvars = Poly.nvars.__set__
 _set_terms = Poly.terms.__set__
-_set_hash = Poly._hash.__set__
 
 
 def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:

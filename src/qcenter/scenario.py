@@ -35,6 +35,11 @@ document (``ValidationError``):
 * ``MAX_SAMPLES`` bounds ``samples.axioms`` and ``samples.moment``: the
   sample lists are drawn whole before the checks run.
 
+The budget bounds size, not time.  An admitted scenario can still run for
+minutes: ``so3_rotation`` (``tests/data``) at ``max_degree`` 22 and
+``test_degree`` 24 with tasks ``["invariants"]`` is admitted, and ran for
+~80 s within 1.5 GB before it exited 0 (2-core host, Python 3.11.7).
+
 Field reference (see the README for the full schema):
 
 * ``name``, ``description``
@@ -474,13 +479,15 @@ def load_scenario(path_or_preset: str) -> Scenario:
             raise ParseError(f"no such scenario file or preset: {path_or_preset}")
         path = preset
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"JSON in {path} is nested too deeply") from None
     return parse_scenario(data, default_name=path.stem)
 
 

@@ -9,7 +9,8 @@ are rewritten without a cache, in any descent order, and symmetrized by
 averaging over every ordering.  Slow but unambiguous.
 
 The ready-made Lie algebras and the seeded polynomial samplers that the
-tests build their inputs from live here too.
+tests build their inputs from live here too, and so do the inputs of the
+two center slices, built the way ``compare_centers`` builds them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from qcenter import (
     UEnvElement,
     monomials_of_degree,
 )
+from qcenter import centers
 from qcenter.poly import monomial_table
 
 
@@ -242,6 +244,31 @@ def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
     labels = tuple(labels) if labels else tuple(f"t{i+1}" for i in range(dim))
     gens = [InvariantGenerator(labels[i], Poly.variable(dim, i)) for i in range(dim)]
     return LieAlgebraData(dim, labels, {}, gens)
+
+
+# -- center inputs ---------------------------------------------------------------
+
+
+def center_inputs(act, max_degree: int, test_degree: int, invariants=None):
+    """``(invariants, table)`` for ``poisson_center_up_to`` and
+    ``quantum_center_up_to``, by ``compare_centers``' steps: the invariants
+    up to ``test_degree`` (unless given), their generators, the quantum test
+    set and one commutator table to the action's truncation.  The steps are
+    looked up in ``qcenter.centers`` at call time, so a test that
+    monkeypatches one of them changes these inputs too."""
+    centers.check_slicing_grading(act.space)
+    if invariants is None:
+        invariants = centers.invariants_up_to(act, test_degree)
+    generators = centers.invariant_generators(invariants, test_degree)
+    tests = centers.quantum_tests(act, invariants, test_degree, generators)
+    table = centers._commutator_table(act, invariants, max_degree, tests,
+                                      max(act.order, 1))
+    return invariants, table
+
+
+def poly_key(f: Poly) -> tuple:
+    """A hashable key equal for equal polynomials (``Poly`` is unhashable)."""
+    return f.nvars, tuple(f.sorted_terms())
 
 
 # -- seeded samplers -------------------------------------------------------------

@@ -9,20 +9,36 @@ from qcenter import (
     MonicRelation,
     StarProduct,
     SymplecticSpace,
+    ValidationError,
     compare_centers,
     in_span,
     invariant_generators,
     invariants_up_to,
     moment_image_basis,
     parse_poly,
-    poisson_center_up_to,
-    quantum_center_up_to,
     reduce_poly_span,
 )
 from qcenter import star as star_module
+from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.liealg import InvariantGenerator, LieAlgebraData
 
-from oracle import abelian_data, power_products, spans_equal, weight_zero_monomials
+from oracle import (
+    abelian_data,
+    center_inputs,
+    power_products,
+    spans_equal,
+    weight_zero_monomials,
+)
+
+
+def _poisson(act, max_degree, test_degree, invariants=None):
+    inputs = center_inputs(act, max_degree, test_degree, invariants)
+    return poisson_center_up_to(act, max_degree, *inputs)
+
+
+def _quantum(act, max_degree, test_degree):
+    inputs = center_inputs(act, max_degree, test_degree)
+    return quantum_center_up_to(act, max_degree, *inputs)
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +174,13 @@ def test_moment_image_matches_exponent_enumeration(generators, pullbacks, dim8):
 
 def test_poisson_center_sl2_everything_central(sl2_action):
     inv = invariants_up_to(sl2_action, 10)
-    center = poisson_center_up_to(sl2_action, 8, 10, inv)
+    center = _poisson(sl2_action, 8, 10, inv)
     for degree in range(9):
         assert center.dimension(degree) == inv.dimension(degree)
 
 
 def test_poisson_center_torus4_is_trace_powers(torus4_action):
-    center = poisson_center_up_to(torus4_action, 6, 8)
+    center = _poisson(torus4_action, 6, 8)
     sp = torus4_action.space
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
     assert center.dimension(2) == 1
@@ -177,7 +193,7 @@ def test_poisson_center_torus4_is_trace_powers(torus4_action):
 
 
 def test_poisson_center_trivial_is_constants(trivial_action):
-    center = poisson_center_up_to(trivial_action, 5, 7)
+    center = _poisson(trivial_action, 5, 7)
     assert center.dimension(0) == 1
     for degree in range(1, 6):
         assert center.dimension(degree) == 0
@@ -186,7 +202,7 @@ def test_poisson_center_trivial_is_constants(trivial_action):
 def test_moment_image_inside_poisson_center(sl2_action, torus_action, torus4_action):
     for act in (sl2_action, torus_action, torus4_action):
         image = moment_image_basis(act, 6)
-        center = poisson_center_up_to(act, 6, 8)
+        center = _poisson(act, 6, 8)
         for degree in image.degrees():
             if degree > 6:
                 continue
@@ -195,8 +211,9 @@ def test_moment_image_inside_poisson_center(sl2_action, torus_action, torus4_act
 
 
 def test_quantum_center_order0_parts_are_poisson_central(torus4_action):
-    slices = quantum_center_up_to(torus4_action, 6, 8)
-    center = poisson_center_up_to(torus4_action, 6, 8)
+    inputs = center_inputs(torus4_action, 6, 8)
+    slices = quantum_center_up_to(torus4_action, 6, *inputs)
+    center = poisson_center_up_to(torus4_action, 6, *inputs)
     for degree, data in slices.items():
         for series in data.basis:
             part = series.classical_part()
@@ -205,7 +222,7 @@ def test_quantum_center_order0_parts_are_poisson_central(torus4_action):
 
 
 def test_quantum_center_torus4_degree2(torus4_action):
-    slices = quantum_center_up_to(torus4_action, 2, 8)
+    slices = _quantum(torus4_action, 2, 8)
     sp = torus4_action.space
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
     data = slices[2]
@@ -230,7 +247,7 @@ def test_quantum_center_below_the_star_truncation(skew_torus_action):
     order 3."""
     act = skew_torus_action
     low = HamiltonianAction(act.lie, StarProduct(act.space, 3), act.hamiltonians)
-    slices = quantum_center_up_to(low, 4, 8)
+    slices = _quantum(low, 4, 8)
     assert {d: (s.rank, len(s.basis)) for d, s in slices.items()} == {
         0: (1, 1), 1: (0, 0), 2: (1, 2), 3: (0, 0), 4: (1, 3)
     }
@@ -240,6 +257,7 @@ def test_quantum_center_below_the_star_truncation(skew_torus_action):
 def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
     """One exact solve per degree with candidates (0, 2, 4 and 6), against
     the whole test set, quartic generators included."""
+    inputs = center_inputs(skew_torus_action, 6, 8)
     solves = []
     kernel = EchelonAccumulator.kernel
 
@@ -248,7 +266,7 @@ def test_quantum_center_solves_once_per_slice(skew_torus_action, monkeypatch):
         return kernel(self)
 
     monkeypatch.setattr(EchelonAccumulator, "kernel", spy)
-    slices = quantum_center_up_to(skew_torus_action, 6, 8)
+    slices = quantum_center_up_to(skew_torus_action, 6, *inputs)
     assert len(solves) == 4
     assert {d: s.rank for d, s in slices.items() if s.basis} == {
         0: 1, 2: 1, 4: 1, 6: 1
@@ -272,15 +290,16 @@ def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
         init(self, f)
 
     monkeypatch.setattr(star_module._Slot, "__init__", spy)
-    poisson_center_up_to(act, 4, 6, invariants, generators)
+    inputs = center_inputs(act, 4, 6, invariants)
     candidates = sum(invariants.dimension(d) for d in range(5))
     assert len(built) == candidates + len(generators)
 
-    # a basis element enters the commutator table once, not once per
-    # series order it stands at
+    # both centers read that one table: a basis element is not prepared
+    # again, not even once per series order it stands at
     built.clear()
-    quantum_center_up_to(act, 4, 6, invariants, generators)
-    assert len(built) == candidates + len(generators)
+    poisson_center_up_to(act, 4, *inputs)
+    quantum_center_up_to(act, 4, *inputs)
+    assert built == []
 
     built.clear()
     sp = act.space
@@ -293,7 +312,7 @@ def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
 
 
 def test_quantum_center_sl2_everything_invariant_is_central(sl2_action):
-    slices = quantum_center_up_to(sl2_action, 4, 6)
+    slices = _quantum(sl2_action, 4, 6)
     inv = invariants_up_to(sl2_action, 6)
     for degree in (0, 2, 4):
         assert slices[degree].rank == inv.dimension(degree)
@@ -312,6 +331,13 @@ def test_compare_centers_equal_ranks(sl2_action, torus_action, torus4_action,
         for row in report.rows:
             assert row.equal
             assert row.invariant_dim >= row.poisson_dim
+
+
+def test_compare_centers_refuses_a_test_cutoff_below_the_degree_bound(
+    torus4_action,
+):
+    with pytest.raises(ValidationError, match="test cutoff"):
+        compare_centers(torus4_action, 6, 4)
 
 
 def test_compare_centers_trivial_degree_zero(trivial_action):
@@ -341,7 +367,7 @@ def test_skew_torus_center_needs_quartic_tests(skew_torus_action):
     quartic = sp.q(1) * sp.p(2) ** 3
     assert star.poisson(skew_torus_action.hamiltonians[0], quartic).is_zero()
     assert star.poisson(q1p1, quartic) == -quartic
-    center = poisson_center_up_to(skew_torus_action, 6, 8)
+    center = _poisson(skew_torus_action, 6, 8)
     h = skew_torus_action.hamiltonians[0]
     assert center.dimension(2) == 1
     assert spans_equal(center.basis(2), [h])

@@ -21,13 +21,12 @@ from qcenter import (
     invariant_generators,
     invariants_up_to,
     parse_poly,
-    poisson_center_up_to,
-    quantum_center_up_to,
 )
 from qcenter import centers
+from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import abelian_data
+from oracle import abelian_data, center_inputs, poly_key
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -47,8 +46,16 @@ def _full_basis(invariants, test_degree):
     ]
 
 
+def _keys(polys):
+    return {poly_key(f) for f in polys}
+
+
+def _distinct(polys):
+    return list({poly_key(f): f for f in polys}.values())
+
+
 def _polys(exprs, names):
-    return {parse_poly(expr, names) for expr in exprs}
+    return _keys(parse_poly(expr, names) for expr in exprs)
 
 
 def test_torus_k4_generators_are_the_four_quadratics():
@@ -56,7 +63,7 @@ def test_torus_k4_generators_are_the_four_quadratics():
     names = built.space.names
     gens = invariant_generators(inv, built.scenario.test_degree)
     assert len(gens) == 4
-    assert set(gens) == _polys(["q1*p1", "q1*p2", "q2*p1", "q2*p2"], names)
+    assert _keys(gens) == _polys(["q1*p1", "q1*p2", "q2*p1", "q2*p2"], names)
 
 
 def test_sl2_generator_is_the_pairing():
@@ -69,7 +76,7 @@ def test_generators_stop_at_the_test_degree():
     built, inv = _built("trivial_k2")
     assert invariant_generators(inv, 0) == []
     gens = invariant_generators(inv, 3)
-    assert set(gens) == _polys(["q1", "p1"], built.space.names)
+    assert _keys(gens) == _polys(["q1", "p1"], built.space.names)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -77,17 +84,17 @@ def test_every_invariant_is_a_polynomial_in_the_generators(preset):
     built, inv = _built(preset)
     top = built.scenario.test_degree
     gens = invariant_generators(inv, top)
-    # all products of generators, by degree
-    products = {0: {Poly.constant(built.space.nvars, 1)}}
+    # all products of generators, by degree, each once
+    products = {0: [Poly.constant(built.space.nvars, 1)]}
     for degree in range(1, top + 1):
-        products[degree] = {
+        products[degree] = _distinct(
             g * p
             for g in gens
             if g.degree() <= degree
             for p in products[degree - g.degree()]
-        }
+        )
         for u in inv.basis(degree):
-            assert in_span(u, list(products[degree])), (preset, degree, u)
+            assert in_span(u, products[degree]), (preset, degree, u)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -95,12 +102,15 @@ def test_full_test_set_gives_the_same_slices(preset, monkeypatch):
     built, inv = _built(preset)
     scenario = built.scenario
     act = built.action
-    args = (act, scenario.max_degree, scenario.test_degree)
-    poisson = poisson_center_up_to(*args, inv)
-    quantum = quantum_center_up_to(*args, inv)
+    args = (act, scenario.max_degree, scenario.test_degree, inv)
+    inputs = center_inputs(*args)
+    poisson = poisson_center_up_to(act, scenario.max_degree, *inputs)
+    quantum = quantum_center_up_to(act, scenario.max_degree, *inputs)
     monkeypatch.setattr(centers, "invariant_generators", _full_basis)
-    assert poisson_center_up_to(*args, inv).slices == poisson.slices
-    full = quantum_center_up_to(*args, inv)
+    inputs = center_inputs(*args)
+    full_poisson = poisson_center_up_to(act, scenario.max_degree, *inputs)
+    assert full_poisson.slices == poisson.slices
+    full = quantum_center_up_to(act, scenario.max_degree, *inputs)
     assert full.keys() == quantum.keys()
     for degree, slice_q in quantum.items():
         assert full[degree] == slice_q
@@ -132,11 +142,9 @@ def test_quantum_center_uses_generators_only_for_quadratic_actions(
     )
     inv = invariants_up_to(act, 4)
     calls = _spy(monkeypatch)
-    quantum_center_up_to(act, 3, 4, inv)
-    assert bool(calls) == uses_generators
-    calls.clear()
-    poisson_center_up_to(act, 3, 4, inv)
-    assert calls == [4]
+    tests = centers.quantum_tests(act, inv, 4, None)
+    assert calls == ([4] if uses_generators else [])
+    assert tests == _full_basis(inv, 4)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -136,6 +136,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _exits_2_with_one_line(argv, capsys, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_scenario_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    data = dict(MINIMAL_TORUS, description="Gr\u00f6\u00dfe", tasks=[])
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("latin-1"))
+    for command in ("validate", "run"):
+        _exits_2_with_one_line([command, str(path)], capsys, "utf-8")
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    for command in ("validate", "run"):
+        _exits_2_with_one_line([command, str(path)], capsys, "nested too deeply")
+
+
+def test_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    # json.loads refuses integers past sys.get_int_max_str_digits() with a
+    # plain ValueError, not a JSONDecodeError
+    path = tmp_path / "long.json"
+    text = json.dumps(dict(MINIMAL_TORUS, truncation=0))
+    path.write_text(text.replace('"truncation": 0', '"truncation": ' + "9" * 5000))
+    _exits_2_with_one_line(["validate", str(path)], capsys, "invalid JSON")
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    good = write_scenario(tmp_path, dict(MINIMAL_TORUS, tasks=[]))
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        _exits_2_with_one_line(["run", good, "--out", str(out)], capsys,
+                               "cannot write the report")
+
+
 def test_cli_validation_error_names_failing_data(tmp_path, capsys):
     data = json.loads(json.dumps(MINIMAL_TORUS))
     data["lie_algebra"] = {
