@@ -65,13 +65,23 @@ def main(argv: list[str] | None = None) -> int:
             print(f"scenario {scenario.name!r} is valid")
             return EXIT_OK
         scenario = load_scenario(args.scenario)
+        # a report path that cannot take the report is refused before the
+        # run, which can take minutes; a write that still fails (say, on
+        # permissions) is reported after it
+        out = Path(args.out) if args.out else None
+        if out is not None and (out.is_dir() or not out.parent.is_dir()):
+            problem = ("is a directory" if out.is_dir()
+                       else "is in a directory that does not exist")
+            print(f"output error: cannot write the report: {args.out!r} {problem}",
+                  file=sys.stderr)
+            return EXIT_PARSE
         report = run_scenario(
             scenario, truncation=args.truncation, max_degree=args.max_degree
         )
         rendered = to_json(report) if args.format == "json" else to_text(report)
-        if args.out:
+        if out is not None:
             try:
-                Path(args.out).write_text(rendered)
+                out.write_text(rendered)
             except OSError as exc:
                 print(f"output error: cannot write the report: {exc}",
                       file=sys.stderr)

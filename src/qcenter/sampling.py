@@ -5,14 +5,18 @@ samples, keeping reports byte-stable.  Each ``sample_*`` call lists the
 monomials of every degree once and draws from those tables; homogeneous
 pairs regroup them by weight under the space's weights, so each factor is
 weight-homogeneous whatever the grading.  A coefficient
-is drawn as a numerator and then a denominator, each by one ``choice``, and
-read from a table of the 18 pairs built once at import, so drawing builds no
-``Fraction``; only terms drawn twice add.  Terms that cancel are dropped.
+is drawn as a numerator and then a denominator, each by one uniform index,
+and read from a table of the 18 pairs built once at import, so drawing
+builds no ``Fraction``; only terms drawn twice add.  Terms that cancel are
+dropped.  Every index is drawn by ``_below``, which makes the same
+``getrandbits`` calls as ``randrange``, ``randint`` and ``choice`` without
+their wrappers, so the samples are those of the ``random`` methods.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 
 from .poly import Exponent, Poly, monomial_table
@@ -20,7 +24,7 @@ from .space import SymplecticSpace
 
 # Every coefficient a sample can draw: one row per numerator, over the
 # denominators 1, 1 and 2.  Picking a row and then an entry makes the same
-# two ``choice`` calls as drawing a numerator and then a denominator.
+# two draws as drawing a numerator and then a denominator.
 _COEFFICIENTS = [[Fraction(num, den) for den in (1, 1, 2)]
                  for num in (-3, -2, -1, 1, 2, 3)]
 _WHOLE = [row[0] for row in _COEFFICIENTS]
@@ -28,22 +32,36 @@ _WHOLE = [row[0] for row in _COEFFICIENTS]
 _MAX_TERMS = 4
 
 
-def _draw_poly(rng: random.Random, nvars: int, tables: list[list[Exponent]]
-               ) -> Poly:
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` for ``n >= 1``, drawn from
+    ``getrandbits`` exactly as ``Random._randbelow_with_getrandbits`` draws
+    it, so ``_below(rng.getrandbits, n)`` is ``rng.randrange(n)``,
+    ``a + _below(rng.getrandbits, b - a + 1)`` is ``rng.randint(a, b)`` and
+    ``seq[_below(rng.getrandbits, len(seq))]`` is ``rng.choice(seq)``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _draw_poly(bits: Callable[[int], int], nvars: int,
+               tables: list[list[Exponent]]) -> Poly:
     terms: dict[Exponent, Fraction] = {}
-    for _ in range(rng.randint(1, _MAX_TERMS)):
-        mons = tables[rng.randint(0, len(tables) - 1)]
-        exp = mons[rng.randrange(len(mons))]
-        _add_term(terms, exp, rng.choice(rng.choice(_COEFFICIENTS)))
+    for _ in range(1 + _below(bits, _MAX_TERMS)):
+        mons = tables[_below(bits, len(tables))]
+        exp = mons[_below(bits, len(mons))]
+        row = _COEFFICIENTS[_below(bits, len(_COEFFICIENTS))]
+        _add_term(terms, exp, row[_below(bits, len(row))])
     return _poly(nvars, terms)
 
 
-def _draw_homogeneous(rng: random.Random, nvars: int, mons: list[Exponent]
-                      ) -> Poly:
+def _draw_homogeneous(bits: Callable[[int], int], nvars: int,
+                      mons: list[Exponent]) -> Poly:
     terms: dict[Exponent, Fraction] = {}
-    for _ in range(rng.randint(1, min(_MAX_TERMS, len(mons)))):
-        exp = mons[rng.randrange(len(mons))]
-        _add_term(terms, exp, rng.choice(_WHOLE))
+    for _ in range(1 + _below(bits, min(_MAX_TERMS, len(mons)))):
+        exp = mons[_below(bits, len(mons))]
+        _add_term(terms, exp, _WHOLE[_below(bits, len(_WHOLE))])
     return _poly(nvars, terms)
 
 
@@ -59,16 +77,16 @@ def _poly(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
 def sample_triples(
     seed: int, space: SymplecticSpace, count: int, max_degree: int
 ) -> list[tuple[Poly, Poly, Poly]]:
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     nv = space.nvars
     tables = monomial_table(nv, max_degree)
     out = []
     for _ in range(count):
         out.append(
             (
-                _draw_poly(rng, nv, tables),
-                _draw_poly(rng, nv, tables),
-                _draw_poly(rng, nv, tables),
+                _draw_poly(bits, nv, tables),
+                _draw_poly(bits, nv, tables),
+                _draw_poly(bits, nv, tables),
             )
         )
     return out
@@ -92,17 +110,17 @@ def sample_homogeneous_pairs(
 ) -> list[tuple[Poly, Poly]]:
     """Pairs of weight-homogeneous polynomials of degree at most
     ``max_degree``, each factor drawn from one weight class."""
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     nv = space.nvars
     classes = _weight_classes(space, max_degree)
     out = []
     for _ in range(count):
-        c1 = rng.randint(0, len(classes) - 1)
-        c2 = rng.randint(0, len(classes) - 1)
+        c1 = _below(bits, len(classes))
+        c2 = _below(bits, len(classes))
         out.append(
             (
-                _draw_homogeneous(rng, nv, classes[c1]),
-                _draw_homogeneous(rng, nv, classes[c2]),
+                _draw_homogeneous(bits, nv, classes[c1]),
+                _draw_homogeneous(bits, nv, classes[c2]),
             )
         )
     return out
@@ -111,6 +129,6 @@ def sample_homogeneous_pairs(
 def sample_polys(
     seed: int, space: SymplecticSpace, count: int, max_degree: int
 ) -> list[Poly]:
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     tables = monomial_table(space.nvars, max_degree)
-    return [_draw_poly(rng, space.nvars, tables) for _ in range(count)]
+    return [_draw_poly(bits, space.nvars, tables) for _ in range(count)]

@@ -34,6 +34,19 @@ document (``ValidationError``):
   checked.
 * ``MAX_SAMPLES`` bounds ``samples.axioms`` and ``samples.moment``: the
   sample lists are drawn whole before the checks run.
+* ``MAX_SYMBOL_TERMS`` bounds the entries of the product's level-``L``
+  symbol table (``StarProduct._symbol_powers_up_to``), at most
+  ``min(C(2n + L - 1, L)^2, C(m + L - 1, L))`` for a bivector with ``m``
+  nonzero entries: pairs of sorted multi-indices, and multisets of ``L``
+  entries.  The standard bivector has ``m = 2n``; a dense one has
+  ``m = 2n(2n - 1)``.  ``L = max(4, min(truncation, max(test_degree,
+  MAX_WORD_LENGTH)))``: the truncation caps the series products, the
+  uncapped axiom products stop at the degree 4 of their samples, and no
+  contraction passes the smaller operand's degree, which is at most
+  ``test_degree`` for a slice and ``MAX_WORD_LENGTH`` for a coordinate
+  polynomial.  Only the uncapped ``weyl`` commutators and lifts composed
+  from the generators can go above ``L``; every preset run stays within
+  ``max(truncation, 4)``.
 
 The budget bounds size, not time.  An admitted scenario can still run for
 minutes: ``so3_rotation`` (``tests/data``) at ``max_degree`` 22 and
@@ -114,6 +127,11 @@ _SAMPLE_SEED = 0x5EED
 MAX_CANDIDATES = 10**6
 MAX_WORD_LENGTH = 24
 MAX_SAMPLES = 10**5
+# ~15 times the largest bound of the shipped presets, tests/data and the
+# test scenarios (6,435: four standard pairs at level 8).  A dense
+# three-pair bivector passes at level 5 (56,484 entries, ~41 MB and ~1 s to
+# build on a 2-core host, Python 3.11.7) and is refused at level 6.
+MAX_SYMBOL_TERMS = 10**5
 
 
 class LiftSpec(NamedTuple):
@@ -214,10 +232,27 @@ def _candidate_count(nvars: int, degree: int, limit: int) -> int:
     return count
 
 
-def _check_bounds(pairs: int, truncation: int, max_degree: int, test_degree: int
+def _symbol_level(truncation: int, test_degree: int) -> int:
+    """The symbol level the size budget bounds: the highest a run asks for
+    outside the ``weyl`` commutators and composed lifts (see the module
+    docstring)."""
+    return max(4, min(truncation, max(test_degree, MAX_WORD_LENGTH)))
+
+
+def _symbol_terms(pairs: int, nonzero: int, level: int, limit: int) -> int:
+    """``min(C(2n + L - 1, L)^2, C(m + L - 1, L))`` for ``n = pairs``,
+    ``m = nonzero`` and ``L = level``, the bound on the entries of the
+    level-``L`` symbol table, or a number above ``limit`` when the bound
+    is."""
+    indices = _candidate_count(2 * pairs - 1, level, limit)
+    return min(indices * indices, _candidate_count(nonzero - 1, level, limit))
+
+
+def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
+                  truncation: int, max_degree: int, test_degree: int
                   ) -> tuple[int, int, int]:
     """Reject truncation and degree bounds that no task could run with,
-    and scenarios over the candidate budget."""
+    and scenarios over the candidate or symbol-table budget."""
     for key, value in (("truncation", truncation), ("max_degree", max_degree),
                        ("test_degree", test_degree)):
         if value < 0:
@@ -230,6 +265,17 @@ def _check_bounds(pairs: int, truncation: int, max_degree: int, test_degree: int
         raise ValidationError(
             f"space.pairs {pairs} with test_degree {test_degree} gives more "
             f"than {MAX_CANDIDATES} candidate monomials, over the size budget"
+        )
+    nonzero = 2 * pairs if bivector is None else sum(
+        1 for row in bivector for value in row if value
+    )
+    level = _symbol_level(truncation, test_degree)
+    if _symbol_terms(pairs, nonzero, level, MAX_SYMBOL_TERMS) > MAX_SYMBOL_TERMS:
+        raise ValidationError(
+            f"space.pairs {pairs} with {nonzero} nonzero bivector entries "
+            f"gives more than {MAX_SYMBOL_TERMS} symbol terms at level {level} "
+            f"(truncation {truncation}, test_degree {test_degree}), over the "
+            f"size budget"
         )
     return truncation, max_degree, test_degree
 
@@ -261,12 +307,6 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         raise ValidationError("space.pairs must be an integer, not a boolean")
     if pairs < 1:
         raise ParseError("space.pairs must be a positive integer")
-    truncation, max_degree, test_degree = _check_bounds(
-        pairs,
-        _integer(data.get("truncation", 8), "truncation"),
-        _integer(data.get("max_degree", 8), "max_degree"),
-        _integer(data.get("test_degree", 10), "test_degree"),
-    )
     weights = space_data.get("weights")
     if weights is not None:
         if not isinstance(weights, list) or len(weights) != 2 * pairs:
@@ -283,6 +323,13 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                 raise ParseError("space.bivector must be a 2n x 2n matrix")
             rows.append(tuple(_scalar_check(v, "space.bivector") for v in row))
         bivector = tuple(rows)
+    truncation, max_degree, test_degree = _check_bounds(
+        pairs,
+        bivector,
+        _integer(data.get("truncation", 8), "truncation"),
+        _integer(data.get("max_degree", 8), "max_degree"),
+        _integer(data.get("test_degree", 10), "test_degree"),
+    )
     coord_names = default_names(2 * pairs)
 
     lie_data = _require(data, "lie_algebra", dict, "scenario")
@@ -649,8 +696,8 @@ def run_scenario(
         changes["test_degree"] = max(scenario.test_degree, max_degree + 2)
     if changes:
         scenario = scenario._replace(**changes)
-        _check_bounds(scenario.pairs, scenario.truncation, scenario.max_degree,
-                      scenario.test_degree)
+        _check_bounds(scenario.pairs, scenario.bivector, scenario.truncation,
+                      scenario.max_degree, scenario.test_degree)
     built = build_scenario(scenario)
     report = RunReport(
         scenario.name,

@@ -42,8 +42,14 @@ also keeps, per field width, the exponent tuple of every packed output
 monomial it has unpacked, and per denominator the ``Fraction`` of every
 numerator it has put over it, so each distinct output monomial is unpacked
 once and each distinct output coefficient is built once, not once per term
-of every call.  Only these immutable values are shared: every call returns
-fresh term dicts and no result is cached.
+of every call.  Beside that per-denominator table it keeps a value table
+{(numerator, denominator): Fraction} in lowest terms, read only when the
+per-denominator table misses: a new numerator over a denominator stores the
+value table's object, so equal coefficients of different products are one
+object (the two sides of an associativity check are put over different
+denominators), and ``dict`` and ``Poly`` equality settle them by identity.
+Only these immutable values are shared: every call returns fresh term dicts
+and no result is cached.
 
 Every contraction method accepts a prepared operand in place of a
 polynomial, an expansion or a series, so a caller that meets the same
@@ -250,6 +256,9 @@ class StarProduct:
         self._widths: dict[int, _Width] = {}
         # {den: {numerator: Fraction(numerator, den)}} for output coefficients
         self._coefficients: dict[int, dict[int, Fraction]] = {}
+        # {(numerator, denominator): Fraction} in lowest terms: the one
+        # object per value that every entry of ``_coefficients`` holds
+        self._values: dict[tuple[int, int], Fraction] = {}
 
     # -- the contraction kernel ----------------------------------------------
 
@@ -428,6 +437,7 @@ class StarProduct:
         unpacked = width.unpacked
         mask, shifts = width.mask, width.shifts
         coefficients = self._coefficients.setdefault(den, {})
+        values = self._values
         out: Expansion = {}
         for r in sorted(sums):
             terms = {}
@@ -438,7 +448,9 @@ class StarProduct:
                         e = unpacked[k] = tuple([(k >> s) & mask for s in shifts])
                     c = coefficients.get(n)
                     if c is None:
-                        c = coefficients[n] = Fraction(n, den)
+                        c = Fraction(n, den)
+                        c = coefficients[n] = values.setdefault(
+                            (c.numerator, c.denominator), c)
                     terms[e] = c
             if terms:
                 out[r] = Poly._trusted(nv, terms)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qcenter import HSeries, Poly, StarProduct, SymplecticSpace
+from qcenter.sampling import sample_triples
 
 from oracle import brute_force_product, brute_force_term, random_poly
 
@@ -258,3 +259,19 @@ def test_series_products_are_what_the_checking_constructor_keeps(kind):
                        star.star(F, star.prepare(_uneven_expansion(space)))):
             checked = HSeries(space.nvars, 3, result.terms)
             assert list(result.terms.items()) == list(checked.terms.items())
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_equal_coefficients_of_two_products_are_one_object(kind):
+    # (f*g)*h and f*(g*h) put their terms over different denominators; the
+    # product's value table hands both sides the same Fraction per value
+    space = SPACES[kind]
+    star = StarProduct(space, 4)
+    for f, g, h in sample_triples(19, space, 30, max_degree=4):
+        left = star.expansion_product(star.product_terms(f, g), h)
+        right = star.expansion_product(f, star.product_terms(g, h))
+        assert left.keys() == right.keys()
+        for r, term in left.items():
+            assert term.terms.keys() == right[r].terms.keys()
+            for e, c in term.terms.items():
+                assert c is right[r].terms[e]

@@ -4,14 +4,21 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qcenter import DimensionError, Poly, SymplecticSpace, monomials_of_degree
 from qcenter.poly import monomial_key, monomial_table, poly_sum
-from qcenter.sampling import sample_homogeneous_pairs, sample_polys, sample_triples
+from qcenter.sampling import (
+    _COEFFICIENTS, _MAX_TERMS, _WHOLE, _below, _weight_classes,
+    sample_homogeneous_pairs, sample_polys, sample_triples,
+)
+from qcenter.scenario import build_scenario, list_presets, load_scenario
 
 from oracle import random_poly
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def poly_of(text_terms):
@@ -271,3 +278,31 @@ def test_seeded_samples_are_pinned():
     )
     for f in sample_polys(7, space, 200, 6):
         _assert_clean(f)
+
+
+def _sampler_bounds() -> set[int]:
+    """Every ``n`` a sampler draws below, on the spaces of the shipped
+    presets and the so(3) document, at the degrees the tasks sample."""
+    bounds = {_MAX_TERMS, len(_COEFFICIENTS), len(_WHOLE)}
+    bounds.update(len(row) for row in _COEFFICIENTS)
+    scenarios = [load_scenario(name) for name, _ in list_presets()]
+    scenarios.append(load_scenario(str(DATA / "so3_rotation.json")))
+    for scenario in scenarios:
+        space = build_scenario(scenario).space
+        for degree in (4, 6):
+            for groups in (monomial_table(space.nvars, degree),
+                           _weight_classes(space, degree)):
+                bounds.add(len(groups))
+                for mons in groups:
+                    bounds.update((len(mons), min(_MAX_TERMS, len(mons))))
+    return bounds
+
+
+def test_below_draws_what_randrange_draws():
+    bounds = sorted(_sampler_bounds() | set(range(1, 40)))
+    for seed in (0, 1, 7, 0x5EED, 2**40 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for n in bounds:
+                assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()

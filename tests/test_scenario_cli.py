@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qcenter
 import qcenter.scenario as scenario_mod
+from qcenter import StarProduct, SymplecticSpace
 from qcenter.cli import main
 from qcenter.scenario import (
     MAX_SAMPLES,
@@ -24,6 +28,7 @@ from qcenter.scenario import (
 from qcenter.errors import ParseError, ValidationError
 from qcenter.report import to_json
 
+DATA = Path(__file__).resolve().parent / "data"
 MINIMAL_TORUS = {
     "schema": "qcenter-scenario/1",
     "name": "mini",
@@ -172,6 +177,31 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
     for out in (tmp_path / "missing" / "r.json", tmp_path):
         _exits_2_with_one_line(["run", good, "--out", str(out)], capsys,
                                "cannot write the report")
+
+
+def test_unwritable_report_path_is_refused_before_the_run(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr("qcenter.cli.run_scenario", no_run)
+    good = write_scenario(tmp_path, dict(MINIMAL_TORUS, tasks=[]))
+    for out in (tmp_path / "missing" / "r.json", tmp_path,
+                tmp_path / "good.json" / "r.json"):
+        _exits_2_with_one_line(["run", good, "--out", str(out)], capsys,
+                               "output error: cannot write the report")
+
+
+def test_report_write_that_fails_after_the_run_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # a path that passes the check before the run can still fail to write
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    good = write_scenario(tmp_path, dict(MINIMAL_TORUS, tasks=[]))
+    monkeypatch.setattr(Path, "write_text", refuse)
+    _exits_2_with_one_line(["run", good, "--out", str(tmp_path / "r.json")],
+                           capsys, "Permission denied")
 
 
 def test_cli_validation_error_names_failing_data(tmp_path, capsys):
@@ -678,6 +708,78 @@ def test_candidate_budget_follows_the_cli_degree(tmp_path, capsys):
     assert main(["validate", write_scenario(tmp_path, data, "over.json")]) == 3
     assert main(["run", path, "--max-degree", "15"]) == 3
     assert "over the size budget" in capsys.readouterr().err
+
+
+def _bivector(pairs: int, dense: bool) -> list[list[str]]:
+    """The standard bivector written out, or a seeded dense one: every
+    entry off the diagonal nonzero."""
+    n = 2 * pairs
+    rows = [["0"] * n for _ in range(n)]
+    rng = random.Random(pairs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dense:
+                value = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            else:
+                value = Fraction(int(j == i + pairs))
+            rows[i][j], rows[j][i] = str(value), str(-value)
+    return rows
+
+
+def test_dense_bivector_over_the_symbol_budget_is_refused_at_once(tmp_path, capsys):
+    # up to C(15, 8)^2 ~ 4.1 * 10^7 symbol terms at level 8
+    data = dict(_torus_k2(pairs=4, bivector=_bivector(4, dense=True)),
+                truncation=8, tasks=[])
+    path = write_scenario(tmp_path, data)
+    start = time.perf_counter()
+    assert main(["validate", path]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "validation error: space.pairs 4 with 56 nonzero bivector entries gives "
+        "more than 100000 symbol terms at level 8 (truncation 8, test_degree 10), "
+        "over the size budget\n"
+    )
+
+
+def test_standard_bivector_written_out_is_inside_the_symbol_budget(tmp_path):
+    data = dict(_torus_k2(pairs=3, bivector=_bivector(3, dense=False)),
+                truncation=8, tasks=[])
+    assert main(["validate", write_scenario(tmp_path, data)]) == 0
+    space = build_scenario(parse_scenario(data)).space
+    assert space.bivector == SymplecticSpace(3).bivector
+
+
+def test_symbol_budget_follows_the_cli_truncation(tmp_path, capsys):
+    # a dense three-pair bivector: 56,484 symbol terms at level 5, and up to
+    # C(11, 6)^2 = 213,444 at level 6
+    data = dict(_torus_k2(pairs=3, bivector=_bivector(3, dense=True)),
+                truncation=5, tasks=[])
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--truncation", "6"]) == 3
+    assert "symbol terms at level 6" in capsys.readouterr().err
+
+
+def test_no_preset_run_asks_for_a_symbol_level_over_the_budget_level(monkeypatch):
+    asked = []
+    build = StarProduct._symbol_powers_up_to
+
+    def spy(self, level):
+        asked.append(level)
+        return build(self, level)
+
+    monkeypatch.setattr(StarProduct, "_symbol_powers_up_to", spy)
+    names = [name for name, _ in list_presets()]
+    for scenario in [load_scenario(name) for name in names] + [
+        load_scenario(str(DATA / "so3_rotation.json"))
+    ]:
+        asked.clear()
+        assert run_scenario(scenario).passed
+        assert asked
+        assert max(asked) <= max(scenario.truncation, 4)
+        assert max(asked) <= scenario_mod._symbol_level(
+            scenario.truncation, scenario.test_degree
+        )
 
 
 @pytest.mark.parametrize("flags, test_degree", [
