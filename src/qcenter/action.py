@@ -14,8 +14,8 @@ monomials up to that degree.  Validation exploits this to be complete.
 
 The comoment map sends each generator to its quantum hamiltonian and
 words to left-to-right deformed products; it is a homomorphism exactly
-when the quantum hamiltonians reproduce the structure constants, which is
-asserted before use.
+when the quantum hamiltonians reproduce the structure constants, which
+the constructor checks with the rest of the validation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class HamiltonianAction:
         star: StarProduct,
         hamiltonians: Sequence[Poly],
         quantum_hamiltonians: Sequence[HSeries] | None = None,
-        validate: bool = True,
     ):
         self.lie = lie
         self.star = star
@@ -61,9 +60,7 @@ class HamiltonianAction:
             raise DimensionError("need one quantum hamiltonian per basis element")
         self.quantum_hamiltonians = tuple(quantum_hamiltonians)
         self._chain_cache: dict[tuple[int, ...], HSeries] = {}
-        self._quantum_consistency_checked = False
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- validation ---------------------------------------------------------------
 
@@ -121,8 +118,6 @@ class HamiltonianAction:
 
     def assert_quantum_consistency(self):
         """Quantum hamiltonians must reproduce the structure constants."""
-        if self._quantum_consistency_checked:
-            return
         quantum = [self.star.prepare(hq) for hq in self.quantum_hamiltonians]
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
@@ -135,7 +130,6 @@ class HamiltonianAction:
                         "quantum hamiltonians do not close under the commutator: "
                         f"({self.lie.labels[i]}, {self.lie.labels[j]})"
                     )
-        self._quantum_consistency_checked = True
 
     # -- moment maps -----------------------------------------------------------------
 
@@ -150,13 +144,9 @@ class HamiltonianAction:
             raise DimensionError("element over a different algebra")
         if a.order != self.order:
             raise ValidationError("element truncation differs from the action's")
-        self.assert_quantum_consistency()
         result = HSeries.zero(self.space.nvars, self.order)
-        for word in sorted(a.terms):
-            hp = a.terms[word]
-            chain = self._word_chain(word)
-            for r in sorted(hp):
-                result = result + chain.hbar_shift(r).scale(hp[r])
+        for (word, r), c in sorted(a.terms.items()):
+            result = result + self._word_chain(word).hbar_shift(r).scale(c)
         return result
 
     def _word_chain(self, word: tuple[int, ...]) -> HSeries:

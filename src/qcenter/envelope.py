@@ -7,7 +7,10 @@ a fixed order.  Words are kept sorted non-decreasingly; the rewriting rule
     x_j x_i  ->  x_i x_j + h [x_j, x_i]      (j > i)
 
 is applied until sorted.  The rewriting terminates and is confluent, so
-normal forms are well defined.  Setting the parameter to zero and reading
+normal forms are well defined.  An element, and the cached normal form of
+a word, is one flat map ``{(sorted word, parameter power): coefficient}``
+with no zero coefficients and no power above the truncation, so every
+operation is one loop over one dict.  Setting the parameter to zero and reading
 words as commutative monomials is the classical limit; averaging a
 monomial over all orderings gives the symmetrization section, a linear
 right inverse of the classical limit that carries invariants to central
@@ -26,51 +29,23 @@ from .liealg import LieAlgebraData
 from .poly import Poly, as_scalar
 
 Word = tuple[int, ...]
-HPoly = dict[int, Fraction]  # parameter power -> coefficient
+Key = tuple[Word, int]  # (sorted word, parameter power)
 
 
-def _hpoly_add(a: HPoly, b: HPoly) -> HPoly:
-    out = dict(a)
-    for r, c in b.items():
-        v = out.get(r)
-        if v is None:
-            out[r] = c
-        elif v := v + c:
-            out[r] = v
-        else:
-            del out[r]
-    return out
+def _accumulate(acc: dict, key, value: Fraction) -> None:
+    """Add ``value`` to ``acc[key]``, dropping the entry if it cancels."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+    elif total := old + value:
+        acc[key] = total
+    else:
+        del acc[key]
 
 
-def _hpoly_mul(a: HPoly, b: HPoly, order: int) -> HPoly:
-    out: HPoly = {}
-    for r1, c1 in a.items():
-        for r2, c2 in b.items():
-            r = r1 + r2
-            if r > order:
-                continue
-            v = out.get(r)
-            if v is None:
-                out[r] = c1 * c2
-            elif v := v + c1 * c2:
-                out[r] = v
-            else:
-                del out[r]
-    return out
-
-
-def _hpoly_scale(a: HPoly, s: Fraction) -> HPoly:
-    if s == 0:
-        return {}
-    return {r: c * s for r, c in a.items()}
-
-
-def _hpoly_shift(a: HPoly, j: int, order: int) -> HPoly:
-    return {r + j: c for r, c in a.items() if r + j <= order}
-
-
-def normalize_word(lie: LieAlgebraData, word: Word) -> dict[Word, HPoly]:
-    """Normal form of a single word as {sorted word: parameter polynomial}.
+def normalize_word(lie: LieAlgebraData, word: Word) -> dict[Key, Fraction]:
+    """Normal form of a single word as {(sorted word, parameter power):
+    coefficient}.
 
     The leftmost descent is rewritten first; results are cached on the
     algebra.  The rewriting is confluent, so any other descent order gives
@@ -80,21 +55,15 @@ def normalize_word(lie: LieAlgebraData, word: Word) -> dict[Word, HPoly]:
         return lie._normal_forms[word]
     descents = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if not descents:
-        result = {word: {0: Fraction(1)}}
-        lie._normal_forms[word] = result
-        return result
-    pos = descents[0]
-    b, a = word[pos], word[pos + 1]
-    swapped = word[:pos] + (a, b) + word[pos + 2 :]
-    acc: dict[Word, HPoly] = {}
-    for w, hp in normalize_word(lie, swapped).items():
-        acc[w] = _hpoly_add(acc.get(w, {}), hp)
-    for k, coeff in sorted(lie.bracket(b, a).items()):
-        contracted = word[:pos] + (k,) + word[pos + 2 :]
-        for w, hp in normalize_word(lie, contracted).items():
-            shifted = {r + 1: c * coeff for r, c in hp.items()}
-            acc[w] = _hpoly_add(acc.get(w, {}), shifted)
-    result = {w: hp for w, hp in acc.items() if hp}
+        result = {(word, 0): Fraction(1)}
+    else:
+        pos = descents[0]
+        b, a = word[pos], word[pos + 1]
+        result = dict(normalize_word(lie, word[:pos] + (a, b) + word[pos + 2 :]))
+        for k, coeff in sorted(lie.bracket(b, a).items()):
+            contracted = word[:pos] + (k,) + word[pos + 2 :]
+            for (w, r), c in normalize_word(lie, contracted).items():
+                _accumulate(result, (w, r + 1), c * coeff)
     lie._normal_forms[word] = result
     return result
 
@@ -108,25 +77,19 @@ class UEnvElement:
         self,
         lie: LieAlgebraData,
         order: int,
-        terms: Mapping[Word, Mapping[int, Fraction]] | None = None,
+        terms: Mapping[Key, Fraction] | None = None,
     ):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        clean: dict[Word, HPoly] = {}
-        if terms:
-            for word, hpoly in terms.items():
-                word = tuple(word)
-                if any(not 0 <= i < lie.dim for i in word):
-                    raise DimensionError(f"word {word} uses indices out of range")
-                if list(word) != sorted(word):
-                    raise ValidationError(f"word {word} is not in normal form")
-                hp = {
-                    int(r): as_scalar(c)
-                    for r, c in hpoly.items()
-                    if as_scalar(c) != 0 and 0 <= int(r) <= order
-                }
-                if hp:
-                    clean[word] = hp
+        clean: dict[Key, Fraction] = {}
+        for (word, r), c in (terms or {}).items():
+            word, r, c = tuple(word), int(r), as_scalar(c)
+            if any(not 0 <= i < lie.dim for i in word):
+                raise DimensionError(f"word {word} uses indices out of range")
+            if list(word) != sorted(word):
+                raise ValidationError(f"word {word} is not in normal form")
+            if c and 0 <= r <= order:
+                clean[word, r] = c
         object.__setattr__(self, "lie", lie)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
@@ -142,11 +105,11 @@ class UEnvElement:
 
     @staticmethod
     def one(lie: LieAlgebraData, order: int) -> "UEnvElement":
-        return UEnvElement(lie, order, {(): {0: Fraction(1)}})
+        return UEnvElement(lie, order, {((), 0): Fraction(1)})
 
     @staticmethod
     def generator(lie: LieAlgebraData, index: int, order: int) -> "UEnvElement":
-        return UEnvElement(lie, order, {(index,): {0: Fraction(1)}})
+        return UEnvElement(lie, order, {((index,), 0): Fraction(1)})
 
     # -- structure ------------------------------------------------------------
 
@@ -161,9 +124,9 @@ class UEnvElement:
 
     def __add__(self, other: "UEnvElement") -> "UEnvElement":
         self._check(other)
-        acc = {w: dict(hp) for w, hp in self.terms.items()}
-        for w, hp in other.terms.items():
-            acc[w] = _hpoly_add(acc.get(w, {}), hp)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(acc, key, c)
         return UEnvElement(self.lie, self.order, acc)
 
     def __sub__(self, other: "UEnvElement") -> "UEnvElement":
@@ -171,32 +134,27 @@ class UEnvElement:
 
     def scale(self, value) -> "UEnvElement":
         s = as_scalar(value)
-        return UEnvElement(
-            self.lie,
-            self.order,
-            {w: _hpoly_scale(hp, s) for w, hp in self.terms.items()},
-        )
+        scaled = {key: c * s for key, c in self.terms.items()}
+        return UEnvElement(self.lie, self.order, scaled)
 
     def hbar_shift(self, j: int) -> "UEnvElement":
-        return UEnvElement(
-            self.lie,
-            self.order,
-            {w: _hpoly_shift(hp, j, self.order) for w, hp in self.terms.items()},
-        )
+        shifted = {(w, r + j): c for (w, r), c in self.terms.items()}
+        return UEnvElement(self.lie, self.order, shifted)
 
     def __mul__(self, other: "UEnvElement") -> "UEnvElement":
-        """Concatenate and normalize, bilinearly; truncates parameter powers."""
+        """Concatenate and normalize, bilinearly; truncates parameter powers.
+        A pair whose powers already pass the truncation normalizes no word."""
         self._check(other)
-        acc: dict[Word, HPoly] = {}
-        for w1, h1 in self.terms.items():
-            for w2, h2 in other.terms.items():
-                base = _hpoly_mul(h1, h2, self.order)
-                if not base:
+        acc: dict[Key, Fraction] = {}
+        for (w1, r1), c1 in self.terms.items():
+            for (w2, r2), c2 in other.terms.items():
+                r12 = r1 + r2
+                if r12 > self.order:
                     continue
-                for w, hp in normalize_word(self.lie, w1 + w2).items():
-                    total = _hpoly_mul(base, hp, self.order)
-                    if total:
-                        acc[w] = _hpoly_add(acc.get(w, {}), total)
+                c12 = c1 * c2
+                for (w, r), c in normalize_word(self.lie, w1 + w2).items():
+                    if r12 + r <= self.order:
+                        _accumulate(acc, (w, r12 + r), c12 * c)
         return UEnvElement(self.lie, self.order, acc)
 
     def __eq__(self, other) -> bool:
@@ -210,18 +168,15 @@ class UEnvElement:
     # -- algebra maps ------------------------------------------------------------
 
     def classical_limit(self) -> Poly:
-        """Set the parameter to zero; words become commutative monomials."""
+        """Set the parameter to zero; words become commutative monomials.
+        Distinct sorted words give distinct monomials."""
         out: dict[tuple[int, ...], Fraction] = {}
-        for word, hp in self.terms.items():
-            c = hp.get(0)
-            if not c:
-                continue
-            exp = [0] * self.lie.dim
-            for i in word:
-                exp[i] += 1
-            key = tuple(exp)
-            old = out.get(key)
-            out[key] = c if old is None else old + c
+        for (word, r), c in self.terms.items():
+            if r == 0:
+                exp = [0] * self.lie.dim
+                for i in word:
+                    exp[i] += 1
+                out[tuple(exp)] = c
         return Poly(self.lie.dim, out)
 
     def commutator(self, other: "UEnvElement") -> "UEnvElement":

@@ -89,7 +89,8 @@ class LieAlgebraData:
                     raise ValidationError(
                         f"section correction of {gen.name!r} must be invariant"
                     )
-        # normalization cache for the rewriting system, keyed by index word
+        # normalization cache for the rewriting system: index word ->
+        # {(sorted word, parameter power): coefficient}
         self._normal_forms: dict[tuple[int, ...], dict] = {}
 
     # -- structure constants -------------------------------------------------

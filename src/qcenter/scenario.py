@@ -30,8 +30,10 @@ document (``ValidationError``):
   ``normalize_word`` recurses once per rewrite step, so the cap keeps its
   depth well inside Python's recursion limit.  The same cap bounds the
   coordinate polynomials (hamiltonians, quantum corrections and lift
-  targets), so a huge power there is refused before it is expanded and
-  checked.
+  targets) and the lift expressions (``lifts[].classical`` and
+  ``lifts[].relation[]`` in generator names, ``relations[]`` in lift
+  names), so a huge power there is refused before it is expanded,
+  checked or evaluated under the deformed product.
 * ``MAX_SAMPLES`` bounds ``samples.axioms`` and ``samples.moment``: the
   sample lists are drawn whole before the checks run.
 * ``MAX_SYMBOL_TERMS`` bounds the entries of the product's level-``L``
@@ -192,14 +194,6 @@ def _list(data: dict, key: str, where: str) -> list:
     return value
 
 
-def _syntax_check(expr: str, names: Sequence[str], where: str,
-                  max_degree: int | None = None) -> Poly:
-    try:
-        return parse_poly(expr, names, max_degree=max_degree)
-    except ParseError as exc:
-        raise ParseError(f"bad polynomial in {where}: {exc}") from exc
-
-
 def _scalar_check(value, where: str) -> Fraction:
     try:
         return as_scalar(value)
@@ -284,12 +278,14 @@ def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
     """A polynomial of degree at most ``MAX_WORD_LENGTH``, refused by the
     parser before a longer product or power is expanded."""
     try:
-        return _syntax_check(expr, names, where, MAX_WORD_LENGTH)
+        return parse_poly(expr, names, max_degree=MAX_WORD_LENGTH)
     except DegreeCapError as exc:
         raise ValidationError(
             f"{where} has degree {exc.degree}, over the word-length budget "
             f"of {MAX_WORD_LENGTH}"
         ) from None
+    except ParseError as exc:
+        raise ParseError(f"bad polynomial in {where}: {exc}") from exc
 
 
 def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
@@ -437,7 +433,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         if lift_name in lift_names:
             raise ValidationError(f"lift {lift_name!r} is named twice")
         if "classical" in entry:
-            classical = _syntax_check(
+            classical = _capped_check(
                 entry["classical"], generator_names, f"lift {lift_name!r}"
             )
             lifts.append(LiftSpec(lift_name, classical=classical))
@@ -451,14 +447,14 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             if not relation:
                 raise ParseError("lift relation needs at least one coefficient")
             relation = tuple(
-                _syntax_check(expr, generator_names, f"lift {lift_name!r} relation")
+                _capped_check(expr, generator_names, f"lift {lift_name!r} relation")
                 for expr in relation
             )
             lifts.append(LiftSpec(lift_name, target=target, relation=relation))
         lift_names.append(lift_name)
 
     relations = tuple(
-        (expr, _syntax_check(expr, lift_names, "generator relation"))
+        (expr, _capped_check(expr, lift_names, "generator relation"))
         for expr in _list(data, "relations", "scenario")
     )
     center_generators = _list(data, "center_generators", "scenario")

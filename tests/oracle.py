@@ -8,9 +8,10 @@ textbook pivoting, or with no elimination at all.  Enveloping-algebra words
 are rewritten without a cache, in any descent order, and symmetrized by
 averaging over every ordering.  Slow but unambiguous.
 
-The ready-made Lie algebras and the seeded polynomial samplers that the
-tests build their inputs from live here too, and so do the inputs of the
-two center slices, built the way ``compare_centers`` builds them.
+The ready-made Lie algebras, an action class that skips validation and
+the seeded polynomial samplers that the tests build their inputs from live
+here too, and so do the inputs of the two center slices, built the way
+``compare_centers`` builds them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from math import factorial
 from typing import Callable
 
 from qcenter import (
+    HamiltonianAction,
     InvariantGenerator,
     LieAlgebraData,
     Poly,
@@ -179,13 +181,14 @@ def leibniz_determinant(matrix: list[list]) -> Fraction:
 
 def rewrite_word(lie: LieAlgebraData, word: tuple[int, ...],
                  pick: Callable[[list[int]], int]
-                 ) -> dict[tuple[int, ...], dict[int, Fraction]]:
+                 ) -> dict[tuple[tuple[int, ...], int], Fraction]:
     """Sorted-word normal form by ``x_j x_i -> x_i x_j + h [x_j, x_i]``,
-    rewriting at the position ``pick`` chooses from the list of descents.
-    Nothing is cached, so every picker runs its own rewrite sequence."""
+    as ``{(sorted word, parameter power): coefficient}``, rewriting at the
+    position ``pick`` chooses from the list of descents.  Nothing is
+    cached, so every picker runs its own rewrite sequence."""
     descents = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if not descents:
-        return {word: {0: Fraction(1)}}
+        return {(word, 0): Fraction(1)}
     pos = pick(descents)
     b, a = word[pos], word[pos + 1]
     acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
@@ -193,14 +196,9 @@ def rewrite_word(lie: LieAlgebraData, word: tuple[int, ...],
     branches += [(word[:pos] + (k,) + word[pos + 2:], 1, c)
                  for k, c in lie.bracket(b, a).items()]
     for w, shift, scale in branches:
-        for v, hp in rewrite_word(lie, w, pick).items():
-            for r, c in hp.items():
-                acc[v, r + shift] = acc.get((v, r + shift), Fraction(0)) + c * scale
-    out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for (v, r), c in acc.items():
-        if c:
-            out.setdefault(v, {})[r] = c
-    return out
+        for (v, r), c in rewrite_word(lie, w, pick).items():
+            acc[v, r + shift] = acc.get((v, r + shift), Fraction(0)) + c * scale
+    return {key: c for key, c in acc.items() if c}
 
 
 def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
@@ -209,17 +207,15 @@ def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
     all ``n!`` entries of ``permutations``, repeated orderings included,
     each rewritten by ``rewrite_word``; parameter powers above ``order``
     are dropped."""
-    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for exp, coeff in s.sorted_terms():
         word = tuple(i for i, e in enumerate(exp) for _ in range(e))
         orderings = list(permutations(word))
         weight = coeff / len(orderings)
         for perm in orderings:
-            for v, hp in rewrite_word(lie, perm, pick).items():
-                slot = acc.setdefault(v, {})
-                for r, c in hp.items():
-                    if r <= order:
-                        slot[r] = slot.get(r, Fraction(0)) + c * weight
+            for (v, r), c in rewrite_word(lie, perm, pick).items():
+                if r <= order:
+                    acc[v, r] = acc.get((v, r), Fraction(0)) + c * weight
     return UEnvElement(lie, order, acc)
 
 
@@ -244,6 +240,14 @@ def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
     labels = tuple(labels) if labels else tuple(f"t{i+1}" for i in range(dim))
     gens = [InvariantGenerator(labels[i], Poly.variable(dim, i)) for i in range(dim)]
     return LieAlgebraData(dim, labels, {}, gens)
+
+
+class UncheckedAction(HamiltonianAction):
+    """An action whose constructor runs no validation, for tests that
+    break the moment checks on purpose."""
+
+    def validate(self):
+        pass
 
 
 # -- center inputs ---------------------------------------------------------------

@@ -137,9 +137,7 @@ def test_criterion_5_enveloping_algebra():
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 w = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(0, 4))))
-                terms.setdefault(w, {})[rng.randint(0, 1)] = Fraction(
-                    rng.randint(-3, 3) or 1
-                )
+                terms[w, rng.randint(0, 1)] = Fraction(rng.randint(-3, 3) or 1)
             return UEnvElement(sl2, 6, terms)
 
         a, b, c = rand_elem(), rand_elem(), rand_elem()

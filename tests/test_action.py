@@ -18,7 +18,7 @@ from qcenter import (
     symmetrize,
 )
 
-from oracle import abelian_data, brute_force_product, random_poly
+from oracle import UncheckedAction, abelian_data, brute_force_product, random_poly
 
 
 def test_equivariance_is_validated(sl2, star2):
@@ -76,7 +76,7 @@ def test_moment_condition_reports_the_first_residual_order(torus1, star1):
     h = sp.q(1) * sp.p(1)
     # hbar*q1 is not central: [hbar q1, p1^2] = 2 hbar^2 p1, a residual at order 2
     hq = HSeries.from_poly(h, 8) + HSeries.from_poly(sp.q(1), 8).hbar_shift(1)
-    act = HamiltonianAction(torus1, star1, [h], [hq], validate=False)
+    act = UncheckedAction(torus1, star1, [h], [hq])
     report = check_quantum_moment_condition(
         act, [sp.q(1), sp.p(1) * sp.p(1), sp.one()]
     )
@@ -94,7 +94,7 @@ def test_moment_condition_reports_the_lowest_of_several_orders(torus1, star1):
     # the doubled classical part misses at order 1 wherever {h, f} != 0, and
     # hbar*q1 at order 2 wherever {q1, f} != 0
     hq = HSeries.from_poly(h.scale(2), 8) + HSeries.from_poly(sp.q(1), 8).hbar_shift(1)
-    act = HamiltonianAction(torus1, star1, [h], [hq], validate=False)
+    act = UncheckedAction(torus1, star1, [h], [hq])
     report = check_quantum_moment_condition(
         act, [sp.one(), h, sp.p(1), sp.p(1) * sp.p(1)]
     )
@@ -108,9 +108,7 @@ def test_moment_condition_reports_the_lowest_of_several_orders(torus1, star1):
 def test_moment_condition_needs_matching_truncations(torus1, star1):
     sp = star1.space
     h = sp.q(1) * sp.p(1)
-    act = HamiltonianAction(
-        torus1, star1, [h], [HSeries.from_poly(h, 4)], validate=False
-    )
+    act = UncheckedAction(torus1, star1, [h], [HSeries.from_poly(h, 4)])
     with pytest.raises(TruncationError):
         check_quantum_moment_condition(act, [sp.q(1)])
 
@@ -135,9 +133,7 @@ def test_comoment_is_homomorphism(sl2_action):
                 word = tuple(
                     sorted(rng.randrange(3) for _ in range(rng.randint(0, 3)))
                 )
-                terms.setdefault(word, {})[rng.randint(0, 1)] = Fraction(
-                    rng.randint(-2, 2) or 1
-                )
+                terms[word, rng.randint(0, 1)] = Fraction(rng.randint(-2, 2) or 1)
             return UEnvElement(lie, sl2_action.order, terms)
 
         a, b = rand_elem(), rand_elem()
@@ -189,9 +185,7 @@ def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):
     sp = star1.space
     rank2 = abelian_data(2)
     # abelian data demands commuting quantum hamiltonians; q and p fail that
-    act = HamiltonianAction(
-        rank2, star1, [sp.q(1), sp.p(1)], validate=False
-    )
+    act = UncheckedAction(rank2, star1, [sp.q(1), sp.p(1)])
     with pytest.raises(InvalidActionError):
         act.assert_quantum_consistency()
     h = sp.q(1) * sp.p(1)

@@ -20,7 +20,6 @@ import pytest
 from qcenter import (
     EchelonAccumulator,
     GradedSubspace,
-    HamiltonianAction,
     StarProduct,
     SymplecticSpace,
     compare_centers,
@@ -40,7 +39,7 @@ from qcenter.centers import (
 )
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import abelian_data, center_inputs, poly_key
+from oracle import UncheckedAction, abelian_data, center_inputs, poly_key
 
 
 def _reference(act, max_degree, test_degree, invariants):
@@ -99,9 +98,8 @@ def _cubic_action(truncation):
     # a cubic hamiltonian: the quantum center keeps the full test set
     space = SymplecticSpace(2)
     h = parse_poly("q1^3", space.names)
-    return HamiltonianAction(
-        abelian_data(1, ["t"]), StarProduct(space, truncation), [h],
-        validate=False,
+    return UncheckedAction(
+        abelian_data(1, ["t"]), StarProduct(space, truncation), [h]
     )
 
 

@@ -47,8 +47,6 @@ ALLOWED = {
 }
 
 UNPASSED_ALLOWED = {
-    "HamiltonianAction(validate)":
-        "skips the moment checks for actions that break them on purpose (tests)",
     "main(argv)": "argument list for callers that drive the CLI in-process",
 }
 

@@ -14,6 +14,7 @@ from qcenter import (
     central_section,
     symmetrize,
 )
+from qcenter import envelope
 from qcenter.envelope import normalize_word
 
 from oracle import abelian_data, rewrite_word, symmetrize_by_orderings
@@ -65,20 +66,20 @@ def test_pbw_single_rewrite(sl2):
     # word h e normalizes to e h + 2 (parameter) e
     result = normalize_word(sl2, (H, E))
     assert result == {
-        (E, H): {0: Fraction(1)},
-        (E,): {1: Fraction(2)},
+        ((E, H), 0): Fraction(1),
+        ((E,), 1): Fraction(2),
     }
 
 
 def test_pbw_sorted_word_is_fixed(sl2):
     word = (E, E, H, F)
-    assert normalize_word(sl2, word) == {word: {0: Fraction(1)}}
+    assert normalize_word(sl2, word) == {(word, 0): Fraction(1)}
 
 
 def test_pbw_abelian_sorts_without_corrections():
     lie = abelian_data(3)
     result = normalize_word(lie, (2, 0, 1))
-    assert result == {(0, 1, 2): {0: Fraction(1)}}
+    assert result == {((0, 1, 2), 0): Fraction(1)}
 
 
 def test_pbw_confluence_random_strategies(sl2):
@@ -122,13 +123,48 @@ def test_u_mul_associative_random(sl2):
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 word = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(0, 4))))
-                terms.setdefault(word, {})[rng.randint(0, 1)] = Fraction(
-                    rng.randint(-3, 3) or 1
-                )
+                terms[word, rng.randint(0, 1)] = Fraction(rng.randint(-3, 3) or 1)
             return UEnvElement(sl2, 6, terms)
 
         a, b, c = rand_elem(), rand_elem(), rand_elem()
         assert (a * b) * c == a * (b * c)
+
+
+def _spy_normalize(monkeypatch) -> list:
+    calls = []
+
+    def spy(lie, word):
+        calls.append(word)
+        return normalize_word(lie, word)
+
+    monkeypatch.setattr(envelope, "normalize_word", spy)
+    return calls
+
+
+def test_u_mul_past_the_truncation_normalizes_no_word(sl2, monkeypatch):
+    # the lowest powers sum to 1 + 2 > 2, and every concatenation is unsorted
+    a = UEnvElement(sl2, 2, {((F,), 1): Fraction(1), ((H, F), 2): Fraction(3)})
+    b = UEnvElement(sl2, 2, {((E,), 2): Fraction(-2), ((E, H), 2): Fraction(1)})
+    calls = _spy_normalize(monkeypatch)
+    assert (a * b).is_zero()
+    assert calls == []
+
+
+def test_u_mul_at_the_truncation_equals_the_rewrite(sl2, monkeypatch):
+    # the powers sum to 1 + 2 = 3, the truncation: only the order-0 part of
+    # the rewrite of f f e h survives
+    a = UEnvElement(sl2, 3, {((F, F), 1): Fraction(2)})
+    b = UEnvElement(sl2, 3, {((E, H), 2): Fraction(-1)})
+    word = (F, F, E, H)
+    expected = UEnvElement(sl2, 3, {
+        (w, r + 3): -2 * c
+        for (w, r), c in rewrite_word(sl2, word, lambda ds: ds[0]).items()
+    })
+    calls = _spy_normalize(monkeypatch)
+    product = a * b
+    assert product == expected
+    assert not product.is_zero()
+    assert calls[0] == word
 
 
 def test_symmetrize_degree_one_is_identity(sl2):
@@ -143,7 +179,7 @@ def test_symmetrize_order_two(sl2):
     expected = UEnvElement(
         sl2,
         6,
-        {(E, F): {0: Fraction(1)}, (H,): {1: Fraction(-1, 2)}},
+        {((E, F), 0): Fraction(1), ((H,), 1): Fraction(-1, 2)},
     )
     assert symmetrize(sl2, ef, 6) == expected
 
@@ -152,7 +188,7 @@ def test_symmetrize_abelian_is_monomial_identification():
     lie = abelian_data(2)
     s = Poly(2, {(2, 1): Fraction(3)})
     result = symmetrize(lie, s, 4)
-    assert result == UEnvElement(lie, 4, {(0, 0, 1): {0: Fraction(3)}})
+    assert result == UEnvElement(lie, 4, {((0, 0, 1), 0): Fraction(3)})
 
 
 def test_symmetrize_is_right_inverse_of_classical_limit(sl2):
@@ -193,9 +229,7 @@ def test_symmetrization_matches_the_average_over_all_orderings(sl2, algebra):
 
 
 def test_classical_limit_drops_corrections(sl2):
-    a = UEnvElement(
-        sl2, 6, {(E, H): {0: Fraction(1)}, (E,): {1: Fraction(2)}}
-    )
+    a = UEnvElement(sl2, 6, {((E, H), 0): Fraction(1), ((E,), 1): Fraction(2)})
     assert a.classical_limit() == Poly(3, {(1, 1, 0): Fraction(1)})
     assert a.hbar_shift(1).classical_limit().is_zero()
 

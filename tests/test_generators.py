@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from qcenter import (
-    HamiltonianAction,
     Poly,
     StarProduct,
     SymplecticSpace,
@@ -26,7 +25,7 @@ from qcenter import centers
 from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import abelian_data, center_inputs, poly_key
+from oracle import UncheckedAction, abelian_data, center_inputs, poly_key
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -137,9 +136,7 @@ def test_quantum_center_uses_generators_only_for_quadratic_actions(
     space = SymplecticSpace(1)
     h = parse_poly(expr, space.names)
     # a cubic hamiltonian breaks the quantum condition, so skip validation
-    act = HamiltonianAction(
-        abelian_data(1, ["t"]), StarProduct(space, 4), [h], validate=False
-    )
+    act = UncheckedAction(abelian_data(1, ["t"]), StarProduct(space, 4), [h])
     inv = invariants_up_to(act, 4)
     calls = _spy(monkeypatch)
     tests = centers.quantum_tests(act, inv, 4, None)

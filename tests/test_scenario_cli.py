@@ -666,6 +666,37 @@ def test_long_power_of_a_sum_is_refused_before_expansion(tmp_path, command):
     )
 
 
+def _sl2_lift_power(field: str) -> dict:
+    data = json.loads(preset_path("sl2_tstar_k2").read_text())
+    if field == "classical":
+        data["lifts"] = [{"name": "c2", "classical": "(casimir + 1)^8000"}]
+        data["relations"] = []
+    elif field == "relation":
+        data["lifts"][1]["relation"] = ["(casimir + 1)^8000", "0"]
+    else:
+        data["relations"] = ["(c2 + 1)^8000"]
+    return data
+
+
+@pytest.mark.parametrize("field, where", [
+    ("classical", "lift 'c2'"),
+    ("relation", "lift 'tr' relation"),
+    ("relations", "generator relation"),
+])
+def test_long_power_in_a_lift_expression_is_refused_at_once(tmp_path, capsys,
+                                                            field, where):
+    # uncapped, (casimir + 1)^8000 as the classical element kept validate
+    # busy past 60 s, and casimir^300 made run take ~1 GB
+    path = write_scenario(tmp_path, _sl2_lift_power(field))
+    start = time.perf_counter()
+    assert main(["validate", path]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"validation error: {where} has degree 8000, over the word-length "
+        "budget of 24\n"
+    )
+
+
 def test_large_power_of_a_constant_is_refused_with_exit_2(tmp_path):
     # 2^10000000000 would be a 1.25 GB integer: the parser refuses the power
     # from the sizes of base and exponent before computing it

@@ -31,7 +31,7 @@ from qcenter import (
 from qcenter.centers import _coordinate_brackets, _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import abelian_data, brute_force_term, dense_nullspace
+from oracle import UncheckedAction, abelian_data, brute_force_term, dense_nullspace
 
 SCALED_BIVECTOR = [
     ["0", "0", "2", "0"],
@@ -51,13 +51,13 @@ def _preset(name: str) -> HamiltonianAction:
     return build_scenario(load_scenario(name)).action
 
 
-def _torus(expr: str, bivector=None, validate=True) -> HamiltonianAction:
+def _torus(expr: str, bivector=None,
+           action=HamiltonianAction) -> HamiltonianAction:
     # a hamiltonian of degree 3 fails the quantum condition: the invariant
     # solve needs only the classical bracket, so those skip the moment checks
     space = SymplecticSpace(2, bivector=bivector)
     h = parse_poly(expr, space.names)
-    return HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 4), [h],
-                             validate=validate)
+    return action(abelian_data(1, ["t"]), StarProduct(space, 4), [h])
 
 
 # name -> (action, top degree, which hamiltonians act diagonally)
@@ -66,7 +66,7 @@ CASES = {
     "sl2_tstar_k2": (lambda: _preset("sl2_tstar_k2"), 6, [False, True, False]),
     "non_diagonal": (lambda: _torus("q1*p2 + q1^2"), 6, [False]),
     # {h, x_j} is quadratic, so the derivation rule shifts nonlinear terms
-    "cubic": (lambda: _torus("q1^2*p2 + q2*p1^2", validate=False), 6, [False]),
+    "cubic": (lambda: _torus("q1^2*p2 + q2*p1^2", action=UncheckedAction), 6, [False]),
     "rational_weights": (lambda: _torus("2*q1*p1 + 1/3*q2*p2"), 7, [True]),
     "rational_weights_low": (lambda: _torus("1/2*q1*p1 - 1/3*q2*p2"), 6, [True]),
     "scaled_bivector": (lambda: _torus("q1*p1 - q2*p2", SCALED_BIVECTOR), 6, [True]),
