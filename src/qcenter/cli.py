@@ -2,8 +2,9 @@
 
 Exit codes: 0 all assertions passed, 1 assertion failure in some task,
 2 input or output error (a scenario file that cannot be read or is not
-UTF-8, JSON syntax or nesting too deep to decode, expression syntax, or a
-report path that cannot be written), 3 validation error (structural or
+UTF-8, JSON syntax or nesting too deep to decode, a key the scenario schema
+does not know, expression syntax, or a report path that cannot be
+written), 3 validation error (a bad integer, or a structural or
 mathematical input inconsistency).  Every input ends in one of these
 codes with a one-line message, never in a traceback.
 """

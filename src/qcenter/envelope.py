@@ -94,6 +94,19 @@ class UEnvElement:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, lie: LieAlgebraData, order: int,
+                 terms: dict[Key, Fraction]) -> "UEnvElement":
+        """Wrap a term map without copying or checking it.  Only for maps
+        the caller built itself from checked terms: sorted words over the
+        algebra's indices, powers in 0..order and nonzero ``Fraction``
+        coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "lie", lie)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("UEnvElement is immutable")
 
@@ -127,19 +140,20 @@ class UEnvElement:
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(acc, key, c)
-        return UEnvElement(self.lie, self.order, acc)
+        return UEnvElement._trusted(self.lie, self.order, acc)
 
     def __sub__(self, other: "UEnvElement") -> "UEnvElement":
         return self + other.scale(-1)
 
     def scale(self, value) -> "UEnvElement":
         s = as_scalar(value)
-        scaled = {key: c * s for key, c in self.terms.items()}
-        return UEnvElement(self.lie, self.order, scaled)
+        scaled = {key: c * s for key, c in self.terms.items()} if s else {}
+        return UEnvElement._trusted(self.lie, self.order, scaled)
 
     def hbar_shift(self, j: int) -> "UEnvElement":
-        shifted = {(w, r + j): c for (w, r), c in self.terms.items()}
-        return UEnvElement(self.lie, self.order, shifted)
+        shifted = {(w, r + j): c for (w, r), c in self.terms.items()
+                   if 0 <= r + j <= self.order}
+        return UEnvElement._trusted(self.lie, self.order, shifted)
 
     def __mul__(self, other: "UEnvElement") -> "UEnvElement":
         """Concatenate and normalize, bilinearly; truncates parameter powers.
@@ -155,7 +169,7 @@ class UEnvElement:
                 for (w, r), c in normalize_word(self.lie, w1 + w2).items():
                     if r12 + r <= self.order:
                         _accumulate(acc, (w, r12 + r), c12 * c)
-        return UEnvElement(self.lie, self.order, acc)
+        return UEnvElement._trusted(self.lie, self.order, acc)
 
     def __eq__(self, other) -> bool:
         return (

@@ -55,25 +55,11 @@ minutes: ``so3_rotation`` (``tests/data``) at ``max_degree`` 22 and
 ``test_degree`` 24 with tasks ``["invariants"]`` is admitted, and ran for
 ~80 s within 1.5 GB before it exited 0 (2-core host, Python 3.11.7).
 
-Field reference (see the README for the full schema):
-
-* ``name``, ``description``
-* ``space``: ``pairs`` (required), ``weights``, ``hbar_weight``, ``bivector``
-* ``lie_algebra``: ``dim``, ``labels``, ``brackets`` (list of
-  ``{left, right, components: {label: scalar}}``), ``invariant_generators``
-  (list of ``{name, poly, section_correction: {order: poly}}``)
-* ``hamiltonians``: ``{label: coordinate polynomial}``
-* ``quantum_corrections``: ``{label: {order: coordinate polynomial}}``
-* ``truncation``, ``max_degree``, ``test_degree``
-* ``lifts``: list of ``{name, classical}`` (a polynomial in generator
-  names, carried by the section) or ``{name, target, relation: [a_0, ...]}``
-  (coordinate polynomial with monic relation coefficients in generator
-  names)
-* ``relations``: polynomials in lift names that vanish classically
-* ``center_generators``: distinct lift names forming the candidate
-  generator set
-* ``tasks``: subset of axioms, moment, triangle, invariants, centers,
-  lift, iso, weyl
+The fields, with their kinds, defaults and ranges, are the table
+``_SCENARIO`` and the tables it names; the README describes each one.  An
+unknown key is a ``ParseError``, and every integer follows one rule
+(``_integer``): a boolean, a string, a non-integral number or a value out
+of range is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -171,26 +157,110 @@ class Scenario(NamedTuple):
     moment_samples: int = 25
 
 
-def _require(data: dict, key: str, kind, where: str):
-    _object(data, where)
-    if key not in data:
-        raise ParseError(f"missing required field {key!r} in {where}")
-    value = data[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(f"field {key!r} in {where} has the wrong type")
-    return value
+# The schema: one table per object level, mapping each key to (kind,
+# default, range).  A kind is "int" (range (low, high), None where open),
+# "str" (range: the allowed values, or None), "list" (range: the kind of
+# every item, "int", "str" or a tuple of allowed values, or None where
+# parse_scenario reads the items) or "object" (range: the table
+# parse_scenario reads it with, or None for any keys).  A default of
+# _REQUIRED makes the key required.
+_REQUIRED = object()
+_TEXT = ("str", _REQUIRED, None)  # a required string
+_SPACE = {
+    "pairs": ("int", _REQUIRED, (1, None)),
+    "weights": ("list", None, "int"),
+    "hbar_weight": ("int", 2, (None, None)),
+    "bivector": ("list", None, None),  # 2n rows of 2n scalars
+}
+_BRACKET = {
+    "left": _TEXT,
+    "right": _TEXT,
+    "components": ("object", _REQUIRED, None),  # {label: scalar}
+}
+_GENERATOR = {
+    "name": _TEXT,
+    "poly": _TEXT,
+    "section_correction": ("object", {}, None),  # {order: polynomial}
+}
+_LIE_ALGEBRA = {
+    "dim": ("int", _REQUIRED, (0, None)),
+    "labels": ("list", None, "str"),
+    "brackets": ("list", (), None),  # of _BRACKET
+    "invariant_generators": ("list", (), None),  # of _GENERATOR
+}
+# a lift has one of two shapes
+_CLASSICAL_LIFT = {"name": _TEXT, "classical": _TEXT}
+_RELATION_LIFT = {
+    "name": _TEXT, "target": _TEXT, "relation": ("list", _REQUIRED, "str"),
+}
+_SAMPLE_COUNT = ("int", 25, (0, MAX_SAMPLES))
+_SAMPLES = {"axioms": _SAMPLE_COUNT, "moment": _SAMPLE_COUNT}
+_SCENARIO = {
+    "schema": ("str", SCENARIO_SCHEMA, (SCENARIO_SCHEMA,)),
+    "name": ("str", None, None),
+    "description": ("str", "", None),
+    "space": ("object", _REQUIRED, _SPACE),
+    "lie_algebra": ("object", _REQUIRED, _LIE_ALGEBRA),
+    "hamiltonians": ("object", _REQUIRED, None),  # {label: polynomial}
+    "quantum_corrections": ("object", {}, None),  # {label: {order: polynomial}}
+    "truncation": ("int", 8, (0, None)),
+    "max_degree": ("int", 8, (0, None)),
+    "test_degree": ("int", 10, (0, None)),
+    "lifts": ("list", (), None),  # of _CLASSICAL_LIFT or _RELATION_LIFT
+    "relations": ("list", (), "str"),
+    "center_generators": ("list", (), "str"),
+    "tasks": ("list", TASK_ORDER, TASK_ORDER),
+    "samples": ("object", {}, _SAMPLES),
+}
+# two messages worded for their field rather than by the rule of its kind
+_WORDING = {"tasks": "tasks must be a list of task names",
+            "samples": "samples must be an object of sample counts"}
 
 
-def _object(value, where: str) -> dict:
+def _read(value, table: dict | None, where: str) -> dict:
+    """The object ``value`` with its keys checked against ``table`` (any
+    keys when it is None) and the defaults filled in.  ``where`` names the
+    object in messages; its objects and list entries are read by the
+    caller, which names them."""
     if not isinstance(value, dict):
-        raise ParseError(f"{where} must be an object")
-    return value
+        raise ParseError(_WORDING.get(where, f"{where} must be an object"))
+    if table is None:
+        return value
+    for key in value:
+        if key not in table:
+            raise ParseError(f"unknown key {key!r} in {where}")
+    prefix = "" if where == "scenario" else f"{where}."
+    fields = {}
+    for key, (kind, default, extent) in table.items():
+        if key in value:
+            fields[key] = _leaf(value[key], kind, extent, prefix + key,
+                                f"field {key!r} in {where}")
+        elif default is _REQUIRED:
+            raise ParseError(f"missing required field {key!r} in {where}")
+        else:
+            fields[key] = default
+    return fields
 
 
-def _list(data: dict, key: str, where: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"field {key!r} in {where} must be a list")
+def _leaf(value, kind: str, extent, path: str, field: str):
+    """One field's value, checked against its kind and range; an object is
+    returned as it is, for the caller to read."""
+    if kind == "int":
+        return _integer(value, path, extent)
+    if kind == "object":
+        return value
+    if not isinstance(value, str if kind == "str" else list):
+        what = "a string" if kind == "str" else "a list"
+        raise ParseError(_WORDING.get(path, f"{field} must be {what}"))
+    items = value if kind == "list" else [value]
+    if extent == "int":
+        return tuple(_integer(item, path, (None, None)) for item in items)
+    if extent == "str" and not all(isinstance(item, str) for item in items):
+        raise ParseError(f"{path} must be strings")
+    if isinstance(extent, tuple):
+        for item in items:
+            if item not in extent:
+                raise ParseError(f"{path} {item!r} is not one of {', '.join(extent)}")
     return value
 
 
@@ -201,15 +271,30 @@ def _scalar_check(value, where: str) -> Fraction:
         raise ParseError(f"bad scalar in {where}: {value!r}") from exc
 
 
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool):
-        raise ValidationError(f"{key} must be an integer, not a boolean")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
+def _order(key: str, where: str) -> int:
+    """A series order, written as an object key: an integer of at least 1."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} must be an integer, got {value!r}") from None
+        order = int(key)
+    except ValueError:
+        order = key  # refused as a string
+    return _integer(order, f"order of {where}", (1, None))
+
+
+def _integer(value, path: str, extent: tuple) -> int:
+    """The one integer rule: a boolean, a string or a non-integral number is
+    refused, and so is a value outside ``extent``."""
+    if isinstance(value, bool):
+        raise ValidationError(f"{path} must be an integer, not a boolean")
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(f"{path} must be an integer, got {value!r}")
+    value = int(value)
+    low, high = extent
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValidationError(f"{path} must be {bound}, got {value}")
+    if high is not None and value > high:  # only the sample counts
+        raise ValidationError(f"{path} {value} is over the sample budget of {high}")
+    return value
 
 
 def _candidate_count(nvars: int, degree: int, limit: int) -> int:
@@ -243,14 +328,9 @@ def _symbol_terms(pairs: int, nonzero: int, level: int, limit: int) -> int:
 
 
 def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
-                  truncation: int, max_degree: int, test_degree: int
-                  ) -> tuple[int, int, int]:
-    """Reject truncation and degree bounds that no task could run with,
-    and scenarios over the candidate or symbol-table budget."""
-    for key, value in (("truncation", truncation), ("max_degree", max_degree),
-                       ("test_degree", test_degree)):
-        if value < 0:
-            raise ValidationError(f"{key} must be non-negative, got {value}")
+                  truncation: int, max_degree: int, test_degree: int) -> None:
+    """Reject a degree bound over the test cutoff, and scenarios over the
+    candidate or symbol-table budget."""
     if max_degree > test_degree:
         raise ValidationError(
             f"max_degree {max_degree} exceeds test_degree {test_degree}"
@@ -271,7 +351,6 @@ def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
             f"(truncation {truncation}, test_degree {test_degree}), over the "
             f"size budget"
         )
-    return truncation, max_degree, test_degree
 
 
 def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
@@ -289,53 +368,31 @@ def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
 
 
 def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
-    """Document-shape and expression-syntax checks only."""
-    if not isinstance(data, dict):
-        raise ParseError("scenario document must be a JSON object")
-    schema = data.get("schema", SCENARIO_SCHEMA)
-    if schema != SCENARIO_SCHEMA:
-        raise ParseError(f"unsupported scenario schema {schema!r}")
-    name = data.get("name", default_name)
-
-    space_data = _require(data, "space", dict, "scenario")
-    pairs = _require(space_data, "pairs", int, "space")
-    if isinstance(pairs, bool):
-        raise ValidationError("space.pairs must be an integer, not a boolean")
-    if pairs < 1:
-        raise ParseError("space.pairs must be a positive integer")
-    weights = space_data.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or len(weights) != 2 * pairs:
-            raise ParseError("space.weights must list one integer per variable")
-        weights = tuple(_integer(w, "space.weights") for w in weights)
-    hbar_weight = _integer(space_data.get("hbar_weight", 2), "space.hbar_weight")
-    bivector = space_data.get("bivector")
+    """Document-shape and expression-syntax checks only: every field is
+    read through its table, and the names the fields share are checked
+    against each other."""
+    doc = _read(data, _SCENARIO, "scenario")
+    space = _read(doc["space"], _SPACE, "space")
+    pairs = space["pairs"]
+    if space["weights"] is not None and len(space["weights"]) != 2 * pairs:
+        raise ParseError("space.weights must list one integer per variable")
+    bivector = space["bivector"]
     if bivector is not None:
-        if not isinstance(bivector, list) or len(bivector) != 2 * pairs:
+        if len(bivector) != 2 * pairs or not all(
+            isinstance(row, list) and len(row) == 2 * pairs for row in bivector
+        ):
             raise ParseError("space.bivector must be a 2n x 2n matrix")
-        rows = []
-        for row in bivector:
-            if not isinstance(row, list) or len(row) != 2 * pairs:
-                raise ParseError("space.bivector must be a 2n x 2n matrix")
-            rows.append(tuple(_scalar_check(v, "space.bivector") for v in row))
-        bivector = tuple(rows)
-    truncation, max_degree, test_degree = _check_bounds(
-        pairs,
-        bivector,
-        _integer(data.get("truncation", 8), "truncation"),
-        _integer(data.get("max_degree", 8), "max_degree"),
-        _integer(data.get("test_degree", 10), "test_degree"),
-    )
+        bivector = tuple(
+            tuple(_scalar_check(v, "space.bivector") for v in row) for row in bivector
+        )
+    _check_bounds(pairs, bivector, doc["truncation"], doc["max_degree"],
+                  doc["test_degree"])
     coord_names = default_names(2 * pairs)
 
-    lie_data = _require(data, "lie_algebra", dict, "scenario")
-    dim = _require(lie_data, "dim", int, "lie_algebra")
-    if isinstance(dim, bool):
-        raise ValidationError("lie_algebra.dim must be an integer, not a boolean")
-    if dim < 0:
-        raise ParseError("lie_algebra.dim must be non-negative")
-    ham_data = _require(data, "hamiltonians", dict, "scenario")
-    labels = lie_data.get("labels")
+    lie = _read(doc["lie_algebra"], _LIE_ALGEBRA, "lie_algebra")
+    dim = lie["dim"]
+    ham_data = _read(doc["hamiltonians"], None, "hamiltonians")
+    labels = lie["labels"]
     if not labels:
         if dim > len(ham_data):
             # a default label is missing, and the first missing one is
@@ -346,51 +403,38 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             )
             raise ParseError(f"missing hamiltonian for basis element {missing!r}")
         labels = [f"x{i+1}" for i in range(dim)]
-    if not isinstance(labels, list) or len(labels) != dim:
+    if len(labels) != dim:
         raise ParseError("lie_algebra.labels must list one label per element")
-    if not all(isinstance(label, str) for label in labels):
-        raise ParseError("lie_algebra.labels must be strings")
     index = {label: i for i, label in enumerate(labels)}
     brackets = []
-    for entry in _list(lie_data, "brackets", "lie_algebra"):
-        left = _require(entry, "left", str, "bracket entry")
-        right = _require(entry, "right", str, "bracket entry")
-        comps = _require(entry, "components", dict, "bracket entry")
+    for entry in lie["brackets"]:
+        entry = _read(entry, _BRACKET, "bracket entry")
+        left, right = entry["left"], entry["right"]
         if left not in index or right not in index:
             raise ParseError(f"bracket uses unknown labels {left!r}, {right!r}")
-        comp_items = []
-        for comp_label, value in comps.items():
-            if comp_label not in index:
-                raise ParseError(
-                    f"unknown basis label {comp_label!r} in bracket components"
-                )
-            comp_items.append(
-                (index[comp_label], _scalar_check(value, "bracket components"))
-            )
-        brackets.append((index[left], index[right], tuple(comp_items)))
+        comps = _read(entry["components"], None, "bracket components")
+        for label in comps:
+            if label not in index:
+                raise ParseError(f"unknown basis label {label!r} in bracket components")
+        brackets.append((index[left], index[right], tuple(
+            (index[label], _scalar_check(value, "bracket components"))
+            for label, value in comps.items()
+        )))
     generators = []
     generator_names = []
-    for entry in _list(lie_data, "invariant_generators", "lie_algebra"):
-        gen_name = _require(entry, "name", str, "invariant generator")
+    for entry in lie["invariant_generators"]:
+        entry = _read(entry, _GENERATOR, "invariant generator")
+        gen_name = entry["name"]
         if gen_name in generator_names:
             raise ValidationError(f"invariant generator {gen_name!r} is named twice")
-        poly = _capped_check(
-            _require(entry, "poly", str, "invariant generator"),
-            labels,
-            f"invariant generator {gen_name!r}",
-        )
-        corrections = []
+        poly = _capped_check(entry["poly"], labels, f"invariant generator {gen_name!r}")
         where = f"section correction of {gen_name!r}"
-        section = _object(entry.get("section_correction", {}), where)
-        for order_str, expr in sorted(section.items()):
-            try:
-                order = int(order_str)
-            except ValueError:
-                raise ParseError(
-                    f"section correction order {order_str!r} is not an integer"
-                ) from None
-            corrections.append((order, _capped_check(expr, labels, where)))
-        generators.append(InvariantGenerator(gen_name, poly, tuple(corrections)))
+        section = _read(entry["section_correction"], None, where)
+        corrections = tuple(
+            (_order(order, where), _capped_check(expr, labels, where))
+            for order, expr in sorted(section.items())
+        )
+        generators.append(InvariantGenerator(gen_name, poly, corrections))
         generator_names.append(gen_name)
 
     hamiltonians = []
@@ -400,100 +444,65 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         hamiltonians.append(
             _capped_check(ham_data[label], coord_names, f"hamiltonian {label!r}")
         )
+    if len(ham_data) > len(index):
+        extra = next(label for label in ham_data if label not in index)
+        raise ParseError(f"hamiltonian for unknown label {extra!r}")
     quantum_corrections = []
-    corrections_data = _object(
-        data.get("quantum_corrections", {}), "quantum_corrections"
-    )
-    for label, corr in corrections_data.items():
+    for label, corr in _read(
+        doc["quantum_corrections"], None, "quantum_corrections"
+    ).items():
         if label not in index:
             raise ParseError(f"quantum correction for unknown label {label!r}")
-        items = []
-        corr = _object(corr, f"quantum correction of {label!r}")
-        for order_str, expr in sorted(corr.items()):
-            try:
-                order = int(order_str)
-            except ValueError:
-                raise ParseError(
-                    f"quantum correction order {order_str!r} is not an integer"
-                ) from None
-            items.append(
-                (
-                    order,
-                    _capped_check(
-                        expr, coord_names, f"quantum correction of {label!r}"
-                    ),
-                )
-            )
-        quantum_corrections.append((label, tuple(items)))
+        where = f"quantum correction of {label!r}"
+        quantum_corrections.append((label, tuple(
+            (_order(order, where), _capped_check(expr, coord_names, where))
+            for order, expr in sorted(_read(corr, None, where).items())
+        )))
 
     lifts = []
     lift_names = []
-    for entry in _list(data, "lifts", "scenario"):
-        lift_name = _require(entry, "name", str, "lift entry")
+    for entry in doc["lifts"]:
+        classical = isinstance(entry, dict) and "classical" in entry
+        entry = _read(entry, _CLASSICAL_LIFT if classical else _RELATION_LIFT,
+                      "lift entry")
+        lift_name = entry["name"]
         if lift_name in lift_names:
             raise ValidationError(f"lift {lift_name!r} is named twice")
-        if "classical" in entry:
-            classical = _capped_check(
-                entry["classical"], generator_names, f"lift {lift_name!r}"
-            )
-            lifts.append(LiftSpec(lift_name, classical=classical))
+        where = f"lift {lift_name!r}"
+        if classical:
+            lifts.append(LiftSpec(lift_name, classical=_capped_check(
+                entry["classical"], generator_names, where
+            )))
         else:
-            target = _capped_check(
-                _require(entry, "target", str, "lift entry"),
-                coord_names,
-                f"lift {lift_name!r}",
-            )
-            relation = _require(entry, "relation", list, "lift entry")
-            if not relation:
+            if not entry["relation"]:
                 raise ParseError("lift relation needs at least one coefficient")
+            target = _capped_check(entry["target"], coord_names, where)
             relation = tuple(
-                _capped_check(expr, generator_names, f"lift {lift_name!r} relation")
-                for expr in relation
+                _capped_check(expr, generator_names, f"{where} relation")
+                for expr in entry["relation"]
             )
             lifts.append(LiftSpec(lift_name, target=target, relation=relation))
         lift_names.append(lift_name)
 
     relations = tuple(
         (expr, _capped_check(expr, lift_names, "generator relation"))
-        for expr in _list(data, "relations", "scenario")
+        for expr in doc["relations"]
     )
-    center_generators = _list(data, "center_generators", "scenario")
     named: set[str] = set()
-    for gen_name in center_generators:
+    for gen_name in doc["center_generators"]:
         if gen_name not in lift_names:
-            raise ParseError(
-                f"center generator {gen_name!r} does not name a lift"
-            )
+            raise ParseError(f"center generator {gen_name!r} does not name a lift")
         if gen_name in named:
             raise ValidationError(f"center generator {gen_name!r} is named twice")
         named.add(gen_name)
 
-    tasks = data.get("tasks", list(TASK_ORDER))
-    if not isinstance(tasks, list):
-        raise ParseError("tasks must be a list of task names")
-    for task in tasks:
-        if task not in TASK_ORDER:
-            raise ParseError(f"unknown task {task!r}")
-    samples = data.get("samples", {})
-    if not isinstance(samples, dict):
-        raise ParseError("samples must be an object of sample counts")
-    counts = {
-        key: _integer(samples.get(key, 25), f"samples.{key}")
-        for key in ("axioms", "moment")
-    }
-    for key, count in counts.items():
-        if count < 0:
-            raise ValidationError(f"samples.{key} must be non-negative, got {count}")
-        if count > MAX_SAMPLES:
-            raise ValidationError(
-                f"samples.{key} {count} is over the sample budget of {MAX_SAMPLES}"
-            )
+    samples = _read(doc["samples"], _SAMPLES, "samples")
     return Scenario(
-        name=name,
-        description=data.get("description", ""),
+        name=default_name if doc["name"] is None else doc["name"],
+        description=doc["description"],
         pairs=pairs,
-        weights=weights,
-        hbar_weight=hbar_weight,
+        weights=space["weights"],
+        hbar_weight=space["hbar_weight"],
         bivector=bivector,
         lie_dim=dim,
         lie_labels=tuple(labels),
@@ -501,15 +510,15 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         lie_generators=tuple(generators),
         hamiltonians=tuple(hamiltonians),
         quantum_corrections=tuple(quantum_corrections),
-        truncation=truncation,
-        max_degree=max_degree,
-        test_degree=test_degree,
+        truncation=doc["truncation"],
+        max_degree=doc["max_degree"],
+        test_degree=doc["test_degree"],
         lifts=tuple(lifts),
         relations=relations,
-        center_generators=tuple(center_generators),
-        tasks=tuple(task for task in TASK_ORDER if task in tasks),
-        axiom_samples=counts["axioms"],
-        moment_samples=counts["moment"],
+        center_generators=tuple(doc["center_generators"]),
+        tasks=tuple(task for task in TASK_ORDER if task in doc["tasks"]),
+        axiom_samples=samples["axioms"],
+        moment_samples=samples["moment"],
     )
 
 
@@ -570,12 +579,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     Raises ``ValidationError`` (or a subclass) when any mathematical
     invariant fails.
     """
-    space = SymplecticSpace(
-        scenario.pairs,
-        bivector=scenario.bivector,
-        weights=scenario.weights,
-        hbar_weight=scenario.hbar_weight,
-    )
+    space = SymplecticSpace(scenario.pairs, bivector=scenario.bivector,
+                            weights=scenario.weights, hbar_weight=scenario.hbar_weight)
     if "centers" in scenario.tasks:
         try:
             check_slicing_grading(space)
@@ -587,13 +592,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         except ValidationError as exc:
             raise ValidationError(f"the axioms task cannot run: {exc}") from None
     labels = list(scenario.lie_labels)
-    brackets = {
-        (i, j): {k: value for k, value in comps}
-        for i, j, comps in scenario.lie_brackets
-    }
-    lie = LieAlgebraData(
-        scenario.lie_dim, labels, brackets, scenario.lie_generators
-    )
+    brackets = {(i, j): dict(comps) for i, j, comps in scenario.lie_brackets}
+    lie = LieAlgebraData(scenario.lie_dim, labels, brackets, scenario.lie_generators)
 
     star = StarProduct(space, scenario.truncation)
     quantum = None
@@ -603,10 +603,6 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         for label, ham in zip(labels, scenario.hamiltonians):
             series = HSeries.from_poly(ham, scenario.truncation)
             for order, correction in correction_map.get(label, ()):
-                if order < 1:
-                    raise ValidationError(
-                        "quantum corrections must start at order 1"
-                    )
                 series = series + HSeries.from_poly(
                     correction, scenario.truncation
                 ).hbar_shift(order)
@@ -684,12 +680,13 @@ def run_scenario(
     Parse and validation failures propagate as exceptions; assertion
     failures inside tasks are recorded as failed tasks.
     """
-    changes: dict[str, int] = {}
-    if truncation is not None:
-        changes["truncation"] = truncation
+    changes = {
+        key: _integer(value, key, _SCENARIO[key][2])
+        for key, value in (("truncation", truncation), ("max_degree", max_degree))
+        if value is not None
+    }
     if max_degree is not None:  # the test cutoff stays at least two above it
-        changes["max_degree"] = max_degree
-        changes["test_degree"] = max(scenario.test_degree, max_degree + 2)
+        changes["test_degree"] = max(scenario.test_degree, changes["max_degree"] + 2)
     if changes:
         scenario = scenario._replace(**changes)
         _check_bounds(scenario.pairs, scenario.bivector, scenario.truncation,
@@ -784,9 +781,7 @@ def _task_invariants(built: BuiltScenario, context: dict) -> TaskResult:
         str(d): [f.to_string(names) for f in inv.basis(d)]
         for d in range(built.scenario.max_degree + 1)
     }
-    return TaskResult(
-        "invariants", True, {"dimensions": dimensions, "bases": bases}
-    )
+    return TaskResult("invariants", True, {"dimensions": dimensions, "bases": bases})
 
 
 def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:

@@ -3,20 +3,24 @@
 Every input must end in exit 0, 1, 2 or 3 with a message, never in an
 exception out of ``main``.  Each mutant starts from one of the four presets
 or the so(3) document and takes one to three mutations: a deleted key, a
-value of another JSON type, a huge or negative integer, a float (``NaN``
-and ``Infinity`` included), a character inserted into a string, a value
-nested thousands of levels deep, or bytes that are not UTF-8.  Every mutant
-goes through ``validate``.  Those whose degree, truncation, sample and pair
-fields are unchanged also go through ``run``, so no mutant can ask for a
-longer computation than its source document does.
+key renamed by an inserted character, a value of another JSON type, a huge
+or negative integer, a float (``NaN`` and ``Infinity`` included), a
+character inserted into a string, a value nested thousands of levels deep,
+or bytes that are not UTF-8.  Every mutant goes through ``validate``.
+Those whose degree, truncation, sample and pair fields are unchanged also
+go through ``run``, so no mutant can ask for a longer computation than its
+source document does.  The ``--truncation`` and ``--max-degree`` flags of
+``run`` get negative, zero and huge values on two presets.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import random
+import string
 from pathlib import Path
 
 import pytest
@@ -63,10 +67,19 @@ def _mutate(rng: random.Random, doc) -> str | None:
         return None
     path = rng.choice(paths)
     parent, key = _get(doc, path[:-1]), path[-1]
-    kind = rng.choice(["delete", "type", "integer", "float", "character", "nest"])
+    kind = rng.choice(
+        ["delete", "key", "type", "integer", "float", "character", "nest"]
+    )
     raw = None
     if kind == "delete":
         del parent[key]
+    elif kind == "key":
+        # the document is an object, so some path ends in a key
+        path = rng.choice([p for p in paths if isinstance(_get(doc, p[:-1]), dict)])
+        parent, key = _get(doc, path[:-1]), path[-1]
+        at = rng.randint(0, len(key))
+        typo = key[:at] + rng.choice(string.ascii_lowercase + "_") + key[at:]
+        parent[typo] = parent.pop(key)
     elif kind == "type":
         parent[key] = rng.choice([None, True, 0, 7, "", "x", [], {}, ["q1"], {"a": 1}])
     elif kind == "integer":
@@ -135,3 +148,35 @@ def test_every_mutant_ends_in_an_exit_code(source, tmp_path):
         runs += len(commands) - 1
     # the share that runs is fixed by the seeds; it must not be empty
     assert runs > MUTANTS_PER_SOURCE // 4
+
+
+FLAG_VALUES = [None, -5, -1, 0, 10**6, 10**12]
+
+
+@pytest.mark.parametrize("preset", ["torus_k2", "trivial_k2"])
+def test_degree_and_truncation_flags_end_in_an_exit_code(preset):
+    # every pair of values, each flag absent or set: a negative value, or a
+    # degree whose test cutoff is over the candidate budget, is exit 3
+    for truncation, max_degree in itertools.product(FLAG_VALUES, FLAG_VALUES):
+        argv = ["run", preset]
+        if truncation is not None:
+            argv += ["--truncation", str(truncation)]
+        if max_degree is not None:
+            argv += ["--max-degree", str(max_degree)]
+        case = " ".join(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{case} raised {exc!r}") from exc
+        given = [value for value in (truncation, max_degree) if value is not None]
+        if min(given, default=0) < 0 or (max_degree or 0) >= 10**6:
+            assert code == 3 and err.getvalue().startswith("validation error:"), case
+        elif preset == "trivial_k2" and truncation == 0 and max_degree != 0:
+            # at truncation 0 every commutator vanishes, so the quantum
+            # center is every invariant, while the Poisson center of the
+            # trivial action is the constants: the centers task fails
+            assert code == 1, case
+        else:
+            assert code == 0, case

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -369,6 +370,23 @@ def _lie(**fields) -> dict:
             "space.hbar_weight must be an integer, got 'x'",
         ),
         (_lie(dim=True), "lie_algebra.dim must be an integer, not a boolean"),
+        # one integer rule for every integer field: no strings, no
+        # out-of-range values
+        ({"space": {"pairs": "1"}}, "space.pairs must be an integer, got '1'"),
+        ({"space": {"pairs": 0}}, "space.pairs must be at least 1, got 0"),
+        (_lie(dim=-1), "lie_algebra.dim must be non-negative, got -1"),
+        ({"truncation": "8"}, "truncation must be an integer, got '8'"),
+        ({"samples": {"axioms": "3"}}, "samples.axioms must be an integer, got '3'"),
+        (
+            {"quantum_corrections": {"t": {"0": "1"}}},
+            "order of quantum correction of 't' must be at least 1, got 0",
+        ),
+        (
+            _lie(invariant_generators=[
+                {"name": "t", "poly": "t", "section_correction": {"x": "t"}}
+            ]),
+            "order of section correction of 't' must be an integer, got 'x'",
+        ),
     ],
 )
 def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
@@ -378,6 +396,7 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert err.startswith("validation error:")
     assert message in err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -446,6 +465,35 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
             _lie(invariant_generators=[{"name": "t", "poly": "t^" + "9" * 5000}]),
             "number of 5000 characters is too long",
         ),
+        # an unknown key at any level is refused, not replaced by a default
+        ({"max_degre": 2}, "unknown key 'max_degre' in scenario"),
+        ({"taks": ["invariants"]}, "unknown key 'taks' in scenario"),
+        ({"samples": {"axiom": 3}}, "unknown key 'axiom' in samples"),
+        ({"space": {"pairs": 1, "pair": 1}}, "unknown key 'pair' in space"),
+        (_lie(brakets=[]), "unknown key 'brakets' in lie_algebra"),
+        (
+            _lie(brackets=[{"left": "t", "right": "t", "components": {}, "comp": {}}]),
+            "unknown key 'comp' in bracket entry",
+        ),
+        (
+            _lie(invariant_generators=[{"name": "t", "polly": "t"}]),
+            "unknown key 'polly' in invariant generator",
+        ),
+        (
+            {"lifts": [{"name": "J", "targt": "q1*p1", "relation": ["-t"]}]},
+            "unknown key 'targt' in lift entry",
+        ),
+        # a lift has one shape: {name, classical} or {name, target, relation}
+        (
+            {"lifts": [{"name": "J", "classical": "t", "target": "q1*p1"}]},
+            "unknown key 'target' in lift entry",
+        ),
+        (
+            {"hamiltonians": {"t": "q1*p1", "s": "q1"}},
+            "hamiltonian for unknown label 's'",
+        ),
+        ({"name": 5}, "field 'name' in scenario must be a string"),
+        ({"description": ["x"]}, "field 'description' in scenario must be a string"),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
@@ -455,6 +503,25 @@ def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, messa
     assert err.startswith("parse error:")
     assert message in err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def _leaf_paths(table: dict, prefix: str = ""):
+    for key, (kind, _, extent) in table.items():
+        if kind == "object" and isinstance(extent, dict):
+            yield from _leaf_paths(extent, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_readme_schema_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| field | meaning |\n| --- | --- |\n", 1)[1].split("\n\n")[0]
+    listed = [
+        name for row in rows.splitlines()
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1])
+    ]
+    assert sorted(listed) == sorted(_leaf_paths(scenario_mod._SCENARIO))
 
 
 @pytest.mark.parametrize("order", [9, 10, 17, 18])
