@@ -16,6 +16,11 @@ The comoment map sends each generator to its quantum hamiltonian and
 words to left-to-right deformed products; it is a homomorphism exactly
 when the quantum hamiltonians reproduce the structure constants, which
 the constructor checks with the rest of the validation.
+
+The constructor builds, once, the record every consumer reads: each
+classical and quantum hamiltonian prepared for the contraction kernel, and
+the coordinate brackets ``{H_i, x_j}``.  The checks, the comoment, the
+invariant solves and the lift recursion read it.
 """
 
 from __future__ import annotations
@@ -59,6 +64,16 @@ class HamiltonianAction:
         if len(quantum_hamiltonians) != lie.dim:
             raise DimensionError("need one quantum hamiltonian per basis element")
         self.quantum_hamiltonians = tuple(quantum_hamiltonians)
+        for hq in self.quantum_hamiltonians:
+            if hq.order != self.order:
+                raise ValidationError("quantum hamiltonian truncation mismatch")
+        self.prepared_hamiltonians = tuple(map(star.prepare, self.hamiltonians))
+        self.prepared_quantum = tuple(map(star.prepare, self.quantum_hamiltonians))
+        nv = self.space.nvars
+        self.coordinate_brackets = tuple(  # [i][j] is {H_i, x_j}
+            tuple(star.poisson(h, Poly.variable(nv, j)) for j in range(nv))
+            for h in self.prepared_hamiltonians
+        )
         self._chain_cache: dict[tuple[int, ...], HSeries] = {}
         self.validate()
 
@@ -66,7 +81,7 @@ class HamiltonianAction:
 
     def validate(self):
         """Equivariance, classical parts and the quantum condition, exactly."""
-        classical = [self.star.prepare(h) for h in self.hamiltonians]
+        classical = self.prepared_hamiltonians
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
                 expected = poly_sum(self.space.nvars, [
@@ -80,8 +95,6 @@ class HamiltonianAction:
                         f"bracket of {self.lie.labels[i]} and {self.lie.labels[j]}"
                     )
         for i, (h, hq) in enumerate(zip(self.hamiltonians, self.quantum_hamiltonians)):
-            if hq.order != self.order:
-                raise ValidationError("quantum hamiltonian truncation mismatch")
             if hq.classical_part() != h:
                 raise ValidationError(
                     f"quantum hamiltonian of {self.lie.labels[i]} has wrong "
@@ -107,7 +120,7 @@ class HamiltonianAction:
         for hq in self.quantum_hamiltonians:
             for f in hq.terms.values():
                 bound = max(bound, f.degree())
-        quantum, classical = _prepared_hamiltonians(self)
+        quantum, classical = self.prepared_quantum, self.prepared_hamiltonians
         for i in range(self.lie.dim):
             for degree in range(bound + 1):
                 for exp in monomials_of_degree(self.space.nvars, degree):
@@ -118,7 +131,7 @@ class HamiltonianAction:
 
     def assert_quantum_consistency(self):
         """Quantum hamiltonians must reproduce the structure constants."""
-        quantum = [self.star.prepare(hq) for hq in self.quantum_hamiltonians]
+        quantum = self.prepared_quantum
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
                 lhs = self.star.star_commutator(quantum[i], quantum[j])
@@ -156,7 +169,7 @@ class HamiltonianAction:
             value = HSeries.one(self.space.nvars, self.order)
         else:
             value = self.star.star(
-                self._word_chain(word[:-1]), self.quantum_hamiltonians[word[-1]]
+                self._word_chain(word[:-1]), self.prepared_quantum[word[-1]]
             )
         self._chain_cache[word] = value
         return value
@@ -167,16 +180,6 @@ class HamiltonianAction:
 
 
 # -- executable checks ------------------------------------------------------------
-
-
-def _prepared_hamiltonians(act: HamiltonianAction
-                           ) -> tuple[list[Prepared], list[Prepared]]:
-    """Quantum and classical hamiltonians in the kernel's prepared form."""
-    prepare = act.star.prepare
-    return (
-        [prepare(hq) for hq in act.quantum_hamiltonians],
-        [prepare(h) for h in act.hamiltonians],
-    )
 
 
 def _moment_defect(act: HamiltonianAction, hq: Prepared, h: Prepared,
@@ -198,9 +201,9 @@ def check_quantum_moment_condition(
     act: HamiltonianAction, samples: Iterable[Poly]
 ) -> CheckReport:
     """Per-sample verification of the quantum condition, zero tolerance.
-    The hamiltonians are prepared once per report and each sample once."""
+    The action holds the prepared hamiltonians; each sample is prepared once."""
     report = CheckReport("quantum-moment-condition")
-    quantum, classical = _prepared_hamiltonians(act)
+    quantum, classical = act.prepared_quantum, act.prepared_hamiltonians
     for idx, f in enumerate(samples):
         pf = act.star.prepare(f)
         for i in range(act.lie.dim):

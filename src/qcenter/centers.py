@@ -29,8 +29,9 @@ Both systems are shrunk without changing any answer:
   which the canonical kernel sets to zero, so every basis is unchanged.
   The same derivation rule, ``{h, x^e} = sum_j e_j x^(e - eps_j) {h, x_j}``,
   builds the rows of the other hamiltonians from their coordinate
-  brackets: each hamiltonian is bracketed with the coordinates once per
-  solve, and no candidate goes through the kernel.
+  brackets, which the action holds (``coordinate_brackets``): each
+  hamiltonian is bracketed with the coordinates once per action, and no
+  candidate goes through the kernel.
 * *Generators as test elements.*  ``invariant_generators`` keeps, degree
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
@@ -93,15 +94,14 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
 
     Candidates are the monomials of weight zero for every diagonal
     hamiltonian; the rows of the others come from their brackets with
-    the coordinates, taken once (``_add_bracket_rows``).
+    the coordinates, which the action holds (``_add_bracket_rows``).
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
     weights: list[list[int]] = []
     others = []  # _derivation_terms of each non-diagonal hamiltonian
-    for h in act.hamiltonians:
-        brackets = _coordinate_brackets(act, h)
+    for brackets in act.coordinate_brackets:
         w = _diagonal_weights(brackets)
         if w is None:
             others.append(_derivation_terms(brackets, max_degree))
@@ -124,13 +124,6 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
             for vec in solver.kernel()
         ]
     return GradedSubspace(nv, slices)
-
-
-def _coordinate_brackets(act: HamiltonianAction, h: Poly) -> list[Poly]:
-    """``{h, x_j}`` for every coordinate ``x_j``."""
-    nv = act.space.nvars
-    ph = act.star.prepare(h)
-    return [act.star.poisson(ph, Poly.variable(nv, j)) for j in range(nv)]
 
 
 def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:

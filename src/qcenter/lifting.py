@@ -10,10 +10,11 @@ to the classical ones, the lift recursion produces a series ``f_hat`` with
 classical part ``f`` whose deformed evaluation of the relation vanishes
 modulo the truncation.  Every series here is at the truncation of the
 action's product, and every check runs through that whole truncation.
-Each operand a check loop meets more than once (the hamiltonians, a
-quantum coefficient, the lift, each test element) is prepared for the
-contraction kernel once per loop; a prepared polynomial stands for its
-expansion at the truncation.
+The hamiltonians come prepared with the action; every other operand a
+check loop meets more than once (a quantum coefficient, the lift, each
+test element) is prepared for the contraction kernel once per loop, and
+each deformed power of a lift is taken once (``_star_powers``).  A
+prepared polynomial stands for its expansion at the truncation.
 
 The recursion walks the nonzero orders of the defect, the relation
 evaluated on the partial lift: while the defect is nonzero, its lowest
@@ -80,20 +81,17 @@ class MonicRelation:
         return len(self.coefficients)
 
     def classical_value(self, f: Poly) -> Poly:
-        """f^n + a_{n-1} f^{n-1} + ... + a_0, exactly."""
-        result = f ** self.degree
-        power = Poly.constant(f.nvars, 1)
-        for a in self.coefficients:
-            result = result + a * power
-            power = power * f
+        """f^n + a_{n-1} f^{n-1} + ... + a_0, exactly, by Horner's rule."""
+        result = Poly.constant(f.nvars, 1)
+        for a in reversed(self.coefficients):
+            result = result * f + a
         return result
 
     def derivative_value(self, f: Poly) -> Poly:
-        """Value of the derivative of the relation polynomial at f."""
-        result = (f ** (self.degree - 1)).scale(self.degree)
-        for i, a in enumerate(self.coefficients):
-            if i >= 1:
-                result = result + a.scale(i) * f ** (i - 1)
+        """n f^(n-1) + (n-1) a_{n-1} f^(n-2) + ... + a_1, by Horner's rule."""
+        result = Poly.constant(f.nvars, self.degree)
+        for i in range(self.degree - 1, 0, -1):
+            result = result * f + self.coefficients[i].scale(i)
         return result
 
     def validate_centrality(
@@ -114,17 +112,23 @@ class MonicRelation:
                     )
 
 
+def _star_powers(star: StarProduct, x: HSeries | Prepared, n: int
+                 ) -> list[HSeries]:
+    """The deformed powers ``x^0 .. x^n``, with ``x`` prepared once."""
+    px = star.prepare(x)
+    powers = [HSeries.one(star.space.nvars, star.order)]
+    for _ in range(n):
+        powers.append(star.star(powers[-1], px))
+    return powers
+
+
 def relation_defect(star: StarProduct, rel: MonicRelation,
                     fhat: HSeries | Prepared) -> HSeries:
     """Deformed evaluation of the monic relation on a candidate lift."""
-    n = rel.degree
-    pf = star.prepare(fhat)
-    powers = [HSeries.one(star.space.nvars, star.order)]
-    for _ in range(n):
-        powers.append(star.star(powers[-1], pf))
-    result = powers[n]
-    for i, ahat in enumerate(rel.quantum_coefficients):
-        result = result + star.star(ahat, powers[i])
+    powers = _star_powers(star, fhat, rel.degree)
+    result = powers[-1]
+    for ahat, power in zip(rel.quantum_coefficients, powers):
+        result = result + star.star(ahat, power)
     return result
 
 
@@ -140,11 +144,12 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
     if f.is_zero():
         return False
     deg_f = f.degree()
+    powers = [f**j for j in range(rel.degree)]
     for m in range(1, rel.degree):
         products = [
-            b * f**j for j in range(m) for b in subalgebra.basis((m - j) * deg_f)
+            b * powers[j] for j in range(m) for b in subalgebra.basis((m - j) * deg_f)
         ]
-        if in_span(f**m, products):
+        if in_span(powers[m], products):
             return False
     return True
 
@@ -169,7 +174,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         raise NonSimpleRootError(
             "the relation derivative vanishes identically at the target"
         )
-    hamiltonians = [act.star.prepare(h) for h in act.hamiltonians]
+    hamiltonians = act.prepared_hamiltonians
     pf = act.star.prepare(f)
     for i, h in enumerate(hamiltonians):
         if not act.star.poisson(h, pf).is_zero():
@@ -287,16 +292,7 @@ class IsoReport(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "generators": [
-                {
-                    "name": e.name,
-                    "classical": e.classical,
-                    "lift": e.lift,
-                    "weight_matches": e.weight_matches,
-                    "triangle_holds": e.triangle_holds,
-                }
-                for e in self.entries
-            ],
+            "generators": [e._asdict() for e in self.entries],
             "relations": [
                 {"relation": text, "holds": ok} for text, ok in self.relations
             ],
@@ -313,23 +309,14 @@ def star_evaluate(
     """
     nv = star.space.nvars
     result = HSeries.zero(nv, star.order)
-    prepared = [star.prepare(fhat) for fhat in lifts]
-    power_cache: list[dict[int, HSeries]] = [
-        {0: HSeries.one(nv, star.order)} for _ in lifts
-    ]
-
-    def power(i: int, e: int) -> HSeries:
-        cache = power_cache[i]
-        while e not in cache:
-            top = max(cache)
-            cache[top + 1] = star.star(cache[top], prepared[i])
-        return cache[e]
-
+    # each lift's powers up to the highest exponent the relation gives it
+    tops = map(max, zip(*relation.terms))
+    powers = [_star_powers(star, fhat, top) for fhat, top in zip(lifts, tops)]
     for exp, coeff in relation.sorted_terms():
         term = HSeries.one(nv, star.order).scale(coeff)
         for i, e in enumerate(exp):
             if e:
-                term = star.star(term, power(i, e))
+                term = star.star(term, powers[i][e])
         result = result + term
     return result
 

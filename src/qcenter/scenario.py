@@ -16,7 +16,8 @@ structural validation (``ValidationError``): bracket antisymmetry and the
 Jacobi identity, bivector antisymmetry and invertibility, invariance of
 designated generators, hamiltonian equivariance, the quantum condition,
 and, when the task list holds ``centers``, the uniform default grading
-with a graded bivector that quantum-center slicing needs.
+with a graded bivector that quantum-center slicing needs and a truncation
+of at least 1, below which every deformed commutator vanishes.
 
 Parsing also enforces a size budget, before anything is built from the
 document (``ValidationError``):
@@ -59,12 +60,13 @@ The fields, with their kinds, defaults and ranges, are the table
 ``_SCENARIO`` and the tables it names; the README describes each one.  An
 unknown key is a ``ParseError``, and every integer follows one rule
 (``_integer``): a boolean, a string, a non-integral number or a value out
-of range is a ``ValidationError``.
+of range is a ``ValidationError``.  Messages echo a bad value cut short.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -212,6 +214,11 @@ _SCENARIO = {
     "tasks": ("list", TASK_ORDER, TASK_ORDER),
     "samples": ("object", {}, _SAMPLES),
 }
+# a bad value in a message: reprlib's string and number limits, 3 list
+# items, 2 object entries, and [...] or {...} for anything nested
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxlist, _ECHO.maxdict = 1, 3, 2
+_echo = _ECHO.repr
 # two messages worded for their field rather than by the rule of its kind
 _WORDING = {"tasks": "tasks must be a list of task names",
             "samples": "samples must be an object of sample counts"}
@@ -260,7 +267,7 @@ def _leaf(value, kind: str, extent, path: str, field: str):
     if isinstance(extent, tuple):
         for item in items:
             if item not in extent:
-                raise ParseError(f"{path} {item!r} is not one of {', '.join(extent)}")
+                raise ParseError(f"{path} {_echo(item)} is not one of {', '.join(extent)}")
     return value
 
 
@@ -268,7 +275,7 @@ def _scalar_check(value, where: str) -> Fraction:
     try:
         return as_scalar(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar in {where}: {value!r}") from exc
+        raise ParseError(f"bad scalar in {where}: {_echo(value)}") from exc
 
 
 def _order(key: str, where: str) -> int:
@@ -286,7 +293,7 @@ def _integer(value, path: str, extent: tuple) -> int:
     if isinstance(value, bool):
         raise ValidationError(f"{path} must be an integer, not a boolean")
     if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValidationError(f"{path} must be an integer, got {value!r}")
+        raise ValidationError(f"{path} must be an integer, got {_echo(value)}")
     value = int(value)
     low, high = extent
     if low is not None and value < low:
@@ -586,6 +593,11 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
             check_slicing_grading(space)
         except ValidationError as exc:
             raise ValidationError(f"the centers task cannot run: {exc}") from None
+        if scenario.truncation == 0:
+            raise ValidationError(
+                "the centers task cannot run: at truncation 0 every deformed "
+                "commutator vanishes, so it needs truncation at least 1"
+            )
     if "axioms" in scenario.tasks:
         try:
             space.check_graded_bivector()
@@ -793,33 +805,32 @@ def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:
     return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
 
+def _lifts(built: BuiltScenario, context: dict
+           ) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:
+    """``run_lifts`` once per run, for the lift, iso and weyl tasks.  A
+    failed run is not kept, so each task that needs it reports the
+    failure."""
+    if "lifts" not in context:
+        context["lifts"] = run_lifts(built, _lift_tests(built, context))
+    return context["lifts"]
+
+
 def _task_lift(built: BuiltScenario, context: dict) -> TaskResult:
-    entries, verifications = run_lifts(built, _lift_tests(built, context))
-    context["lift_entries"] = entries
+    _, verifications = _lifts(built, context)
     return TaskResult("lift", True, {"lifts": verifications})
 
 
-def _ensure_lifts(built: BuiltScenario, context: dict):
-    if "lift_entries" not in context:
-        entries, _ = run_lifts(built, _lift_tests(built, context))
-        context["lift_entries"] = entries
-
-
 def _task_iso(built: BuiltScenario, context: dict) -> TaskResult:
-    _ensure_lifts(built, context)
-    iso = build_center_iso(
-        context["lift_entries"],
-        built.scenario.relations,
-        built.action,
-    )
+    entries, _ = _lifts(built, context)
+    iso = build_center_iso(entries, built.scenario.relations, built.action)
     return TaskResult("iso", iso.passed, iso.to_json_dict())
 
 
 def _task_weyl(built: BuiltScenario, context: dict) -> TaskResult:
     inv = _invariants(built, context)
-    _ensure_lifts(built, context)
+    entries, _ = _lifts(built, context)
     quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
-    lifted = [(name, fhat) for name, _, fhat in context["lift_entries"]]
+    lifted = [(name, fhat) for name, _, fhat in entries]
     result = weyl_report(
         built.star, lifted, built.scenario.center_generators, quadratic_tests
     )

@@ -62,15 +62,7 @@ class WeylReport(NamedTuple):
         return {
             "passed": self.passed,
             "generators_algebraically_independent": self.independent,
-            "entries": [
-                {
-                    "name": e.name,
-                    "symbol": e.symbol,
-                    "central": e.central,
-                    "failures": e.failures,
-                }
-                for e in self.entries
-            ],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 

@@ -10,13 +10,15 @@ from qcenter import (
     HSeries,
     InvalidActionError,
     Poly,
-    TruncationError,
+    StarProduct,
     UEnvElement,
     ValidationError,
     check_classical_limit_triangle,
     check_quantum_moment_condition,
     symmetrize,
 )
+import qcenter.scenario as scenario_mod
+from qcenter.scenario import load_scenario, run_scenario
 
 from oracle import UncheckedAction, abelian_data, brute_force_product, random_poly
 
@@ -106,11 +108,12 @@ def test_moment_condition_reports_the_lowest_of_several_orders(torus1, star1):
 
 
 def test_moment_condition_needs_matching_truncations(torus1, star1):
+    # the action prepares its quantum hamiltonians when it is built, so a
+    # truncation other than the product's is refused there, before any check
     sp = star1.space
     h = sp.q(1) * sp.p(1)
-    act = UncheckedAction(torus1, star1, [h], [HSeries.from_poly(h, 4)])
-    with pytest.raises(TruncationError):
-        check_quantum_moment_condition(act, [sp.q(1)])
+    with pytest.raises(ValidationError, match="quantum hamiltonian truncation mismatch"):
+        UncheckedAction(torus1, star1, [h], [HSeries.from_poly(h, 4)])
 
 
 def test_comoment_generators_and_unit(sl2_action):
@@ -238,3 +241,49 @@ def test_random_invariant_combinations_triangle(sl2_action, torus_action):
         if z.is_zero():
             continue
         assert check_classical_limit_triangle(torus_action, z).passed
+
+
+def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
+    # the action builds one record of its hamiltonians, prepared and
+    # bracketed with the coordinates, and every task reads it: no
+    # hamiltonian is prepared again and no bracket {H_i, x_j} taken again
+    scenario = load_scenario("sl2_tstar_k2")
+    built = []
+    build, prepare, poisson = (
+        scenario_mod.build_scenario, StarProduct._prepare, StarProduct.poisson
+    )
+    series = []  # every series prepared
+    forms = {}  # id of a classical hamiltonian -> its prepared forms
+    brackets = []  # (prepared form, coordinate polynomial) of every bracket
+
+    def spy_build(scenario):
+        built.append(build(scenario))
+        return built[-1]
+
+    def spy_prepare(self, x):
+        out = prepare(self, x)
+        if isinstance(x, HSeries):
+            series.append(x)
+        elif any(x is h for h in scenario.hamiltonians):
+            forms.setdefault(id(x), []).append(out)
+        return out
+
+    def spy_poisson(self, f, g):
+        if isinstance(g, Poly) and g.degree() == 1:
+            brackets.append((f, g))
+        return poisson(self, f, g)
+
+    monkeypatch.setattr(scenario_mod, "build_scenario", spy_build)
+    monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+    monkeypatch.setattr(StarProduct, "poisson", spy_poisson)
+    report = run_scenario(scenario)
+    assert all(task.passed for task in report.tasks)
+    (act,) = [b.action for b in built]
+    for hq in act.quantum_hamiltonians:
+        assert sum(x is hq for x in series) == 1
+    nv = act.space.nvars
+    for h in act.hamiltonians:
+        (form,) = forms[id(h)]
+        for j in range(nv):
+            x = Poly.variable(nv, j)
+            assert sum(f is form and g == x for f, g in brackets) == 1

@@ -173,10 +173,13 @@ def test_degree_and_truncation_flags_end_in_an_exit_code(preset):
         given = [value for value in (truncation, max_degree) if value is not None]
         if min(given, default=0) < 0 or (max_degree or 0) >= 10**6:
             assert code == 3 and err.getvalue().startswith("validation error:"), case
-        elif preset == "trivial_k2" and truncation == 0 and max_degree != 0:
+        elif truncation == 0:
             # at truncation 0 every commutator vanishes, so the quantum
-            # center is every invariant, while the Poisson center of the
-            # trivial action is the constants: the centers task fails
-            assert code == 1, case
+            # center would be every invariant whatever the Poisson center
+            # is: the centers task is refused
+            assert code == 3, case
+            assert err.getvalue().startswith(
+                "validation error: the centers task cannot run: at truncation 0"
+            ), case
         else:
             assert code == 0, case

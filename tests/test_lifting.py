@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from qcenter import (
 
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift
 
-from oracle import abelian_data, dense_in_span
+from oracle import abelian_data, dense_in_span, random_poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -55,6 +56,29 @@ def sl2_lift_data(sl2_action):
     ahat = star.star(lifted, lifted)
     rel = MonicRelation((-a, Poly.zero(4)), (-ahat, HSeries.zero(4, star.order)))
     return tr, a, ahat, rel
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relation_values_by_horner_match_the_expanded_sums(seed):
+    # classical_value and derivative_value evaluate by Horner's rule; the
+    # expanded sums f^n + sum a_i f^i and n f^(n-1) + sum i a_i f^(i-1) are
+    # the definition
+    rng = random.Random(seed)
+    nv = 2
+    for n in range(1, 5):
+        f = random_poly(rng, nv, 2)
+        coefficients = tuple(random_poly(rng, nv, 2) for _ in range(n))
+        rel = MonicRelation(
+            coefficients, tuple(HSeries.from_poly(a, 0) for a in coefficients)
+        )
+        value = f ** n
+        derivative = (f ** (n - 1)).scale(n)
+        for i, a in enumerate(coefficients):
+            value = value + a * f ** i
+            if i:
+                derivative = derivative + a.scale(i) * f ** (i - 1)
+        assert rel.classical_value(f) == value
+        assert rel.derivative_value(f) == derivative
 
 
 def test_linear_relation_returns_designated_lift(torus_action):

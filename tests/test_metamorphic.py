@@ -25,7 +25,7 @@ from qcenter import (
     SymplecticSpace,
     compare_centers,
 )
-from qcenter.centers import _coordinate_brackets, _diagonal_weights
+from qcenter.centers import _diagonal_weights
 
 from oracle import abelian_data
 
@@ -93,7 +93,7 @@ def test_center_comparison_is_invariant_under_symplectic_transvections(seed):
     original = action(star, hamiltonians)
     pushed = action(star, [h.substitute(images) for h in hamiltonians])
     for act, diagonal in ((original, True), (pushed, False)):
-        for h in act.hamiltonians:
-            weights = _diagonal_weights(_coordinate_brackets(act, h))
+        for brackets in act.coordinate_brackets:
+            weights = _diagonal_weights(brackets)
             assert (weights is not None) is diagonal
     assert profile(pushed) == profile(original)

@@ -350,6 +350,16 @@ def _lie(**fields) -> dict:
     return {"lie_algebra": dict(MINIMAL_TORUS["lie_algebra"], **fields)}
 
 
+def _nested(depth: int) -> list:
+    """An empty list inside ``depth - 1`` more lists."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -387,6 +397,11 @@ def _lie(**fields) -> dict:
             ]),
             "order of section correction of 't' must be an integer, got 'x'",
         ),
+        # a bad value is echoed cut short, however large it is
+        ({"truncation": "9" * 5000}, "truncation must be an integer, got '999"),
+        # deep enough to echo ~1,800 characters whole, shallow enough for the
+        # JSON loader under the test runner's own frames
+        ({"truncation": _nested(900)}, "truncation must be an integer, got [[...]]"),
     ],
 )
 def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
@@ -397,6 +412,7 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert message in err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -976,7 +992,19 @@ def test_repeated_center_generator_is_refused_with_exit_3(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("preset", ["torus_k2", "sl2_tstar_k2"])
-def test_truncation_0_passes_every_task(preset, capsys):
-    assert main(["run", preset, "--truncation", "0"]) == 0
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_truncation_0_refuses_the_centers_task(preset, tmp_path, capsys):
+    # at truncation 0 every deformed commutator vanishes, so the centers
+    # comparison says nothing: it is refused with one line
+    assert main(["run", preset, "--truncation", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "validation error: the centers task cannot run: at truncation 0 every "
+        "deformed commutator vanishes, so it needs truncation at least 1\n"
+    )
+    assert "Traceback" not in captured.err
+    # every other task passes there
+    data = json.loads(preset_path(preset).read_text())
+    data.update(truncation=0, tasks=[t for t in data["tasks"] if t != "centers"])
+    assert main(["run", write_scenario(tmp_path, data)]) == 0
     assert "FAIL" not in capsys.readouterr().out

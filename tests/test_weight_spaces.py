@@ -28,7 +28,7 @@ from qcenter import (
     monomials_of_degree,
     parse_poly,
 )
-from qcenter.centers import _coordinate_brackets, _diagonal_weights
+from qcenter.centers import _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import UncheckedAction, abelian_data, brute_force_term, dense_nullspace
@@ -106,15 +106,15 @@ def test_invariants_match_full_candidate_elimination(case):
     build, top, diagonal = CASES[case]
     act = build()
     assert [
-        _diagonal_weights(_coordinate_brackets(act, h)) is not None
-        for h in act.hamiltonians
+        _diagonal_weights(brackets) is not None
+        for brackets in act.coordinate_brackets
     ] == diagonal
     assert invariants_up_to(act, top).slices == _oracle_invariants(act, top).slices
 
 
 def test_diagonal_weights_are_the_bracket_eigenvalues():
     act = _torus("2*q1*p1 + 1/3*q2*p2")
-    weights = _diagonal_weights(_coordinate_brackets(act, act.hamiltonians[0]))
+    weights = _diagonal_weights(act.coordinate_brackets[0])
     for j, w in enumerate(weights):
         x = Poly.variable(act.space.nvars, j)
         assert act.star.poisson(act.hamiltonians[0], x) == x.scale(w)
@@ -136,17 +136,21 @@ def test_rational_weights_let_mixed_monomials_through():
 def test_each_hamiltonian_is_bracketed_with_the_coordinates_once(
     monkeypatch, top
 ):
-    # the rows of every candidate come from the coordinate brackets, so the
-    # kernel's bracket runs once per (coordinate, hamiltonian), whatever
-    # the degree bound
-    act = _preset("sl2_tstar_k2")
-    calls = []
+    # the rows of every candidate come from the coordinate brackets the
+    # action holds: they are taken once per (hamiltonian, coordinate) when
+    # the action is built, and a solve brackets nothing, whatever the
+    # degree bound
+    operands = []
     poisson = StarProduct.poisson
 
     def counted(self, f, g):
-        calls.append((f, g))
+        operands.append(g)
         return poisson(self, f, g)
 
     monkeypatch.setattr(StarProduct, "poisson", counted)
+    act = _preset("sl2_tstar_k2")
+    coordinates = [g for g in operands if isinstance(g, Poly)]
+    assert len(coordinates) == act.space.nvars * len(act.hamiltonians)
+    operands.clear()
     invariants_up_to(act, top)
-    assert len(calls) == act.space.nvars * len(act.hamiltonians)
+    assert operands == []
