@@ -114,20 +114,26 @@ class HamiltonianAction:
 
         Testing all monomials up to the largest coefficient degree of the
         quantum hamiltonians is complete: higher monomials add no new
-        operator coefficients.
+        operator coefficients.  Each monomial is prepared once and tried on
+        the generators below the first failure found so far, which finds the
+        generator-major first failure and stops at a failure of generator 0.
         """
         bound = 0
         for hq in self.quantum_hamiltonians:
             for f in hq.terms.values():
                 bound = max(bound, f.degree())
         quantum, classical = self.prepared_quantum, self.prepared_hamiltonians
-        for i in range(self.lie.dim):
-            for degree in range(bound + 1):
-                for exp in monomials_of_degree(self.space.nvars, degree):
-                    f = self.star.prepare(Poly.monomial(self.space.nvars, exp))
+        first = None
+        for degree in range(bound + 1):
+            for exp in monomials_of_degree(self.space.nvars, degree):
+                if first is not None and first[0] == 0:
+                    return first
+                f = self.star.prepare(Poly.monomial(self.space.nvars, exp))
+                for i in range(self.lie.dim if first is None else first[0]):
                     if _moment_defect(self, quantum[i], classical[i], f) is not None:
-                        return i, exp
-        return None
+                        first = i, exp
+                        break
+        return first
 
     def assert_quantum_consistency(self):
         """Quantum hamiltonians must reproduce the structure constants."""

@@ -1,6 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the echo of bad values, shared across the package."""
 
 from __future__ import annotations
+
+import reprlib
+
+# reprlib's string and number limits, 3 list items, 2 object entries, and
+# [...] or {...} for anything nested
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxlist, _ECHO.maxdict = 1, 3, 2
+echo = _ECHO.repr
 
 
 class QCenterError(Exception):

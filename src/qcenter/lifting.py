@@ -154,6 +154,14 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
     return True
 
 
+def _check_invariant(act: HamiltonianAction, f: Poly, what: str) -> None:
+    """Refuse ``f`` unless every hamiltonian brackets it to zero."""
+    pf = act.star.prepare(f)
+    for h, label in zip(act.prepared_hamiltonians, act.lie.labels):
+        if not act.star.poisson(h, pf).is_zero():
+            raise ValidationError(f"{what} is not invariant under {label}")
+
+
 def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
     """Lift ``f`` through the action's truncation.
 
@@ -174,13 +182,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         raise NonSimpleRootError(
             "the relation derivative vanishes identically at the target"
         )
-    hamiltonians = act.prepared_hamiltonians
-    pf = act.star.prepare(f)
-    for i, h in enumerate(hamiltonians):
-        if not act.star.poisson(h, pf).is_zero():
-            raise ValidationError(
-                f"lift target is not invariant under {act.lie.labels[i]}"
-            )
+    _check_invariant(act, f, "lift target")
     subalgebra = moment_image_basis(act, (rel.degree - 1) * f.degree())
     if not minimality_holds(f, rel, subalgebra):
         raise ValidationError(
@@ -197,13 +199,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         correction = (-defect_coeff).divide_exact(derivative)
         if correction is None:
             raise LiftObstructionError(m, defect_coeff)
-        pc = act.star.prepare(correction)
-        for i, h in enumerate(hamiltonians):
-            if not act.star.poisson(h, pc).is_zero():
-                raise ValidationError(
-                    f"correction at order {m} is not invariant under "
-                    f"{act.lie.labels[i]}"
-                )
+        _check_invariant(act, correction, f"correction at order {m}")
         fhat = fhat + HSeries(act.space.nvars, act.order, {m: correction})
         corrected = m
         defect = relation_defect(act.star, rel, fhat)

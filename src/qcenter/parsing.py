@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeCapError, ParseError
+from .errors import DegreeCapError, ParseError, echo
 from .poly import Poly
 
 _TOKEN = re.compile(
@@ -57,7 +57,7 @@ def _number(value: str, convert):
     try:
         return convert(value)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {value!r}") from None
+        raise ParseError(f"zero denominator in {echo(value)}") from None
     except ValueError:
         raise ParseError(f"number of {len(value)} characters is too long") from None
 
@@ -107,7 +107,7 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value = self.take()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}")
+            raise ParseError(f"expected {op!r}, found {echo(value)}")
 
     def parse_expr(self) -> Poly:
         sign = 1
@@ -159,7 +159,7 @@ class _Parser:
         if kind == "name":
             if value not in self.index:
                 raise ParseError(
-                    f"unknown variable {value!r} (known: {', '.join(self.names)})"
+                    f"unknown variable {echo(value)} (known: {echo(', '.join(self.names))})"
                 )
             return Poly.variable(self.nvars, self.index[value])
         if kind == "op" and value == "(":
@@ -168,7 +168,7 @@ class _Parser:
             return inner
         if kind == "op" and value == "-":
             return -self.parse_atom()
-        raise ParseError(f"unexpected token {value!r}")
+        raise ParseError(f"unexpected token {echo(value)}")
 
 
 def parse_poly(text: str, names: Sequence[str], *,
@@ -182,5 +182,5 @@ def parse_poly(text: str, names: Sequence[str], *,
     parser.capped(result.degree())
     kind, value = parser.peek()
     if kind != "end":
-        raise ParseError(f"trailing input starting at {value!r}")
+        raise ParseError(f"trailing input starting at {echo(value)}")
     return result

@@ -60,14 +60,20 @@ The fields, with their kinds, defaults and ranges, are the table
 ``_SCENARIO`` and the tables it names; the README describes each one.  An
 unknown key is a ``ParseError``, and every integer follows one rule
 (``_integer``): a boolean, a string, a non-integral number or a value out
-of range is a ``ValidationError``.  Messages echo a bad value cut short.
+of range is a ``ValidationError``.  Messages echo a bad value or a name cut
+short (``errors.echo``).
+
+A run (``run_scenario``) builds the scenario and runs each task as a method
+of one run object.  That object computes the results the tasks share (the
+invariants, the lift test set and the lift run) once, on first use, and
+keeps no failed lift run, so each task that needs it reports the failure.
 """
 
 from __future__ import annotations
 
 import json
-import reprlib
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
@@ -83,7 +89,7 @@ from .centers import (
     invariants_up_to,
     quantum_tests,
 )
-from .errors import DegreeCapError, ParseError, QCenterError, ValidationError
+from .errors import DegreeCapError, ParseError, QCenterError, ValidationError, echo
 from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
     MonicRelation,
@@ -214,11 +220,6 @@ _SCENARIO = {
     "tasks": ("list", TASK_ORDER, TASK_ORDER),
     "samples": ("object", {}, _SAMPLES),
 }
-# a bad value in a message: reprlib's string and number limits, 3 list
-# items, 2 object entries, and [...] or {...} for anything nested
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel, _ECHO.maxlist, _ECHO.maxdict = 1, 3, 2
-_echo = _ECHO.repr
 # two messages worded for their field rather than by the rule of its kind
 _WORDING = {"tasks": "tasks must be a list of task names",
             "samples": "samples must be an object of sample counts"}
@@ -235,7 +236,7 @@ def _read(value, table: dict | None, where: str) -> dict:
         return value
     for key in value:
         if key not in table:
-            raise ParseError(f"unknown key {key!r} in {where}")
+            raise ParseError(f"unknown key {echo(key)} in {where}")
     prefix = "" if where == "scenario" else f"{where}."
     fields = {}
     for key, (kind, default, extent) in table.items():
@@ -267,7 +268,7 @@ def _leaf(value, kind: str, extent, path: str, field: str):
     if isinstance(extent, tuple):
         for item in items:
             if item not in extent:
-                raise ParseError(f"{path} {_echo(item)} is not one of {', '.join(extent)}")
+                raise ParseError(f"{path} {echo(item)} is not one of {', '.join(extent)}")
     return value
 
 
@@ -275,7 +276,7 @@ def _scalar_check(value, where: str) -> Fraction:
     try:
         return as_scalar(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar in {where}: {_echo(value)}") from exc
+        raise ParseError(f"bad scalar in {where}: {echo(value)}") from exc
 
 
 def _order(key: str, where: str) -> int:
@@ -293,7 +294,7 @@ def _integer(value, path: str, extent: tuple) -> int:
     if isinstance(value, bool):
         raise ValidationError(f"{path} must be an integer, not a boolean")
     if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValidationError(f"{path} must be an integer, got {_echo(value)}")
+        raise ValidationError(f"{path} must be an integer, got {echo(value)}")
     value = int(value)
     low, high = extent
     if low is not None and value < low:
@@ -418,11 +419,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         entry = _read(entry, _BRACKET, "bracket entry")
         left, right = entry["left"], entry["right"]
         if left not in index or right not in index:
-            raise ParseError(f"bracket uses unknown labels {left!r}, {right!r}")
+            raise ParseError(f"bracket uses unknown labels {echo(left)}, {echo(right)}")
         comps = _read(entry["components"], None, "bracket components")
         for label in comps:
             if label not in index:
-                raise ParseError(f"unknown basis label {label!r} in bracket components")
+                raise ParseError(f"unknown basis label {echo(label)} in bracket components")
         brackets.append((index[left], index[right], tuple(
             (index[label], _scalar_check(value, "bracket components"))
             for label, value in comps.items()
@@ -433,9 +434,9 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         entry = _read(entry, _GENERATOR, "invariant generator")
         gen_name = entry["name"]
         if gen_name in generator_names:
-            raise ValidationError(f"invariant generator {gen_name!r} is named twice")
-        poly = _capped_check(entry["poly"], labels, f"invariant generator {gen_name!r}")
-        where = f"section correction of {gen_name!r}"
+            raise ValidationError(f"invariant generator {echo(gen_name)} is named twice")
+        poly = _capped_check(entry["poly"], labels, f"invariant generator {echo(gen_name)}")
+        where = f"section correction of {echo(gen_name)}"
         section = _read(entry["section_correction"], None, where)
         corrections = tuple(
             (_order(order, where), _capped_check(expr, labels, where))
@@ -447,20 +448,20 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     hamiltonians = []
     for label in labels:
         if label not in ham_data:
-            raise ParseError(f"missing hamiltonian for basis element {label!r}")
+            raise ParseError(f"missing hamiltonian for basis element {echo(label)}")
         hamiltonians.append(
-            _capped_check(ham_data[label], coord_names, f"hamiltonian {label!r}")
+            _capped_check(ham_data[label], coord_names, f"hamiltonian {echo(label)}")
         )
     if len(ham_data) > len(index):
         extra = next(label for label in ham_data if label not in index)
-        raise ParseError(f"hamiltonian for unknown label {extra!r}")
+        raise ParseError(f"hamiltonian for unknown label {echo(extra)}")
     quantum_corrections = []
     for label, corr in _read(
         doc["quantum_corrections"], None, "quantum_corrections"
     ).items():
         if label not in index:
-            raise ParseError(f"quantum correction for unknown label {label!r}")
-        where = f"quantum correction of {label!r}"
+            raise ParseError(f"quantum correction for unknown label {echo(label)}")
+        where = f"quantum correction of {echo(label)}"
         quantum_corrections.append((label, tuple(
             (_order(order, where), _capped_check(expr, coord_names, where))
             for order, expr in sorted(_read(corr, None, where).items())
@@ -474,8 +475,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                       "lift entry")
         lift_name = entry["name"]
         if lift_name in lift_names:
-            raise ValidationError(f"lift {lift_name!r} is named twice")
-        where = f"lift {lift_name!r}"
+            raise ValidationError(f"lift {echo(lift_name)} is named twice")
+        where = f"lift {echo(lift_name)}"
         if classical:
             lifts.append(LiftSpec(lift_name, classical=_capped_check(
                 entry["classical"], generator_names, where
@@ -498,9 +499,9 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     named: set[str] = set()
     for gen_name in doc["center_generators"]:
         if gen_name not in lift_names:
-            raise ParseError(f"center generator {gen_name!r} does not name a lift")
+            raise ParseError(f"center generator {echo(gen_name)} does not name a lift")
         if gen_name in named:
-            raise ValidationError(f"center generator {gen_name!r} is named twice")
+            raise ValidationError(f"center generator {echo(gen_name)} is named twice")
         named.add(gen_name)
 
     samples = _read(doc["samples"], _SAMPLES, "samples")
@@ -576,8 +577,8 @@ class BuiltScenario(NamedTuple):
     space: SymplecticSpace
     star: StarProduct
     action: HamiltonianAction
-    pullbacks: dict[str, Poly]
-    central_lifts: dict[str, HSeries]
+    pullbacks: tuple[Poly, ...]         # in generator order
+    central_lifts: tuple[HSeries, ...]  # in generator order
 
 
 def build_scenario(scenario: Scenario) -> BuiltScenario:
@@ -620,46 +621,34 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
                 ).hbar_shift(order)
             quantum.append(series)
     action = HamiltonianAction(lie, star, scenario.hamiltonians, quantum)
-    pullbacks = {}
-    central_lifts = {}
-    for gen in lie.invariant_generators:
-        pullbacks[gen.name] = action.moment_pullback(gen.poly)
-        central_lifts[gen.name] = action.central_lift(gen.name)
+    generators = lie.invariant_generators
+    pullbacks = tuple(action.moment_pullback(gen.poly) for gen in generators)
+    central_lifts = tuple(action.central_lift(gen.name) for gen in generators)
     return BuiltScenario(scenario, space, star, action, pullbacks, central_lifts)
 
 
 # -- lift assembly -----------------------------------------------------------------
 
 
-def _generator_names(built: BuiltScenario) -> list[str]:
-    return [gen.name for gen in built.action.lie.invariant_generators]
-
-
-def _eval_generator_poly_classical(built: BuiltScenario, composed: Poly) -> Poly:
-    gen_names = _generator_names(built)
-    if not gen_names:
-        return Poly.constant(built.space.nvars, composed.constant_term())
-    return composed.substitute([built.pullbacks[n] for n in gen_names])
-
-
-def _eval_generator_poly_quantum(built: BuiltScenario, composed: Poly) -> HSeries:
-    lifts = [built.central_lifts[n] for n in _generator_names(built)]
-    return star_evaluate(built.star, composed, lifts)
+def _evaluate(built: BuiltScenario, composed: Poly) -> tuple[Poly, HSeries]:
+    """A polynomial in generator names, evaluated on the moment pullbacks
+    and, under the deformed product, on the central lifts."""
+    if built.pullbacks:
+        classical = composed.substitute(built.pullbacks)
+    else:
+        classical = Poly.constant(built.space.nvars, composed.constant_term())
+    return classical, star_evaluate(built.star, composed, built.central_lifts)
 
 
 def resolve_lift(built: BuiltScenario, spec: LiftSpec
                  ) -> tuple[Poly, MonicRelation]:
     """Target polynomial and monic relation data for a lift request."""
     if spec.classical is not None:
-        f = _eval_generator_poly_classical(built, spec.classical)
-        ahat = _eval_generator_poly_quantum(built, spec.classical)
+        f, ahat = _evaluate(built, spec.classical)
         return f, MonicRelation((-f,), (-ahat,))
-    coefficients = []
-    quantum = []
-    for composed in spec.relation:
-        coefficients.append(_eval_generator_poly_classical(built, composed))
-        quantum.append(_eval_generator_poly_quantum(built, composed))
-    return spec.target, MonicRelation(tuple(coefficients), tuple(quantum))
+    values = [_evaluate(built, composed) for composed in spec.relation]
+    return spec.target, MonicRelation(tuple(a for a, _ in values),
+                                      tuple(ahat for _, ahat in values))
 
 
 def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]
@@ -675,7 +664,7 @@ def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]
         entries.append((spec.name, f, fhat))
         verifications.append({"name": spec.name, **report.to_json_dict()})
         if not report.passed:
-            raise ValidationError(f"lift verification failed for {spec.name!r}")
+            raise ValidationError(f"lift verification failed for {echo(spec.name)}")
     return entries, verifications
 
 
@@ -703,147 +692,123 @@ def run_scenario(
         scenario = scenario._replace(**changes)
         _check_bounds(scenario.pairs, scenario.bivector, scenario.truncation,
                       scenario.max_degree, scenario.test_degree)
-    built = build_scenario(scenario)
-    report = RunReport(
-        scenario.name,
-        scenario.truncation,
-        scenario.max_degree,
-        scenario.test_degree,
-    )
-    context: dict[str, Any] = {}
+    run = _Run(build_scenario(scenario))
+    report = RunReport(scenario.name, scenario.truncation, scenario.max_degree,
+                       scenario.test_degree)
     for task in scenario.tasks:
-        runner = _TASKS[task]
         try:
-            result = runner(built, context)
+            result = _TASKS[task](run)
         except QCenterError as exc:
             result = TaskResult(task, False, {}, str(exc))
         report.tasks.append(result)
     return report
 
 
-def _invariants(built: BuiltScenario, context: dict) -> GradedSubspace:
-    if "invariants" not in context:
-        context["invariants"] = invariants_up_to(
-            built.action, built.scenario.test_degree
+class _Run:
+    """One run of a built scenario: the tasks, and the results they share,
+    each computed on first use.  A ``cached_property`` keeps nothing when
+    its computation raises, so a failed lift run is not kept and each task
+    that needs it reports the failure."""
+
+    def __init__(self, built: BuiltScenario):
+        self.built = built
+        self.generators: list[Poly] | None = None  # found by the centers task
+
+    @cached_property
+    def invariants(self) -> GradedSubspace:
+        return invariants_up_to(self.built.action, self.built.scenario.test_degree)
+
+    @cached_property
+    def lift_tests(self) -> list[Poly]:
+        """The quantum center's test set (``quantum_tests``): a series that
+        commutes with it modulo the truncation commutes with every invariant
+        up to the test cutoff.  The generators a centers task found are
+        reused, else they are found once here."""
+        return quantum_tests(self.built.action, self.invariants,
+                             self.built.scenario.test_degree, self.generators)
+
+    @cached_property
+    def lifts(self) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:
+        """``run_lifts`` once per run, for the lift, iso and weyl tasks."""
+        return run_lifts(self.built, self.lift_tests)
+
+    def _task_axioms(self) -> TaskResult:
+        space, count = self.built.space, self.built.scenario.axiom_samples
+        triples = sample_triples(_SAMPLE_SEED, space, count, max_degree=4)
+        axiom_report = check_axioms(self.built.star, triples)
+        pairs = sample_homogeneous_pairs(_SAMPLE_SEED + 1, space, count, max_degree=4)
+        hom_report = check_homogeneity(self.built.star, pairs)
+        passed = axiom_report.passed and hom_report.passed
+        details = {
+            "checks": axiom_report.checks + hom_report.checks,
+            "failures": axiom_report.to_json_dict()["failures"]
+            + hom_report.to_json_dict()["failures"],
+        }
+        return TaskResult("axioms", passed, details)
+
+    def _task_moment(self) -> TaskResult:
+        built = self.built
+        samples = sample_polys(
+            _SAMPLE_SEED + 2, built.space, built.scenario.moment_samples, max_degree=6
         )
-    return context["invariants"]
+        check = check_quantum_moment_condition(built.action, samples)
+        return TaskResult("moment", check.passed, check.to_json_dict())
 
+    def _task_triangle(self) -> TaskResult:
+        details: dict[str, Any] = {"generators": [], "failures": []}
+        passed = True
+        for gen in self.built.action.lie.invariant_generators:
+            check = check_classical_limit_triangle(self.built.action, gen.poly)
+            details["generators"].append(gen.name)
+            if not check.passed:
+                passed = False
+                details["failures"].extend(check.to_json_dict()["failures"])
+        return TaskResult("triangle", passed, details)
 
-def _lift_tests(built: BuiltScenario, context: dict) -> list[Poly]:
-    """The quantum center's test set (``quantum_tests``): a series that
-    commutes with it modulo the truncation commutes with every invariant
-    up to the test cutoff.  The generators a centers task found are
-    reused, else they are found once here."""
-    if "lift_tests" not in context:
-        context["lift_tests"] = quantum_tests(
-            built.action,
-            _invariants(built, context),
-            built.scenario.test_degree,
-            context.get("generators"),
+    def _task_invariants(self) -> TaskResult:
+        degrees = range(self.built.scenario.max_degree + 1)
+        names = self.built.space.names
+        dimensions = {str(d): self.invariants.dimension(d) for d in degrees}
+        bases = {
+            str(d): [f.to_string(names) for f in self.invariants.basis(d)]
+            for d in degrees
+        }
+        return TaskResult("invariants", True, {"dimensions": dimensions, "bases": bases})
+
+    def _task_centers(self) -> TaskResult:
+        scenario = self.built.scenario
+        center_report = compare_centers(
+            self.built.action, scenario.max_degree, scenario.test_degree
         )
-    return context["lift_tests"]
+        self.generators = center_report.generators
+        return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
+    def _task_lift(self) -> TaskResult:
+        _, verifications = self.lifts
+        return TaskResult("lift", True, {"lifts": verifications})
 
-def _task_axioms(built: BuiltScenario, context: dict) -> TaskResult:
-    scenario = built.scenario
-    triples = sample_triples(
-        _SAMPLE_SEED, built.space, scenario.axiom_samples, max_degree=4
-    )
-    axiom_report = check_axioms(built.star, triples)
-    pairs = sample_homogeneous_pairs(
-        _SAMPLE_SEED + 1, built.space, scenario.axiom_samples, max_degree=4
-    )
-    hom_report = check_homogeneity(built.star, pairs)
-    passed = axiom_report.passed and hom_report.passed
-    details = {
-        "checks": axiom_report.checks + hom_report.checks,
-        "failures": axiom_report.to_json_dict()["failures"]
-        + hom_report.to_json_dict()["failures"],
-    }
-    return TaskResult("axioms", passed, details)
+    def _task_iso(self) -> TaskResult:
+        entries, _ = self.lifts
+        iso = build_center_iso(entries, self.built.scenario.relations, self.built.action)
+        return TaskResult("iso", iso.passed, iso.to_json_dict())
 
-
-def _task_moment(built: BuiltScenario, context: dict) -> TaskResult:
-    samples = sample_polys(
-        _SAMPLE_SEED + 2, built.space, built.scenario.moment_samples, max_degree=6
-    )
-    check = check_quantum_moment_condition(built.action, samples)
-    return TaskResult("moment", check.passed, check.to_json_dict())
-
-
-def _task_triangle(built: BuiltScenario, context: dict) -> TaskResult:
-    details: dict[str, Any] = {"generators": [], "failures": []}
-    passed = True
-    for gen in built.action.lie.invariant_generators:
-        check = check_classical_limit_triangle(built.action, gen.poly)
-        details["generators"].append(gen.name)
-        if not check.passed:
-            passed = False
-            details["failures"].extend(check.to_json_dict()["failures"])
-    return TaskResult("triangle", passed, details)
-
-
-def _task_invariants(built: BuiltScenario, context: dict) -> TaskResult:
-    inv = _invariants(built, context)
-    names = built.space.names
-    dimensions = {
-        str(d): inv.dimension(d) for d in range(built.scenario.max_degree + 1)
-    }
-    bases = {
-        str(d): [f.to_string(names) for f in inv.basis(d)]
-        for d in range(built.scenario.max_degree + 1)
-    }
-    return TaskResult("invariants", True, {"dimensions": dimensions, "bases": bases})
-
-
-def _task_centers(built: BuiltScenario, context: dict) -> TaskResult:
-    scenario = built.scenario
-    center_report = compare_centers(
-        built.action, scenario.max_degree, scenario.test_degree
-    )
-    context["generators"] = center_report.generators
-    return TaskResult("centers", center_report.passed, center_report.to_json_dict())
-
-
-def _lifts(built: BuiltScenario, context: dict
-           ) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:
-    """``run_lifts`` once per run, for the lift, iso and weyl tasks.  A
-    failed run is not kept, so each task that needs it reports the
-    failure."""
-    if "lifts" not in context:
-        context["lifts"] = run_lifts(built, _lift_tests(built, context))
-    return context["lifts"]
-
-
-def _task_lift(built: BuiltScenario, context: dict) -> TaskResult:
-    _, verifications = _lifts(built, context)
-    return TaskResult("lift", True, {"lifts": verifications})
-
-
-def _task_iso(built: BuiltScenario, context: dict) -> TaskResult:
-    entries, _ = _lifts(built, context)
-    iso = build_center_iso(entries, built.scenario.relations, built.action)
-    return TaskResult("iso", iso.passed, iso.to_json_dict())
-
-
-def _task_weyl(built: BuiltScenario, context: dict) -> TaskResult:
-    inv = _invariants(built, context)
-    entries, _ = _lifts(built, context)
-    quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
-    lifted = [(name, fhat) for name, _, fhat in entries]
-    result = weyl_report(
-        built.star, lifted, built.scenario.center_generators, quadratic_tests
-    )
-    return TaskResult("weyl", result.passed, result.to_json_dict())
+    def _task_weyl(self) -> TaskResult:
+        inv = self.invariants
+        entries, _ = self.lifts
+        quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
+        lifted = [(name, fhat) for name, _, fhat in entries]
+        result = weyl_report(self.built.star, lifted,
+                             self.built.scenario.center_generators, quadratic_tests)
+        return TaskResult("weyl", result.passed, result.to_json_dict())
 
 
 _TASKS = {
-    "axioms": _task_axioms,
-    "moment": _task_moment,
-    "triangle": _task_triangle,
-    "invariants": _task_invariants,
-    "centers": _task_centers,
-    "lift": _task_lift,
-    "iso": _task_iso,
-    "weyl": _task_weyl,
+    "axioms": _Run._task_axioms,
+    "moment": _Run._task_moment,
+    "triangle": _Run._task_triangle,
+    "invariants": _Run._task_invariants,
+    "centers": _Run._task_centers,
+    "lift": _Run._task_lift,
+    "iso": _Run._task_iso,
+    "weyl": _Run._task_weyl,
 }

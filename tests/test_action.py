@@ -287,3 +287,67 @@ def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
         for j in range(nv):
             x = Poly.variable(nv, j)
             assert sum(f is form and g == x for f, g in brackets) == 1
+
+
+def test_quantum_condition_prepares_each_monomial_once(monkeypatch):
+    # sl2_tstar_k2's quantum hamiltonians have degree 2, so the condition
+    # is tried on the 15 monomials of degree <= 2 in four variables, each
+    # prepared once for all three generators
+    prepare, failure = StarProduct._prepare, HamiltonianAction._quantum_condition_failure
+    prepared = []
+    inside = []
+
+    def spy_failure(self):
+        inside.append(self)
+        try:
+            return failure(self)
+        finally:
+            inside.pop()
+
+    def spy_prepare(self, x):
+        if inside and isinstance(x, Poly):
+            prepared.append(x)
+        return prepare(self, x)
+
+    monkeypatch.setattr(HamiltonianAction, "_quantum_condition_failure", spy_failure)
+    monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+    scenario_mod.build_scenario(load_scenario("sl2_tstar_k2"))
+    assert len(prepared) == 15
+    assert len({tuple(f.terms) for f in prepared}) == 15
+
+
+def test_quantum_condition_reports_the_first_failure_of_the_first_generator():
+    # b fails on q1, the first monomial, and a only on p2, the last of
+    # degree 1: the failure reported is a's, generators first
+    document = {
+        "space": {"pairs": 2},
+        "lie_algebra": {"dim": 2, "labels": ["a", "b"]},
+        "hamiltonians": {"a": "q1*p1", "b": "q2*p2"},
+        "quantum_corrections": {"a": {"1": "q2"}, "b": {"1": "p1"}},
+        "tasks": [],
+    }
+    with pytest.raises(InvalidActionError) as info:
+        scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
+    assert str(info.value) == "quantum condition fails for a on monomial p2"
+
+
+def test_quantum_condition_stops_at_a_failure_of_the_first_generator(monkeypatch):
+    # q1^24 on four pairs fails on p1^3: the walk stops there, before the
+    # C(32, 8) monomials of degree <= 24 in eight variables are prepared
+    prepare = StarProduct._prepare
+    prepared = []
+
+    def spy_prepare(self, x):
+        prepared.append(x)
+        assert len(prepared) < 1000, "the walk went on past the failure"
+        return prepare(self, x)
+
+    monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+    document = {
+        "space": {"pairs": 4},
+        "lie_algebra": {"dim": 1, "labels": ["t"]},
+        "hamiltonians": {"t": "q1^24"},
+        "tasks": [],
+    }
+    with pytest.raises(InvalidActionError, match=r"on monomial p1\^3$"):
+        scenario_mod.build_scenario(scenario_mod.parse_scenario(document))

@@ -301,36 +301,39 @@ def test_empty_task_list_gives_valid_empty_report(tmp_path):
     assert parsed["passed"] is True
 
 
+# the Casimir relation of sl2 on T*C^2 without its order-2 correction
+OBSTRUCTED = {
+    "schema": "qcenter-scenario/1",
+    "name": "obstructed",
+    "space": {"pairs": 2},
+    "lie_algebra": {
+        "dim": 3,
+        "labels": ["e", "h", "f"],
+        "brackets": [
+            {"left": "h", "right": "e", "components": {"e": "2"}},
+            {"left": "h", "right": "f", "components": {"f": "-2"}},
+            {"left": "e", "right": "f", "components": {"h": "1"}},
+        ],
+        "invariant_generators": [
+            {"name": "casimir", "poly": "h^2 + 4*e*f"}
+        ],
+    },
+    "hamiltonians": {"e": "q2*p1", "h": "q1*p1 - q2*p2", "f": "q1*p2"},
+    "truncation": 4,
+    "max_degree": 2,
+    "test_degree": 4,
+    "lifts": [
+        {"name": "tr", "target": "q1*p1 + q2*p2", "relation": ["-casimir", "0"]}
+    ],
+    "relations": [],
+    "center_generators": ["tr"],
+    "tasks": ["lift"],
+}
+
+
 def test_assertion_failure_exit_code(tmp_path, capsys):
     # an uncorrected quadratic relation that cannot lift: exit code 1
-    data = {
-        "schema": "qcenter-scenario/1",
-        "name": "obstructed",
-        "space": {"pairs": 2},
-        "lie_algebra": {
-            "dim": 3,
-            "labels": ["e", "h", "f"],
-            "brackets": [
-                {"left": "h", "right": "e", "components": {"e": "2"}},
-                {"left": "h", "right": "f", "components": {"f": "-2"}},
-                {"left": "e", "right": "f", "components": {"h": "1"}},
-            ],
-            "invariant_generators": [
-                {"name": "casimir", "poly": "h^2 + 4*e*f"}
-            ],
-        },
-        "hamiltonians": {"e": "q2*p1", "h": "q1*p1 - q2*p2", "f": "q1*p2"},
-        "truncation": 4,
-        "max_degree": 2,
-        "test_degree": 4,
-        "lifts": [
-            {"name": "tr", "target": "q1*p1 + q2*p2", "relation": ["-casimir", "0"]}
-        ],
-        "relations": [],
-        "center_generators": ["tr"],
-        "tasks": ["lift"],
-    }
-    path = write_scenario(tmp_path, data, "obstructed.json")
+    path = write_scenario(tmp_path, OBSTRUCTED, "obstructed.json")
     code = main(["run", path, "--report", "json", "--out", str(tmp_path / "o.json")])
     assert code == 1
     report = json.loads((tmp_path / "o.json").read_text())
@@ -338,6 +341,42 @@ def test_assertion_failure_exit_code(tmp_path, capsys):
     lift_task = report["tasks"][0]
     assert lift_task["task"] == "lift"
     assert "order 2" in lift_task["error"]
+
+
+def test_a_failed_lift_run_is_reported_by_each_task_that_needs_it(tmp_path):
+    # a failed lift run is not kept: lift, iso and weyl each run it again
+    # and each reports the obstruction
+    data = dict(OBSTRUCTED, tasks=["lift", "iso", "weyl"])
+    path = write_scenario(tmp_path, data, "obstructed.json")
+    out = tmp_path / "o.json"
+    assert main(["run", path, "--report", "json", "--out", str(out)]) == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [task["task"] for task in tasks] == ["lift", "iso", "weyl"]
+    for task in tasks:
+        assert task["passed"] is False
+        assert "order 2" in task["error"]
+
+
+def test_one_run_computes_each_shared_result_once(monkeypatch):
+    # the invariants, the lift test set and the lift run are shared by the
+    # tasks that read them, each computed on first use
+    calls = {"invariants_up_to": 0, "quantum_tests": 0, "run_lifts": 0}
+
+    def counted(name):
+        real = getattr(scenario_mod, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(scenario_mod, name, counted(name))
+    scenario = load_scenario("sl2_tstar_k2")
+    report = run_scenario(scenario._replace(tasks=("invariants", "lift", "iso", "weyl")))
+    assert [task.task for task in report.tasks] == ["invariants", "lift", "iso", "weyl"]
+    assert all(task.passed for task in report.tasks)
+    assert calls == {"invariants_up_to": 1, "quantum_tests": 1, "run_lifts": 1}
 
 
 def test_shipped_scenarios_validate():
@@ -348,6 +387,10 @@ def test_shipped_scenarios_validate():
 
 def _lie(**fields) -> dict:
     return {"lie_algebra": dict(MINIMAL_TORUS["lie_algebra"], **fields)}
+
+
+# how a message echoes a 5,000-character name
+_CUT_K = f"'{'k' * 12}...{'k' * 13}'"
 
 
 def _nested(depth: int) -> list:
@@ -510,6 +553,16 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
         ),
         ({"name": 5}, "field 'name' in scenario must be a string"),
         ({"description": ["x"]}, "field 'description' in scenario must be a string"),
+        # a name is echoed cut short, however long it is
+        ({"k" * 5000: 1}, f"unknown key {_CUT_K} in scenario"),
+        (
+            {"hamiltonians": {"t": "q1*p1", "k" * 5000: "q1"}},
+            f"hamiltonian for unknown label {_CUT_K}",
+        ),
+        (
+            dict(_lie(labels=["k" * 5000]), hamiltonians={"k" * 5000: "q1*p1"}),
+            f"unknown variable 't' (known: {_CUT_K})",
+        ),
     ],
 )
 def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, message):
@@ -520,6 +573,7 @@ def test_validate_rejects_bad_shapes_with_exit_2(tmp_path, capsys, change, messa
     assert message in err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert len(err) < 200
 
 
 def _leaf_paths(table: dict, prefix: str = ""):
