@@ -256,7 +256,7 @@ def central_section(lie: LieAlgebraData, name: str, order: int) -> UEnvElement:
     """
     gen = lie.generator(name)
     lifted = symmetrize(lie, gen.poly, order)
-    for r, corr in sorted(gen.corrections().items()):
+    for r, corr in gen.section_correction:
         if r <= order:
             lifted = lifted + symmetrize(lie, corr, order).hbar_shift(r)
     if lifted.classical_limit() != gen.poly:

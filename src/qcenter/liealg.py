@@ -1,7 +1,9 @@
 """Finite-dimensional Lie algebra data: structure constants and invariants.
 
-Structure constants are exact rationals with the bracket stored sparsely;
-antisymmetry and the Jacobi identity are validated at construction.
+Structure constants are exact rationals in one sparse antisymmetric
+table: each stated bracket, a stated zero included, is stored under both
+orientations as it is read, and one that contradicts its stated mirror is
+refused there.  The Jacobi identity is validated at construction.
 Designated invariant elements (generators of the polynomial algebra of
 adjoint invariants) are supplied by the caller and checked against every
 adjoint derivation.
@@ -21,17 +23,14 @@ class InvariantGenerator(NamedTuple):
 
     ``section_correction`` optionally adds central higher-order terms to
     the symmetrized lift of this generator when it is carried into the
-    quantum algebra: order r maps to an invariant polynomial added with
-    the r-th parameter power.  Corrections must start at order >= 1 so the
-    classical part is untouched.
+    quantum algebra: pairs ``(r, invariant polynomial)`` in increasing
+    order r, each added with the r-th parameter power.  Corrections must
+    start at order >= 1 so the classical part is untouched.
     """
 
     name: str
     poly: Poly
     section_correction: tuple[tuple[int, Poly], ...] = ()
-
-    def corrections(self) -> dict[int, Poly]:
-        return dict(self.section_correction)
 
 
 class LieAlgebraData:
@@ -50,25 +49,22 @@ class LieAlgebraData:
         if len(labels) != dim or len(set(labels)) != dim:
             raise ValidationError("need one distinct label per basis element")
         self.labels = tuple(labels)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        if brackets:
-            for (i, j), comps in brackets.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise DimensionError(f"bracket index ({i},{j}) out of range")
-                if i == j:
-                    if any(as_scalar(c) != 0 for c in comps.values()):
-                        raise ValidationError("bracket of an element with itself")
-                    continue
-                clean = {
-                    k: as_scalar(c) for k, c in comps.items() if as_scalar(c) != 0
-                }
-                for k in clean:
-                    if not 0 <= k < dim:
-                        raise DimensionError(f"bracket component {k} out of range")
-                if clean:
-                    table[(i, j)] = clean
-        self._table = table
-        self._validate_antisymmetry()
+        # [x_i, x_j] under (i, j): each stated bracket and its mirror
+        self._table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), comps in (brackets or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionError(f"bracket index ({i},{j}) out of range")
+            clean = {k: as_scalar(c) for k, c in comps.items() if as_scalar(c)}
+            if i == j and clean:
+                raise ValidationError("bracket of an element with itself")
+            for k in clean:
+                if not 0 <= k < dim:
+                    raise DimensionError(f"bracket component {k} out of range")
+            if self._table.setdefault((i, j), clean) != clean:  # its mirror came first
+                raise ValidationError(
+                    f"structure constants not antisymmetric at ({j},{i})"
+                )
+            self._table[(j, i)] = {k: -c for k, c in clean.items()}
         self._validate_jacobi()
         self.invariant_generators = tuple(invariant_generators)
         for gen in self.invariant_generators:
@@ -80,7 +76,7 @@ class LieAlgebraData:
                 raise ValidationError(
                     f"designated generator {gen.name!r} is not adjoint-invariant"
                 )
-            for r, corr in gen.corrections().items():
+            for r, corr in gen.section_correction:
                 if r < 1:
                     raise ValidationError(
                         f"section correction of {gen.name!r} must start at order 1"
@@ -97,13 +93,7 @@ class LieAlgebraData:
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """Components of [x_i, x_j] on the basis, sparse."""
-        if i == j:
-            return {}
-        if (i, j) in self._table:
-            return self._table[(i, j)]
-        if (j, i) in self._table:
-            return {k: -c for k, c in self._table[(j, i)].items()}
-        return {}
+        return self._table.get((i, j), {})
 
     def bracket_poly(self, i: int, j: int) -> Poly:
         return Poly(
@@ -113,16 +103,6 @@ class LieAlgebraData:
                 for k, c in self.bracket(i, j).items()
             },
         )
-
-    def _validate_antisymmetry(self):
-        for (i, j), comps in list(self._table.items()):
-            if (j, i) in self._table:
-                mirrored = self._table[(j, i)]
-                for k in set(comps) | set(mirrored):
-                    if comps.get(k, Fraction(0)) != -mirrored.get(k, Fraction(0)):
-                        raise ValidationError(
-                            f"structure constants not antisymmetric at ({i},{j})"
-                        )
 
     def _validate_jacobi(self):
         for i in range(self.dim):

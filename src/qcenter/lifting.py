@@ -142,7 +142,7 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
     so the coefficient of the j-th power has degree ``(m - j) * deg f``.
     """
     if f.is_zero():
-        return False
+        return rel.degree == 1  # no monic relation has degree below 1
     deg_f = f.degree()
     powers = [f**j for j in range(rel.degree)]
     for m in range(1, rel.degree):

@@ -15,9 +15,10 @@ constructs the mathematical objects from those values and runs their
 structural validation (``ValidationError``): bracket antisymmetry and the
 Jacobi identity, bivector antisymmetry and invertibility, invariance of
 designated generators, hamiltonian equivariance, the quantum condition,
-and, when the task list holds ``centers``, the uniform default grading
-with a graded bivector that quantum-center slicing needs and a truncation
-of at least 1, below which every deformed commutator vanishes.
+when the task list holds ``centers``, the uniform default grading with a
+graded bivector that quantum-center slicing needs and a truncation of at
+least 1, below which every deformed commutator vanishes, and, when a lift
+task runs a lift, generator pullbacks the lifts can use (homogeneous).
 
 Parsing also enforces a size budget, before anything is built from the
 document (``ValidationError``):
@@ -87,6 +88,7 @@ from .centers import (
     check_slicing_grading,
     compare_centers,
     invariants_up_to,
+    moment_image_basis,
     quantum_tests,
 )
 from .errors import DegreeCapError, ParseError, QCenterError, ValidationError, echo
@@ -150,7 +152,7 @@ class Scenario(NamedTuple):
     bivector: tuple[tuple[Fraction, ...], ...] | None
     lie_dim: int
     lie_labels: tuple[str, ...]
-    lie_brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    lie_brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
     lie_generators: tuple[InvariantGenerator, ...]
     hamiltonians: tuple[Poly, ...]      # in label order
     quantum_corrections: tuple[tuple[str, tuple[tuple[int, Poly], ...]], ...]
@@ -279,13 +281,21 @@ def _scalar_check(value, where: str) -> Fraction:
         raise ParseError(f"bad scalar in {where}: {echo(value)}") from exc
 
 
-def _order(key: str, where: str) -> int:
-    """A series order, written as an object key: an integer of at least 1."""
-    try:
-        order = int(key)
-    except ValueError:
-        order = key  # refused as a string
-    return _integer(order, f"order of {where}", (1, None))
+def _series(value, names: Sequence[str], where: str) -> tuple[tuple[int, Poly], ...]:
+    """The pairs ``(order, polynomial)`` of an object ``{order: polynomial}``
+    in increasing order.  An order is an integer of at least 1, written
+    once: ``"2"`` and ``"02"`` are one order written twice."""
+    pairs: dict[int, Poly] = {}
+    for key, expr in _read(value, None, where).items():
+        try:
+            order = int(key)
+        except ValueError:
+            order = key  # refused as a string
+        order = _integer(order, f"order of {where}", (1, None))
+        if order in pairs:
+            raise ValidationError(f"order {order} of {where} is written twice")
+        pairs[order] = _capped_check(expr, names, where)
+    return tuple(sorted(pairs.items()))
 
 
 def _integer(value, path: str, extent: tuple) -> int:
@@ -414,7 +424,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     if len(labels) != dim:
         raise ParseError("lie_algebra.labels must list one label per element")
     index = {label: i for i, label in enumerate(labels)}
-    brackets = []
+    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     for entry in lie["brackets"]:
         entry = _read(entry, _BRACKET, "bracket entry")
         left, right = entry["left"], entry["right"]
@@ -424,10 +434,12 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         for label in comps:
             if label not in index:
                 raise ParseError(f"unknown basis label {echo(label)} in bracket components")
-        brackets.append((index[left], index[right], tuple(
+        if (index[left], index[right]) in brackets:
+            raise ValidationError(f"bracket of {echo(left)} and {echo(right)} is stated twice")
+        brackets[index[left], index[right]] = tuple(
             (index[label], _scalar_check(value, "bracket components"))
             for label, value in comps.items()
-        )))
+        )
     generators = []
     generator_names = []
     for entry in lie["invariant_generators"]:
@@ -436,12 +448,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         if gen_name in generator_names:
             raise ValidationError(f"invariant generator {echo(gen_name)} is named twice")
         poly = _capped_check(entry["poly"], labels, f"invariant generator {echo(gen_name)}")
-        where = f"section correction of {echo(gen_name)}"
-        section = _read(entry["section_correction"], None, where)
-        corrections = tuple(
-            (_order(order, where), _capped_check(expr, labels, where))
-            for order, expr in sorted(section.items())
-        )
+        corrections = _series(entry["section_correction"], labels,
+                              f"section correction of {echo(gen_name)}")
         generators.append(InvariantGenerator(gen_name, poly, corrections))
         generator_names.append(gen_name)
 
@@ -461,10 +469,8 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     ).items():
         if label not in index:
             raise ParseError(f"quantum correction for unknown label {echo(label)}")
-        where = f"quantum correction of {echo(label)}"
-        quantum_corrections.append((label, tuple(
-            (_order(order, where), _capped_check(expr, coord_names, where))
-            for order, expr in sorted(_read(corr, None, where).items())
+        quantum_corrections.append((label, _series(
+            corr, coord_names, f"quantum correction of {echo(label)}"
         )))
 
     lifts = []
@@ -514,7 +520,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         bivector=bivector,
         lie_dim=dim,
         lie_labels=tuple(labels),
-        lie_brackets=tuple(brackets),
+        lie_brackets=tuple(brackets.items()),
         lie_generators=tuple(generators),
         hamiltonians=tuple(hamiltonians),
         quantum_corrections=tuple(quantum_corrections),
@@ -605,22 +611,26 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         except ValidationError as exc:
             raise ValidationError(f"the axioms task cannot run: {exc}") from None
     labels = list(scenario.lie_labels)
-    brackets = {(i, j): dict(comps) for i, j, comps in scenario.lie_brackets}
+    brackets = {pair: dict(comps) for pair, comps in scenario.lie_brackets}
     lie = LieAlgebraData(scenario.lie_dim, labels, brackets, scenario.lie_generators)
 
     star = StarProduct(space, scenario.truncation)
     quantum = None
     correction_map = dict(scenario.quantum_corrections)
     if correction_map:
-        quantum = []
-        for label, ham in zip(labels, scenario.hamiltonians):
-            series = HSeries.from_poly(ham, scenario.truncation)
-            for order, correction in correction_map.get(label, ()):
-                series = series + HSeries.from_poly(
-                    correction, scenario.truncation
-                ).hbar_shift(order)
-            quantum.append(series)
+        quantum = [
+            HSeries(space.nvars, scenario.truncation, {0: ham, **{
+                r: correction for r, correction in correction_map.get(label, ())
+                if r <= scenario.truncation
+            }})
+            for label, ham in zip(labels, scenario.hamiltonians)
+        ]
     action = HamiltonianAction(lie, star, scenario.hamiltonians, quantum)
+    if scenario.lifts and {"lift", "iso", "weyl"} & set(scenario.tasks):
+        try:  # the check of every lift's subalgebra; degree 0 builds nothing more
+            moment_image_basis(action, 0)
+        except ValidationError as exc:
+            raise ValidationError(f"the lift tasks cannot run: {exc}") from None
     generators = lie.invariant_generators
     pullbacks = tuple(action.moment_pullback(gen.poly) for gen in generators)
     central_lifts = tuple(action.central_lift(gen.name) for gen in generators)

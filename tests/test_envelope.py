@@ -44,6 +44,23 @@ def test_antisymmetry_validation():
             ["a", "b"],
             {(0, 1): {0: Fraction(1)}, (1, 0): {0: Fraction(1)}},
         )
+    # a stated zero mirror contradicts the stated bracket too
+    with pytest.raises(ValidationError, match=r"not antisymmetric at \(0,1\)"):
+        LieAlgebraData(2, ["a", "b"], {(0, 1): {0: Fraction(1)}, (1, 0): {}})
+
+
+def test_bracket_reads_both_orientations_antisymmetrically(sl2):
+    # each orientation is stored, the stated one and its mirror alike, so
+    # reading either builds nothing
+    expected = {(H, E): {E: 2}, (H, F): {F: -2}, (E, F): {H: 1}}
+    for i in range(3):
+        assert sl2.bracket(i, i) == {}
+        for j in range(3):
+            assert sl2.bracket(j, i) == {k: -c for k, c in sl2.bracket(i, j).items()}
+    for (i, j), comps in expected.items():
+        assert sl2.bracket(i, j) == comps
+        assert sl2.bracket(j, i) == {k: -c for k, c in comps.items()}
+        assert sl2.bracket(j, i) is sl2.bracket(j, i)
 
 
 def test_designated_generator_must_be_invariant(sl2):

@@ -401,6 +401,52 @@ def _nested(depth: int) -> list:
     return value
 
 
+def _edited(preset: str, edit) -> dict:
+    """The preset's whole document after ``edit`` changed it in place; as a
+    change it replaces every key of the minimal torus."""
+    data = json.loads(preset_path(preset).read_text())
+    edit(data)
+    return data
+
+
+def _sl2_generator(**fields) -> dict:
+    """``sl2_tstar_k2`` with fields of its invariant generator changed."""
+    def edit(data):
+        data["lie_algebra"]["invariant_generators"][0].update(fields)
+
+    return _edited("sl2_tstar_k2", edit)
+
+
+# a stated bracket contradicted by its stated mirror or stated twice, a series
+# order written twice, and a generator pullback the lifts cannot use: each
+# must be refused before any task runs, not dropped, merged or met by a task
+_REFUSED_DOCUMENTS = [
+    (
+        _edited("sl2_tstar_k2", lambda d: d["lie_algebra"]["brackets"].append(
+            {"left": "f", "right": "e", "components": {}})),
+        "structure constants not antisymmetric at (0,2)",
+    ),
+    (
+        _edited("sl2_tstar_k2", lambda d: d["lie_algebra"]["brackets"].insert(
+            0, {"left": "e", "right": "f", "components": {"h": "7"}})),
+        "bracket of 'e' and 'f' is stated twice",
+    ),
+    (
+        _sl2_generator(section_correction={"2": "1", "02": "1"}),
+        "order 2 of section correction of 'casimir' is written twice",
+    ),
+    (
+        _edited("torus_k2", lambda d: d.update(
+            quantum_corrections={"t": {"2": "1", "02": "1"}})),
+        "order 2 of quantum correction of 't' is written twice",
+    ),
+    (
+        _sl2_generator(poly="h^2 + 4*e*f + 1"),
+        "the lift tasks cannot run: pullback of generator 'casimir' is not homogeneous",
+    ),
+]
+
+
 
 
 @pytest.mark.parametrize(
@@ -445,6 +491,7 @@ def _nested(depth: int) -> list:
         # deep enough to echo ~1,800 characters whole, shallow enough for the
         # JSON loader under the test runner's own frames
         ({"truncation": _nested(900)}, "truncation must be an integer, got [[...]]"),
+        *_REFUSED_DOCUMENTS,
     ],
 )
 def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, message):
@@ -456,6 +503,27 @@ def test_validate_rejects_bad_bounds_with_exit_3(tmp_path, capsys, change, messa
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("document, message", _REFUSED_DOCUMENTS)
+def test_run_refuses_what_validate_refuses_with_exit_3(
+    tmp_path, capsys, document, message
+):
+    assert main(["run", write_scenario(tmp_path, document)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+
+
+def test_zero_target_of_a_degree_1_relation_lifts_to_zero(tmp_path, capsys):
+    # no monic relation has degree below 1, so none is smaller than x + 0
+    def edit(d):
+        d.update(lifts=[{"name": "z", "classical": "casimir - casimir"}],
+                 relations=[], center_generators=[], tasks=["lift", "iso", "weyl"])
+
+    path = write_scenario(tmp_path, _edited("sl2_tstar_k2", edit))
+    assert main(["run", path, "--report", "json"]) == 0
+    (lift,) = json.loads(capsys.readouterr().out)["tasks"][0]["details"]["lifts"]
+    assert (lift["name"], lift["target"], lift["passed"]) == ("z", "0", True)
 
 
 @pytest.mark.parametrize(
