@@ -54,13 +54,24 @@ every invariant basis element ``b`` up to the degree bound and every test
 element ``u``, each pair expanded once, with ``b`` and ``u`` prepared
 (``StarProduct.prepare``) once.  ``compare_centers`` builds the table once,
 to the action's truncation, and hands it and the invariants to both center
-functions; the table lives for one call.  Both slices go through one
-kernel routine (``_center_kernel``): in every test column, block ``(r, b)``
-reads the orders of its entry up to a top order minus ``r``, raised by
-``r``.  The quantum slice reads up to the truncation, and a basis element
-that stands at several series orders is expanded once, not once per
-order.  The Poisson slice is the case ``r = 0`` with top order 1: the
-Poisson bracket is the order-1 term of the commutator.
+functions; the table lives for one call.  A slice is a list of groups
+``(r, d')``: in every test column, the rows of degree ``d'`` read the
+orders of their entries up to a cap, raised by ``r``.  The quantum slice
+of degree ``d`` has the groups ``(r, d - k*r)`` with cap ``truncation -
+r``, so a basis element that stands at several series orders is expanded
+once, not once per order.  The Poisson slice is the one group ``(0, d)``
+with cap 1: the Poisson bracket is the order-1 term of the commutator.
+
+Each distinct system is solved once per table (``_slice_kernel``).  A
+group's rows depend only on its degree and on the highest order present
+there up to its cap, and raising every group of a system by one shift
+only relabels its rows.  Groups whose raised orders meet are solved
+together; the components this gives have disjoint rows and columns, so
+the canonical RREF of a slice is the union of its components' and the
+kernel basis is theirs, placed at their columns and ordered by free
+column.  When every commutator with a test element has one series order,
+as for quadratic tests, each group of a quantum slice is alone and is the
+Poisson system of its degree, already solved.
 
 The reported quantum rank counts classical parts: it is the dimension of
 the image of the slice under reduction modulo the deformation parameter.
@@ -243,9 +254,18 @@ def invariant_generators(invariants: GradedSubspace, test_degree: int
     return generators
 
 
-# ``table[degree][i][j]``: ``commutator_terms(b, u, cap)`` of the i-th
-# invariant basis element ``b`` of that degree with the j-th test element
-_Table = dict[int, list[list[dict[int, Poly]]]]
+class _Table(NamedTuple):
+    """One commutator table and the kernels solved from it.
+
+    ``entries[degree][i][j]`` is ``commutator_terms(b, u, cap)`` of the
+    i-th invariant basis element ``b`` of that degree with the j-th test
+    element ``u``, ``orders[degree]`` the series orders present in those
+    entries, and ``kernels`` maps each system key solved so far to its
+    kernel (``_slice_kernel``)."""
+
+    entries: dict[int, list[list[dict[int, Poly]]]]
+    orders: dict[int, set[int]]
+    kernels: dict[tuple, list[list[Fraction]]]
 
 
 def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
@@ -256,27 +276,78 @@ def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
     prepare = act.star.prepare
     commutator = act.star.commutator_terms
     prepared = [prepare(u) for u in tests]
-    return {
+    entries = {
         degree: [
             [commutator(pb, pu, cap) for pu in prepared]
             for pb in map(prepare, invariants.basis(degree))
         ]
         for degree in range(max_degree + 1)
     }
+    orders = {
+        degree: {s for row in rows for entry in row for s in entry}
+        for degree, rows in entries.items()
+    }
+    return _Table(entries, orders, {})
 
 
-def _center_kernel(blocks: Sequence[tuple[int, list[dict[int, Poly]]]],
-                   top: int) -> list[list[Fraction]]:
-    """Kernel of the commutation constraints of the blocks ``(r, row)``,
-    one unknown per block: in every test column, block ``(r, row)`` reads
-    the orders of its table row up to ``top - r``, raised by ``r``."""
+def _center_kernel(table: _Table, key: tuple[tuple[int, int, int], ...]
+                   ) -> list[list[Fraction]]:
+    """Kernel of the commutation constraints of the groups ``(r, degree,
+    read)`` of ``key``, one unknown per table row of each group's degree:
+    in every test column, a row reads the orders of its entry up to
+    ``read``, raised by ``r``."""
+    blocks = [(r, row, read) for r, degree, read in key
+              for row in table.entries[degree]]
     solver = EchelonAccumulator(len(blocks))
     for j in range(len(blocks[0][1])):
         _add_coefficient_rows(solver, [
-            {r + s: t for s, t in row[j].items() if s <= top - r}
-            for r, row in blocks
+            {r + s: t for s, t in row[j].items() if s <= read}
+            for r, row, read in blocks
         ])
     return solver.kernel()
+
+
+def _slice_kernel(table: _Table, groups: Sequence[tuple[int, int, int]]
+                  ) -> list[list[Fraction]]:
+    """Canonical kernel of the system of the groups ``(r, degree, cap)``,
+    unknowns in group order: group ``(r, degree, cap)`` reads the degree's
+    table rows up to order ``cap``, raised by ``r``.  Each component of
+    groups whose raised orders meet is solved once per table, keyed by its
+    groups ``(r - r_min, degree, read)``, ``read`` the highest order present
+    up to ``cap`` (see the module docstring)."""
+    placed = []  # (r, degree, read, first column) of the groups with rows
+    width = 0
+    for r, degree, cap in groups:
+        if table.entries[degree]:
+            read = max((s for s in table.orders[degree] if s <= cap), default=0)
+            placed.append((r, degree, read, width))
+            width += len(table.entries[degree])
+    components: list[tuple[set[int], list[tuple]]] = []
+    for group in placed:
+        r, degree, read, _ = group
+        reached = {r + s for s in table.orders[degree] if s <= read}
+        members = [group]
+        for component in [c for c in components if c[0] & reached]:
+            components.remove(component)
+            reached |= component[0]
+            members = component[1] + members
+        components.append((reached, sorted(members)))
+    vectors = []
+    for _, members in components:
+        r_min = members[0][0]
+        key = tuple((r - r_min, degree, read) for r, degree, read, _ in members)
+        kernel = table.kernels.get(key)
+        if kernel is None:
+            kernel = table.kernels[key] = _center_kernel(table, key)
+        columns = [first + i for _, degree, _, first in members
+                   for i in range(len(table.entries[degree]))]
+        for vec in kernel:
+            full = [Fraction(0)] * width
+            for col, value in zip(columns, vec):
+                if value:  # the last one is the free column
+                    full[col], free = value, col
+            vectors.append((free, full))
+    return [full for _, full in sorted(vectors)]  # free columns are distinct
 
 
 def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
@@ -292,13 +363,10 @@ def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
     nv = act.space.nvars
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
-        entries = commutators[degree]
-        if not entries:
-            continue
         candidates = invariants.basis(degree)
         basis = [
             _combine(candidates, vec, nv)
-            for vec in _center_kernel([(0, row) for row in entries], 1)
+            for vec in _slice_kernel(commutators, [(0, degree, 1)])
         ]
         if basis:
             slices[degree] = basis
@@ -331,17 +399,15 @@ def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
     order = act.order
     out: dict[int, QuantumCenterSlice] = {}
     for degree in range(max_degree + 1):
-        blocks: list[tuple[int, Poly]] = []
-        entries: list[tuple[int, list[dict[int, Poly]]]] = []
-        for r in range(min(order, degree // k) + 1):
-            blocks += [(r, b) for b in invariants.basis(degree - k * r)]
-            entries += [(r, row) for row in commutators[degree - k * r]]
+        groups = [(r, degree - k * r, order - r)
+                  for r in range(min(order, degree // k) + 1)]
+        blocks = [(r, b) for r, d, _ in groups for b in invariants.basis(d)]
         if not blocks:
             out[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
         basis = [
             _series_from_vector(act, blocks, vec)
-            for vec in _center_kernel(entries, order)
+            for vec in _slice_kernel(commutators, groups)
         ]
         rank, representatives = _classical_part_rank(act, basis)
         out[degree] = QuantumCenterSlice(degree, basis, rank, representatives)

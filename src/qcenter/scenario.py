@@ -283,14 +283,13 @@ def _scalar_check(value, where: str) -> Fraction:
 
 def _series(value, names: Sequence[str], where: str) -> tuple[tuple[int, Poly], ...]:
     """The pairs ``(order, polynomial)`` of an object ``{order: polynomial}``
-    in increasing order.  An order is an integer of at least 1, written
-    once: ``"2"`` and ``"02"`` are one order written twice."""
+    in increasing order.  An order is written in ASCII decimal digits, is at
+    least 1 and is written once: ``"2"`` and ``"02"`` are one order written
+    twice, and ``"1_0"``, ``" 2"`` or ``"+2"`` are no order."""
     pairs: dict[int, Poly] = {}
     for key, expr in _read(value, None, where).items():
-        try:
-            order = int(key)
-        except ValueError:
-            order = key  # refused as a string
+        # any other key is refused as a string
+        order = int(key) if key.isascii() and key.isdigit() else key
         order = _integer(order, f"order of {where}", (1, None))
         if order in pairs:
             raise ValidationError(f"order {order} of {where} is written twice")

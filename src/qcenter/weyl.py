@@ -70,43 +70,32 @@ def algebraically_independent(polys: Sequence[Poly], space: SymplecticSpace
                               ) -> bool:
     """Jacobian criterion over a field of characteristic zero.
 
-    The polynomials are independent exactly when some maximal minor of
-    their Jacobian matrix is a nonzero polynomial.
+    The polynomials are independent exactly when their Jacobian matrix has
+    full row rank over the rational functions.  The rank is found by
+    fraction-free (Bareiss) elimination: each entry after a pivot step is
+    a minor of the matrix, so the division by the previous pivot is exact
+    in the polynomials.
     """
     k = len(polys)
-    if k == 0:
-        return True
-    if k > space.nvars:
-        return False
-    from itertools import combinations
-
-    gradients = [
-        [f.partial(i) for i in range(space.nvars)] for f in polys
-    ]
-    for cols in combinations(range(space.nvars), k):
-        minor = _poly_determinant(
-            [[gradients[r][c] for c in cols] for r in range(k)], space.nvars
-        )
-        if not minor.is_zero():
-            return True
-    return False
-
-
-def _poly_determinant(matrix: list[list[Poly]], nvars: int) -> Poly:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    result = Poly.zero(nvars)
-    for j in range(size):
-        entry = matrix[0][j]
-        if entry.is_zero():
+    rows = [[f.partial(i) for i in range(space.nvars)] for f in polys]
+    previous = Poly.constant(space.nvars, 1)
+    rank = 0
+    for col in range(space.nvars):
+        if rank == k:
+            break
+        pivot_row = next((i for i in range(rank, k) if not rows[i][col].is_zero()),
+                         None)
+        if pivot_row is None:
             continue
-        minor = [
-            [matrix[r][c] for c in range(size) if c != j] for r in range(1, size)
-        ]
-        cofactor = entry * _poly_determinant(minor, nvars)
-        result = result + (cofactor if j % 2 == 0 else -cofactor)
-    return result
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank]
+        for row in rows[rank + 1:]:
+            lead = row[col]
+            for j in range(col + 1, space.nvars):
+                row[j] = (pivot[col] * row[j] - lead * pivot[j]).divide_exact(previous)
+        previous = pivot[col]
+        rank += 1
+    return rank == k
 
 
 def weyl_report(

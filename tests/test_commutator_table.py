@@ -110,6 +110,9 @@ CASES = [
     *[("torus_k4", t, 6, 8) for t in (0, 1, None)],
     *[("sl2_tstar_k2", t, 4, 6) for t in (0, 1, None)],
     *[("cubic", t, 4, 6) for t in (0, 1, 4)],
+    # at degree 5 orders 1 and 3 couple the groups r = 0 and r = 2 around
+    # the group r = 1 (see test_a_component_can_interleave_with_another)
+    ("cubic", 4, 5, 6),
 ]
 
 
@@ -164,3 +167,36 @@ def test_compare_centers_expands_each_pair_once(monkeypatch):
     )
     assert pairs == expected
     assert brackets == []
+
+
+def test_quantum_slices_reuse_the_poisson_kernels(monkeypatch):
+    # every block of torus_k4 reads only order 1, so every quantum
+    # component is a Poisson system already solved from the same table
+    act = build_scenario(load_scenario("torus_k4")).action
+    phase = ["poisson"]
+    solves = Counter()
+    kernel, quantum = centers._center_kernel, centers.quantum_center_up_to
+
+    def spy_kernel(*args):
+        solves[phase[0]] += 1
+        return kernel(*args)
+
+    def spy_quantum(*args):
+        phase[0] = "quantum"
+        return quantum(*args)
+
+    monkeypatch.setattr(centers, "_center_kernel", spy_kernel)
+    monkeypatch.setattr(centers, "quantum_center_up_to", spy_quantum)
+    compare_centers(act, 8, 10)
+    assert solves == {"poisson": 5}  # the non-empty degrees 0, 2, 4, 6, 8
+
+
+def test_a_component_can_interleave_with_another():
+    # the cubic test elements give orders 1 and 3: at degree 5 the groups
+    # r = 0 and r = 2 share order 3 and form one component, while r = 1
+    # between them is solved alone
+    act = _cubic_action(4)
+    inputs = center_inputs(act, 5, 6)
+    quantum_center_up_to(act, 5, *inputs)
+    assert ((0, 5, 3), (2, 1, 1)) in inputs[1].kernels
+    assert ((0, 3, 3),) in inputs[1].kernels

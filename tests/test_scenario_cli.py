@@ -444,6 +444,20 @@ _REFUSED_DOCUMENTS = [
         _sl2_generator(poly="h^2 + 4*e*f + 1"),
         "the lift tasks cannot run: pullback of generator 'casimir' is not homogeneous",
     ),
+    # a series order is plain ASCII decimal digits: int() would also read
+    # these, as orders 10, 2, 2 and 3
+    *[
+        (
+            _edited("torus_k2", lambda d, key=key: d.update(
+                quantum_corrections={"t": {key: "1"}})),
+            f"order of quantum correction of 't' must be an integer, got {key!r}",
+        )
+        for key in ("1_0", " 2", "+2", "\u0663")
+    ],
+    (
+        _sl2_generator(section_correction={"2": "1", "1_0": "1"}),
+        "order of section correction of 'casimir' must be an integer, got '1_0'",
+    ),
 ]
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +18,9 @@ from qcenter import (
     weyl_specialize,
 )
 
-from oracle import random_homogeneous_poly, weyl_product
+from qcenter.cli import main
+
+from oracle import random_homogeneous_poly, random_poly, weyl_product
 
 
 def test_specialize_quadratic_with_half(space1, star1):
@@ -82,3 +86,62 @@ def test_algebraic_independence():
     assert algebraically_independent([q1p1 + q2p2], space)
     assert not algebraically_independent([q1p1, q1p1 * q1p1], space)
     assert algebraically_independent([], space)
+
+
+def _some_minor_is_nonzero(polys, nvars):
+    """The Jacobian criterion by brute force: every maximal minor, each
+    expanded over all permutations."""
+    rows = [[f.partial(i) for i in range(nvars)] for f in polys]
+    for cols in combinations(range(nvars), len(polys)):
+        minor = Poly.zero(nvars)
+        for perm in permutations(cols):
+            sign = sum(a > b for a, b in combinations(perm, 2)) % 2
+            term = Poly.constant(nvars, -1 if sign else 1)
+            for row, col in zip(rows, perm):
+                term = term * row[col]
+            minor = minor + term
+        if not minor.is_zero():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_independence_matches_the_minor_search(seed):
+    rng = random.Random(seed)
+    space = SymplecticSpace(2)
+    polys = [random_poly(rng, 4, 3) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:  # make the last one depend on the others
+        a, b = rng.choice(polys), rng.choice(polys)
+        polys[-1] = a * b + a.scale(rng.choice((-1, 2))) + Poly.constant(4, 1)
+    assert algebraically_independent(polys, space) == _some_minor_is_nonzero(polys, 4)
+
+
+def test_dependent_lifts_of_six_pairs_exit_1(tmp_path, capsys):
+    # n + 1 linear combinations of the n torus generators are dependent:
+    # a search over the maximal minors of the Jacobian expands C(12, 7)
+    # determinants of size 7, each of them zero
+    n = 6
+    labels = [f"t{j}" for j in range(1, n + 1)]
+    lifts = [
+        {"name": f"L{i}",
+         "classical": " + ".join(f"{(i * n + j) % 5 + 1}*t{j}" for j in range(1, n + 1))}
+        for i in range(1, n + 2)
+    ]
+    document = {
+        "schema": "qcenter-scenario/1",
+        "name": "dependent_lifts",
+        "space": {"pairs": n},
+        "lie_algebra": {"dim": n, "labels": labels, "brackets": [],
+                        "invariant_generators": [{"name": t, "poly": t} for t in labels]},
+        "hamiltonians": {t: f"q{j}*p{j}" for j, t in enumerate(labels, 1)},
+        "lifts": lifts,
+        "relations": [],
+        "center_generators": [lift["name"] for lift in lifts],
+        "tasks": ["weyl"],
+    }
+    path = tmp_path / "dependent_lifts.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", str(path), "--report", "json"]) == 1
+    (task,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert task["details"]["generators_algebraically_independent"] is False
+    assert all(entry["central"] for entry in task["details"]["entries"])
