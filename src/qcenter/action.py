@@ -18,13 +18,17 @@ when the quantum hamiltonians reproduce the structure constants, which
 the constructor checks with the rest of the validation.
 
 The constructor builds, once, the record every consumer reads: each
-classical and quantum hamiltonian prepared for the contraction kernel, and
-the coordinate brackets ``{H_i, x_j}``.  The checks, the comoment, the
-invariant solves and the lift recursion read it.
+classical and quantum hamiltonian prepared for the contraction kernel, the
+coordinate brackets ``{H_i, x_j}``, and from them the integer weight rows
+of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
+of the others.  The checks, the comoment, the invariant solves and the lift
+recursion read it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .envelope import UEnvElement, central_section, symmetrize
@@ -74,6 +78,16 @@ class HamiltonianAction:
             tuple(star.poisson(h, Poly.variable(nv, j)) for j in range(nv))
             for h in self.prepared_hamiltonians
         )
+        rows, nondiagonal = [], []
+        for i, brackets in enumerate(self.coordinate_brackets):
+            w = _diagonal_weights(brackets)
+            if w is None:
+                nondiagonal.append(i)
+            else:  # only the zero set of a row matters: scale it to integers
+                scale = lcm(*(x.denominator for x in w))
+                rows.append(tuple(int(x * scale) for x in w))
+        self.weight_rows = tuple(rows)  # of the diagonal hamiltonians
+        self.nondiagonal = tuple(nondiagonal)  # indices of the others
         self._chain_cache: dict[tuple[int, ...], HSeries] = {}
         self.validate()
 
@@ -183,6 +197,18 @@ class HamiltonianAction:
     def central_lift(self, name: str) -> HSeries:
         """Quantum image of a designated invariant generator's central section."""
         return self.comoment(central_section(self.lie, name, self.order))
+
+
+def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:
+    """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` read off the
+    coordinate brackets of ``h``, or None when they are not diagonal."""
+    weights = []
+    for j, bracket in enumerate(brackets):
+        (exp,) = Poly.variable(bracket.nvars, j).terms
+        if bracket.terms.keys() - {exp}:
+            return None
+        weights.append(bracket.terms.get(exp, Fraction(0)))
+    return weights
 
 
 # -- executable checks ------------------------------------------------------------

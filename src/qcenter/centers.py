@@ -49,6 +49,16 @@ Both systems are shrunk without changing any answer:
   computes the invariants and their generators once and returns the
   generators with its report.
 
+The test cutoff is assumed, not certified.  Testing up to it is testing
+against every invariant exactly when every generator of the invariant
+algebra has degree at most the cutoff.  Below that, both centers are
+solved against the same short test set, so they agree and the comparison
+passes with a wrong answer.  A two-pair torus with the hamiltonian
+``11*q1*p1 + q2*p2`` shows it: at the default cutoff 10 its Poisson center
+has dimension 2 at degree 2, and at 12, where the generator ``q1*p2^11``
+enters, dimension 1 (``q1*p1 + 1/11*q2*p2``).  A certificate for diagonal
+actions, from the weight rows the action holds, is ROADMAP item 2.
+
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
 element ``u``, each pair expanded once, with ``b`` and ``u`` prepared
@@ -83,7 +93,6 @@ Poisson-center dimension is compared.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -104,25 +113,19 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     """Per-degree bases of polynomials killed by every hamiltonian bracket.
 
     Candidates are the monomials of weight zero for every diagonal
-    hamiltonian; the rows of the others come from their brackets with
-    the coordinates, which the action holds (``_add_bracket_rows``).
+    hamiltonian (``act.weight_rows``); the rows of the others
+    (``act.nondiagonal``) come from their brackets with the coordinates,
+    which the action holds (``_add_bracket_rows``).
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
-    weights: list[list[int]] = []
-    others = []  # _derivation_terms of each non-diagonal hamiltonian
-    for brackets in act.coordinate_brackets:
-        w = _diagonal_weights(brackets)
-        if w is None:
-            others.append(_derivation_terms(brackets, max_degree))
-        else:  # only the zero set matters: scale to integers
-            scale = lcm(*(x.denominator for x in w))
-            weights.append([int(x * scale) for x in w])
+    others = [_derivation_terms(act.coordinate_brackets[i], max_degree)
+              for i in act.nondiagonal]
     one = Fraction(1)
     slices: dict[int, list[Poly]] = {}
     for degree, candidates in enumerate(monomial_table(nv, max_degree)):
-        for w in weights:
+        for w in act.weight_rows:
             candidates = [m for m in candidates if not sum(map(mul, m, w))]
         if not others:
             slices[degree] = [Poly._trusted(nv, {m: one}) for m in candidates]
@@ -135,18 +138,6 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
             for vec in solver.kernel()
         ]
     return GradedSubspace(nv, slices)
-
-
-def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:
-    """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` read off the
-    coordinate brackets of ``h``, or None when they are not diagonal."""
-    weights = []
-    for j, bracket in enumerate(brackets):
-        (exp,) = Poly.variable(bracket.nvars, j).terms
-        if bracket.terms.keys() - {exp}:
-            return None
-        weights.append(bracket.terms.get(exp, Fraction(0)))
-    return weights
 
 
 def _derivation_terms(brackets: Sequence[Poly], max_degree: int) -> list:

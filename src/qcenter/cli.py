@@ -7,6 +7,10 @@ does not know, expression syntax, or a report path that cannot be
 written), 3 validation error (a bad integer, or a structural or
 mathematical input inconsistency).  Every input ends in one of these
 codes with a one-line message, never in a traceback.
+
+A new refusal is one row of the table ``tests/refusals.py``, which the test
+suite runs in-process through ``main`` and CI runs against the installed
+``qcenter`` script.
 """
 
 from __future__ import annotations

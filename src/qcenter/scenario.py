@@ -17,8 +17,10 @@ Jacobi identity, bivector antisymmetry and invertibility, invariance of
 designated generators, hamiltonian equivariance, the quantum condition,
 when the task list holds ``centers``, the uniform default grading with a
 graded bivector that quantum-center slicing needs and a truncation of at
-least 1, below which every deformed commutator vanishes, and, when a lift
-task runs a lift, generator pullbacks the lifts can use (homogeneous).
+least 1, below which every deformed commutator vanishes, when a lift
+task runs a lift, generator pullbacks the lifts can use (homogeneous), and,
+when the task list holds ``weyl``, weight-homogeneous classical parts of
+the lifts, which the specialization needs.
 
 Parsing also enforces a size budget, before anything is built from the
 document (``ValidationError``):
@@ -584,6 +586,7 @@ class BuiltScenario(NamedTuple):
     action: HamiltonianAction
     pullbacks: tuple[Poly, ...]         # in generator order
     central_lifts: tuple[HSeries, ...]  # in generator order
+    targets: dict[str, Poly]            # each lift's classical element, by name
 
 
 def build_scenario(scenario: Scenario) -> BuiltScenario:
@@ -633,31 +636,47 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     generators = lie.invariant_generators
     pullbacks = tuple(action.moment_pullback(gen.poly) for gen in generators)
     central_lifts = tuple(action.central_lift(gen.name) for gen in generators)
-    return BuiltScenario(scenario, space, star, action, pullbacks, central_lifts)
+    targets = {
+        spec.name: spec.target if spec.classical is None
+        else _classical(pullbacks, space.nvars, spec.classical)
+        for spec in scenario.lifts
+    }
+    if "weyl" in scenario.tasks:
+        # a lift's order-0 term is its classical element: with terms of two
+        # weights there, the lift has no single weight to specialize at
+        for name, f in targets.items():
+            if not f.is_homogeneous(space.weights):
+                raise ValidationError(
+                    f"the weyl task cannot run: classical part of lift {echo(name)} "
+                    "is not weight-homogeneous"
+                )
+    return BuiltScenario(scenario, space, star, action, pullbacks, central_lifts, targets)
 
 
 # -- lift assembly -----------------------------------------------------------------
 
 
-def _evaluate(built: BuiltScenario, composed: Poly) -> tuple[Poly, HSeries]:
-    """A polynomial in generator names, evaluated on the moment pullbacks
-    and, under the deformed product, on the central lifts."""
-    if built.pullbacks:
-        classical = composed.substitute(built.pullbacks)
-    else:
-        classical = Poly.constant(built.space.nvars, composed.constant_term())
-    return classical, star_evaluate(built.star, composed, built.central_lifts)
+def _classical(pullbacks: Sequence[Poly], nvars: int, composed: Poly) -> Poly:
+    """A polynomial in generator names, evaluated on the moment pullbacks."""
+    if pullbacks:
+        return composed.substitute(pullbacks)
+    return Poly.constant(nvars, composed.constant_term())
 
 
 def resolve_lift(built: BuiltScenario, spec: LiftSpec
                  ) -> tuple[Poly, MonicRelation]:
-    """Target polynomial and monic relation data for a lift request."""
+    """Target polynomial and monic relation data for a lift request.  The
+    target comes from the build; each relation coefficient is evaluated on
+    the pullbacks and, under the deformed product, on the central lifts."""
+    f = built.targets[spec.name]
     if spec.classical is not None:
-        f, ahat = _evaluate(built, spec.classical)
+        ahat = star_evaluate(built.star, spec.classical, built.central_lifts)
         return f, MonicRelation((-f,), (-ahat,))
-    values = [_evaluate(built, composed) for composed in spec.relation]
-    return spec.target, MonicRelation(tuple(a for a, _ in values),
-                                      tuple(ahat for _, ahat in values))
+    nvars = built.space.nvars
+    return f, MonicRelation(
+        tuple(_classical(built.pullbacks, nvars, a) for a in spec.relation),
+        tuple(star_evaluate(built.star, a, built.central_lifts) for a in spec.relation),
+    )
 
 
 def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]

@@ -25,7 +25,7 @@ from qcenter import (
     SymplecticSpace,
     compare_centers,
 )
-from qcenter.centers import _diagonal_weights
+from qcenter.action import _diagonal_weights
 
 from oracle import abelian_data
 

@@ -28,7 +28,7 @@ from qcenter import (
     monomials_of_degree,
     parse_poly,
 )
-from qcenter.centers import _diagonal_weights
+from qcenter.action import _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import UncheckedAction, abelian_data, brute_force_term, dense_nullspace
@@ -121,6 +121,14 @@ def test_diagonal_weights_are_the_bracket_eigenvalues():
     assert sorted(abs(w) for w in weights) == [
         Fraction(1, 3), Fraction(1, 3), 2, 2
     ]
+
+
+def test_the_action_holds_the_weight_rows_of_its_diagonal_hamiltonians():
+    # coordinates q1, q2, p1, p2; {q1*p1, q1} = -q1
+    torus = _preset("torus_k4")
+    assert (torus.weight_rows, torus.nondiagonal) == (((-1, -1, 1, 1),), ())
+    sl2 = _preset("sl2_tstar_k2")  # e, h, f: only h is diagonal
+    assert (sl2.weight_rows, sl2.nondiagonal) == (((-1, 1, 1, -1),), (0, 2))
 
 
 def test_rational_weights_let_mixed_monomials_through():
