@@ -8,9 +8,13 @@ defining quantum condition is
     [H_hat_i, f]_star = hbar {H_i, f}   for every polynomial f,
 
 which for each generator is a statement about finitely many differential
-operator coefficients: the commutator applies at most deg(H_hat_i)
-derivatives to f, so the condition holds for all f once it holds on all
-monomials up to that degree.  Validation exploits this to be complete.
+operator coefficients.  Modulo hbar^(N + 1), N the truncation, the
+coefficient H_i^(r) at order r enters only through contractions of order
+l <= min(deg H_i^(r), N - r), each applying l derivatives to f; so both
+sides differ by an operator of order at most max_r min(deg H_i^(r), N - r),
+and the condition holds for all f once it holds on all monomials up to
+that degree.  Validation tries each generator up to its own bound, which
+makes it complete.
 
 The comoment map sends each generator to its quantum hamiltonian and
 words to left-to-right deformed products; it is a homomorphism exactly
@@ -126,24 +130,30 @@ class HamiltonianAction:
     def _quantum_condition_failure(self):
         """First (generator, monomial) violating the quantum condition.
 
-        Testing all monomials up to the largest coefficient degree of the
-        quantum hamiltonians is complete: higher monomials add no new
-        operator coefficients.  Each monomial is prepared once and tried on
-        the generators below the first failure found so far, which finds the
-        generator-major first failure and stops at a failure of generator 0.
+        Generator ``i`` is tried on the monomials up to its bound
+        ``max_r min(deg H_i^(r), truncation - r)`` (module docstring), which
+        is complete: an operator of order ``k`` that vanishes on every
+        monomial of degree at most ``k`` vanishes.  Each monomial is
+        prepared once and tried on the generators below the first failure
+        found so far whose bound reaches its degree, which finds the
+        generator-major first failure; the walk ends when no generator
+        still under test reaches the degree.
         """
-        bound = 0
-        for hq in self.quantum_hamiltonians:
-            for f in hq.terms.values():
-                bound = max(bound, f.degree())
+        bounds = [
+            max((min(f.degree(), self.order - r) for r, f in hq.terms.items()),
+                default=0)
+            for hq in self.quantum_hamiltonians
+        ]
         quantum, classical = self.prepared_quantum, self.prepared_hamiltonians
         first = None
-        for degree in range(bound + 1):
+        for degree in range(max(bounds, default=0) + 1):
             for exp in monomials_of_degree(self.space.nvars, degree):
-                if first is not None and first[0] == 0:
+                tried = [i for i in range(self.lie.dim if first is None else first[0])
+                         if bounds[i] >= degree]
+                if not tried:
                     return first
                 f = self.star.prepare(Poly.monomial(self.space.nvars, exp))
-                for i in range(self.lie.dim if first is None else first[0]):
+                for i in tried:
                     if _moment_defect(self, quantum[i], classical[i], f) is not None:
                         first = i, exp
                         break

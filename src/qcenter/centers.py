@@ -134,7 +134,7 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
         for terms in others:
             _add_bracket_rows(solver, terms, candidates)
         slices[degree] = [
-            Poly._trusted(nv, {m: c for m, c in zip(candidates, vec) if c})
+            Poly._trusted(nv, {candidates[i]: c for i, c in vec.items()})
             for vec in solver.kernel()
         ]
     return GradedSubspace(nv, slices)
@@ -188,10 +188,8 @@ def _add_coefficient_rows(solver: EchelonAccumulator,
         solver.add_row(rows[key])
 
 
-def _combine(candidates: Sequence[Poly], vector: Sequence[Fraction], nv: int) -> Poly:
-    return poly_sum(nv, [
-        cand.scale(coeff) for coeff, cand in zip(vector, candidates) if coeff
-    ])
+def _combine(candidates: Sequence[Poly], vector: dict[int, Fraction], nv: int) -> Poly:
+    return poly_sum(nv, [candidates[i].scale(c) for i, c in vector.items()])
 
 
 def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
@@ -256,7 +254,7 @@ class _Table(NamedTuple):
 
     entries: dict[int, list[list[dict[int, Poly]]]]
     orders: dict[int, set[int]]
-    kernels: dict[tuple, list[list[Fraction]]]
+    kernels: dict[tuple, list[dict[int, Fraction]]]
 
 
 def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
@@ -282,7 +280,7 @@ def _commutator_table(act: HamiltonianAction, invariants: GradedSubspace,
 
 
 def _center_kernel(table: _Table, key: tuple[tuple[int, int, int], ...]
-                   ) -> list[list[Fraction]]:
+                   ) -> list[dict[int, Fraction]]:
     """Kernel of the commutation constraints of the groups ``(r, degree,
     read)`` of ``key``, one unknown per table row of each group's degree:
     in every test column, a row reads the orders of its entry up to
@@ -299,7 +297,7 @@ def _center_kernel(table: _Table, key: tuple[tuple[int, int, int], ...]
 
 
 def _slice_kernel(table: _Table, groups: Sequence[tuple[int, int, int]]
-                  ) -> list[list[Fraction]]:
+                  ) -> list[dict[int, Fraction]]:
     """Canonical kernel of the system of the groups ``(r, degree, cap)``,
     unknowns in group order: group ``(r, degree, cap)`` reads the degree's
     table rows up to order ``cap``, raised by ``r``.  Each component of
@@ -332,13 +330,8 @@ def _slice_kernel(table: _Table, groups: Sequence[tuple[int, int, int]]
             kernel = table.kernels[key] = _center_kernel(table, key)
         columns = [first + i for _, degree, _, first in members
                    for i in range(len(table.entries[degree]))]
-        for vec in kernel:
-            full = [Fraction(0)] * width
-            for col, value in zip(columns, vec):
-                if value:  # the last one is the free column
-                    full[col], free = value, col
-            vectors.append((free, full))
-    return [full for _, full in sorted(vectors)]  # free columns are distinct
+        vectors += ({columns[i]: value for i, value in vec.items()} for vec in kernel)
+    return sorted(vectors, key=max)  # by free column: each vector's largest key
 
 
 def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
@@ -442,9 +435,9 @@ def quantum_tests(act: HamiltonianAction, invariants: GradedSubspace,
 def _series_from_vector(act, blocks, vector) -> HSeries:
     nv = act.space.nvars
     terms: dict[int, Poly] = {}
-    for coeff, (r, b) in zip(vector, blocks):
-        if coeff:
-            terms[r] = terms.get(r, Poly.zero(nv)) + b.scale(coeff)
+    for i, coeff in vector.items():
+        r, b = blocks[i]
+        terms[r] = terms.get(r, Poly.zero(nv)) + b.scale(coeff)
     return HSeries(nv, act.order, terms)
 
 
@@ -453,9 +446,8 @@ def _classical_part_rank(act, basis: list[HSeries]) -> tuple[int, list[HSeries]]
     representatives: list[HSeries] = []
     for combo in span_combinations([v.classical_part() for v in basis]):
         rep = HSeries.zero(act.space.nvars, basis[0].order)
-        for c, v in zip(combo, basis):
-            if c:
-                rep = rep + v.scale(c)
+        for i, c in combo.items():
+            rep = rep + basis[i].scale(c)
         representatives.append(rep)
     return len(representatives), representatives
 

@@ -12,13 +12,19 @@ gcd first) and made primitive once.  A column index maps each column to
 the pivots of the stored rows that hold it, so back-reduction visits only
 the rows that hold the new pivot, not every stored row.
 
+One format crosses the engine's boundary: a row goes in as a ``{column:
+Fraction | int}`` mapping, and a kernel vector or span combination comes
+out as an ``{index: Fraction}`` mapping of its nonzero entries, keys
+ascending.  Only ``rref`` keeps dense rows, in and out, for its callers.
+
 Stored rows stay fully reduced: every pivot column is zero outside its
 own row.  Read as ``row[c] / row[pivot]`` they are the canonical reduced
 row echelon form: pivots are the leftmost nonzero columns, rows have a
 leading 1 and every pivot column is zero outside its own row.  It depends
 only on the row space, not on the order of the rows, so every basis this
-module produces is canonical and re-reduction is idempotent.  ``rref`` on
-matrices, and ``reduce_poly_span``, ``independent_extension``,
+module produces is canonical and re-reduction is idempotent.  The kernel
+vector of a free column, its largest key, is read off the column index.
+``rref`` on matrices, and ``reduce_poly_span``, ``independent_extension``,
 ``in_span`` and ``span_combinations`` on polynomials, are thin wrappers
 that feed the engine and read the answer off it; the center solves read
 the canonical kernel straight off an accumulator.  The polynomial helpers
@@ -49,16 +55,13 @@ SparseRow = dict[int, Fraction]
 IntegerRow = dict[int, int]
 
 
-def _cleared(items: Iterable[tuple[int, object]]) -> IntegerRow:
-    """The nonzero entries of a rational row, each a ``Fraction`` or a
-    scalar ``Fraction`` accepts, times the lcm of their denominators."""
+def _cleared(row: Mapping[int, Fraction | int]) -> IntegerRow:
+    """The nonzero entries of a rational row times the lcm of their
+    denominators."""
     entries = []
     den = 1
-    for col, value in items:
-        try:
-            num, d = value.as_integer_ratio()
-        except AttributeError:  # a string, or another rational type
-            num, d = Fraction(value).as_integer_ratio()
+    for col, value in row.items():
+        num, d = value.as_integer_ratio()
         if num:
             entries.append((col, num, d))
             if d != 1:
@@ -115,19 +118,12 @@ class EchelonAccumulator:
         # column -> pivots of the stored rows holding it, outside their pivot
         self._index: defaultdict[int, set[int]] = defaultdict(set)
 
-    def add_row(self, row: Sequence | Mapping[int, object]) -> bool:
-        """Reduce and keep a dense row or a ``{column: value}`` mapping;
-        returns True if it added rank."""
-        return self._insert(self._sparse(row))
-
-    def _sparse(self, row: Sequence | Mapping[int, object]) -> IntegerRow:
-        if isinstance(row, (dict, Mapping)):  # dict first: no ABC check
-            if row and (min(row) < 0 or max(row) >= self.ncols):
-                raise DimensionError("row column out of range")
-            return _cleared(row.items())
-        if len(row) != self.ncols:
-            raise DimensionError("row length mismatch")
-        return _cleared(enumerate(row))
+    def add_row(self, row: Mapping[int, Fraction | int]) -> bool:
+        """Reduce and keep a ``{column: value}`` row; returns True if it
+        added rank."""
+        if row and (min(row) < 0 or max(row) >= self.ncols):
+            raise DimensionError("row column out of range")
+        return self._insert(_cleared(row))
 
     def _insert(self, work: IntegerRow) -> bool:
         """The elimination step; consumes ``work``."""
@@ -165,30 +161,27 @@ class EchelonAccumulator:
             echelon.append({col: Fraction(value, lead) for col, value in row.items()})
         return echelon, pivots
 
-    def kernel(self) -> list[Row]:
+    def kernel(self) -> list[SparseRow]:
         """Canonical kernel basis: one vector per free column, ascending,
-        with a 1 in its free column."""
-        basis = {
-            col: [Fraction(0)] * self.ncols
-            for col in range(self.ncols)
-            if col not in self._rows
-        }
-        for col, vec in basis.items():
-            vec[col] = Fraction(1)
-        for pivot, row in self._rows.items():
-            lead = row[pivot]
-            for col, value in row.items():
-                if col != pivot:
-                    basis[col][pivot] = Fraction(-value, lead)
-        return list(basis.values())
+        with 1 at its free column."""
+        rows, index = self._rows, self._index
+        basis = []
+        for free in range(self.ncols):
+            if free not in rows:
+                vec = {pivot: Fraction(-rows[pivot][free], rows[pivot][pivot])
+                       for pivot in sorted(index.get(free, ()))}
+                vec[free] = Fraction(1)
+                basis.append(vec)
+        return basis
 
 
-def _reduce(rows: Iterable, ncols: int) -> EchelonAccumulator:
+def _reduce(rows: Iterable[Mapping[int, Fraction | int]], ncols: int
+            ) -> EchelonAccumulator:
     # batch reductions bypass add_row, so the bench's add_row counts and
     # rank ratio describe streamed constraint rows only
     engine = EchelonAccumulator(ncols)
     for row in rows:
-        engine._insert(engine._sparse(row))
+        engine._insert(_cleared(row))
     return engine
 
 
@@ -200,12 +193,15 @@ def _dense(row: SparseRow, ncols: int) -> Row:
 
 
 def rref(rows: Iterable[Sequence]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form of dense rows. Returns (nonzero rows, pivot
+    columns)."""
     rows = list(rows)
     if not rows:
         return [], []
     ncols = len(rows[0])
-    echelon, pivots = _reduce(rows, ncols)._echelon()
+    if any(len(row) != ncols for row in rows):
+        raise DimensionError("row length mismatch")
+    echelon, pivots = _reduce((dict(enumerate(row)) for row in rows), ncols)._echelon()
     return [_dense(row, ncols) for row in echelon], pivots
 
 
@@ -260,7 +256,7 @@ def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
     engine = _reduce(rows[: len(base)], len(columns))
     return [
         f for f, row in zip(candidates, rows[len(base):])
-        if engine._insert(_cleared(row.items()))
+        if engine._insert(_cleared(row))
     ]
 
 
@@ -269,9 +265,9 @@ def in_span(f: Poly, basis: Sequence[Poly]) -> bool:
     return not independent_extension(basis, [f])
 
 
-def span_combinations(polys: Sequence[Poly]) -> list[Row]:
-    """Coefficient vectors ``c`` whose combinations ``sum c_i polys[i]``
-    are the canonical echelon basis of the span, in pivot order.
+def span_combinations(polys: Sequence[Poly]) -> list[SparseRow]:
+    """Combinations ``{i: c_i}`` whose sums ``sum c_i polys[i]`` are the
+    canonical echelon basis of the span, in pivot order.
 
     They are read off the canonical RREF of ``[coefficients | identity]``:
     its rows whose pivot lies in the coefficient part.
@@ -279,10 +275,10 @@ def span_combinations(polys: Sequence[Poly]) -> list[Row]:
     rows, columns = _poly_rows(polys)
     width = len(columns)
     for i, row in enumerate(rows):
-        row[width + i] = Fraction(1)
+        row[width + i] = 1
     echelon, pivots = _reduce(rows, width + len(polys))._echelon()
     return [
-        [row.get(width + i, Fraction(0)) for i in range(len(polys))]
+        dict(sorted((col - width, value) for col, value in row.items() if col >= width))
         for row, pivot in zip(echelon, pivots)
         if pivot < width
     ]

@@ -37,7 +37,10 @@ document (``ValidationError``):
   targets) and the lift expressions (``lifts[].classical`` and
   ``lifts[].relation[]`` in generator names, ``relations[]`` in lift
   names), so a huge power there is refused before it is expanded,
-  checked or evaluated under the deformed product.
+  checked or evaluated under the deformed product.  It also bounds the
+  number of coefficients of a lift's relation: a relation of degree ``n``
+  takes the ``n``-th deformed power of the lift, and its minimality and
+  moment-image checks go to degree ``(n - 1) * deg f``.
 * ``MAX_SAMPLES`` bounds ``samples.axioms`` and ``samples.moment``: the
   sample lists are drawn whole before the checks run.
 * ``MAX_SYMBOL_TERMS`` bounds the entries of the product's level-``L``
@@ -491,6 +494,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         else:
             if not entry["relation"]:
                 raise ParseError("lift relation needs at least one coefficient")
+            if len(entry["relation"]) > MAX_WORD_LENGTH:
+                raise ValidationError(
+                    f"{where} relation has {len(entry['relation'])} coefficients, "
+                    f"over the word-length budget of {MAX_WORD_LENGTH}"
+                )
             target = _capped_check(entry["target"], coord_names, where)
             relation = tuple(
                 _capped_check(expr, generator_names, f"{where} relation")

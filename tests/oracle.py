@@ -130,6 +130,18 @@ def dense_nullspace(rows: list[list], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+def densified(vectors: list[dict], ncols: int) -> list[list[Fraction]]:
+    """Sparse ``{index: value}`` vectors written out as dense rows of
+    ``ncols`` entries, for comparison with the dense references."""
+    out = []
+    for vec in vectors:
+        row = [Fraction(0)] * ncols
+        for col, value in vec.items():
+            row[col] = value
+        out.append(row)
+    return out
+
+
 def dense_in_span(f: Poly, polys: list[Poly]) -> bool:
     """Whether ``sum c_i polys[i] = f`` is solvable: Gauss–Jordan on the
     dense augmented matrix, one row per support monomial."""

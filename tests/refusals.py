@@ -476,6 +476,26 @@ ROWS += [
     Row("repeated_center_generator_is_refused_with_exit_3", "torus_k2",
         {"center_generators": ["J", "J"]}, 3,
         _line(3, "center generator 'J' is named twice"), whole=True),
+    # b fails at p1^3, but the walk went on to degree 24, the largest
+    # coefficient degree, trying a, whose commutator applies at most two
+    # derivatives, on every monomial: validate took over 20 s
+    Row("quantum_condition_walk_stops_at_each_generators_bound", {
+        "schema": "qcenter-scenario/1", "name": "walk", "space": {"pairs": 3},
+        "lie_algebra": {"dim": 2, "labels": ["a", "b"], "brackets": [],
+                        "invariant_generators": []},
+        "hamiltonians": {"a": "q2*p2", "b": "q1^24"}, "truncation": 12,
+        "max_degree": 2, "test_degree": 4, "lifts": [], "relations": [],
+        "center_generators": [], "tasks": ["invariants"]}, None, 3,
+        _line(3, "quantum condition fails for b on monomial p1^3"), whole=True, seconds=10),
+    # a relation of degree n takes the n-th deformed power of the lift and
+    # checks minimality to degree (n - 1) * deg f: uncapped, validate
+    # admitted this document and run went on past 10 s
+    Row("lift_relation_over_the_word_length_budget_is_refused", "torus_k4",
+        {"lifts": [{"name": "tr", "target": "q1*p1 + q2*p2",
+                    "relation": ["0"] * 1000 + ["-t"]}],
+         "tasks": ["lift"]}, 3,
+        _line(3, "lift 'tr' relation has 1001 coefficients, over the word-length "
+                 "budget of 24"), whole=True, seconds=10),
     # a classical part of two weights cannot be specialized: the weyl task
     # failed on it with exit 1
     Row("weyl_task_refuses_an_inhomogeneous_lift", "torus_k2",

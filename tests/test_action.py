@@ -289,10 +289,9 @@ def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
             assert sum(f is form and g == x for f, g in brackets) == 1
 
 
-def test_quantum_condition_prepares_each_monomial_once(monkeypatch):
-    # sl2_tstar_k2's quantum hamiltonians have degree 2, so the condition
-    # is tried on the 15 monomials of degree <= 2 in four variables, each
-    # prepared once for all three generators
+def _walk_prepared(monkeypatch, scenario) -> list[Poly]:
+    """The polynomials the quantum-condition walk prepares while the
+    scenario is built."""
     prepare, failure = StarProduct._prepare, HamiltonianAction._quantum_condition_failure
     prepared = []
     inside = []
@@ -311,9 +310,34 @@ def test_quantum_condition_prepares_each_monomial_once(monkeypatch):
 
     monkeypatch.setattr(HamiltonianAction, "_quantum_condition_failure", spy_failure)
     monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
-    scenario_mod.build_scenario(load_scenario("sl2_tstar_k2"))
+    scenario_mod.build_scenario(scenario)
+    return prepared
+
+
+def test_quantum_condition_prepares_each_monomial_once(monkeypatch):
+    # sl2_tstar_k2's quantum hamiltonians have degree 2, so the condition
+    # is tried on the 15 monomials of degree <= 2 in four variables, each
+    # prepared once for all three generators
+    prepared = _walk_prepared(monkeypatch, load_scenario("sl2_tstar_k2"))
     assert len(prepared) == 15
     assert len({tuple(f.terms) for f in prepared}) == 15
+
+
+def test_quantum_condition_walk_stops_at_the_truncation(monkeypatch):
+    # the correction q1^24 at order 4 = truncation commutes only to orders
+    # past it, so it adds no derivative: the bound is max(min(2, 4),
+    # min(24, 4 - 4)) = 2, the 28 monomials of degree <= 2 in six variables
+    document = {
+        "space": {"pairs": 3},
+        "lie_algebra": {"dim": 1, "labels": ["t"]},
+        "hamiltonians": {"t": "q1*p1 + q2*p2 + q3*p3"},
+        "quantum_corrections": {"t": {"4": "q1^24"}},
+        "truncation": 4,
+        "tasks": [],
+    }
+    prepared = _walk_prepared(monkeypatch, scenario_mod.parse_scenario(document))
+    assert len(prepared) == 28
+    assert max(f.degree() for f in prepared) == 2
 
 
 def test_quantum_condition_reports_the_first_failure_of_the_first_generator():

@@ -2,9 +2,10 @@
 
 ``EchelonAccumulator`` keeps primitive integer rows with a positive lead
 and a column index, and builds ``Fraction``s only where a result leaves it.
-These tests feed it rows whose numerators and denominators are large,
-rows that cancel to zero and plain ``int`` and ``str`` scalars, and check
-every public answer against the dense ``Fraction`` reference.  The lift
+These tests feed it ``{column: value}`` rows whose numerators and
+denominators are large, rows that cancel to zero and plain ``int``
+scalars, and check every public answer, written out as dense rows, against
+the dense ``Fraction`` reference.  The lift
 tasks test centrality against the quantum center's test set; the last
 tests show that the generators and the full invariant basis agree on the
 real lifts and on a series that is not central.
@@ -37,7 +38,7 @@ from qcenter.linalg import span_combinations
 from qcenter.poly import monomial_key
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift, run_scenario
 
-from oracle import dense_nullspace, dense_rref
+from oracle import densified, dense_nullspace, dense_rref
 
 BIG = Fraction(10**40, 3**25)
 SEEDS = range(8)
@@ -45,7 +46,7 @@ SEEDS = range(8)
 
 def wide_rows(rng: random.Random, nrows: int, ncols: int) -> list[list]:
     """Rows mixing huge rationals, cancelling combinations, zero rows and
-    ``int``/``str`` scalars; the reference reads each entry as a Fraction."""
+    ``int`` scalars; the reference reads each entry as a Fraction."""
     rows: list[list] = []
     for _ in range(nrows):
         kind = rng.random()
@@ -65,7 +66,7 @@ def wide_rows(rng: random.Random, nrows: int, ncols: int) -> list[list]:
                 elif pick < 0.65:
                     row.append(rng.randint(-5, 5))
                 elif pick < 0.8:
-                    row.append(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}")
+                    row.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                 else:
                     row.append(BIG * Fraction(rng.randint(-4, 4), rng.randint(1, 5) ** 9))
             rows.append(row)
@@ -102,11 +103,12 @@ def test_wide_rows_match_the_dense_fraction_reference(seed):
         for i, row in enumerate(rows):
             before = len(dense_rref(reference[:i])[1]) if i else 0
             after = len(dense_rref(reference[: i + 1])[1])
-            mapping = {c: v for c, v in enumerate(row) if v}
-            added = acc.add_row(mapping if i % 2 else row)
+            # every other row keeps its zero entries
+            mapping = {c: v for c, v in enumerate(row) if v or i % 2 == 0}
+            added = acc.add_row(mapping)
             assert added is (after > before)
             check_stored_rows(acc)
-        assert acc.kernel() == dense_nullspace(reference, ncols)
+        assert densified(acc.kernel(), ncols) == dense_nullspace(reference, ncols)
         assert rref(rows) == dense_rref(reference)
 
 
@@ -118,7 +120,7 @@ def test_wide_span_combinations_match_the_dense_reference(seed):
         Poly(2, dict(zip(monomials, row)))
         for row in as_fractions(wide_rows(rng, rng.randint(1, 8), len(monomials)))
     ]
-    combos = span_combinations(polys)
+    combos = densified(span_combinations(polys), len(polys))
     support = sorted({m for g in polys for m in g.terms}, key=monomial_key)
     augmented = [
         [g.terms.get(m, Fraction(0)) for m in support]
@@ -139,12 +141,13 @@ def test_wide_span_combinations_match_the_dense_reference(seed):
 
 def test_a_row_cancelling_to_zero_adds_no_rank_and_leaves_the_state():
     acc = EchelonAccumulator(3)
-    assert acc.add_row([BIG, "1/3", 0])
+    assert acc.add_row({0: BIG, 1: Fraction(1, 3), 2: 0})
     assert acc.add_row({1: 2, 2: -7})
     stored = {pivot: dict(row) for pivot, row in acc._rows.items()}
     # BIG * row0 + 5 * row1, over another denominator
-    assert not acc.add_row([BIG * BIG / 7, BIG / 21 + Fraction(10, 7), Fraction(-5, 1)])
-    assert not acc.add_row(["0", 0, Fraction(0)])
+    assert not acc.add_row(
+        {0: BIG * BIG / 7, 1: BIG / 21 + Fraction(10, 7), 2: Fraction(-5, 1)})
+    assert not acc.add_row({0: 0, 1: 0, 2: Fraction(0)})
     assert {pivot: dict(row) for pivot, row in acc._rows.items()} == stored
     check_stored_rows(acc)
 

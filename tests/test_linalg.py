@@ -21,14 +21,15 @@ from qcenter.linalg import independent_extension
 from qcenter.poly import monomial_key
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import dense_in_span, dense_nullspace, dense_rref, spans_equal
+from oracle import densified, dense_in_span, dense_nullspace, dense_rref, spans_equal
 
 
 def _kernel(rows, ncols):
+    """The kernel of dense rows fed as mappings, written out densely."""
     acc = EchelonAccumulator(ncols)
     for row in rows:
-        acc.add_row(row)
-    return acc.kernel()
+        acc.add_row(dict(enumerate(row)))
+    return densified(acc.kernel(), ncols)
 
 
 def test_empty_constraints_give_full_standard_basis():
@@ -38,7 +39,7 @@ def test_empty_constraints_give_full_standard_basis():
         [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
     ]
-    assert EchelonAccumulator(4).kernel() == expected
+    assert densified(EchelonAccumulator(4).kernel(), 4) == expected
 
 
 def test_coordinate_kernel():

@@ -463,6 +463,19 @@ def test_a_long_invariant_generator_symmetrizes_promptly(tmp_path):
     assert (code, err) == (0, "")
 
 
+def test_the_quantum_condition_walk_stops_at_the_truncation(tmp_path):
+    # the correction q1^24 at order 4 commutes to order 5 and over, past the
+    # truncation: walking the monomials to degree 24 took 28 s, the bound
+    # min(24, 4 - 4) = 0 stops the walk at degree 2
+    data = dict(refusals.MINIMAL, space={"pairs": 3}, truncation=4, max_degree=2,
+                test_degree=4, hamiltonians={"t": "q1*p1 + q2*p2 + q3*p3"},
+                quantum_corrections={"t": {"4": "q1^24"}}, tasks=["invariants"])
+    path = write_scenario(tmp_path, data)
+    code, err, seconds = refusals.fresh(_CLI, ["validate", path], tmp_path, 5, env=_ENV)
+    assert (code, err) == (0, "")
+    assert seconds < 5
+
+
 def test_candidate_budget_follows_the_cli_degree(tmp_path):
     # test_degree 17 is refused, by the document or by --max-degree 15
     # (refusals.py); 16 fits
