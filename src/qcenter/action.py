@@ -26,7 +26,9 @@ classical and quantum hamiltonian prepared for the contraction kernel, the
 coordinate brackets ``{H_i, x_j}``, and from them the integer weight rows
 of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
 of the others.  The checks, the comoment, the invariant solves and the lift
-recursion read it.
+recursion read it.  Once the action is validated it also holds the moment
+pullback of each designated invariant generator, in generator order: the
+moment-image basis, the lift targets and the lift relations read those.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class HamiltonianAction:
         self.nondiagonal = tuple(nondiagonal)  # indices of the others
         self._chain_cache: dict[tuple[int, ...], HSeries] = {}
         self.validate()
+        self.pullbacks = tuple(  # in generator order
+            self.moment_pullback(gen.poly) for gen in lie.invariant_generators
+        )
 
     # -- validation ---------------------------------------------------------------
 
@@ -178,7 +183,7 @@ class HamiltonianAction:
 
     def moment_pullback(self, z: Poly) -> Poly:
         """Substitute the classical hamiltonians into a basis polynomial."""
-        return z.substitute(list(self.hamiltonians))
+        return z.substitute(self.hamiltonians, self.space.nvars)
 
     def comoment(self, a: UEnvElement) -> HSeries:
         """Algebra map into the quantum algebra: generators to quantum

@@ -202,8 +202,7 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
     """
     nv = act.space.nvars
     pullbacks: list[Poly] = []
-    for gen in act.lie.invariant_generators:
-        g = act.moment_pullback(gen.poly)
+    for gen, g in zip(act.lie.invariant_generators, act.pullbacks):
         if g.is_zero() or g.degree() == 0:
             continue  # constants generate nothing new
         if not g.is_homogeneous((1,) * nv):

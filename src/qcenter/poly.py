@@ -12,6 +12,10 @@ to the first, which makes ``q_1 < q_2 < ... < q_n < p_1 < ... < p_n`` as
 variables.  All deterministic choices in the package (iteration order,
 pivoting, printed output, leading terms for exact division) derive from
 this order.
+
+Substitution names its target ring: ``f.substitute(values, nvars)``
+evaluates ``f`` on polynomials over ``nvars`` variables, so a polynomial
+over no variables, a constant, is carried into any ring.
 """
 
 from __future__ import annotations
@@ -123,9 +127,6 @@ class Poly:
 
     def coefficient(self, exponent: Exponent) -> Fraction:
         return self.terms.get(tuple(exponent), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in the canonical graded-lex order (ascending)."""
@@ -273,17 +274,14 @@ class Poly:
             remainder = remainder - divisor * Poly.monomial(self.nvars, diff, factor)
         return Poly(self.nvars, quotient)
 
-    def substitute(self, values: Sequence["Poly"]) -> "Poly":
-        """Evaluate on polynomial arguments, one per variable."""
+    def substitute(self, values: Sequence["Poly"], nvars: int) -> "Poly":
+        """Evaluate on polynomial arguments over ``nvars`` variables, one per
+        variable; a polynomial over no variables gives its constant."""
         if len(values) != self.nvars:
             raise DimensionError("substitution needs one value per variable")
-        if not values:
-            # no variables: the polynomial is a constant in a 0-variable ring
-            raise DimensionError("cannot substitute into a 0-variable polynomial")
-        target_nvars = values[0].nvars
         for v in values:
-            if v.nvars != target_nvars:
-                raise DimensionError("substitution values over different rings")
+            if v.nvars != nvars:
+                raise DimensionError("substitution values over another ring")
         # cache powers per variable
         max_exp = [0] * self.nvars
         for exp in self.terms:
@@ -291,18 +289,18 @@ class Poly:
                 max_exp[i] = max(max_exp[i], e)
         powers: list[list[Poly]] = []
         for i, v in enumerate(values):
-            col = [Poly.constant(target_nvars, 1)]
+            col = [Poly.constant(nvars, 1)]
             for _ in range(max_exp[i]):
                 col.append(col[-1] * v)
             powers.append(col)
         summands = []
         for exp, coeff in self.sorted_terms():
-            term = Poly.constant(target_nvars, coeff)
+            term = Poly.constant(nvars, coeff)
             for i, e in enumerate(exp):
                 if e:
                     term = term * powers[i][e]
             summands.append(term)
-        return poly_sum(target_nvars, summands)
+        return poly_sum(nvars, summands)
 
     # -- formatting ----------------------------------------------------------
 

@@ -29,6 +29,12 @@ document (``ValidationError``):
   ``max(test_degree, 2)`` in the ``2n`` coordinates, ``C(2n + D, D)``.
   Those are the candidates of every invariant and center slice; degree 2
   at least, so that the ``2n x 2n`` bivector is inside the budget too.
+  The same count bounds what the build substitutes: the moment pullback of
+  a generator ``z`` has degree at most ``deg z`` times the largest
+  hamiltonian degree, and a lift expression in generator names (a
+  classical element or a relation coefficient) at most its degree times
+  the largest of those pullback bounds.  A bound ``D`` over the budget is
+  refused, naming the generator or the lift.
 * ``MAX_WORD_LENGTH`` bounds the degree of each invariant generator and
   section correction, the longest word its symmetrization rewrites:
   ``normalize_word`` recurses once per rewrite step, so the cap keeps its
@@ -375,6 +381,33 @@ def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
         )
 
 
+def _check_pullbacks(pairs: int, generators: Sequence[InvariantGenerator],
+                     hamiltonians: Sequence[Poly], lifts: Sequence[LiftSpec]) -> None:
+    """Reject a generator pullback or a lift expression in generator names
+    whose degree bound gives more than ``MAX_CANDIDATES`` monomials over the
+    ``2n`` coordinates: the build substitutes the hamiltonians into each
+    generator and the pullbacks into each lift expression."""
+    def refuse_over(bound: int, what: str) -> None:
+        if _candidate_count(2 * pairs, bound, MAX_CANDIDATES) > MAX_CANDIDATES:
+            raise ValidationError(
+                f"{what} has degree bound {bound} in the coordinates, which gives "
+                f"more than {MAX_CANDIDATES} monomials, over the size budget"
+            )
+
+    top = max((h.degree() for h in hamiltonians), default=0)
+    largest = 0
+    for gen in generators:
+        bound = max(gen.poly.degree(), 0) * max(top, 0)
+        refuse_over(bound, f"pullback of generator {echo(gen.name)}")
+        largest = max(largest, bound)
+    for spec in lifts:
+        if spec.classical is None:
+            degree, what = max(a.degree() for a in spec.relation), " relation"
+        else:
+            degree, what = spec.classical.degree(), ""
+        refuse_over(max(degree, 0) * largest, f"lift {echo(spec.name)}{what}")
+
+
 def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
     """A polynomial of degree at most ``MAX_WORD_LENGTH``, refused by the
     parser before a longer product or power is expanded."""
@@ -506,6 +539,7 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
             )
             lifts.append(LiftSpec(lift_name, target=target, relation=relation))
         lift_names.append(lift_name)
+    _check_pullbacks(pairs, generators, hamiltonians, lifts)
 
     relations = tuple(
         (expr, _capped_check(expr, lift_names, "generator relation"))
@@ -586,13 +620,11 @@ def preset_path(name: str) -> Path | None:
 
 
 class BuiltScenario(NamedTuple):
-    """Scenario with all mathematical objects constructed and validated."""
+    """Scenario with all mathematical objects constructed and validated.
+    The action holds the space, the product and the generators' pullbacks."""
 
     scenario: Scenario
-    space: SymplecticSpace
-    star: StarProduct
     action: HamiltonianAction
-    pullbacks: tuple[Poly, ...]         # in generator order
     central_lifts: tuple[HSeries, ...]  # in generator order
     targets: dict[str, Poly]            # each lift's classical element, by name
 
@@ -641,12 +673,12 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
             moment_image_basis(action, 0)
         except ValidationError as exc:
             raise ValidationError(f"the lift tasks cannot run: {exc}") from None
-    generators = lie.invariant_generators
-    pullbacks = tuple(action.moment_pullback(gen.poly) for gen in generators)
-    central_lifts = tuple(action.central_lift(gen.name) for gen in generators)
+    central_lifts = tuple(
+        action.central_lift(gen.name) for gen in lie.invariant_generators
+    )
     targets = {
         spec.name: spec.target if spec.classical is None
-        else _classical(pullbacks, space.nvars, spec.classical)
+        else spec.classical.substitute(action.pullbacks, space.nvars)
         for spec in scenario.lifts
     }
     if "weyl" in scenario.tasks:
@@ -658,17 +690,10 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
                     f"the weyl task cannot run: classical part of lift {echo(name)} "
                     "is not weight-homogeneous"
                 )
-    return BuiltScenario(scenario, space, star, action, pullbacks, central_lifts, targets)
+    return BuiltScenario(scenario, action, central_lifts, targets)
 
 
 # -- lift assembly -----------------------------------------------------------------
-
-
-def _classical(pullbacks: Sequence[Poly], nvars: int, composed: Poly) -> Poly:
-    """A polynomial in generator names, evaluated on the moment pullbacks."""
-    if pullbacks:
-        return composed.substitute(pullbacks)
-    return Poly.constant(nvars, composed.constant_term())
 
 
 def resolve_lift(built: BuiltScenario, spec: LiftSpec
@@ -677,13 +702,13 @@ def resolve_lift(built: BuiltScenario, spec: LiftSpec
     target comes from the build; each relation coefficient is evaluated on
     the pullbacks and, under the deformed product, on the central lifts."""
     f = built.targets[spec.name]
+    act = built.action
     if spec.classical is not None:
-        ahat = star_evaluate(built.star, spec.classical, built.central_lifts)
+        ahat = star_evaluate(act.star, spec.classical, built.central_lifts)
         return f, MonicRelation((-f,), (-ahat,))
-    nvars = built.space.nvars
     return f, MonicRelation(
-        tuple(_classical(built.pullbacks, nvars, a) for a in spec.relation),
-        tuple(star_evaluate(built.star, a, built.central_lifts) for a in spec.relation),
+        tuple(a.substitute(act.pullbacks, act.space.nvars) for a in spec.relation),
+        tuple(star_evaluate(act.star, a, built.central_lifts) for a in spec.relation),
     )
 
 
@@ -769,11 +794,11 @@ class _Run:
         return run_lifts(self.built, self.lift_tests)
 
     def _task_axioms(self) -> TaskResult:
-        space, count = self.built.space, self.built.scenario.axiom_samples
-        triples = sample_triples(_SAMPLE_SEED, space, count, max_degree=4)
-        axiom_report = check_axioms(self.built.star, triples)
-        pairs = sample_homogeneous_pairs(_SAMPLE_SEED + 1, space, count, max_degree=4)
-        hom_report = check_homogeneity(self.built.star, pairs)
+        act, count = self.built.action, self.built.scenario.axiom_samples
+        triples = sample_triples(_SAMPLE_SEED, act.space, count, max_degree=4)
+        axiom_report = check_axioms(act.star, triples)
+        pairs = sample_homogeneous_pairs(_SAMPLE_SEED + 1, act.space, count, max_degree=4)
+        hom_report = check_homogeneity(act.star, pairs)
         passed = axiom_report.passed and hom_report.passed
         details = {
             "checks": axiom_report.checks + hom_report.checks,
@@ -783,11 +808,9 @@ class _Run:
         return TaskResult("axioms", passed, details)
 
     def _task_moment(self) -> TaskResult:
-        built = self.built
-        samples = sample_polys(
-            _SAMPLE_SEED + 2, built.space, built.scenario.moment_samples, max_degree=6
-        )
-        check = check_quantum_moment_condition(built.action, samples)
+        act, count = self.built.action, self.built.scenario.moment_samples
+        samples = sample_polys(_SAMPLE_SEED + 2, act.space, count, max_degree=6)
+        check = check_quantum_moment_condition(act, samples)
         return TaskResult("moment", check.passed, check.to_json_dict())
 
     def _task_triangle(self) -> TaskResult:
@@ -803,7 +826,7 @@ class _Run:
 
     def _task_invariants(self) -> TaskResult:
         degrees = range(self.built.scenario.max_degree + 1)
-        names = self.built.space.names
+        names = self.built.action.space.names
         dimensions = {str(d): self.invariants.dimension(d) for d in degrees}
         bases = {
             str(d): [f.to_string(names) for f in self.invariants.basis(d)]
@@ -833,7 +856,7 @@ class _Run:
         entries, _ = self.lifts
         quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
         lifted = [(name, fhat) for name, _, fhat in entries]
-        result = weyl_report(self.built.star, lifted,
+        result = weyl_report(self.built.action.star, lifted,
                              self.built.scenario.center_generators, quadratic_tests)
         return TaskResult("weyl", result.passed, result.to_json_dict())
 

@@ -6,7 +6,9 @@ defining formula, and products on several pairs can also be assembled from
 single-pair factors.  The linear algebra references work on dense rows with
 textbook pivoting, or with no elimination at all.  Enveloping-algebra words
 are rewritten without a cache, in any descent order, and symmetrized by
-averaging over every ordering.  Slow but unambiguous.
+averaging over every ordering.  The Jacobi identity is summed over every
+basis triple and the adjoint derivation over every variable, from a dense
+table of structure constants.  Slow but unambiguous.
 
 The ready-made Lie algebras, an action class that skips validation and
 the seeded polynomial samplers that the tests build their inputs from live
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from math import factorial
 from typing import Callable
 
@@ -229,6 +231,49 @@ def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
                 if r <= order:
                     acc[v, r] = acc.get((v, r), Fraction(0)) + c * weight
     return UEnvElement(lie, order, acc)
+
+
+# -- structure constants -------------------------------------------------------
+
+
+def dense_structure_constants(dim: int, brackets: dict) -> list[list[dict[int, Fraction]]]:
+    """``table[i][j]`` holds ``[x_i, x_j]`` as ``{k: c}`` for every pair,
+    each stated bracket written under both orientations."""
+    table: list[list[dict[int, Fraction]]] = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (i, j), comps in brackets.items():
+        for k, c in comps.items():
+            if c:
+                table[i][j][k] = Fraction(c)
+                table[j][i][k] = -Fraction(c)
+    return table
+
+
+def jacobi_failure(dim: int, brackets: dict) -> tuple[int, int, int] | None:
+    """The first basis triple ``i < j < k`` in lexicographic order whose
+    Jacobi sum is nonzero, summed over every triple; None when the
+    identity holds."""
+    table = dense_structure_constants(dim, brackets)
+    for i, j, k in combinations(range(dim), 3):
+        total = [Fraction(0)] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cab in table[a][b].items():
+                for l, cmc in table[m][c].items():
+                    total[l] += cab * cmc
+        if any(total):
+            return i, j, k
+    return None
+
+
+def ad_by_every_variable(dim: int, brackets: dict, i: int, s: Poly) -> Poly:
+    """The adjoint derivation of ``x_i``: ``[x_i, x_j] * ds/dx_j`` summed
+    over every variable ``x_j``."""
+    table = dense_structure_constants(dim, brackets)
+    acc = Poly.zero(dim)
+    for j in range(dim):
+        bracket = Poly(dim, {tuple(int(t == k) for t in range(dim)): c
+                             for k, c in table[i][j].items()})
+        acc = acc + s.partial(j) * bracket
+    return acc
 
 
 # -- ready-made algebras -------------------------------------------------------

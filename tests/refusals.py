@@ -340,6 +340,30 @@ def _sl2_lift_power(doc: dict, field: str):
         doc["relations"] = ["(c2 + 1)^8000"]
 
 
+def _labels_600(doc: dict):
+    """600 labels, every hamiltonian zero, and two stated brackets that
+    break the Jacobi identity on the last triple."""
+    labels = [f"a{i}" for i in range(600)]
+    brackets = [{"left": "a597", "right": "a598", "components": {"a597": "1"}},
+                {"left": "a598", "right": "a599", "components": {"a598": "1"}}]
+    doc.update(lie_algebra={"dim": 600, "labels": labels, "brackets": brackets,
+                            "invariant_generators": []},
+               hamiltonians=dict.fromkeys(labels, "0"), truncation=2, max_degree=2,
+               test_degree=2, lifts=[], center_generators=[], tasks=["invariants"])
+
+
+def _dense_quartic(name="t", poly="t", lift=None):
+    """An edit of ``torus_k4``: a dense quartic hamiltonian of ``t``, one
+    generator, and with ``lift`` a classical lift ``G`` in its name."""
+    def edit(doc: dict):
+        doc["lie_algebra"]["invariant_generators"] = [{"name": name, "poly": poly}]
+        doc.update(hamiltonians={"t": "(q1+p1+q2+p2)^4"}, truncation=1)
+        if lift is not None:
+            doc.update(lifts=[{"name": "G", "classical": lift}], center_generators=[],
+                       tasks=["invariants"])
+    return edit
+
+
 _NO_CENTERS = ("the centers task cannot run: at truncation 0 every deformed "
                "commutator vanishes, so it needs truncation at least 1")
 _MISSING = "output error: cannot write the report: {!r} is in a directory that does not exist"
@@ -502,6 +526,24 @@ ROWS += [
         {"lifts": [{"name": "J", "classical": "t + 1"}]}, 3,
         _line(3, "the weyl task cannot run: classical part of lift 'J' is not "
                  "weight-homogeneous"), whole=True),
+    # checking the Jacobi identity on all C(600, 3) basis triples took ~45 s;
+    # only the triples that hold one of the two stated pairs can fail
+    Row("jacobi_check_visits_only_triples_with_a_stated_pair", "torus_k4", _labels_600,
+        3, _line(3, "Jacobi identity fails on basis triple (a597, a598, a599)"),
+        whole=True, seconds=10, memory=CAP),
+    # the pullback of t^24 through a dense quartic hamiltonian, or a lift
+    # g^24 through the quartic pullback of g, has degree up to 96 in four
+    # coordinates, C(100, 4) ~ 3.9 * 10^6 monomials: validate, which built
+    # it, ran past 100 s
+    *[Row(f"build_time_substitution_over_the_candidate_budget_is_refused[{case}]",
+          "torus_k4", edit, 3,
+          _line(3, f"{what} has degree bound 96 in the coordinates, which gives "
+                   "more than 1000000 monomials, over the size budget"),
+          whole=True, seconds=10, memory=CAP)
+      for case, edit, what in [
+          ("pullback", _dense_quartic(poly="t^24"), "pullback of generator 't'"),
+          ("lift", _dense_quartic(name="g", poly="t", lift="g^24"), "lift 'G'"),
+      ]],
 ]
 
 

@@ -90,7 +90,7 @@ def test_criterion_3_quantum_hamiltonian_identity(built_presets):
         built = built_presets[name]
         rng = random.Random(3003)
         samples = [
-            random_poly(rng, built.space.nvars, 6) for _ in range(50)
+            random_poly(rng, built.action.space.nvars, 6) for _ in range(50)
         ]
         report = check_quantum_moment_condition(built.action, samples)
         assert report.passed, name
@@ -158,7 +158,7 @@ def test_criterion_6_invariants_match_enumeration(built_presets):
         built = built_presets[name]
         inv = invariants_up_to(built.action, 8)
         for degree in range(9):
-            oracle = weight_zero_monomials(built.space, weights, degree)
+            oracle = weight_zero_monomials(built.action.space, weights, degree)
             assert spans_equal(inv.basis(degree), oracle), (name, degree)
     _report(6, "invariant solver matches brute-force weight-zero monomial "
                "enumeration through degree 8 on both torus scenarios")
@@ -212,17 +212,17 @@ def test_criterion_9_weyl_specialization(built_presets):
         quadratics = [u for d in (1, 2) for u in inv.basis(d)]
         symbols = {}
         for lift_name, _, lifted in entries:
-            symbol = weyl_specialize(lifted, built.space)
+            symbol = weyl_specialize(lifted, built.action.space)
             symbols[lift_name] = symbol
             for u in quadratics:
-                assert weyl_commutator(built.star, symbol, u).is_zero(), (
+                assert weyl_commutator(built.action.star, symbol, u).is_zero(), (
                     name,
                     lift_name,
                 )
         from qcenter import algebraically_independent
 
         chosen = [symbols[g] for g in built.scenario.center_generators]
-        assert algebraically_independent(chosen, built.space), name
+        assert algebraically_independent(chosen, built.action.space), name
         independents[name] = [g for g in built.scenario.center_generators]
     assert independents  # at least one scenario exhibits generators
     _report(9, "specialized lifts commute with every quadratic invariant at "

@@ -276,7 +276,8 @@ def _error_documents():
         yield name, dict(torus, hamiltonians={"t": expr}), code
     # RelationViolationError
     yield "violated_relation", dict(torus, relations=["J - 1"]), 1
-    # Poly.constant_term: a classical lift with no generator in it
+    # Poly.substitute over no variables: a classical lift with no generator
+    # in it
     constant = dict(torus, lifts=[{"name": "J", "classical": "3"}])
     constant["lie_algebra"] = dict(torus["lie_algebra"], invariant_generators=[])
     yield "constant_lift", constant, 1

@@ -59,7 +59,7 @@ def _polys(exprs, names):
 
 def test_torus_k4_generators_are_the_four_quadratics():
     built, inv = _built("torus_k4")
-    names = built.space.names
+    names = built.action.space.names
     gens = invariant_generators(inv, built.scenario.test_degree)
     assert len(gens) == 4
     assert _keys(gens) == _polys(["q1*p1", "q1*p2", "q2*p1", "q2*p2"], names)
@@ -68,14 +68,14 @@ def test_torus_k4_generators_are_the_four_quadratics():
 def test_sl2_generator_is_the_pairing():
     built, inv = _built("sl2_tstar_k2")
     gens = invariant_generators(inv, built.scenario.test_degree)
-    assert gens == [parse_poly("q1*p1 + q2*p2", built.space.names)]
+    assert gens == [parse_poly("q1*p1 + q2*p2", built.action.space.names)]
 
 
 def test_generators_stop_at_the_test_degree():
     built, inv = _built("trivial_k2")
     assert invariant_generators(inv, 0) == []
     gens = invariant_generators(inv, 3)
-    assert _keys(gens) == _polys(["q1", "p1"], built.space.names)
+    assert _keys(gens) == _polys(["q1", "p1"], built.action.space.names)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -84,7 +84,7 @@ def test_every_invariant_is_a_polynomial_in_the_generators(preset):
     top = built.scenario.test_degree
     gens = invariant_generators(inv, top)
     # all products of generators, by degree, each once
-    products = {0: [Poly.constant(built.space.nvars, 1)]}
+    products = {0: [Poly.constant(built.action.space.nvars, 1)]}
     for degree in range(1, top + 1):
         products[degree] = _distinct(
             g * p

@@ -401,7 +401,7 @@ def test_lift_evaluates_the_relation_once_per_correction_and_once_to_finish(
         # every order of the lift above the classical one is one correction
         corrections = len(fhat.terms) - 1
         assert len(calls) == corrections + 1
-        assert fhat.to_string(built.space.names) == expected[spec.name]
+        assert fhat.to_string(built.action.space.names) == expected[spec.name]
         counts[spec.name] = len(calls)
     if preset == "torus_k2":
         assert counts == {"J": 1}

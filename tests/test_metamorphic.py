@@ -59,9 +59,9 @@ def transvections(rng: random.Random, star: StarProduct, count: int) -> list[Pol
             for x in coordinates:
                 form = form + x.scale(rng.randint(-2, 2))
         c = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
-        step = [x + form.scale(c * star.poisson(x, form).constant_term())
+        step = [x + form.scale(c * star.poisson(x, form).coefficient((0,) * nv))
                 for x in coordinates]
-        images = [f.substitute(step) for f in images]
+        images = [f.substitute(step, nv) for f in images]
     return images
 
 
@@ -91,7 +91,7 @@ def test_center_comparison_is_invariant_under_symplectic_transvections(seed):
             expected = star.poisson(Poly.variable(nv, i), Poly.variable(nv, j))
             assert star.poisson(images[i], images[j]) == expected
     original = action(star, hamiltonians)
-    pushed = action(star, [h.substitute(images) for h in hamiltonians])
+    pushed = action(star, [h.substitute(images, nv) for h in hamiltonians])
     for act, diagonal in ((original, True), (pushed, False)):
         for brackets in act.coordinate_brackets:
             weights = _diagonal_weights(brackets)

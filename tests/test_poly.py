@@ -160,8 +160,22 @@ def test_substitute_composes():
     z = poly_of({(2, 0): 1, (0, 1): 1})
     q1p1 = Poly(4, {(1, 0, 1, 0): Fraction(1)})
     q2 = Poly.variable(4, 1)
-    image = z.substitute([q1p1, q2])
+    image = z.substitute([q1p1, q2], 4)
     assert image == q1p1 * q1p1 + q2
+
+
+def test_substitute_over_no_variables_gives_the_constant_in_the_target_ring():
+    for value in (0, 3, Fraction(-5, 2)):
+        assert Poly.constant(0, value).substitute([], 4) == Poly.constant(4, value)
+    assert Poly.zero(0).substitute([], 2).is_zero()
+
+
+def test_substitute_refuses_values_over_another_ring():
+    z = poly_of({(1, 1): 1})
+    with pytest.raises(DimensionError):
+        z.substitute([Poly.variable(4, 0), Poly.variable(3, 0)], 4)
+    with pytest.raises(DimensionError):
+        z.substitute([Poly.variable(4, 0)], 4)
 
 
 def test_to_string_roundtrips_through_parser():
@@ -288,7 +302,7 @@ def _sampler_bounds() -> set[int]:
     scenarios = [load_scenario(name) for name, _ in list_presets()]
     scenarios.append(load_scenario(str(DATA / "so3_rotation.json")))
     for scenario in scenarios:
-        space = build_scenario(scenario).space
+        space = build_scenario(scenario).action.space
         for degree in (4, 6):
             for groups in (monomial_table(space.nvars, degree),
                            _weight_classes(space, degree)):

@@ -15,6 +15,7 @@ from qcenter import StarProduct, SymplecticSpace
 from qcenter.cli import main
 from qcenter.scenario import (
     MAX_SAMPLES,
+    TASK_ORDER,
     build_scenario,
     list_presets,
     load_scenario,
@@ -445,6 +446,48 @@ def test_lifts_without_invariant_generators_run_with_exit_0(tmp_path, capsys):
     assert [e["symbol"] for e in tasks["weyl"]["entries"]] == ["3/2", "2"]
 
 
+def test_a_constant_generator_over_no_labels_runs_every_task_with_exit_0(tmp_path):
+    # a zero-dimensional algebra with a constant designated generator: the
+    # pullback of c is the constant 1 over the coordinates, and the lifts
+    # composed from it are constants
+    data = dict(refusals.MINIMAL, lie_algebra={
+        "dim": 0, "labels": [], "brackets": [],
+        "invariant_generators": [{"name": "c", "poly": "1"}],
+    }, hamiltonians={}, lifts=[{"name": "J", "classical": "2*c"},
+                              {"name": "K", "target": "3", "relation": ["-3*c"]}],
+        relations=["J*K - 6"], center_generators=[])
+    path = write_scenario(tmp_path, data)
+    assert main(["validate", path]) == 0
+    out = tmp_path / "r.json"
+    assert main(["run", path, "--report", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [t["task"] for t in report["tasks"]] == list(TASK_ORDER)
+    assert report["passed"] is True
+    tasks = {t["task"]: t["details"] for t in report["tasks"]}
+    assert [(g["name"], g["classical"], g["lift"]) for g in tasks["iso"]["generators"]] == [
+        ("J", "2", "2"),
+        ("K", "3", "3"),
+    ]
+
+
+@pytest.mark.parametrize("generator, hamiltonian, admitted", [
+    ("t^2", "q1^24 + q1*p1", True),  # bound 48: C(52, 4) = 270,725 monomials
+    ("t^22", "q1^3", True),          # bound 66: C(70, 4) = 916,895
+    ("t^17", "q1^4", False),         # bound 68: C(72, 4) = 1,028,790
+])
+def test_the_pullback_budget_is_the_candidate_count_of_the_degree_bound(
+        generator, hamiltonian, admitted):
+    data = refusals.preset("torus_k4")
+    data["lie_algebra"]["invariant_generators"] = [{"name": "t", "poly": generator}]
+    data["hamiltonians"] = {"t": hamiltonian}
+    if admitted:
+        parse_scenario(data)
+    else:
+        with pytest.raises(ValidationError, match="pullback of generator 't' has "
+                                                  "degree bound 68"):
+            parse_scenario(data)
+
+
 def test_the_largest_sample_count_in_budget_parses():
     data = dict(refusals.preset("sl2_tstar_k2"), samples={"axioms": MAX_SAMPLES, "moment": 0})
     scenario = parse_scenario(data)
@@ -488,7 +531,7 @@ def test_standard_bivector_written_out_is_inside_the_symbol_budget(tmp_path):
     data = dict(refusals.preset("torus_k2"), truncation=8, tasks=[],
                 space={"pairs": 3, "bivector": refusals.bivector(3, dense=False)})
     assert main(["validate", write_scenario(tmp_path, data)]) == 0
-    space = build_scenario(parse_scenario(data)).space
+    space = build_scenario(parse_scenario(data)).action.space
     assert space.bivector == SymplecticSpace(3).bivector
 
 
