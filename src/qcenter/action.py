@@ -26,9 +26,13 @@ classical and quantum hamiltonian prepared for the contraction kernel, the
 coordinate brackets ``{H_i, x_j}``, and from them the integer weight rows
 of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
 of the others.  The checks, the comoment, the invariant solves and the lift
-recursion read it.  Once the action is validated it also holds the moment
-pullback of each designated invariant generator, in generator order: the
-moment-image basis, the lift targets and the lift relations read those.
+recursion read it.  Once the action is validated it also holds, for each
+designated invariant generator in generator order, the two halves of the
+moment map on it: its moment pullback (``pullbacks``), which the
+moment-image basis, the lift targets and the classical coefficients of the
+lift relations read, and its central lift (``central_lifts``), the
+comoment image of its central section, on which the quantum coefficients
+are evaluated.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ class HamiltonianAction:
         self.validate()
         self.pullbacks = tuple(  # in generator order
             self.moment_pullback(gen.poly) for gen in lie.invariant_generators
+        )
+        self.central_lifts = tuple(  # in generator order
+            self.comoment(central_section(lie, gen.name, self.order))
+            for gen in lie.invariant_generators
         )
 
     # -- validation ---------------------------------------------------------------
@@ -209,10 +217,6 @@ class HamiltonianAction:
         self._chain_cache[word] = value
         return value
 
-    def central_lift(self, name: str) -> HSeries:
-        """Quantum image of a designated invariant generator's central section."""
-        return self.comoment(central_section(self.lie, name, self.order))
-
 
 def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:
     """The weights ``w_j`` with ``{h, x_j} = w_j * x_j`` read off the
@@ -264,13 +268,13 @@ def check_quantum_moment_condition(
 
 
 def check_classical_limit_triangle(
-    act: HamiltonianAction, z: Poly
+    act: HamiltonianAction, z: Poly, pullback: Poly
 ) -> CheckReport:
     """Compatibility of the section with both classical-limit routes.
 
-    Requires an adjoint-invariant input; verifies that the symmetrization
-    reduces back to the input and that its quantum image agrees with the
-    classical moment pullback modulo the deformation parameter.
+    Requires an adjoint-invariant input and its moment pullback; verifies
+    that the symmetrization reduces back to the input and that its quantum
+    image agrees with the pullback modulo the deformation parameter.
     """
     if not act.lie.is_invariant(z):
         raise ValidationError("input is not adjoint-invariant")
@@ -283,6 +287,6 @@ def check_classical_limit_triangle(
     image = act.comoment(lifted)
     report.add(
         "quantum image reduces to the moment pullback",
-        image.classical_part() == act.moment_pullback(z),
+        image.classical_part() == pullback,
     )
     return report

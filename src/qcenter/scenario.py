@@ -32,9 +32,11 @@ document (``ValidationError``):
   The same count bounds what the build substitutes: the moment pullback of
   a generator ``z`` has degree at most ``deg z`` times the largest
   hamiltonian degree, and a lift expression in generator names (a
-  classical element or a relation coefficient) at most its degree times
-  the largest of those pullback bounds.  A bound ``D`` over the budget is
-  refused, naming the generator or the lift.
+  relation coefficient, or a classical element, which is read as the
+  relation of degree 1 it gives) at most its degree times the largest of
+  those pullback bounds.  A bound ``D`` over the budget is refused,
+  naming the generator or the lift: the pullbacks once the hamiltonians
+  are read, each lift expression as soon as it is parsed.
 * ``MAX_WORD_LENGTH`` bounds the degree of each invariant generator and
   section correction, the longest word its symmetrization rewrites:
   ``normalize_word`` recurses once per rewrite step, so the cap keeps its
@@ -144,10 +146,13 @@ MAX_SYMBOL_TERMS = 10**5
 
 
 class LiftSpec(NamedTuple):
+    """A monic relation in the generator names and the coordinate target it
+    lifts; a classical request ``E`` is ``(-E,)``, its target left to the
+    build (``E`` on the moment pullbacks)."""
+
     name: str
-    classical: Poly | None = None       # polynomial in generator names
-    target: Poly | None = None          # coordinate polynomial
-    relation: tuple[Poly, ...] = ()     # coefficients in generator names
+    relation: tuple[Poly, ...]
+    target: Poly | None = None
 
 
 class Scenario(NamedTuple):
@@ -209,7 +214,7 @@ _LIE_ALGEBRA = {
     "brackets": ("list", (), None),  # of _BRACKET
     "invariant_generators": ("list", (), None),  # of _GENERATOR
 }
-# a lift has one of two shapes
+# a lift has one of two shapes; a classical one is read as a relation
 _CLASSICAL_LIFT = {"name": _TEXT, "classical": _TEXT}
 _RELATION_LIFT = {
     "name": _TEXT, "target": _TEXT, "relation": ("list", _REQUIRED, "str"),
@@ -381,31 +386,19 @@ def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
         )
 
 
-def _check_pullbacks(pairs: int, generators: Sequence[InvariantGenerator],
-                     hamiltonians: Sequence[Poly], lifts: Sequence[LiftSpec]) -> None:
-    """Reject a generator pullback or a lift expression in generator names
-    whose degree bound gives more than ``MAX_CANDIDATES`` monomials over the
-    ``2n`` coordinates: the build substitutes the hamiltonians into each
-    generator and the pullbacks into each lift expression."""
-    def refuse_over(bound: int, what: str) -> None:
-        if _candidate_count(2 * pairs, bound, MAX_CANDIDATES) > MAX_CANDIDATES:
-            raise ValidationError(
-                f"{what} has degree bound {bound} in the coordinates, which gives "
-                f"more than {MAX_CANDIDATES} monomials, over the size budget"
-            )
-
-    top = max((h.degree() for h in hamiltonians), default=0)
-    largest = 0
-    for gen in generators:
-        bound = max(gen.poly.degree(), 0) * max(top, 0)
-        refuse_over(bound, f"pullback of generator {echo(gen.name)}")
-        largest = max(largest, bound)
-    for spec in lifts:
-        if spec.classical is None:
-            degree, what = max(a.degree() for a in spec.relation), " relation"
-        else:
-            degree, what = spec.classical.degree(), ""
-        refuse_over(max(degree, 0) * largest, f"lift {echo(spec.name)}{what}")
+def _substitution_bound(pairs: int, expr: Poly, degree: int, where: str) -> int:
+    """The degree bound of ``expr`` with polynomials of degree at most
+    ``degree`` in the ``2n`` coordinates substituted, refused when it gives
+    more than ``MAX_CANDIDATES`` monomials: the build substitutes the
+    hamiltonians into each generator and the pullbacks into each lift
+    expression."""
+    bound = max(expr.degree(), 0) * max(degree, 0)
+    if _candidate_count(2 * pairs, bound, MAX_CANDIDATES) > MAX_CANDIDATES:
+        raise ValidationError(
+            f"{where} has degree bound {bound} in the coordinates, which gives "
+            f"more than {MAX_CANDIDATES} monomials, over the size budget"
+        )
+    return bound
 
 
 def _capped_check(expr: str, names: Sequence[str], where: str) -> Poly:
@@ -500,6 +493,11 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
     if len(ham_data) > len(index):
         extra = next(label for label in ham_data if label not in index)
         raise ParseError(f"hamiltonian for unknown label {echo(extra)}")
+    top = max((h.degree() for h in hamiltonians), default=0)
+    largest = max((  # the largest pullback bound
+        _substitution_bound(pairs, gen.poly, top, f"pullback of generator {echo(gen.name)}")
+        for gen in generators
+    ), default=0)
     quantum_corrections = []
     for label, corr in _read(
         doc["quantum_corrections"], None, "quantum_corrections"
@@ -509,6 +507,13 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         quantum_corrections.append((label, _series(
             corr, coord_names, f"quantum correction of {echo(label)}"
         )))
+
+    def lift_expression(expr: str, where: str) -> Poly:
+        """A polynomial in the generator names whose substitution with the
+        pullbacks is inside the budget."""
+        poly = _capped_check(expr, generator_names, where)
+        _substitution_bound(pairs, poly, largest, where)
+        return poly
 
     lifts = []
     lift_names = []
@@ -520,10 +525,9 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
         if lift_name in lift_names:
             raise ValidationError(f"lift {echo(lift_name)} is named twice")
         where = f"lift {echo(lift_name)}"
-        if classical:
-            lifts.append(LiftSpec(lift_name, classical=_capped_check(
-                entry["classical"], generator_names, where
-            )))
+        if classical:  # the monic relation x - E of degree 1
+            element = lift_expression(entry["classical"], where)
+            lifts.append(LiftSpec(lift_name, (-element,)))
         else:
             if not entry["relation"]:
                 raise ParseError("lift relation needs at least one coefficient")
@@ -533,13 +537,10 @@ def parse_scenario(data: dict, default_name: str = "scenario") -> Scenario:
                     f"over the word-length budget of {MAX_WORD_LENGTH}"
                 )
             target = _capped_check(entry["target"], coord_names, where)
-            relation = tuple(
-                _capped_check(expr, generator_names, f"{where} relation")
-                for expr in entry["relation"]
-            )
-            lifts.append(LiftSpec(lift_name, target=target, relation=relation))
+            relation = tuple(lift_expression(expr, f"{where} relation")
+                             for expr in entry["relation"])
+            lifts.append(LiftSpec(lift_name, relation, target))
         lift_names.append(lift_name)
-    _check_pullbacks(pairs, generators, hamiltonians, lifts)
 
     relations = tuple(
         (expr, _capped_check(expr, lift_names, "generator relation"))
@@ -621,12 +622,12 @@ def preset_path(name: str) -> Path | None:
 
 class BuiltScenario(NamedTuple):
     """Scenario with all mathematical objects constructed and validated.
-    The action holds the space, the product and the generators' pullbacks."""
+    The action holds the space, the product and the generators' pullbacks
+    and central lifts."""
 
     scenario: Scenario
     action: HamiltonianAction
-    central_lifts: tuple[HSeries, ...]  # in generator order
-    targets: dict[str, Poly]            # each lift's classical element, by name
+    targets: dict[str, Poly]  # each lift's classical element, by name
 
 
 def build_scenario(scenario: Scenario) -> BuiltScenario:
@@ -673,12 +674,9 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
             moment_image_basis(action, 0)
         except ValidationError as exc:
             raise ValidationError(f"the lift tasks cannot run: {exc}") from None
-    central_lifts = tuple(
-        action.central_lift(gen.name) for gen in lie.invariant_generators
-    )
-    targets = {
-        spec.name: spec.target if spec.classical is None
-        else spec.classical.substitute(action.pullbacks, space.nvars)
+    targets = {  # a classical request's target: its element on the pullbacks
+        spec.name: (-spec.relation[0]).substitute(action.pullbacks, space.nvars)
+        if spec.target is None else spec.target
         for spec in scenario.lifts
     }
     if "weyl" in scenario.tasks:
@@ -690,7 +688,7 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
                     f"the weyl task cannot run: classical part of lift {echo(name)} "
                     "is not weight-homogeneous"
                 )
-    return BuiltScenario(scenario, action, central_lifts, targets)
+    return BuiltScenario(scenario, action, targets)
 
 
 # -- lift assembly -----------------------------------------------------------------
@@ -701,14 +699,10 @@ def resolve_lift(built: BuiltScenario, spec: LiftSpec
     """Target polynomial and monic relation data for a lift request.  The
     target comes from the build; each relation coefficient is evaluated on
     the pullbacks and, under the deformed product, on the central lifts."""
-    f = built.targets[spec.name]
     act = built.action
-    if spec.classical is not None:
-        ahat = star_evaluate(act.star, spec.classical, built.central_lifts)
-        return f, MonicRelation((-f,), (-ahat,))
-    return f, MonicRelation(
+    return built.targets[spec.name], MonicRelation(
         tuple(a.substitute(act.pullbacks, act.space.nvars) for a in spec.relation),
-        tuple(star_evaluate(act.star, a, built.central_lifts) for a in spec.relation),
+        tuple(star_evaluate(act.star, a, act.central_lifts) for a in spec.relation),
     )
 
 
@@ -816,8 +810,9 @@ class _Run:
     def _task_triangle(self) -> TaskResult:
         details: dict[str, Any] = {"generators": [], "failures": []}
         passed = True
-        for gen in self.built.action.lie.invariant_generators:
-            check = check_classical_limit_triangle(self.built.action, gen.poly)
+        act = self.built.action
+        for gen, pullback in zip(act.lie.invariant_generators, act.pullbacks):
+            check = check_classical_limit_triangle(act, gen.poly, pullback)
             details["generators"].append(gen.name)
             if not check.passed:
                 passed = False

@@ -100,9 +100,6 @@ class HSeries:
             acc[r] = acc[r] + f if r in acc else f
         return HSeries(self.nvars, self.order, acc)
 
-    def __neg__(self) -> "HSeries":
-        return HSeries(self.nvars, self.order, {r: -f for r, f in self.terms.items()})
-
     def scale(self, value) -> "HSeries":
         value = as_scalar(value)
         return HSeries(

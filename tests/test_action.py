@@ -13,6 +13,7 @@ from qcenter import (
     StarProduct,
     UEnvElement,
     ValidationError,
+    central_section,
     check_classical_limit_triangle,
     check_quantum_moment_condition,
     symmetrize,
@@ -181,7 +182,7 @@ def test_comoment_golden_value(sl2_action):
     # equivalently: the square of the lifted pairing minus one parameter square
     lifted = HSeries.from_poly(tr, star.order)
     square = star.star(lifted, lifted)
-    assert image == square + -HSeries.one(4, star.order).hbar_shift(2)
+    assert image == square + HSeries.one(4, star.order).hbar_shift(2).scale(-1)
 
 
 def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):
@@ -196,9 +197,13 @@ def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):
     assert act2.comoment(UEnvElement.generator(torus1, 0, 8)) == HSeries.from_poly(h, 8)
 
 
+def _triangle(act, z):
+    return check_classical_limit_triangle(act, z, act.moment_pullback(z))
+
+
 def test_triangle_abelian_rank_one(torus_action):
     z = Poly.variable(1, 0)
-    report = check_classical_limit_triangle(torus_action, z)
+    report = _triangle(torus_action, z)
     assert report.passed
     assert torus_action.moment_pullback(z) == torus_action.hamiltonians[0]
 
@@ -206,7 +211,7 @@ def test_triangle_abelian_rank_one(torus_action):
 def test_triangle_casimir_both_paths(sl2_action):
     lie = sl2_action.lie
     cas = lie.generator("casimir").poly
-    report = check_classical_limit_triangle(sl2_action, cas)
+    report = _triangle(sl2_action, cas)
     assert report.passed
     sp = sl2_action.space
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
@@ -215,12 +220,12 @@ def test_triangle_casimir_both_paths(sl2_action):
 
 def test_triangle_constant(sl2_action):
     one = Poly.constant(3, 1)
-    assert check_classical_limit_triangle(sl2_action, one).passed
+    assert _triangle(sl2_action, one).passed
 
 
 def test_triangle_rejects_noninvariant(sl2_action):
     with pytest.raises(ValidationError):
-        check_classical_limit_triangle(sl2_action, Poly.variable(3, 0))
+        _triangle(sl2_action, Poly.variable(3, 0))
 
 
 def test_random_invariant_combinations_triangle(sl2_action, torus_action):
@@ -232,7 +237,7 @@ def test_random_invariant_combinations_triangle(sl2_action, torus_action):
             z = z + (cas**power).scale(Fraction(rng.randint(-3, 3)))
         if z.is_zero():
             continue
-        assert check_classical_limit_triangle(sl2_action, z).passed
+        assert _triangle(sl2_action, z).passed
     t = Poly.variable(1, 0)
     for _ in range(15):
         z = Poly.zero(1)
@@ -240,7 +245,28 @@ def test_random_invariant_combinations_triangle(sl2_action, torus_action):
             z = z + (t**power).scale(Fraction(rng.randint(-3, 3)))
         if z.is_zero():
             continue
-        assert check_classical_limit_triangle(torus_action, z).passed
+        assert _triangle(torus_action, z).passed
+
+
+def _two_generators():
+    # casimir^2 first, then casimir: the order of the lifts is visible
+    scenario = load_scenario("sl2_tstar_k2")
+    (cas,) = scenario.lie_generators
+    square = cas._replace(name="square", poly=cas.poly * cas.poly, section_correction=())
+    return scenario._replace(lie_generators=(square, cas), lifts=(), relations=(),
+                             center_generators=(), tasks=())
+
+
+@pytest.mark.parametrize("scenario", [
+    load_scenario("sl2_tstar_k2"), load_scenario("torus_k4"), _two_generators(),
+], ids=["sl2_tstar_k2", "torus_k4", "two_generators"])
+def test_the_action_holds_each_generators_central_lift_in_generator_order(scenario):
+    act = scenario_mod.build_scenario(scenario).action
+    names = [gen.name for gen in act.lie.invariant_generators]
+    assert names
+    assert act.central_lifts == tuple(
+        act.comoment(central_section(act.lie, name, act.order)) for name in names
+    )
 
 
 def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):

@@ -305,7 +305,8 @@ def test_each_operand_is_prepared_once_per_loop(torus4_action, monkeypatch):
     sp = act.space
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
     ahat = HSeries.from_poly(tr, act.order) + HSeries.one(4, act.order).hbar_shift(2)
-    rel = MonicRelation((-tr, tr * tr), (-ahat, HSeries.from_poly(tr * tr, act.order)))
+    rel = MonicRelation((-tr, tr * tr),
+                        (ahat.scale(-1), HSeries.from_poly(tr * tr, act.order)))
     tests = [u for d in range(5) for u in invariants.basis(d)]
     rel.validate_centrality(act, tests)
     assert len(built) == 2 + 1 + len(tests)

@@ -20,11 +20,11 @@ from pathlib import Path
 import pytest
 
 from qcenter.report import to_json
-from qcenter.scenario import load_scenario, run_scenario
+from qcenter.scenario import list_presets, load_scenario, run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(__file__).resolve().parent / "data"
-PRESETS = ("trivial_k2", "torus_k2", "torus_k4", "sl2_tstar_k2")
+PRESETS = [name for name, _ in list_presets()]  # a new preset needs its file
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -175,7 +175,7 @@ def test_generators_and_full_basis_agree_on_lifts(preset):
     # a series that is not central: both test sets flag it
     q1 = act.space.q(1)
     fhat = HSeries.from_poly(q1 * q1, act.order)
-    rel = MonicRelation((-q1 * q1,), (-fhat,))
+    rel = MonicRelation((-q1 * q1,), (fhat.scale(-1),))
     for tests in (generators, full):
         assert verify_lift(fhat, rel, act, tests).centrality_failures
         with pytest.raises(ValidationError, match="not central"):

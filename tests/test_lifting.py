@@ -54,7 +54,7 @@ def sl2_lift_data(sl2_action):
     # exact square of the lifted pairing
     lifted = HSeries.from_poly(tr, star.order)
     ahat = star.star(lifted, lifted)
-    rel = MonicRelation((-a, Poly.zero(4)), (-ahat, HSeries.zero(4, star.order)))
+    rel = MonicRelation((-a, Poly.zero(4)), (ahat.scale(-1), HSeries.zero(4, star.order)))
     return tr, a, ahat, rel
 
 
@@ -89,7 +89,7 @@ def test_linear_relation_returns_designated_lift(torus_action):
         Fraction(1, 3)
     )
     # the correction must be central for the relation data to validate
-    rel = MonicRelation((-qp,), (-ahat,))
+    rel = MonicRelation((-qp,), (ahat.scale(-1),))
     rel.validate_centrality(torus_action, invariant_tests(torus_action))
     lifted = hensel_lift(qp, rel, torus_action)
     assert lifted == ahat
@@ -116,7 +116,8 @@ def test_sl2_lift_obstruction_with_uncorrected_section(sl2_action):
     a = tr * tr
     cas = lie.generator("casimir").poly
     plain_image = sl2_action.comoment(symmetrize(lie, cas, star.order))
-    rel = MonicRelation((-a, Poly.zero(4)), (-plain_image, HSeries.zero(4, star.order)))
+    rel = MonicRelation((-a, Poly.zero(4)),
+                        (plain_image.scale(-1), HSeries.zero(4, star.order)))
     with pytest.raises(LiftObstructionError) as info:
         hensel_lift(tr, rel, sl2_action)
     assert info.value.order == 2
@@ -129,9 +130,9 @@ def test_perturbed_relation_tracks_quantum_data(torus_action):
     star = torus_action.star
     qp = sp.q(1) * sp.p(1)
     perturbed = (
-        HSeries.from_poly(qp, star.order) + -HSeries.one(2, star.order).hbar_shift(1)
+        HSeries.from_poly(qp, star.order) + HSeries.one(2, star.order).hbar_shift(1).scale(-1)
     )
-    rel = MonicRelation((-qp,), (-perturbed,))
+    rel = MonicRelation((-qp,), (perturbed.scale(-1),))
     lifted = hensel_lift(qp, rel, torus_action)
     assert lifted == perturbed
     assert lifted.coefficient(1) == Poly.constant(2, -1)
@@ -160,7 +161,7 @@ def test_divisible_perturbation_proceeds_then_obstructs(sl2_action, sl2_lift_dat
         rel.coefficients,
         (
             rel.quantum_coefficients[0]
-            + -HSeries.from_poly(a, star.order).hbar_shift(2),
+            + HSeries.from_poly(a, star.order).hbar_shift(2).scale(-1),
             rel.quantum_coefficients[1],
         ),
     )
@@ -240,7 +241,7 @@ def test_verify_lift_reports_first_failing_order(torus_action):
     corrected = (
         HSeries.from_poly(qp, star.order) + HSeries.one(2, star.order).hbar_shift(1)
     )
-    rel = MonicRelation((-qp,), (-corrected,))
+    rel = MonicRelation((-qp,), (corrected.scale(-1),))
     # claim the bare element is the lift although the data demands a shift
     report = verify_lift(HSeries.from_poly(qp, star.order), rel, torus_action)
     assert not report.passed
@@ -338,9 +339,9 @@ def test_lift_order_by_order_uniqueness(sl2_action, sl2_lift_data):
 def _off_truncation_calls(act):
     """Relation data or a lift away from the action's truncation 8."""
     qp = act.space.q(1) * act.space.p(1)
-    high = MonicRelation((-qp,), (-HSeries.from_poly(qp, 10),))
-    low = MonicRelation((-qp,), (-HSeries.from_poly(qp, 6),))
-    rel = MonicRelation((-qp,), (-HSeries.from_poly(qp, act.star.order),))
+    high = MonicRelation((-qp,), (HSeries.from_poly(-qp, 10),))
+    low = MonicRelation((-qp,), (HSeries.from_poly(-qp, 6),))
+    rel = MonicRelation((-qp,), (HSeries.from_poly(-qp, act.star.order),))
     low_lift = HSeries.from_poly(qp, 6)
     return {
         "hensel_lift": lambda: hensel_lift(qp, high, act),
@@ -369,7 +370,7 @@ def test_hensel_lift_checks_minimality_without_a_subalgebra():
     act = HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2), [tr])
     lifted = HSeries.from_poly(tr, act.order)
     square = act.star.star(lifted, lifted)
-    rel = MonicRelation((-tr * tr, Poly.zero(4)), (-square, HSeries.zero(4, 2)))
+    rel = MonicRelation((-tr * tr, Poly.zero(4)), (square.scale(-1), HSeries.zero(4, 2)))
     with pytest.raises(ValidationError, match="smaller monic relation"):
         hensel_lift(tr, rel, act)
 

@@ -63,7 +63,7 @@ def _frozen_records():
     space = SymplecticSpace(1)
     q1 = space.q(1)
     yield load_scenario("torus_k4"), "truncation"
-    yield LiftSpec("J"), "target"
+    yield LiftSpec("J", ()), "target"
     yield InvariantGenerator("t", q1), "poly"
     yield MonicRelation((-q1,), (HSeries.from_poly(-q1, 2),)), "coefficients"
     yield q1, "terms"

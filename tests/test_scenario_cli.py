@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qcenter
+import qcenter.action as action_mod
 import qcenter.scenario as scenario_mod
 from qcenter import StarProduct, SymplecticSpace
 from qcenter.cli import main
@@ -308,24 +309,29 @@ def test_a_failed_lift_run_is_reported_by_each_task_that_needs_it(tmp_path):
 
 def test_one_run_computes_each_shared_result_once(monkeypatch):
     # the invariants, the lift test set and the lift run are shared by the
-    # tasks that read them, each computed on first use
-    calls = {"invariants_up_to": 0, "quantum_tests": 0, "run_lifts": 0}
+    # tasks that read them, each computed on first use; the action builds
+    # each generator's central section once, for every lift to read
+    modules = {"invariants_up_to": scenario_mod, "quantum_tests": scenario_mod,
+               "run_lifts": scenario_mod, "central_section": action_mod}
+    calls = dict.fromkeys(modules, 0)
 
     def counted(name):
-        real = getattr(scenario_mod, name)
+        real = getattr(modules[name], name)
 
         def spy(*args):
             calls[name] += 1
             return real(*args)
         return spy
 
-    for name in calls:
-        monkeypatch.setattr(scenario_mod, name, counted(name))
+    for name, module in modules.items():
+        monkeypatch.setattr(module, name, counted(name))
     scenario = load_scenario("sl2_tstar_k2")
     report = run_scenario(scenario._replace(tasks=("invariants", "lift", "iso", "weyl")))
     assert [task.task for task in report.tasks] == ["invariants", "lift", "iso", "weyl"]
     assert all(task.passed for task in report.tasks)
-    assert calls == {"invariants_up_to": 1, "quantum_tests": 1, "run_lifts": 1}
+    assert len(scenario.lie_generators) == 1
+    assert calls == {"invariants_up_to": 1, "quantum_tests": 1, "run_lifts": 1,
+                     "central_section": 1}
 
 
 def test_shipped_scenarios_validate():
@@ -343,6 +349,20 @@ def test_zero_target_of_a_degree_1_relation_lifts_to_zero(tmp_path, capsys):
     assert main(["run", path, "--report", "json"]) == 0
     (lift,) = json.loads(capsys.readouterr().out)["tasks"][0]["details"]["lifts"]
     assert (lift["name"], lift["target"], lift["passed"]) == ("z", "0", True)
+
+
+def test_a_classical_lift_runs_as_its_degree_1_relation():
+    # {"classical": E} is the monic relation x - E with E's pullback as target
+    def details(lift: dict) -> list:
+        data = dict(refusals.preset("sl2_tstar_k2"), tasks=["lift", "iso", "weyl"])
+        data["lifts"] = [lift, *data["lifts"][1:]]
+        report = run_scenario(parse_scenario(data))
+        return [(task.task, task.passed, task.details) for task in report.tasks]
+
+    classical = details({"name": "c2", "classical": "casimir"})
+    assert classical == details({"name": "c2", "target": "(q1*p1 + q2*p2)^2",
+                                 "relation": ["-casimir"]})
+    assert [passed for _, passed, _ in classical] == [True] * 3
 
 
 def _leaf_paths(table: dict, prefix: str = ""):
