@@ -36,18 +36,23 @@ Both systems are shrunk without changing any answer:
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
   with the generators does so with every invariant up to the cutoff.  The
-  deformed commutator is a derivation of the product, and when every
-  hamiltonian has degree at most 2 the product is invariant under the
-  action, so ``g * v`` is the deformed product of ``g`` and ``v`` minus
-  higher-order terms that are invariants of lower degree; by induction on
-  the degree, commuting with the generators modulo the truncation is then
-  commuting with every invariant.  Both centers use the generators under
-  that condition and the full test set otherwise (``quantum_tests``).
-  Either way the solution space is the same, and the kernel bases are
-  canonical.  The argument holds for any series, so the scenario's lift
-  tasks test centrality against the same set.  ``compare_centers``
-  computes the invariants and their generators once and returns the
-  generators with its report.
+  deformed commutator is a derivation of the deformed product
+  ``star(u, v) = sum_r hbar^r B_r(u, v)``, and every action proved the
+  quantum condition ``[H_hat, f] = hbar {H, f}`` modulo ``hbar^(N+1)``
+  when it was built, ``N`` its truncation.  For invariants ``u`` and
+  ``v``, ``[H_hat, star(u, v)]`` is then both ``hbar {H, star(u, v)}`` and
+  ``star([H_hat, u], v) + star(u, [H_hat, v]) = 0`` modulo
+  ``hbar^(N+1)``, so each ``B_r(u, v)`` with ``r < N`` is invariant.
+  ``B_N`` need not be: ``hbar^N [z, B_N]`` vanishes modulo ``hbar^(N+1)``
+  for every series ``z``.  So ``g * v`` is ``star(g, v)`` minus
+  invariants of lower degree and a term no commutator sees, and by
+  induction on the degree, commuting with the generators modulo the
+  truncation is commuting with every invariant up to the cutoff, whatever
+  the degree of the hamiltonians.  Both centers test against the
+  generators, and the kernel bases are canonical.  The argument holds for
+  any series, so the scenario's lift tasks test centrality against the
+  same set.  ``compare_centers`` computes the invariants and their
+  generators once and returns the generators with its report.
 
 The test cutoff is assumed, not certified.  Testing up to it is testing
 against every invariant exactly when every generator of the invariant
@@ -339,10 +344,10 @@ def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
     """Invariants whose bracket with every invariant basis element up to
     the test cutoff vanishes.  ``invariants`` is the run's
     ``invariants_up_to(act, test_degree)`` and ``commutators`` its table
-    up to ``max_degree`` against ``quantum_tests``, to order 1 at least.
-    The bracket is the order-1 term of each commutator, read in every test
-    column: the test set holds the generators, and the bracket is a
-    biderivation, so the full basis gives the same kernel."""
+    up to ``max_degree`` against its ``invariant_generators``, to order 1
+    at least.  The bracket is the order-1 term of each commutator, read in
+    every test column: the bracket is a biderivation, so the generators
+    give the kernel the full basis gives, for any action."""
     nv = act.space.nvars
     slices: dict[int, list[Poly]] = {}
     for degree in range(max_degree + 1):
@@ -407,28 +412,6 @@ def check_slicing_grading(space):
             "quantum-center slicing requires the uniform default weights"
         )
     space.check_graded_bivector()
-
-
-def quantum_tests(act: HamiltonianAction, invariants: GradedSubspace,
-                  test_degree: int, generators: list[Poly] | None
-                  ) -> list[Poly]:
-    """The test set against which commuting with every invariant up to the
-    test cutoff is decided, modulo the truncation: the generators when
-    every hamiltonian has degree at most 2, else the whole invariant basis
-    up to the cutoff.  ``generators``, when given, must be the
-    ``invariant_generators`` of ``invariants``."""
-    if all(h.degree() <= 2 for h in act.hamiltonians):
-        # the product is invariant, so products of generators expand into
-        # lower-degree invariants
-        if generators is None:
-            return invariant_generators(invariants, test_degree)
-        return generators
-    return [
-        u
-        for degree in invariants.degrees()
-        if degree <= test_degree
-        for u in invariants.basis(degree)
-    ]
 
 
 def _series_from_vector(act, blocks, vector) -> HSeries:
@@ -499,14 +482,17 @@ class CenterReport(NamedTuple):
 def compare_centers(
     act: HamiltonianAction, max_degree: int, test_degree: int
 ) -> CenterReport:
-    """Assemble the per-degree comparison table of both centers."""
+    """Assemble the per-degree comparison table of both centers.
+
+    ``act`` must have passed its constructor's validation: the quantum
+    condition it proves there is what makes the invariant generators a
+    complete test set (module docstring)."""
     check_slicing_grading(act.space)
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     invariants = invariants_up_to(act, test_degree)
     generators = invariant_generators(invariants, test_degree)
-    tests = quantum_tests(act, invariants, test_degree, generators)
-    commutators = _commutator_table(act, invariants, max_degree, tests,
+    commutators = _commutator_table(act, invariants, max_degree, generators,
                                     max(act.order, 1))
     poisson = poisson_center_up_to(act, max_degree, invariants, commutators)
     quantum = quantum_center_up_to(act, max_degree, invariants, commutators)

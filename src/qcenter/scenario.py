@@ -100,9 +100,9 @@ from .action import (
 from .centers import (
     check_slicing_grading,
     compare_centers,
+    invariant_generators,
     invariants_up_to,
     moment_image_basis,
-    quantum_tests,
 )
 from .errors import DegreeCapError, ParseError, QCenterError, ValidationError, echo
 from .liealg import InvariantGenerator, LieAlgebraData
@@ -698,10 +698,15 @@ def resolve_lift(built: BuiltScenario, spec: LiftSpec
                  ) -> tuple[Poly, MonicRelation]:
     """Target polynomial and monic relation data for a lift request.  The
     target comes from the build; each relation coefficient is evaluated on
-    the pullbacks and, under the deformed product, on the central lifts."""
+    the pullbacks and, under the deformed product, on the central lifts.
+    The one coefficient ``-E`` of a classical request is the negated
+    target, which the build substituted already."""
     act = built.action
-    return built.targets[spec.name], MonicRelation(
-        tuple(a.substitute(act.pullbacks, act.space.nvars) for a in spec.relation),
+    target = built.targets[spec.name]
+    classical = (-target,) if spec.target is None else tuple(
+        a.substitute(act.pullbacks, act.space.nvars) for a in spec.relation)
+    return target, MonicRelation(
+        classical,
         tuple(star_evaluate(act.star, a, act.central_lifts) for a in spec.relation),
     )
 
@@ -775,12 +780,15 @@ class _Run:
 
     @cached_property
     def lift_tests(self) -> list[Poly]:
-        """The quantum center's test set (``quantum_tests``): a series that
-        commutes with it modulo the truncation commutes with every invariant
-        up to the test cutoff.  The generators a centers task found are
-        reused, else they are found once here."""
-        return quantum_tests(self.built.action, self.invariants,
-                             self.built.scenario.test_degree, self.generators)
+        """The quantum center's test set, the invariant generators up to the
+        test cutoff: on the validated action, a series that commutes with
+        them modulo the truncation commutes with every invariant up to the
+        cutoff.  The generators a centers task found are reused, else they
+        are found once here."""
+        if self.generators is None:
+            return invariant_generators(self.invariants,
+                                        self.built.scenario.test_degree)
+        return self.generators
 
     @cached_property
     def lifts(self) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:

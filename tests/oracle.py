@@ -313,16 +313,16 @@ class UncheckedAction(HamiltonianAction):
 def center_inputs(act, max_degree: int, test_degree: int, invariants=None):
     """``(invariants, table)`` for ``poisson_center_up_to`` and
     ``quantum_center_up_to``, by ``compare_centers``' steps: the invariants
-    up to ``test_degree`` (unless given), their generators, the quantum test
-    set and one commutator table to the action's truncation.  The steps are
-    looked up in ``qcenter.centers`` at call time, so a test that
-    monkeypatches one of them changes these inputs too."""
+    up to ``test_degree`` (unless given), their generators, which are the
+    test set of both centers on a validated action, and one commutator
+    table against them to the action's truncation.  The steps are looked up
+    in ``qcenter.centers`` at call time, so a test that monkeypatches one of
+    them changes these inputs too."""
     centers.check_slicing_grading(act.space)
     if invariants is None:
         invariants = centers.invariants_up_to(act, test_degree)
     generators = centers.invariant_generators(invariants, test_degree)
-    tests = centers.quantum_tests(act, invariants, test_degree, generators)
-    table = centers._commutator_table(act, invariants, max_degree, tests,
+    table = centers._commutator_table(act, invariants, max_degree, generators,
                                       max(act.order, 1))
     return invariants, table
 

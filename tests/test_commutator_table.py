@@ -7,8 +7,10 @@ its order-1 term in every test column, the quantum block ``(r, b)`` its
 orders up to ``order - r``, raised by ``r``.  The reference below builds
 the systems the direct way, one bracket per (candidate, generator) and one
 capped commutator per (series block, test element), and must give the same
-slices.  For a cubic hamiltonian the test set is the full invariant basis,
-so there the Poisson slices must agree with the generators' kernel.
+slices.  The test set is the invariant generators on every validated
+action, quadratic or not: the cases include a cubic hamiltonian at the
+truncations where its quantum condition holds, and a skew torus whose
+cubic generators give commutators of orders 1 and 3.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from qcenter import (
     EchelonAccumulator,
     GradedSubspace,
+    HamiltonianAction,
     StarProduct,
     SymplecticSpace,
     compare_centers,
@@ -39,7 +42,7 @@ from qcenter.centers import (
 )
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import UncheckedAction, abelian_data, center_inputs, poly_key
+from oracle import abelian_data, center_inputs, poly_key
 
 
 def _reference(act, max_degree, test_degree, invariants):
@@ -59,11 +62,6 @@ def _reference(act, max_degree, test_degree, invariants):
                 solver, [{0: star.poisson(c, u)} for c in candidates]
             )
         poisson[degree] = [_combine(candidates, v, nv) for v in solver.kernel()]
-    if all(h.degree() <= 2 for h in act.hamiltonians):
-        tests = generators
-    else:
-        tests = [u for d in invariants.degrees() if d <= test_degree
-                 for u in invariants.basis(d)]
     k, order = act.space.hbar_weight, act.order
     quantum = {}
     for degree in range(max_degree + 1):
@@ -76,7 +74,7 @@ def _reference(act, max_degree, test_degree, invariants):
             quantum[degree] = QuantumCenterSlice(degree, [], 0, [])
             continue
         solver = EchelonAccumulator(len(blocks))
-        for u in tests:
+        for u in generators:
             _add_coefficient_rows(solver, [
                 {r + s: t for s, t in star.commutator_terms(b, u, order - r).items()}
                 for r, b in blocks
@@ -97,11 +95,16 @@ def _preset_action(name, truncation):
     return build_scenario(scenario).action
 
 
-def _cubic_action(truncation):
-    # a cubic hamiltonian: the quantum center keeps the full test set
+# validated actions of one hamiltonian on two pairs: a cubic one passes its
+# quantum condition up to truncation 2, and the skew torus has the cubic
+# invariant generators q2^2*p1 and q1*p2^2
+_HAMILTONIANS = {"cubic": "q1^3", "skew": "2*q1*p1 + q2*p2"}
+
+
+def _validated_action(name, truncation):
     space = SymplecticSpace(2)
-    h = parse_poly("q1^3", space.names)
-    return UncheckedAction(
+    h = parse_poly(_HAMILTONIANS[name], space.names)
+    return HamiltonianAction(
         abelian_data(1, ["t"]), StarProduct(space, truncation), [h]
     )
 
@@ -109,18 +112,19 @@ def _cubic_action(truncation):
 CASES = [
     *[("torus_k4", t, 6, 8) for t in (0, 1, None)],
     *[("sl2_tstar_k2", t, 4, 6) for t in (0, 1, None)],
-    *[("cubic", t, 4, 6) for t in (0, 1, 4)],
-    # at degree 5 orders 1 and 3 couple the groups r = 0 and r = 2 around
+    *[("cubic", t, 4, 6) for t in (0, 1, 2)],
+    ("skew", 4, 4, 6),
+    # at degree 6 orders 1 and 3 couple the groups r = 0 and r = 2 around
     # the group r = 1 (see test_a_component_can_interleave_with_another)
-    ("cubic", 4, 5, 6),
+    ("skew", 4, 6, 6),
 ]
 
 
 @pytest.mark.parametrize("name, truncation, max_degree, test_degree", CASES)
 def test_slices_match_the_per_block_reference(name, truncation, max_degree,
                                               test_degree):
-    if name == "cubic":
-        act = _cubic_action(truncation)
+    if name in _HAMILTONIANS:
+        act = _validated_action(name, truncation)
     else:
         act = _preset_action(name, truncation)
     inv = invariants_up_to(act, test_degree)
@@ -192,11 +196,11 @@ def test_quantum_slices_reuse_the_poisson_kernels(monkeypatch):
 
 
 def test_a_component_can_interleave_with_another():
-    # the cubic test elements give orders 1 and 3: at degree 5 the groups
-    # r = 0 and r = 2 share order 3 and form one component, while r = 1
-    # between them is solved alone
-    act = _cubic_action(4)
-    inputs = center_inputs(act, 5, 6)
-    quantum_center_up_to(act, 5, *inputs)
-    assert ((0, 5, 3), (2, 1, 1)) in inputs[1].kernels
-    assert ((0, 3, 3),) in inputs[1].kernels
+    # the skew torus's cubic generators q2^2*p1 and q1*p2^2 give orders 1
+    # and 3: at degree 6 the groups r = 0 and r = 2 share order 3 and form
+    # one component, while r = 1 between them is solved alone
+    act = _validated_action("skew", 4)
+    inputs = center_inputs(act, 6, 6)
+    quantum_center_up_to(act, 6, *inputs)
+    assert ((0, 6, 3), (2, 2, 1)) in inputs[1].kernels
+    assert ((0, 4, 1),) in inputs[1].kernels

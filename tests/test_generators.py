@@ -3,9 +3,12 @@
 ``invariant_generators`` keeps the invariants that are not products of
 lower-degree ones.  Commuting with the generators is as strong as
 commuting with every invariant up to the test cutoff: the bracket is a
-biderivation, and for hamiltonians of degree at most 2 the commutator is a
-derivation of an invariant product.  Monkeypatching the generator set back
-to the full basis must therefore change no slice.
+biderivation, the commutator is a derivation of the deformed product, and
+the quantum condition a validated action proves makes every term of a
+product of invariants below the truncation invariant, whatever the
+hamiltonians' degree.  Monkeypatching the generator set back to the full
+basis must therefore change no slice and no report, on the presets and on
+validated cubic and quartic actions alike.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from qcenter import (
+    HamiltonianAction,
     Poly,
     StarProduct,
     SymplecticSpace,
@@ -25,7 +29,7 @@ from qcenter import centers
 from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import UncheckedAction, abelian_data, center_inputs, poly_key
+from oracle import abelian_data, center_inputs, poly_key
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -96,52 +100,50 @@ def test_every_invariant_is_a_polynomial_in_the_generators(preset):
             assert in_span(u, products[degree]), (preset, degree, u)
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_full_test_set_gives_the_same_slices(preset, monkeypatch):
-    built, inv = _built(preset)
-    scenario = built.scenario
-    act = built.action
-    args = (act, scenario.max_degree, scenario.test_degree, inv)
+# validated actions of one hamiltonian of degree 3 or 4 on two pairs, by
+# case id: (hamiltonian, truncation, max_degree, test_degree); the quantum
+# condition of each holds at truncations 1 and 2
+VALIDATED = {
+    f"{expr}-t{truncation}": (expr, truncation, max_degree, test_degree)
+    for expr, max_degree, test_degree in [
+        ("q1^2*p1", 8, 10), ("q1^3", 6, 8), ("q1^4", 6, 8),
+    ]
+    for truncation in (1, 2)
+}
+
+
+def _case(case):
+    """The action, ``max_degree`` and ``test_degree`` of a preset or of a
+    ``VALIDATED`` case."""
+    if case in VALIDATED:
+        expr, truncation, max_degree, test_degree = VALIDATED[case]
+        space = SymplecticSpace(2)
+        act = HamiltonianAction(abelian_data(1, ["t"]),
+                                StarProduct(space, truncation),
+                                [parse_poly(expr, space.names)])
+        return act, max_degree, test_degree
+    scenario = load_scenario(case)
+    return build_scenario(scenario).action, scenario.max_degree, scenario.test_degree
+
+
+@pytest.mark.parametrize("case", PRESETS + list(VALIDATED))
+def test_full_test_set_gives_the_same_slices(case, monkeypatch):
+    act, max_degree, test_degree = _case(case)
+    inv = invariants_up_to(act, test_degree)
+    args = (act, max_degree, test_degree, inv)
     inputs = center_inputs(*args)
-    poisson = poisson_center_up_to(act, scenario.max_degree, *inputs)
-    quantum = quantum_center_up_to(act, scenario.max_degree, *inputs)
+    poisson = poisson_center_up_to(act, max_degree, *inputs)
+    quantum = quantum_center_up_to(act, max_degree, *inputs)
+    report = centers.compare_centers(act, max_degree, test_degree).to_json_dict()
     monkeypatch.setattr(centers, "invariant_generators", _full_basis)
     inputs = center_inputs(*args)
-    full_poisson = poisson_center_up_to(act, scenario.max_degree, *inputs)
+    full_poisson = poisson_center_up_to(act, max_degree, *inputs)
     assert full_poisson.slices == poisson.slices
-    full = quantum_center_up_to(act, scenario.max_degree, *inputs)
+    full = quantum_center_up_to(act, max_degree, *inputs)
     assert full.keys() == quantum.keys()
     for degree, slice_q in quantum.items():
         assert full[degree] == slice_q
-
-
-def _spy(monkeypatch) -> list:
-    calls = []
-
-    def spy(invariants, test_degree):
-        calls.append(test_degree)
-        return _full_basis(invariants, test_degree)
-
-    monkeypatch.setattr(centers, "invariant_generators", spy)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "expr, uses_generators",
-    [("q1*p1", True), ("q1^2 + p1 + 3", True), ("q1^3", False)],
-)
-def test_quantum_center_uses_generators_only_for_quadratic_actions(
-    expr, uses_generators, monkeypatch
-):
-    space = SymplecticSpace(1)
-    h = parse_poly(expr, space.names)
-    # a cubic hamiltonian breaks the quantum condition, so skip validation
-    act = UncheckedAction(abelian_data(1, ["t"]), StarProduct(space, 4), [h])
-    inv = invariants_up_to(act, 4)
-    calls = _spy(monkeypatch)
-    tests = centers.quantum_tests(act, inv, 4, None)
-    assert calls == ([4] if uses_generators else [])
-    assert tests == _full_basis(inv, 4)
+    assert centers.compare_centers(act, max_degree, test_degree).to_json_dict() == report
 
 
 @pytest.mark.parametrize("preset", PRESETS)

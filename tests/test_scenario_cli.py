@@ -11,8 +11,9 @@ import pytest
 
 import qcenter
 import qcenter.action as action_mod
+import qcenter.centers as centers_mod
 import qcenter.scenario as scenario_mod
-from qcenter import StarProduct, SymplecticSpace
+from qcenter import Poly, StarProduct, SymplecticSpace
 from qcenter.cli import main
 from qcenter.scenario import (
     MAX_SAMPLES,
@@ -21,6 +22,7 @@ from qcenter.scenario import (
     list_presets,
     load_scenario,
     parse_scenario,
+    resolve_lift,
     run_scenario,
 )
 from qcenter.errors import ParseError, ValidationError
@@ -311,7 +313,7 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
     # the invariants, the lift test set and the lift run are shared by the
     # tasks that read them, each computed on first use; the action builds
     # each generator's central section once, for every lift to read
-    modules = {"invariants_up_to": scenario_mod, "quantum_tests": scenario_mod,
+    modules = {"invariants_up_to": scenario_mod, "invariant_generators": scenario_mod,
                "run_lifts": scenario_mod, "central_section": action_mod}
     calls = dict.fromkeys(modules, 0)
 
@@ -330,7 +332,7 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
     assert [task.task for task in report.tasks] == ["invariants", "lift", "iso", "weyl"]
     assert all(task.passed for task in report.tasks)
     assert len(scenario.lie_generators) == 1
-    assert calls == {"invariants_up_to": 1, "quantum_tests": 1, "run_lifts": 1,
+    assert calls == {"invariants_up_to": 1, "invariant_generators": 1, "run_lifts": 1,
                      "central_section": 1}
 
 
@@ -363,6 +365,53 @@ def test_a_classical_lift_runs_as_its_degree_1_relation():
     assert classical == details({"name": "c2", "target": "(q1*p1 + q2*p2)^2",
                                  "relation": ["-casimir"]})
     assert [passed for _, passed, _ in classical] == [True] * 3
+
+
+def test_a_classical_lift_is_substituted_once(monkeypatch):
+    # the build substitutes E on the pullbacks for the target, and
+    # resolve_lift takes the coefficient -E as the negated target
+    built = build_scenario(load_scenario("sl2_tstar_k2"))
+    act, spec = built.action, built.scenario.lifts[0]
+    assert (spec.name, spec.target) == ("c2", None)
+    expected = spec.relation[0].substitute(act.pullbacks, act.space.nvars)
+    substitute, calls = Poly.substitute, []
+
+    def spy(self, values, nvars):
+        calls.append(self)
+        return substitute(self, values, nvars)
+
+    monkeypatch.setattr(Poly, "substitute", spy)
+    target, rel = resolve_lift(built, spec)
+    assert calls == []
+    assert rel.coefficients == (expected,) and target == -expected
+
+
+def test_a_cubic_action_is_tested_against_its_generators(tmp_path, monkeypatch):
+    # q1^2*p1 passes its quantum condition at truncation 2, so the invariant
+    # generators are a complete test set: forcing the full invariant basis
+    # on the centers and the lifts changes no report byte
+    def report(name: str) -> bytes:
+        out = tmp_path / name
+        assert main(["run", str(DATA / "cubic_t2.json"), "--report", "json",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    generators = report("generators.json")
+    tasks = json.loads(generators)["tasks"]
+    assert [task["task"] for task in tasks] == ["invariants", "centers", "lift",
+                                                "iso", "weyl"]
+    assert all(task["passed"] for task in tasks)
+    forced = []
+
+    def full_basis(invariants, test_degree):
+        forced.append(test_degree)
+        return [u for d in invariants.degrees() if d <= test_degree
+                for u in invariants.basis(d)]
+
+    for module in (centers_mod, scenario_mod):
+        monkeypatch.setattr(module, "invariant_generators", full_basis)
+    assert report("full.json") == generators
+    assert forced == [10]
 
 
 def _leaf_paths(table: dict, prefix: str = ""):
