@@ -25,14 +25,17 @@ The constructor builds, once, the record every consumer reads: each
 classical and quantum hamiltonian prepared for the contraction kernel, the
 coordinate brackets ``{H_i, x_j}``, and from them the integer weight rows
 of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
-of the others.  The checks, the comoment, the invariant solves and the lift
-recursion read it.  Once the action is validated it also holds, for each
-designated invariant generator in generator order, the two halves of the
-moment map on it: its moment pullback (``pullbacks``), which the
-moment-image basis, the lift targets and the classical coefficients of the
-lift relations read, and its central lift (``central_lifts``), the
-comoment image of its central section, on which the quantum coefficients
-are evaluated.
+of the others (``nondiagonal``), and among those the indices whose rows the
+invariant solve feeds (``eliminated``): all of them less each one an sl2
+triple with a kept one and a diagonal element discharges (the rule and its
+proof are in the ``centers`` module docstring).  The checks, the comoment,
+the invariant solves and the lift recursion read it.  Once the action is
+validated it also holds, for each designated invariant generator in
+generator order, the two halves of the moment map on it: its moment
+pullback (``pullbacks``), which the moment-image basis, the lift targets
+and the classical coefficients of the lift relations read, and its central
+lift (``central_lifts``), the comoment image of its central section, on
+which the quantum coefficients are evaluated.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class HamiltonianAction:
                 rows.append(tuple(int(x * scale) for x in w))
         self.weight_rows = tuple(rows)  # of the diagonal hamiltonians
         self.nondiagonal = tuple(nondiagonal)  # indices of the others
+        # the non-diagonal indices whose rows the invariant solve feeds
+        self.eliminated = _eliminated(lie, self.hamiltonians, self.nondiagonal)
         self._chain_cache: dict[tuple[int, ...], HSeries] = {}
         self.validate()
         self.pullbacks = tuple(  # in generator order
@@ -228,6 +233,45 @@ def _diagonal_weights(brackets: Sequence[Poly]) -> list[Fraction] | None:
             return None
         weights.append(bracket.terms.get(exp, Fraction(0)))
     return weights
+
+
+def _eliminated(lie: LieAlgebraData, hamiltonians: Sequence[Poly],
+                nondiagonal: Sequence[int]) -> tuple[int, ...]:
+    """The non-diagonal indices, in order, less each ``y`` that an
+    earlier kept ``x`` raises to (``centers`` module docstring, "Raising
+    rows only"): ``H_x`` and ``H_y`` homogeneous quadratic, ``y`` a root
+    vector of the diagonal elements with root ``alpha`` and ``x`` one with
+    root ``-alpha``, and ``[x, y]`` in their span with
+    ``alpha_x([x, y]) != 0``, which makes ``alpha`` nonzero."""
+    diagonal = set(range(lie.dim)) - set(nondiagonal)
+
+    def root(y: int) -> dict[int, Fraction] | None:
+        """``{d: alpha_d}`` with ``[d, y] = alpha_d * y`` for each diagonal
+        ``d``, when ``H_y`` is homogeneous quadratic; else None."""
+        h = hamiltonians[y]
+        if h.degree() != 2 or not h.is_homogeneous((1,) * h.nvars):
+            return None
+        alpha = {}
+        for d in diagonal:
+            comps = lie.bracket(d, y)
+            if comps.keys() - {y}:
+                return None
+            alpha[d] = comps.get(y, Fraction(0))
+        return alpha
+
+    roots = {y: root(y) for y in nondiagonal}
+    kept: list[int] = []
+    for y in nondiagonal:
+        alpha = roots[y]
+        if alpha is not None and any(
+            roots[x] == {d: -a for d, a in alpha.items()}
+            and lie.bracket(x, y).keys() <= diagonal
+            and sum(c * roots[x][d] for d, c in lie.bracket(x, y).items())
+            for x in kept
+        ):
+            continue
+        kept.append(y)
+    return tuple(kept)
 
 
 # -- executable checks ------------------------------------------------------------

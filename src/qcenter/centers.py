@@ -27,11 +27,37 @@ Both systems are shrunk without changing any answer:
   hamiltonian can be invariant, and only the other hamiltonians are
   eliminated.  The dropped columns are unit rows of the full system,
   which the canonical kernel sets to zero, so every basis is unchanged.
+  The candidates are enumerated from the integer weight rows the action
+  holds (``weight_zero_table``), not filtered out of every monomial.
   The same derivation rule, ``{h, x^e} = sum_j e_j x^(e - eps_j) {h, x_j}``,
   builds the rows of the other hamiltonians from their coordinate
   brackets, which the action holds (``coordinate_brackets``): each
   hamiltonian is bracketed with the coordinates once per action, and no
   candidate goes through the kernel.
+* *Raising rows only.*  Of the non-diagonal hamiltonians, the solve feeds
+  the rows of ``act.eliminated``: it drops ``y`` when ``H_y`` is
+  homogeneous quadratic, ``y`` is a root vector of the diagonal elements
+  (``[d, y] = alpha_d * y`` for each diagonal ``d``) with a nonzero root
+  ``alpha``, and a kept ``x`` with ``H_x`` homogeneous quadratic has root
+  ``-alpha``, with ``[x, y] = c`` in the span of the diagonal elements and
+  ``alpha_x(c) = lam != 0``.  Then ``[c, x] = lam * x``,
+  ``[c, y] = -lam * y`` and ``[x, y] = c``, so ``E = x``,
+  ``H = (2 / lam) * c`` and ``F = (2 / lam) * y`` satisfy
+  ``[H, E] = 2E``, ``[H, F] = -2F``, ``[E, F] = H``.  The validated
+  action makes ``i -> {H_i, .}`` a Lie algebra map, and quadratic
+  hamiltonians keep the degree under a constant bivector, so each degree
+  slice is a finite-dimensional module of this triple.  A candidate
+  combination ``v`` is of weight zero for every diagonal element, so
+  ``H v = 0``; if ``E v = 0`` as well, ``v`` is a highest-weight vector of
+  weight 0.  Put ``v_i = F^i v / i!``: the relations give
+  ``E v_i = (1 - i) * v_(i-1)``, the nonzero ``v_i`` have the distinct
+  weights ``-2i`` and so are independent, and the slice is finite, so some
+  ``v_(m+1)`` is the first to vanish; then ``0 = E v_(m+1) = -m * v_m``
+  forces ``m = 0``, that is ``F v = 0`` (Humphreys, *Introduction to Lie
+  Algebras and Representation Theory*, 7.2).  So the kernel of the kept
+  rows lies in ``y``'s: the solution space, and its canonical basis, are
+  unchanged.  On ``sl2_tstar_k2`` this keeps ``e`` and drops ``f``.
+  Without a diagonal element (``so3_rotation``) nothing is dropped.
 * *Generators as test elements.*  ``invariant_generators`` keeps, degree
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
@@ -98,7 +124,7 @@ Poisson-center dimension is compared.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .action import HamiltonianAction
@@ -110,7 +136,7 @@ from .linalg import (
     reduce_poly_span,
     span_combinations,
 )
-from .poly import Exponent, Poly, monomial_key, monomial_table, poly_sum
+from .poly import Exponent, Poly, monomial_key, poly_sum, weight_zero_table
 from .series import HSeries
 
 
@@ -118,20 +144,21 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     """Per-degree bases of polynomials killed by every hamiltonian bracket.
 
     Candidates are the monomials of weight zero for every diagonal
-    hamiltonian (``act.weight_rows``); the rows of the others
-    (``act.nondiagonal``) come from their brackets with the coordinates,
-    which the action holds (``_add_bracket_rows``).
+    hamiltonian, enumerated from the weight rows (``act.weight_rows``,
+    ``weight_zero_table``); the rows of the non-diagonal hamiltonians the
+    sl2 argument cannot discharge (``act.eliminated``, module docstring)
+    come from their brackets with the coordinates, which the action holds
+    (``_add_bracket_rows``).
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
     others = [_derivation_terms(act.coordinate_brackets[i], max_degree)
-              for i in act.nondiagonal]
+              for i in act.eliminated]
     one = Fraction(1)
     slices: dict[int, list[Poly]] = {}
-    for degree, candidates in enumerate(monomial_table(nv, max_degree)):
-        for w in act.weight_rows:
-            candidates = [m for m in candidates if not sum(map(mul, m, w))]
+    table = weight_zero_table(nv, max_degree, act.weight_rows)
+    for degree, candidates in enumerate(table):
         if not others:
             slices[degree] = [Poly._trusted(nv, {m: one}) for m in candidates]
             continue

@@ -379,6 +379,71 @@ def monomial_table(nvars: int, max_degree: int) -> list[list[Exponent]]:
     return table
 
 
+def weight_zero_table(nvars: int, max_degree: int,
+                      rows: Sequence[Sequence[int]]) -> list[list[Exponent]]:
+    """``table[d]`` lists the exponent tuples ``e`` of total degree ``d``
+    with ``sum(e_j * w_j) == 0`` for every integer row ``w`` in ``rows``,
+    for every ``d`` up to ``max_degree``, canonically ordered: the lists of
+    ``monomial_table`` filtered row by row.  With no rows it is
+    ``monomial_table``.
+
+    Each degree is a walk over the variables from the last to the first,
+    each exponent ascending, so the last variable is outermost and the
+    order is canonical without a sort.  Before variable ``v`` is assigned,
+    each row knows the least and greatest weight ``lo``, ``hi`` of the
+    variables below ``v``; with partial weight ``s`` and remaining degree
+    ``m``, exponent ``e`` of ``v`` is feasible only if
+    ``lo * (m - e) <= -(s + w_v * e) <= hi * (m - e)``.  That is linear in
+    ``e``, so each row bounds ``e`` to an integer interval and the walk
+    visits only their intersection.  Variable 0 takes the rest: below
+    variable 1, ``lo == hi == w_0``, so there the bounds are exact."""
+    if not rows:
+        return monomial_table(nvars, max_degree)
+    if nvars < 2:  # at most one exponent, the degree itself
+        free = nvars and not any(row[0] for row in rows)
+        return [[(d,) * nvars] if free or not d else []
+                for d in range(max_degree + 1)]
+    # steps[v]: the rows' weights w_v, and per row (w_v, lo, hi) with lo
+    # and hi taken over the variables below v
+    steps = [None] + [
+        ([w[v] for w in rows], [(w[v], min(w[:v]), max(w[:v])) for w in rows])
+        for v in range(1, nvars)
+    ]
+
+    def walk(v: int, m: int, sums: list[int], suffix: Exponent,
+             out: list[Exponent]):
+        weights, row_bounds = steps[v]
+        first, last = 0, m
+        for (w, lo, hi), s in zip(row_bounds, sums):
+            a, b = w - lo, -s - lo * m  # a * e <= b
+            if a > 0:
+                last = min(last, b // a)
+            elif a < 0:
+                first = max(first, -(-b // a))
+            elif b < 0:
+                return
+            a, b = w - hi, -s - hi * m  # a * e >= b
+            if a > 0:
+                first = max(first, -(-b // a))
+            elif a < 0:
+                last = min(last, b // a)
+            elif b > 0:
+                return
+        if v == 1:
+            out += [(m - e, e) + suffix for e in range(first, last + 1)]
+            return
+        for e in range(first, last + 1):
+            walk(v - 1, m - e, [s + w * e for s, w in zip(sums, weights)],
+                 (e,) + suffix, out)
+
+    table: list[list[Exponent]] = []
+    for degree in range(max_degree + 1):
+        out: list[Exponent] = []
+        walk(nvars - 1, degree, [0] * len(rows), (), out)
+        table.append(out)
+    return table
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, canonically ordered."""
     return monomial_table(nvars, degree)[degree] if degree >= 0 else []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qcenter import DimensionError, Poly, SymplecticSpace, monomials_of_degree
-from qcenter.poly import monomial_key, monomial_table, poly_sum
+from qcenter.poly import monomial_key, monomial_table, poly_sum, weight_zero_table
 from qcenter.sampling import (
     _COEFFICIENTS, _MAX_TERMS, _WHOLE, _below, _weight_classes,
     sample_homogeneous_pairs, sample_polys, sample_triples,
@@ -128,6 +129,32 @@ def test_monomials_of_degree_list_every_monomial_in_canonical_order(nvars):
     assert monomial_table(nvars, 8) == [
         monomials_of_degree(nvars, d) for d in range(9)
     ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weight_zero_table_is_the_monomial_table_filtered_row_by_row(seed):
+    # 0-3 integer rows with weights -3..3, zeros included, on 0-8 variables
+    rng = random.Random(seed)
+    nvars = seed % 9
+    max_degree = rng.randint(0, 8)
+    rows = [tuple(rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(nvars))
+            for _ in range(rng.randint(0, 3))]
+    filtered = monomial_table(nvars, max_degree)
+    for w in rows:
+        filtered = [[e for e in mons if not sum(map(operator.mul, e, w))]
+                    for mons in filtered]
+    assert weight_zero_table(nvars, max_degree, rows) == filtered
+
+
+def test_weight_zero_table_of_the_six_pair_torus():
+    # the rows of q_j*p_j: only products of the q_j*p_j are of weight zero,
+    # C(11, 6) of them up to degree 10 out of the 646,646 monomials
+    pairs = 6
+    rows = [tuple(-int(i == j) for i in range(pairs)) + tuple(int(i == j) for i in range(pairs))
+            for j in range(pairs)]
+    table = weight_zero_table(2 * pairs, 10, rows)
+    assert sum(map(len, table)) == 462
+    assert all(e[:pairs] == e[pairs:] for mons in table for e in mons)
 
 
 def test_divide_exact_roundtrip():

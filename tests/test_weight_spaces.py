@@ -4,22 +4,31 @@ The oracle takes every monomial of each degree as a candidate, expands the
 bracket with each hamiltonian by brute force over index sequences
 (``brute_force_term``) and reads the kernel off a dense textbook
 elimination (``dense_nullspace``).  The package keeps only the monomials of
-weight zero for the diagonal hamiltonians and eliminates the others, so
+weight zero for the diagonal hamiltonians and eliminates the others less
+those the sl2 argument discharges (``HamiltonianAction.eliminated``), so
 the cases cover diagonal, partly diagonal and non-diagonal actions,
 a cubic hamiltonian (nonlinear coordinate brackets, which the package's
 rows are built from), rational weights and bivectors other than the
-standard one.
+standard one.  Where the dense oracle is out of reach (sl2 on two and
+three copies of the plane, up to degree 8), the raising rows alone are
+checked against the elimination of every non-diagonal hamiltonian, and
+the cases where the argument does not apply pin ``eliminated`` to all of
+them.
 """
 
 from __future__ import annotations
 
+import copy
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qcenter import (
     GradedSubspace,
     HamiltonianAction,
+    LieAlgebraData,
     Poly,
     StarProduct,
     SymplecticSpace,
@@ -31,7 +40,9 @@ from qcenter import (
 from qcenter.action import _diagonal_weights
 from qcenter.scenario import build_scenario, load_scenario
 
-from oracle import UncheckedAction, abelian_data, brute_force_term, dense_nullspace
+from oracle import (
+    UncheckedAction, abelian_data, brute_force_term, dense_nullspace, sl2_data,
+)
 
 SCALED_BIVECTOR = [
     ["0", "0", "2", "0"],
@@ -162,3 +173,111 @@ def test_each_hamiltonian_is_bracketed_with_the_coordinates_once(
     operands.clear()
     invariants_up_to(act, top)
     assert operands == []
+
+
+# -- raising rows only -------------------------------------------------------------
+
+
+def _sl2_on_copies(copies: int, seed: int) -> HamiltonianAction:
+    """sl2 on ``copies`` copies of the plane, lifted to the cotangent space
+    as in ``sl2_tstar_k2``, pushed through a seeded monomial symplectic map
+    (a permutation of the pairs, a quarter turn ``(q, p) -> (p, -q)`` per
+    pair at random and a rescaling ``q -> c*q, p -> p/c``); seed 0 is the
+    identity.  Such a map keeps ``h`` diagonal and every hamiltonian
+    quadratic."""
+    space = SymplecticSpace(2 * copies)
+    q, p, n, nv = space.q, space.p, space.pairs, space.nvars
+    images = [q(i) for i in range(1, n + 1)] + [p(i) for i in range(1, n + 1)]
+    if seed:
+        rng = random.Random(seed)
+        for i, j in enumerate(rng.sample(range(1, n + 1), n)):
+            c = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+            if rng.random() < 0.5:
+                images[i], images[n + i] = p(j).scale(c), q(j).scale(-1 / c)
+            else:
+                images[i], images[n + i] = q(j).scale(c), p(j).scale(1 / c)
+    pairs = [(2 * k + 1, 2 * k + 2) for k in range(copies)]
+    e = sum((q(b) * p(a) for a, b in pairs), Poly.zero(nv))
+    h = sum((q(a) * p(a) - q(b) * p(b) for a, b in pairs), Poly.zero(nv))
+    f = sum((q(a) * p(b) for a, b in pairs), Poly.zero(nv))
+    return HamiltonianAction(sl2_data(), StarProduct(space, 2),
+                             [g.substitute(images, nv) for g in (e, h, f)])
+
+
+def _eliminating_every_nondiagonal(act: HamiltonianAction, top: int) -> GradedSubspace:
+    full = copy.copy(act)
+    full.eliminated = act.nondiagonal
+    return invariants_up_to(full, top)
+
+
+@pytest.mark.parametrize("copies, top, seeds", [
+    (1, 8, range(4)),
+    (2, 8, range(4)),
+    (3, 6, range(1, 4)),
+    (3, 8, [0]),
+])
+def test_the_rows_of_e_alone_give_the_invariants_of_sl2(copies, top, seeds):
+    # a weight-zero polynomial killed by e is a highest-weight vector of
+    # weight 0, so f kills it too: f's rows are not fed
+    for seed in seeds:
+        act = _sl2_on_copies(copies, seed)
+        assert (act.nondiagonal, act.eliminated) == ((0, 2), (0,))
+        assert (invariants_up_to(act, top).slices
+                == _eliminating_every_nondiagonal(act, top).slices)
+
+
+def _algebra(labels: str, brackets: dict) -> LieAlgebraData:
+    index = {label: i for i, label in enumerate(labels)}
+    return LieAlgebraData(len(labels), tuple(labels), {
+        (index[a], index[b]): {index[k]: c for k, c in comps.items()}
+        for (a, b), comps in brackets.items()
+    })
+
+
+def _action(labels: str, brackets: dict, hamiltonians: list[str], pairs: int,
+            action=HamiltonianAction) -> HamiltonianAction:
+    space = SymplecticSpace(pairs)
+    return action(_algebra(labels, brackets), StarProduct(space, 2),
+                  [parse_poly(h, space.names) for h in hamiltonians])
+
+
+_SL2 = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+
+# name -> (action, its non-diagonal indices): none of them may be dropped
+KEEP_ALL = {
+    # no diagonal element, so no root
+    "so3_rotation": (lambda: build_scenario(load_scenario(
+        Path(__file__).parent / "data" / "so3_rotation.json")).action, (0, 1, 2)),
+    # x and y have opposite roots under h, but [x, y] = 0
+    "commuting_pair": (lambda: _action(
+        "hxy", {("h", "x"): {"x": -2}, ("h", "y"): {"y": 2}},
+        ["q1*p1 - q2*p2", "q1^2", "q2^2"], 2), (1, 2)),
+    # [x, y] = 4k - 4r: k and r are not diagonal, though their hamiltonians'
+    # difference is
+    "bracket_off_the_diagonal": (lambda: _action(
+        "hxykr",
+        {("h", "x"): {"x": -2}, ("h", "y"): {"y": 2}, ("k", "x"): {"x": -2},
+         ("k", "y"): {"y": 2}, ("x", "y"): {"k": 4, "r": -4}},
+        ["q1*p1", "q1^2", "p1^2", "q1*p1 + q2^2 + p2^2", "q2^2 + p2^2"], 2),
+        (1, 2, 3, 4)),
+    # the sl2 structure, with a cubic hamiltonian for f or for e (a cubic
+    # fails the quantum condition, which the rule does not read)
+    "cubic_f": (lambda: _action(
+        "ehf", _SL2, ["q2*p1", "q1*p1 - q2*p2", "q1*p2*q3"], 3,
+        UncheckedAction), (0, 2)),
+    "cubic_e": (lambda: _action(
+        "ehf", _SL2, ["q2*p1*q3", "q1*p1 - q2*p2", "q1*p2"], 3,
+        UncheckedAction), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEEP_ALL))
+def test_every_nondiagonal_hamiltonian_is_eliminated_outside_the_sl2_rule(case):
+    build, nondiagonal = KEEP_ALL[case]
+    act = build()
+    assert act.nondiagonal == act.eliminated == nondiagonal
+
+
+def test_the_presets_eliminate_e_only_or_nothing():
+    assert _preset("sl2_tstar_k2").eliminated == (0,)  # e, h, f: f is dropped
+    assert _preset("torus_k4").eliminated == ()
