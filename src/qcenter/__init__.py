@@ -24,7 +24,6 @@ from .centers import (
 )
 from .envelope import (
     UEnvElement,
-    adjoint_invariant_check,
     central_section,
     normalize_word,
     symmetrize,

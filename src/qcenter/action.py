@@ -32,10 +32,10 @@ proof are in the ``centers`` module docstring).  The checks, the comoment,
 the invariant solves and the lift recursion read it.  Once the action is
 validated it also holds, for each designated invariant generator in
 generator order, the two halves of the moment map on it: its moment
-pullback (``pullbacks``), which the moment-image basis, the lift targets
-and the classical coefficients of the lift relations read, and its central
-lift (``central_lifts``), the comoment image of its central section, on
-which the quantum coefficients are evaluated.
+pullback (``pullbacks``), which the moment-image basis and the lift
+targets read, and its central lift (``central_lifts``), the comoment image
+of its central section, on which the lift relations are evaluated.  A
+central lift reduces to the pullback.
 """
 
 from __future__ import annotations

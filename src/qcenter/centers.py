@@ -76,9 +76,11 @@ Both systems are shrunk without changing any answer:
   truncation is commuting with every invariant up to the cutoff, whatever
   the degree of the hamiltonians.  Both centers test against the
   generators, and the kernel bases are canonical.  The argument holds for
-  any series, so the scenario's lift tasks test centrality against the
-  same set.  ``compare_centers`` computes the invariants and their
-  generators once and returns the generators with its report.
+  any series, so ``verify_lift`` tests each lift against the same set.
+  The quantum coefficients of the lift relations are central by
+  construction (``lifting`` module docstring), and nothing tests them.
+  ``compare_centers`` computes the invariants and their generators once
+  and returns the generators with its report.
 
 The test cutoff is assumed, not certified.  Testing up to it is testing
 against every invariant exactly when every generator of the invariant

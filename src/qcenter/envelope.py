@@ -13,10 +13,23 @@ with no zero coefficients and no power above the truncation, so every
 operation is one loop over one dict.  Setting the parameter to zero and reading
 words as commutative monomials is the classical limit; averaging a
 monomial over all orderings gives the symmetrization section, a linear
-right inverse of the classical limit that carries invariants to central
-elements.  The average is built by the first-letter recurrence
-``sym(x^a) = sum_i (a_i / n) x_i sym(x^(a - e_i))``, one element per
-exponent below the monomial rather than one word per ordering.
+right inverse of the classical limit.  The average is built by the
+first-letter recurrence ``sym(x^a) = sum_i (a_i / n) x_i sym(x^(a - e_i))``,
+one element per exponent below the monomial rather than one word per
+ordering.
+
+The central section of a designated generator ``z`` is ``sym(z)`` plus
+``h^r sym(c_r)`` for its corrections ``c_r``, and it is central with
+classical limit ``z`` by construction, so neither is checked again.
+Symmetrization commutes with the adjoint action, ``[x, sym(s)] =
+h sym(ad_x s)`` for a basis element ``x``: ``ad x`` is a derivation of
+the tensor algebra and of the symmetric algebra, and it maps symmetric
+tensors to symmetric tensors (Dixmier, *Enveloping Algebras*, 2.4).
+``LieAlgebraData`` checks that ``z`` and every ``c_r`` are ad-invariant,
+so each ``sym`` term commutes with every generator, and so does its
+product with the central parameter.  Each correction starts at order 1
+or later, which ``LieAlgebraData`` checks too, so its term has classical
+limit zero, and ``sym`` is a section.
 """
 
 from __future__ import annotations
@@ -132,18 +145,12 @@ class UEnvElement:
         if self.order != other.order:
             raise TruncationError("truncation mismatch")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "UEnvElement") -> "UEnvElement":
         self._check(other)
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(acc, key, c)
         return UEnvElement._trusted(self.lie, self.order, acc)
-
-    def __sub__(self, other: "UEnvElement") -> "UEnvElement":
-        return self + other.scale(-1)
 
     def scale(self, value) -> "UEnvElement":
         s = as_scalar(value)
@@ -193,11 +200,8 @@ class UEnvElement:
                 out[tuple(exp)] = c
         return Poly(self.lie.dim, out)
 
-    def commutator(self, other: "UEnvElement") -> "UEnvElement":
-        return self * other - other * self
 
-
-# -- symmetrization and centrality ------------------------------------------------
+# -- symmetrization and the central section -------------------------------------
 
 
 def symmetrize(lie: LieAlgebraData, s: Poly, order: int) -> UEnvElement:
@@ -235,34 +239,13 @@ def symmetrize(lie: LieAlgebraData, s: Poly, order: int) -> UEnvElement:
     return result
 
 
-def adjoint_invariant_check(a: UEnvElement) -> bool:
-    """True iff the element commutes with every basis generator.
-
-    For a reductive algebra this is exactly centrality of the element in
-    the deformed enveloping algebra.
-    """
-    for i in range(a.lie.dim):
-        gen = UEnvElement.generator(a.lie, i, a.order)
-        if not gen.commutator(a).is_zero():
-            return False
-    return True
-
-
 def central_section(lie: LieAlgebraData, name: str, order: int) -> UEnvElement:
-    """Central lift of a designated invariant generator.
-
-    Symmetrization plus the generator's recorded central correction terms.
-    The result is validated to be central with unchanged classical part.
-    """
+    """Central lift of a designated invariant generator: symmetrization
+    plus the generator's recorded central correction terms.  It is central
+    with classical limit the generator (module docstring)."""
     gen = lie.generator(name)
     lifted = symmetrize(lie, gen.poly, order)
     for r, corr in gen.section_correction:
         if r <= order:
             lifted = lifted + symmetrize(lie, corr, order).hbar_shift(r)
-    if lifted.classical_limit() != gen.poly:
-        raise ValidationError(
-            f"section of {name!r} does not reduce to the generator"
-        )
-    if not adjoint_invariant_check(lifted):
-        raise ValidationError(f"section of {name!r} is not central")
     return lifted

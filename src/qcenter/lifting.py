@@ -5,16 +5,39 @@ Given a homogeneous invariant ``f`` satisfying a monic relation
     f^n + a_{n-1} f^{n-1} + ... + a_0 = 0
 
 with homogeneous coefficients in the subalgebra generated by the
-designated invariant generators, and central quantum coefficients reducing
-to the classical ones, the lift recursion produces a series ``f_hat`` with
-classical part ``f`` whose deformed evaluation of the relation vanishes
-modulo the truncation.  Every series here is at the truncation of the
-action's product, and every check runs through that whole truncation.
-The hamiltonians come prepared with the action; every other operand a
-check loop meets more than once (a quantum coefficient, the lift, each
-test element) is prepared for the contraction kernel once per loop, and
-each deformed power of a lift is taken once (``_star_powers``).  A
-prepared polynomial stands for its expansion at the truncation.
+designated invariant generators, and central quantum coefficients
+``a_hat_i`` whose classical parts are the ``a_i``, the lift recursion
+produces a series ``f_hat`` with classical part ``f`` whose deformed
+evaluation of the relation vanishes modulo the truncation.
+
+Every series here is at the truncation ``N`` of the action's product,
+and every check runs through that whole truncation.  The hamiltonians
+come prepared with the action; every other operand a check loop meets
+more than once (the lift, each test element) is prepared for the
+contraction kernel once per loop, and each deformed power of a lift is
+taken once (``_star_powers``).  A prepared polynomial stands for its
+expansion at the truncation.
+
+A relation is its quantum coefficients; the classical coefficients are
+their classical parts.  A scenario takes each ``a_hat_i`` as
+``star_evaluate`` of a polynomial ``a`` in the generator names on the
+central lifts, and two facts hold of it by construction, so neither is
+checked again:
+
+* Its classical part is ``a`` on the moment pullbacks.  The order-0 term
+  of the deformed product is the plain product, so the comoment image of
+  a word reduces to the product of the classical hamiltonians, and each
+  central section reduces to its generator (``envelope`` module
+  docstring): each central lift reduces to its generator's pullback.
+* It commutes with every invariant modulo ``hbar^(N+1)``.  On a validated
+  action ``[H_hat_i, u] = hbar {H_i, u}`` vanishes for each invariant
+  ``u``, so every deformed word in the quantum hamiltonians commutes with
+  ``u`` (the Leibniz rule of the commutator), and so does every comoment
+  image, each central lift among them, and every deformed polynomial in
+  the central lifts.
+
+``verify_lift`` still checks the lift itself against the test elements
+and reports each failing order.
 
 The recursion walks the nonzero orders of the defect, the relation
 evaluated on the partial lift: while the defect is nonzero, its lowest
@@ -49,29 +72,22 @@ from .star import Prepared, StarProduct
 
 
 class MonicRelation:
-    """Monic polynomial data with classical and quantum coefficients.
+    """A monic relation by its quantum coefficients.
 
-    ``coefficients[i]`` is the classical coefficient of the i-th power,
-    i = 0..n-1 (the leading coefficient is 1); ``quantum_coefficients``
-    are central series reducing to them, at the action's truncation.
-    Checked at construction and immutable after it.
+    ``quantum_coefficients[i]`` is the series coefficient of the i-th
+    deformed power, i = 0..n-1 (the leading coefficient is 1), at the
+    action's truncation; ``coefficients`` are their classical parts, the
+    classical relation.  Immutable after construction.
     """
 
     __slots__ = ("coefficients", "quantum_coefficients")
 
-    def __init__(self, coefficients: tuple[Poly, ...],
-                 quantum_coefficients: tuple[HSeries, ...]):
-        if len(coefficients) != len(quantum_coefficients):
-            raise ValidationError("classical and quantum coefficient counts differ")
-        if not coefficients:
+    def __init__(self, quantum_coefficients: tuple[HSeries, ...]):
+        if not quantum_coefficients:
             raise ValidationError("a monic relation needs degree at least 1")
-        for a, ahat in zip(coefficients, quantum_coefficients):
-            if ahat.classical_part() != a:
-                raise ValidationError(
-                    "quantum coefficient does not reduce to its classical part"
-                )
-        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "quantum_coefficients", quantum_coefficients)
+        object.__setattr__(self, "coefficients", tuple(
+            ahat.classical_part() for ahat in quantum_coefficients))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonicRelation is immutable")
@@ -93,23 +109,6 @@ class MonicRelation:
         for i in range(self.degree - 1, 0, -1):
             result = result * f + self.coefficients[i].scale(i)
         return result
-
-    def validate_centrality(
-        self, act: HamiltonianAction, test_elements: Sequence[Poly]
-    ):
-        """Each quantum coefficient must commute with the test elements
-        modulo the action's truncation."""
-        prepare = act.star.prepare
-        tests = [(u, prepare(u)) for u in test_elements]
-        for idx, ahat in enumerate(self.quantum_coefficients):
-            pa = prepare(ahat)
-            for u, pu in tests:
-                comm = act.star.star_commutator(pa, pu)
-                if not comm.is_zero():
-                    raise ValidationError(
-                        f"quantum coefficient {idx} is not central against "
-                        f"{u.to_string(act.space.names)}"
-                    )
 
 
 def _star_powers(star: StarProduct, x: HSeries | Prepared, n: int
@@ -154,7 +153,7 @@ def minimality_holds(f: Poly, rel: MonicRelation, subalgebra: GradedSubspace
     return True
 
 
-def _check_invariant(act: HamiltonianAction, f: Poly, what: str) -> None:
+def check_invariant(act: HamiltonianAction, f: Poly, what: str) -> None:
     """Refuse ``f`` unless every hamiltonian brackets it to zero."""
     pf = act.star.prepare(f)
     for h, label in zip(act.prepared_hamiltonians, act.lie.labels):
@@ -169,11 +168,13 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
     relation derivative at ``f`` is nonzero, ``f`` is invariant, and no
     smaller monic relation exists over the subalgebra generated by the
     designated invariant generators (its slices up to the highest degree
-    ``minimality_holds`` reads).  Each produced correction is verified
-    invariant, and the lowest order of the defect must rise strictly with
-    each correction; for weight-homogeneous input data the corrections are
-    automatically homogeneous of the weight that keeps the whole lift at
-    the weight of ``f``.
+    ``minimality_holds`` reads).  The quantum coefficients must be
+    central; a relation evaluated on the central lifts is by construction
+    (module docstring), so that is not checked here.  Each produced
+    correction is verified invariant, and the lowest order of the defect
+    must rise strictly with each correction; for weight-homogeneous input
+    data the corrections are automatically homogeneous of the weight that
+    keeps the whole lift at the weight of ``f``.
     """
     if not rel.classical_value(f).is_zero():
         raise ValidationError("classical relation does not annihilate the target")
@@ -182,7 +183,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         raise NonSimpleRootError(
             "the relation derivative vanishes identically at the target"
         )
-    _check_invariant(act, f, "lift target")
+    check_invariant(act, f, "lift target")
     subalgebra = moment_image_basis(act, (rel.degree - 1) * f.degree())
     if not minimality_holds(f, rel, subalgebra):
         raise ValidationError(
@@ -199,7 +200,7 @@ def hensel_lift(f: Poly, rel: MonicRelation, act: HamiltonianAction) -> HSeries:
         correction = (-defect_coeff).divide_exact(derivative)
         if correction is None:
             raise LiftObstructionError(m, defect_coeff)
-        _check_invariant(act, correction, f"correction at order {m}")
+        check_invariant(act, correction, f"correction at order {m}")
         fhat = fhat + HSeries(act.space.nvars, act.order, {m: correction})
         corrected = m
         defect = relation_defect(act.star, rel, fhat)
@@ -238,13 +239,14 @@ def verify_lift(
     fhat: HSeries,
     rel: MonicRelation,
     act: HamiltonianAction,
-    test_elements: Sequence[Poly] = (),
+    test_elements: Sequence[Poly],
 ) -> LiftReport:
     """Independent re-expansion of the relation and centrality of a lift.
 
     Recomputes the full deformed evaluation from scratch and the
-    commutators against the supplied invariants at the action's
-    truncation, reporting the lowest failing order of each.
+    commutators against the given invariants at the action's truncation,
+    reporting the lowest failing order of each.  An empty test set checks
+    the relation only.
     """
     pf = act.star.prepare(fhat)
     relation_first = relation_defect(act.star, rel, pf).first_nonzero_order()

@@ -12,15 +12,26 @@ Loading is split in two phases with distinct failure modes: parsing
 checks document shape and turns every expression into a ``Poly`` and
 every scalar into a ``Fraction``, once (``ParseError``); building
 constructs the mathematical objects from those values and runs their
-structural validation (``ValidationError``): bracket antisymmetry and the
-Jacobi identity, bivector antisymmetry and invertibility, invariance of
-designated generators, hamiltonian equivariance, the quantum condition,
-when the task list holds ``centers``, the uniform default grading with a
-graded bivector that quantum-center slicing needs and a truncation of at
-least 1, below which every deformed commutator vanishes, when a lift
-task runs a lift, generator pullbacks the lifts can use (homogeneous), and,
-when the task list holds ``weyl``, weight-homogeneous classical parts of
-the lifts, which the specialization needs.
+structural validation (``ValidationError``):
+
+* always: bracket antisymmetry and the Jacobi identity, bivector
+  antisymmetry and invertibility, invariance of designated generators
+  and their section corrections, hamiltonian equivariance and the
+  quantum condition;
+* when the task list holds ``centers``: the uniform default grading with
+  a graded bivector that quantum-center slicing needs, and a truncation
+  of at least 1, below which every deformed commutator vanishes;
+* when a lift task runs a lift: generator pullbacks the lifts can use
+  (homogeneous), and central lifts whose order-``N`` coefficients are
+  invariant, ``N`` the truncation.  The coefficients below ``N`` are
+  invariant by construction: the comoment image ``z_hat`` of a central
+  section commutes with each ``H_hat_i``, so by the quantum condition
+  ``hbar {H_i, z_hat}`` vanishes modulo ``hbar^(N+1)``.  Nothing forces
+  the one at ``N``: ``hbar^N X`` commutes with everything modulo
+  ``hbar^(N+1)``, so an order-``N`` quantum correction passes the
+  quantum condition and reaches the central lifts;
+* when the task list holds ``weyl``: weight-homogeneous classical parts
+  of the lifts, which the specialization needs.
 
 Parsing also enforces a size budget, before anything is built from the
 document (``ValidationError``):
@@ -109,6 +120,7 @@ from .liealg import InvariantGenerator, LieAlgebraData
 from .lifting import (
     MonicRelation,
     build_center_iso,
+    check_invariant,
     hensel_lift,
     star_evaluate,
     verify_lift,
@@ -672,6 +684,11 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
     if scenario.lifts and {"lift", "iso", "weyl"} & set(scenario.tasks):
         try:  # the check of every lift's subalgebra; degree 0 builds nothing more
             moment_image_basis(action, 0)
+            # only the order-N coefficients are open (module docstring)
+            for gen, lift in zip(lie.invariant_generators, action.central_lifts):
+                check_invariant(action, lift.coefficient(action.order),
+                                f"the central lift of generator {echo(gen.name)} "
+                                f"at order {action.order}")
         except ValidationError as exc:
             raise ValidationError(f"the lift tasks cannot run: {exc}") from None
     targets = {  # a classical request's target: its element on the pullbacks
@@ -696,19 +713,14 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
 
 def resolve_lift(built: BuiltScenario, spec: LiftSpec
                  ) -> tuple[Poly, MonicRelation]:
-    """Target polynomial and monic relation data for a lift request.  The
-    target comes from the build; each relation coefficient is evaluated on
-    the pullbacks and, under the deformed product, on the central lifts.
-    The one coefficient ``-E`` of a classical request is the negated
-    target, which the build substituted already."""
+    """Target polynomial and monic relation for a lift request.  The target
+    comes from the build; each relation coefficient is evaluated once,
+    under the deformed product on the central lifts, and its classical
+    part is the coefficient on the pullbacks (``lifting`` module
+    docstring)."""
     act = built.action
-    target = built.targets[spec.name]
-    classical = (-target,) if spec.target is None else tuple(
-        a.substitute(act.pullbacks, act.space.nvars) for a in spec.relation)
-    return target, MonicRelation(
-        classical,
-        tuple(star_evaluate(act.star, a, act.central_lifts) for a in spec.relation),
-    )
+    return built.targets[spec.name], MonicRelation(tuple(
+        star_evaluate(act.star, a, act.central_lifts) for a in spec.relation))
 
 
 def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]
@@ -718,7 +730,6 @@ def run_lifts(built: BuiltScenario, test_elements: Sequence[Poly]
     verifications = []
     for spec in built.scenario.lifts:
         f, rel = resolve_lift(built, spec)
-        rel.validate_centrality(built.action, test_elements)
         fhat = hensel_lift(f, rel, built.action)
         report = verify_lift(fhat, rel, built.action, test_elements)
         entries.append((spec.name, f, fhat))

@@ -5,8 +5,9 @@ product is expanded by brute force over index sequences straight from its
 defining formula, and products on several pairs can also be assembled from
 single-pair factors.  The linear algebra references work on dense rows with
 textbook pivoting, or with no elimination at all.  Enveloping-algebra words
-are rewritten without a cache, in any descent order, and symmetrized by
-averaging over every ordering.  The Jacobi identity is summed over every
+are rewritten without a cache, in any descent order, symmetrized by
+averaging over every ordering, and multiplied by concatenation and
+rewriting to test centrality.  The Jacobi identity is summed over every
 basis triple and the adjoint derivation over every variable, from a dense
 table of structure constants.  Slow but unambiguous.
 
@@ -231,6 +232,25 @@ def symmetrize_by_orderings(lie: LieAlgebraData, s: Poly, order: int,
                 if r <= order:
                     acc[v, r] = acc.get((v, r), Fraction(0)) + c * weight
     return UEnvElement(lie, order, acc)
+
+
+def central_in_envelope(a: UEnvElement) -> bool:
+    """Whether ``x a = a x`` for every basis element ``x``, that is,
+    whether ``a`` is central.  Each product concatenates the words and
+    rewrites them with ``rewrite_word`` at the first descent, dropping
+    parameter powers above ``a.order``."""
+    def product(left: dict, right: dict) -> dict:
+        acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for (w1, r1), c1 in left.items():
+            for (w2, r2), c2 in right.items():
+                for (w, r), c in rewrite_word(a.lie, w1 + w2, min).items():
+                    if r1 + r2 + r <= a.order:
+                        key = w, r1 + r2 + r
+                        acc[key] = acc.get(key, Fraction(0)) + c1 * c2 * c
+        return {key: c for key, c in acc.items() if c}
+
+    generators = ({((i,), 0): Fraction(1)} for i in range(a.lie.dim))
+    return all(product(x, a.terms) == product(a.terms, x) for x in generators)
 
 
 # -- structure constants -------------------------------------------------------

@@ -201,8 +201,10 @@ def _numbered(test: str, argname: str, code: int, cases: list) -> list[Row]:
 _CUT_K = f"'{'k' * 12}...{'k' * 13}'"
 
 # a stated bracket contradicted by its stated mirror or stated twice, a series
-# order written twice, and a generator pullback the lifts cannot use: each
-# must be refused before any task runs, not dropped, merged or met by a task
+# order written twice, a generator pullback the lifts cannot use, and a
+# quantum correction at the truncation, which the quantum condition cannot
+# see but a central lift carries: each must be refused before any task runs,
+# not dropped, merged or met by a task
 BUILT_FROM_PRESETS = [
     ("sl2_tstar_k2", lambda d: d["lie_algebra"]["brackets"].append(
         {"left": "f", "right": "e", "components": {}}),
@@ -223,6 +225,9 @@ BUILT_FROM_PRESETS = [
       for key in ("1_0", " 2", "+2", "\u0663")],
     ("sl2_tstar_k2", _generator(section_correction={"2": "1", "1_0": "1"}),
      "order of section correction of 'casimir' must be an integer, got '1_0'"),
+    ("torus_k2", {"quantum_corrections": {"t": {"8": "q1^3"}}},
+     "the lift tasks cannot run: the central lift of generator 't' at order 8 "
+     "is not invariant under t"),
 ]
 
 ROWS = _numbered("validate_rejects_bad_bounds_with_exit_3", "change", 3, [

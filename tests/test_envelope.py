@@ -10,14 +10,18 @@ from qcenter import (
     Poly,
     UEnvElement,
     ValidationError,
-    adjoint_invariant_check,
     central_section,
     symmetrize,
 )
 from qcenter import envelope
 from qcenter.envelope import normalize_word
 
-from oracle import abelian_data, rewrite_word, symmetrize_by_orderings
+from oracle import (
+    abelian_data,
+    central_in_envelope,
+    rewrite_word,
+    symmetrize_by_orderings,
+)
 
 
 E, H, F = 0, 1, 2  # sl2 basis order e < h < f
@@ -122,7 +126,7 @@ def test_u_mul_unit_and_defining_commutator(sl2):
     h = UEnvElement.generator(sl2, H, 6)
     assert e * one == e
     assert one * e == e
-    assert e * f - f * e == h.hbar_shift(1)
+    assert e * f == f * e + h.hbar_shift(1)
 
 
 def test_u_mul_parameter_central(sl2):
@@ -163,7 +167,7 @@ def test_u_mul_past_the_truncation_normalizes_no_word(sl2, monkeypatch):
     a = UEnvElement(sl2, 2, {((F,), 1): Fraction(1), ((H, F), 2): Fraction(3)})
     b = UEnvElement(sl2, 2, {((E,), 2): Fraction(-2), ((E, H), 2): Fraction(1)})
     calls = _spy_normalize(monkeypatch)
-    assert (a * b).is_zero()
+    assert a * b == UEnvElement.zero(sl2, 2)
     assert calls == []
 
 
@@ -180,7 +184,7 @@ def test_u_mul_at_the_truncation_equals_the_rewrite(sl2, monkeypatch):
     calls = _spy_normalize(monkeypatch)
     product = a * b
     assert product == expected
-    assert not product.is_zero()
+    assert product != UEnvElement.zero(sl2, 3)
     assert calls[0] == word
 
 
@@ -254,21 +258,21 @@ def test_classical_limit_drops_corrections(sl2):
 def test_casimir_symmetrization_is_central(sl2):
     # both normalizations of the quadratic invariant
     cas = sl2.generator("casimir").poly
-    assert adjoint_invariant_check(symmetrize(sl2, cas, 6))
+    assert central_in_envelope(symmetrize(sl2, cas, 6))
     quarter = cas.scale(Fraction(1, 4))
-    assert adjoint_invariant_check(symmetrize(sl2, quarter, 6))
+    assert central_in_envelope(symmetrize(sl2, quarter, 6))
 
 
 def test_generator_is_not_central(sl2):
     e = UEnvElement.generator(sl2, E, 6)
-    assert not adjoint_invariant_check(e)
+    assert not central_in_envelope(e)
 
 
 def test_abelian_everything_central():
     lie = abelian_data(2)
     x0, x1 = (UEnvElement.generator(lie, i, 4) for i in (0, 1))
     a = x1 * x0 * x1
-    assert adjoint_invariant_check(a)
+    assert central_in_envelope(a)
 
 
 def test_central_section_with_correction():
@@ -294,5 +298,5 @@ def test_central_section_with_correction():
     lifted = central_section(lie, "casimir", 6)
     plain = symmetrize(lie, cas_poly, 6)
     assert lifted == plain + UEnvElement.one(lie, 6).hbar_shift(2)
-    assert adjoint_invariant_check(lifted)
+    assert central_in_envelope(lifted)
     assert lifted.classical_limit() == cas_poly

@@ -7,10 +7,12 @@ weight-zero candidates and the generator test sets of ``centers`` cut the
 most work.  ``so3_rotation.json`` is the output of ``qcenter run
 tests/data/so3_rotation.json --report json``: so(3) rotating the
 cotangent space of 3-space, where no hamiltonian is diagonal, so every
-invariant slice goes through elimination.  Any change to a basis, a rank,
-a printed polynomial or the report layout shows up here.  After an intended change, regenerate a file
-with ``qcenter run <preset> [--max-degree 10] --report json --out
-tests/golden/<file>``.
+invariant slice goes through elimination.  ``cubic_t2.json`` is the output
+of ``qcenter run tests/data/cubic_t2.json --report json``, the one
+document whose hamiltonian is not quadratic.  Any change to a basis, a
+rank, a printed polynomial or the report layout shows up here.  After an
+intended change, regenerate a file with ``qcenter run <preset>
+[--max-degree 10] --report json --out tests/golden/<file>``.
 """
 
 from __future__ import annotations
@@ -42,3 +44,8 @@ def test_degree_10_report_bytes_match_golden(preset):
 def test_non_diagonal_so3_report_bytes_match_golden():
     rendered = to_json(run_scenario(load_scenario(str(DATA / "so3_rotation.json"))))
     assert rendered.encode() == (GOLDEN / "so3_rotation.json").read_bytes()
+
+
+def test_cubic_report_bytes_match_golden():
+    rendered = to_json(run_scenario(load_scenario(str(DATA / "cubic_t2.json"))))
+    assert rendered.encode() == (GOLDEN / "cubic_t2.json").read_bytes()

@@ -24,7 +24,6 @@ from qcenter import (
     HSeries,
     MonicRelation,
     Poly,
-    ValidationError,
     hensel_lift,
     invariant_generators,
     invariants_up_to,
@@ -168,16 +167,13 @@ def test_generators_and_full_basis_agree_on_lifts(preset):
         f, rel = resolve_lift(built, spec)
         fhat = hensel_lift(f, rel, act)
         for tests in (generators, full):
-            rel.validate_centrality(act, tests)
             assert verify_lift(fhat, rel, act, tests).passed
     # a series that is not central: both test sets flag it
     q1 = act.space.q(1)
     fhat = HSeries.from_poly(q1 * q1, act.order)
-    rel = MonicRelation((-q1 * q1,), (fhat.scale(-1),))
+    rel = MonicRelation((fhat.scale(-1),))
     for tests in (generators, full):
         assert verify_lift(fhat, rel, act, tests).centrality_failures
-        with pytest.raises(ValidationError, match="not central"):
-            rel.validate_centrality(act, tests)
 
 
 def test_invariant_generators_run_once_per_run_on_torus_k4(monkeypatch):

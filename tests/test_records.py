@@ -65,7 +65,7 @@ def _frozen_records():
     yield load_scenario("torus_k4"), "truncation"
     yield LiftSpec("J", ()), "target"
     yield InvariantGenerator("t", q1), "poly"
-    yield MonicRelation((-q1,), (HSeries.from_poly(-q1, 2),)), "coefficients"
+    yield MonicRelation((HSeries.from_poly(-q1, 2),)), "coefficients"
     yield q1, "terms"
     yield HSeries.from_poly(q1, 2), "terms"
     yield space, "pairs"
