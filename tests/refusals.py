@@ -203,8 +203,8 @@ _CUT_K = f"'{'k' * 12}...{'k' * 13}'"
 # a stated bracket contradicted by its stated mirror or stated twice, a series
 # order written twice, a generator pullback the lifts cannot use, and a
 # quantum correction at the truncation, which the quantum condition cannot
-# see but a central lift carries: each must be refused before any task runs,
-# not dropped, merged or met by a task
+# see but a central lift carries, not invariant or of another weight: each
+# must be refused before any task runs, not dropped, merged or met by a task
 BUILT_FROM_PRESETS = [
     ("sl2_tstar_k2", lambda d: d["lie_algebra"]["brackets"].append(
         {"left": "f", "right": "e", "components": {}}),
@@ -228,6 +228,9 @@ BUILT_FROM_PRESETS = [
     ("torus_k2", {"quantum_corrections": {"t": {"8": "q1^3"}}},
      "the lift tasks cannot run: the central lift of generator 't' at order 8 "
      "is not invariant under t"),
+    ("torus_k2", {"quantum_corrections": {"t": {"8": "q1*p1"}}},
+     "the lift tasks cannot run: the central lift of generator 't' is not "
+     "weight-homogeneous"),
 ]
 
 ROWS = _numbered("validate_rejects_bad_bounds_with_exit_3", "change", 3, [

@@ -9,7 +9,10 @@ tests/data/so3_rotation.json --report json``: so(3) rotating the
 cotangent space of 3-space, where no hamiltonian is diagonal, so every
 invariant slice goes through elimination.  ``cubic_t2.json`` is the output
 of ``qcenter run tests/data/cubic_t2.json --report json``, the one
-document whose hamiltonian is not quadratic.  Any change to a basis, a
+document whose hamiltonian is not quadratic.  ``torus_k2_corrected.json``
+is the output of ``qcenter run tests/data/torus_k2_corrected.json --report
+json``, the one document with a quantum correction, which shifts the
+central lift and the lift by ``hbar``.  Any change to a basis, a
 rank, a printed polynomial or the report layout shows up here.  After an
 intended change, regenerate a file with ``qcenter run <preset>
 [--max-degree 10] --report json --out tests/golden/<file>``.
@@ -49,3 +52,9 @@ def test_non_diagonal_so3_report_bytes_match_golden():
 def test_cubic_report_bytes_match_golden():
     rendered = to_json(run_scenario(load_scenario(str(DATA / "cubic_t2.json"))))
     assert rendered.encode() == (GOLDEN / "cubic_t2.json").read_bytes()
+
+
+def test_quantum_corrected_report_bytes_match_golden():
+    path = DATA / "torus_k2_corrected.json"
+    rendered = to_json(run_scenario(load_scenario(str(path))))
+    assert rendered.encode() == (GOLDEN / "torus_k2_corrected.json").read_bytes()

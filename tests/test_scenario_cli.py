@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import qcenter
-import qcenter.action as action_mod
 import qcenter.centers as centers_mod
+import qcenter.envelope as envelope_mod
 import qcenter.scenario as scenario_mod
 from qcenter import Poly, StarProduct, SymplecticSpace
 from qcenter.cli import main
@@ -312,28 +312,37 @@ def test_a_failed_lift_run_is_reported_by_each_task_that_needs_it(tmp_path):
 def test_one_run_computes_each_shared_result_once(monkeypatch):
     # the invariants, the lift test set and the lift run are shared by the
     # tasks that read them, each computed on first use; the action builds
-    # each generator's central section once, for every lift to read
-    modules = {"invariants_up_to": scenario_mod, "invariant_generators": scenario_mod,
-               "run_lifts": scenario_mod, "central_section": action_mod}
-    calls = dict.fromkeys(modules, 0)
+    # each generator's central section once, for every lift and the
+    # triangle task to read, so the only symmetrizations are the section's,
+    # of the generator and of its one correction.  Each function is counted
+    # under every qcenter module that holds it.
+    real = {"invariants_up_to": centers_mod.invariants_up_to,
+            "invariant_generators": centers_mod.invariant_generators,
+            "run_lifts": scenario_mod.run_lifts,
+            "central_section": envelope_mod.central_section,
+            "symmetrize": envelope_mod.symmetrize}
+    calls = dict.fromkeys(real, 0)
 
     def counted(name):
-        real = getattr(modules[name], name)
-
         def spy(*args):
             calls[name] += 1
-            return real(*args)
+            return real[name](*args)
         return spy
 
-    for name, module in modules.items():
-        monkeypatch.setattr(module, name, counted(name))
+    for key, module in list(sys.modules.items()):
+        if key == "qcenter" or key.startswith("qcenter."):
+            for name, function in real.items():
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, counted(name))
     scenario = load_scenario("sl2_tstar_k2")
-    report = run_scenario(scenario._replace(tasks=("invariants", "lift", "iso", "weyl")))
-    assert [task.task for task in report.tasks] == ["invariants", "lift", "iso", "weyl"]
+    tasks = ("triangle", "invariants", "lift", "iso", "weyl")
+    report = run_scenario(scenario._replace(tasks=tasks))
+    assert tuple(task.task for task in report.tasks) == tasks
     assert all(task.passed for task in report.tasks)
-    assert len(scenario.lie_generators) == 1
+    (generator,) = scenario.lie_generators
+    assert len(generator.section_correction) == 1
     assert calls == {"invariants_up_to": 1, "invariant_generators": 1, "run_lifts": 1,
-                     "central_section": 1}
+                     "central_section": 1, "symmetrize": 2}
 
 
 def test_shipped_scenarios_validate():
