@@ -29,6 +29,11 @@ Both systems are shrunk without changing any answer:
   which the canonical kernel sets to zero, so every basis is unchanged.
   The candidates are enumerated from the integer weight rows the action
   holds (``weight_zero_table``), not filtered out of every monomial.
+  When every hamiltonian is diagonal, the invariants are spanned by the
+  weight-zero monomials, and the table lists distinct exponents of each
+  degree in canonical order, so its coefficient-1 monomials already are
+  the canonical basis of each slice: they are kept as enumerated, not
+  reduced again.
   The same derivation rule, ``{h, x^e} = sum_j e_j x^(e - eps_j) {h, x_j}``,
   builds the rows of the other hamiltonians from their coordinate
   brackets, which the action holds (``coordinate_brackets``): each
@@ -77,6 +82,12 @@ Both systems are shrunk without changing any answer:
   the degree of the hamiltonians.  Both centers test against the
   generators, and the kernel bases are canonical.  The argument holds for
   any series, so ``verify_lift`` tests each lift against the same set.
+  When every basis element is one monomial, as on an all-diagonal action,
+  the invariants are the semigroup algebra of the weight-zero exponents
+  (Sturmfels, *Algorithms in Invariant Theory*, 1.4): a product of basis
+  monomials is the monomial of the exponent sum, so the recurrence runs
+  on exponents, and the generators are the weight-zero exponents up to
+  the cutoff that are not sums of smaller ones.
   The quantum coefficients of the lift relations are central by
   construction (``lifting`` module docstring), and nothing tests them.
   ``compare_centers`` computes the invariants and their generators once
@@ -150,20 +161,23 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     ``weight_zero_table``); the rows of the non-diagonal hamiltonians the
     sl2 argument cannot discharge (``act.eliminated``, module docstring)
     come from their brackets with the coordinates, which the action holds
-    (``_add_bracket_rows``).
+    (``_add_bracket_rows``).  With no such rows the enumerated monomials
+    are the canonical bases, kept without reduction.
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
     others = [_derivation_terms(act.coordinate_brackets[i], max_degree)
               for i in act.eliminated]
-    one = Fraction(1)
-    slices: dict[int, list[Poly]] = {}
     table = weight_zero_table(nv, max_degree, act.weight_rows)
+    if not others:
+        one = Fraction(1)
+        return GradedSubspace._trusted(nv, {
+            degree: [Poly._trusted(nv, {m: one}) for m in candidates]
+            for degree, candidates in enumerate(table)
+        })
+    slices: dict[int, list[Poly]] = {}
     for degree, candidates in enumerate(table):
-        if not others:
-            slices[degree] = [Poly._trusted(nv, {m: one}) for m in candidates]
-            continue
         solver = EchelonAccumulator(len(candidates))
         for terms in others:
             _add_bracket_rows(solver, terms, candidates)
@@ -233,6 +247,9 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
     Slice 0 is the constants; slice ``d`` is the span of the products
     ``g * v`` of a pullback ``g`` with the basis of slice ``d - deg g``,
     the same recurrence ``invariant_generators`` builds its spans with.
+    Each slice is ``reduce_poly_span``'s canonical basis, and a product of
+    homogeneous polynomials is homogeneous, so the slices are kept as
+    reduced.
     """
     nv = act.space.nvars
     pullbacks: list[Poly] = []
@@ -250,7 +267,7 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
             g * v for g in pullbacks for v in slices.get(degree - g.degree(), [])
         ]
         slices[degree] = reduce_poly_span(products, nv)
-    return GradedSubspace(nv, slices)
+    return GradedSubspace._trusted(nv, slices)
 
 
 def invariant_generators(invariants: GradedSubspace, test_degree: int
@@ -261,18 +278,45 @@ def invariant_generators(invariants: GradedSubspace, test_degree: int
     the span of the products ``g * v`` of the generators kept so far with
     the invariant basis of the complementary degree (nor of the elements
     kept before it).  Every basis element up to ``test_degree`` is then a
-    polynomial in the generators.
+    polynomial in the generators.  When every basis element is one
+    monomial, the products are read as exponent sums
+    (``_monomial_generators``), with no polynomial arithmetic.
     """
+    degrees = [d for d in invariants.degrees()
+               if 0 < d <= test_degree]  # constants commute with everything
+    if all(len(f.terms) == 1 for basis in invariants.slices.values()
+           for f in basis):
+        return _monomial_generators(invariants, degrees)
     generators: list[Poly] = []
-    for degree in invariants.degrees():
-        if not 0 < degree <= test_degree:
-            continue  # constants commute with everything
+    for degree in degrees:
         products = [
             g * v
             for g in generators
             for v in invariants.basis(degree - g.degree())
         ]
         generators += independent_extension(products, invariants.basis(degree))
+    return generators
+
+
+def _monomial_generators(invariants: GradedSubspace, degrees: Sequence[int]
+                         ) -> list[Poly]:
+    """``invariant_generators`` when every basis element is one monomial:
+    the product of two monomials is the monomial of the exponent sum, so
+    the products ``g * v`` are the sums ``e_g + e_v``.  The exponents of
+    one slice are distinct, so a basis monomial is in the span of the
+    products and of the monomials before it exactly when its exponent is
+    among the sums."""
+    exponents = {degree: [next(iter(f.terms)) for f in basis]
+                 for degree, basis in invariants.slices.items()}
+    kept: list[tuple[int, Exponent]] = []  # (degree, exponent) of each generator
+    generators: list[Poly] = []
+    for degree in degrees:
+        sums = {tuple(map(add, e, v)) for d, e in kept
+                for v in exponents.get(degree - d, ())}
+        for f, e in zip(invariants.slices[degree], exponents[degree]):
+            if e not in sums:
+                kept.append((degree, e))
+                generators.append(f)
     return generators
 
 

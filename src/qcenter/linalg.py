@@ -33,11 +33,13 @@ joint support in canonical monomial order.
 
 Polynomials of one term each need no elimination: their span is spanned
 by their distinct monomials, so its canonical basis is those monomials
-with coefficient 1 in canonical order, and a polynomial of one term lies
-in it exactly when its monomial is among them.  ``reduce_poly_span`` and
-``independent_extension`` answer such inputs (the weight-zero slices of
-an all-diagonal action and their products) from the monomials alone; a
-zero or longer polynomial among the inputs sends them to the engine.
+with coefficient 1 in canonical order.  ``reduce_poly_span`` answers such
+inputs (kernel vectors of one entry, as in the elimination slices of a
+cubic hamiltonian) from the monomials alone; a zero or longer polynomial
+among the inputs sends them to the engine.  The weight-zero slices of an
+all-diagonal action are such bases already, and their generators are
+found from exponent sums (``centers.invariant_generators``), so neither
+goes through these helpers.
 """
 
 from __future__ import annotations
@@ -243,15 +245,6 @@ def independent_extension(base: Sequence[Poly], candidates: Sequence[Poly]
                           ) -> list[Poly]:
     """The candidates, in order, that are not in the span of ``base`` and
     of the candidates kept before them."""
-    seen, monomials = _monomials(base), _monomials(candidates)
-    if seen is not None and monomials is not None:
-        seen = set(seen)
-        kept = []
-        for f, m in zip(candidates, monomials):
-            if m not in seen:
-                seen.add(m)
-                kept.append(f)
-        return kept
     rows, columns = _poly_rows([*base, *candidates])
     engine = _reduce(rows[: len(base)], len(columns))
     return [
@@ -311,6 +304,19 @@ class GradedSubspace:
             if basis:
                 reduced[degree] = basis
         self.slices = reduced
+
+    @classmethod
+    def _trusted(cls, nvars: int, slices: dict[int, list[Poly]]
+                 ) -> "GradedSubspace":
+        """Wrap slices without reducing or checking them, dropping the
+        empty ones.  Only for slices the caller built as canonical bases:
+        each the reduced echelon basis of its span, every element
+        homogeneous of its slice degree."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.slices = {degree: slices[degree] for degree in sorted(slices)
+                       if slices[degree]}
+        return self
 
     def degrees(self) -> list[int]:
         return sorted(self.slices)

@@ -14,7 +14,8 @@ table of structure constants.  Slow but unambiguous.
 The ready-made Lie algebras, an action class that skips validation and
 the seeded polynomial samplers that the tests build their inputs from live
 here too, and so do the inputs of the two center slices, built the way
-``compare_centers`` builds them.
+``compare_centers`` builds them, and the polynomial recurrence that
+``invariant_generators`` replaces by exponent sums on monomial bases.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from qcenter import (
     monomials_of_degree,
 )
 from qcenter import centers
+from qcenter.linalg import independent_extension
 from qcenter.poly import monomial_table
 
 
@@ -345,6 +347,20 @@ def center_inputs(act, max_degree: int, test_degree: int, invariants=None):
     table = centers._commutator_table(act, invariants, max_degree, generators,
                                       max(act.order, 1))
     return invariants, table
+
+
+def polynomial_generators(invariants, test_degree: int) -> list[Poly]:
+    """``invariant_generators`` by its polynomial recurrence, whatever the
+    input: going up degree by degree, the basis elements outside the span
+    of the ``Poly`` products ``g * v`` of the generators kept so far with
+    the basis of the complementary degree, by ``independent_extension``."""
+    generators: list[Poly] = []
+    for degree in invariants.degrees():
+        if 0 < degree <= test_degree:
+            products = [g * v for g in generators
+                        for v in invariants.basis(degree - g.degree())]
+            generators += independent_extension(products, invariants.basis(degree))
+    return generators
 
 
 def poly_key(f: Poly) -> tuple:

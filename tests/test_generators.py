@@ -13,9 +13,12 @@ validated cubic and quartic actions alike.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from qcenter import (
+    GradedSubspace,
     HamiltonianAction,
     Poly,
     StarProduct,
@@ -25,11 +28,12 @@ from qcenter import (
     invariants_up_to,
     parse_poly,
 )
-from qcenter import centers
+from qcenter import centers, linalg
 from qcenter.centers import poisson_center_up_to, quantum_center_up_to
+from qcenter.poly import weight_zero_table
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import abelian_data, center_inputs, poly_key
+from oracle import abelian_data, center_inputs, poly_key, polynomial_generators
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -98,6 +102,70 @@ def test_every_invariant_is_a_polynomial_in_the_generators(preset):
         )
         for u in inv.basis(degree):
             assert in_span(u, products[degree]), (preset, degree, u)
+
+
+# -- monomial bases: generators from exponent sums ----------------------------
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exponent_sums_match_the_polynomial_recurrence(seed):
+    # seeded diagonal weight systems: 0-3 rows, weights -3..3, 2-8
+    # variables, D <= 8, slices as the all-diagonal invariant solve builds
+    # them, generators up to a cutoff at most D
+    rng = random.Random(seed)
+    nv = rng.randint(2, 8)
+    rows = [[rng.randint(-3, 3) for _ in range(nv)] for _ in range(rng.randint(0, 3))]
+    top = rng.randint(0, 8)
+    slices = {degree: [Poly(nv, {e: 1}) for e in exponents]
+              for degree, exponents in enumerate(weight_zero_table(nv, top, rows))}
+    trusted = GradedSubspace._trusted(nv, slices)
+    assert trusted.slices == GradedSubspace(nv, slices).slices
+    cutoff = rng.randint(0, top)
+    assert invariant_generators(trusted, cutoff) == polynomial_generators(trusted, cutoff)
+
+
+@pytest.mark.parametrize("pairs, hamiltonians, top, expected", [
+    # the six-pair torus: the invariants are the polynomials in the q_j*p_j
+    (6, [f"q{j}*p{j}" for j in range(1, 7)], 10,
+     [f"q{j}*p{j}" for j in range(1, 7)]),
+    # the separating generator q1*p2^11 enters at degree 12
+    (2, ["11*q1*p1 + q2*p2"], 12, ["q1*p1", "q2*p2", "q1*p2^11", "q2^11*p1"]),
+])
+def test_exponent_sums_on_diagonal_tori(pairs, hamiltonians, top, expected):
+    space = SymplecticSpace(pairs)
+    act = HamiltonianAction(abelian_data(len(hamiltonians)), StarProduct(space, 1),
+                            [parse_poly(h, space.names) for h in hamiltonians])
+    inv = invariants_up_to(act, top)
+    assert inv.slices == GradedSubspace(space.nvars, inv.slices).slices
+    gens = invariant_generators(inv, top)
+    assert gens == polynomial_generators(inv, top)
+    assert _keys(gens) == _polys(expected, space.names)
+    below = invariant_generators(inv, top - 1)
+    assert below == [g for g in gens if g.degree() < top]
+
+
+def test_diagonal_invariants_take_no_polynomial_arithmetic(monkeypatch):
+    # on torus_k4 at test degree 12, the slices are the enumerated monomials
+    # and the generators come from exponent sums: no span is reduced and no
+    # polynomial is multiplied (the polynomial route takes 13 and 360)
+    act = build_scenario(load_scenario("torus_k4")).action
+    calls = {"reduce_poly_span": 0, "__mul__": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(linalg, "reduce_poly_span")
+    inv = invariants_up_to(act, 12)
+    counted(Poly, "__mul__")
+    gens = invariant_generators(inv, 12)
+    assert calls == {"reduce_poly_span": 0, "__mul__": 0}
+    assert len(gens) == 4
 
 
 # validated actions of one hamiltonian of degree 3 or 4 on two pairs, by

@@ -12,7 +12,10 @@ of ``qcenter run tests/data/cubic_t2.json --report json``, the one
 document whose hamiltonian is not quadratic.  ``torus_k2_corrected.json``
 is the output of ``qcenter run tests/data/torus_k2_corrected.json --report
 json``, the one document with a quantum correction, which shifts the
-central lift and the lift by ``hbar``.  Any change to a basis, a
+central lift and the lift by ``hbar``.  ``skew_torus.json`` is the output
+of ``qcenter run tests/data/skew_torus.json --report json``, the one
+all-diagonal document whose invariant generators go above degree 2
+(``q1*p2^3`` and ``q2^3*p1``).  Any change to a basis, a
 rank, a printed polynomial or the report layout shows up here.  After an
 intended change, regenerate a file with ``qcenter run <preset>
 [--max-degree 10] --report json --out tests/golden/<file>``.
@@ -58,3 +61,9 @@ def test_quantum_corrected_report_bytes_match_golden():
     path = DATA / "torus_k2_corrected.json"
     rendered = to_json(run_scenario(load_scenario(str(path))))
     assert rendered.encode() == (GOLDEN / "torus_k2_corrected.json").read_bytes()
+
+
+def test_skew_torus_report_bytes_match_golden():
+    path = DATA / "skew_torus.json"
+    rendered = to_json(run_scenario(load_scenario(str(path))))
+    assert rendered.encode() == (GOLDEN / "skew_torus.json").read_bytes()
