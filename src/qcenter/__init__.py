@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     QCenterError,
     RelationViolationError,
+    SolverError,
     TruncationError,
     ValidationError,
 )

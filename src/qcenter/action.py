@@ -28,8 +28,13 @@ of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
 of the others (``nondiagonal``), and among those the indices whose rows the
 invariant solve feeds (``eliminated``): all of them less each one an sl2
 triple with a kept one and a diagonal element discharges (the rule and its
-proof are in the ``centers`` module docstring).  The checks, the comoment,
-the invariant solves and the lift recursion read it.  Once the action is
+proof are in the ``centers`` module docstring).  When the rule keeps one
+``x`` and drops the only other non-diagonal element, ``raising_root`` reads
+``x``'s root on the diagonal elements in the units of their weight rows,
+from which the invariant solve counts each slice's dimension (``centers``
+module docstring, "Counted slices"); otherwise it is None.  The checks,
+the comoment, the invariant solves and the lift recursion read the
+record.  Once the action is
 validated it also holds, for each designated invariant generator in
 generator order, the two halves of the moment map on it: its moment
 pullback (``pullbacks``), which the moment-image basis and the lift
@@ -91,15 +96,16 @@ class HamiltonianAction:
             tuple(star.poisson(h, Poly.variable(nv, j)) for j in range(nv))
             for h in self.prepared_hamiltonians
         )
-        rows, nondiagonal = [], []
+        rows, scales, nondiagonal = [], [], []
         for i, brackets in enumerate(self.coordinate_brackets):
             w = _diagonal_weights(brackets)
             if w is None:
                 nondiagonal.append(i)
-            else:  # only the zero set of a row matters: scale it to integers
-                scale = lcm(*(x.denominator for x in w))
-                rows.append(tuple(int(x * scale) for x in w))
+            else:  # scaled to integers; raising_root is read in these units
+                scales.append(lcm(*(x.denominator for x in w)))
+                rows.append(tuple(int(x * scales[-1]) for x in w))
         self.weight_rows = tuple(rows)  # of the diagonal hamiltonians
+        self._row_scales = tuple(scales)
         self.nondiagonal = tuple(nondiagonal)  # indices of the others
         # the non-diagonal indices whose rows the invariant solve feeds
         self.eliminated = _eliminated(lie, self.hamiltonians, self.nondiagonal)
@@ -113,6 +119,23 @@ class HamiltonianAction:
             for gen in lie.invariant_generators
         )
         self.central_lifts = tuple(map(self.comoment, self.central_sections))
+
+    @property
+    def raising_root(self) -> tuple[Fraction, ...] | None:
+        """The root ``alpha_x(d_i)`` of the kept raising element ``x`` on
+        each diagonal element ``d_i``, times the scale of ``d_i``'s weight
+        row, when ``x`` and the ``y`` it raises to (the rule of
+        ``eliminated``) are the only non-diagonal elements; else None.
+        Then the dimension of every invariant slice is a weight count
+        (``centers`` module docstring, "Counted slices").  It is read off
+        ``eliminated`` on each call, so an action whose ``eliminated`` is
+        replaced by every non-diagonal index has none."""
+        if len(self.nondiagonal) != 2 or self.eliminated != self.nondiagonal[:1]:
+            return None
+        (x,) = self.eliminated
+        diagonal = [d for d in range(self.lie.dim) if d not in self.nondiagonal]
+        return tuple(self.lie.bracket(d, x).get(x, Fraction(0)) * scale
+                     for d, scale in zip(diagonal, self._row_scales))
 
     # -- validation ---------------------------------------------------------------
 

@@ -28,7 +28,8 @@ Both systems are shrunk without changing any answer:
   eliminated.  The dropped columns are unit rows of the full system,
   which the canonical kernel sets to zero, so every basis is unchanged.
   The candidates are enumerated from the integer weight rows the action
-  holds (``weight_zero_table``), not filtered out of every monomial.
+  holds (``weight_zero_table``, or ``weight_zero_monomials`` for one
+  degree), not filtered out of every monomial.
   When every hamiltonian is diagonal, the invariants are spanned by the
   weight-zero monomials, and the table lists distinct exponents of each
   degree in canonical order, so its coefficient-1 monomials already are
@@ -63,6 +64,36 @@ Both systems are shrunk without changing any answer:
   rows lies in ``y``'s: the solution space, and its canonical basis, are
   unchanged.  On ``sl2_tstar_k2`` this keeps ``e`` and drops ``f``.
   Without a diagonal element (``so3_rotation``) nothing is dropped.
+* *Counted slices.*  When ``x`` and the ``y`` it raises to are the only
+  non-diagonal elements, the action has a ``raising_root``, and each
+  slice's dimension is known before it is solved.  Let ``D`` be the span
+  of the diagonal elements and ``Z`` the kernel of ``alpha_x`` on ``D``;
+  ``alpha_x(c) = lam != 0``, so ``D = span(c) + Z``.  A ``z`` in ``Z``
+  commutes with ``x``, with ``y`` (root ``-alpha``) and with ``c`` in the
+  action, so the ``Z``-weight-0 part ``M`` of a degree slice is a
+  finite-dimensional module of the triple.  An invariant is a vector of
+  ``D``-weight 0 that ``E`` kills, that is a highest-weight vector of
+  weight 0 in ``M``.  ``M`` is a sum of irreducible modules ``V(n)``
+  (complete reducibility), of weights ``n, n - 2, ..., -n``: each ``V(n)``
+  with ``n`` even and positive has one vector of ``H``-weight 0 and one of
+  weight 2, ``V(0)`` has the weight 0 alone and is invariant, and the odd
+  ones have neither.  So the invariants have dimension ``m_0 - m_2``, the
+  ``H``-weight-0 dimension of ``M`` less its weight-2 dimension (the
+  Cayley-Sylvester count; Sturmfels, *Algorithms in Invariant Theory*,
+  ch. 4; Humphreys 7.2).  Monomials are weight vectors of ``D``, and the
+  ``D``-weight that vanishes on ``Z`` and has ``H``-weight 2 is
+  ``alpha_x``.  So ``m_0`` counts the monomials with ``W e = 0``, ``W``
+  the weight rows, and ``m_2`` those with ``W e`` equal to ``x``'s root in
+  the units of the rows (``raising_root``; an entry that is not an integer
+  is met by none); ``weight_count_table`` counts both without listing a
+  monomial.  Products of invariants are invariant, so when the products
+  ``g * v`` of the generators found so far with the lower slices span the
+  counted dimension, they span the slice, and ``reduce_poly_span`` gives
+  its canonical basis.  The solve runs only at the degrees where they fall
+  short, which are the degrees of new generators; on ``sl2_tstar_k2``
+  that is degree 2 alone.  (The slice of degree 0 is the constants, which
+  no bracket row constrains, on every action.)  A product span above the count, or a solve
+  that misses it, is a solver bug, which ``SolverError`` reports.
 * *Generators as test elements.*  ``invariant_generators`` keeps, degree
   by degree, the invariants that are not products of lower-degree ones.
   The bracket is a biderivation, so an invariant that brackets to zero
@@ -141,7 +172,7 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .action import HamiltonianAction
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .linalg import (
     EchelonAccumulator,
     GradedSubspace,
@@ -149,7 +180,15 @@ from .linalg import (
     reduce_poly_span,
     span_combinations,
 )
-from .poly import Exponent, Poly, monomial_key, poly_sum, weight_zero_table
+from .poly import (
+    Exponent,
+    Poly,
+    monomial_key,
+    poly_sum,
+    weight_count_table,
+    weight_zero_monomials,
+    weight_zero_table,
+)
 from .series import HSeries
 
 
@@ -158,34 +197,69 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
 
     Candidates are the monomials of weight zero for every diagonal
     hamiltonian, enumerated from the weight rows (``act.weight_rows``,
-    ``weight_zero_table``); the rows of the non-diagonal hamiltonians the
-    sl2 argument cannot discharge (``act.eliminated``, module docstring)
-    come from their brackets with the coordinates, which the action holds
-    (``_add_bracket_rows``).  With no such rows the enumerated monomials
-    are the canonical bases, kept without reduction.
+    ``weight_zero_monomials``); the rows of the non-diagonal hamiltonians
+    the sl2 argument cannot discharge (``act.eliminated``, module
+    docstring) come from their brackets with the coordinates, which the
+    action holds (``_add_bracket_rows``).  With no such rows the enumerated
+    monomials are the canonical bases, kept without reduction; otherwise
+    each slice is the canonical basis of its solved kernel
+    (``reduce_poly_span``).
+
+    When the action has a ``raising_root``, each slice's dimension is a
+    weight count (module docstring, "Counted slices"), and the slices go
+    up degree by degree: the products ``g * v`` of the generators found so
+    far with the lower slices are reduced first, and a slice they span to
+    its count is their canonical basis.  Only a slice they leave short is
+    solved, and its new generators are the basis elements outside their
+    span.  A product span over the count, or a solve that misses it,
+    raises ``SolverError``.
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
     nv = act.space.nvars
+    rows = act.weight_rows
     others = [_derivation_terms(act.coordinate_brackets[i], max_degree)
               for i in act.eliminated]
-    table = weight_zero_table(nv, max_degree, act.weight_rows)
     if not others:
         one = Fraction(1)
         return GradedSubspace._trusted(nv, {
             degree: [Poly._trusted(nv, {m: one}) for m in candidates]
-            for degree, candidates in enumerate(table)
+            for degree, candidates in enumerate(weight_zero_table(nv, max_degree, rows))
         })
-    slices: dict[int, list[Poly]] = {}
-    for degree, candidates in enumerate(table):
+    root = act.raising_root
+    counts = None if root is None else weight_count_table(nv, max_degree, rows)
+    slices = {0: [Poly.constant(nv, 1)]}  # no bracket row reaches a constant
+    generators: list[Poly] = []
+    for degree in range(1, max_degree + 1):
+        if counts is not None:
+            count = counts[degree].get((0,) * len(rows), 0) - counts[degree].get(root, 0)
+            products = [g * v for g in generators
+                        for v in slices.get(degree - g.degree(), ())]
+            span = reduce_poly_span(products, nv)
+            if len(span) > count:
+                raise SolverError(
+                    f"invariant slice of degree {degree}: products of lower "
+                    f"invariants span dimension {len(span)}, over its weight "
+                    f"count {count}")
+            if len(span) == count:
+                slices[degree] = span
+                continue
+        candidates = weight_zero_monomials(nv, degree, rows)
         solver = EchelonAccumulator(len(candidates))
         for terms in others:
             _add_bracket_rows(solver, terms, candidates)
-        slices[degree] = [
+        basis = reduce_poly_span([
             Poly._trusted(nv, {candidates[i]: c for i, c in vec.items()})
             for vec in solver.kernel()
-        ]
-    return GradedSubspace(nv, slices)
+        ], nv)
+        if counts is not None:
+            if len(basis) != count:
+                raise SolverError(
+                    f"invariant slice of degree {degree}: the solve gives "
+                    f"dimension {len(basis)}, against its weight count {count}")
+            generators += independent_extension(products, basis)
+        slices[degree] = basis
+    return GradedSubspace._trusted(nv, slices)
 
 
 def _derivation_terms(brackets: Sequence[Poly], max_degree: int) -> list:

@@ -43,6 +43,11 @@ class InvalidActionError(ValidationError):
     """Quantum hamiltonians are inconsistent with the Lie algebra structure."""
 
 
+class SolverError(QCenterError):
+    """An exact solve contradicted a dimension proved before it ran: a bug
+    in the solver, which no input should cause."""
+
+
 class NonSimpleRootError(QCenterError):
     """The derivative of the monic relation vanishes at the lift target."""
 

@@ -381,13 +381,21 @@ def monomial_table(nvars: int, max_degree: int) -> list[list[Exponent]]:
 
 def weight_zero_table(nvars: int, max_degree: int,
                       rows: Sequence[Sequence[int]]) -> list[list[Exponent]]:
-    """``table[d]`` lists the exponent tuples ``e`` of total degree ``d``
-    with ``sum(e_j * w_j) == 0`` for every integer row ``w`` in ``rows``,
-    for every ``d`` up to ``max_degree``, canonically ordered: the lists of
-    ``monomial_table`` filtered row by row.  With no rows it is
-    ``monomial_table``.
+    """``table[d]`` is ``weight_zero_monomials(nvars, d, rows)`` for every
+    ``d`` up to ``max_degree``.  With no rows it is ``monomial_table``."""
+    if not rows:
+        return monomial_table(nvars, max_degree)
+    return [weight_zero_monomials(nvars, degree, rows)
+            for degree in range(max_degree + 1)]
 
-    Each degree is a walk over the variables from the last to the first,
+
+def weight_zero_monomials(nvars: int, degree: int,
+                          rows: Sequence[Sequence[int]]) -> list[Exponent]:
+    """The exponent tuples ``e`` of total degree ``degree`` with
+    ``sum(e_j * w_j) == 0`` for every integer row ``w`` in ``rows``,
+    canonically ordered: ``monomials_of_degree`` filtered row by row.
+
+    The list is a walk over the variables from the last to the first,
     each exponent ascending, so the last variable is outermost and the
     order is canonical without a sort.  Before variable ``v`` is assigned,
     each row knows the least and greatest weight ``lo``, ``hi`` of the
@@ -397,12 +405,9 @@ def weight_zero_table(nvars: int, max_degree: int,
     ``e``, so each row bounds ``e`` to an integer interval and the walk
     visits only their intersection.  Variable 0 takes the rest: below
     variable 1, ``lo == hi == w_0``, so there the bounds are exact."""
-    if not rows:
-        return monomial_table(nvars, max_degree)
     if nvars < 2:  # at most one exponent, the degree itself
         free = nvars and not any(row[0] for row in rows)
-        return [[(d,) * nvars] if free or not d else []
-                for d in range(max_degree + 1)]
+        return [(degree,) * nvars] if free or not degree else []
     # steps[v]: the rows' weights w_v, and per row (w_v, lo, hi) with lo
     # and hi taken over the variables below v
     steps = [None] + [
@@ -436,11 +441,28 @@ def weight_zero_table(nvars: int, max_degree: int,
             walk(v - 1, m - e, [s + w * e for s, w in zip(sums, weights)],
                  (e,) + suffix, out)
 
-    table: list[list[Exponent]] = []
-    for degree in range(max_degree + 1):
-        out: list[Exponent] = []
-        walk(nvars - 1, degree, [0] * len(rows), (), out)
-        table.append(out)
+    out: list[Exponent] = []
+    walk(nvars - 1, degree, [0] * len(rows), (), out)
+    return out
+
+
+def weight_count_table(nvars: int, max_degree: int,
+                       rows: Sequence[Sequence[int]]
+                       ) -> list[dict[tuple[int, ...], int]]:
+    """``table[d][w]`` counts the exponent tuples ``e`` of total degree
+    ``d`` with ``W e == w``, ``W`` the matrix of the integer ``rows``, for
+    every ``d`` up to ``max_degree``; a weight no monomial has is absent.
+    Nothing is enumerated: the counts are the coefficients of
+    ``prod_j 1 / (1 - t * x^(c_j))``, ``c_j`` the column of variable ``j``,
+    and one pass per variable multiplies its factor in by
+    ``N_d[w] += N_(d-1)[w - c_j]`` with ``d`` ascending, so ``N_(d-1)``
+    already counts every power of ``x_j``."""
+    table = [{(0,) * len(rows): 1}] + [{} for _ in range(max_degree)]
+    for column in (zip(*rows) if rows else [()] * nvars):
+        for below, here in zip(table, table[1:]):
+            for w, n in below.items():
+                key = tuple(map(add, w, column))
+                here[key] = here.get(key, 0) + n
     return table
 
 

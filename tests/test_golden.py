@@ -15,7 +15,10 @@ json``, the one document with a quantum correction, which shifts the
 central lift and the lift by ``hbar``.  ``skew_torus.json`` is the output
 of ``qcenter run tests/data/skew_torus.json --report json``, the one
 all-diagonal document whose invariant generators go above degree 2
-(``q1*p2^3`` and ``q2^3*p1``).  Any change to a basis, a
+(``q1*p2^3`` and ``q2^3*p1``).  ``sl2_two_copies.json`` is the output of
+``qcenter run tests/data/sl2_two_copies.json --report json``: sl2 on two
+copies of the plane, whose six quadratic generators fill the slices of
+degrees 4 and 6 with their products.  Any change to a basis, a
 rank, a printed polynomial or the report layout shows up here.  After an
 intended change, regenerate a file with ``qcenter run <preset>
 [--max-degree 10] --report json --out tests/golden/<file>``.
@@ -67,3 +70,9 @@ def test_skew_torus_report_bytes_match_golden():
     path = DATA / "skew_torus.json"
     rendered = to_json(run_scenario(load_scenario(str(path))))
     assert rendered.encode() == (GOLDEN / "skew_torus.json").read_bytes()
+
+
+def test_sl2_two_copies_report_bytes_match_golden():
+    path = DATA / "sl2_two_copies.json"
+    rendered = to_json(run_scenario(load_scenario(str(path))))
+    assert rendered.encode() == (GOLDEN / "sl2_two_copies.json").read_bytes()

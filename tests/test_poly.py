@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from qcenter import DimensionError, Poly, SymplecticSpace, monomials_of_degree
-from qcenter.poly import monomial_key, monomial_table, poly_sum, weight_zero_table
+from qcenter.poly import (
+    monomial_key,
+    monomial_table,
+    poly_sum,
+    weight_count_table,
+    weight_zero_monomials,
+    weight_zero_table,
+)
 from qcenter.sampling import (
     _COEFFICIENTS, _MAX_TERMS, _WHOLE, _below, _weight_classes,
     sample_homogeneous_pairs, sample_polys, sample_triples,
@@ -144,6 +151,37 @@ def test_weight_zero_table_is_the_monomial_table_filtered_row_by_row(seed):
         filtered = [[e for e in mons if not sum(map(operator.mul, e, w))]
                     for mons in filtered]
     assert weight_zero_table(nvars, max_degree, rows) == filtered
+    # one degree at a time, with no rows too
+    assert [weight_zero_monomials(nvars, d, rows)
+            for d in range(max_degree + 1)] == filtered
+
+
+@pytest.mark.parametrize("nvars", range(2, 6))
+def test_a_row_of_equal_positive_weights_admits_only_the_constant(nvars):
+    # the weights of every variable exceed 0 alike, so no exponent of the
+    # first variable walked is feasible and nothing below it is visited
+    assert weight_zero_table(nvars, 4, [(2,) * nvars]) == [[(0,) * nvars], [], [], [], []]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_weight_count_table_counts_the_filtered_monomial_table(seed):
+    # 1-6 variables, 0-2 integer rows with weights -3..3, degrees up to 8;
+    # a non-integral target is the weight of no monomial
+    rng = random.Random(seed)
+    nvars = 1 + seed % 6
+    max_degree = rng.randint(0, 8)
+    rows = [tuple(rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(nvars))
+            for _ in range(rng.randint(0, 2))]
+    table = weight_count_table(nvars, max_degree, rows)
+    monomials = monomial_table(nvars, max_degree)
+    for degree in range(max_degree + 1):
+        weights = [tuple(sum(map(operator.mul, e, w)) for w in rows)
+                   for e in monomials[degree]]
+        targets = {*weights, tuple(rng.randint(-4, 4) for _ in rows),
+                   tuple(Fraction(rng.randrange(-9, 9, 2), 2) for _ in rows)}
+        for target in targets:
+            assert table[degree].get(target, 0) == weights.count(target)
+        assert sum(table[degree].values()) == len(monomials[degree])
 
 
 def test_weight_zero_table_of_the_six_pair_torus():

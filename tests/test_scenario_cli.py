@@ -295,6 +295,33 @@ def test_assertion_failure_exit_code(tmp_path, capsys):
     assert "order 2" in lift_task["error"]
 
 
+@pytest.mark.parametrize("off, message", [
+    (1, "invariant slice of degree 4: the solve gives dimension 1, against "
+        "its weight count 2"),
+    (-1, "invariant slice of degree 4: products of lower invariants span "
+         "dimension 1, over its weight count 0"),
+])
+def test_a_weight_count_off_by_one_fails_the_invariant_tasks_with_exit_1(
+        monkeypatch, capsys, off, message):
+    # a count the solve or the products contradict is a solver bug: the
+    # tasks that read the invariants fail with one line, never a traceback
+    real = centers_mod.weight_count_table
+
+    def skewed(nvars, max_degree, rows):
+        table = real(nvars, max_degree, rows)
+        zero = (0,) * len(rows)
+        table[4][zero] += off
+        return table
+
+    monkeypatch.setattr(centers_mod, "weight_count_table", skewed)
+    code = main(["run", "sl2_tstar_k2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if "FAIL" in line]
+    assert failed[:2] == [f"task invariants: FAIL ({message})",
+                          f"task centers: FAIL ({message})"]
+
+
 def test_a_failed_lift_run_is_reported_by_each_task_that_needs_it(tmp_path):
     # a failed lift run is not kept: lift, iso and weyl each run it again
     # and each reports the obstruction

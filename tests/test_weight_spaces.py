@@ -37,7 +37,9 @@ from qcenter import (
     monomials_of_degree,
     parse_poly,
 )
+from qcenter import centers
 from qcenter.action import _diagonal_weights
+from qcenter.poly import weight_count_table
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import (
@@ -205,8 +207,10 @@ def _sl2_on_copies(copies: int, seed: int) -> HamiltonianAction:
 
 
 def _eliminating_every_nondiagonal(act: HamiltonianAction, top: int) -> GradedSubspace:
+    # the copy has no raising root, so every slice goes through elimination
     full = copy.copy(act)
     full.eliminated = act.nondiagonal
+    assert full.raising_root is None
     return invariants_up_to(full, top)
 
 
@@ -224,6 +228,60 @@ def test_the_rows_of_e_alone_give_the_invariants_of_sl2(copies, top, seeds):
         assert (act.nondiagonal, act.eliminated) == ((0, 2), (0,))
         assert (invariants_up_to(act, top).slices
                 == _eliminating_every_nondiagonal(act, top).slices)
+
+
+# -- counted slices ---------------------------------------------------------------
+
+
+def _counts(act: HamiltonianAction, top: int) -> list[int]:
+    """``m_0 - m_alpha`` per degree: the weight-zero monomials less those of
+    the raising root's weight."""
+    zero = (0,) * len(act.weight_rows)
+    return [n.get(zero, 0) - n.get(act.raising_root, 0)
+            for n in weight_count_table(act.space.nvars, top, act.weight_rows)]
+
+
+@pytest.mark.parametrize("copies, top, seeds", [
+    (1, 12, range(4)),
+    (2, 8, range(4)),
+    (3, 6, range(4)),
+])
+def test_the_weight_count_is_the_dimension_full_elimination_gives(copies, top, seeds):
+    for seed in seeds:
+        act = _sl2_on_copies(copies, seed)
+        full = _eliminating_every_nondiagonal(act, top)
+        assert _counts(act, top) == [full.dimension(d) for d in range(top + 1)]
+
+
+def test_the_weight_count_of_sl2_tstar_k2_is_its_solved_dimension():
+    act = _preset("sl2_tstar_k2")
+    assert act.raising_root == (2,)  # e = q2*p1 has weight 2 under h
+    full = _eliminating_every_nondiagonal(act, 12)
+    assert _counts(act, 12) == [full.dimension(d) for d in range(13)] == [1, 0] * 6 + [1]
+
+
+def test_products_fill_every_slice_of_sl2_above_degree_2(monkeypatch):
+    # only the slice of the quadratic generator is solved: every higher
+    # slice is spanned by products of lower invariants to its count
+    fed = []
+    add_bracket_rows = centers._add_bracket_rows
+
+    def spy(solver, terms, candidates):
+        before = len(solver._rows)
+        add_bracket_rows(solver, terms, candidates)
+        if len(solver._rows) > before:
+            fed.append(sum(candidates[0]))
+
+    monkeypatch.setattr(centers, "_add_bracket_rows", spy)
+    inv = invariants_up_to(_preset("sl2_tstar_k2"), 12)
+    assert fed == [2]
+    assert [inv.dimension(d) for d in range(13)] == [1, 0] * 6 + [1]
+
+
+def test_an_uncounted_action_has_no_raising_root():
+    assert _preset("torus_k4").raising_root is None  # no non-diagonal element
+    for build, _ in KEEP_ALL.values():  # no sl2 rule, or not that alone
+        assert build().raising_root is None
 
 
 def _algebra(labels: str, brackets: dict) -> LieAlgebraData:
