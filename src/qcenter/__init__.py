@@ -16,9 +16,9 @@ from .action import (
 from .centers import (
     CenterReport,
     CenterRow,
+    Invariants,
     QuantumCenterSlice,
     compare_centers,
-    invariant_generators,
     invariants_up_to,
     moment_image_basis,
 )

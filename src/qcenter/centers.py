@@ -94,11 +94,14 @@ Both systems are shrunk without changing any answer:
   that is degree 2 alone.  (The slice of degree 0 is the constants, which
   no bracket row constrains, on every action.)  A product span above the count, or a solve
   that misses it, is a solver bug, which ``SolverError`` reports.
-* *Generators as test elements.*  ``invariant_generators`` keeps, degree
-  by degree, the invariants that are not products of lower-degree ones.
-  The bracket is a biderivation, so an invariant that brackets to zero
-  with the generators does so with every invariant up to the cutoff.  The
-  deformed commutator is a derivation of the deformed product
+* *Generators as test elements.*  ``invariants_up_to`` returns, with the
+  slices, the generators of the invariant algebra up to its degree bound:
+  degree by degree, the invariants that are not products of lower-degree
+  ones.  Counted slices find them where products fall short; every other
+  solve runs that recurrence once on its slices.  The bracket is a
+  biderivation, so an invariant that brackets to zero with the generators
+  does so with every invariant up to the cutoff.  The deformed commutator
+  is a derivation of the deformed product
   ``star(u, v) = sum_r hbar^r B_r(u, v)``, and every action proved the
   quantum condition ``[H_hat, f] = hbar {H, f}`` modulo ``hbar^(N+1)``
   when it was built, ``N`` its truncation.  For invariants ``u`` and
@@ -121,8 +124,8 @@ Both systems are shrunk without changing any answer:
   the cutoff that are not sums of smaller ones.
   The quantum coefficients of the lift relations are central by
   construction (``lifting`` module docstring), and nothing tests them.
-  ``compare_centers`` computes the invariants and their generators once
-  and returns the generators with its report.
+  ``compare_centers`` and a run's lift tasks read the generators of the
+  invariants they solve.
 
 The test cutoff is assumed, not certified.  Testing up to it is testing
 against every invariant exactly when every generator of the invariant
@@ -192,8 +195,17 @@ from .poly import (
 from .series import HSeries
 
 
-def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
-    """Per-degree bases of polynomials killed by every hamiltonian bracket.
+class Invariants(GradedSubspace):
+    """Invariant slices up to a bound, with the ``generators`` of degree 1
+    to the bound, found degree by degree (module docstring, "Generators as
+    test elements"): a lower cutoff keeps those of degree at most it."""
+
+    generators: list[Poly]
+
+
+def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
+    """Per-degree bases of polynomials killed by every hamiltonian bracket,
+    with the generators of the invariant algebra up to ``max_degree``.
 
     Candidates are the monomials of weight zero for every diagonal
     hamiltonian, enumerated from the weight rows (``act.weight_rows``,
@@ -201,8 +213,9 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     the sl2 argument cannot discharge (``act.eliminated``, module
     docstring) come from their brackets with the coordinates, which the
     action holds (``_add_bracket_rows``).  With no such rows the enumerated
-    monomials are the canonical bases, kept without reduction; otherwise
-    each slice is the canonical basis of its solved kernel
+    monomials are the canonical bases, kept without reduction, and the
+    generators are read off exponent sums (``_monomial_generators``);
+    otherwise each slice is the canonical basis of its solved kernel
     (``reduce_poly_span``).
 
     When the action has a ``raising_root``, each slice's dimension is a
@@ -212,7 +225,8 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
     its count is their canonical basis.  Only a slice they leave short is
     solved, and its new generators are the basis elements outside their
     span.  A product span over the count, or a solve that misses it,
-    raises ``SolverError``.
+    raises ``SolverError``.  Without a count every slice is solved, and the
+    generators are found once from the slices (``_generators``).
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
@@ -222,10 +236,12 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
               for i in act.eliminated]
     if not others:
         one = Fraction(1)
-        return GradedSubspace._trusted(nv, {
+        invariants = Invariants._trusted(nv, {
             degree: [Poly._trusted(nv, {m: one}) for m in candidates]
             for degree, candidates in enumerate(weight_zero_table(nv, max_degree, rows))
         })
+        invariants.generators = _monomial_generators(invariants.slices)
+        return invariants
     root = act.raising_root
     counts = None if root is None else weight_count_table(nv, max_degree, rows)
     slices = {0: [Poly.constant(nv, 1)]}  # no bracket row reaches a constant
@@ -259,7 +275,48 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> GradedSubspace:
                     f"dimension {len(basis)}, against its weight count {count}")
             generators += independent_extension(products, basis)
         slices[degree] = basis
-    return GradedSubspace._trusted(nv, slices)
+    invariants = Invariants._trusted(nv, slices)
+    invariants.generators = (generators if counts is not None
+                             else _generators(invariants.slices))
+    return invariants
+
+
+def _generators(slices: dict[int, list[Poly]]) -> list[Poly]:
+    """The generators of nonempty slices in ascending degree, constants
+    first: going up, a basis element is kept when it is not in the span of
+    the products ``g * v`` of the generators kept so far with the basis of
+    the complementary degree (nor of the elements kept before it).  When
+    every basis element is one monomial, the products are read as exponent
+    sums (``_monomial_generators``), with no polynomial arithmetic."""
+    if all(len(f.terms) == 1 for basis in slices.values() for f in basis):
+        return _monomial_generators(slices)
+    generators: list[Poly] = []
+    for degree, basis in list(slices.items())[1:]:  # constants commute with all
+        products = [g * v for g in generators
+                    for v in slices.get(degree - g.degree(), ())]
+        generators += independent_extension(products, basis)
+    return generators
+
+
+def _monomial_generators(slices: dict[int, list[Poly]]) -> list[Poly]:
+    """``_generators`` when every basis element is one monomial: the
+    product of two monomials is the monomial of the exponent sum, so the
+    products ``g * v`` are the sums ``e_g + e_v``.  The exponents of one
+    slice are distinct, so a basis monomial is in the span of the products
+    and of the monomials before it exactly when its exponent is among the
+    sums."""
+    exponents = {degree: [next(iter(f.terms)) for f in basis]
+                 for degree, basis in slices.items()}
+    kept: list[tuple[int, Exponent]] = []  # (degree, exponent) of each generator
+    generators: list[Poly] = []
+    for degree, basis in list(slices.items())[1:]:  # constants commute with all
+        sums = {tuple(map(add, e, v)) for d, e in kept
+                for v in exponents.get(degree - d, ())}
+        for f, e in zip(basis, exponents[degree]):
+            if e not in sums:
+                kept.append((degree, e))
+                generators.append(f)
+    return generators
 
 
 def _derivation_terms(brackets: Sequence[Poly], max_degree: int) -> list:
@@ -320,7 +377,7 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
 
     Slice 0 is the constants; slice ``d`` is the span of the products
     ``g * v`` of a pullback ``g`` with the basis of slice ``d - deg g``,
-    the same recurrence ``invariant_generators`` builds its spans with.
+    the same recurrence the counted invariant slices build their spans with.
     Each slice is ``reduce_poly_span``'s canonical basis, and a product of
     homogeneous polynomials is homogeneous, so the slices are kept as
     reduced.
@@ -342,56 +399,6 @@ def moment_image_basis(act: HamiltonianAction, max_degree: int) -> GradedSubspac
         ]
         slices[degree] = reduce_poly_span(products, nv)
     return GradedSubspace._trusted(nv, slices)
-
-
-def invariant_generators(invariants: GradedSubspace, test_degree: int
-                         ) -> list[Poly]:
-    """Generators of the invariant algebra up to ``test_degree``.
-
-    Going up degree by degree, a basis element is kept when it is not in
-    the span of the products ``g * v`` of the generators kept so far with
-    the invariant basis of the complementary degree (nor of the elements
-    kept before it).  Every basis element up to ``test_degree`` is then a
-    polynomial in the generators.  When every basis element is one
-    monomial, the products are read as exponent sums
-    (``_monomial_generators``), with no polynomial arithmetic.
-    """
-    degrees = [d for d in invariants.degrees()
-               if 0 < d <= test_degree]  # constants commute with everything
-    if all(len(f.terms) == 1 for basis in invariants.slices.values()
-           for f in basis):
-        return _monomial_generators(invariants, degrees)
-    generators: list[Poly] = []
-    for degree in degrees:
-        products = [
-            g * v
-            for g in generators
-            for v in invariants.basis(degree - g.degree())
-        ]
-        generators += independent_extension(products, invariants.basis(degree))
-    return generators
-
-
-def _monomial_generators(invariants: GradedSubspace, degrees: Sequence[int]
-                         ) -> list[Poly]:
-    """``invariant_generators`` when every basis element is one monomial:
-    the product of two monomials is the monomial of the exponent sum, so
-    the products ``g * v`` are the sums ``e_g + e_v``.  The exponents of
-    one slice are distinct, so a basis monomial is in the span of the
-    products and of the monomials before it exactly when its exponent is
-    among the sums."""
-    exponents = {degree: [next(iter(f.terms)) for f in basis]
-                 for degree, basis in invariants.slices.items()}
-    kept: list[tuple[int, Exponent]] = []  # (degree, exponent) of each generator
-    generators: list[Poly] = []
-    for degree in degrees:
-        sums = {tuple(map(add, e, v)) for d, e in kept
-                for v in exponents.get(degree - d, ())}
-        for f, e in zip(invariants.slices[degree], exponents[degree]):
-            if e not in sums:
-                kept.append((degree, e))
-                generators.append(f)
-    return generators
 
 
 class _Table(NamedTuple):
@@ -491,7 +498,7 @@ def poisson_center_up_to(act: HamiltonianAction, max_degree: int,
     """Invariants whose bracket with every invariant basis element up to
     the test cutoff vanishes.  ``invariants`` is the run's
     ``invariants_up_to(act, test_degree)`` and ``commutators`` its table
-    up to ``max_degree`` against its ``invariant_generators``, to order 1
+    up to ``max_degree`` against its ``generators``, to order 1
     at least.  The bracket is the order-1 term of each commutator, read in
     every test column: the bracket is a biderivation, so the generators
     give the kernel the full basis gives, for any action."""
@@ -610,7 +617,6 @@ class CenterReport(NamedTuple):
     test_degree: int
     order: int
     rows: list[CenterRow]
-    generators: list[Poly]  # of the invariants; kept for reuse, not printed
 
     @property
     def passed(self) -> bool:
@@ -638,9 +644,8 @@ def compare_centers(
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
     invariants = invariants_up_to(act, test_degree)
-    generators = invariant_generators(invariants, test_degree)
-    commutators = _commutator_table(act, invariants, max_degree, generators,
-                                    max(act.order, 1))
+    commutators = _commutator_table(act, invariants, max_degree,
+                                    invariants.generators, max(act.order, 1))
     poisson = poisson_center_up_to(act, max_degree, invariants, commutators)
     quantum = quantum_center_up_to(act, max_degree, invariants, commutators)
     names = act.space.names
@@ -659,4 +664,4 @@ def compare_centers(
                 ],
             )
         )
-    return CenterReport(max_degree, test_degree, act.order, rows, generators)
+    return CenterReport(max_degree, test_degree, act.order, rows)

@@ -38,8 +38,8 @@ inputs (kernel vectors of one entry, as in the elimination slices of a
 cubic hamiltonian) from the monomials alone; a zero or longer polynomial
 among the inputs sends them to the engine.  The weight-zero slices of an
 all-diagonal action are such bases already, and their generators are
-found from exponent sums (``centers.invariant_generators``), so neither
-goes through these helpers.
+found from exponent sums (``centers.invariants_up_to``), so neither goes
+through these helpers.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ short (``errors.echo``).
 
 A run (``run_scenario``) builds the scenario and runs each task as a method
 of one run object.  That object computes the results the tasks share (the
-invariants, the lift test set and the lift run) once, on first use, and
+invariants with their generators, and the lift run) once, on first use, and
 keeps no failed lift run, so each task that needs it reports the failure.
 """
 
@@ -111,9 +111,9 @@ from .action import (
     check_quantum_moment_condition,
 )
 from .centers import (
+    Invariants,
     check_slicing_grading,
     compare_centers,
-    invariant_generators,
     invariants_up_to,
     moment_image_basis,
 )
@@ -127,7 +127,6 @@ from .lifting import (
     star_evaluate,
     verify_lift,
 )
-from .linalg import GradedSubspace
 from .parsing import parse_poly
 from .poly import Poly, as_scalar, default_names
 from .report import RunReport, TaskResult
@@ -788,28 +787,19 @@ class _Run:
 
     def __init__(self, built: BuiltScenario):
         self.built = built
-        self.generators: list[Poly] | None = None  # found by the centers task
 
     @cached_property
-    def invariants(self) -> GradedSubspace:
+    def invariants(self) -> Invariants:
         return invariants_up_to(self.built.action, self.built.scenario.test_degree)
 
     @cached_property
-    def lift_tests(self) -> list[Poly]:
-        """The quantum center's test set, the invariant generators up to the
-        test cutoff: on the validated action, a series that commutes with
-        them modulo the truncation commutes with every invariant up to the
-        cutoff.  The generators a centers task found are reused, else they
-        are found once here."""
-        if self.generators is None:
-            return invariant_generators(self.invariants,
-                                        self.built.scenario.test_degree)
-        return self.generators
-
-    @cached_property
     def lifts(self) -> tuple[list[tuple[str, Poly, HSeries]], list[dict]]:
-        """``run_lifts`` once per run, for the lift, iso and weyl tasks."""
-        return run_lifts(self.built, self.lift_tests)
+        """``run_lifts`` once per run, for the lift, iso and weyl tasks,
+        against the quantum center's test set: the invariant generators up
+        to the test cutoff.  On the validated action, a series that commutes
+        with them modulo the truncation commutes with every invariant up to
+        the cutoff."""
+        return run_lifts(self.built, self.invariants.generators)
 
     def _task_axioms(self) -> TaskResult:
         act, count = self.built.action, self.built.scenario.axiom_samples
@@ -854,7 +844,6 @@ class _Run:
         center_report = compare_centers(
             self.built.action, scenario.max_degree, scenario.test_degree
         )
-        self.generators = center_report.generators
         return TaskResult("centers", center_report.passed, center_report.to_json_dict())
 
     def _task_lift(self) -> TaskResult:

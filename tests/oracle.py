@@ -14,8 +14,8 @@ table of structure constants.  Slow but unambiguous.
 The ready-made Lie algebras, an action class that skips validation and
 the seeded polynomial samplers that the tests build their inputs from live
 here too, and so do the inputs of the two center slices, built the way
-``compare_centers`` builds them, and the polynomial recurrence that
-``invariant_generators`` replaces by exponent sums on monomial bases.
+``compare_centers`` builds them, and the polynomial recurrence that the
+invariant solve's generators must equal, whichever route finds them.
 """
 
 from __future__ import annotations
@@ -335,25 +335,36 @@ class UncheckedAction(HamiltonianAction):
 def center_inputs(act, max_degree: int, test_degree: int, invariants=None):
     """``(invariants, table)`` for ``poisson_center_up_to`` and
     ``quantum_center_up_to``, by ``compare_centers``' steps: the invariants
-    up to ``test_degree`` (unless given), their generators, which are the
-    test set of both centers on a validated action, and one commutator
-    table against them to the action's truncation.  The steps are looked up
-    in ``qcenter.centers`` at call time, so a test that monkeypatches one of
-    them changes these inputs too."""
+    up to ``test_degree`` (unless given), their generators of degree at
+    most ``test_degree``, which are the test set of both centers on a
+    validated action, and one commutator table against them to the
+    action's truncation.  The steps are looked up in ``qcenter.centers`` at
+    call time, so a test that monkeypatches one of them changes these
+    inputs too."""
     centers.check_slicing_grading(act.space)
     if invariants is None:
         invariants = centers.invariants_up_to(act, test_degree)
-    generators = centers.invariant_generators(invariants, test_degree)
+    generators = [g for g in invariants.generators if g.degree() <= test_degree]
     table = centers._commutator_table(act, invariants, max_degree, generators,
                                       max(act.order, 1))
     return invariants, table
 
 
+def full_basis(invariants):
+    """``invariants`` with its whole basis, constants included, as its
+    generators: the test set the generators stand for."""
+    full = centers.Invariants._trusted(invariants.nvars, invariants.slices)
+    full.generators = [u for degree in invariants.degrees()
+                       for u in invariants.basis(degree)]
+    return full
+
+
 def polynomial_generators(invariants, test_degree: int) -> list[Poly]:
-    """``invariant_generators`` by its polynomial recurrence, whatever the
-    input: going up degree by degree, the basis elements outside the span
-    of the ``Poly`` products ``g * v`` of the generators kept so far with
-    the basis of the complementary degree, by ``independent_extension``."""
+    """The generators up to ``test_degree`` by the polynomial recurrence,
+    whatever the input: going up degree by degree, the basis elements
+    outside the span of the ``Poly`` products ``g * v`` of the generators
+    kept so far with the basis of the complementary degree, by
+    ``independent_extension``."""
     generators: list[Poly] = []
     for degree in invariants.degrees():
         if 0 < degree <= test_degree:

@@ -16,7 +16,9 @@ parameter.  A parameter no caller sets is a knob nobody turns.
 
 Finally every function and method written in a package file, private
 ones included, must be entered by some run of the command line: the
-presets, ``validate``, ``list-presets`` and one document per error path.
+presets, ``validate``, ``list-presets``, the cubic document of
+``tests/data`` (the one run that solves every invariant slice) and one
+document per error path.
 Reading an attribute of the same name elsewhere does not count.
 
 The few names and parameters kept for callers outside the package, or for
@@ -293,6 +295,10 @@ def unentered(tmp_path_factory) -> set[str]:
     presets = [name for name, _ in list_presets()]
     runs = [(["run", name, "--report", "json"], 0) for name in presets]
     runs += [(["run", "torus_k2"], 0), (["list-presets"], 0)]
+    # no preset solves every invariant slice: the cubic document does, and
+    # finds its generators from the solved slices
+    runs += [(["run", str(Path(__file__).parent / "data" / "cubic_t2.json"),
+               "--report", "json"], 0)]
     runs += [(["validate", name], 0) for name in presets]
     folder = tmp_path_factory.mktemp("documents")
     for name, document, code in _error_documents():

@@ -1,7 +1,7 @@
 """Generators of the invariant algebra as the test set of both centers.
 
-``invariant_generators`` keeps the invariants that are not products of
-lower-degree ones.  Commuting with the generators is as strong as
+``invariants_up_to`` returns, with the slices, the invariants that are not
+products of lower-degree ones.  Commuting with the generators is as strong as
 commuting with every invariant up to the test cutoff: the bracket is a
 biderivation, the commutator is a derivation of the deformed product, and
 the quantum condition a validated action proves makes every term of a
@@ -24,7 +24,6 @@ from qcenter import (
     StarProduct,
     SymplecticSpace,
     in_span,
-    invariant_generators,
     invariants_up_to,
     parse_poly,
 )
@@ -33,7 +32,13 @@ from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.poly import weight_zero_table
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import abelian_data, center_inputs, poly_key, polynomial_generators
+from oracle import (
+    abelian_data,
+    center_inputs,
+    full_basis,
+    poly_key,
+    polynomial_generators,
+)
 
 PRESETS = [name for name, _ in list_presets()]
 
@@ -42,15 +47,6 @@ def _built(name: str):
     built = build_scenario(load_scenario(name))
     inv = invariants_up_to(built.action, built.scenario.test_degree)
     return built, inv
-
-
-def _full_basis(invariants, test_degree):
-    return [
-        u
-        for degree in invariants.degrees()
-        if degree <= test_degree
-        for u in invariants.basis(degree)
-    ]
 
 
 def _keys(polys):
@@ -68,21 +64,23 @@ def _polys(exprs, names):
 def test_torus_k4_generators_are_the_four_quadratics():
     built, inv = _built("torus_k4")
     names = built.action.space.names
-    gens = invariant_generators(inv, built.scenario.test_degree)
+    gens = inv.generators
     assert len(gens) == 4
     assert _keys(gens) == _polys(["q1*p1", "q1*p2", "q2*p1", "q2*p2"], names)
 
 
 def test_sl2_generator_is_the_pairing():
     built, inv = _built("sl2_tstar_k2")
-    gens = invariant_generators(inv, built.scenario.test_degree)
+    gens = inv.generators
     assert gens == [parse_poly("q1*p1 + q2*p2", built.action.space.names)]
 
 
 def test_generators_stop_at_the_test_degree():
+    # found degree by degree: a lower cutoff keeps those of degree at most it
     built, inv = _built("trivial_k2")
-    assert invariant_generators(inv, 0) == []
-    gens = invariant_generators(inv, 3)
+    assert invariants_up_to(built.action, 0).generators == []
+    gens = [g for g in inv.generators if g.degree() <= 3]
+    assert gens == invariants_up_to(built.action, 3).generators
     assert _keys(gens) == _polys(["q1", "p1"], built.action.space.names)
 
 
@@ -90,7 +88,7 @@ def test_generators_stop_at_the_test_degree():
 def test_every_invariant_is_a_polynomial_in_the_generators(preset):
     built, inv = _built(preset)
     top = built.scenario.test_degree
-    gens = invariant_generators(inv, top)
+    gens = inv.generators
     # all products of generators, by degree, each once
     products = {0: [Poly.constant(built.action.space.nvars, 1)]}
     for degree in range(1, top + 1):
@@ -121,7 +119,8 @@ def test_exponent_sums_match_the_polynomial_recurrence(seed):
     trusted = GradedSubspace._trusted(nv, slices)
     assert trusted.slices == GradedSubspace(nv, slices).slices
     cutoff = rng.randint(0, top)
-    assert invariant_generators(trusted, cutoff) == polynomial_generators(trusted, cutoff)
+    gens = centers._monomial_generators(slices)
+    assert [g for g in gens if g.degree() <= cutoff] == polynomial_generators(trusted, cutoff)
 
 
 @pytest.mark.parametrize("pairs, hamiltonians, top, expected", [
@@ -137,10 +136,10 @@ def test_exponent_sums_on_diagonal_tori(pairs, hamiltonians, top, expected):
                             [parse_poly(h, space.names) for h in hamiltonians])
     inv = invariants_up_to(act, top)
     assert inv.slices == GradedSubspace(space.nvars, inv.slices).slices
-    gens = invariant_generators(inv, top)
+    gens = inv.generators
     assert gens == polynomial_generators(inv, top)
     assert _keys(gens) == _polys(expected, space.names)
-    below = invariant_generators(inv, top - 1)
+    below = invariants_up_to(act, top - 1).generators
     assert below == [g for g in gens if g.degree() < top]
 
 
@@ -161,11 +160,10 @@ def test_diagonal_invariants_take_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     counted(linalg, "reduce_poly_span")
-    inv = invariants_up_to(act, 12)
     counted(Poly, "__mul__")
-    gens = invariant_generators(inv, 12)
+    inv = invariants_up_to(act, 12)
     assert calls == {"reduce_poly_span": 0, "__mul__": 0}
-    assert len(gens) == 4
+    assert len(inv.generators) == 4
 
 
 # validated actions of one hamiltonian of degree 3 or 4 on two pairs, by
@@ -198,13 +196,14 @@ def _case(case):
 def test_full_test_set_gives_the_same_slices(case, monkeypatch):
     act, max_degree, test_degree = _case(case)
     inv = invariants_up_to(act, test_degree)
-    args = (act, max_degree, test_degree, inv)
-    inputs = center_inputs(*args)
+    inputs = center_inputs(act, max_degree, test_degree, inv)
     poisson = poisson_center_up_to(act, max_degree, *inputs)
     quantum = quantum_center_up_to(act, max_degree, *inputs)
     report = centers.compare_centers(act, max_degree, test_degree).to_json_dict()
-    monkeypatch.setattr(centers, "invariant_generators", _full_basis)
-    inputs = center_inputs(*args)
+    solve = centers.invariants_up_to
+    monkeypatch.setattr(centers, "invariants_up_to",
+                        lambda act, degree: full_basis(solve(act, degree)))
+    inputs = center_inputs(act, max_degree, test_degree, full_basis(inv))
     full_poisson = poisson_center_up_to(act, max_degree, *inputs)
     assert full_poisson.slices == poisson.slices
     full = quantum_center_up_to(act, max_degree, *inputs)
@@ -215,18 +214,13 @@ def test_full_test_set_gives_the_same_slices(case, monkeypatch):
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-def test_compare_centers_finds_the_generators_once(preset, monkeypatch):
-    built = build_scenario(load_scenario(preset))
-    scenario = built.scenario
-    args = (built.action, scenario.max_degree, scenario.test_degree)
+def test_compare_centers_finds_the_generators_once(preset, request):
+    # one solve, every generator finder inside it, and the same report
+    scenario = load_scenario(preset)
+    args = (build_scenario(scenario).action, scenario.max_degree, scenario.test_degree)
     expected = centers.compare_centers(*args).to_json_dict()
-    calls = []
-    real = centers.invariant_generators
-
-    def spy(invariants, test_degree):
-        calls.append(test_degree)
-        return real(invariants, test_degree)
-
-    monkeypatch.setattr(centers, "invariant_generators", spy)
+    calls = request.getfixturevalue("generator_discovery")
     assert centers.compare_centers(*args).to_json_dict() == expected
-    assert calls == [scenario.test_degree]
+    names = [name for name, _ in calls]
+    assert names[0] == "invariants_up_to" and names.count("invariants_up_to") == 1
+    assert len(names) > 1 and all(inside for _, inside in calls)

@@ -25,14 +25,12 @@ from qcenter import (
     MonicRelation,
     Poly,
     hensel_lift,
-    invariant_generators,
     invariants_up_to,
     monomials_of_degree,
     reduce_poly_span,
     rref,
     verify_lift,
 )
-from qcenter import centers, scenario as scenario_mod
 from qcenter.linalg import span_combinations
 from qcenter.poly import monomial_key
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift, run_scenario
@@ -161,7 +159,7 @@ def test_generators_and_full_basis_agree_on_lifts(preset):
     test_degree = built.scenario.test_degree
     invariants = invariants_up_to(act, test_degree)
     full = [u for d in invariants.degrees() for u in invariants.basis(d)]
-    generators = invariant_generators(invariants, test_degree)
+    generators = invariants.generators
     assert len(generators) < len(full)
     for spec in built.scenario.lifts:
         f, rel = resolve_lift(built, spec)
@@ -176,23 +174,18 @@ def test_generators_and_full_basis_agree_on_lifts(preset):
         assert verify_lift(fhat, rel, act, tests).centrality_failures
 
 
-def test_invariant_generators_run_once_per_run_on_torus_k4(monkeypatch):
+def test_invariant_generators_run_once_per_run_on_torus_k4(generator_discovery):
+    # the run's own solve and compare_centers' each find the generators
+    # inside invariants_up_to, and nothing else does: the lift tasks read
+    # the generators of the run's invariants
     scenario = load_scenario("torus_k4")
-    calls = []
-    real = centers.invariant_generators
-
-    def spy(invariants, test_degree):
-        calls.append(test_degree)
-        return real(invariants, test_degree)
-
-    # the centers task finds them in centers, the lift test set in scenario
-    monkeypatch.setattr(centers, "invariant_generators", spy)
-    monkeypatch.setattr(scenario_mod, "invariant_generators", spy)
+    calls = generator_discovery
+    assert {"centers", "lift"} <= set(scenario.tasks)
     report = run_scenario(scenario)
     assert report.passed
-    assert calls == [scenario.test_degree]
-    # without a centers task the lifts find the generators themselves, once
+    assert calls == [("invariants_up_to", True), ("_monomial_generators", True)] * 2
+    # without a centers task the lifts read the same solve, found once
     calls.clear()
     report = run_scenario(scenario._replace(tasks=("lift", "iso", "weyl")))
     assert report.passed
-    assert calls == [scenario.test_degree]
+    assert calls == [("invariants_up_to", True), ("_monomial_generators", True)]

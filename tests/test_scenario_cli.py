@@ -29,6 +29,7 @@ from qcenter.errors import ParseError, ValidationError
 from qcenter.report import to_json
 
 import refusals
+from oracle import full_basis
 
 DATA = Path(__file__).resolve().parent / "data"
 MINIMAL_TORUS = refusals.MINIMAL
@@ -337,14 +338,14 @@ def test_a_failed_lift_run_is_reported_by_each_task_that_needs_it(tmp_path):
 
 
 def test_one_run_computes_each_shared_result_once(monkeypatch):
-    # the invariants, the lift test set and the lift run are shared by the
-    # tasks that read them, each computed on first use; the action builds
+    # the invariants, with the generators the lifts are tested against,
+    # and the lift run are shared by the tasks that read them, each
+    # computed on first use; the action builds
     # each generator's central section once, for every lift and the
     # triangle task to read, so the only symmetrizations are the section's,
     # of the generator and of its one correction.  Each function is counted
     # under every qcenter module that holds it.
     real = {"invariants_up_to": centers_mod.invariants_up_to,
-            "invariant_generators": centers_mod.invariant_generators,
             "run_lifts": scenario_mod.run_lifts,
             "central_section": envelope_mod.central_section,
             "symmetrize": envelope_mod.symmetrize}
@@ -368,8 +369,8 @@ def test_one_run_computes_each_shared_result_once(monkeypatch):
     assert all(task.passed for task in report.tasks)
     (generator,) = scenario.lie_generators
     assert len(generator.section_correction) == 1
-    assert calls == {"invariants_up_to": 1, "invariant_generators": 1, "run_lifts": 1,
-                     "central_section": 1, "symmetrize": 2}
+    assert calls == {"invariants_up_to": 1, "run_lifts": 1, "central_section": 1,
+                     "symmetrize": 2}
 
 
 def test_shipped_scenarios_validate():
@@ -439,15 +440,16 @@ def test_a_cubic_action_is_tested_against_its_generators(tmp_path, monkeypatch):
     assert all(task["passed"] for task in tasks)
     forced = []
 
-    def full_basis(invariants, test_degree):
-        forced.append(test_degree)
-        return [u for d in invariants.degrees() if d <= test_degree
-                for u in invariants.basis(d)]
+    def solve(act, degree, _solve=centers_mod.invariants_up_to):
+        forced.append(degree)
+        return full_basis(_solve(act, degree))
 
+    # the run's solve, for the invariants task and the lifts, and the
+    # centers task's
     for module in (centers_mod, scenario_mod):
-        monkeypatch.setattr(module, "invariant_generators", full_basis)
+        monkeypatch.setattr(module, "invariants_up_to", solve)
     assert report("full.json") == generators
-    assert forced == [10]
+    assert forced == [10, 10]
 
 
 def _leaf_paths(table: dict, prefix: str = ""):
