@@ -127,15 +127,31 @@ Both systems are shrunk without changing any answer:
   ``compare_centers`` and a run's lift tasks read the generators of the
   invariants they solve.
 
-The test cutoff is assumed, not certified.  Testing up to it is testing
+The test cutoff is exact when every hamiltonian is diagonal on the
+standard bivector, and assumed otherwise.  Testing up to it is testing
 against every invariant exactly when every generator of the invariant
-algebra has degree at most the cutoff.  Below that, both centers are
-solved against the same short test set, so they agree and the comparison
-passes with a wrong answer.  A two-pair torus with the hamiltonian
-``11*q1*p1 + q2*p2`` shows it: at the default cutoff 10 its Poisson center
-has dimension 2 at degree 2, and at 12, where the generator ``q1*p2^11``
-enters, dimension 1 (``q1*p1 + 1/11*q2*p2``).  A certificate for diagonal
-actions, from the weight rows the action holds, is ROADMAP item 2.
+algebra has degree at most the cutoff; below that, both centers are
+solved against the same short test set, agree, and pass with a wrong
+answer.  On ``n`` pairs, such a hamiltonian is ``sum_i W_i q_i p_i`` plus
+a constant, and with ``t_i = q_i p_i`` the bracket
+``{F(t), q^a p^b}`` is ``sum_i (b_i - a_i) dF/dt_i`` times ``q^a p^b``.
+So an invariant is central exactly when it lies in ``K[t]`` and is
+killed by the derivative along ``a - b`` for every weight-zero monomial
+``q^a p^b``.  Those differences span the kernel of the weight rows ``W``,
+of rank ``n - r`` for ``r = rank W``, so the Poisson center is the
+polynomials in the hamiltonians, of dimension ``C(r + k - 1, k)`` at
+degree ``2k`` and 0 at odd degrees, and the paper's isomorphism gives the
+quantum center from it.  A test set up to ``T`` sees the derivatives
+along the differences of degree at most ``T``, so the answer is right at
+every degree bound exactly when those span rank ``n - r``; degrees 0 and
+1 need no more.  ``check_test_cutoff`` feeds the differences into one
+elimination degree by degree and refuses a cutoff below the degree where
+the rank is reached, naming that degree and the monomial that reaches it
+when the degree is inside the candidate budget (``MAX_CANDIDATES``).  A
+two-pair torus with the hamiltonian ``11*q1*p1 + q2*p2`` needs 12, where
+``q1*p2^11`` enters; below it, its Poisson center has dimension 2 at
+degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).  On a non-diagonal
+action or another bivector the cutoff is assumed, not certified.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
@@ -184,8 +200,10 @@ from .linalg import (
     span_combinations,
 )
 from .poly import (
+    MAX_CANDIDATES,
     Exponent,
     Poly,
+    monomial_count,
     monomial_key,
     poly_sum,
     weight_count_table,
@@ -556,6 +574,44 @@ def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
     return out
 
 
+def check_test_cutoff(act: HamiltonianAction, test_degree: int):
+    """Refuse, on an action whose hamiltonians are all diagonal on the
+    standard bivector, a test cutoff below the exact one (module docstring,
+    on the test cutoff): the differences ``a - b`` of the weight-zero
+    monomials ``q^a p^b`` up to the cutoff must span rank ``n - r``, ``n``
+    the pairs and ``r`` the rank of the weight rows.  They go into one
+    elimination degree by degree, which stops at that rank; past the
+    cutoff it goes on, within the candidate budget, to name the least
+    sufficient degree.  Any other action or bivector keeps the assumed
+    cutoff."""
+    space, rows = act.space, act.weight_rows
+    n, nv = space.pairs, space.nvars
+    standard = [(i, n + i, 1) for i in range(n)] + [(n + i, i, -1) for i in range(n)]
+    if act.nondiagonal or space.bivector_entries() != standard:
+        return
+    weights = EchelonAccumulator(nv)
+    missing = n - sum(weights.add_row(dict(enumerate(w))) for w in rows)
+    differences = EchelonAccumulator(n)
+    degree = 0
+    while missing:
+        degree += 1
+        if degree > test_degree and monomial_count(nv, degree, MAX_CANDIDATES
+                                                   ) > MAX_CANDIDATES:
+            raise ValidationError(
+                f"test_degree {test_degree} is not certified for this diagonal "
+                "action, and no test_degree within the candidate budget is")
+        for e in weight_zero_monomials(nv, degree, rows):
+            missing -= differences.add_row(
+                {i: a - b for i, (a, b) in enumerate(zip(e, e[n:])) if a != b})
+            if not missing:
+                break
+    if degree > test_degree:
+        raise ValidationError(
+            f"test_degree {test_degree} is below the exact cutoff {degree} of "
+            f"this diagonal action, where {Poly.monomial(nv, e).to_string(space.names)} "
+            "enters")
+
+
 def check_slicing_grading(space):
     """Require of a ``SymplecticSpace`` the grading quantum-center slicing
     needs: the uniform default weights with a graded bivector, so the
@@ -643,6 +699,8 @@ def compare_centers(
     check_slicing_grading(act.space)
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
+    if max_degree >= 2:
+        check_test_cutoff(act, test_degree)
     invariants = invariants_up_to(act, test_degree)
     commutators = _commutator_table(act, invariants, max_degree,
                                     invariants.generators, max(act.order, 1))

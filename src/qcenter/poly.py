@@ -469,3 +469,21 @@ def weight_count_table(nvars: int, max_degree: int,
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, canonically ordered."""
     return monomial_table(nvars, degree)[degree] if degree >= 0 else []
+
+
+# the size budget: monomials of degree at most a run's test cutoff
+MAX_CANDIDATES = 10**6
+
+
+def monomial_count(nvars: int, degree: int, limit: int) -> int:
+    """C(nvars + degree, degree), the number of monomials of degree at
+    most ``degree`` in ``nvars`` variables, or the first partial product
+    above ``limit``.  Each step at least doubles the count, so this takes
+    at most about log2(limit) steps however large the inputs are."""
+    k = min(nvars, degree)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (nvars + degree - k + i) // i
+        if count > limit:
+            break
+    return count

@@ -21,6 +21,11 @@ structural validation (``ValidationError``):
 * when the task list holds ``centers``: the uniform default grading with
   a graded bivector that quantum-center slicing needs, and a truncation
   of at least 1, below which every deformed commutator vanishes;
+* when the task list holds ``centers``, or a lift task runs a lift, and
+  ``max_degree`` is at least 2: on an action whose hamiltonians are all
+  diagonal on the standard bivector, a ``test_degree`` at least the exact
+  cutoff (``centers.check_test_cutoff``), below which both centers agree
+  on a wrong answer;
 * when a lift task runs a lift: generator pullbacks the lifts can use
   (homogeneous), and central lifts whose order-``N`` coefficients are
   invariant, ``N`` the truncation.  The coefficients below ``N`` are
@@ -113,6 +118,7 @@ from .action import (
 from .centers import (
     Invariants,
     check_slicing_grading,
+    check_test_cutoff,
     compare_centers,
     invariants_up_to,
     moment_image_basis,
@@ -128,7 +134,7 @@ from .lifting import (
     verify_lift,
 )
 from .parsing import parse_poly
-from .poly import Poly, as_scalar, default_names
+from .poly import MAX_CANDIDATES, Poly, as_scalar, default_names, monomial_count
 from .report import RunReport, TaskResult
 from .sampling import sample_homogeneous_pairs, sample_polys, sample_triples
 from .series import HSeries
@@ -148,7 +154,6 @@ TASK_ORDER = (
     "weyl",
 )
 _SAMPLE_SEED = 0x5EED
-MAX_CANDIDATES = 10**6
 MAX_WORD_LENGTH = 24
 MAX_SAMPLES = 10**5
 # ~15 times the largest bound of the shipped presets, tests/data and the
@@ -343,20 +348,6 @@ def _integer(value, path: str, extent: tuple) -> int:
     return value
 
 
-def _candidate_count(nvars: int, degree: int, limit: int) -> int:
-    """C(nvars + degree, degree), the number of monomials of degree at
-    most ``degree`` in ``nvars`` variables, or the first partial product
-    above ``limit``.  Each step at least doubles the count, so this takes
-    at most about log2(limit) steps however large the inputs are."""
-    k = min(nvars, degree)
-    count = 1
-    for i in range(1, k + 1):
-        count = count * (nvars + degree - k + i) // i
-        if count > limit:
-            break
-    return count
-
-
 def _symbol_level(truncation: int, test_degree: int) -> int:
     """The symbol level the size budget bounds: the highest a run asks for
     outside the ``weyl`` commutators and composed lifts (see the module
@@ -369,8 +360,8 @@ def _symbol_terms(pairs: int, nonzero: int, level: int, limit: int) -> int:
     ``m = nonzero`` and ``L = level``, the bound on the entries of the
     level-``L`` symbol table, or a number above ``limit`` when the bound
     is."""
-    indices = _candidate_count(2 * pairs - 1, level, limit)
-    return min(indices * indices, _candidate_count(nonzero - 1, level, limit))
+    indices = monomial_count(2 * pairs - 1, level, limit)
+    return min(indices * indices, monomial_count(nonzero - 1, level, limit))
 
 
 def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
@@ -381,7 +372,7 @@ def _check_bounds(pairs: int, bivector: tuple[tuple[Fraction, ...], ...] | None,
         raise ValidationError(
             f"max_degree {max_degree} exceeds test_degree {test_degree}"
         )
-    if _candidate_count(2 * pairs, max(test_degree, 2), MAX_CANDIDATES) > MAX_CANDIDATES:
+    if monomial_count(2 * pairs, max(test_degree, 2), MAX_CANDIDATES) > MAX_CANDIDATES:
         raise ValidationError(
             f"space.pairs {pairs} with test_degree {test_degree} gives more "
             f"than {MAX_CANDIDATES} candidate monomials, over the size budget"
@@ -406,7 +397,7 @@ def _substitution_bound(pairs: int, expr: Poly, degree: int, where: str) -> int:
     hamiltonians into each generator and the pullbacks into each lift
     expression."""
     bound = max(expr.degree(), 0) * max(degree, 0)
-    if _candidate_count(2 * pairs, bound, MAX_CANDIDATES) > MAX_CANDIDATES:
+    if monomial_count(2 * pairs, bound, MAX_CANDIDATES) > MAX_CANDIDATES:
         raise ValidationError(
             f"{where} has degree bound {bound} in the coordinates, which gives "
             f"more than {MAX_CANDIDATES} monomials, over the size budget"
@@ -682,7 +673,10 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
             for label, ham in zip(labels, scenario.hamiltonians)
         ]
     action = HamiltonianAction(lie, star, scenario.hamiltonians, quantum)
-    if scenario.lifts and {"lift", "iso", "weyl"} & set(scenario.tasks):
+    lifts_run = scenario.lifts and {"lift", "iso", "weyl"} & set(scenario.tasks)
+    if scenario.max_degree >= 2 and ("centers" in scenario.tasks or lifts_run):
+        check_test_cutoff(action, scenario.test_degree)
+    if lifts_run:
         try:  # the check of every lift's subalgebra; degree 0 builds nothing more
             moment_image_basis(action, 0)
             # only the order-N coefficients are open (module docstring)

@@ -6,8 +6,9 @@ walk prunes exponents it can prove infeasible, the sl2 rule drops the rows
 of a lowering element, a central section and the comoment are central by
 construction and checked nowhere else, the invariants of an all-diagonal
 action are kept as enumerated and their generators read off exponent
-sums, and a weight count fixes the dimension of each invariant slice of a
-rank-one action.  A refactor can weaken one of their
+sums, a weight count fixes the dimension of each invariant slice of a
+rank-one action, and the weight-zero differences of a diagonal action
+certify its test cutoff.  A refactor can weaken one of their
 conditions and still give the right answers on the inputs at hand, so each
 row here is a mutant that some test must notice.  A row holds an id, a
 source file under ``src/qcenter``, an exact snippet of it and its
@@ -55,6 +56,8 @@ _WEIGHTS = "tests/test_weight_spaces.py::"
 _POLY = "tests/test_poly.py::"
 _GOLDEN = "tests/test_golden.py::"
 _CLI = "tests/test_scenario_cli.py::"
+_GENERATORS = "tests/test_generators.py::"
+_CUTOFF = "tests/test_cutoff.py::"
 
 ROWS = [
     # -- the weight-zero walk (poly.weight_zero_monomials) --------------------
@@ -150,6 +153,23 @@ ROWS = [
         "slices[degree] = span",
         "slices[degree] = products",
         (_GOLDEN + "test_sl2_two_copies_report_bytes_match_golden",)),
+    # -- uncounted solves (centers._generators) --------------------------------
+    Row("uncounted_extension_dropped", "centers.py",
+        "        generators += independent_extension(products, basis)\n    return generators",
+        "        pass\n    return generators",
+        (_GENERATORS + "test_the_solve_returns_the_recurrences_generators",
+         _GOLDEN + "test_non_diagonal_so3_report_bytes_match_golden")),
+    # -- the exact cutoff of a diagonal action (centers.check_test_cutoff) -----
+    Row("cutoff_rank_target_off_by_one", "centers.py",
+        "missing = n - sum(",
+        "missing = n - 1 - sum(",
+        (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
+         _CUTOFF + "test_another_bivector_keeps_the_assumed_cutoff")),
+    Row("cutoff_check_skipped", "centers.py",
+        "if act.nondiagonal or space.bivector_entries() != standard:",
+        "if True:",
+        (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
+         _CUTOFF + "test_another_bivector_keeps_the_assumed_cutoff")),
 ]
 
 

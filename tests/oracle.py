@@ -31,13 +31,14 @@ from qcenter import (
     InvariantGenerator,
     LieAlgebraData,
     Poly,
+    StarProduct,
     SymplecticSpace,
     UEnvElement,
     monomials_of_degree,
 )
 from qcenter import centers
 from qcenter.linalg import independent_extension
-from qcenter.poly import monomial_table
+from qcenter.poly import monomial_table, poly_sum
 
 
 def brute_force_term(space: SymplecticSpace, f: Poly, g: Poly, level: int) -> Poly:
@@ -319,6 +320,21 @@ def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
     labels = tuple(labels) if labels else tuple(f"t{i+1}" for i in range(dim))
     gens = [InvariantGenerator(labels[i], Poly.variable(dim, i)) for i in range(dim)]
     return LieAlgebraData(dim, labels, {}, gens)
+
+
+def diagonal_torus_action(seed: int, truncation: int = 2
+                          ) -> tuple[HamiltonianAction, list[list[int]]]:
+    """A seeded diagonal torus and its pair weights: 1-3 pairs and 0-2
+    hamiltonians ``sum_i w_i q_i p_i``, each weight in -3..3."""
+    rng = random.Random(seed)
+    pairs = rng.randint(1, 3)
+    rows = [[rng.randint(-3, 3) for _ in range(pairs)] for _ in range(rng.randint(0, 2))]
+    space = SymplecticSpace(pairs)
+    hamiltonians = [poly_sum(space.nvars, [(space.q(i) * space.p(i)).scale(w)
+                                           for i, w in enumerate(row, start=1)])
+                    for row in rows]
+    return HamiltonianAction(abelian_data(len(rows)), StarProduct(space, truncation),
+                             hamiltonians), rows
 
 
 class UncheckedAction(HamiltonianAction):

@@ -64,6 +64,27 @@ MINIMAL = {
     "tasks": ["axioms", "moment", "triangle", "invariants", "centers", "lift", "iso", "weyl"],
 }
 
+# every hamiltonian diagonal on the standard bivector: the test cutoff is
+# exact, 12 here, where the generators q2^11*p1 and q1*p2^11 enter
+TORUS_11 = {
+    "schema": "qcenter-scenario/1",
+    "name": "torus_11",
+    "space": {"pairs": 2},
+    "lie_algebra": {"dim": 1, "labels": ["t"], "brackets": [],
+                    "invariant_generators": [{"name": "t", "poly": "t"}]},
+    "hamiltonians": {"t": "11*q1*p1 + q2*p2"},
+    "truncation": 2,
+    "max_degree": 2,
+    "lifts": [],
+    "relations": [],
+    "center_generators": [],
+    "tasks": ["invariants", "centers"],
+}
+# two weight rows on three pairs: exact cutoff 25
+TWO_ROWS = dict(TORUS_11, name="two_rows", space={"pairs": 3}, lie_algebra={
+    "dim": 2, "labels": ["s", "t"], "brackets": [], "invariant_generators": []},
+    hamiltonians={"s": "2*q1*p1 - 3*q2*p2 + 3*q3*p3", "t": "2*q1*p1 - 4*q2*p2 - q3*p3"})
+
 
 class Row(NamedTuple):
     id: str
@@ -552,6 +573,25 @@ ROWS += [
           ("pullback", _dense_quartic(poly="t^24"), "pullback of generator 't'"),
           ("lift", _dense_quartic(name="g", poly="t", lift="g^24"), "lift 'G'"),
       ]],
+    # below the exact cutoff of a diagonal action both centers are solved
+    # against the same short test set and agreed on a wrong answer, exit 0
+    *[Row(f"diagonal_cutoff_below_the_exact_one_is_refused[{case}]", source, edit, 3,
+          _line(3, f"test_degree {degree} is below the exact cutoff {exact} of this "
+                   f"diagonal action, where {monomial} enters"), whole=True, seconds=10)
+      for case, source, edit, degree, exact, monomial in [
+          ("skew_torus-2", "data/skew_torus.json", {"max_degree": 2, "test_degree": 2},
+           2, 4, "q2^3*p1"),
+          ("skew_torus-3", "data/skew_torus.json", {"max_degree": 2, "test_degree": 3},
+           3, 4, "q2^3*p1"),
+          ("torus_11-default", TORUS_11, None, 10, 12, "q2^11*p1"),
+          ("two_rows-24", TWO_ROWS, {"test_degree": 24}, 24, 25, "q3^2*p1^15*p2^8"),
+      ]],
+    # the first difference past the kernel of the row (100, 1) has degree
+    # 101, and the candidate budget of two pairs ends at degree 67
+    Row("diagonal_cutoff_past_the_candidate_budget_is_not_certified", TORUS_11,
+        {"hamiltonians": {"t": "100*q1*p1 + q2*p2"}}, 3,
+        _line(3, "test_degree 10 is not certified for this diagonal action, and no "
+                 "test_degree within the candidate budget is"), whole=True, seconds=10),
 ]
 
 

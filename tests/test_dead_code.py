@@ -283,6 +283,11 @@ def _error_documents():
     constant = dict(torus, lifts=[{"name": "J", "classical": "3"}])
     constant["lie_algebra"] = dict(torus["lie_algebra"], invariant_generators=[])
     yield "constant_lift", constant, 1
+    # check_test_cutoff: a diagonal action below its exact cutoff, and one
+    # whose exact cutoff is past the candidate budget
+    eleven = dict(torus, space={"pairs": 2}, hamiltonians={"t": "11*q1*p1 + q2*p2"})
+    yield "below_exact_cutoff", eleven, 3
+    yield "cutoff_not_certified", dict(eleven, hamiltonians={"t": "100*q1*p1 + q2*p2"}), 3
     # LiftObstructionError: the Casimir's lift without its order-2 correction
     obstructed = _preset("sl2_tstar_k2")
     del obstructed["lie_algebra"]["invariant_generators"][0]["section_correction"]

@@ -13,7 +13,9 @@ validated cubic and quartic actions alike.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,17 +32,26 @@ from qcenter import (
 from qcenter import centers, linalg
 from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.poly import weight_zero_table
-from qcenter.scenario import build_scenario, list_presets, load_scenario
+from qcenter.scenario import (
+    build_scenario,
+    list_presets,
+    load_scenario,
+    parse_scenario,
+    preset_path,
+)
 
 from oracle import (
     abelian_data,
     center_inputs,
+    diagonal_torus_action,
     full_basis,
     poly_key,
     polynomial_generators,
 )
+from test_metamorphic import rotated_lie_basis
 
 PRESETS = [name for name, _ in list_presets()]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _built(name: str):
@@ -141,6 +152,29 @@ def test_exponent_sums_on_diagonal_tori(pairs, hamiltonians, top, expected):
     assert _keys(gens) == _polys(expected, space.names)
     below = invariants_up_to(act, top - 1).generators
     assert below == [g for g in gens if g.degree() < top]
+
+
+DOCUMENTS = ["so3_rotation", "cubic_t2", "sl2_two_copies"]
+
+
+@pytest.mark.parametrize("case", DOCUMENTS + ["sl2_rotated"]
+                         + [f"diagonal-{seed}" for seed in range(40)])
+def test_the_solve_returns_the_recurrences_generators(case):
+    # the uncounted solves (so(3), the cubic, the rotated Lie basis), the
+    # counted one (two copies of sl2) and seeded diagonal tori, up to the
+    # test cutoff or degree 6: the generators of the solve, in order, are
+    # the polynomial recurrence's on its slices
+    if case.startswith("diagonal-"):
+        act, top = diagonal_torus_action(int(case.split("-")[1]))[0], 6
+    else:
+        if case == "sl2_rotated":
+            doc = json.loads(preset_path("sl2_tstar_k2").read_text())
+            scenario = parse_scenario(rotated_lie_basis(doc, random.Random(0)))
+        else:
+            scenario = load_scenario(str(DATA / f"{case}.json"))
+        act, top = build_scenario(scenario).action, scenario.test_degree
+    inv = invariants_up_to(act, top)
+    assert inv.generators == polynomial_generators(inv, top)
 
 
 def test_diagonal_invariants_take_no_polynomial_arithmetic(monkeypatch):

@@ -31,15 +31,17 @@ from qcenter import (
     Poly,
     StarProduct,
     SymplecticSpace,
+    ValidationError,
     compare_centers,
 )
+from qcenter.centers import poisson_center_up_to, quantum_center_up_to
 from qcenter.action import _diagonal_weights
 from qcenter.parsing import parse_poly
 from qcenter.poly import default_names
 from qcenter.report import to_json
 from qcenter.scenario import load_scenario, parse_scenario, preset_path, run_scenario
 
-from oracle import abelian_data
+from oracle import abelian_data, center_inputs
 
 # the pushed coefficients grow with each transvection, so the degrees are
 # kept small enough for tier-1 time on three pairs
@@ -84,7 +86,20 @@ def action(star: StarProduct, hamiltonians: list[Poly]) -> HamiltonianAction:
 
 def profile(act: HamiltonianAction) -> tuple:
     """Per degree: invariant and Poisson-center dimensions and quantum
-    rank; and the verdict."""
+    rank; and the verdict.  They are solved by ``compare_centers``' steps
+    (``center_inputs``), which do not check the cutoff: a diagonal
+    original below its exact cutoff is refused by ``compare_centers``, but
+    the computation at one cutoff must still not depend on coordinates."""
+    inputs = center_inputs(act, DEGREE, DEGREE)
+    poisson = poisson_center_up_to(act, DEGREE, *inputs)
+    quantum = quantum_center_up_to(act, DEGREE, *inputs)
+    rows = [(inputs[0].dimension(d), poisson.dimension(d), quantum[d].rank)
+            for d in range(DEGREE + 1)]
+    return rows, all(p == rank for _, p, rank in rows)
+
+
+def reported(act: HamiltonianAction) -> tuple:
+    """``profile`` read off ``compare_centers``' report."""
     report = compare_centers(act, DEGREE, DEGREE)
     rows = [(row.invariant_dim, row.poisson_dim, row.quantum_rank) for row in report.rows]
     return rows, report.passed
@@ -108,7 +123,14 @@ def test_center_comparison_is_invariant_under_symplectic_transvections(seed):
         for brackets in act.coordinate_brackets:
             weights = _diagonal_weights(brackets)
             assert (weights is not None) is diagonal
-    assert profile(pushed) == profile(original)
+    assert profile(pushed) == profile(original) == reported(pushed)
+    # the pushed torus is not diagonal, so its cutoff is assumed; the
+    # original's is exact, and seed 5 is below it (it needs 11)
+    if seed == 5:
+        with pytest.raises(ValidationError, match="below the exact cutoff 11"):
+            reported(original)
+    else:
+        assert reported(original) == profile(original)
 
 
 # -- a rotated Lie basis ----------------------------------------------------------
