@@ -106,17 +106,15 @@ class _Width:
     entry l lists d^alpha x^e = factor * x^(e - alpha) for every multi-index
     alpha of length l with a nonzero factor.  ``unpacked`` maps a packed
     output monomial to its exponent tuple.  Both are filled on first use and
-    hold only ints and tuples; ``children`` maps a multi-index to its
-    extensions, so every multi-index tuple is built once per width.
+    hold only ints and tuples.
     """
 
-    __slots__ = ("bits", "mask", "shifts", "children", "monomials", "unpacked")
+    __slots__ = ("bits", "mask", "shifts", "monomials", "unpacked")
 
     def __init__(self, bits: int, nvars: int):
         self.bits = bits
         self.mask = (1 << bits) - 1
         self.shifts = range(0, bits * nvars, bits)
-        self.children: dict[Index, tuple[tuple[int, Index], ...]] = {}
         self.monomials: dict[int, list[Derivatives]] = {}
         self.unpacked: dict[int, tuple[int, ...]] = {}
 
@@ -128,20 +126,14 @@ class _Width:
         levels = self.monomials.get(k)
         if levels is None:
             levels = self.monomials[k] = [(((), k, 1),)]
-        shifts, mask, children = self.shifts, self.mask, self.children
+        shifts, mask = self.shifts, self.mask
         while len(levels) <= level:
             nxt = []
             for alpha, m, f in levels[-1]:
-                kids = children.get(alpha)
-                if kids is None:
-                    kids = children[alpha] = tuple(
-                        (i, alpha + (i,))
-                        for i in range(alpha[-1] if alpha else 0, len(shifts))
-                    )
-                for i, child in kids:
+                for i in range(alpha[-1] if alpha else 0, len(shifts)):
                     s = shifts[i]
                     if e := (m >> s) & mask:
-                        nxt.append((child, m - (1 << s), f * e))
+                        nxt.append((alpha + (i,), m - (1 << s), f * e))
             levels.append(tuple(nxt))
         return levels
 
