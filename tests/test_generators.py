@@ -154,10 +154,7 @@ def test_exponent_sums_on_diagonal_tori(pairs, hamiltonians, top, expected):
     assert below == [g for g in gens if g.degree() < top]
 
 
-DOCUMENTS = ["so3_rotation", "cubic_t2", "sl2_two_copies"]
-
-
-@pytest.mark.parametrize("case", DOCUMENTS + ["sl2_rotated"]
+@pytest.mark.parametrize("case", ["so3_rotation", "cubic_t2", "sl2_two_copies", "sl2_rotated"]
                          + [f"diagonal-{seed}" for seed in range(40)])
 def test_the_solve_returns_the_recurrences_generators(case):
     # the uncounted solves (so(3), the cubic, the rotated Lie basis), the
