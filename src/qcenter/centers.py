@@ -149,9 +149,10 @@ elimination degree by degree and refuses a cutoff below the degree where
 the rank is reached, naming that degree and the monomial that reaches it
 when the degree is inside the candidate budget (``MAX_CANDIDATES``).  A
 two-pair torus with the hamiltonian ``11*q1*p1 + q2*p2`` needs 12, where
-``q1*p2^11`` enters; below it, its Poisson center has dimension 2 at
-degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).  On a non-diagonal
-action or another bivector the cutoff is assumed, not certified.
+``q2^11*p1`` and ``q1*p2^11`` enter; below it, its Poisson center has
+dimension 2 at degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).  On a
+non-diagonal action or another bivector the cutoff is assumed, not
+certified.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
