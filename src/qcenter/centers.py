@@ -221,6 +221,14 @@ class Invariants(GradedSubspace):
 
     generators: list[Poly]
 
+    @classmethod
+    def _trusted(cls, nvars: int, slices: dict[int, list[Poly]],
+                 generators: list[Poly]) -> "Invariants":
+        """``GradedSubspace._trusted`` with the slices' generators."""
+        self = super()._trusted(nvars, slices)
+        self.generators = generators
+        return self
+
 
 def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
     """Per-degree bases of polynomials killed by every hamiltonian bracket,
@@ -255,12 +263,11 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
               for i in act.eliminated]
     if not others:
         one = Fraction(1)
-        invariants = Invariants._trusted(nv, {
+        slices = {
             degree: [Poly._trusted(nv, {m: one}) for m in candidates]
             for degree, candidates in enumerate(weight_zero_table(nv, max_degree, rows))
-        })
-        invariants.generators = _monomial_generators(invariants.slices)
-        return invariants
+        }
+        return Invariants._trusted(nv, slices, _monomial_generators(slices))
     root = act.raising_root
     counts = None if root is None else weight_count_table(nv, max_degree, rows)
     slices = {0: [Poly.constant(nv, 1)]}  # no bracket row reaches a constant
@@ -294,10 +301,9 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
                     f"dimension {len(basis)}, against its weight count {count}")
             generators += independent_extension(products, basis)
         slices[degree] = basis
-    invariants = Invariants._trusted(nv, slices)
-    invariants.generators = (generators if counts is not None
-                             else _generators(invariants.slices))
-    return invariants
+    if counts is None:
+        generators = _generators(slices)
+    return Invariants._trusted(nv, slices, generators)
 
 
 def _generators(slices: dict[int, list[Poly]]) -> list[Poly]:
@@ -575,10 +581,11 @@ def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
     return out
 
 
-def check_test_cutoff(act: HamiltonianAction, test_degree: int):
-    """Refuse, on an action whose hamiltonians are all diagonal on the
-    standard bivector, a test cutoff below the exact one (module docstring,
-    on the test cutoff): the differences ``a - b`` of the weight-zero
+def check_test_cutoff(act: HamiltonianAction, max_degree: int, test_degree: int):
+    """Refuse, at a degree bound ``max_degree`` of at least 2 on an action
+    whose hamiltonians are all diagonal on the standard bivector, a test
+    cutoff below the exact one (module docstring, on the test cutoff;
+    degrees 0 and 1 need no more): the differences ``a - b`` of the weight-zero
     monomials ``q^a p^b`` up to the cutoff must span rank ``n - r``, ``n``
     the pairs and ``r`` the rank of the weight rows.  They go into one
     elimination degree by degree, which stops at that rank; past the
@@ -588,6 +595,8 @@ def check_test_cutoff(act: HamiltonianAction, test_degree: int):
     space, rows = act.space, act.weight_rows
     n, nv = space.pairs, space.nvars
     standard = [(i, n + i, 1) for i in range(n)] + [(n + i, i, -1) for i in range(n)]
+    if max_degree < 2:
+        return
     if act.nondiagonal or space.bivector_entries() != standard:
         return
     weights = EchelonAccumulator(nv)
@@ -700,8 +709,7 @@ def compare_centers(
     check_slicing_grading(act.space)
     if test_degree < max_degree:
         raise ValidationError("test cutoff must be at least the degree bound")
-    if max_degree >= 2:
-        check_test_cutoff(act, test_degree)
+    check_test_cutoff(act, max_degree, test_degree)
     invariants = invariants_up_to(act, test_degree)
     commutators = _commutator_table(act, invariants, max_degree,
                                     invariants.generators, max(act.order, 1))

@@ -674,8 +674,8 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         ]
     action = HamiltonianAction(lie, star, scenario.hamiltonians, quantum)
     lifts_run = scenario.lifts and {"lift", "iso", "weyl"} & set(scenario.tasks)
-    if scenario.max_degree >= 2 and ("centers" in scenario.tasks or lifts_run):
-        check_test_cutoff(action, scenario.test_degree)
+    if "centers" in scenario.tasks or lifts_run:
+        check_test_cutoff(action, scenario.max_degree, scenario.test_degree)
     if lifts_run:
         try:  # the check of every lift's subalgebra; degree 0 builds nothing more
             moment_image_basis(action, 0)

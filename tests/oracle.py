@@ -369,10 +369,9 @@ def center_inputs(act, max_degree: int, test_degree: int, invariants=None):
 def full_basis(invariants):
     """``invariants`` with its whole basis, constants included, as its
     generators: the test set the generators stand for."""
-    full = centers.Invariants._trusted(invariants.nvars, invariants.slices)
-    full.generators = [u for degree in invariants.degrees()
-                       for u in invariants.basis(degree)]
-    return full
+    return centers.Invariants._trusted(
+        invariants.nvars, invariants.slices,
+        [u for degree in invariants.degrees() for u in invariants.basis(degree)])
 
 
 def polynomial_generators(invariants, test_degree: int) -> list[Poly]:

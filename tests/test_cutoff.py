@@ -41,7 +41,7 @@ MAX_DEGREE = 4
 def exact_cutoff(act: HamiltonianAction) -> int:
     """The least certified cutoff, read off the refusal of cutoff 0."""
     try:
-        check_test_cutoff(act, 0)
+        check_test_cutoff(act, 2, 0)
     except ValidationError as exc:
         return int(re.search(r"exact cutoff (\d+)", str(exc)).group(1))
     return 0
@@ -86,7 +86,7 @@ def test_another_bivector_keeps_the_assumed_cutoff():
     doubled = [[2 * value for value in row] for row in SymplecticSpace(2).bivector]
     act = _eleven(SymplecticSpace(2, bivector=doubled))
     assert act.nondiagonal == ()
-    check_test_cutoff(act, 2)
+    check_test_cutoff(act, 2, 2)
     dims = [compare_centers(act, 2, degree).rows[2].poisson_dim for degree in (10, 12)]
     assert dims == [2, 1]
 
@@ -96,7 +96,18 @@ def test_a_non_diagonal_action_keeps_the_assumed_cutoff():
     act = HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2),
                             [parse_poly("11*q1*p1 + q2*p2 + q2^2", space.names)])
     assert act.nondiagonal == (0,)
-    check_test_cutoff(act, 2)  # not refused
+    check_test_cutoff(act, 2, 2)  # not refused
+
+
+def test_a_degree_bound_below_2_needs_no_more():
+    # degrees 0 and 1 are exact at any cutoff: the 11:1 torus, refused
+    # below 12 at bound 2, passes at bound 1 and cutoff 1
+    act = _eleven(SymplecticSpace(2))
+    with pytest.raises(ValidationError, match="exact cutoff 12 "):
+        check_test_cutoff(act, 2, 11)
+    check_test_cutoff(act, 1, 1)
+    rows = compare_centers(act, 1, 1).rows
+    assert [(row.poisson_dim, row.quantum_rank) for row in rows] == [(1, 1), (0, 0)]
 
 
 @pytest.mark.parametrize("source, edit, cutoff", [
