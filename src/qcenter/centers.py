@@ -97,11 +97,13 @@ Both systems are shrunk without changing any answer:
 * *Generators as test elements.*  ``invariants_up_to`` returns, with the
   slices, the generators of the invariant algebra up to its degree bound:
   degree by degree, the invariants that are not products of lower-degree
-  ones.  Counted slices find them where products fall short; every other
-  solve runs that recurrence once on its slices.  The bracket is a
-  biderivation, so an invariant that brackets to zero with the generators
-  does so with every invariant up to the cutoff.  The deformed commutator
-  is a derivation of the deformed product
+  ones.  Every action that is not all-diagonal finds them in one degree
+  loop: a solved slice adds its basis elements outside the span of the
+  products ``g * v`` of the generators so far with the lower slices
+  (``independent_extension``), and a counted slice the products fill adds
+  none.  The bracket is a biderivation, so an invariant that brackets to
+  zero with the generators does so with every invariant up to the cutoff.
+  The deformed commutator is a derivation of the deformed product
   ``star(u, v) = sum_r hbar^r B_r(u, v)``, and every action proved the
   quantum condition ``[H_hat, f] = hbar {H, f}`` modulo ``hbar^(N+1)``
   when it was built, ``N`` its truncation.  For invariants ``u`` and
@@ -116,8 +118,8 @@ Both systems are shrunk without changing any answer:
   the degree of the hamiltonians.  Both centers test against the
   generators, and the kernel bases are canonical.  The argument holds for
   any series, so ``verify_lift`` tests each lift against the same set.
-  When every basis element is one monomial, as on an all-diagonal action,
-  the invariants are the semigroup algebra of the weight-zero exponents
+  When every hamiltonian is diagonal, every basis element is one monomial,
+  and the invariants are the semigroup algebra of the weight-zero exponents
   (Sturmfels, *Algorithms in Invariant Theory*, 1.4): a product of basis
   monomials is the monomial of the exponent sum, so the recurrence runs
   on exponents, and the generators are the weight-zero exponents up to
@@ -127,32 +129,36 @@ Both systems are shrunk without changing any answer:
   ``compare_centers`` and a run's lift tasks read the generators of the
   invariants they solve.
 
-The test cutoff is exact when every hamiltonian is diagonal on the
-standard bivector, and assumed otherwise.  Testing up to it is testing
-against every invariant exactly when every generator of the invariant
-algebra has degree at most the cutoff; below that, both centers are
-solved against the same short test set, agree, and pass with a wrong
-answer.  On ``n`` pairs, such a hamiltonian is ``sum_i W_i q_i p_i`` plus
-a constant, and with ``t_i = q_i p_i`` the bracket
-``{F(t), q^a p^b}`` is ``sum_i (b_i - a_i) dF/dt_i`` times ``q^a p^b``.
-So an invariant is central exactly when it lies in ``K[t]`` and is
-killed by the derivative along ``a - b`` for every weight-zero monomial
-``q^a p^b``.  Those differences span the kernel of the weight rows ``W``,
-of rank ``n - r`` for ``r = rank W``, so the Poisson center is the
+The test cutoff is exact when every hamiltonian is diagonal and the
+bivector pairs each ``q_i`` with ``p_i`` alone, at some scale
+``{q_i, p_i} = c_i``: every entry ``(i, j)`` has ``|i - j| = n``, and
+invertibility makes each ``c_i`` nonzero.  It is assumed otherwise.
+Testing up to it is testing against every invariant exactly when every
+generator of the invariant algebra has degree at most the cutoff; below
+that, both centers are solved against the same short test set, agree,
+and pass with a wrong answer.  On ``n`` pairs, such a hamiltonian is
+``sum_i V_i q_i p_i`` plus a constant, and with ``t_i = q_i p_i``,
+``{t_i, q^a p^b} = c_i (b_i - a_i) q^a p^b``.  The ``t_i`` are invariant,
+so a central invariant lies in ``K[t]``, and ``F(t)`` is central exactly
+when the derivative along ``diag(c) (a - b)`` kills it for every
+weight-zero monomial ``q^a p^b``.  The weight rows ``W`` are those of
+``V diag(c)`` up to scale, so these differences span the kernel of ``W``,
+of rank ``n - r`` for ``r = rank W = rank V``, which the invertible
+``diag(c)`` maps onto the kernel of ``V``.  So the Poisson center is the
 polynomials in the hamiltonians, of dimension ``C(r + k - 1, k)`` at
 degree ``2k`` and 0 at odd degrees, and the paper's isomorphism gives the
-quantum center from it.  A test set up to ``T`` sees the derivatives
-along the differences of degree at most ``T``, so the answer is right at
-every degree bound exactly when those span rank ``n - r``; degrees 0 and
-1 need no more.  ``check_test_cutoff`` feeds the differences into one
-elimination degree by degree and refuses a cutoff below the degree where
-the rank is reached, naming that degree and the monomial that reaches it
-when the degree is inside the candidate budget (``MAX_CANDIDATES``).  A
-two-pair torus with the hamiltonian ``11*q1*p1 + q2*p2`` needs 12, where
-``q2^11*p1`` and ``q1*p2^11`` enter; below it, its Poisson center has
-dimension 2 at degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).  On a
-non-diagonal action or another bivector the cutoff is assumed, not
-certified.
+quantum center from it.  A test set up to ``T`` sees the derivatives along
+``diag(c)`` times the differences of degree at most ``T``, so the answer
+is right at every degree bound exactly when those differences span rank
+``n - r``, as on the standard bivector; degrees 0 and 1 need no more.
+``check_test_cutoff`` feeds the differences into one elimination degree
+by degree and refuses a cutoff below the degree where the rank is reached,
+naming that degree and the monomial that reaches it when the degree is
+inside the candidate budget (``MAX_CANDIDATES``).  A two-pair torus with
+the hamiltonian ``11*q1*p1 + q2*p2`` needs 12, with every pairing doubled
+or not, where ``q2^11*p1`` and ``q1*p2^11`` enter; below it, its Poisson
+center has dimension 2 at degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).
+A bivector that pairs ``q_1`` with ``p_2``, say, keeps the assumed cutoff.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
@@ -241,19 +247,18 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
     docstring) come from their brackets with the coordinates, which the
     action holds (``_add_bracket_rows``).  With no such rows the enumerated
     monomials are the canonical bases, kept without reduction, and the
-    generators are read off exponent sums (``_monomial_generators``);
-    otherwise each slice is the canonical basis of its solved kernel
-    (``reduce_poly_span``).
+    generators are read off exponent sums (``_monomial_generators``).
 
-    When the action has a ``raising_root``, each slice's dimension is a
-    weight count (module docstring, "Counted slices"), and the slices go
-    up degree by degree: the products ``g * v`` of the generators found so
-    far with the lower slices are reduced first, and a slice they span to
-    its count is their canonical basis.  Only a slice they leave short is
-    solved, and its new generators are the basis elements outside their
-    span.  A product span over the count, or a solve that misses it,
-    raises ``SolverError``.  Without a count every slice is solved, and the
-    generators are found once from the slices (``_generators``).
+    Otherwise the slices go up degree by degree, and each degree first
+    forms the products ``g * v`` of the generators found so far with the
+    lower slices.  When the action has a ``raising_root``, each slice's
+    dimension is a weight count (module docstring, "Counted slices"): a
+    slice the products span to its count is their canonical basis
+    (``reduce_poly_span``), and only a slice they leave short is solved.
+    Without a count every slice is solved.  A solved slice is the canonical
+    basis of its kernel, and its new generators are the basis elements
+    outside the products' span.  A product span over the count, or a solve
+    that misses it, raises ``SolverError``.
     """
     if max_degree < 0:
         raise ValidationError("degree bound must be non-negative")
@@ -273,10 +278,10 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
     slices = {0: [Poly.constant(nv, 1)]}  # no bracket row reaches a constant
     generators: list[Poly] = []
     for degree in range(1, max_degree + 1):
+        products = [g * v for g in generators
+                    for v in slices.get(degree - g.degree(), ())]
         if counts is not None:
             count = counts[degree].get((0,) * len(rows), 0) - counts[degree].get(root, 0)
-            products = [g * v for g in generators
-                        for v in slices.get(degree - g.degree(), ())]
             span = reduce_poly_span(products, nv)
             if len(span) > count:
                 raise SolverError(
@@ -294,42 +299,22 @@ def invariants_up_to(act: HamiltonianAction, max_degree: int) -> Invariants:
             Poly._trusted(nv, {candidates[i]: c for i, c in vec.items()})
             for vec in solver.kernel()
         ], nv)
-        if counts is not None:
-            if len(basis) != count:
-                raise SolverError(
-                    f"invariant slice of degree {degree}: the solve gives "
-                    f"dimension {len(basis)}, against its weight count {count}")
-            generators += independent_extension(products, basis)
+        if counts is not None and len(basis) != count:
+            raise SolverError(
+                f"invariant slice of degree {degree}: the solve gives "
+                f"dimension {len(basis)}, against its weight count {count}")
+        generators += independent_extension(products, basis)
         slices[degree] = basis
-    if counts is None:
-        generators = _generators(slices)
     return Invariants._trusted(nv, slices, generators)
 
 
-def _generators(slices: dict[int, list[Poly]]) -> list[Poly]:
-    """The generators of nonempty slices in ascending degree, constants
-    first: going up, a basis element is kept when it is not in the span of
-    the products ``g * v`` of the generators kept so far with the basis of
-    the complementary degree (nor of the elements kept before it).  When
-    every basis element is one monomial, the products are read as exponent
-    sums (``_monomial_generators``), with no polynomial arithmetic."""
-    if all(len(f.terms) == 1 for basis in slices.values() for f in basis):
-        return _monomial_generators(slices)
-    generators: list[Poly] = []
-    for degree, basis in list(slices.items())[1:]:  # constants commute with all
-        products = [g * v for g in generators
-                    for v in slices.get(degree - g.degree(), ())]
-        generators += independent_extension(products, basis)
-    return generators
-
-
 def _monomial_generators(slices: dict[int, list[Poly]]) -> list[Poly]:
-    """``_generators`` when every basis element is one monomial: the
-    product of two monomials is the monomial of the exponent sum, so the
-    products ``g * v`` are the sums ``e_g + e_v``.  The exponents of one
-    slice are distinct, so a basis monomial is in the span of the products
-    and of the monomials before it exactly when its exponent is among the
-    sums."""
+    """The generators of slices whose bases are monomials, in ascending
+    degree: a basis monomial is kept when it is not in the span of the
+    products ``g * v`` of the generators kept so far with the lower slices
+    and the monomials before it.  A product of monomials is the monomial of
+    the exponent sum, and the exponents of one slice are distinct, so it is
+    in that span exactly when its exponent is a sum ``e_g + e_v``."""
     exponents = {degree: [next(iter(f.terms)) for f in basis]
                  for degree, basis in slices.items()}
     kept: list[tuple[int, Exponent]] = []  # (degree, exponent) of each generator
@@ -583,21 +568,20 @@ def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
 
 def check_test_cutoff(act: HamiltonianAction, max_degree: int, test_degree: int):
     """Refuse, at a degree bound ``max_degree`` of at least 2 on an action
-    whose hamiltonians are all diagonal on the standard bivector, a test
-    cutoff below the exact one (module docstring, on the test cutoff;
-    degrees 0 and 1 need no more): the differences ``a - b`` of the weight-zero
-    monomials ``q^a p^b`` up to the cutoff must span rank ``n - r``, ``n``
-    the pairs and ``r`` the rank of the weight rows.  They go into one
-    elimination degree by degree, which stops at that rank; past the
-    cutoff it goes on, within the candidate budget, to name the least
-    sufficient degree.  Any other action or bivector keeps the assumed
-    cutoff."""
+    whose hamiltonians are all diagonal on a bivector that pairs each
+    ``q_i`` with ``p_i`` alone, a test cutoff below the exact one (module
+    docstring, on the test cutoff; degrees 0 and 1 need no more): the
+    differences ``a - b`` of the weight-zero monomials ``q^a p^b`` up to the
+    cutoff must span rank ``n - r``, ``n`` the pairs and ``r`` the rank of
+    the weight rows.  They go into one elimination degree by degree, which
+    stops at that rank; past the cutoff it goes on, within the candidate
+    budget, to name the least sufficient degree.  Any other action or
+    bivector keeps the assumed cutoff."""
     space, rows = act.space, act.weight_rows
     n, nv = space.pairs, space.nvars
-    standard = [(i, n + i, 1) for i in range(n)] + [(n + i, i, -1) for i in range(n)]
     if max_degree < 2:
         return
-    if act.nondiagonal or space.bivector_entries() != standard:
+    if act.nondiagonal or any(abs(i - j) != n for i, j, _ in space.bivector_entries()):
         return
     weights = EchelonAccumulator(nv)
     missing = n - sum(weights.add_row(dict(enumerate(w))) for w in rows)

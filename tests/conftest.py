@@ -16,14 +16,14 @@ from oracle import abelian_data, sl2_data
 
 @pytest.fixture
 def generator_discovery(monkeypatch) -> list[tuple[str, bool]]:
-    """Each call of a generator finder of ``centers`` (the recurrence, its
-    exponent route and the span extension) as ``(name, inside)``, with
-    ``inside`` true while ``invariants_up_to`` runs; each solve itself is
-    recorded as ``("invariants_up_to", True)``.  The solve is patched in
-    every module that holds it."""
+    """Each call of a generator finder of ``centers`` (the exponent route
+    and the span extension) as ``(name, inside)``, with ``inside`` true
+    while ``invariants_up_to`` runs; each solve itself is recorded as
+    ``("invariants_up_to", True)``.  The solve is patched in every module
+    that holds it."""
     calls: list[tuple[str, bool]] = []
     depth = [0]
-    for name in ("_generators", "_monomial_generators", "independent_extension"):
+    for name in ("_monomial_generators", "independent_extension"):
         def finder(*args, _name=name, _real=getattr(centers, name)):
             calls.append((_name, depth[0] > 0))
             return _real(*args)

@@ -146,17 +146,17 @@ ROWS = [
         "if False:",
         (_CLI + "test_a_weight_count_off_by_one_fails_the_invariant_tasks_with_exit_1",)),
     Row("solve_check_dropped", "centers.py",
-        "if len(basis) != count:",
+        "if counts is not None and len(basis) != count:",
         "if False:",
         (_CLI + "test_a_weight_count_off_by_one_fails_the_invariant_tasks_with_exit_1",)),
     Row("counted_slice_kept_unreduced", "centers.py",
         "slices[degree] = span",
         "slices[degree] = products",
         (_GOLDEN + "test_sl2_two_copies_report_bytes_match_golden",)),
-    # -- uncounted solves (centers._generators) --------------------------------
+    # -- generators of solved slices (centers.invariants_up_to) ----------------
     Row("uncounted_extension_dropped", "centers.py",
-        "        generators += independent_extension(products, basis)\n    return generators",
-        "        pass\n    return generators",
+        "generators += independent_extension(products, basis)",
+        "pass",
         (_GENERATORS + "test_the_solve_returns_the_recurrences_generators",
          _GOLDEN + "test_non_diagonal_so3_report_bytes_match_golden")),
     # -- the exact cutoff of a diagonal action (centers.check_test_cutoff) -----
@@ -164,12 +164,16 @@ ROWS = [
         "missing = n - sum(",
         "missing = n - 1 - sum(",
         (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
-         _CUTOFF + "test_another_bivector_keeps_the_assumed_cutoff")),
+         _CUTOFF + "test_scaled_pairs_certify_the_cutoff")),
     Row("cutoff_check_skipped", "centers.py",
-        "if act.nondiagonal or space.bivector_entries() != standard:",
+        "if act.nondiagonal or any(abs(i - j) != n for i, j, _ in space.bivector_entries()):",
         "if True:",
         (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
-         _CUTOFF + "test_another_bivector_keeps_the_assumed_cutoff")),
+         _CUTOFF + "test_scaled_pairs_certify_the_cutoff")),
+    Row("cutoff_support_test_accepts_any_bivector", "centers.py",
+        "any(abs(i - j) != n for i, j, _ in space.bivector_entries())",
+        "any(False for i, j, _ in space.bivector_entries())",
+        (_CUTOFF + "test_a_cross_paired_bivector_keeps_the_assumed_cutoff",)),
 ]
 
 

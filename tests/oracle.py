@@ -322,14 +322,20 @@ def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
     return LieAlgebraData(dim, labels, {}, gens)
 
 
-def diagonal_torus_action(seed: int, truncation: int = 2
+def diagonal_torus_action(seed: int, truncation: int = 2, scaled: bool = False
                           ) -> tuple[HamiltonianAction, list[list[int]]]:
     """A seeded diagonal torus and its pair weights: 1-3 pairs and 0-2
-    hamiltonians ``sum_i w_i q_i p_i``, each weight in -3..3."""
+    hamiltonians ``sum_i w_i q_i p_i``, each weight in -3..3.  When
+    ``scaled``, the bivector entries of each pair are multiplied by a seeded
+    nonzero scale; the hamiltonians are the same."""
     rng = random.Random(seed)
     pairs = rng.randint(1, 3)
     rows = [[rng.randint(-3, 3) for _ in range(pairs)] for _ in range(rng.randint(0, 2))]
     space = SymplecticSpace(pairs)
+    if scaled:
+        scales = [rng.choice([-2, -1, Fraction(1, 2), 2, 3]) for _ in range(pairs)]
+        space = SymplecticSpace(pairs, bivector=[[value * scales[i % pairs] for value in row]
+                                                 for i, row in enumerate(space.bivector)])
     hamiltonians = [poly_sum(space.nvars, [(space.q(i) * space.p(i)).scale(w)
                                            for i, w in enumerate(row, start=1)])
                     for row in rows]

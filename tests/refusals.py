@@ -80,6 +80,9 @@ TORUS_11 = {
     "center_generators": [],
     "tasks": ["invariants", "centers"],
 }
+# every pairing doubled: the scales leave the exact cutoff at 12
+TORUS_11_DOUBLED = dict(TORUS_11, name="torus_11_doubled", space={"pairs": 2, "bivector": [
+    [0, 0, 2, 0], [0, 0, 0, 2], [-2, 0, 0, 0], [0, -2, 0, 0]]})
 # two weight rows on three pairs: exact cutoff 25
 TWO_ROWS = dict(TORUS_11, name="two_rows", space={"pairs": 3}, lie_algebra={
     "dim": 2, "labels": ["s", "t"], "brackets": [], "invariant_generators": []},
@@ -584,6 +587,7 @@ ROWS += [
           ("skew_torus-3", "data/skew_torus.json", {"max_degree": 2, "test_degree": 3},
            3, 4, "q2^3*p1"),
           ("torus_11-default", TORUS_11, None, 10, 12, "q2^11*p1"),
+          ("torus_11_doubled-default", TORUS_11_DOUBLED, None, 10, 12, "q2^11*p1"),
           ("two_rows-24", TWO_ROWS, {"test_degree": 24}, 24, 25, "q3^2*p1^15*p2^8"),
       ]],
     # the first difference past the kernel of the row (100, 1) has degree

@@ -1,14 +1,15 @@
 """The exact test cutoff of a diagonal action.
 
-When every hamiltonian is ``sum_i W_i q_i p_i`` on the standard bivector,
-the Poisson center is the polynomials in the hamiltonians: dimension
-``C(r + k - 1, k)`` at degree ``2k``, ``r`` the rank of the weight rows,
-and 0 at odd degrees.  A test set up to ``T`` gives that answer exactly
-when the differences ``a - b`` of the weight-zero monomials ``q^a p^b`` of
-degree at most ``T`` span the kernel of the rows (``centers`` module
-docstring).  ``check_test_cutoff`` refuses a cutoff below the least such
-``T``; these tests hold the solve to the closed form at that ``T`` and
-show a wrong degree-2 slice one below it.  Any other bivector keeps the
+When every hamiltonian is ``sum_i W_i q_i p_i`` on a bivector that pairs
+each ``q_i`` with ``p_i`` alone, at any scale, the Poisson center is the
+polynomials in the hamiltonians: dimension ``C(r + k - 1, k)`` at degree
+``2k``, ``r`` the rank of the weight rows, and 0 at odd degrees.  A test
+set up to ``T`` gives that answer exactly when the differences ``a - b``
+of the weight-zero monomials ``q^a p^b`` of degree at most ``T`` span the
+kernel of the rows (``centers`` module docstring).  ``check_test_cutoff``
+refuses a cutoff below the least such ``T``; these tests hold the solve
+to the closed form at that ``T`` and show a wrong degree-2 slice one
+below it.  A bivector that pairs ``q_i`` with another ``p_j`` keeps the
 assumed cutoff.
 """
 
@@ -49,7 +50,8 @@ def exact_cutoff(act: HamiltonianAction) -> int:
 
 @pytest.mark.parametrize("seed", range(30))
 def test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff(seed):
-    act, rows = diagonal_torus_action(seed)
+    # each pair's bivector entries carry a seeded scale
+    act, rows = diagonal_torus_action(seed, scaled=True)
     r = len(dense_rref(rows)[1]) if rows else 0
     cutoff = exact_cutoff(act)
     report = compare_centers(act, MAX_DEGREE, max(cutoff, MAX_DEGREE))
@@ -72,21 +74,32 @@ def test_the_seeded_tori_reach_past_the_default_cutoff():
     assert max(cutoffs) > 10 and min(cutoffs) == 0
 
 
-def _eleven(space: SymplecticSpace) -> HamiltonianAction:
+def _eleven(space: SymplecticSpace, hamiltonian: str = "11*q1*p1 + q2*p2"
+            ) -> HamiltonianAction:
     return HamiltonianAction(abelian_data(1, ["t"]), StarProduct(space, 2),
-                             [parse_poly("11*q1*p1 + q2*p2", space.names)])
+                             [parse_poly(hamiltonian, space.names)])
 
 
-def test_another_bivector_keeps_the_assumed_cutoff():
-    # the 11:1 torus on the standard bivector is refused below 12; with
-    # every pairing doubled it is still diagonal, but not certified, so the
-    # default cutoff 10 runs, and its degree-2 slice is not yet exact there
-    with pytest.raises(ValidationError, match="exact cutoff 12 "):
-        compare_centers(_eleven(SymplecticSpace(2)), 2, 10)
+def test_scaled_pairs_certify_the_cutoff():
+    # the 11:1 torus with every pairing doubled is refused below 12, where
+    # the standard bivector's cutoff is, and its degree-2 slice is exact there
     doubled = [[2 * value for value in row] for row in SymplecticSpace(2).bivector]
     act = _eleven(SymplecticSpace(2, bivector=doubled))
+    with pytest.raises(ValidationError, match="exact cutoff 12 of this diagonal "
+                                              "action, where q2\\^11\\*p1 enters"):
+        compare_centers(act, 2, 10)
+    assert compare_centers(act, 2, 12).rows[2].poisson_dim == 1
+
+
+def test_a_cross_paired_bivector_keeps_the_assumed_cutoff():
+    # pairing q1 with p2 and q2 with p1, the 11:1 torus is still diagonal,
+    # but not certified at any cutoff, so the default cutoff 10 runs, and
+    # its degree-2 slice is not yet exact there
+    cross = [[0] * 4 for _ in range(4)]
+    cross[0][3], cross[3][0], cross[1][2], cross[2][1] = 1, -1, 1, -1
+    act = _eleven(SymplecticSpace(2, bivector=cross), "11*q1*p2 + q2*p1")
     assert act.nondiagonal == ()
-    check_test_cutoff(act, 2, 2)
+    check_test_cutoff(act, 2, 0)
     dims = [compare_centers(act, 2, degree).rows[2].poisson_dim for degree in (10, 12)]
     assert dims == [2, 1]
 
@@ -114,6 +127,7 @@ def test_a_degree_bound_below_2_needs_no_more():
     ("data/skew_torus.json", {"max_degree": 2}, 4),
     (refusals.TORUS_11, None, 12),
     (refusals.TWO_ROWS, None, 25),
+    (refusals.TORUS_11_DOUBLED, None, 12),
 ])
 def test_a_diagonal_document_at_its_exact_cutoff_runs_with_exit_0(
         source, edit, cutoff, tmp_path, capsys):

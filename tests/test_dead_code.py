@@ -58,9 +58,6 @@ ENTERED_ALLOWED = {
     "poly.Poly.coefficient": _METRIC,
     "series.HSeries.__mul__": _METRIC,
     "star._first_nonzero": "entered only when an axiom fails",
-    "centers._generators": "entered only by an invariant solve with no weight "
-                           "count and a non-diagonal hamiltonian, as on "
-                           "so3_rotation and cubic_t2, which no preset runs",
     "poly.Poly.__setattr__": _GUARD,
     "series.HSeries.__setattr__": _GUARD,
     "space.SymplecticSpace.__setattr__": _GUARD,

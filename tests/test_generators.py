@@ -255,3 +255,16 @@ def test_compare_centers_finds_the_generators_once(preset, request):
     names = [name for name, _ in calls]
     assert names[0] == "invariants_up_to" and names.count("invariants_up_to") == 1
     assert len(names) > 1 and all(inside for _, inside in calls)
+
+
+@pytest.mark.parametrize("case", ["so3_rotation", "cubic_t2"])
+def test_an_uncounted_solve_extends_its_generators_once_per_degree(case, request):
+    # no weight count: every slice of degree 1 to the bound is solved, and
+    # the one degree loop extends the generators once per slice, inside the
+    # solve; the all-monomial slices of cubic_t2 take no exponent route
+    scenario = load_scenario(str(DATA / f"{case}.json"))
+    act, top = build_scenario(scenario).action, scenario.test_degree
+    assert act.raising_root is None and act.nondiagonal
+    calls = request.getfixturevalue("generator_discovery")
+    centers.invariants_up_to(act, top)
+    assert calls == [("invariants_up_to", True)] + [("independent_extension", True)] * top
