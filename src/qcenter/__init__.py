@@ -59,7 +59,7 @@ from .linalg import (
     rref,
 )
 from .parsing import parse_poly
-from .poly import Poly, monomials_of_degree
+from .poly import Poly
 from .series import HSeries
 from .space import SymplecticSpace
 from .star import StarProduct, check_axioms, check_homogeneity

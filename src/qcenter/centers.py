@@ -130,35 +130,38 @@ Both systems are shrunk without changing any answer:
   invariants they solve.
 
 The test cutoff is exact when every hamiltonian is diagonal and the
-bivector pairs each ``q_i`` with ``p_i`` alone, at some scale
-``{q_i, p_i} = c_i``: every entry ``(i, j)`` has ``|i - j| = n``, and
-invertibility makes each ``c_i`` nonzero.  It is assumed otherwise.
-Testing up to it is testing against every invariant exactly when every
-generator of the invariant algebra has degree at most the cutoff; below
-that, both centers are solved against the same short test set, agree,
-and pass with a wrong answer.  On ``n`` pairs, such a hamiltonian is
-``sum_i V_i q_i p_i`` plus a constant, and with ``t_i = q_i p_i``,
-``{t_i, q^a p^b} = c_i (b_i - a_i) q^a p^b``.  The ``t_i`` are invariant,
-so a central invariant lies in ``K[t]``, and ``F(t)`` is central exactly
-when the derivative along ``diag(c) (a - b)`` kills it for every
-weight-zero monomial ``q^a p^b``.  The weight rows ``W`` are those of
-``V diag(c)`` up to scale, so these differences span the kernel of ``W``,
-of rank ``n - r`` for ``r = rank W = rank V``, which the invertible
-``diag(c)`` maps onto the kernel of ``V``.  So the Poisson center is the
-polynomials in the hamiltonians, of dimension ``C(r + k - 1, k)`` at
-degree ``2k`` and 0 at odd degrees, and the paper's isomorphism gives the
-quantum center from it.  A test set up to ``T`` sees the derivatives along
-``diag(c)`` times the differences of degree at most ``T``, so the answer
-is right at every degree bound exactly when those differences span rank
-``n - r``, as on the standard bivector; degrees 0 and 1 need no more.
-``check_test_cutoff`` feeds the differences into one elimination degree
-by degree and refuses a cutoff below the degree where the rank is reached,
-naming that degree and the monomial that reaches it when the degree is
-inside the candidate budget (``MAX_CANDIDATES``).  A two-pair torus with
-the hamiltonian ``11*q1*p1 + q2*p2`` needs 12, with every pairing doubled
-or not, where ``q2^11*p1`` and ``q1*p2^11`` enter; below it, its Poisson
-center has dimension 2 at degree 2 instead of 1 (``q1*p1 + 1/11*q2*p2``).
-A bivector that pairs ``q_1`` with ``p_2``, say, keeps the assumed cutoff.
+bivector has one nonzero entry per row, and assumed otherwise.  Testing up
+to it is testing against every invariant exactly when every generator of
+the invariant algebra has degree at most the cutoff; below that, both
+centers are solved against the same short test set, agree, and pass with
+a wrong answer.  Such a bivector pairs each coordinate with one other: its
+entries ``(i_k, j_k)`` with ``i_k < j_k`` give ``n`` pairs
+``{x_(i_k), x_(j_k)} = c_k``, each ``c_k`` nonzero (``q_i`` with ``p_i``
+at scale 1 on the standard bivector).  A bracket with a coordinate
+differentiates only in its partner, so a diagonal hamiltonian is
+``sum_k V_k t_k`` plus a constant, ``t_k = x_(i_k) x_(j_k)``, and
+``{t_k, x^e} = -c_k m_k x^e`` with ``m_k = e_(i_k) - e_(j_k)``.  The
+``t_k`` are invariant, so a central invariant lies in ``K[t]``, and
+``F(t)`` is central exactly when the derivative along ``diag(c) m`` kills
+it for every weight-zero exponent ``e``.  The weight of ``x^e`` is
+``-V diag(c) m``, so these ``m`` are the integer vectors of the kernel of
+``V diag(c)`` (put ``m``'s positive part at the ``i_k`` and its negative
+part at the ``j_k``), of rank ``n - r`` for ``r = rank V``, the rank of
+the weight rows, and ``diag(c)`` maps it onto the kernel of ``V``.  So the
+Poisson center is the polynomials in the hamiltonians, of dimension
+``C(r + k - 1, k)`` at degree ``2k`` and 0 at odd degrees, and the paper's
+isomorphism gives the quantum center from it.  A test set up to ``T`` sees
+the derivatives along ``diag(c) m`` for the ``m`` of degree at most
+``T``, so the answer is right at every degree bound exactly when those
+span rank ``n - r``; degrees 0 and 1 need no more.  ``check_test_cutoff``
+feeds them into one elimination degree by degree and refuses a cutoff
+below the degree where the rank is reached, naming that degree and the
+monomial that reaches it when the degree is inside the candidate budget
+(``MAX_CANDIDATES``).  The two-pair torus ``11*q1*p1 + q2*p2`` needs 12,
+with every pairing doubled or not, where ``q2^11*p1`` and ``q1*p2^11``
+enter; below it, its Poisson center has dimension 2 at degree 2 instead of
+1 (``q1*p1 + 1/11*q2*p2``).  Paired ``q1`` with ``p2`` and ``q2`` with
+``p1``, ``11*q1*p2 + q2*p1`` needs 12 too, where ``q1*p1^11`` enters.
 
 Both centers read one commutator table: ``commutator_terms(b, u)`` for
 every invariant basis element ``b`` up to the degree bound and every test
@@ -568,21 +571,21 @@ def quantum_center_up_to(act: HamiltonianAction, max_degree: int,
 
 def check_test_cutoff(act: HamiltonianAction, max_degree: int, test_degree: int):
     """Refuse, at a degree bound ``max_degree`` of at least 2 on an action
-    whose hamiltonians are all diagonal on a bivector that pairs each
-    ``q_i`` with ``p_i`` alone, a test cutoff below the exact one (module
-    docstring, on the test cutoff; degrees 0 and 1 need no more): the
-    differences ``a - b`` of the weight-zero monomials ``q^a p^b`` up to the
-    cutoff must span rank ``n - r``, ``n`` the pairs and ``r`` the rank of
-    the weight rows.  They go into one elimination degree by degree, which
-    stops at that rank; past the cutoff it goes on, within the candidate
-    budget, to name the least sufficient degree.  Any other action or
-    bivector keeps the assumed cutoff."""
+    whose hamiltonians are all diagonal on a bivector with one nonzero
+    entry per row, a test cutoff below the exact one (module docstring, on
+    the test cutoff; degrees 0 and 1 need no more): over the pairs
+    ``(i, j)``, its entries with ``i < j``, the differences ``e[i] - e[j]``
+    of the weight-zero exponents ``e`` up to the cutoff must span rank
+    ``n - r``, ``r`` the rank of the weight rows.  They go into one
+    elimination degree by degree, which stops at that rank; past the cutoff
+    it goes on, within the candidate budget, to name the least sufficient
+    degree.  Any other action or bivector keeps the assumed cutoff."""
     space, rows = act.space, act.weight_rows
     n, nv = space.pairs, space.nvars
-    if max_degree < 2:
+    entries = space.bivector_entries()
+    if max_degree < 2 or act.nondiagonal or len(entries) != nv:
         return
-    if act.nondiagonal or any(abs(i - j) != n for i, j, _ in space.bivector_entries()):
-        return
+    pairs = [(i, j) for i, j, _ in entries if i < j]
     weights = EchelonAccumulator(nv)
     missing = n - sum(weights.add_row(dict(enumerate(w))) for w in rows)
     differences = EchelonAccumulator(n)
@@ -596,7 +599,7 @@ def check_test_cutoff(act: HamiltonianAction, max_degree: int, test_degree: int)
                 "action, and no test_degree within the candidate budget is")
         for e in weight_zero_monomials(nv, degree, rows):
             missing -= differences.add_row(
-                {i: a - b for i, (a, b) in enumerate(zip(e, e[n:])) if a != b})
+                {k: e[i] - e[j] for k, (i, j) in enumerate(pairs) if e[i] != e[j]})
             if not missing:
                 break
     if degree > test_degree:

@@ -393,7 +393,7 @@ def weight_zero_monomials(nvars: int, degree: int,
                           rows: Sequence[Sequence[int]]) -> list[Exponent]:
     """The exponent tuples ``e`` of total degree ``degree`` with
     ``sum(e_j * w_j) == 0`` for every integer row ``w`` in ``rows``,
-    canonically ordered: ``monomials_of_degree`` filtered row by row.
+    canonically ordered: the monomials of that degree filtered row by row.
 
     The list is a walk over the variables from the last to the first,
     each exponent ascending, so the last variable is outermost and the
@@ -464,11 +464,6 @@ def weight_count_table(nvars: int, max_degree: int,
                 key = tuple(map(add, w, column))
                 here[key] = here.get(key, 0) + n
     return table
-
-
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, canonically ordered."""
-    return monomial_table(nvars, degree)[degree] if degree >= 0 else []
 
 
 # the size budget: monomials of degree at most a run's test cutoff

@@ -23,7 +23,7 @@ structural validation (``ValidationError``):
   of at least 1, below which every deformed commutator vanishes;
 * when the task list holds ``centers``, or a lift task runs a lift, and
   ``max_degree`` is at least 2: on an action whose hamiltonians are all
-  diagonal on a bivector pairing each ``q_i`` with ``p_i`` alone, a
+  diagonal on a bivector with one nonzero entry per row (a pairing), a
   ``test_degree`` at least the exact cutoff (``centers.check_test_cutoff``),
   below which both centers agree on a wrong answer;
 * when a lift task runs a lift: generator pullbacks the lifts can use

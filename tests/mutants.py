@@ -7,8 +7,9 @@ of a lowering element, a central section and the comoment are central by
 construction and checked nowhere else, the invariants of an all-diagonal
 action are kept as enumerated and their generators read off exponent
 sums, a weight count fixes the dimension of each invariant slice of a
-rank-one action, and the weight-zero differences of a diagonal action
-certify its test cutoff.  A refactor can weaken one of their
+rank-one action, the weight-zero differences of a diagonal action
+certify its test cutoff, and the quantum condition and closure of an
+action are read off its coefficients.  A refactor can weaken one of their
 conditions and still give the right answers on the inputs at hand, so each
 row here is a mutant that some test must notice.  A row holds an id, a
 source file under ``src/qcenter``, an exact snippet of it and its
@@ -58,6 +59,8 @@ _GOLDEN = "tests/test_golden.py::"
 _CLI = "tests/test_scenario_cli.py::"
 _GENERATORS = "tests/test_generators.py::"
 _CUTOFF = "tests/test_cutoff.py::"
+_ACTION = "tests/test_action.py::"
+_PROOFS = "tests/test_construction_proofs.py::"
 
 ROWS = [
     # -- the weight-zero walk (poly.weight_zero_monomials) --------------------
@@ -166,14 +169,34 @@ ROWS = [
         (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
          _CUTOFF + "test_scaled_pairs_certify_the_cutoff")),
     Row("cutoff_check_skipped", "centers.py",
-        "if act.nondiagonal or any(abs(i - j) != n for i, j, _ in space.bivector_entries()):",
+        "if max_degree < 2 or act.nondiagonal or len(entries) != nv:",
         "if True:",
         (_CUTOFF + "test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff",
-         _CUTOFF + "test_scaled_pairs_certify_the_cutoff")),
+         _CUTOFF + "test_a_cross_paired_bivector_certifies_the_cutoff")),
     Row("cutoff_support_test_accepts_any_bivector", "centers.py",
-        "any(abs(i - j) != n for i, j, _ in space.bivector_entries())",
-        "any(False for i, j, _ in space.bivector_entries())",
-        (_CUTOFF + "test_a_cross_paired_bivector_keeps_the_assumed_cutoff",)),
+        "len(entries) != nv",
+        "False",
+        (_CUTOFF + "test_a_bivector_with_more_than_one_entry_per_row_keeps_the_assumed_cutoff",)),
+    # -- the quantum condition and closure (HamiltonianAction.validate) --------
+    Row("quantum_degree_bound_loosened", "action.py",
+        "h.degree() >= 3",
+        "h.degree() >= 4",
+        (_ACTION + "test_a_cubic_hamiltonian_meets_the_quantum_condition_below_truncation_3",
+         _PROOFS + "test_the_quantum_condition_decides_as_the_monomial_walk")),
+    Row("quantum_truncation_guard_loosened", "action.py",
+        "self.order >= 3",
+        "self.order >= 4",
+        (_ACTION + "test_a_cubic_hamiltonian_meets_the_quantum_condition_below_truncation_3",)),
+    Row("quantum_correction_at_the_truncation_refused", "action.py",
+        "1 <= s < self.order",
+        "1 <= s <= self.order",
+        (_ACTION + "test_quantum_condition_admits_any_correction_at_the_truncation",
+         _PROOFS + "test_the_quantum_condition_decides_as_the_monomial_walk")),
+    Row("closure_check_on_the_constants_dropped", "action.py",
+        "if any(0 < s < self.order for s in combination.terms):",
+        "if False:",
+        (_ACTION + "test_comoment_rejects_inconsistent_quantum_data",
+         _PROOFS + "test_closure_decides_as_the_deformed_commutator_on_sl2")),
 ]
 
 

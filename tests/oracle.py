@@ -11,6 +11,11 @@ rewriting to test centrality.  The Jacobi identity is summed over every
 basis triple and the adjoint derivation over every variable, from a dense
 table of structure constants.  Slow but unambiguous.
 
+The quantum condition is walked over every monomial up to the order of
+the operator it states, and closure is checked with the deformed
+commutator of every pair of quantum hamiltonians, both on the brute-force
+product; the package reads both off the coefficients instead.
+
 The ready-made Lie algebras, an action class that skips validation and
 the seeded polynomial samplers that the tests build their inputs from live
 here too, and so do the inputs of the two center slices, built the way
@@ -28,13 +33,13 @@ from typing import Callable
 
 from qcenter import (
     HamiltonianAction,
+    HSeries,
     InvariantGenerator,
     LieAlgebraData,
     Poly,
     StarProduct,
     SymplecticSpace,
     UEnvElement,
-    monomials_of_degree,
 )
 from qcenter import centers
 from qcenter.linalg import independent_extension
@@ -76,6 +81,59 @@ def brute_force_product(space: SymplecticSpace, f: Poly, g: Poly
     return out
 
 
+def brute_force_commutator(space: SymplecticSpace, F: dict[int, Poly],
+                           G: dict[int, Poly], order: int) -> dict[int, Poly]:
+    """``F*G - G*F`` of two expansions ``{order: coefficient}`` up to
+    ``order``, its nonzero orders only, from the brute-force product of
+    every pair of coefficients in both orders."""
+    out: dict[int, Poly] = {}
+    zero = Poly.zero(space.nvars)
+    for (r, f), (s, g) in iproduct(F.items(), G.items()):
+        fg, gf = brute_force_product(space, f, g), brute_force_product(space, g, f)
+        for level in fg.keys() | gf.keys():
+            if r + s + level <= order:
+                out[r + s + level] = (out.get(r + s + level, zero)
+                                      + fg.get(level, zero) - gf.get(level, zero))
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def quantum_condition_holds(act: HamiltonianAction) -> bool:
+    """``[H_hat, f] = hbar {H, f}`` modulo ``hbar^(N + 1)`` for every
+    generator, by the exhaustive walk: the coefficient ``H^(r)`` enters
+    only through contractions of order at most ``min(deg H^(r), N - r)``,
+    so both sides differ by a differential operator of order at most the
+    largest of these, which vanishes once it vanishes on every monomial up
+    to that degree.  Each monomial is tried with the brute-force
+    commutator."""
+    space, order = act.space, act.order
+    for h, hq in zip(act.hamiltonians, act.quantum_hamiltonians):
+        bound = max((min(f.degree(), order - r) for r, f in hq.terms.items()),
+                    default=0)
+        for degree in range(bound + 1):
+            for exp in monomial_table(space.nvars, degree)[degree]:
+                f = Poly.monomial(space.nvars, exp)
+                bracket = brute_force_term(space, h, f, 1).scale(2)
+                expected = {1: bracket} if order >= 1 and not bracket.is_zero() else {}
+                if brute_force_commutator(space, hq.terms, {0: f}, order) != expected:
+                    return False
+    return True
+
+
+def quantum_hamiltonians_close(act: HamiltonianAction) -> bool:
+    """``[H_hat_i, H_hat_j] = hbar sum_k c_ij^k H_hat_k`` modulo
+    ``hbar^(N + 1)`` for every pair, by the brute-force commutator of the
+    series."""
+    for i, j in combinations(range(act.lie.dim), 2):
+        rhs = HSeries.zero(act.space.nvars, act.order)
+        for k, c in act.lie.bracket(i, j).items():
+            rhs = rhs + act.quantum_hamiltonians[k].scale(c)
+        lhs = brute_force_commutator(act.space, act.quantum_hamiltonians[i].terms,
+                                     act.quantum_hamiltonians[j].terms, act.order)
+        if lhs != rhs.hbar_shift(1).terms:
+            return False
+    return True
+
+
 def weyl_product(space: SymplecticSpace, a: Poly, b: Poly) -> Poly:
     """Exact product at parameter value 1: every order of the brute-force
     expansion summed."""
@@ -92,7 +150,7 @@ def weight_zero_monomials(space: SymplecticSpace, torus_weights: list[int],
     n = space.pairs
     full = list(torus_weights) + [-w for w in torus_weights]
     out = []
-    for exp in monomials_of_degree(space.nvars, degree):
+    for exp in monomial_table(space.nvars, degree)[degree]:
         if sum(w * e for w, e in zip(full, exp)) == 0:
             out.append(Poly.monomial(space.nvars, exp))
     return out
@@ -322,22 +380,27 @@ def abelian_data(dim: int, labels: list[str] | None = None) -> LieAlgebraData:
     return LieAlgebraData(dim, labels, {}, gens)
 
 
-def diagonal_torus_action(seed: int, truncation: int = 2, scaled: bool = False
+def diagonal_torus_action(seed: int, truncation: int = 2, paired: bool = False
                           ) -> tuple[HamiltonianAction, list[list[int]]]:
     """A seeded diagonal torus and its pair weights: 1-3 pairs and 0-2
     hamiltonians ``sum_i w_i q_i p_i``, each weight in -3..3.  When
-    ``scaled``, the bivector entries of each pair are multiplied by a seeded
-    nonzero scale; the hamiltonians are the same."""
+    ``paired``, the bivector pairs each ``q_i`` with a seeded ``p_s(i)``, a
+    permutation ``s`` of the pairs, at a seeded nonzero scale, and each
+    hamiltonian is ``sum_i w_i q_i p_s(i)`` with the same rows."""
     rng = random.Random(seed)
     pairs = rng.randint(1, 3)
     rows = [[rng.randint(-3, 3) for _ in range(pairs)] for _ in range(rng.randint(0, 2))]
     space = SymplecticSpace(pairs)
-    if scaled:
+    partner = list(range(pairs))
+    if paired:
         scales = [rng.choice([-2, -1, Fraction(1, 2), 2, 3]) for _ in range(pairs)]
-        space = SymplecticSpace(pairs, bivector=[[value * scales[i % pairs] for value in row]
-                                                 for i, row in enumerate(space.bivector)])
-    hamiltonians = [poly_sum(space.nvars, [(space.q(i) * space.p(i)).scale(w)
-                                           for i, w in enumerate(row, start=1)])
+        rng.shuffle(partner)
+        bivector = [[0] * space.nvars for _ in range(space.nvars)]
+        for i, (j, c) in enumerate(zip(partner, scales)):
+            bivector[i][pairs + j], bivector[pairs + j][i] = c, -c
+        space = SymplecticSpace(pairs, bivector=bivector)
+    hamiltonians = [poly_sum(space.nvars, [(space.q(i + 1) * space.p(j + 1)).scale(w)
+                                           for i, (j, w) in enumerate(zip(partner, row))])
                     for row in rows]
     return HamiltonianAction(abelian_data(len(rows)), StarProduct(space, truncation),
                              hamiltonians), rows
@@ -426,7 +489,7 @@ def random_homogeneous_poly(rng: random.Random, nvars: int, degree: int,
                             max_terms: int = 4) -> Poly:
     """Random homogeneous polynomial of the given degree with integer
     coefficients."""
-    mons = monomials_of_degree(nvars, degree)
+    mons = monomial_table(nvars, degree)[degree]
     terms: dict[tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(1, min(max_terms, len(mons)))):
         exp = mons[rng.randrange(len(mons))]

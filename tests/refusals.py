@@ -83,6 +83,11 @@ TORUS_11 = {
 # every pairing doubled: the scales leave the exact cutoff at 12
 TORUS_11_DOUBLED = dict(TORUS_11, name="torus_11_doubled", space={"pairs": 2, "bivector": [
     [0, 0, 2, 0], [0, 0, 0, 2], [-2, 0, 0, 0], [0, -2, 0, 0]]})
+# q1 paired with p2 and q2 with p1: the pairs are read off the bivector,
+# and the exact cutoff is 12, where q1*p1^11 enters
+TORUS_11_CROSSED = dict(TORUS_11, name="torus_11_crossed", space={"pairs": 2, "bivector": [
+    [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]},
+    hamiltonians={"t": "11*q1*p2 + q2*p1"})
 # two weight rows on three pairs: exact cutoff 25
 TWO_ROWS = dict(TORUS_11, name="two_rows", space={"pairs": 3}, lie_algebra={
     "dim": 2, "labels": ["s", "t"], "brackets": [], "invariant_generators": []},
@@ -532,9 +537,9 @@ ROWS += [
     Row("repeated_center_generator_is_refused_with_exit_3", "torus_k2",
         {"center_generators": ["J", "J"]}, 3,
         _line(3, "center generator 'J' is named twice"), whole=True),
-    # b fails at p1^3, but the walk went on to degree 24, the largest
-    # coefficient degree, trying a, whose commutator applies at most two
-    # derivatives, on every monomial: validate took over 20 s
+    # b's hamiltonian has degree 24, so its commutator applies three
+    # derivatives below the truncation: a walk over the monomials up to
+    # degree 24, trying a on each, took validate over 20 s
     Row("quantum_condition_walk_stops_at_each_generators_bound", {
         "schema": "qcenter-scenario/1", "name": "walk", "space": {"pairs": 3},
         "lie_algebra": {"dim": 2, "labels": ["a", "b"], "brackets": [],
@@ -542,7 +547,21 @@ ROWS += [
         "hamiltonians": {"a": "q2*p2", "b": "q1^24"}, "truncation": 12,
         "max_degree": 2, "test_degree": 4, "lifts": [], "relations": [],
         "center_generators": [], "tasks": ["invariants"]}, None, 3,
-        _line(3, "quantum condition fails for b on monomial p1^3"), whole=True, seconds=10),
+        _line(3, "quantum condition fails for b: its hamiltonian has degree 24 at "
+                 "truncation 12"), whole=True, seconds=10),
+    # the quantum condition is a condition on degrees: the cubic q1^2*p1
+    # meets it at truncation 2 (cubic_t2.json runs with exit 0) and not at 3
+    Row("quantum_condition_refuses_a_cubic_hamiltonian_at_truncation_3",
+        "data/cubic_t2.json", {"truncation": 3}, 3,
+        _line(3, "quantum condition fails for t: its hamiltonian has degree 3 at "
+                 "truncation 3"), whole=True),
+    # a constant correction meets the quantum condition, but [e, f] = h
+    # closes only when h's corrections below the truncation vanish as e's
+    # and f's do
+    Row("quantum_hamiltonians_that_do_not_close_are_refused", "sl2_tstar_k2",
+        {"quantum_corrections": {"h": {"1": "1"}}}, 3,
+        _line(3, "quantum hamiltonians do not close under the commutator: (e, f)"),
+        whole=True),
     # a relation of degree n takes the n-th deformed power of the lift and
     # checks minimality to degree (n - 1) * deg f: uncapped, validate
     # admitted this document and run went on past 10 s
@@ -588,6 +607,7 @@ ROWS += [
            3, 4, "q2^3*p1"),
           ("torus_11-default", TORUS_11, None, 10, 12, "q2^11*p1"),
           ("torus_11_doubled-default", TORUS_11_DOUBLED, None, 10, 12, "q2^11*p1"),
+          ("torus_11_crossed-default", TORUS_11_CROSSED, None, 10, 12, "q1*p1^11"),
           ("two_rows-24", TWO_ROWS, {"test_degree": 24}, 24, 25, "q3^2*p1^15*p2^8"),
       ]],
     # the first difference past the kernel of the row (100, 1) has degree

@@ -22,7 +22,7 @@ from qcenter import (
 import qcenter.scenario as scenario_mod
 from qcenter.scenario import load_scenario, run_scenario
 
-from oracle import UncheckedAction, abelian_data, brute_force_product, random_poly
+from oracle import UncheckedAction, brute_force_product, random_poly
 
 
 def test_equivariance_is_validated(sl2, star2):
@@ -186,13 +186,16 @@ def test_comoment_golden_value(sl2_action):
     assert image == square + HSeries.one(4, star.order).hbar_shift(2).scale(-1)
 
 
-def test_comoment_rejects_inconsistent_quantum_data(torus1, star1):
+def test_comoment_rejects_inconsistent_quantum_data(sl2, star2, sl2_action, torus1, star1):
+    # a constant correction of h at order 1 meets the quantum condition, but
+    # [e, f] = h then needs the same constant from [H_hat_e, H_hat_f], which
+    # is hbar {H_e, H_f} alone
+    quantum = list(sl2_action.quantum_hamiltonians)
+    quantum[1] = quantum[1] + HSeries.one(4, 8).hbar_shift(1)
+    with pytest.raises(InvalidActionError, match=r"do not close under the "
+                                                 r"commutator: \(e, f\)$"):
+        HamiltonianAction(sl2, star2, sl2_action.hamiltonians, quantum)
     sp = star1.space
-    rank2 = abelian_data(2)
-    # abelian data demands commuting quantum hamiltonians; q and p fail that
-    act = UncheckedAction(rank2, star1, [sp.q(1), sp.p(1)])
-    with pytest.raises(InvalidActionError):
-        act.assert_quantum_consistency()
     h = sp.q(1) * sp.p(1)
     act2 = HamiltonianAction(torus1, star1, [h])
     assert act2.comoment(UEnvElement.generator(torus1, 0, 8)) == HSeries.from_poly(h, 8)
@@ -334,89 +337,104 @@ def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
             assert sum(f is form and g == x for f, g in brackets) == 1
 
 
-def _walk_prepared(monkeypatch, scenario) -> list[Poly]:
-    """The polynomials the quantum-condition walk prepares while the
-    scenario is built."""
-    prepare, failure = StarProduct._prepare, HamiltonianAction._quantum_condition_failure
-    prepared = []
-    inside = []
+def _entered_by_the_quantum_checks(monkeypatch, scenario) -> list[str]:
+    """The ``StarProduct`` methods entered while the quantum condition and
+    the closure check run on the scenario's action."""
+    inside, entered = [], []
+    for name in ("_quantum_condition_failure", "assert_quantum_consistency"):
+        def check(self, _real=getattr(HamiltonianAction, name)):
+            inside.append(self)
+            try:
+                return _real(self)
+            finally:
+                inside.pop()
 
-    def spy_failure(self):
-        inside.append(self)
-        try:
-            return failure(self)
-        finally:
-            inside.pop()
+        monkeypatch.setattr(HamiltonianAction, name, check)
+    for name in ("_prepare", "_contract"):
+        def spy(self, *args, _name=name, _real=getattr(StarProduct, name), **kwargs):
+            if inside:
+                entered.append(_name)
+            return _real(self, *args, **kwargs)
 
-    def spy_prepare(self, x):
-        if inside and isinstance(x, Poly):
-            prepared.append(x)
-        return prepare(self, x)
-
-    monkeypatch.setattr(HamiltonianAction, "_quantum_condition_failure", spy_failure)
-    monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+        monkeypatch.setattr(StarProduct, name, spy)
     scenario_mod.build_scenario(scenario)
-    return prepared
+    return entered
 
 
-def test_quantum_condition_prepares_each_monomial_once(monkeypatch):
-    # sl2_tstar_k2's quantum hamiltonians have degree 2, so the condition
-    # is tried on the 15 monomials of degree <= 2 in four variables, each
-    # prepared once for all three generators
-    prepared = _walk_prepared(monkeypatch, load_scenario("sl2_tstar_k2"))
-    assert len(prepared) == 15
-    assert len({tuple(f.terms) for f in prepared}) == 15
+def test_quantum_condition_prepares_no_monomial(monkeypatch):
+    # the quantum condition and closure are read off the coefficients
+    # (module docstring of qcenter.action): on sl2_tstar_k2 neither
+    # prepares a polynomial or contracts one
+    assert _entered_by_the_quantum_checks(monkeypatch, load_scenario("sl2_tstar_k2")) == []
 
 
-def test_quantum_condition_walk_stops_at_the_truncation(monkeypatch):
-    # the correction q1^24 at order 4 = truncation commutes only to orders
-    # past it, so it adds no derivative: the bound is max(min(2, 4),
-    # min(24, 4 - 4)) = 2, the 28 monomials of degree <= 2 in six variables
-    document = {
+def _one_generator(hamiltonian: str, corrections: dict, truncation: int) -> dict:
+    return {
         "space": {"pairs": 3},
         "lie_algebra": {"dim": 1, "labels": ["t"]},
-        "hamiltonians": {"t": "q1*p1 + q2*p2 + q3*p3"},
-        "quantum_corrections": {"t": {"4": "q1^24"}},
-        "truncation": 4,
+        "hamiltonians": {"t": hamiltonian},
+        "quantum_corrections": {"t": corrections},
+        "truncation": truncation,
         "tasks": [],
     }
-    prepared = _walk_prepared(monkeypatch, scenario_mod.parse_scenario(document))
-    assert len(prepared) == 28
-    assert max(f.degree() for f in prepared) == 2
+
+
+def test_a_cubic_hamiltonian_meets_the_quantum_condition_below_truncation_3():
+    # 2 D_3(H, f) is the first term of the defect, at order 3: q1^2*p1 meets
+    # the condition at truncation 2 (tests/data/cubic_t2.json) and not at 3
+    document = _one_generator("q1^2*p1", {}, 2)
+    scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
+    document = _one_generator("q1^2*p1", {}, 3)
+    with pytest.raises(InvalidActionError) as info:
+        scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
+    assert str(info.value) == ("quantum condition fails for t: its hamiltonian has "
+                               "degree 3 at truncation 3")
+
+
+def test_quantum_condition_admits_any_correction_at_the_truncation(monkeypatch):
+    # the correction q1^24 at order 4 = truncation commutes only to orders
+    # past it, so it is admitted without a contraction; one order lower it
+    # meets the bracket at order 4 and is refused
+    document = _one_generator("q1*p1 + q2*p2 + q3*p3", {"4": "q1^24"}, 4)
+    assert _entered_by_the_quantum_checks(
+        monkeypatch, scenario_mod.parse_scenario(document)) == []
+    document = _one_generator("q1*p1 + q2*p2 + q3*p3", {"3": "q1^24"}, 4)
+    with pytest.raises(InvalidActionError) as info:
+        scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
+    assert str(info.value) == ("quantum condition fails for t: its correction at "
+                               "order 3 is not a constant")
 
 
 def test_quantum_condition_reports_the_first_failure_of_the_first_generator():
-    # b fails on q1, the first monomial, and a only on p2, the last of
-    # degree 1: the failure reported is a's, generators first
+    # a's corrections are a constant at order 1 and q2 at order 2; b's
+    # hamiltonian is cubic at truncation 4: the failure reported is a's
+    # lowest one, generators first
     document = {
         "space": {"pairs": 2},
         "lie_algebra": {"dim": 2, "labels": ["a", "b"]},
-        "hamiltonians": {"a": "q1*p1", "b": "q2*p2"},
-        "quantum_corrections": {"a": {"1": "q2"}, "b": {"1": "p1"}},
+        "hamiltonians": {"a": "q1*p1", "b": "q2^3"},
+        "quantum_corrections": {"a": {"1": "1", "2": "q2", "3": "p2"}},
+        "truncation": 4,
         "tasks": [],
     }
     with pytest.raises(InvalidActionError) as info:
         scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
-    assert str(info.value) == "quantum condition fails for a on monomial p2"
+    assert str(info.value) == ("quantum condition fails for a: its correction at "
+                               "order 2 is not a constant")
 
 
-def test_quantum_condition_stops_at_a_failure_of_the_first_generator(monkeypatch):
-    # q1^24 on four pairs fails on p1^3: the walk stops there, before the
-    # C(32, 8) monomials of degree <= 24 in eight variables are prepared
-    prepare = StarProduct._prepare
-    prepared = []
-
-    def spy_prepare(self, x):
-        prepared.append(x)
-        assert len(prepared) < 1000, "the walk went on past the failure"
-        return prepare(self, x)
-
-    monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+def test_quantum_condition_stops_at_a_failure_of_the_first_generator():
+    # q1^24 on four pairs breaks the condition by its degree, which is read
+    # before its corrections: q1 at order 1 is not reported, and none of the
+    # C(32, 8) monomials of degree <= 24 in eight variables is tried
     document = {
         "space": {"pairs": 4},
         "lie_algebra": {"dim": 1, "labels": ["t"]},
         "hamiltonians": {"t": "q1^24"},
+        "quantum_corrections": {"t": {"1": "q1"}},
         "tasks": [],
     }
-    with pytest.raises(InvalidActionError, match=r"on monomial p1\^3$"):
+    with pytest.raises(InvalidActionError) as info:
         scenario_mod.build_scenario(scenario_mod.parse_scenario(document))
+    assert str(info.value) == ("quantum condition fails for t: its hamiltonian has "
+                               "degree 24 at truncation 8")

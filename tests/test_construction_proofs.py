@@ -18,19 +18,47 @@ They run on the presets, the two documents under ``tests/data`` and the
 seeded tori of ``test_metamorphic``, diagonal and pushed through
 symplectic transvections.  The tori have no lift requests: their
 relations have seeded coefficients in the generators.
+
+Validation reads the quantum condition and closure off the coefficients
+(``action`` module docstring).  It must accept and refuse as the
+references of ``oracle`` do: the walk over every monomial up to the order
+of the operator the condition states, and the deformed commutator of
+every pair of quantum hamiltonians, both on the brute-force product.  They
+run on seeded one-generator actions (hamiltonians of degree 0 to 3,
+corrections of degree 0 to 2 at seeded orders, truncations 0 to 5) and on
+``sl2_tstar_k2`` with seeded constant corrections.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qcenter import MonicRelation, central_section, invariants_up_to, star_evaluate
+from qcenter import (
+    HamiltonianAction,
+    HSeries,
+    InvalidActionError,
+    MonicRelation,
+    StarProduct,
+    SymplecticSpace,
+    central_section,
+    invariants_up_to,
+    star_evaluate,
+)
 from qcenter.scenario import build_scenario, list_presets, load_scenario
 
-from oracle import central_in_envelope, random_poly
+from oracle import (
+    UncheckedAction,
+    abelian_data,
+    central_in_envelope,
+    quantum_condition_holds,
+    quantum_hamiltonians_close,
+    random_homogeneous_poly,
+    random_poly,
+)
 from test_metamorphic import DEGREE, SEEDS, action, diagonal_torus, transvections
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -82,3 +110,51 @@ def test_lift_relations_and_sections_of_the_seeded_tori(seed):
     coefficients = [tuple(random_poly(rng, rank, 2) for _ in range(n)) for n in (1, 2)]
     for hams in (hamiltonians, [h.substitute(images, nv) for h in hamiltonians]):
         check_construction(action(star, hams), coefficients, DEGREE)
+
+
+def _accepted(lie, star, hamiltonians, quantum) -> bool:
+    try:
+        HamiltonianAction(lie, star, hamiltonians, quantum)
+    except InvalidActionError:
+        return False
+    return True
+
+
+def test_the_quantum_condition_decides_as_the_monomial_walk():
+    verdicts = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        space, truncation = SymplecticSpace(rng.randint(1, 2)), rng.randint(0, 5)
+        nv = space.nvars
+        h = random_homogeneous_poly(rng, nv, rng.randint(0, 3))
+        orders = rng.sample(range(1, truncation + 1), min(truncation, rng.randint(0, 2)))
+        quantum = HSeries(nv, truncation, {0: h, **{
+            r: random_homogeneous_poly(rng, nv, rng.randint(0, 2)) for r in orders}})
+        lie, star = abelian_data(1, ["t"]), StarProduct(space, truncation)
+        accepted = _accepted(lie, star, [h], [quantum])
+        walk = quantum_condition_holds(UncheckedAction(lie, star, [h], [quantum]))
+        assert accepted == walk, seed
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_closure_decides_as_the_deformed_commutator_on_sl2():
+    act = build_scenario(load_scenario("sl2_tstar_k2")).action
+    nv, order = act.space.nvars, act.order
+    verdicts = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        quantum = []
+        for h in act.hamiltonians:
+            hq = HSeries.from_poly(h, order)
+            r = rng.choice([None, order, rng.randint(1, order - 1)])
+            if r is not None:
+                c = rng.choice([-1, Fraction(1, 2), 2])
+                hq = hq + HSeries.one(nv, order).scale(c).hbar_shift(r)
+            quantum.append(hq)
+        accepted = _accepted(act.lie, act.star, act.hamiltonians, quantum)
+        unchecked = UncheckedAction(act.lie, act.star, act.hamiltonians, quantum)
+        assert accepted == (quantum_condition_holds(unchecked)
+                            and quantum_hamiltonians_close(unchecked)), seed
+        verdicts.add(accepted)
+    assert verdicts == {True, False}

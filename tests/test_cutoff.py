@@ -1,16 +1,16 @@
 """The exact test cutoff of a diagonal action.
 
-When every hamiltonian is ``sum_i W_i q_i p_i`` on a bivector that pairs
-each ``q_i`` with ``p_i`` alone, at any scale, the Poisson center is the
-polynomials in the hamiltonians: dimension ``C(r + k - 1, k)`` at degree
-``2k``, ``r`` the rank of the weight rows, and 0 at odd degrees.  A test
-set up to ``T`` gives that answer exactly when the differences ``a - b``
-of the weight-zero monomials ``q^a p^b`` of degree at most ``T`` span the
-kernel of the rows (``centers`` module docstring).  ``check_test_cutoff``
-refuses a cutoff below the least such ``T``; these tests hold the solve
-to the closed form at that ``T`` and show a wrong degree-2 slice one
-below it.  A bivector that pairs ``q_i`` with another ``p_j`` keeps the
-assumed cutoff.
+When the bivector has one nonzero entry per row, it pairs each coordinate
+with one other at some scale, and every diagonal hamiltonian is
+``sum_k W_k x_i x_j`` over the pairs ``(i, j)``.  Then the Poisson center
+is the polynomials in the hamiltonians: dimension ``C(r + k - 1, k)`` at
+degree ``2k``, ``r`` the rank of the weight rows, and 0 at odd degrees.  A
+test set up to ``T`` gives that answer exactly when the differences
+``e[i] - e[j]`` per pair of the weight-zero exponents ``e`` of degree at
+most ``T`` span the kernel of the rows (``centers`` module docstring).
+``check_test_cutoff`` refuses a cutoff below the least such ``T``; these
+tests hold the solve to the closed form at that ``T`` and show a wrong
+degree-2 slice one below it.  Any other bivector keeps the assumed cutoff.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def exact_cutoff(act: HamiltonianAction) -> int:
 
 @pytest.mark.parametrize("seed", range(30))
 def test_both_centers_are_the_polynomials_in_the_hamiltonians_at_the_exact_cutoff(seed):
-    # each pair's bivector entries carry a seeded scale
-    act, rows = diagonal_torus_action(seed, scaled=True)
+    # each q_i is paired with a seeded p_j at a seeded scale
+    act, rows = diagonal_torus_action(seed, paired=True)
     r = len(dense_rref(rows)[1]) if rows else 0
     cutoff = exact_cutoff(act)
     report = compare_centers(act, MAX_DEGREE, max(cutoff, MAX_DEGREE))
@@ -91,17 +91,31 @@ def test_scaled_pairs_certify_the_cutoff():
     assert compare_centers(act, 2, 12).rows[2].poisson_dim == 1
 
 
-def test_a_cross_paired_bivector_keeps_the_assumed_cutoff():
+def test_a_cross_paired_bivector_certifies_the_cutoff():
     # pairing q1 with p2 and q2 with p1, the 11:1 torus is still diagonal,
-    # but not certified at any cutoff, so the default cutoff 10 runs, and
-    # its degree-2 slice is not yet exact there
+    # and its pairs are read off the bivector: refused below 12, where
+    # q1*p1^11 enters, and its degree-2 slice is exact there
     cross = [[0] * 4 for _ in range(4)]
     cross[0][3], cross[3][0], cross[1][2], cross[2][1] = 1, -1, 1, -1
     act = _eleven(SymplecticSpace(2, bivector=cross), "11*q1*p2 + q2*p1")
     assert act.nondiagonal == ()
-    check_test_cutoff(act, 2, 0)
-    dims = [compare_centers(act, 2, degree).rows[2].poisson_dim for degree in (10, 12)]
-    assert dims == [2, 1]
+    with pytest.raises(ValidationError, match="exact cutoff 12 of this diagonal "
+                                              "action, where q1\\*p1\\^11 enters"):
+        compare_centers(act, 2, 10)
+    assert compare_centers(act, 2, 12).rows[2].poisson_dim == 1
+
+
+def test_a_bivector_with_more_than_one_entry_per_row_keeps_the_assumed_cutoff():
+    # the inverse of [[0, B], [-B^T, 0]] with B = [[1, 1], [1, 2]] has eight
+    # entries, and q^T B p is diagonal on it with the row (1, 1, -1, -1): no
+    # pairs to read, so no cutoff is refused
+    form = [[0, 0, 1, 1], [0, 0, 1, 2], [-1, -1, 0, 0], [-1, -2, 0, 0]]
+    augmented = [row + [int(i == j) for j in range(4)] for i, row in enumerate(form)]
+    space = SymplecticSpace(2, bivector=[row[4:] for row in dense_rref(augmented)[0]])
+    assert len(space.bivector_entries()) == 8
+    act = _eleven(space, "q1*p1 + q1*p2 + q2*p1 + 2*q2*p2")
+    assert (act.nondiagonal, act.weight_rows) == ((), ((1, 1, -1, -1),))
+    check_test_cutoff(act, 2, 0)  # not refused
 
 
 def test_a_non_diagonal_action_keeps_the_assumed_cutoff():
@@ -128,6 +142,7 @@ def test_a_degree_bound_below_2_needs_no_more():
     (refusals.TORUS_11, None, 12),
     (refusals.TWO_ROWS, None, 25),
     (refusals.TORUS_11_DOUBLED, None, 12),
+    (refusals.TORUS_11_CROSSED, None, 12),
 ])
 def test_a_diagonal_document_at_its_exact_cutoff_runs_with_exit_0(
         source, edit, cutoff, tmp_path, capsys):

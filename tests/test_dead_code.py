@@ -66,6 +66,7 @@ ENTERED_ALLOWED = {
     "poly.Poly.__repr__": _REPR,
     "series.HSeries.__repr__": _REPR,
     "envelope.UEnvElement.__eq__": "the envelope and acceptance tests compare elements",
+    "series.HSeries.__eq__": "tests compare series",
     "space.SymplecticSpace.q": "coordinate constructor for library callers and tests",
     "space.SymplecticSpace.p": "coordinate constructor for library callers and tests",
 }

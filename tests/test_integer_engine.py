@@ -26,13 +26,12 @@ from qcenter import (
     Poly,
     hensel_lift,
     invariants_up_to,
-    monomials_of_degree,
     reduce_poly_span,
     rref,
     verify_lift,
 )
 from qcenter.linalg import span_combinations
-from qcenter.poly import monomial_key
+from qcenter.poly import monomial_key, monomial_table
 from qcenter.scenario import build_scenario, load_scenario, resolve_lift, run_scenario
 
 from oracle import densified, dense_nullspace, dense_rref
@@ -112,7 +111,7 @@ def test_wide_rows_match_the_dense_fraction_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_wide_span_combinations_match_the_dense_reference(seed):
     rng = random.Random(8000 + seed)
-    monomials = monomials_of_degree(2, 3)
+    monomials = monomial_table(2, 3)[3]
     polys = [
         Poly(2, dict(zip(monomials, row)))
         for row in as_fractions(wide_rows(rng, rng.randint(1, 8), len(monomials)))

@@ -12,12 +12,11 @@ from qcenter import (
     ValidationError,
     in_span,
     invariants_up_to,
-    monomials_of_degree,
     reduce_poly_span,
     rref,
 )
 from qcenter.linalg import independent_extension
-from qcenter.poly import monomial_key
+from qcenter.poly import monomial_key, monomial_table
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import densified, dense_in_span, dense_nullspace, dense_rref, spans_equal
@@ -152,7 +151,8 @@ def _dense_extension(base: list[Poly], candidates: list[Poly]) -> list[Poly]:
 def _single_terms(rng: random.Random, nvars: int, count: int) -> list[Poly]:
     """Terms on a few monomials of one degree, so monomials repeat, with
     negative and rational coefficients."""
-    mons = monomials_of_degree(nvars, rng.randint(0, 3))
+    degree = rng.randint(0, 3)
+    mons = monomial_table(nvars, degree)[degree]
     pool = rng.sample(mons, min(3, len(mons)))
     return [
         Poly(nvars, {rng.choice(pool): Fraction(rng.choice((-3, -1, 1, 2)),

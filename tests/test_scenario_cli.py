@@ -615,8 +615,8 @@ def test_a_long_invariant_generator_symmetrizes_promptly(tmp_path):
 
 def test_the_quantum_condition_walk_stops_at_the_truncation(tmp_path):
     # the correction q1^24 at order 4 commutes to order 5 and over, past the
-    # truncation: walking the monomials to degree 24 took 28 s, the bound
-    # min(24, 4 - 4) = 0 stops the walk at degree 2
+    # truncation, so the quantum condition admits it: a walk over the
+    # monomials to degree 24 took 28 s
     data = dict(refusals.MINIMAL, space={"pairs": 3}, truncation=4, max_degree=2,
                 test_degree=4, hamiltonians={"t": "q1*p1 + q2*p2 + q3*p3"},
                 quantum_corrections={"t": {"4": "q1^24"}}, tasks=["invariants"])

@@ -34,12 +34,11 @@ from qcenter import (
     SymplecticSpace,
     in_span,
     invariants_up_to,
-    monomials_of_degree,
     parse_poly,
 )
 from qcenter import centers
 from qcenter.action import _diagonal_weights
-from qcenter.poly import weight_count_table
+from qcenter.poly import monomial_table, weight_count_table
 from qcenter.scenario import build_scenario, load_scenario
 
 from oracle import (
@@ -93,7 +92,7 @@ def _oracle_invariants(act: HamiltonianAction, top: int) -> GradedSubspace:
     nv = space.nvars
     slices = {}
     for degree in range(top + 1):
-        candidates = [Poly.monomial(nv, m) for m in monomials_of_degree(nv, degree)]
+        candidates = [Poly.monomial(nv, m) for m in monomial_table(nv, degree)[degree]]
         rows: dict[tuple, list[Fraction]] = {}
         for h in act.hamiltonians:
             for col, c in enumerate(candidates):
