@@ -22,11 +22,13 @@ homomorphism exactly when the hamiltonians are equivariant and
 ``sum_k c_ij^k H_k^(s) = 0`` for ``1 <= s < N``, which validation checks.
 
 The constructor builds, once, the record every consumer reads: each
-classical and quantum hamiltonian prepared for the contraction kernel, the
-coordinate brackets ``{H_i, x_j}``, and from them the integer weight rows
-of the diagonal hamiltonians (``{H_i, x_j} = w_j * x_j``) with the indices
-of the others (``nondiagonal``), and among those the indices whose rows the
-invariant solve feeds (``eliminated``): all of them less each one an sl2
+classical and quantum hamiltonian prepared for the contraction kernel (a
+quantum hamiltonian shares the order-0 slot of its classical one, so each
+hamiltonian is prepared once), the coordinate brackets ``{H_i, x_j}``,
+and from them the integer weight rows of the diagonal hamiltonians
+(``{H_i, x_j} = w_j * x_j``) with the indices of the others
+(``nondiagonal``), and among those the indices whose rows the invariant
+solve feeds (``eliminated``): all of them less each one an sl2
 triple with a kept one and a diagonal element discharges (the rule and its
 proof are in the ``centers`` module docstring).  When the rule keeps one
 ``x`` and drops the only other non-diagonal element, ``raising_root`` reads
@@ -90,7 +92,12 @@ class HamiltonianAction:
             if hq.order != self.order:
                 raise ValidationError("quantum hamiltonian truncation mismatch")
         self.prepared_hamiltonians = tuple(map(star.prepare, self.hamiltonians))
-        self.prepared_quantum = tuple(map(star.prepare, self.quantum_hamiltonians))
+        # each series shares its classical slot: validate requires
+        # hq.classical_part() == h, and nothing reads these before it runs
+        self.prepared_quantum = tuple(
+            star.prepare({**hq.terms, 0: ph})
+            for hq, ph in zip(self.quantum_hamiltonians, self.prepared_hamiltonians)
+        )
         nv = self.space.nvars
         self.coordinate_brackets = tuple(  # [i][j] is {H_i, x_j}
             tuple(star.poisson(h, Poly.variable(nv, j)) for j in range(nv))

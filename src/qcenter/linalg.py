@@ -318,9 +318,6 @@ class GradedSubspace:
                        if slices[degree]}
         return self
 
-    def degrees(self) -> list[int]:
-        return sorted(self.slices)
-
     def basis(self, degree: int) -> list[Poly]:
         return list(self.slices.get(degree, []))
 

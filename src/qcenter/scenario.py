@@ -37,8 +37,11 @@ structural validation (``ValidationError``):
   quantum condition and reaches the central lifts.  For ``iso`` and
   ``weyl`` they must also be weight-homogeneous, or no lift through the
   relations has one weight to match or to specialize at;
-* when the task list holds ``weyl``: weight-homogeneous classical parts
-  of the lifts, which the specialization needs.
+* when the task list holds ``weyl`` and the scenario has a lift:
+  hamiltonians of degree at most 2, under which the invariant generators
+  test the specialized lifts completely (``weyl`` module docstring), and
+  weight-homogeneous classical parts of the lifts, which the
+  specialization needs.
 
 Parsing also enforces a size budget, before anything is built from the
 document (``ValidationError``):
@@ -694,7 +697,16 @@ def build_scenario(scenario: Scenario) -> BuiltScenario:
         if spec.target is None else spec.target
         for spec in scenario.lifts
     }
-    if "weyl" in scenario.tasks:
+    if "weyl" in scenario.tasks and scenario.lifts:
+        # the generators are a complete test set at parameter 1 only when
+        # the action preserves the product there (weyl module docstring)
+        for label, h in zip(labels, scenario.hamiltonians):
+            if h.degree() > 2:
+                raise ValidationError(
+                    f"the weyl task cannot run: the hamiltonian of {echo(label)} has "
+                    f"degree {h.degree()}, and the product at parameter 1 is "
+                    "invariant only under hamiltonians of degree at most 2"
+                )
         # a lift's order-0 term is its classical element: with terms of two
         # weights there, the lift has no single weight to specialize at
         for name, f in targets.items():
@@ -792,7 +804,8 @@ class _Run:
         against the quantum center's test set: the invariant generators up
         to the test cutoff.  On the validated action, a series that commutes
         with them modulo the truncation commutes with every invariant up to
-        the cutoff."""
+        the cutoff.  The weyl task tests the specialized lifts against the
+        same generators."""
         return run_lifts(self.built, self.invariants.generators)
 
     def _task_axioms(self) -> TaskResult:
@@ -850,12 +863,11 @@ class _Run:
         return TaskResult("iso", iso.passed, iso.to_json_dict())
 
     def _task_weyl(self) -> TaskResult:
-        inv = self.invariants
         entries, _ = self.lifts
-        quadratic_tests = [u for d in inv.degrees() if d <= 2 for u in inv.basis(d)]
         lifted = [(name, fhat) for name, _, fhat in entries]
         result = weyl_report(self.built.action.star, lifted,
-                             self.built.scenario.center_generators, quadratic_tests)
+                             self.built.scenario.center_generators,
+                             self.invariants.generators)
         return TaskResult("weyl", result.passed, result.to_json_dict())
 
 

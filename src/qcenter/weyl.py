@@ -7,6 +7,42 @@ product is the exact (finitely terminating) sum of all the contraction
 terms.  Symbols obtained this way are in symmetric normal form: the
 specialization intertwines the truncated series product with the exact
 specialized product.
+
+A specialized lift is central when its commutator at parameter 1 with
+every invariant up to the test cutoff vanishes.  ``weyl_report`` tests it
+against the invariant generators up to the cutoff
+(``Invariants.generators``), the set both centers and ``verify_lift`` test
+against (``centers`` module docstring).  They are a complete test set when
+every hamiltonian has degree at most 2:
+
+* On polynomials the product is the finite sum
+  ``u * v = sum_r hbar^r B_r(u, v)`` of the contraction terms, with
+  ``B_0(u, v) = u v`` and ``B_r(u, v)`` of degree ``deg u + deg v - 2r``
+  on homogeneous ``u`` and ``v``; at parameter 1 it is
+  ``sum_r B_r(u, v)``.
+* Take a hamiltonian ``H`` of degree at most 2.  Every ``D_l(H, .)`` with
+  ``l >= 3`` vanishes (``action`` module docstring), so
+  ``[H, f] = hbar {H, f}`` exactly, at every order.
+* The commutator is a derivation of an associative product, so
+  ``{H, .}`` is a derivation of the product.  Comparing parameter powers
+  in ``{H, u * v}``, ``{H, B_r(u, v)} = B_r({H, u}, v) + B_r(u, {H, v})``.
+  For invariants ``u`` and ``v``, each ``B_r(u, v)`` is then an invariant
+  of degree ``deg u + deg v - 2r``.
+* ``[s, .]`` is a derivation of the product too.  So for a generator
+  ``g`` and an invariant ``v``,
+  ``[s, g v] = [s, g] * v + g * [s, v] - sum_(r >= 1) [s, B_r(g, v)]``.
+* An invariant of degree ``d`` is a combination of generators of degree
+  ``d`` and products ``g v`` of a generator with an invariant of lower
+  degree.  So, by induction on the degree, a symbol that commutes with the
+  generators up to the cutoff commutes with every invariant up to the
+  cutoff.
+
+With a hamiltonian of degree 3 or more no test set is proven: the series
+argument of ``centers`` holds only modulo the truncation, and at parameter
+1 every order counts.  On ``cubic_t2`` (``tests/data``), hamiltonian
+``q1^2*p1``, the lift ``c`` of ``t`` commutes with the generators and not
+with the invariant ``q1^4*p1^2``.  So ``build_scenario`` refuses the
+``weyl`` task on such an action when it has a lift.
 """
 
 from __future__ import annotations
@@ -104,8 +140,11 @@ def weyl_report(
     center_generator_names: Sequence[str],
     tests: Sequence[Poly],
 ) -> WeylReport:
-    """Specialize lifts, re-verify centrality against test invariants and
-    record independence of the designated center generators' symbols."""
+    """Specialize lifts, test each symbol's commutator at parameter 1
+    against ``tests`` and record independence of the designated center
+    generators' symbols.  A run passes the invariant generators up to the
+    test cutoff, a complete test set when every hamiltonian has degree at
+    most 2 (module docstring)."""
     space = star.space
     prepared = [(u, star.prepare(u)) for u in tests]
     entries: list[WeylEntry] = []

@@ -8,10 +8,13 @@ construction and checked nowhere else, the invariants of an all-diagonal
 action are kept as enumerated and their generators read off exponent
 sums, a weight count fixes the dimension of each invariant slice of a
 rank-one action, the weight-zero differences of a diagonal action
-certify its test cutoff, and the quantum condition and closure of an
-action are read off its coefficients.  A refactor can weaken one of their
-conditions and still give the right answers on the inputs at hand, so each
-row here is a mutant that some test must notice.  A row holds an id, a
+certify its test cutoff, the quantum condition and closure of an
+action are read off its coefficients, a quantum hamiltonian shares its
+classical one's prepared slot, and the invariant generators test the
+lifts at parameter 1 when no hamiltonian has degree above 2.  A refactor
+can weaken one of their conditions and still give the right answers on
+the inputs at hand, so each row here is a mutant that some test must
+notice.  A row holds an id, a
 source file under ``src/qcenter``, an exact snippet of it and its
 replacement, and the test node ids that must fail once the snippet is
 replaced (a node that names a parametrized test stands for all its cases,
@@ -61,6 +64,7 @@ _GENERATORS = "tests/test_generators.py::"
 _CUTOFF = "tests/test_cutoff.py::"
 _ACTION = "tests/test_action.py::"
 _PROOFS = "tests/test_construction_proofs.py::"
+_WEYL = "tests/test_weyl.py::"
 
 ROWS = [
     # -- the weight-zero walk (poly.weight_zero_monomials) --------------------
@@ -197,6 +201,22 @@ ROWS = [
         "if False:",
         (_ACTION + "test_comoment_rejects_inconsistent_quantum_data",
          _PROOFS + "test_closure_decides_as_the_deformed_commutator_on_sl2")),
+    Row("quantum_hamiltonians_prepared_again", "action.py",
+        "star.prepare({**hq.terms, 0: ph})",
+        "star.prepare(hq)",
+        (_ACTION + "test_one_run_prepares_and_brackets_each_hamiltonian_once",)),
+    # -- the parameter-1 test set (scenario) -----------------------------------
+    Row("weyl_tests_the_quadratic_invariants_only", "scenario.py",
+        "self.built.scenario.center_generators,\n"
+        "                             self.invariants.generators)",
+        "self.built.scenario.center_generators,\n"
+        "                             [u for d in sorted(self.invariants.slices) if d <= 2\n"
+        "                              for u in self.invariants.basis(d)])",
+        (_WEYL + "test_the_weyl_task_tests_against_the_quartic_generators",)),
+    Row("weyl_degree_guard_loosened", "scenario.py",
+        "if h.degree() > 2:",
+        "if h.degree() > 3:",
+        (_WEYL + "test_the_weyl_task_is_refused_under_a_cubic_hamiltonian",)),
 ]
 
 

@@ -577,6 +577,15 @@ ROWS += [
         {"lifts": [{"name": "J", "classical": "t + 1"}]}, 3,
         _line(3, "the weyl task cannot run: classical part of lift 'J' is not "
                  "weight-homogeneous"), whole=True),
+    # at parameter 1 the invariant generators are a complete test set only
+    # when every hamiltonian has degree at most 2: on the cubic q1^2*p1 the
+    # lift commuted with them and not with the invariant q1^4*p1^2, and the
+    # weyl task passed with exit 0
+    Row("weyl_task_refuses_a_cubic_hamiltonian", "data/cubic_t2.json",
+        {"tasks": ["weyl"]}, 3,
+        _line(3, "the weyl task cannot run: the hamiltonian of 't' has degree 3, "
+                 "and the product at parameter 1 is invariant only under "
+                 "hamiltonians of degree at most 2"), whole=True),
     # checking the Jacobi identity on all C(600, 3) basis triples took ~45 s;
     # only the triples that hold one of the two stated pairs can fail
     Row("jacobi_check_visits_only_triples_with_a_stated_pair", "torus_k4", _labels_600,

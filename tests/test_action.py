@@ -294,13 +294,15 @@ def test_the_action_holds_each_generators_central_lift_in_generator_order(scenar
 def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
     # the action builds one record of its hamiltonians, prepared and
     # bracketed with the coordinates, and every task reads it: no
-    # hamiltonian is prepared again and no bracket {H_i, x_j} taken again
+    # hamiltonian is prepared again, not even as the classical part of its
+    # quantum hamiltonian, and no bracket {H_i, x_j} is taken again
     scenario = load_scenario("sl2_tstar_k2")
     built = []
-    build, prepare, poisson = (
-        scenario_mod.build_scenario, StarProduct._prepare, StarProduct.poisson
+    build, prepare, slot, poisson = (
+        scenario_mod.build_scenario, StarProduct._prepare, StarProduct._slot,
+        StarProduct.poisson,
     )
-    series = []  # every series prepared
+    slotted = []  # every polynomial given its kernel slot
     forms = {}  # id of a classical hamiltonian -> its prepared forms
     brackets = []  # (prepared form, coordinate polynomial) of every bracket
 
@@ -310,11 +312,13 @@ def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
 
     def spy_prepare(self, x):
         out = prepare(self, x)
-        if isinstance(x, HSeries):
-            series.append(x)
-        elif any(x is h for h in scenario.hamiltonians):
+        if any(x is h for h in scenario.hamiltonians):
             forms.setdefault(id(x), []).append(out)
         return out
+
+    def spy_slot(self, f):
+        slotted.append(f)
+        return slot(self, f)
 
     def spy_poisson(self, f, g):
         if isinstance(g, Poly) and g.degree() == 1:
@@ -323,14 +327,16 @@ def test_one_run_prepares_and_brackets_each_hamiltonian_once(monkeypatch):
 
     monkeypatch.setattr(scenario_mod, "build_scenario", spy_build)
     monkeypatch.setattr(StarProduct, "_prepare", spy_prepare)
+    monkeypatch.setattr(StarProduct, "_slot", spy_slot)
     monkeypatch.setattr(StarProduct, "poisson", spy_poisson)
     report = run_scenario(scenario)
     assert all(task.passed for task in report.tasks)
     (act,) = [b.action for b in built]
-    for hq in act.quantum_hamiltonians:
-        assert sum(x is hq for x in series) == 1
     nv = act.space.nvars
-    for h in act.hamiltonians:
+    for h, ph, pq in zip(act.hamiltonians, act.prepared_hamiltonians,
+                         act.prepared_quantum):
+        assert sum(f is h for f in slotted) == 1
+        assert pq.slots[0] is ph.slots[0]
         (form,) = forms[id(h)]
         for j in range(nv):
             x = Poly.variable(nv, j)

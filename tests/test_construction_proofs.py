@@ -70,7 +70,7 @@ def check_construction(act, coefficients, test_degree):
     """Every fact of the module docstring on one validated action, for
     relations with the given coefficients in the generator names."""
     invariants = invariants_up_to(act, test_degree)
-    tests = [act.star.prepare(u) for d in invariants.degrees()
+    tests = [act.star.prepare(u) for d in sorted(invariants.slices)
              for u in invariants.basis(d)]
     for relation in coefficients:
         rel = MonicRelation(tuple(star_evaluate(act.star, a, act.central_lifts)

@@ -22,6 +22,7 @@ from qcenter.scenario import (
     list_presets,
     load_scenario,
     parse_scenario,
+    preset_path,
     resolve_lift,
     run_scenario,
 )
@@ -423,33 +424,63 @@ def test_a_classical_lift_is_substituted_once(monkeypatch):
     assert rel.coefficients == (expected,) and target == -expected
 
 
-def test_a_cubic_action_is_tested_against_its_generators(tmp_path, monkeypatch):
-    # q1^2*p1 passes its quantum condition at truncation 2, so the invariant
-    # generators are a complete test set: forcing the full invariant basis
-    # on the centers and the lifts changes no report byte
-    def report(name: str) -> bytes:
-        out = tmp_path / name
-        assert main(["run", str(DATA / "cubic_t2.json"), "--report", "json",
-                     "--out", str(out)]) == 0
-        return out.read_bytes()
+def _report_bytes(tmp_path: Path, source: str, name: str) -> bytes:
+    out = tmp_path / name
+    assert main(["run", source, "--report", "json", "--out", str(out)]) == 0
+    return out.read_bytes()
 
-    generators = report("generators.json")
-    tasks = json.loads(generators)["tasks"]
-    assert [task["task"] for task in tasks] == ["invariants", "centers", "lift",
-                                                "iso", "weyl"]
-    assert all(task["passed"] for task in tasks)
+
+def _force_full_basis(monkeypatch) -> list[int]:
+    """Every invariant solve of a run, for the invariants task, the lifts,
+    the weyl task and the centers task, with the whole basis as its
+    generators; returns the degrees solved."""
     forced = []
 
     def solve(act, degree, _solve=centers_mod.invariants_up_to):
         forced.append(degree)
         return full_basis(_solve(act, degree))
 
-    # the run's solve, for the invariants task and the lifts, and the
-    # centers task's
     for module in (centers_mod, scenario_mod):
         monkeypatch.setattr(module, "invariants_up_to", solve)
-    assert report("full.json") == generators
+    return forced
+
+
+def test_a_cubic_action_is_tested_against_its_generators(tmp_path, monkeypatch):
+    # q1^2*p1 passes its quantum condition at truncation 2, so the invariant
+    # generators are a complete test set of the series: forcing the full
+    # invariant basis on the centers and the lifts changes no report byte.
+    # The weyl task, which tests at parameter 1, is refused on it
+    source = str(DATA / "cubic_t2.json")
+    generators = _report_bytes(tmp_path, source, "generators.json")
+    tasks = json.loads(generators)["tasks"]
+    assert [task["task"] for task in tasks] == ["invariants", "centers", "lift", "iso"]
+    assert all(task["passed"] for task in tasks)
+    forced = _force_full_basis(monkeypatch)
+    assert _report_bytes(tmp_path, source, "full.json") == generators
     assert forced == [10, 10]
+
+
+def _quadratic(source: str) -> bool:
+    return all(h.degree() <= 2 for h in load_scenario(source).hamiltonians)
+
+
+# every preset and every tests/data document whose hamiltonians all have
+# degree at most 2: there the generators are a complete test set at
+# parameter 1 too (weyl module docstring)
+QUADRATIC_DOCUMENTS = [source for source in [
+    *(name for name, _ in list_presets()),
+    *sorted(str(path) for path in DATA.glob("*.json")),
+] if _quadratic(source)]
+
+
+@pytest.mark.parametrize("source", QUADRATIC_DOCUMENTS,
+                         ids=[Path(source).stem for source in QUADRATIC_DOCUMENTS])
+def test_the_generators_give_the_full_basis_verdict(source, tmp_path, monkeypatch):
+    generators = _report_bytes(tmp_path, source, "generators.json")
+    assert json.loads(generators)["passed"]
+    forced = _force_full_basis(monkeypatch)
+    assert _report_bytes(tmp_path, source, "full.json") == generators
+    assert forced
 
 
 def _leaf_paths(table: dict, prefix: str = ""):

@@ -338,3 +338,17 @@ def test_every_nondiagonal_hamiltonian_is_eliminated_outside_the_sl2_rule(case):
 def test_the_presets_eliminate_e_only_or_nothing():
     assert _preset("sl2_tstar_k2").eliminated == (0,)  # e, h, f: f is dropped
     assert _preset("torus_k4").eliminated == ()
+
+
+def test_the_weight_count_of_so3_rotation_is_its_solved_dimension():
+    # the rotation about the third axis has eigenvalues i, -i and 0 on each
+    # of the 3-vectors q and p; a count depends only on the multiset of
+    # weights, and the raising element of so(3) complexified raises the
+    # weight by 1 in units of i, so m_0 - m_1 counts the invariants
+    act = build_scenario(load_scenario(
+        Path(__file__).parent / "data" / "so3_rotation.json")).action
+    assert act.raising_root is None  # the solve does not count these slices
+    counts = weight_count_table(6, 10, [(1, -1, 0, 1, -1, 0)])
+    solved = invariants_up_to(act, 10)
+    assert [n.get((0,), 0) - n.get((1,), 0) for n in counts] == [
+        solved.dimension(d) for d in range(11)] == [1, 0, 3, 0, 6, 0, 10, 0, 15, 0, 21]

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,13 @@ from qcenter import (
     weyl_specialize,
 )
 
+import qcenter.scenario as scenario_mod
 from qcenter.cli import main
+from qcenter.scenario import build_scenario, load_scenario, run_scenario
 
 from oracle import random_homogeneous_poly, random_poly, weyl_product
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_specialize_quadratic_with_half(space1, star1):
@@ -70,7 +75,7 @@ def test_sl2_lift_central_at_unit_parameter(sl2_action):
     tr = sp.q(1) * sp.p(1) + sp.q(2) * sp.p(2)
     symbol = weyl_specialize(HSeries.from_poly(tr, star.order), sp)
     inv = invariants_up_to(sl2_action, 2)
-    for degree in inv.degrees():
+    for degree in sorted(inv.slices):
         for u in inv.basis(degree):
             assert weyl_commutator(star, symbol, u).is_zero()
     # and against the hamiltonians themselves
@@ -145,3 +150,34 @@ def test_dependent_lifts_of_six_pairs_exit_1(tmp_path, capsys):
     (task,) = json.loads(capsys.readouterr().out)["tasks"]
     assert task["details"]["generators_algebraically_independent"] is False
     assert all(entry["central"] for entry in task["details"]["entries"])
+
+
+def test_the_weyl_task_tests_against_the_quartic_generators(monkeypatch):
+    # q1*p1 commutes with the quadratic invariants of the skew torus, not
+    # with its quartic generators: handed a lift whose symbol is q1*p1, the
+    # weyl task tests it against the run's generators and finds both
+    scenario = load_scenario(str(DATA / "skew_torus.json"))._replace(tasks=("weyl",))
+    space = SymplecticSpace(2)
+    q1p1 = space.q(1) * space.p(1)
+
+    def lifts(built, tests):
+        return [("tr", q1p1, HSeries.from_poly(q1p1, built.action.order))], []
+
+    monkeypatch.setattr(scenario_mod, "run_lifts", lifts)
+    (task,) = run_scenario(scenario).tasks
+    (entry,) = task.details["entries"]
+    assert (entry["symbol"], entry["central"]) == ("q1*p1", False)
+    assert entry["failures"] == ["q2^3*p1", "q1*p2^3"]
+    assert not task.passed
+
+
+def test_the_weyl_task_is_refused_under_a_cubic_hamiltonian():
+    # no test set is proven at parameter 1 once a hamiltonian has degree 3:
+    # cubic_t2's lift commutes with the generators and not with q1^4*p1^2.
+    # Without a lift, or without the weyl task, nothing is tested there
+    scenario = load_scenario(str(DATA / "cubic_t2.json"))
+    with pytest.raises(ValidationError, match="the weyl task cannot run: the "
+                       "hamiltonian of 't' has degree 3"):
+        build_scenario(scenario._replace(tasks=("weyl",)))
+    build_scenario(scenario._replace(tasks=("weyl",), lifts=(), center_generators=()))
+    build_scenario(scenario)
